@@ -5,9 +5,8 @@
 // speedup with bit-identical results, and the work-stealing parallel
 // explorer returns the same (executions, exhausted, violation, witness)
 // for every thread count while never regressing below the serial fast
-// path - its worker count is clamped to the hardware concurrency and its
-// per-worker warm pools adapt to what checkpoint resumption actually
-// earns, so extra requested threads cost nothing on saturated cores.
+// path - its worker count is clamped to the hardware concurrency, so extra
+// requested threads cost nothing on saturated cores.
 //
 // Run with instance names as arguments to bench only those instances
 // (the CI scaling smoke runs the two register instances this way).
@@ -200,8 +199,7 @@ bool run_instance(const std::string& name,
                   std::size_t max_executions) {
   ScheduleExploreOptions traced;
   traced.max_executions = max_executions;
-  traced.record_traces = true;
-  traced.warm_worlds = 0;  // the pre-fast-path explorer's behaviour
+  traced.record_traces = true;  // the pre-fast-path explorer's behaviour
   ScheduleExploreOptions fast;
   fast.max_executions = max_executions;
 
@@ -255,7 +253,6 @@ bool run_instance(const std::string& name,
          {"subtrees_pruned", m.result.subtrees_pruned},
          {"jobs", m.result.jobs},
          {"steals", m.result.steals},
-         {"replay_steps_saved", m.result.replay_steps_saved},
          {"por_skipped", m.result.por_skipped},
          {"dependent_wakeups", m.result.dependent_wakeups},
          {"footprint_bytes",
@@ -283,8 +280,8 @@ bool run_instance(const std::string& name,
 
   // Distributed fork-mode engine: worker processes over loopback TCP, same
   // key-sorted merge, so results stay bit-identical at every worker count.
-  // The overhead vs the in-process explorer is fork + wire serialization +
-  // prefix re-replay into each worker's own warm pool.
+  // The overhead vs the in-process explorer is fork + wire serialization;
+  // both engines rebuild and replay each job's prefix.
   for (std::size_t workers : {1u, 2u, 4u}) {
     dist::DistExploreOptions dopt;
     dopt.base = fast;
@@ -445,7 +442,6 @@ bool run_crash_instance(const std::string& world, bool expect_violation) {
                             {"violation", m.result.violation.has_value()},
                             {"jobs", m.result.jobs},
                             {"steals", m.result.steals},
-                            {"replay_steps_saved", m.result.replay_steps_saved},
                             {"seconds", m.seconds},
                             {"execs_per_sec", rate}});
     };
@@ -478,8 +474,8 @@ int main(int argc, char** argv) {
 
   benchutil::header(
       "E13: model-checker throughput (fast path + work-stealing parallel)",
-      "identical results across trace mode, warm-pool size and thread "
-      "count; fast mode and parallelism only change wall-clock");
+      "identical results across trace mode and thread count; fast mode "
+      "and parallelism only change wall-clock");
   std::printf("\n  hardware threads: %u\n",
               std::thread::hardware_concurrency());
 

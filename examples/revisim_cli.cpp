@@ -45,12 +45,17 @@
 //       deterministic fault drill: each worker's outbound frames drop with
 //       P=.02; seq-gap detection cuts, the worker re-dials, jobs re-queue,
 //       and the summary still matches the fault-free run
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "src/bounds/bounds.h"
@@ -85,6 +90,35 @@ struct Args {
   std::string task = "consensus";
 };
 
+// Parses the value of a numeric flag into `out`: an unsigned integer in
+// decimal, or (for a double target) a finite number.  Empty input, signs,
+// other non-digits, trailing characters, overflow and values out of the
+// target type's range all exit 2 with a message naming the flag.
+template <typename T>
+void parse_number(const char* flag, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [stop, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value);
+  }
+  if (!ok) {
+    if constexpr (std::is_floating_point_v<T>) {
+      std::fprintf(stderr, "bad value for %s: '%s' (want a finite number)\n",
+                   flag, text);
+    } else {
+      std::fprintf(stderr,
+                   "bad value for %s: '%s' (want an integer in [0, %llu])\n",
+                   flag, text,
+                   static_cast<unsigned long long>(
+                       std::numeric_limits<T>::max()));
+    }
+    std::exit(2);
+  }
+  out = value;
+}
+
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--protocol racing|approx] [--n N] [--m M] [--f F] "
@@ -108,19 +142,19 @@ Args parse(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--protocol")) {
       a.protocol = next("--protocol");
     } else if (!std::strcmp(argv[i], "--n")) {
-      a.n = std::strtoull(next("--n"), nullptr, 10);
+      parse_number("--n", next("--n"), a.n);
     } else if (!std::strcmp(argv[i], "--m")) {
-      a.m = std::strtoull(next("--m"), nullptr, 10);
+      parse_number("--m", next("--m"), a.m);
     } else if (!std::strcmp(argv[i], "--f")) {
-      a.f = std::strtoull(next("--f"), nullptr, 10);
+      parse_number("--f", next("--f"), a.f);
     } else if (!std::strcmp(argv[i], "--d")) {
-      a.d = std::strtoull(next("--d"), nullptr, 10);
+      parse_number("--d", next("--d"), a.d);
     } else if (!std::strcmp(argv[i], "--eps")) {
-      a.eps = std::strtod(next("--eps"), nullptr);
+      parse_number("--eps", next("--eps"), a.eps);
     } else if (!std::strcmp(argv[i], "--seed")) {
-      a.seed = std::strtoull(next("--seed"), nullptr, 10);
+      parse_number("--seed", next("--seed"), a.seed);
     } else if (!std::strcmp(argv[i], "--seeds")) {
-      a.seeds = std::strtoull(next("--seeds"), nullptr, 10);
+      parse_number("--seeds", next("--seeds"), a.seeds);
     } else if (!std::strcmp(argv[i], "--burst")) {
       a.burst = true;
     } else if (!std::strcmp(argv[i], "--trace")) {
@@ -153,8 +187,9 @@ std::unique_ptr<tasks::ColorlessTask> make_task(const Args& a) {
     return std::make_unique<tasks::KSetAgreement>(1);
   }
   if (a.task.rfind("kset:", 0) == 0) {
-    return std::make_unique<tasks::KSetAgreement>(
-        std::strtoull(a.task.c_str() + 5, nullptr, 10));
+    std::size_t k = 0;
+    parse_number("--task kset:K", a.task.c_str() + 5, k);
+    return std::make_unique<tasks::KSetAgreement>(k);
   }
   if (a.task == "approx") {
     return std::make_unique<tasks::ApproxAgreementTask>(a.eps);
@@ -210,17 +245,18 @@ int run_explore(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--world")) {
       spec.world = next("--world");
     } else if (!std::strcmp(argv[i], "--f")) {
-      spec.f = std::strtoull(next("--f"), nullptr, 10);
+      parse_number("--f", next("--f"), spec.f);
     } else if (!std::strcmp(argv[i], "--m")) {
-      spec.m = std::strtoull(next("--m"), nullptr, 10);
+      parse_number("--m", next("--m"), spec.m);
     } else if (!std::strcmp(argv[i], "--budget")) {
-      spec.step_budget = std::strtoull(next("--budget"), nullptr, 10);
+      parse_number("--budget", next("--budget"), spec.step_budget);
     } else if (!std::strcmp(argv[i], "--max-crashes")) {
-      opt.max_crashes = std::strtoull(next("--max-crashes"), nullptr, 10);
+      parse_number("--max-crashes", next("--max-crashes"), opt.max_crashes);
     } else if (!std::strcmp(argv[i], "--max-steps")) {
-      opt.max_steps = std::strtoull(next("--max-steps"), nullptr, 10);
+      parse_number("--max-steps", next("--max-steps"), opt.max_steps);
     } else if (!std::strcmp(argv[i], "--max-executions")) {
-      opt.max_executions = std::strtoull(next("--max-executions"), nullptr, 10);
+      parse_number("--max-executions", next("--max-executions"),
+                   opt.max_executions);
     } else if (!std::strcmp(argv[i], "--por")) {
       opt.por = true;
     } else if (!std::strcmp(argv[i], "--dedupe")) {
@@ -283,8 +319,7 @@ int run_serve(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--host")) {
       host = next("--host");
     } else if (!std::strcmp(argv[i], "--port")) {
-      port = static_cast<std::uint16_t>(
-          std::strtoul(next("--port"), nullptr, 10));
+      parse_number("--port", next("--port"), port);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
@@ -317,39 +352,38 @@ int run_dist_explore(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--world")) {
       spec.world = next("--world");
     } else if (!std::strcmp(argv[i], "--f")) {
-      spec.f = std::strtoull(next("--f"), nullptr, 10);
+      parse_number("--f", next("--f"), spec.f);
     } else if (!std::strcmp(argv[i], "--m")) {
-      spec.m = std::strtoull(next("--m"), nullptr, 10);
+      parse_number("--m", next("--m"), spec.m);
     } else if (!std::strcmp(argv[i], "--budget")) {
-      spec.step_budget = std::strtoull(next("--budget"), nullptr, 10);
+      parse_number("--budget", next("--budget"), spec.step_budget);
     } else if (!std::strcmp(argv[i], "--max-crashes")) {
-      opt.base.max_crashes = std::strtoull(next("--max-crashes"), nullptr, 10);
+      parse_number("--max-crashes", next("--max-crashes"),
+                   opt.base.max_crashes);
     } else if (!std::strcmp(argv[i], "--max-steps")) {
-      opt.base.max_steps = std::strtoull(next("--max-steps"), nullptr, 10);
+      parse_number("--max-steps", next("--max-steps"), opt.base.max_steps);
     } else if (!std::strcmp(argv[i], "--max-executions")) {
-      opt.base.max_executions =
-          std::strtoull(next("--max-executions"), nullptr, 10);
+      parse_number("--max-executions", next("--max-executions"),
+                   opt.base.max_executions);
     } else if (!std::strcmp(argv[i], "--por")) {
       opt.base.por = true;
     } else if (!std::strcmp(argv[i], "--dedupe")) {
       opt.base.dedupe_states = true;
     } else if (!std::strcmp(argv[i], "--workers")) {
-      opt.workers = std::strtoull(next("--workers"), nullptr, 10);
+      parse_number("--workers", next("--workers"), opt.workers);
     } else if (!std::strcmp(argv[i], "--connect")) {
       endpoints.push_back(next("--connect"));
     } else if (!std::strcmp(argv[i], "--shards")) {
-      opt.fp_shards = std::strtoull(next("--shards"), nullptr, 10);
+      parse_number("--shards", next("--shards"), opt.fp_shards);
     } else if (!std::strcmp(argv[i], "--probe-interval")) {
-      opt.base.dist_probe_interval =
-          std::strtoull(next("--probe-interval"), nullptr, 10);
+      parse_number("--probe-interval", next("--probe-interval"),
+                   opt.base.dist_probe_interval);
     } else if (!std::strcmp(argv[i], "--fp-batch")) {
-      opt.fp_batch = static_cast<std::uint32_t>(
-          std::strtoul(next("--fp-batch"), nullptr, 10));
+      parse_number("--fp-batch", next("--fp-batch"), opt.fp_batch);
     } else if (!std::strcmp(argv[i], "--fp-window")) {
-      opt.fp_window = static_cast<std::uint32_t>(
-          std::strtoul(next("--fp-window"), nullptr, 10));
+      parse_number("--fp-window", next("--fp-window"), opt.fp_window);
     } else if (!std::strcmp(argv[i], "--retries")) {
-      opt.job_retries = std::strtoull(next("--retries"), nullptr, 10);
+      parse_number("--retries", next("--retries"), opt.job_retries);
     } else if (!std::strcmp(argv[i], "--witness")) {
       witness_path = next("--witness");
     } else if (!std::strcmp(argv[i], "--journal")) {
@@ -358,17 +392,17 @@ int run_dist_explore(int argc, char** argv) {
       opt.journal_path = next("--resume");
       opt.resume = true;
     } else if (!std::strcmp(argv[i], "--heartbeat-ms")) {
-      opt.heartbeat_interval_ms = static_cast<std::uint32_t>(
-          std::strtoul(next("--heartbeat-ms"), nullptr, 10));
+      parse_number("--heartbeat-ms", next("--heartbeat-ms"),
+                   opt.heartbeat_interval_ms);
     } else if (!std::strcmp(argv[i], "--heartbeat-timeout-ms")) {
-      opt.heartbeat_timeout_ms = static_cast<std::uint32_t>(
-          std::strtoul(next("--heartbeat-timeout-ms"), nullptr, 10));
+      parse_number("--heartbeat-timeout-ms", next("--heartbeat-timeout-ms"),
+                   opt.heartbeat_timeout_ms);
     } else if (!std::strcmp(argv[i], "--reconnect-ms")) {
-      opt.reconnect_window_ms = static_cast<std::uint32_t>(
-          std::strtoul(next("--reconnect-ms"), nullptr, 10));
+      parse_number("--reconnect-ms", next("--reconnect-ms"),
+                   opt.reconnect_window_ms);
     } else if (!std::strcmp(argv[i], "--halt-after-jobs")) {
-      opt.halt_after_jobs =
-          std::strtoull(next("--halt-after-jobs"), nullptr, 10);
+      parse_number("--halt-after-jobs", next("--halt-after-jobs"),
+                   opt.halt_after_jobs);
     } else if (!std::strcmp(argv[i], "--fault")) {
       try {
         opt.worker_faults = dist::parse_fault_plan(next("--fault"));

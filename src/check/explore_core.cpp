@@ -29,103 +29,12 @@ struct Frame {
   std::size_t sleep_inherited = 0;
 };
 
-// Ledger window: parks per capacity-adaptation decision.
-constexpr std::uint64_t kAdaptWindow = 32;
-// Acquire misses before a zeroed adaptive pool re-probes parking.
-constexpr std::uint64_t kReprobeMisses = 65'536;
-constexpr std::size_t kReprobeCapacity = 2;
 // Adaptive dedupe: evaluate the prune rate every this-many table lookups...
 constexpr std::uint64_t kDedupeAdaptWindow = 4'096;
 // ...and stop fingerprinting when fewer than 1-in-this-many lookups pruned.
 constexpr std::uint64_t kDedupeAdaptFactor = 64;
 
 }  // namespace
-
-WarmPool::WarmPool(std::size_t capacity, bool adaptive,
-                   std::size_t max_capacity)
-    : capacity_(std::min(capacity, max_capacity)),
-      max_capacity_(max_capacity),
-      adaptive_(adaptive) {}
-
-std::unique_ptr<ExplorableWorld> WarmPool::acquire(
-    const std::vector<runtime::ProcessId>& target, std::size_t len,
-    std::size_t* from_len) {
-  std::size_t best = entries_.size();
-  std::size_t best_len = 0;
-  for (std::size_t i = 0; i < entries_.size();) {
-    const auto& applied = entries_[i]->scheduler().applied_schedule();
-    const bool live =
-        applied.size() <= len &&
-        std::equal(applied.begin(), applied.end(), target.begin());
-    if (!live) {
-      // Off the resumable path: within a job, DFS never returns to an
-      // abandoned branch, and across jobs the regions are disjoint - evict.
-      entries_[i] = std::move(entries_.back());
-      entries_.pop_back();
-      if (best == entries_.size()) {
-        best = i;  // the best candidate was relocated into slot i
-      }
-      continue;
-    }
-    if (best == entries_.size() || applied.size() > best_len) {
-      best = i;
-      best_len = applied.size();
-    }
-    ++i;
-  }
-  if (best >= entries_.size()) {
-    if (adaptive_ && capacity_ == 0 && max_capacity_ > 0 &&
-        ++misses_ >= kReprobeMisses) {
-      capacity_ = std::min(kReprobeCapacity, max_capacity_);
-      saved_ = spent_ = window_parks_ = misses_ = 0;
-    }
-    return nullptr;
-  }
-  auto world = std::move(entries_[best]);
-  entries_[best] = std::move(entries_.back());
-  entries_.pop_back();
-  *from_len = best_len;
-  saved_ += best_len;
-  return world;
-}
-
-std::unique_ptr<ExplorableWorld> WarmPool::take_at(
-    const std::vector<runtime::ProcessId>& target, std::size_t len) {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const auto& applied = entries_[i]->scheduler().applied_schedule();
-    if (applied.size() == len &&
-        std::equal(applied.begin(), applied.end(), target.begin())) {
-      auto world = std::move(entries_[i]);
-      entries_[i] = std::move(entries_.back());
-      entries_.pop_back();
-      return world;
-    }
-  }
-  return nullptr;
-}
-
-void WarmPool::park(std::unique_ptr<ExplorableWorld> world) {
-  if (entries_.size() < capacity_) {
-    entries_.push_back(std::move(world));
-  }
-}
-
-void WarmPool::note_spent(std::size_t steps) {
-  spent_ += steps;
-  if (++window_parks_ >= kAdaptWindow) {
-    adapt();
-  }
-}
-
-void WarmPool::adapt() {
-  if (adaptive_ && spent_ > saved_) {
-    capacity_ /= 2;  // the window ran at a realized loss
-  }
-  // Decay rather than reset: persistent trends dominate, one window cannot.
-  saved_ /= 2;
-  spent_ /= 2;
-  window_parks_ = 0;
-}
 
 void append_node_choices(const std::vector<runtime::ProcessId>& runnable,
                          std::size_t crashes_used, std::size_t max_crashes,
@@ -170,18 +79,6 @@ SubtreeResult explore_job(
   std::uint64_t dedupe_lookups = 0;
   std::uint64_t dedupe_prunes = 0;
 
-  // Warm pool: the caller's persistent per-worker pool (adaptive, survives
-  // across jobs) or a job-local fixed-capacity one (the serial explorer).
-  WarmPool local_pool(ctx != nullptr && ctx->pool != nullptr
-                          ? 0
-                          : options.warm_worlds,
-                      /*adaptive=*/false, options.warm_worlds);
-  WarmPool* pool =
-      ctx != nullptr && ctx->pool != nullptr ? ctx->pool : &local_pool;
-  // Checkpoint recording makes parked worlds self-describing (and portable
-  // to other workers); skip its per-step cost when parking can never happen.
-  const bool checkpoints = pool->max_capacity() > 0;
-
   std::vector<runtime::ProcessId> schedule = prefix;
   schedule.reserve(std::max(options.max_steps, prefix.size()));
 
@@ -212,43 +109,19 @@ SubtreeResult explore_job(
   std::vector<Frame> stack;
   std::size_t depth = 0;
 
-  auto fresh_world = [&] {
+  // A fresh world that has executed schedule[0..len).
+  auto world_at = [&](std::size_t len) {
     auto w = factory();
     if (!options.record_traces) {
       w->scheduler().set_recording(false);
     }
-    if (checkpoints) {
-      w->scheduler().set_checkpointing(true);
-    }
-    return w;
-  };
-
-  // A world that has executed schedule[0..len), resuming from the deepest
-  // compatible pool checkpoint when one is available.
-  auto world_at = [&](std::size_t len) {
-    std::size_t from = 0;
-    auto w = pool->acquire(schedule, len, &from);
-    if (w == nullptr) {
-      w = fresh_world();
-      from = 0;
-    } else {
-      res.replay_steps_saved += from;
-    }
-    for (std::size_t i = from; i < len; ++i) {
+    for (std::size_t i = 0; i < len; ++i) {
       runtime::apply_schedule_entry(w->scheduler(), schedule[i]);
     }
     return w;
   };
 
-  std::unique_ptr<ExplorableWorld> world;
-  if (ctx != nullptr && ctx->warm != nullptr) {
-    // A donated checkpoint: it has applied exactly `prefix`.
-    world = std::move(ctx->warm);
-    assert(world->scheduler().applied_schedule() == prefix);
-    res.replay_steps_saved += prefix.size();
-  } else {
-    world = world_at(prefix.size());
-  }
+  std::unique_ptr<ExplorableWorld> world = world_at(prefix.size());
 
   // Canonical-state callback for collision audit; captures the live world by
   // reference so one std::function serves every node of the walk.  Invoked
@@ -328,12 +201,9 @@ SubtreeResult explore_job(
           }
         }
       }
-      d.warm = pool->take_at(schedule, node_len);
       if (ctx->split.take(d)) {
         fr.next = fr.choices.size();
         ++res.donations;
-      } else if (d.warm != nullptr) {
-        pool->park(std::move(d.warm));  // nobody hungry after all; re-park
       }
       return;
     }
@@ -486,19 +356,6 @@ SubtreeResult explore_job(
         if (ctx != nullptr && ctx->split.want && ctx->split.want()) {
           try_donate();
         }
-        if (stack[depth - 1].next < stack[depth - 1].choices.size() &&
-            pool->want_park()) {
-          // Keep this world warm at the branch node: the next backtrack here
-          // resumes it with one step instead of a full rebuild.  The descent
-          // world is rebuilt from scratch; the pool's ledger charges that
-          // rebuild against realized resume savings and adapts its capacity.
-          pool->park(std::move(world));
-          world = fresh_world();
-          for (std::size_t i = 0; i + 1 < schedule.size(); ++i) {
-            runtime::apply_schedule_entry(world->scheduler(), schedule[i]);
-          }
-          pool->note_spent(schedule.size() - 1);
-        }
         runtime::apply_schedule_entry(world->scheduler(), schedule.back());
         continue;
       }
@@ -544,6 +401,7 @@ SubtreeResult explore_job(
     Frame& f = stack[depth - 1];
     compute_child_sleep(f, f.next);
     sched_replace_back(f.choices[f.next++]);
+    world.reset();  // the walk holds one world at a time
     world = world_at(schedule.size());
   }
 }
@@ -553,6 +411,35 @@ SubtreeResult explore_subtree(
     const std::vector<runtime::ProcessId>& prefix,
     const SubtreeOptions& options, const AbortProbe& abort) {
   return explore_job(factory, prefix, options, abort, nullptr);
+}
+
+SubtreeOptions subtree_options(const ScheduleExploreOptions& options) {
+  SubtreeOptions sub;
+  sub.max_steps = options.max_steps;
+  sub.max_executions = options.max_executions;
+  sub.record_traces = options.record_traces;
+  sub.max_crashes = options.max_crashes;
+  sub.dedupe_states = options.dedupe_states;
+  sub.dedupe_audit = options.dedupe_audit;
+  sub.dedupe_adaptive = options.dedupe_adaptive;
+  sub.por = options.por;
+  return sub;
+}
+
+ScheduleExploreResult whole_tree_result(SubtreeResult&& sr) {
+  ScheduleExploreResult res;
+  res.executions = sr.executions;
+  res.exhausted = sr.fully_explored;
+  res.violation = std::move(sr.violation);
+  res.witness = std::move(sr.witness);
+  res.states_seen = sr.states_seen;
+  res.subtrees_pruned = sr.subtrees_pruned;
+  res.jobs = 1;
+  res.por_skipped = sr.por_skipped;
+  res.dependent_wakeups = sr.dependent_wakeups;
+  res.footprint_bytes = sr.footprint_bytes;
+  res.dedupe_disabled_adaptively = sr.dedupe_disabled;
+  return res;
 }
 
 }  // namespace revisim::check::detail

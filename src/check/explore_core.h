@@ -12,16 +12,14 @@
 // Cost model.  Coroutine worlds cannot be copied or rewound, so a world's
 // lifetime covers exactly one root-to-leaf path and evaluating E executions
 // of depth <= D necessarily costs E factory calls and up to E*D steps - the
-// replay explorer already meets that lower bound (DESIGN.md finding 7).
-// What this engine adds are the constant-factor levers: worlds run with
-// trace recording off (Scheduler fast mode), the runnable() buffer and the
-// DFS frames are reused instead of reallocated per node, and a WarmPool of
-// checkpoint worlds parked at branch nodes turns backtracks into resumes.
-// Parking is *not* free - finding 7 makes it exactly cost-neutral in steps
-// at best, and stale evictions make it a measured net loss on deep
-// low-branching trees - so the pool keeps a realized savings-vs-spend
-// ledger and, in adaptive mode, resizes itself to what the workload
-// actually earns (down to zero).
+// replay explorer meets that lower bound exactly (DESIGN.md finding 7):
+// every backtrack rebuilds a fresh world from the factory and replays the
+// schedule prefix.  What this engine adds are the constant-factor levers:
+// worlds run with trace recording off (Scheduler fast mode), and the
+// runnable() buffer and the DFS frames are reused instead of reallocated
+// per node.  No warm checkpoint worlds are parked at branch nodes: finding
+// 7 makes parking cost-neutral in steps at best, and it measured a net
+// loss in wall clock (DESIGN.md finding 9).
 #pragma once
 
 #include <atomic>
@@ -40,70 +38,10 @@ class StateStore;
 
 namespace revisim::check::detail {
 
-// A pool of warm checkpoint worlds.  Every entry has scheduler checkpoint
-// recording on (Scheduler::applied_schedule), so entries are portable
-// across jobs: acquire() validates an entry against the target schedule
-// before resuming it, and take_at() extracts the entry sitting at an exact
-// split node for donation to another worker.
-//
-// Adaptive mode keeps a ledger of replay steps actually saved by resumes
-// against steps spent building park replacements; when a window closes in
-// the red the capacity halves - possibly to zero, since parking is a
-// measured net loss on deep low-branching trees (the spend is immediate,
-// the saving depends on the entry being resumed before it goes stale).  A
-// zeroed pool re-probes with a small capacity after a long run of misses,
-// so a workload whose shape changes can earn parking back.
-class WarmPool {
- public:
-  WarmPool(std::size_t capacity, bool adaptive, std::size_t max_capacity);
-
-  // Deepest entry whose applied schedule is a prefix of target[0..len).
-  // Returns null on miss; on a hit, *from_len is the entry's depth (the
-  // replay steps saved).  Entries that can no longer match the target are
-  // evicted in passing.
-  std::unique_ptr<ExplorableWorld> acquire(
-      const std::vector<runtime::ProcessId>& target, std::size_t len,
-      std::size_t* from_len);
-
-  // Entry whose applied schedule is exactly target[0..len), for warm-world
-  // donation at a split node.  Null if the pool holds none.
-  std::unique_ptr<ExplorableWorld> take_at(
-      const std::vector<runtime::ProcessId>& target, std::size_t len);
-
-  // True when a park would currently be accepted.
-  [[nodiscard]] bool want_park() const noexcept {
-    return entries_.size() < capacity_;
-  }
-  void park(std::unique_ptr<ExplorableWorld> world);
-
-  // Ledger: steps spent rebuilding a parked world's replacement.  Savings
-  // are recorded by acquire().  Each closed window adapts the capacity.
-  void note_spent(std::size_t steps);
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t max_capacity() const noexcept {
-    return max_capacity_;
-  }
-  [[nodiscard]] std::uint64_t steps_saved() const noexcept { return saved_; }
-
- private:
-  void adapt();
-
-  std::vector<std::unique_ptr<ExplorableWorld>> entries_;
-  std::size_t capacity_;
-  std::size_t max_capacity_;
-  bool adaptive_;
-  std::uint64_t saved_ = 0;
-  std::uint64_t spent_ = 0;
-  std::uint64_t window_parks_ = 0;
-  std::uint64_t misses_ = 0;  // acquire misses while the pool is zeroed
-};
-
 struct SubtreeOptions {
   std::size_t max_steps = 64;            // depth bound, prefix included
   std::size_t max_executions = 500'000;  // execution cap (values < 1 act as 1)
   bool record_traces = false;            // leave Scheduler fast mode off?
-  std::size_t warm_worlds = 8;           // checkpoint pool capacity (0 = off)
   // Crash branching: at every node, besides one step per runnable process,
   // the walk also branches on "crash p here" for each runnable p while the
   // schedule holds fewer than `max_crashes` crash entries.  Crash entries
@@ -132,7 +70,7 @@ struct SubtreeOptions {
   // distributed worker: a remote-backed store).  Null with dedupe_states
   // set means the walk creates a private table for its own lifetime.
   StateStore* table = nullptr;
-  // Adaptive dedupe kill-switch (WarmPool-style spent-vs-saved ledger):
+  // Adaptive dedupe kill-switch (a spent-vs-saved ledger over lookups):
   // fingerprinting every node is pure overhead on workloads whose states
   // are all distinct, so when a window of kDedupeAdaptWindow lookups closes
   // with a prune rate below 1/kDedupeAdaptFactor, the walk stops consulting
@@ -167,13 +105,11 @@ struct SubtreeOptions {
 // branching frame, packaged as an independent job.  `prefix` is the path to
 // the split node; `choices` are its untried schedule entries in DFS order
 // (so the donated region is a contiguous lexicographic suffix of the
-// donor's region - the invariant the deterministic merge rests on).
-// `warm`, when present, is a checkpoint world that has applied exactly
-// `prefix` (checkpoint recording on), saving the thief the root replay.
+// donor's region - the invariant the deterministic merge rests on).  The
+// thief rebuilds its root world from the factory and replays `prefix`.
 struct Donation {
   std::vector<runtime::ProcessId> prefix;
   std::vector<runtime::ProcessId> choices;
-  std::unique_ptr<ExplorableWorld> warm;
   // POR only: the split node's sleep set followed by the donor's already-
   // explored sibling choices (crash entries excluded - they are dependent
   // with everything, so they could never survive into a child sleep set).
@@ -196,25 +132,20 @@ struct Donation {
 // cheap (an atomic hint load); when it returns true the engine carves off
 // the shallowest untried sibling suffix and offers it to `take`, which
 // returns true to accept (the donor then skips those choices) or false to
-// decline (the donor keeps them; `donation` is handed back untouched except
-// that the caller must re-park `donation.warm` if it was populated - the
-// engine does this itself).
+// decline (the donor keeps them).
 struct SplitHooks {
   std::function<bool()> want;
   std::function<bool(Donation&)> take;
 };
 
 // Per-job context beyond the plain options: an explicit first-branch choice
-// list (for donated jobs), an optional warm start world that has applied
-// exactly `prefix`, a persistent per-worker pool, and the split hooks.
+// list (for donated jobs) and the split hooks.
 struct JobContext {
   const std::vector<runtime::ProcessId>* root_choices = nullptr;
   // POR only: Donation::sleep for this job's split node (null = empty).
   const std::vector<runtime::ProcessId>* root_sleep = nullptr;
   // Donation::sleep_inherited for root_sleep (wakeup-counting prefix).
   std::size_t root_sleep_inherited = 0;
-  std::unique_ptr<ExplorableWorld> warm;
-  WarmPool* pool = nullptr;  // null: the engine builds a fixed local pool
   SplitHooks split;
 };
 
@@ -232,7 +163,6 @@ struct SubtreeResult {
   // snapshot if the table was shared; 0 with dedupe off).
   std::size_t states_seen = 0;
   std::size_t donations = 0;                 // jobs split off via SplitHooks
-  std::uint64_t replay_steps_saved = 0;      // steps skipped via warm worlds
   // POR: choices skipped because they were asleep (each is a whole subtree
   // of step-swap-equivalent schedules never walked).
   std::size_t por_skipped = 0;
@@ -244,6 +174,14 @@ struct SubtreeResult {
   // Adaptive dedupe stopped fingerprinting mid-job (prune rate too low).
   bool dedupe_disabled = false;
 };
+
+// The one translation between the public option/result structs and the
+// engine's.  subtree_options copies every exploration option; callers
+// running a job of a larger search then override the per-job fields
+// (max_executions, table, live_executions).  whole_tree_result reports a
+// walk from the root as a one-job search.
+SubtreeOptions subtree_options(const ScheduleExploreOptions& options);
+ScheduleExploreResult whole_tree_result(SubtreeResult&& sr);
 
 // Polled between executions; returning true abandons the walk (the caller
 // decides whether the partial result is usable).  Used by the parallel

@@ -24,7 +24,6 @@ ScheduleExploreResult merge_job_results(std::vector<MergeJob>& jobs,
   for (const MergeJob& j : jobs) {
     if (j.state == MergeJob::State::kDone) {
       res.subtrees_pruned += j.result->subtrees_pruned;
-      res.replay_steps_saved += j.result->replay_steps_saved;
       res.por_skipped += j.result->por_skipped;
       res.dependent_wakeups += j.result->dependent_wakeups;
       res.footprint_bytes += j.result->footprint_bytes;

@@ -17,7 +17,7 @@
 //     under the cap, truncate at the cap.  Bit-identical to the serial
 //     engine (with dedupe off); independent of job decomposition.
 //
-//   replay_steps_saved, por_skipped, dependent_wakeups, footprint_bytes,
+//   por_skipped, dependent_wakeups, footprint_bytes,
 //   dedupe_disabled_adaptively
 //     Summed (|| for the flag) over every record that COMPLETED its walk -
 //     including records lexicographically past the merge's return point.
@@ -26,8 +26,8 @@
 //     is invisible: every node is expanded exactly once with an identical
 //     sleep set, so por_skipped and dependent_wakeups equal the serial
 //     values at any worker count (asserted in tests/dist_test.cpp).
-//     replay_steps_saved and footprint_bytes remain genuinely
-//     decomposition-dependent telemetry (warm-pool luck, split points).
+//     footprint_bytes remains genuinely decomposition-dependent
+//     telemetry (a thief captures its donated root's footprints again).
 //
 //   jobs, steals, states_seen, subtrees_pruned
 //     Owned by the caller (they are global properties of the run, not of

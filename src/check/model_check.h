@@ -4,12 +4,13 @@
 // *replay*: it rebuilds a fresh world from the user's factory, replays a
 // schedule prefix step by step, inspects which processes are runnable, and
 // backtracks.  Exploration runs on the scheduler's fast mode (no trace
-// recording) with warm-world checkpoints, and the companion parallel
+// recording), rebuilding one world per root-to-leaf path - the replay cost
+// model's lower bound (DESIGN.md finding 7) - and the companion parallel
 // explorer (src/check/parallel_explore.h) splits the search across a
-// work-stealing worker pool, so instances well beyond the historical "two or three
-// processes, a handful of operations" ceiling are in reach - the strongest
-// evidence the reproduction has for the augmented snapshot's §3.3
-// properties, complementing the per-execution linearizer.
+// work-stealing worker pool, so instances well beyond the historical "two
+// or three processes, a handful of operations" ceiling are in reach - the
+// strongest evidence the reproduction has for the augmented snapshot's
+// §3.3 properties, complementing the per-execution linearizer.
 #pragma once
 
 #include <cstdint>
@@ -74,10 +75,6 @@ struct ScheduleExploreOptions {
   // replayed step cheaper.  Executions are step-for-step identical either
   // way (verdicts, step counts and linearization points are unchanged).
   bool record_traces = false;
-  // Capacity of the warm-world checkpoint pool: worlds parked at branch
-  // nodes of the current DFS path so a backtrack resumes from the nearest
-  // retained prefix instead of rebuilding from scratch.  0 disables.
-  std::size_t warm_worlds = 8;
   // Transposition pruning: skip subtrees rooted at a canonical global state
   // (ExplorableWorld::fingerprint) already visited.  Off by default.  The
   // violation-found / violation-free verdict is preserved - equal states
@@ -116,10 +113,10 @@ struct ScheduleExploreOptions {
   // with everything).
   bool por = false;
   // With dedupe_states: stop fingerprinting mid-search when a window of
-  // lookups closes with a negligible prune rate (the WarmPool ledger idea
-  // applied to the transposition table).  On workloads whose states are all
-  // distinct this recovers nearly the whole dedupe overhead; on workloads
-  // that do transpose it never triggers.
+  // lookups closes with a negligible prune rate (a spent-vs-saved ledger
+  // over table lookups).  On workloads whose states are all distinct this
+  // recovers nearly the whole dedupe overhead; on workloads that do
+  // transpose it never triggers.
   bool dedupe_adaptive = false;
   // Distributed workers only: pump the control channel (abort probes,
   // fingerprint verdicts) every N explored executions.  1 probes at every
@@ -143,10 +140,7 @@ struct ScheduleExploreResult {
   // Work-distribution statistics.  The serial explorer is one job and never
   // steals; the parallel explorer counts every schedule-prefix job its
   // stack-splitting created and every job claimed by a worker other than
-  // its donor.  `replay_steps_saved` totals the schedule entries skipped by
-  // resuming warm checkpoint worlds instead of replaying from scratch
-  // (donated warm worlds included) - the explorer's one lever under the
-  // replay cost model.
+  // its donor.
   //
   // Aggregation contract (in-process AND distributed runs share one merge,
   // src/check/explore_merge.h, so they agree by construction):
@@ -155,15 +149,17 @@ struct ScheduleExploreResult {
   //     the serial engine with dedupe off, at any worker count.
   //   - jobs counts every record created; steals counts records claimed
   //     away from their donor, so steals <= jobs - 1 always.
-  //   - replay_steps_saved/por_skipped/dependent_wakeups/footprint_bytes
-  //     sum over every record whose walk completed, including regions past
-  //     the merge's return point: they describe work performed, not work
-  //     serially accounted.  On exhausted undeduped searches por_skipped
-  //     and dependent_wakeups are decomposition-invariant and equal the
-  //     serial values; replay_steps_saved and footprint_bytes legitimately
-  //     vary with split points and warm-pool luck.
+  //   - por_skipped/dependent_wakeups/footprint_bytes sum over every
+  //     record whose walk completed, including regions past the merge's
+  //     return point: they describe work performed, not work serially
+  //     accounted.  On exhausted undeduped searches por_skipped and
+  //     dependent_wakeups are decomposition-invariant and equal the serial
+  //     values; footprint_bytes legitimately varies with split points.
   std::size_t jobs = 0;
   std::size_t steals = 0;
+  // Always 0: every engine rebuilds and replays, no step is ever skipped.
+  // Kept only because the end-to-end benchmark still reports it; it goes
+  // with the next change to that benchmark.
   std::uint64_t replay_steps_saved = 0;
   // Graceful-degradation summary (parallel explorer only; the serial
   // explorer propagates exceptions and has no wall clock).  `error` carries

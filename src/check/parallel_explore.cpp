@@ -37,7 +37,6 @@ struct JobRecord {
   std::vector<ProcessId> choices;  // untried choices there; empty = all (root)
   std::vector<ProcessId> sleep;    // POR: Donation::sleep for the split node
   std::size_t sleep_inherited = 0;  // POR: Donation::sleep_inherited
-  std::unique_ptr<ExplorableWorld> warm;  // donated checkpoint at `prefix`
   std::size_t donor = 0;           // worker that split this job off
   bool donated = false;            // false only for the seed job
   State state = kPending;          // guarded by the coordinator mutex
@@ -86,10 +85,6 @@ void run_one_worker(Coordinator& co, std::size_t worker_id,
                     const ParallelExploreOptions& options, StateTable* table,
                     std::uint64_t cap,
                     const std::optional<Clock::time_point>& deadline) {
-  // Per-worker warm pool: persists across every job this worker runs,
-  // adapts its capacity to what checkpoint resumption actually earns here.
-  detail::WarmPool pool(options.base.warm_worlds, /*adaptive=*/true,
-                        options.base.warm_worlds);
   auto past_deadline = [&] { return deadline && Clock::now() >= *deadline; };
 
   std::unique_lock<std::mutex> lk(co.mu);
@@ -154,15 +149,8 @@ void run_one_worker(Coordinator& co, std::size_t worker_id,
       continue;
     }
 
-    detail::SubtreeOptions sub;
-    sub.max_steps = options.base.max_steps;
+    detail::SubtreeOptions sub = detail::subtree_options(options.base);
     sub.max_executions = static_cast<std::size_t>(cap - before);
-    sub.record_traces = options.base.record_traces;
-    sub.warm_worlds = options.base.warm_worlds;
-    sub.dedupe_states = options.base.dedupe_states;
-    sub.dedupe_adaptive = options.base.dedupe_adaptive;
-    sub.max_crashes = options.base.max_crashes;
-    sub.por = options.base.por;
     sub.table = table;
     sub.live_executions = &rec->live_execs;
 
@@ -195,8 +183,6 @@ void run_one_worker(Coordinator& co, std::size_t worker_id,
         ctx.root_sleep = &rec->sleep;
         ctx.root_sleep_inherited = rec->sleep_inherited;
       }
-      ctx.warm = std::move(rec->warm);  // first attempt only; then null
-      ctx.pool = &pool;
       ctx.split.want = [&co] {
         return co.hungry_hint.load(std::memory_order_relaxed) > 0;
       };
@@ -213,7 +199,6 @@ void run_one_worker(Coordinator& co, std::size_t worker_id,
         child->choices = std::move(d.choices);
         child->sleep = std::move(d.sleep);
         child->sleep_inherited = d.sleep_inherited;
-        child->warm = std::move(d.warm);
         child->donor = worker_id;
         child->donated = true;
         co.records.push_back(std::move(child));
@@ -271,16 +256,7 @@ ScheduleExploreResult explore_inline(
     const ParallelExploreOptions& options,
     const std::optional<Clock::time_point>& deadline) {
   auto past_deadline = [&] { return deadline && Clock::now() >= *deadline; };
-  detail::SubtreeOptions sub;
-  sub.max_steps = options.base.max_steps;
-  sub.max_executions = options.base.max_executions;
-  sub.record_traces = options.base.record_traces;
-  sub.warm_worlds = options.base.warm_worlds;
-  sub.dedupe_states = options.base.dedupe_states;
-  sub.dedupe_audit = options.base.dedupe_audit;
-  sub.dedupe_adaptive = options.base.dedupe_adaptive;
-  sub.max_crashes = options.base.max_crashes;
-  sub.por = options.base.por;
+  const detail::SubtreeOptions sub = detail::subtree_options(options.base);
   detail::AbortProbe abort;
   if (deadline) {
     abort = past_deadline;
@@ -302,9 +278,9 @@ ScheduleExploreResult explore_inline(
     }
   }
 
-  ScheduleExploreResult res;
-  res.jobs = 1;
   if (!done) {
+    ScheduleExploreResult res;
+    res.jobs = 1;
     res.exhausted = false;
     if (failure.empty()) {
       res.timed_out = true;  // the deadline expired before any attempt ended
@@ -315,18 +291,9 @@ ScheduleExploreResult explore_inline(
     }
     return res;
   }
-  res.executions = sr.executions;
-  res.exhausted = sr.fully_explored;
-  res.violation = std::move(sr.violation);
-  res.witness = std::move(sr.witness);
-  res.states_seen = sr.states_seen;
-  res.subtrees_pruned = sr.subtrees_pruned;
-  res.replay_steps_saved = sr.replay_steps_saved;
-  res.por_skipped = sr.por_skipped;
-  res.dependent_wakeups = sr.dependent_wakeups;
-  res.footprint_bytes = sr.footprint_bytes;
-  res.dedupe_disabled_adaptively = sr.dedupe_disabled;
-  if (!sr.fully_explored && past_deadline()) {
+  const bool truncated = !sr.fully_explored;
+  ScheduleExploreResult res = detail::whole_tree_result(std::move(sr));
+  if (truncated && past_deadline()) {
     res.timed_out = true;
   }
   return res;
@@ -364,16 +331,8 @@ ScheduleExploreResult parallel_explore_schedules(
     const std::uint64_t probe_cap =
         std::min<std::uint64_t>(cap, options.serial_probe_executions);
     auto past_deadline = [&] { return deadline && Clock::now() >= *deadline; };
-    detail::SubtreeOptions sub;
-    sub.max_steps = options.base.max_steps;
+    detail::SubtreeOptions sub = detail::subtree_options(options.base);
     sub.max_executions = static_cast<std::size_t>(probe_cap);
-    sub.record_traces = options.base.record_traces;
-    sub.warm_worlds = options.base.warm_worlds;
-    sub.dedupe_states = options.base.dedupe_states;
-    sub.dedupe_audit = options.base.dedupe_audit;
-    sub.dedupe_adaptive = options.base.dedupe_adaptive;
-    sub.max_crashes = options.base.max_crashes;
-    sub.por = options.base.por;
     detail::AbortProbe abort;
     if (deadline) {
       abort = past_deadline;
@@ -381,20 +340,9 @@ ScheduleExploreResult parallel_explore_schedules(
     try {
       auto sr = detail::explore_subtree(factory, {}, sub, abort);
       if (sr.fully_explored || sr.violation.has_value() || probe_cap >= cap) {
-        ScheduleExploreResult res;
-        res.jobs = 1;
-        res.executions = sr.executions;
-        res.exhausted = sr.fully_explored;
-        res.violation = std::move(sr.violation);
-        res.witness = std::move(sr.witness);
-        res.states_seen = sr.states_seen;
-        res.subtrees_pruned = sr.subtrees_pruned;
-        res.replay_steps_saved = sr.replay_steps_saved;
-        res.por_skipped = sr.por_skipped;
-        res.dependent_wakeups = sr.dependent_wakeups;
-        res.footprint_bytes = sr.footprint_bytes;
-        res.dedupe_disabled_adaptively = sr.dedupe_disabled;
-        if (!sr.fully_explored && past_deadline()) {
+        const bool truncated = !sr.fully_explored;
+        ScheduleExploreResult res = detail::whole_tree_result(std::move(sr));
+        if (truncated && past_deadline()) {
           res.timed_out = true;
         }
         return res;

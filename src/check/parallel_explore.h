@@ -3,11 +3,10 @@
 // expansion and, when another worker is starving, splits its own DFS stack
 // by donating all untried choices of its shallowest branching frame
 // (explore_core's SplitHooks).  A donated job is identified by its schedule
-// prefix plus its first choice, carries the donor's remaining choice list
-// for that node, and - when the donor's warm pool holds a checkpoint parked
-// at the split node - a warm world that spares the thief the root replay.
-// Jobs are claimed lexicographically-earliest-first; workers keep private
-// adaptive warm-world pools that persist across the jobs they run.
+// prefix plus its first choice and carries the donor's remaining choice
+// list for that node; the thief rebuilds its root world from the factory
+// and replays the prefix.  Jobs are claimed lexicographically-earliest-
+// first.
 //
 // Splitting the shallowest frame keeps every job's region a contiguous
 // lexicographic interval (the donated suffix is everything after the
@@ -43,8 +42,8 @@
 //
 // Thread counts and the one-core reality.  `threads == 1` bypasses the
 // coordinator entirely and runs the serial engine inline - no queue, no
-// thread spawn, no atomics - with the caller's fixed warm-pool size, so
-// parallel-1 costs serial-fast plus nothing.  For `threads >= 2` the worker
+// thread spawn, no atomics - so parallel-1 costs serial-fast plus
+// nothing.  For `threads >= 2` the worker
 // count is clamped to the hardware concurrency unless `oversubscribe` is
 // set: extra threads on saturated cores cannot run subtrees faster, they
 // only interleave them (the pre-rework frontier-split explorer lost 5x to

@@ -407,7 +407,6 @@ HelloMsg make_hello(const CoState& co, std::uint32_t worker,
   hello.heartbeat_interval_ms = co.options->heartbeat_interval_ms;
   hello.heartbeat_timeout_ms = co.options->heartbeat_timeout_ms;
   hello.max_steps = base.max_steps;
-  hello.warm_worlds = base.warm_worlds;
   hello.max_crashes = base.max_crashes;
   hello.record_traces = base.record_traces;
   hello.dedupe_states = base.dedupe_states;

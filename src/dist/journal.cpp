@@ -10,7 +10,9 @@
 namespace revisim::dist {
 namespace {
 
-constexpr char kJournalMagic[8] = {'R', 'V', 'S', 'J', 'R', 'N', 'L', '1'};
+// The last byte is the layout version: "2" since kDone records carry the
+// wire v4 SubtreeResult summary.
+constexpr char kJournalMagic[8] = {'R', 'V', 'S', 'J', 'R', 'N', 'L', '2'};
 
 enum RecordType : std::uint8_t {
   kConfig = 1,
@@ -160,9 +162,16 @@ JournalContents read_journal(const std::string& path) {
     }
     std::fclose(f);
   }
+  constexpr std::size_t kStem = sizeof kJournalMagic - 1;
   if (bytes.size() < sizeof kJournalMagic ||
-      std::memcmp(bytes.data(), kJournalMagic, sizeof kJournalMagic) != 0) {
+      std::memcmp(bytes.data(), kJournalMagic, kStem) != 0) {
     throw WireError("journal: " + path + " is not a revisim run journal");
+  }
+  if (bytes[kStem] != static_cast<std::uint8_t>(kJournalMagic[kStem])) {
+    throw WireError("journal: " + path + " has layout version " +
+                    std::string(1, static_cast<char>(bytes[kStem])) +
+                    ", this binary reads " +
+                    std::string(1, kJournalMagic[kStem]));
   }
 
   JournalContents out;

@@ -3,10 +3,11 @@
 // `revisim_cli dist-explore --resume <journal>` skip every lex range whose
 // walk already completed.
 //
-// File layout: an 8-byte magic ("RVSJRNL1"), then records framed like the
-// wire format - [u32 payload length][u8 record type][payload][u32 crc over
-// type + payload] - with all payload integers little-endian via
-// WireWriter/WireReader.  Record types:
+// File layout: an 8-byte magic ("RVSJRNL2"; the last byte is the layout
+// version, and a journal of another version is refused by name), then
+// records framed like the wire format - [u32 payload length][u8 record
+// type][payload][u32 crc over type + payload] - with all payload integers
+// little-endian via WireWriter/WireReader.  Record types:
 //
 //   kConfig (1)     the run configuration fingerprint (world tag + every
 //                   option that shapes the schedule tree or its accounting:

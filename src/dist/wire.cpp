@@ -189,7 +189,6 @@ void encode_hello(WireWriter& w, const HelloMsg& m) {
   w.u32(m.heartbeat_interval_ms);
   w.u32(m.heartbeat_timeout_ms);
   w.u64(m.max_steps);
-  w.u64(m.warm_worlds);
   w.u64(m.max_crashes);
   w.u8(m.record_traces ? 1 : 0);
   w.u8(m.dedupe_states ? 1 : 0);
@@ -221,7 +220,6 @@ HelloMsg decode_hello(WireReader& r) {
   m.heartbeat_interval_ms = r.u32();
   m.heartbeat_timeout_ms = r.u32();
   m.max_steps = r.u64();
-  m.warm_worlds = r.u64();
   m.max_crashes = r.u64();
   m.record_traces = r.u8() != 0;
   m.dedupe_states = r.u8() != 0;
@@ -306,7 +304,6 @@ void encode_subtree_result(WireWriter& w,
   w.u64(s.subtrees_pruned);
   w.u64(s.states_seen);
   w.u64(s.donations);
-  w.u64(s.replay_steps_saved);
   w.u64(s.por_skipped);
   w.u64(s.dependent_wakeups);
   w.u64(s.footprint_bytes);
@@ -327,7 +324,6 @@ check::detail::SubtreeResult decode_subtree_result(WireReader& r) {
   s.subtrees_pruned = static_cast<std::size_t>(r.u64());
   s.states_seen = static_cast<std::size_t>(r.u64());
   s.donations = static_cast<std::size_t>(r.u64());
-  s.replay_steps_saved = r.u64();
   s.por_skipped = static_cast<std::size_t>(r.u64());
   s.dependent_wakeups = static_cast<std::size_t>(r.u64());
   s.footprint_bytes = r.u64();

@@ -4,10 +4,11 @@
 // work-stealing explorer already uses: a pure (schedule prefix, choice
 // list) value plus the donated sleep-set pids.  Everything that crosses the
 // socket is a function of those values and of the options - no pointers, no
-// warm worlds (the worker re-replays the prefix into its own checkpoint
-// pool) - so the encoding below is a straight transcription.
+// worlds (the worker rebuilds its root world and replays the prefix) - so
+// the encoding below is a straight transcription.
 //
-// Encoding rules, version 3:
+// Encoding rules, version 4 (v4 dropped the warm-pool capacity from kHello
+// and replay_steps_saved from the kJobResult summary):
 //   - All integers are fixed-width little-endian, written byte by byte
 //     (shift/mask), so the format is identical across host endianness and
 //     word size.
@@ -84,7 +85,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4d535652u;  // "RVSM"
-inline constexpr std::uint16_t kWireVersion = 3;
+inline constexpr std::uint16_t kWireVersion = 4;
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 // [u32 len][u8 type][u32 seq][u32 crc]
 inline constexpr std::size_t kFrameHeaderBytes = 13;
@@ -189,7 +190,6 @@ struct HelloMsg {
   // Exploration options shipped once per connection; the per-job execution
   // budget rides on each kJob instead (it depends on the cap bound).
   std::uint64_t max_steps = 64;
-  std::uint64_t warm_worlds = 8;
   std::uint64_t max_crashes = 0;
   bool record_traces = false;
   bool dedupe_states = false;

@@ -59,8 +59,8 @@ class RemoteStateStore;
 // One coordinator session: the channel (socket + framing state), the reused
 // serialization buffers, and the control flags the message pump feeds into
 // the running job.  The session OUTLIVES individual connections: run_worker
-// re-dials on loss and the warm pool, dedupe cache, session token and
-// one-shot fault state all carry over.
+// re-dials on loss and the dedupe cache, session token and one-shot fault
+// state all carry over.
 struct Session {
   Channel ch;
   WireWriter out;  // one buffer per session; cleared per message
@@ -423,7 +423,7 @@ bool handle_control(Session& s, const Frame& f) {
 
 void run_job(Session& s, const JobMsg& job,
              const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
-             check::detail::WarmPool& pool, check::StateStore* store) {
+             check::StateStore* store) {
   s.job_id = job.id;
   s.live.store(0, std::memory_order_relaxed);
   s.budget.store(job.budget, std::memory_order_relaxed);
@@ -433,7 +433,6 @@ void run_job(Session& s, const JobMsg& job,
   sub.max_steps = static_cast<std::size_t>(s.hello.max_steps);
   sub.max_executions = static_cast<std::size_t>(job.budget);
   sub.record_traces = s.hello.record_traces;
-  sub.warm_worlds = static_cast<std::size_t>(s.hello.warm_worlds);
   sub.max_crashes = static_cast<std::size_t>(s.hello.max_crashes);
   // A job re-queued after a lost deduped attempt runs with dedupe off (the
   // lost attempt's claims survive in the shard table and must not prune
@@ -450,14 +449,8 @@ void run_job(Session& s, const JobMsg& job,
     ctx.root_sleep = &job.sleep;
     ctx.root_sleep_inherited = job.sleep_inherited;
   }
-  ctx.pool = &pool;
   ctx.split.want = [&s] { return s.steal_wanted; };
-  ctx.split.take = [&s, &pool](check::detail::Donation& d) {
-    // The donated warm world never crosses the wire (the thief re-replays
-    // the prefix remotely); keep it parked for our own backtracks.
-    if (d.warm != nullptr) {
-      pool.park(std::move(d.warm));
-    }
+  ctx.split.take = [&s](check::detail::Donation& d) {
     DonateMsg msg;
     msg.parent = s.job_id;
     msg.prefix = std::move(d.prefix);
@@ -553,8 +546,8 @@ void run_job(Session& s, const JobMsg& job,
 }
 
 // Handshake + serve loop for one (re)connection of a session.  The first
-// connection's hello fixes the session options and builds the factory,
-// warm pool and dedupe store; a reconnect re-handshakes (HelloAck.resume
+// connection's hello fixes the session options and builds the factory and
+// dedupe store; a reconnect re-handshakes (HelloAck.resume
 // echoing the prior token) and reuses them all.  Returns true on a clean
 // end: kShutdown, a rejected hello, or - when `eof_is_clean` - EOF while
 // idle.  Throws WireError when the connection is lost.
@@ -562,7 +555,6 @@ bool serve_session(
     Session& s,
     const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
     std::function<std::unique_ptr<ExplorableWorld>()>& make,
-    std::unique_ptr<check::detail::WarmPool>& pool,
     std::unique_ptr<RemoteStateStore>& store, bool eof_is_clean) {
   if (!s.ch.recv(s.in) || s.in.type != MsgType::kHello) {
     throw WireError("expected hello");
@@ -625,11 +617,7 @@ bool serve_session(
         s.hello.dedupe_states ? 1 : 0, s.hello.por ? 1 : 0,
         static_cast<unsigned long long>(s.hello.max_crashes),
         s.hello.heartbeat_interval_ms);
-    // The warm pool and the dedupe cache persist across jobs (and across
-    // reconnects), like a parallel-explorer worker's do across claims.
-    pool = std::make_unique<check::detail::WarmPool>(
-        static_cast<std::size_t>(s.hello.warm_worlds),
-        /*adaptive=*/true, static_cast<std::size_t>(s.hello.warm_worlds));
+    // The dedupe cache persists across jobs (and across reconnects).
     if (s.hello.dedupe_states) {
       store = std::make_unique<RemoteStateStore>(s);
     }
@@ -670,7 +658,7 @@ bool serve_session(
       job = decode_job(r);
     }
     s.steal_wanted = false;  // requests for a previous job are stale
-    run_job(s, job, make, *pool, store.get());
+    run_job(s, job, make, store.get());
   }
   if (s.shutdown) {
     s.log->line("worker %u: shutdown", s.hello.worker);
@@ -693,10 +681,9 @@ void serve_connection(
     s.ch.set_faults(&s.faults);
   }
   std::function<std::unique_ptr<ExplorableWorld>()> make;
-  std::unique_ptr<check::detail::WarmPool> pool;
   std::unique_ptr<RemoteStateStore> store;
   try {
-    serve_session(s, factory, make, pool, store, /*eof_is_clean=*/true);
+    serve_session(s, factory, make, store, /*eof_is_clean=*/true);
   } catch (const std::exception& e) {
     log.line("worker %u: connection error: %s", s.hello.worker, e.what());
   }
@@ -710,7 +697,6 @@ int run_worker(
   s.log = &log;
   s.faults = options.faults;
   std::function<std::unique_ptr<ExplorableWorld>()> make;
-  std::unique_ptr<check::detail::WarmPool> pool;
   std::unique_ptr<RemoteStateStore> store;
 
   try {
@@ -729,7 +715,7 @@ int run_worker(
       // EOF while idle is clean only when reconnect is off; with it on, an
       // idle EOF is the coordinator cutting a dead connection and the
       // session should re-dial (the run may still be live).
-      serve_session(s, factory, make, pool, store,
+      serve_session(s, factory, make, store,
                     /*eof_is_clean=*/options.reconnect_window_ms == 0);
       return 0;
     } catch (const std::exception& e) {

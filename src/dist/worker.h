@@ -1,5 +1,5 @@
 // Distributed exploration worker: serves prefix-identified jobs from a
-// coordinator socket by re-replaying the received prefix into its own warm
+// coordinator socket by replaying the received prefix into freshly built
 // worlds and running the shared explore_core DFS - POR, dedupe and the
 // stack-splitting donation machinery unchanged.  One connection, one job at
 // a time; the worker is single-threaded and pumps coordinator messages
@@ -12,8 +12,8 @@
 // past the timeout as a dead connection.  Run via run_worker (fork mode),
 // a lost connection is not fatal: the worker re-dials the coordinator with
 // jittered backoff, re-handshakes under its prior session token
-// (HelloAck.resume) and keeps serving with its warm pool and dedupe cache
-// intact; any in-flight job is abandoned (the coordinator re-queues it).
+// (HelloAck.resume) and keeps serving with its dedupe cache intact; any
+// in-flight job is abandoned (the coordinator re-queues it).
 //
 // With dedupe on, the worker routes first-sightings of a state through the
 // coordinator's sharded fingerprint service asynchronously: claims are

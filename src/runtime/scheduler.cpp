@@ -57,9 +57,6 @@ void Scheduler::crash(ProcessId pid) {
   if (p.crashed) {
     throw std::logic_error("process already crashed");
   }
-  if (checkpointing_) {
-    applied_.push_back(make_crash_entry(pid));
-  }
   p.crashed = true;
   p.poised = false;
   p.exec = nullptr;
@@ -116,9 +113,6 @@ void Scheduler::run_step(ProcessId pid) {
   }
   if (p.crashed) {
     throw std::logic_error("run_step on crashed process");
-  }
-  if (checkpointing_) {
-    applied_.push_back(pid);
   }
   current_ = pid;
   in_step_ = true;

@@ -112,26 +112,6 @@ class Scheduler {
   void set_recording(bool on) noexcept { recording_ = on; }
   [[nodiscard]] bool recording() const noexcept { return recording_; }
 
-  // Checkpoint recording (off by default).  With it on, every applied
-  // schedule entry - one plain id per run_step, one crash entry per crash -
-  // is appended to applied_schedule().  A world whose scheduler records its
-  // applied schedule is a *portable checkpoint*: the explorer can validate
-  // it against a target schedule prefix, hand it to another worker as a
-  // warm start, or clone it by rebuilding from the factory and replaying
-  // applied_schedule().  Coroutine frames cannot be copied, so this replay
-  // hook is the only clone primitive the checkpoint protocol can offer
-  // (see DESIGN.md finding 7); recording costs one push_back per step.
-  void set_checkpointing(bool on) {
-    checkpointing_ = on;
-    if (on) {
-      applied_.reserve(64);
-    }
-  }
-  [[nodiscard]] bool checkpointing() const noexcept { return checkpointing_; }
-  [[nodiscard]] const std::vector<ProcessId>& applied_schedule() const noexcept {
-    return applied_;
-  }
-
   // Process currently executing a step (valid only inside a step).
   [[nodiscard]] ProcessId current() const {
     assert(in_step_);
@@ -250,7 +230,6 @@ class Scheduler {
   void execute_poised_step(Process& p, ProcessId pid);
 
   std::vector<std::unique_ptr<Process>> procs_;
-  std::vector<ProcessId> applied_;  // applied entries (checkpointing only)
   std::vector<const util::Fingerprintable*> state_sources_;
   std::vector<std::string> object_names_;
   Trace trace_;
@@ -259,7 +238,6 @@ class Scheduler {
   std::size_t crash_count_ = 0;
   bool in_step_ = false;
   bool recording_ = true;
-  bool checkpointing_ = false;
   bool footprint_audit_ = false;
   Footprint last_footprint_;  // declared footprint of the last executed step
   std::vector<Footprint::Access> last_actual_;  // audit mode only

@@ -600,6 +600,32 @@ TEST(Journal, DoneForUnknownJobIsStructuralCorruption) {
   std::remove(path.c_str());
 }
 
+// The magic's last byte is the layout version; kDone records of another
+// version encode a different SubtreeResult summary, so such a journal is
+// refused by name instead of misparsed.
+TEST(Journal, OtherLayoutVersionIsRefusedByName) {
+  const std::string path = temp_path("old_version");
+  {
+    dist::JournalWriter w;
+    w.create(path, test_config());
+    w.close();
+  }
+  std::vector<std::uint8_t> bytes = slurp(path);
+  ASSERT_EQ(bytes[7], '2');
+  bytes[7] = '1';
+  spit(path, bytes);
+  try {
+    (void)dist::read_journal(path);
+    ADD_FAILURE() << "a layout-1 journal was accepted";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("layout version 1, this binary "
+                                         "reads 2"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 // --- resume planner ----------------------------------------------------------
 
 using check::detail::plan_resume;

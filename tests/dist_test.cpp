@@ -236,7 +236,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   dist::HelloMsg m;
   m.worker = 3;
   m.max_steps = 48;
-  m.warm_worlds = 5;
   m.max_crashes = 2;
   m.record_traces = true;
   m.dedupe_states = true;
@@ -259,7 +258,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   r.expect_done();
   EXPECT_EQ(got.worker, m.worker);
   EXPECT_EQ(got.max_steps, m.max_steps);
-  EXPECT_EQ(got.warm_worlds, m.warm_worlds);
   EXPECT_EQ(got.max_crashes, m.max_crashes);
   EXPECT_EQ(got.record_traces, m.record_traces);
   EXPECT_EQ(got.dedupe_states, m.dedupe_states);
@@ -280,6 +278,49 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   bad[0] ^= 0xff;
   dist::WireReader br(bad.data(), bad.size());
   EXPECT_THROW((void)dist::decode_hello(br), dist::WireError);
+}
+
+// Rewrites the u16 version that follows the u32 magic in a Hello/HelloAck.
+std::vector<std::uint8_t> with_version(const dist::WireWriter& w,
+                                       std::uint16_t version) {
+  std::vector<std::uint8_t> out(w.data(), w.data() + w.size());
+  out[4] = static_cast<std::uint8_t>(version & 0xff);
+  out[5] = static_cast<std::uint8_t>(version >> 8);
+  return out;
+}
+
+// Decodes `bytes` with `decode`, which must throw a WireError naming both
+// the peer's version and this binary's.
+template <typename Decode>
+void expect_version_skew(const std::vector<std::uint8_t>& bytes,
+                         Decode decode, std::uint16_t peer) {
+  dist::WireReader r(bytes.data(), bytes.size());
+  try {
+    (void)decode(r);
+    ADD_FAILURE() << "wire version " << peer << " was accepted";
+  } catch (const dist::WireError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("wire version " + std::to_string(peer)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("speaks " + std::to_string(dist::kWireVersion)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(Wire, VersionThreePeersAreRefusedByName) {
+  // v4 dropped the warm-pool capacity from kHello and replay_steps_saved
+  // from the kJobResult summary: a v3 peer must be refused at the
+  // handshake, never misparsed.
+  static_assert(dist::kWireVersion == 4);
+  dist::WireWriter w;
+  dist::encode_hello(w, dist::HelloMsg{});
+  expect_version_skew(with_version(w, 3), dist::decode_hello, 3);
+
+  w.clear();
+  dist::encode_hello_ack(w, dist::HelloAckMsg{});
+  expect_version_skew(with_version(w, 3), dist::decode_hello_ack, 3);
 }
 
 TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
@@ -328,7 +369,6 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
   res.result.subtrees_pruned = 3;
   res.result.states_seen = 21;
   res.result.donations = 2;
-  res.result.replay_steps_saved = 1001;
   res.result.por_skipped = 5;
   res.result.dependent_wakeups = 6;
   res.result.footprint_bytes = 4096;
@@ -348,7 +388,6 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
     EXPECT_EQ(got.result.subtrees_pruned, res.result.subtrees_pruned);
     EXPECT_EQ(got.result.states_seen, res.result.states_seen);
     EXPECT_EQ(got.result.donations, res.result.donations);
-    EXPECT_EQ(got.result.replay_steps_saved, res.result.replay_steps_saved);
     EXPECT_EQ(got.result.por_skipped, res.result.por_skipped);
     EXPECT_EQ(got.result.dependent_wakeups, res.result.dependent_wakeups);
     EXPECT_EQ(got.result.footprint_bytes, res.result.footprint_bytes);
@@ -456,11 +495,11 @@ TEST(Wire, ControlMessagesRoundTrip) {
 TEST(MergeJobs, SumsTelemetryOverCompletedRecordsOnly) {
   check::detail::SubtreeResult a;
   a.executions = 3;
-  a.replay_steps_saved = 10;
+  a.footprint_bytes = 10;
   a.por_skipped = 2;
   check::detail::SubtreeResult b;
   b.executions = 4;
-  b.replay_steps_saved = 20;
+  b.footprint_bytes = 20;
   b.dependent_wakeups = 5;
   const Schedule ka{0};
   const Schedule kb{1};
@@ -471,7 +510,7 @@ TEST(MergeJobs, SumsTelemetryOverCompletedRecordsOnly) {
   EXPECT_EQ(res.executions, 7u);
   EXPECT_TRUE(res.exhausted);
   EXPECT_FALSE(res.violation);
-  EXPECT_EQ(res.replay_steps_saved, 30u);
+  EXPECT_EQ(res.footprint_bytes, 30u);
   EXPECT_EQ(res.por_skipped, 2u);
   EXPECT_EQ(res.dependent_wakeups, 5u);
 }

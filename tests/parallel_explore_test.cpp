@@ -7,7 +7,7 @@
 // coefficients and a planted violation's DFS index is the lexicographic
 // rank of its schedule - which pins down cap-boundary accounting, the
 // lexicographically-smallest-witness guarantee, and bit-identical results
-// across thread counts, steal timings and warm-world pool sizes.  Parallel
+// across thread counts and steal timings.  Parallel
 // runs set `oversubscribe` so real worker threads (and therefore real
 // steals and shared-table races) happen even on a single-core machine.
 #include <gtest/gtest.h>
@@ -156,33 +156,81 @@ TEST(ExploreCap, CapJustBeforeViolationTruncatesWithoutIt) {
   EXPECT_FALSE(res.exhausted);
 }
 
-// --- warm-world checkpoint pool: pure optimization, identical semantics ---
-
-TEST(ExploreCore, WarmWorldPoolSizeDoesNotChangeResults) {
-  const Schedule planted{1, 0, 0, 1, 0, 1, 1, 0};
-  for (std::size_t warm : {0u, 1u, 2u, 64u}) {
-    ScheduleExploreOptions opt;
-    opt.warm_worlds = warm;
-    auto res = explore_schedules(script_factory({3, 3, 2}), opt);
-    EXPECT_EQ(res.executions, 560u) << warm;  // 8! / (3!3!2!)
-    EXPECT_TRUE(res.exhausted) << warm;
-
-    auto viol = explore_schedules(script_factory({4, 4}, {planted}), opt);
-    ASSERT_TRUE(viol.violation.has_value()) << warm;
-    EXPECT_EQ(viol.witness, planted) << warm;
-    // Rank of 10010110 among {0,1}-sequences with four of each, plus one.
-    auto base = explore_schedules(script_factory({4, 4}, {planted}));
-    EXPECT_EQ(viol.executions, base.executions) << warm;
-  }
-}
+// --- explorer core: trace mode and the replay cost model ---
 
 TEST(ExploreCore, RecordTracesDoesNotChangeResults) {
+  const Schedule planted{1, 0, 0, 1, 0, 1, 1, 0};
   for (bool record : {false, true}) {
     ScheduleExploreOptions opt;
     opt.record_traces = record;
     auto res = explore_schedules(script_factory({3, 3, 2}), opt);
-    EXPECT_EQ(res.executions, 560u) << record;
+    EXPECT_EQ(res.executions, 560u) << record;  // 8! / (3!3!2!)
     EXPECT_TRUE(res.exhausted) << record;
+
+    auto viol = explore_schedules(script_factory({4, 4}, {planted}), opt);
+    ASSERT_TRUE(viol.violation.has_value()) << record;
+    EXPECT_EQ(viol.witness, planted) << record;
+    // Rank of 10010110 among {0,1}-sequences with four of each, plus one:
+    // C(7,3) + C(4,1) + 1 + 1 = 41 smaller sequences.
+    EXPECT_EQ(viol.executions, 42u) << record;
+  }
+}
+
+// Forwards to a ScriptWorld and tallies worlds built, worlds alive at once,
+// and - on destruction - the steps its scheduler ran, replayed prefix and
+// live steps alike.
+struct BuildTally {
+  std::size_t worlds = 0;
+  std::size_t alive = 0;
+  std::size_t peak_alive = 0;
+  std::size_t steps = 0;
+};
+
+class TalliedWorld final : public ExplorableWorld {
+ public:
+  TalliedWorld(std::unique_ptr<ExplorableWorld> inner, BuildTally& tally)
+      : inner_(std::move(inner)), tally_(tally) {
+    ++tally_.worlds;
+    tally_.peak_alive = std::max(tally_.peak_alive, ++tally_.alive);
+  }
+  ~TalliedWorld() override {
+    --tally_.alive;
+    tally_.steps += inner_->scheduler().total_steps();
+  }
+
+  Scheduler& scheduler() override { return inner_->scheduler(); }
+  std::optional<std::string> verdict(bool complete) override {
+    return inner_->verdict(complete);
+  }
+  void fingerprint_extra(util::StateSink& sink) override {
+    inner_->fingerprint_extra(sink);
+  }
+
+ private:
+  std::unique_ptr<ExplorableWorld> inner_;
+  BuildTally& tally_;
+};
+
+TEST(ExploreCore, SerialWalkMeetsTheReplayLowerBoundExactly) {
+  // DESIGN.md finding 7: a coroutine world covers one root-to-leaf path, so
+  // E executions of depth D cost at least E factory calls and E*D steps.
+  // The serial walk must meet that bound exactly - one world per execution,
+  // each replayed and stepped to its leaf once, and only one alive at a
+  // time - so no hidden rebuild path (checkpoint parking, re-replay) can
+  // creep back in.  A capped walk must pay for exactly what it counts.
+  for (std::size_t cap : {std::size_t{560}, std::size_t{100}}) {
+    BuildTally tally;
+    auto inner = script_factory({3, 3, 2});
+    ScheduleExploreOptions opt;
+    opt.max_executions = cap;
+    auto res = explore_schedules(
+        [&] { return std::make_unique<TalliedWorld>(inner(), tally); }, opt);
+    EXPECT_EQ(res.executions, cap);
+    EXPECT_EQ(res.exhausted, cap == 560u);
+    EXPECT_EQ(tally.worlds, cap);
+    EXPECT_EQ(tally.steps, cap * 8u);
+    EXPECT_EQ(tally.peak_alive, 1u);
+    EXPECT_EQ(tally.alive, 0u);
   }
 }
 

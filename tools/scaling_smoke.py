@@ -6,12 +6,12 @@ enforces four things:
 
 1. Parallel sanity: on each checked instance, parallel-4 must not run more
    than SLOWDOWN_LIMIT times slower than serial-fast.  The stealing explorer
-   clamps its worker count to the hardware concurrency and its per-worker
-   warm pools adapt downward, so even on a single-core CI runner parallel-4
-   must track the serial fast path - a regression here means the
-   coordination machinery started costing real time again (the failure mode
-   of the old frontier-split explorer, which ran 5x slower than serial on
-   one core).
+   clamps its worker count to the hardware concurrency and runs the same
+   rebuild-and-replay DFS as the serial engine, so even on a single-core CI
+   runner parallel-4 must track the serial fast path - a regression here
+   means the coordination machinery started costing real time again (the
+   failure mode of the old frontier-split explorer, which ran 5x slower
+   than serial on one core).
 
 2. Dedupe-thread sanity: parallel-dedupe-4 must not run more than
    DEDUPE_THREAD_LIMIT times slower than parallel-dedupe-2.  Heavily-deduped
@@ -40,11 +40,11 @@ enforces four things:
 
 5. Distributed overhead: dist-workers-2 must not run more than DIST_LIMIT
    times slower than parallel-2 on the checked instances.  The distributed
-   engine pays fork + TCP serialization + prefix re-replay where the
-   in-process explorer hands off a warm world pointer; DIST_LIMIT bounds
-   that toll.  Small-tree wall clocks jitter heavily on throttled CI
-   containers, so the ratio only fails when the absolute gap also exceeds
-   DIST_ABS_SLACK_SECONDS.
+   engine pays fork + TCP serialization where the in-process explorer
+   hands a job record to another thread (both rebuild and replay the job's
+   prefix); DIST_LIMIT bounds that toll.  Small-tree wall clocks jitter
+   heavily on throttled CI containers, so the ratio only fails when the
+   absolute gap also exceeds DIST_ABS_SLACK_SECONDS.
 
 6. Heartbeat overhead: dist-workers-2-heartbeat (liveness layer on, at a
    25ms ping interval - 20x tighter than the production default) must not
@@ -104,7 +104,6 @@ SCALING_SCHEMA = {
     "subtrees_pruned": int,
     "jobs": int,
     "steals": int,
-    "replay_steps_saved": int,
     "por_skipped": int,
     "dependent_wakeups": int,
     "footprint_bytes": int,
@@ -128,7 +127,6 @@ CRASH_SCHEMA = {
     "violation": bool,
     "jobs": int,
     "steals": int,
-    "replay_steps_saved": int,
     "seconds": NUMBER,
     "execs_per_sec": NUMBER,
 }
