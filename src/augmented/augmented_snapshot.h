@@ -15,7 +15,10 @@
 // Implementation notes:
 //  * H is a single-writer snapshot whose component i is process q_{i+1}'s
 //    append-only log of update triples and helping records; the paper's
-//    auxiliary registers L_{i,j}[b] are fields of H[i] (§3.2).
+//    auxiliary registers L_{i,j}[b] are fields of H[i] (§3.2).  Each log
+//    version is an immutable, digest-carrying HComp (hstate.h): appends
+//    build the next version, so scans copy f handles and no published or
+//    scanned version ever changes.
 //  * Each of the paper's loop bodies that performs several single-writer
 //    writes is a single update of H, exactly as the step-complexity proof of
 //    Lemma 2 counts: a Block-Update is 6 H-steps (5 when it yields), a Scan
@@ -205,12 +208,14 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
       // Lines 5-6: publish h as L_{me,j}[#h_j] for every j != me; the f-1
       // single-writer writes are one update of H[me].
       if (ablation_.helping) {
-        auto hptr = std::make_shared<const HView>(h);
+        auto hptr = std::make_shared<const PublishedView>(h);
+        std::vector<LRecord> records;
         for (std::size_t j = 0; j < f_; ++j) {
           if (j != me) {
-            own_[me].lrecords.push_back(LRecord{j, num_bu(h, j), hptr});
+            records.push_back(LRecord{j, num_bu(h, j), hptr});
           }
         }
+        own_[me] = own_[me].with_lrecords(std::move(records));
       }
       co_await h_.update(me, own_[me]);
       HScan confirm = co_await h_.scan(me);
@@ -267,10 +272,14 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
 
     // Line 4: append the r update triples to H[me]; this is the update X at
     // which an atomic Block-Update linearizes.
-    for (std::size_t g = 0; g < comps.size(); ++g) {
-      own_[me].triples.push_back(UpdateTriple{comps[g], vals[g], t});
+    {
+      std::vector<UpdateTriple> batch;
+      batch.reserve(comps.size());
+      for (std::size_t g = 0; g < comps.size(); ++g) {
+        batch.push_back(UpdateTriple{comps[g], vals[g], t});
+      }
+      own_[me] = own_[me].with_batch(std::move(batch));
     }
-    own_[me].num_bu += 1;
     co_await h_.update(me, own_[me]);
     log_.block_updates[idx].step_x = last_step();
 
@@ -278,11 +287,13 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     HScan gs = co_await h_.scan(me);
     HView g = std::move(gs.view);
     log_.block_updates[idx].step_g = gs.lin_step;
-    if (ablation_.helping) {
-      auto gptr = std::make_shared<const HView>(g);
+    if (ablation_.helping && me > 0) {
+      auto gptr = std::make_shared<const PublishedView>(std::move(g));
+      std::vector<LRecord> records;
       for (std::size_t j = 0; j < me; ++j) {
-        own_[me].lrecords.push_back(LRecord{j, num_bu(g, j), gptr});
+        records.push_back(LRecord{j, num_bu(gptr->view, j), gptr});
       }
+      own_[me] = own_[me].with_lrecords(std::move(records));
     }
     co_await h_.update(me, own_[me]);
     log_.block_updates[idx].step_help = last_step();
@@ -310,15 +321,15 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     log_.block_updates[idx].step_read = curs.lin_step;
     const std::size_t b = num_bu(h, me);
     const HView* last = &h;
-    std::shared_ptr<const HView> keepalive;
+    std::shared_ptr<const PublishedView> keepalive;
     for (std::size_t j = 0; j < f_; ++j) {
       if (j == me) {
         continue;
       }
       auto rj = read_lrecord(cur, j, me, b);
-      if (rj != nullptr && is_proper_prefix(*last, *rj)) {
+      if (rj != nullptr && is_proper_prefix(*last, rj->view)) {
         keepalive = rj;
-        last = keepalive.get();
+        last = &keepalive->view;
       }
     }
     View v = get_view(*last, m_);
@@ -336,7 +347,8 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
   std::size_t f_;
   HProvider h_;
   // Local mirror of each process's own single-writer component (a process
-  // may read its own component without a shared-memory step).
+  // may read its own component without a shared-memory step): the latest
+  // version, which the next H update publishes.
   std::vector<HComp> own_;
   OpLog log_;
   AugmentedAblation ablation_;

@@ -2,14 +2,136 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 namespace revisim::aug {
+
+namespace {
+
+// One entry sequence of a log version: the entries, shared by every version
+// that has exactly these (an append to the other sequence leaves this one
+// shared), and the HashSink state after feeding them all, which an append
+// extends by the new entries only.  A helping record's embedded view enters
+// the sum as the view's two digest words.
+template <typename T>
+struct Entries {
+  std::shared_ptr<const std::vector<T>> items;  // null: no entries
+  util::HashSink sum;
+
+  [[nodiscard]] const std::vector<T>& get() const noexcept {
+    static const std::vector<T> none;
+    return items != nullptr ? *items : none;
+  }
+
+  [[nodiscard]] Entries appended(std::vector<T> more) const {
+    Entries out{nullptr, sum};
+    auto all = std::make_shared<std::vector<T>>();
+    all->reserve(get().size() + more.size());
+    all->insert(all->end(), get().begin(), get().end());
+    for (T& e : more) {
+      util::feed(out.sum, e);
+      all->push_back(std::move(e));
+    }
+    out.items = std::move(all);
+    return out;
+  }
+};
+
+}  // namespace
+
+// The version a handle points at.
+struct HComp::Node {
+  Entries<UpdateTriple> triples;
+  std::size_t num_bu = 0;
+  Entries<LRecord> lrecords;
+  util::Fingerprint digest;
+
+  void seal() {
+    util::HashSink sink;
+    sink.take_digest(triples.sum.digest());
+    sink.word(num_bu);
+    sink.take_digest(lrecords.sum.digest());
+    digest = sink.digest();
+  }
+};
+
+const HComp::Node& HComp::node() const noexcept {
+  static const Node empty = [] {
+    Node n;
+    n.seal();
+    return n;
+  }();
+  return node_ != nullptr ? *node_ : empty;
+}
+
+PublishedView::PublishedView(HView v) : view(std::move(v)) {
+  util::HashSink sink;
+  util::feed(sink, view);
+  digest = sink.digest();
+}
+
+void LRecord::fingerprint_into(util::StateSink& sink) const {
+  util::feed(sink, target);
+  util::feed(sink, index);
+  sink.word(h != nullptr ? 1 : 0);
+  if (h != nullptr && !sink.take_digest(h->digest)) {
+    util::feed(sink, h->view);
+  }
+}
+
+const std::vector<UpdateTriple>& HComp::triples() const noexcept {
+  return node().triples.get();
+}
+
+std::size_t HComp::num_bu() const noexcept { return node().num_bu; }
+
+const std::vector<LRecord>& HComp::lrecords() const noexcept {
+  return node().lrecords.get();
+}
+
+const util::Fingerprint& HComp::digest() const noexcept {
+  return node().digest;
+}
+
+HComp HComp::with_batch(std::vector<UpdateTriple> batch) const {
+  auto next = std::make_shared<Node>(node());
+  next->triples = next->triples.appended(std::move(batch));
+  next->num_bu += 1;
+  next->seal();
+  HComp out;
+  out.node_ = std::move(next);
+  return out;
+}
+
+HComp HComp::with_lrecords(std::vector<LRecord> records) const {
+  if (records.empty()) {
+    return *this;
+  }
+  auto next = std::make_shared<Node>(node());
+  next->lrecords = next->lrecords.appended(std::move(records));
+  next->seal();
+  HComp out;
+  out.node_ = std::move(next);
+  return out;
+}
+
+void HComp::fingerprint_into(util::StateSink& sink) const {
+  if (sink.take_digest(digest())) {
+    return;
+  }
+  util::feed(sink, triples());
+  util::feed(sink, num_bu());
+  util::feed(sink, lrecords());
+}
 
 bool is_prefix(const HView& h, const HView& g) {
   assert(h.size() == g.size());
   for (std::size_t j = 0; j < h.size(); ++j) {
-    const auto& a = h[j].triples;
-    const auto& b = g[j].triples;
+    const auto& a = h[j].triples();
+    const auto& b = g[j].triples();
+    if (&a == &b) {  // shared entries, or two empty logs
+      continue;
+    }
     if (a.size() > b.size() ||
         !std::equal(a.begin(), a.end(), b.begin())) {
       return false;
@@ -25,7 +147,9 @@ bool is_proper_prefix(const HView& h, const HView& g) {
 bool triples_equal(const HView& h, const HView& g) {
   assert(h.size() == g.size());
   for (std::size_t j = 0; j < h.size(); ++j) {
-    if (h[j].triples != g[j].triples) {
+    const auto& a = h[j].triples();
+    const auto& b = g[j].triples();
+    if (&a != &b && a != b) {
       return false;
     }
   }
@@ -45,7 +169,7 @@ View get_view(const HView& h, std::size_t m) {
   View out(m);
   std::vector<const UpdateTriple*> best(m, nullptr);
   for (const HComp& comp : h) {
-    for (const UpdateTriple& tr : comp.triples) {
+    for (const UpdateTriple& tr : comp.triples()) {
       assert(tr.component < m);
       const UpdateTriple*& b = best[tr.component];
       if (b == nullptr || b->ts < tr.ts) {
@@ -61,10 +185,11 @@ View get_view(const HView& h, std::size_t m) {
   return out;
 }
 
-std::shared_ptr<const HView> read_lrecord(const HView& h, std::size_t j,
-                                          std::size_t target,
-                                          std::size_t index) {
-  const auto& recs = h.at(j).lrecords;
+std::shared_ptr<const PublishedView> read_lrecord(const HView& h,
+                                                  std::size_t j,
+                                                  std::size_t target,
+                                                  std::size_t index) {
+  const auto& recs = h.at(j).lrecords();
   for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
     if (it->target == target && it->index == index) {
       return it->h;

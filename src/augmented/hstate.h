@@ -8,6 +8,20 @@
 //   * helping records, the paper's registers L_{i,j}[b]: q_{i+1} publishing
 //     "the result of a scan of H" for q_{j+1}'s b'th Block-Update.
 //
+// Representation.  An HComp is a handle on one immutable version of such a
+// log.  Appending (with_batch / with_lrecords) builds the next version and
+// leaves every existing one untouched, so a scan of H copies f handles, and
+// a scan result - held by a Block-Update, or embedded in a helping record -
+// can never change under its holder.  Each version carries a digest of its
+// content, extended on every append from running digests of the two entry
+// sequences; a published scan result (PublishedView) carries the digest of
+// its f components, computed once when it is published.  Hashing sinks
+// consume these digests (StateSink::take_digest), so fingerprinting H or a
+// helping record costs O(1) words per component whatever the log length and
+// nesting depth; TextSink still renders the full content.  Digests depend on
+// content only: two versions with equal entries have equal digests however
+// they were built.
+//
 // The paper's prefix order on scan results (Observation 1) concerns the
 // update-triple logs: those are what Get-View and the Block-Update return
 // value depend on, and helping records must not invalidate a Scan's double
@@ -42,48 +56,64 @@ struct UpdateTriple {
   }
 };
 
-struct HComp;
+class HComp;
 using HView = std::vector<HComp>;  // result of a scan of H (all f components)
+
+// A scan result published in helping records, with its content digest (an
+// O(f) combination of the component digests) computed once, here.  One
+// instance is shared by all the records of one publish.
+struct PublishedView {
+  explicit PublishedView(HView v);
+
+  HView view;
+  util::Fingerprint digest;
+};
 
 // The paper's L_{i,j}[b] <- h: "for q_{target+1}'s Block-Update number
 // `index`, here is the scan result `h`".
 struct LRecord {
   std::size_t target = 0;  // j: the process being helped (0-based)
   std::size_t index = 0;   // b: which of its Block-Updates
-  std::shared_ptr<const HView> h;  // scan result being published
+  std::shared_ptr<const PublishedView> h;  // scan result being published
 
-  inline void fingerprint_into(util::StateSink& sink) const;
+  void fingerprint_into(util::StateSink& sink) const;
 };
 
-struct HComp {
-  std::vector<UpdateTriple> triples;
-  std::size_t num_bu = 0;  // #h_i: number of Block-Updates recorded (distinct
-                           // timestamps in `triples`)
-  std::vector<LRecord> lrecords;
+// One version of a process's component of H (see the header comment).  The
+// default-constructed handle is the empty log.
+class HComp {
+ public:
+  [[nodiscard]] const std::vector<UpdateTriple>& triples() const noexcept;
+  // #h_i: number of Block-Updates recorded (distinct timestamps in triples).
+  [[nodiscard]] std::size_t num_bu() const noexcept;
+  [[nodiscard]] const std::vector<LRecord>& lrecords() const noexcept;
+  // Digest of (triples, num_bu, lrecords).
+  [[nodiscard]] const util::Fingerprint& digest() const noexcept;
+
+  // The next version: this log plus one Block-Update's batch of triples
+  // (#h_i grows by one), resp. plus helping records.  Appending no records
+  // returns this version itself.
+  [[nodiscard]] HComp with_batch(std::vector<UpdateTriple> batch) const;
+  [[nodiscard]] HComp with_lrecords(std::vector<LRecord> records) const;
 
   // Full contents, helping records included: a published scan result is
   // readable by later Block-Updates (read_lrecord), so it is part of the
-  // canonical state.  The recursion through the embedded HView is finite
-  // (views are snapshots of strictly earlier H contents).
-  void fingerprint_into(util::StateSink& sink) const {
-    util::feed(sink, triples);
-    util::feed(sink, num_bu);
-    util::feed(sink, lrecords);
-  }
-};
+  // canonical state.  The recursion through embedded views is finite (views
+  // are snapshots of strictly earlier H contents) and, for hashing sinks,
+  // cut at this version's digest.
+  void fingerprint_into(util::StateSink& sink) const;
 
-inline void LRecord::fingerprint_into(util::StateSink& sink) const {
-  util::feed(sink, target);
-  util::feed(sink, index);
-  sink.word(h != nullptr ? 1 : 0);
-  if (h != nullptr) {
-    util::feed(sink, *h);
-  }
-}
+ private:
+  struct Node;
+  // The version pointed at, or the shared empty log.
+  [[nodiscard]] const Node& node() const noexcept;
+
+  std::shared_ptr<const Node> node_;  // null: the empty log
+};
 
 // #h_j of the paper.
 inline std::size_t num_bu(const HView& h, std::size_t j) {
-  return h.at(j).num_bu;
+  return h.at(j).num_bu();
 }
 
 // h is a prefix of g: component-wise, h's triple log is a prefix of g's.
@@ -102,11 +132,10 @@ inline std::size_t num_bu(const HView& h, std::size_t j) {
 // lexicographically largest timestamp among all triples for j, or bottom.
 [[nodiscard]] View get_view(const HView& h, std::size_t m);
 
-// Reads the paper's L_{j+1,me+1}[index]: the last helping record in
-// component j of `h` with the given target and index, or nullptr.
-[[nodiscard]] std::shared_ptr<const HView> read_lrecord(const HView& h,
-                                                        std::size_t j,
-                                                        std::size_t target,
-                                                        std::size_t index);
+// Reads the paper's L_{j+1,me+1}[index]: the scan result of the last
+// helping record in component j of `h` with the given target and index, or
+// nullptr.
+[[nodiscard]] std::shared_ptr<const PublishedView> read_lrecord(
+    const HView& h, std::size_t j, std::size_t target, std::size_t index);
 
 }  // namespace revisim::aug

@@ -1,7 +1,6 @@
 #include "src/check/explore_core.h"
 
 #include <algorithm>
-#include <cassert>
 #include <optional>
 #include <utility>
 
@@ -256,11 +255,9 @@ SubtreeResult explore_job(
     const bool complete = runnable.empty();
     const bool root_interior = schedule.size() == prefix.size() &&
                                ctx != nullptr && ctx->root_choices != nullptr;
-    bool backtrack = false;
     bool count_execution = false;
     if (!root_interior &&
         (pruned || complete || schedule.size() >= options.max_steps)) {
-      backtrack = true;
       count_execution = !pruned;
       if (pruned) {
         ++res.subtrees_pruned;
@@ -328,12 +325,11 @@ SubtreeResult explore_job(
           }
         }
       }
-      if (f.choices.empty()) {
-        // Sleep-blocked interior node: everything enabled here is asleep.
-        // The subtree is fully covered by earlier siblings, so backtrack
-        // without counting an execution or evaluating a verdict.
-        backtrack = true;
-      } else {
+      // An empty choice list is a sleep-blocked interior node: everything
+      // enabled here is asleep.  The subtree is fully covered by earlier
+      // siblings, so it backtracks without counting an execution or
+      // evaluating a verdict.
+      if (!f.choices.empty()) {
         if (options.por) {
           f.fps.clear();
           auto& sched = world->scheduler();
@@ -360,7 +356,7 @@ SubtreeResult explore_job(
         continue;
       }
     }
-    assert(backtrack);
+    // Backtrack: every expansion continued above.
     if (count_execution) {
       ++res.executions;
       if (options.live_executions != nullptr) {

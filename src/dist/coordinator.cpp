@@ -212,23 +212,42 @@ int tick_ms(const CoState& co, int cap) {
       std::max<std::uint32_t>(hb / 2, 10), static_cast<std::uint32_t>(cap)));
 }
 
-void epoll_add(CoState& co, int fd, PollTarget* t, bool write) {
+// epoll_ctl that fails loudly: a registration that silently failed would
+// lose the connection's events and hang the run.  Throws WireError naming
+// the operation, the fd and errno.  Deleting an fd that is already closed
+// or unregistered (EBADF, ENOENT) is not an error.
+void epoll_ctl_checked(CoState& co, int op, int fd, PollTarget* t,
+                       bool write) {
   struct epoll_event ev {};
-  ev.events = EPOLLIN | (write ? EPOLLOUT : 0);
+  ev.events = static_cast<std::uint32_t>(EPOLLIN) |
+              (write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
   ev.data.ptr = t;
-  ::epoll_ctl(co.epfd, EPOLL_CTL_ADD, fd, &ev);
+  if (::epoll_ctl(co.epfd, op, fd, op == EPOLL_CTL_DEL ? nullptr : &ev) ==
+      0) {
+    return;
+  }
+  const int err = errno;
+  if (op == EPOLL_CTL_DEL && (err == ENOENT || err == EBADF)) {
+    return;
+  }
+  const char* name = op == EPOLL_CTL_ADD   ? "EPOLL_CTL_ADD"
+                     : op == EPOLL_CTL_MOD ? "EPOLL_CTL_MOD"
+                                           : "EPOLL_CTL_DEL";
+  throw WireError(std::string("epoll_ctl ") + name + " on fd " +
+                  std::to_string(fd) + ": " + std::strerror(err));
+}
+
+void epoll_add(CoState& co, int fd, PollTarget* t, bool write) {
+  epoll_ctl_checked(co, EPOLL_CTL_ADD, fd, t, write);
 }
 
 void epoll_mod(CoState& co, int fd, PollTarget* t, bool write) {
-  struct epoll_event ev {};
-  ev.events = EPOLLIN | (write ? EPOLLOUT : 0);
-  ev.data.ptr = t;
-  ::epoll_ctl(co.epfd, EPOLL_CTL_MOD, fd, &ev);
+  epoll_ctl_checked(co, EPOLL_CTL_MOD, fd, t, write);
 }
 
 void epoll_del(CoState& co, int fd) {
   if (fd >= 0) {
-    ::epoll_ctl(co.epfd, EPOLL_CTL_DEL, fd, nullptr);
+    epoll_ctl_checked(co, EPOLL_CTL_DEL, fd, nullptr, false);
   }
 }
 

@@ -170,7 +170,6 @@ class RemoteStateStore final : public check::StateStore {
 
   bool insert_at(util::Fingerprint fp, std::size_t depth,
                  const std::function<std::string()>& canonical = {}) override {
-    Session& s = session_;
     if (!sent_batches_.empty()) {
       poll_frames();  // retire any verdicts already on the socket
     }

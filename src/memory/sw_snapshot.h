@@ -4,7 +4,8 @@
 //
 // The component type is generic because the augmented snapshot stores
 // structured per-process logs (update triples plus helping records) in its
-// single-writer snapshot H.
+// single-writer snapshot H.  A scan copies all f components, so those logs
+// are immutable shared handles (aug::HComp): the copy is f pointers.
 #pragma once
 
 #include <stdexcept>

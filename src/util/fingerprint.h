@@ -8,10 +8,21 @@
 //
 //   * HashSink folds the stream into a 128-bit Fingerprint (the transposition
 //     table key);
-//   * TextSink renders the same stream as a decimal string - the *full*
+//   * TextSink renders the stream as a decimal string - the *full*
 //     canonical state, stored behind the hash in collision-audit mode so a
 //     128-bit collision is detected instead of silently merging two distinct
 //     states.
+//
+// Immutable sub-objects may carry a cached digest of their content (the
+// augmented snapshot's H logs and the scan results embedded in them, see
+// src/augmented/hstate.h).  Such an object offers its digest to the sink
+// first (StateSink::take_digest): a hashing sink consumes the two digest
+// words in place of the content, so fingerprinting a deep object is O(1)
+// rather than O(content); TextSink declines, and the object then renders its
+// full content.  The two streams therefore differ: the hash is a Merkle-style
+// hash of the state, the text its full injective encoding - and the audit
+// still catches any collision, sub-digest collisions included, because it
+// compares texts.
 //
 // Objects that hold behaviour-relevant shared state implement the
 // Fingerprintable mixin and register themselves with their Scheduler
@@ -26,8 +37,10 @@
 // (own steps taken, shared contents) - e.g. a remembered earlier read - must
 // be folded in via ExplorableWorld::fingerprint_extra, or dedupe must stay
 // off for that world.  Every word fed below is length-prefixed (vector sizes,
-// presence flags), so the word stream is an injective encoding of the state
-// for a fixed world factory.
+// presence flags), so the full (text) stream is an injective encoding of the
+// state for a fixed world factory.  A cached digest must be a function of
+// the object's content only - never of a pointer, an allocation or the order
+// of operations that built it - or equal states would hash apart.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +62,14 @@ class StateSink {
  public:
   virtual ~StateSink() = default;
   virtual void word(std::uint64_t w) = 0;
+
+  // Offered by an immutable sub-object before it feeds its content: true
+  // means the sink consumed the content digest in place of the content, and
+  // the object feeds nothing else.  Only hashing sinks accept.
+  virtual bool take_digest(const Fingerprint& digest) {
+    (void)digest;
+    return false;
+  }
 };
 
 // 128-bit accumulator: two independently keyed 64-bit lanes, each word mixed
@@ -61,6 +82,12 @@ class HashSink final : public StateSink {
     a_ = mix(a_ ^ (w * 0x9e3779b97f4a7c15ull));
     b_ = mix(b_ + (w * 0xbf58476d1ce4e5b9ull) + 0x94d049bb133111ebull);
     ++n_;
+  }
+
+  bool take_digest(const Fingerprint& digest) override {
+    word(digest.hi);
+    word(digest.lo);
+    return true;
   }
 
   [[nodiscard]] Fingerprint digest() const {
@@ -86,6 +113,7 @@ class HashSink final : public StateSink {
 };
 
 // Renders the word stream as a decimal string: the full canonical state.
+// Declines every cached digest, so sub-objects expand their content.
 class TextSink final : public StateSink {
  public:
   explicit TextSink(std::string& out) : out_(out) {}

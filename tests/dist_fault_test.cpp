@@ -933,7 +933,7 @@ TEST(Tcp, ConnectGivesUpAtTheDeadlineNamingItsAttempts) {
 }
 
 volatile sig_atomic_t g_alarms = 0;
-void count_alarm(int) { ++g_alarms; }
+void count_alarm(int) { g_alarms = g_alarms + 1; }
 
 // Satellite regression: wait_readable under a signal storm must honor its
 // monotonic deadline - EINTR re-polls with the REMAINING time, so 50ms

@@ -138,10 +138,10 @@ TEST(MaxRegisters, FetchAddSemantics) {
   // write-max keeps the maximum.
   op.kind = solo::NDOpKind::kWriteMax;
   op.value = 3;
-  solo::apply_nd_op(v, op);
+  (void)solo::apply_nd_op(v, op);
   EXPECT_EQ(v[1], std::optional<Val>(10));
   op.value = 12;
-  solo::apply_nd_op(v, op);
+  (void)solo::apply_nd_op(v, op);
   EXPECT_EQ(v[1], std::optional<Val>(12));
 }
 
@@ -207,7 +207,7 @@ TEST(Bounds, Theorem21GeneralForm) {
   EXPECT_EQ(bounds::theorem21_space_bound(4, 2, 1e30), 3u);
   // Degenerate L.
   EXPECT_EQ(bounds::theorem21_space_bound(10, 2, 1.0), 1u);
-  EXPECT_THROW(bounds::theorem21_space_bound(4, 0, 10.0),
+  EXPECT_THROW((void)bounds::theorem21_space_bound(4, 0, 10.0),
                std::invalid_argument);
 }
 

@@ -9,6 +9,12 @@
 // dedupe runs must preserve the explorer's verdict while pruning at least
 // half the executions on a state-merging world, and collision-audit mode
 // must turn a fabricated 128-bit collision into a loud failure.
+//
+// The augmented snapshot's H logs are hash-consed (src/augmented/hstate.h):
+// hashing sinks consume cached digests while TextSink expands the content.
+// The AugmentedFingerprint tests pin that contract: transpositions still
+// merge, a change buried inside a published scan result still separates
+// both hash and text, and a scan result never changes under its holder.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,9 +22,12 @@
 #include <string>
 #include <vector>
 
+#include "src/augmented/augmented_snapshot.h"
+#include "src/augmented/hstate.h"
 #include "src/check/model_check.h"
 #include "src/check/state_table.h"
 #include "src/memory/register.h"
+#include "src/memory/sw_snapshot.h"
 #include "src/runtime/scheduler.h"
 #include "src/util/fingerprint.h"
 
@@ -39,6 +48,13 @@ util::Fingerprint digest_of(Scheduler& sched) {
   util::HashSink sink;
   sched.state_digest(sink);
   return sink.digest();
+}
+
+std::string text_of(Scheduler& sched) {
+  std::string out;
+  util::TextSink sink(out);
+  sched.state_digest(sink);
+  return out;
 }
 
 Task<void> write_script(TypedRegister<Val>& reg, Val v, std::size_t writes) {
@@ -171,6 +187,159 @@ TEST(Fingerprint, DoneFlagChangesHash) {
   s2->run_step(0);
   s2->run_step(0);  // done
   EXPECT_NE(digest_of(*s1), digest_of(*s2));
+}
+
+// --- the augmented snapshot: hash-consed H state ---------------------------
+
+using aug::HComp;
+using aug::HView;
+using aug::LRecord;
+using aug::PublishedView;
+using aug::UpdateTriple;
+
+Task<void> update_then_scan(aug::AugmentedSnapshot& m, ProcessId me) {
+  std::vector<std::size_t> comps{me};
+  std::vector<Val> vals{Val(10 + static_cast<Val>(me))};
+  co_await m.BlockUpdate(me, std::move(comps), std::move(vals));
+  co_await m.Scan(me);
+}
+
+struct AugPair {
+  Scheduler sched;
+  aug::AugmentedSnapshot m{sched, "M", 2, 2};
+
+  explicit AugPair(const std::vector<ProcessId>& schedule) {
+    sched.spawn(update_then_scan(m, 0), "q1");
+    sched.spawn(update_then_scan(m, 1), "q2");
+    for (ProcessId p : schedule) {
+      sched.run_step(p);
+    }
+  }
+};
+
+TEST(AugmentedFingerprint, TranspositionsHashAndRenderEqual) {
+  // Both Block-Updates run solo (6 H-steps each; q2 does not yield), then
+  // both Scans take their first collect and publish it in a helping
+  // update.  The op log cites neither helping update's step, so the two
+  // orders of those updates reach one state - whose H and own-component
+  // mirrors hold scan results embedded in separately built records.
+  std::vector<ProcessId> prefix(6, 0);
+  prefix.insert(prefix.end(), 6, 1);
+  prefix.insert(prefix.end(), {0, 1});
+  auto with = [&prefix](std::vector<ProcessId> tail) {
+    std::vector<ProcessId> s = prefix;
+    s.insert(s.end(), tail.begin(), tail.end());
+    return s;
+  };
+  AugPair a(with({0, 1}));
+  AugPair b(with({1, 0}));
+  EXPECT_EQ(digest_of(a.sched), digest_of(b.sched));
+  EXPECT_EQ(text_of(a.sched), text_of(b.sched));
+  ASSERT_EQ(a.m.log().scans.size(), 2u);
+
+  // One more step (q1's confirming collect) is a different state.
+  AugPair c(with({0, 1, 0}));
+  EXPECT_NE(digest_of(a.sched), digest_of(c.sched));
+  EXPECT_NE(text_of(a.sched), text_of(c.sched));
+}
+
+Task<void> publish(mem::SWSnapshot<HComp>& h, HComp mine) {
+  co_await h.update(std::move(mine));
+}
+
+TEST(AugmentedFingerprint, EmbeddedViewContentsChangeHashAndText) {
+  // Two H states equal everywhere except one value inside the scan result
+  // that q1's helping record publishes.
+  auto view_with = [](Val inner) {
+    HView seen(2);
+    seen[1] =
+        seen[1].with_batch({UpdateTriple{0, inner, aug::Timestamp({0, 1})}});
+    return seen;
+  };
+  struct World {
+    Scheduler sched;
+    mem::SWSnapshot<HComp> h{sched, "H", 2};
+  };
+  auto build = [](const HView& seen) {
+    auto w = std::make_unique<World>();
+    HComp mine = HComp().with_lrecords(
+        {LRecord{1, 1, std::make_shared<const PublishedView>(seen)}});
+    w->sched.spawn(publish(w->h, std::move(mine)), "q1");
+    w->sched.run_step(0);
+    return w;
+  };
+  const HView seen7 = view_with(7);
+  const HView seen8 = view_with(8);
+  auto w7 = build(seen7);
+  auto w8 = build(seen8);
+  EXPECT_NE(digest_of(w7->sched), digest_of(w8->sched));
+  const std::string t7 = text_of(w7->sched);
+  const std::string t8 = text_of(w8->sched);
+  EXPECT_NE(t7, t8);
+
+  // The text is the full content: it embeds the published view's own
+  // rendering, not its cached digest.
+  std::string seen_text;
+  util::TextSink seen_sink(seen_text);
+  util::feed(seen_sink, seen7);
+  EXPECT_NE(t7.find(seen_text), std::string::npos);
+  const auto& published = *w7->h.peek()[0].lrecords().front().h;
+  EXPECT_EQ(t7.find(std::to_string(published.digest.hi)), std::string::npos);
+  EXPECT_EQ(t7.find(std::to_string(published.digest.lo)), std::string::npos);
+
+  // Equal content built twice hashes equal: digests depend on content,
+  // not on which objects hold it.
+  auto w7again = build(view_with(7));
+  EXPECT_EQ(digest_of(w7->sched), digest_of(w7again->sched));
+  EXPECT_EQ(t7, text_of(w7again->sched));
+}
+
+Task<void> scan_then_append(mem::SWSnapshot<HComp>& h, HView& seen) {
+  HComp mine = HComp().with_batch({UpdateTriple{0, 5, aug::Timestamp({1, 0})}});
+  co_await h.update(mine);
+  seen = co_await h.scan();
+  // What a Scan does next: publish the scan result in the writer's own
+  // component, then append another Block-Update's triples.
+  mine = mine.with_lrecords(
+      {LRecord{1, 0, std::make_shared<const PublishedView>(seen)}});
+  mine = mine.with_batch({UpdateTriple{1, 6, aug::Timestamp({2, 0})}});
+  co_await h.update(std::move(mine));
+}
+
+TEST(AugmentedFingerprint, ScanResultSurvivesLaterOwnAppends) {
+  Scheduler sched;
+  mem::SWSnapshot<HComp> h(sched, "H", 2);
+  HView seen;
+  sched.spawn(scan_then_append(h, seen), "q1");
+  sched.run_step(0);  // update
+  sched.run_step(0);  // scan
+  ASSERT_EQ(seen.size(), 2u);
+  const util::Fingerprint before = seen[0].digest();
+  std::string text_before;
+  util::TextSink before_sink(text_before);
+  util::feed(before_sink, seen);
+
+  sched.run_step(0);  // appends, then the second update
+  ASSERT_TRUE(sched.all_done());
+  EXPECT_EQ(seen[0].triples().size(), 1u);
+  EXPECT_TRUE(seen[0].lrecords().empty());
+  EXPECT_EQ(seen[0].num_bu(), 1u);
+  EXPECT_EQ(seen[0].digest(), before);
+  std::string text_after;
+  util::TextSink after_sink(text_after);
+  util::feed(after_sink, seen);
+  EXPECT_EQ(text_after, text_before);
+
+  // H moved on; the record it now carries embeds the old version, not
+  // itself.
+  const HComp& now = h.peek()[0];
+  EXPECT_EQ(now.triples().size(), 2u);
+  EXPECT_EQ(now.num_bu(), 2u);
+  EXPECT_NE(now.digest(), before);
+  ASSERT_EQ(now.lrecords().size(), 1u);
+  const HView& embedded = now.lrecords().front().h->view;
+  EXPECT_EQ(embedded[0].digest(), before);
+  EXPECT_EQ(embedded[0].triples().size(), 1u);
 }
 
 // --- StateTable -----------------------------------------------------------

@@ -17,10 +17,15 @@ HView make_hview(std::size_t f) { return HView(f); }
 
 void append_batch(HView& h, std::size_t writer,
                   std::vector<UpdateTriple> triples) {
-  for (auto& t : triples) {
-    h[writer].triples.push_back(std::move(t));
-  }
-  h[writer].num_bu += 1;
+  h[writer] = h[writer].with_batch(std::move(triples));
+}
+
+std::shared_ptr<const PublishedView> publish(HView v) {
+  return std::make_shared<const PublishedView>(std::move(v));
+}
+
+void append_lrecord(HView& h, std::size_t writer, LRecord rec) {
+  h[writer] = h[writer].with_lrecords({std::move(rec)});
 }
 
 TEST(Timestamps, LexicographicOrder) {
@@ -50,7 +55,7 @@ TEST(Timestamps, Corollary8NewTimestampDominatesContained) {
   for (std::size_t me = 0; me < 2; ++me) {
     const Timestamp fresh = new_timestamp(h, me);
     for (const auto& comp : h) {
-      for (const auto& tr : comp.triples) {
+      for (const auto& tr : comp.triples()) {
         EXPECT_LT(tr.ts, fresh);
       }
     }
@@ -82,7 +87,7 @@ TEST(HState, PrefixOrder) {
 TEST(HState, HelpingRecordsDoNotAffectPrefixOrder) {
   HView a = make_hview(2);
   HView b = make_hview(2);
-  b[0].lrecords.push_back(LRecord{1, 0, std::make_shared<HView>(a)});
+  append_lrecord(b, 0, LRecord{1, 0, publish(a)});
   EXPECT_TRUE(triples_equal(a, b));
   EXPECT_TRUE(is_prefix(a, b));
   EXPECT_FALSE(is_proper_prefix(a, b));
@@ -106,11 +111,11 @@ TEST(HState, GetViewOfEmptyIsAllBottom) {
 
 TEST(HState, ReadLRecordFindsLastMatch) {
   HView h = make_hview(2);
-  auto v1 = std::make_shared<HView>(make_hview(2));
-  auto v2 = std::make_shared<HView>(make_hview(2));
-  h[0].lrecords.push_back(LRecord{1, 3, v1});
-  h[0].lrecords.push_back(LRecord{1, 4, v1});
-  h[0].lrecords.push_back(LRecord{1, 3, v2});  // later write to L_{1,2}[3]
+  auto v1 = publish(make_hview(2));
+  auto v2 = publish(make_hview(2));
+  append_lrecord(h, 0, LRecord{1, 3, v1});
+  append_lrecord(h, 0, LRecord{1, 4, v1});
+  append_lrecord(h, 0, LRecord{1, 3, v2});  // later write to L_{1,2}[3]
   EXPECT_EQ(read_lrecord(h, 0, 1, 3), v2);
   EXPECT_EQ(read_lrecord(h, 0, 1, 4), v1);
   EXPECT_EQ(read_lrecord(h, 0, 1, 5), nullptr);

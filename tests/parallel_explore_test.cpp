@@ -507,6 +507,97 @@ TEST(ParallelDedupe, FingerprintExtraKeepsUniqueStatesBitIdentical) {
   }
 }
 
+Task<void> aug_scan(AugmentedSnapshot& m, ProcessId me) {
+  co_await m.Scan(me);
+}
+
+// Two processes on one augmented snapshot: q2 runs a Block-Update then a
+// Scan, q1 the same or only the Scan.  The verdict is the §3.3 linearizer
+// over the object's history, which the object's own fingerprint covers (op
+// log, own-component mirrors, H).
+class AugMixedWorld final : public ExplorableWorld {
+ public:
+  explicit AugMixedWorld(bool q1_updates) : m_(sched_, "M", 2, 2) {
+    sched_.spawn(q1_updates ? aug_mixed(m_, 0) : aug_scan(m_, 0), "q1");
+    sched_.spawn(aug_mixed(m_, 1), "q2");
+  }
+
+  Scheduler& scheduler() override { return sched_; }
+
+  std::optional<std::string> verdict(bool complete) override {
+    if (!complete) {
+      return "execution did not finish within the depth bound";
+    }
+    auto lin = aug::linearize(m_.log(), 2);
+    if (!lin.ok()) {
+      return lin.violations.front();
+    }
+    return std::nullopt;
+  }
+
+ private:
+  Scheduler sched_;
+  AugmentedSnapshot m_;
+};
+
+auto aug_mixed_factory(bool q1_updates) {
+  return [q1_updates] { return std::make_unique<AugMixedWorld>(q1_updates); };
+}
+
+struct DedupeCounts {
+  std::size_t executions;
+  std::size_t states_seen;
+  std::size_t subtrees_pruned;
+};
+
+void expect_counts(const ScheduleExploreResult& res, DedupeCounts want,
+                   const std::string& what) {
+  EXPECT_FALSE(res.violation) << what;
+  EXPECT_FALSE(res.error) << what;
+  EXPECT_TRUE(res.exhausted) << what;
+  EXPECT_EQ(res.executions, want.executions) << what;
+  EXPECT_EQ(res.states_seen, want.states_seen) << what;
+  EXPECT_EQ(res.subtrees_pruned, want.subtrees_pruned) << what;
+}
+
+// Exact dedupe accounting on the augmented snapshot, as recorded with a
+// fingerprint that hashed every H log and embedded view in full: a
+// fingerprint that merged distinct states would lower states_seen, one that
+// split equal states would raise it.  On an
+// exhausted violation-free search every engine claims each reachable state
+// exactly once, so the counts do not depend on the thread count.
+TEST(ParallelDedupe, AugmentedCountsArePinned) {
+  const auto factory = aug_mixed_factory(/*q1_updates=*/false);
+  auto plain = explore_schedules(factory);
+  expect_counts(plain, {1'144, 0, 0}, "undeduped");
+
+  const DedupeCounts want{1'004, 4'235, 68};
+  ScheduleExploreOptions base;
+  base.dedupe_states = true;
+  expect_counts(explore_schedules(factory, base), want, "serial");
+  for (std::size_t threads : {2u, 4u}) {
+    ParallelExploreOptions opt;
+    opt.base = base;
+    opt.threads = threads;
+    opt.oversubscribe = true;
+    expect_counts(parallel_explore_schedules(factory, opt), want,
+                  "threads=" + std::to_string(threads));
+  }
+  // Collision audit: the full canonical text behind every hash; a
+  // fingerprint covering two distinct states throws.
+  base.dedupe_audit = true;
+  expect_counts(explore_schedules(factory, base), want, "serial audit");
+}
+
+TEST(ParallelDedupe, AugmentedCountsArePinnedOnTheLargerWorld) {
+  // Both processes Block-Update then Scan: 30x the states of the world
+  // above and 38x its prunes.
+  ScheduleExploreOptions base;
+  base.dedupe_states = true;
+  expect_counts(explore_schedules(aug_mixed_factory(true), base),
+                {32'636, 131'912, 2'609}, "serial");
+}
+
 TEST(ParallelExplore, ViolationExactlyAtCapAcrossThreads) {
   const Schedule planted{0, 1, 1, 0};
   ScheduleExploreOptions base;

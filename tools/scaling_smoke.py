@@ -70,6 +70,16 @@ enforces four things:
    its record kind promises, so sweeps over commits can diff numbers
    without defensive parsing.
 
+9. Augmented dedupe exactness: on augmented-3proc, serial-dedupe must
+   record exactly AUG_STATES_SEEN distinct states.  The capped serial walk
+   is deterministic, so a state fingerprint that merged distinct states
+   (say, a cached H-log digest that missed some content) would lower the
+   count, and one that split equal states (a digest that depended on how a
+   log was built rather than on what it holds) would raise it.  The
+   serial-dedupe / serial-fast wall-clock ratio is printed but not gated:
+   six reruns on a shared 4-vCPU host read 1.33x-2.02x (median 1.46x), so
+   a 1.5x bound would not hold steadily there (CHANGES.md).
+
 Usage: tools/scaling_smoke.py [path-to-BENCH_modelcheck.json]
 """
 
@@ -88,6 +98,8 @@ HEARTBEAT_INSTANCE = "register-script-554"
 DIST_WORKER_CONFIGS = ("dist-workers-1", "dist-workers-2", "dist-workers-4")
 INSTANCES = ("register-script-554", "collect-writers-443")
 POR_INSTANCE = "register-script-554"
+AUG_INSTANCE = "augmented-3proc"
+AUG_STATES_SEEN = 107_336
 
 # Field name -> accepted python types, per record kind.  bool is checked
 # before int (bool is an int subclass in python).
@@ -375,13 +387,37 @@ def main() -> int:
                     f"pipeline claim escaped the dedupe contract"
                 )
 
+    # Gate 9: the state fingerprint neither merges nor splits augmented
+    # states.
+    fast = rows.get((AUG_INSTANCE, "serial-fast"))
+    dedupe = rows.get((AUG_INSTANCE, "serial-dedupe"))
+    if fast is None or dedupe is None:
+        failures.append(f"{AUG_INSTANCE}: missing serial-fast/serial-dedupe rows")
+    else:
+        ratio = dedupe["seconds"] / max(fast["seconds"], 1e-9)
+        exact = dedupe["states_seen"] == AUG_STATES_SEEN
+        print(
+            f"scaling-smoke: {AUG_INSTANCE}: serial-dedupe states_seen"
+            f" {dedupe['states_seen']} (want {AUG_STATES_SEEN})"
+            f" {'ok' if exact else 'FAIL'}; serial-dedupe"
+            f" {dedupe['seconds']:.3f}s / serial-fast {fast['seconds']:.3f}s"
+            f" -> {ratio:.2f}x (not gated)"
+        )
+        if not exact:
+            failures.append(
+                f"{AUG_INSTANCE}: serial-dedupe states_seen "
+                f"{dedupe['states_seen']} != {AUG_STATES_SEEN} - the state "
+                f"fingerprint merges or splits states it did not before"
+            )
+
     if failures:
         for failure in failures:
             print(f"scaling-smoke: FAIL: {failure}")
         return 1
     print(
         "scaling-smoke: PASS (scaling, dedupe threads, POR, dist parity, "
-        "dist overhead, heartbeat overhead, dist dedupe overhead, schema)"
+        "dist overhead, heartbeat overhead, dist dedupe overhead, schema, "
+        "augmented dedupe exactness)"
     )
     return 0
 
