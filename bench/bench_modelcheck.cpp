@@ -326,13 +326,13 @@ bool run_instance(const std::string& name,
         Mode::kDedupe, false, true);
   }
 
-  // Dedupe over the wire: the coordinator owns the sharded fingerprint
-  // table and every claim crosses the socket.  Mode::kDedupe covers the
-  // verdict; the explicit bound below pins the dedupe contract (the
-  // coordinator can only claim states the serial table also saw), and
-  // scaling_smoke.py gate 7 holds dist-dedupe-workers-2 to 1.3x
-  // parallel-dedupe-2 wall clock so a fingerprint service that stalls the
-  // walk on every distinct state fails CI.
+  // Dedupe over the wire: each worker prunes against its own table and
+  // reports its first sightings one way.  Mode::kDedupe covers the
+  // verdict; the explicit bound below pins the dedupe contract on
+  // exhausted searches (the reports are a subset of the states the serial
+  // table records).  A capped search stops at interleaving-dependent
+  // points, so there the bound is no invariant.  scaling_smoke.py gate 7
+  // holds dist-dedupe-workers-2 to 1.3x parallel-dedupe-2 wall clock.
   for (std::size_t workers : {1u, 2u, 4u}) {
     dist::DistExploreOptions dopt;
     dopt.base = dedupe;
@@ -343,7 +343,9 @@ bool run_instance(const std::string& name,
         timed([&] { return dist::dist_explore_schedules(make, dopt); });
     row("dist-dedupe-workers-" + std::to_string(workers), d, workers,
         Mode::kDedupe, false, true);
-    ok = ok && d.result.states_seen <= serial_dedupe.result.states_seen;
+    if (d.result.exhausted && serial_dedupe.result.exhausted) {
+      ok = ok && d.result.states_seen <= serial_dedupe.result.states_seen;
+    }
   }
 
   // Partial-order reduction: executions shrink to one representative per

@@ -14,8 +14,7 @@
 //   revisim_cli dist-explore [--workers N | --connect H:P ...] [--world W]
 //               [--f F] [--m M] [--budget B] [--max-crashes C]
 //               [--max-steps S] [--max-executions E] [--por] [--dedupe]
-//               [--shards K] [--retries R] [--witness PATH]
-//               [--probe-interval N] [--fp-batch B] [--fp-window W]
+//               [--retries R] [--witness PATH] [--probe-interval N]
 //               [--journal PATH | --resume PATH] [--heartbeat-ms MS]
 //               [--heartbeat-timeout-ms MS] [--reconnect-ms MS]
 //               [--fault SPEC] [--coord-fault SPEC] [--halt-after-jobs N]
@@ -40,8 +39,7 @@
 //       journal the run; if it is interrupted, re-running the SAME command
 //       with --resume run.j instead of --journal reuses every finished
 //       region and completes with a bit-identical summary
-//   revisim_cli dist-explore --workers 2 --world aug-bu \
-//       --fault 'drop=0.02,seed=7' --retries 8
+//   revisim_cli dist-explore --world aug-bu --retries 8 --fault drop=.02,seed=7
 //       deterministic fault drill: each worker's outbound frames drop with
 //       P=.02; seq-gap detection cuts, the worker re-dials, jobs re-queue,
 //       and the summary still matches the fault-free run
@@ -373,15 +371,9 @@ int run_dist_explore(int argc, char** argv) {
       parse_number("--workers", next("--workers"), opt.workers);
     } else if (!std::strcmp(argv[i], "--connect")) {
       endpoints.push_back(next("--connect"));
-    } else if (!std::strcmp(argv[i], "--shards")) {
-      parse_number("--shards", next("--shards"), opt.fp_shards);
     } else if (!std::strcmp(argv[i], "--probe-interval")) {
       parse_number("--probe-interval", next("--probe-interval"),
                    opt.base.dist_probe_interval);
-    } else if (!std::strcmp(argv[i], "--fp-batch")) {
-      parse_number("--fp-batch", next("--fp-batch"), opt.fp_batch);
-    } else if (!std::strcmp(argv[i], "--fp-window")) {
-      parse_number("--fp-window", next("--fp-window"), opt.fp_window);
     } else if (!std::strcmp(argv[i], "--retries")) {
       parse_number("--retries", next("--retries"), opt.job_retries);
     } else if (!std::strcmp(argv[i], "--witness")) {

@@ -229,10 +229,7 @@ SubtreeResult explore_job(
           fp.hi = fp.hi * 0xc4ceb9fe1a85ec53ull + fp.lo;
         }
       }
-      // insert_at carries the node's DFS depth so pipelined stores (the
-      // distributed async fingerprint service) can track speculation along
-      // the current path; in-process tables ignore it.
-      pruned = !table->insert_at(fp, schedule.size(), canonical);
+      pruned = !table->insert(fp, canonical);
       if (options.dedupe_adaptive) {
         dedupe_lookups++;
         dedupe_prunes += pruned ? 1 : 0;

@@ -67,8 +67,9 @@ struct SubtreeOptions {
   // (only read when this call creates its own table, i.e. `table == null`).
   bool dedupe_audit = false;
   // Shared visited-state store (parallel explorer: one StateTable; the
-  // distributed worker: a remote-backed store).  Null with dedupe_states
-  // set means the walk creates a private table for its own lifetime.
+  // distributed worker: its session table, which also reports sightings).
+  // Null with dedupe_states set means the walk creates a private table for
+  // its own lifetime.
   StateStore* table = nullptr;
   // Adaptive dedupe kill-switch (a spent-vs-saved ledger over lookups):
   // fingerprinting every node is pure overhead on workloads whose states

@@ -81,9 +81,9 @@ struct DistJob {
   State state = kPending;
   std::size_t failures = 0;        // failed/lost attempts consumed
   bool abort_sent = false;         // a kCredit abort is already in flight
-  // A lost deduped attempt's claims survive in the shard table; the re-run
-  // (and every region it donates, recursively) walks with dedupe off so an
-  // orphaned claim can never prune it.
+  // Set on the re-run of a lost deduped attempt; the re-run and every
+  // region it donates, recursively, walk with dedupe off (see
+  // requeue_or_fail).
   bool no_dedupe = false;
   // Genealogy.  `children` spans every attempt; `cancelled` excludes the
   // record from the merge because an ancestor's re-run re-covers its
@@ -179,11 +179,10 @@ struct CoState {
   std::vector<std::unique_ptr<Conn>> conns;
   std::vector<std::unique_ptr<Provisional>> provisional;
 
-  // Sharded fingerprint service (dedupe only).  Shard = top bits of fp.hi;
-  // each shard is an ordinary StateTable whose insert_batch serves one
-  // kFpBatch frame's worth of claims per call.
-  std::vector<std::unique_ptr<check::StateTable>> shards;
-  std::size_t shard_bits = 0;
+  // Dedupe only: every first sighting the workers report (kFpBatch), for
+  // the run's distinct-state count and the cross-worker collision audit.
+  // It answers nothing; each worker prunes against its own table.
+  std::unique_ptr<check::StateTable> seen;
 
   // Sum of live execution counters over records lex-before `key` - a lower
   // bound on the serial execution count before this record's region.
@@ -282,8 +281,8 @@ void send_msg(CoState& co, Conn& conn, MsgType type, Encode encode) {
 
 // Heartbeat driver, run every tick for every serving connection: throws
 // once the worker has been silent past the timeout, and pings only when no
-// other frame (job, credit, verdicts) went out for a full interval - the
-// liveness traffic piggybacks on the pipeline's own.
+// other frame (job, credit, steal request) went out for a full interval -
+// the liveness traffic piggybacks on the job protocol's own.
 void heartbeat(CoState& co, Conn& conn) {
   const std::uint32_t interval = co.options->heartbeat_interval_ms;
   if (interval == 0) {
@@ -362,11 +361,18 @@ void cancel_subtree(CoState& co, DistJob* rec) {
 }
 
 // Re-queues a lost or throwing job - cancelling everything the lost
-// attempt donated - or fails it once retries are exhausted.  With
-// dedupe_states on, the lost attempt's claim-then-walk claims survive in
-// the shard table, so the re-run is marked no_dedupe (inherited by every
-// region it donates): it walks with dedupe off and can never be pruned by
-// an orphaned claim, keeping states_seen bounded by the serial count.
+// attempt donated - or fails it once retries are exhausted.
+//
+// With dedupe_states on, the re-run is marked no_dedupe (inherited by every
+// region it donates) and walks with dedupe off.  Worker tables outlive
+// jobs, so they can hold states whose walk no merged record covers: a
+// donated child that finished on a surviving worker and that this requeue
+// now cancels, or the lost attempt's own partial walk on a worker that
+// re-dialed.  A deduped re-run on such a worker would prune at those states
+// and skip a region that no record in the merge covers - a missed
+// violation on an exhausted search.  The dedupe-off re-run walks the whole
+// region, so every state any worker table holds from the cancelled walks
+// is re-covered; a later job that prunes against one is covered by it too.
 void requeue_or_fail(CoState& co, DistJob* rec, const std::string& why) {
   ++rec->failures;
   if (rec->failures > co.options->job_retries) {
@@ -435,9 +441,6 @@ HelloMsg make_hello(const CoState& co, std::uint32_t worker,
   hello.live_interval = std::max<std::uint64_t>(co.options->live_interval, 1);
   hello.probe_interval =
       std::max<std::uint64_t>(base.dist_probe_interval, 1);
-  hello.fp_batch = std::max<std::uint32_t>(co.options->fp_batch, 1);
-  hello.fp_window =
-      std::max<std::uint32_t>(co.options->fp_window, hello.fp_batch);
   if (spec != nullptr) {
     hello.world = spec->world;
     hello.f = spec->f;
@@ -562,110 +565,30 @@ void kill_provisional(CoState& co, Provisional& p) {
   p.dead = true;
 }
 
-// Sends one kFpInsert's verdict - the wire-v2 synchronous path, kept for
-// protocol completeness; v3 workers speak kFpBatch.
-void handle_fp_insert(CoState& co, Conn& conn) {
+// Folds one kFpBatch report into the run's distinct-state table.  Reports
+// are one way: nothing is answered.  A collision found by the audit means
+// every prune taken anywhere in the run is suspect, so it poisons the run.
+void handle_fp_batch(CoState& co, Conn& conn) {
   WireReader r = conn.in.reader();
-  FpInsertMsg msg = decode_fp_insert(r);
-  const std::size_t shard =
-      co.shard_bits == 0
-          ? 0
-          : static_cast<std::size_t>(msg.fp.hi >> (64 - co.shard_bits));
-  FpReplyMsg reply;
+  const FpBatchMsg msg = decode_fp_batch(r);
+  if (co.seen == nullptr) {
+    throw WireError("fingerprint report with dedupe off");
+  }
   try {
-    std::function<std::string()> canonical;
-    if (msg.has_canonical) {
-      canonical = [&msg] { return msg.canonical; };
+    for (std::size_t i = 0; i < msg.fps.size(); ++i) {
+      if (msg.has_canonical) {
+        co.seen->insert(msg.fps[i], [&msg, i] { return msg.canonicals[i]; });
+      } else {
+        co.seen->insert(msg.fps[i]);
+      }
     }
-    reply.was_new = co.shards[shard]->insert(msg.fp, canonical);
   } catch (const check::StateFingerprintCollision& e) {
-    // The audit found two canonical states behind one fingerprint: every
-    // prune taken anywhere in this run is suspect.  Poison the run; the
-    // worker gets its reply and then an abort credit.
-    reply.was_new = true;
     if (co.unfinished_reason.empty()) {
       co.unfinished_reason = e.what();
     }
     co.stop = true;
     push_aborts(co);
   }
-  send_msg(co, conn, MsgType::kFpReply,
-           [&reply](WireWriter& w) { encode_fp_reply(w, reply); });
-}
-
-// Serves one kFpBatch frame: bucket the claims by shard, bulk-insert each
-// shard's slice (one prefetch-warmed probe pass per shard), scatter the
-// verdicts back into wire order and answer with one packed kFpVerdicts
-// bitmap.
-void handle_fp_batch(CoState& co, Conn& conn) {
-  WireReader r = conn.in.reader();
-  FpBatchMsg msg = decode_fp_batch(r);
-  const std::uint32_t n = static_cast<std::uint32_t>(msg.fps.size());
-  FpVerdictsMsg verdicts;
-  verdicts.resize(n);
-  std::vector<std::vector<std::uint32_t>> by_shard(
-      std::max<std::size_t>(co.shards.size(), 1));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::size_t shard =
-        co.shard_bits == 0
-            ? 0
-            : static_cast<std::size_t>(msg.fps[i].hi >> (64 - co.shard_bits));
-    by_shard[shard].push_back(i);
-  }
-  bool poisoned = false;
-  std::string poison;
-  std::vector<util::Fingerprint> fps;
-  std::vector<bool> scratch;  // avoid vector<bool>: insert_batch wants bool*
-  std::unique_ptr<bool[]> was_new;
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    const std::vector<std::uint32_t>& idx = by_shard[s];
-    if (idx.empty()) {
-      continue;
-    }
-    if (poisoned) {
-      // The audit already blew up: answer was_new for the rest (the run is
-      // poisoned and aborting; no prune taken on these matters).
-      for (const std::uint32_t i : idx) {
-        verdicts.set(i, true);
-      }
-      continue;
-    }
-    fps.clear();
-    for (const std::uint32_t i : idx) {
-      fps.push_back(msg.fps[i]);
-    }
-    was_new = std::make_unique<bool[]>(idx.size());
-    std::function<std::string(std::size_t)> canonical;
-    if (msg.has_canonical) {
-      canonical = [&msg, &idx](std::size_t j) {
-        return msg.canonicals[idx[j]];
-      };
-    }
-    try {
-      co.shards[s]->insert_batch(fps.data(), idx.size(), was_new.get(),
-                                 canonical);
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        verdicts.set(idx[j], was_new[j]);
-      }
-    } catch (const check::StateFingerprintCollision& e) {
-      poisoned = true;
-      poison = e.what();
-      for (const std::uint32_t i : idx) {
-        verdicts.set(i, true);
-      }
-    }
-  }
-  (void)scratch;
-  if (poisoned) {
-    if (co.unfinished_reason.empty()) {
-      co.unfinished_reason = poison;
-    }
-    co.stop = true;
-    push_aborts(co);
-  }
-  send_msg(co, conn, MsgType::kFpVerdicts, [&verdicts](WireWriter& w) {
-    encode_fp_verdicts(w, verdicts);
-  });
 }
 
 // One inbound frame from a serving worker.  Throws WireError on protocol
@@ -685,9 +608,6 @@ void handle_frame(CoState& co, Conn& conn) {
     }
     case MsgType::kPong:
       break;  // liveness bookkeeping happened at recv
-    case MsgType::kFpInsert:
-      handle_fp_insert(co, conn);
-      break;
     case MsgType::kFpBatch:
       handle_fp_batch(co, conn);
       break;
@@ -1084,7 +1004,7 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
 
 // The coordinator: one thread, one epoll loop, every connection
 // non-blocking and buffered.  Ownership rules: the loop alone touches
-// channels, job records and the shard tables (no locks anywhere);
+// channels, job records and the state table (no locks anywhere);
 // registrations point at Conn/Provisional objects whose lifetime outlasts
 // their fd (Conns live for the whole run, Provisionals are swept only
 // between event batches, so a stale event in the current batch always
@@ -1314,15 +1234,6 @@ check::ScheduleExploreResult coordinate(
   if (options.resume && options.journal_path.empty()) {
     throw std::invalid_argument("dist: resume needs a journal path");
   }
-  if (options.fp_batch < 1) {
-    throw std::invalid_argument("dist: fp_batch must be >= 1");
-  }
-  if (options.fp_window < options.fp_batch) {
-    throw std::invalid_argument(
-        "dist: fp_window (" + std::to_string(options.fp_window) +
-        ") must be >= fp_batch (" + std::to_string(options.fp_batch) +
-        "): the outstanding window must hold at least one full batch");
-  }
 
   Log log(log_path_for("coordinator"));
   CoState co;
@@ -1334,16 +1245,8 @@ check::ScheduleExploreResult coordinate(
     co.deadline = Clock::now() + options.time_limit;
   }
   if (options.base.dedupe_states) {
-    std::size_t shards = std::max<std::size_t>(options.fp_shards, 1);
-    co.shard_bits = 0;
-    while ((std::size_t{1} << co.shard_bits) < shards && co.shard_bits < 8) {
-      ++co.shard_bits;
-    }
-    const std::size_t n = std::size_t{1} << co.shard_bits;
-    for (std::size_t i = 0; i < n; ++i) {
-      co.shards.push_back(std::make_unique<check::StateTable>(
-          check::StateTable::Options{.audit = options.base.dedupe_audit}));
-    }
+    co.seen = std::make_unique<check::StateTable>(
+        check::StateTable::Options{.audit = options.base.dedupe_audit});
   }
 
   // Adopt the sockets into Conn channels FIRST: any throw below (a resume
@@ -1398,12 +1301,11 @@ check::ScheduleExploreResult coordinate(
   }
   log.line(
       "coordinator: %zu worker(s), cap=%llu, dedupe=%d, por=%d, "
-      "heartbeat=%ums/%ums, reconnect=%ums, fp_batch=%u/%u, journal=%s, "
-      "faults=%s",
+      "heartbeat=%ums/%ums, reconnect=%ums, journal=%s, faults=%s",
       co.conns.size(), static_cast<unsigned long long>(co.cap),
       options.base.dedupe_states ? 1 : 0, options.base.por ? 1 : 0,
       options.heartbeat_interval_ms, options.heartbeat_timeout_ms,
-      options.reconnect_window_ms, options.fp_batch, options.fp_window,
+      options.reconnect_window_ms,
       options.journal_path.empty() ? "off" : options.journal_path.c_str(),
       fault_plan_text(options.coordinator_faults).c_str());
 
@@ -1452,16 +1354,11 @@ check::ScheduleExploreResult coordinate(
       order, co.cap, options.job_retries + 1, co.unfinished_reason);
   res.jobs = merged_jobs;
   res.steals = co.steals;
-  if (!co.shards.empty()) {
-    // The shard sums are the authoritative distinct-state count; workers
-    // report only their local cache's lower bound.  subtrees_pruned stays
-    // the per-job sum from the merge: worker-local cache hits never reach
-    // the shards, so the job counters see strictly more prunes.
-    std::size_t states = 0;
-    for (const auto& s : co.shards) {
-      states += s->states();
-    }
-    res.states_seen = states;
+  if (co.seen != nullptr) {
+    // The union of the workers' reports is the run's distinct-state count;
+    // each job's own figure is only its worker's table size.
+    // subtrees_pruned stays the per-job sum from the merge.
+    res.states_seen = co.seen->states();
   }
   if (!co.unfinished_reason.empty() && !res.error.has_value() &&
       !res.timed_out) {

@@ -6,10 +6,12 @@
 // credit messages, and the final accounting is the identical key-sorted
 // merge (src/check/explore_merge.h) - so executions / exhausted / verdict /
 // lex-smallest witness stay bit-identical to the serial engine at any
-// worker count, with dedupe off.  With dedupe on, the coordinator hosts a
-// sharded-by-fingerprint-prefix StateTable service, extending
-// claim-then-walk pruning across worker processes (verdict parity;
-// states_seen bounded by the serial count on exhausted searches).
+// worker count, with dedupe off.  With dedupe on, each worker prunes
+// against its own session StateTable and reports its first sightings one
+// way; the coordinator folds the reports into one table, so states_seen is
+// the exact distinct-state count on exhausted searches (the serial count)
+// and the collision audit spans workers.  Verdict parity holds; executions
+// may exceed the serial deduped count by cross-worker duplicates.
 //
 // Failure semantics (the full fault x detector x recovery x guarantee
 // matrix lives in DESIGN.md):
@@ -22,11 +24,11 @@
 //     job_retries times); every region the lost attempt donated is
 //     CANCELLED, recursively, because the re-run walks the job's full
 //     original region - so requeue preserves bit-exact merge accounting
-//     even after donations.  With dedupe_states on, the lost attempt's
-//     claim-then-walk claims survive in the shard table, so the re-run
-//     (and every region it donates, recursively) executes with dedupe off
-//     - it can never be pruned by an orphaned claim, so nothing is
-//     under-explored, and states_seen stays bounded by the serial count.
+//     even after donations.  With dedupe_states on, the re-run (and every
+//     region it donates, recursively) executes with dedupe off: worker
+//     tables may hold states of the cancelled regions, and a deduped
+//     re-run could prune into a region no merged record covers (the full
+//     argument is at requeue_or_fail in coordinator.cpp).
 //   - The worker keeps its session: it re-dials with backoff and
 //     re-handshakes under its prior session token, and the coordinator's
 //     acceptor hands the fresh socket back to the waiting serve thread
@@ -61,15 +63,6 @@ struct DistExploreOptions {
   std::size_t job_retries = 2;   // re-queues after a lost or throwing job
   std::chrono::milliseconds time_limit{0};  // 0 = unlimited
   std::uint64_t live_interval = 256;  // executions between kLive messages
-  std::size_t fp_shards = 4;     // fingerprint-service shards (dedupe only)
-  // Fingerprint pipeline (dedupe only): workers batch first-sighting
-  // claims into kFpBatch frames of up to fp_batch fingerprints and keep
-  // descending speculatively while at most fp_window claims are awaiting
-  // kFpVerdicts; a duplicate verdict cancels the speculative subtree.
-  // fp_batch 1 degenerates to per-state round trips; fp_window must be
-  // >= fp_batch.
-  std::uint32_t fp_batch = 32;
-  std::uint32_t fp_window = 128;
   // Turn the hungry hint into kStealReq RPCs.  Off, the tree is never
   // split: one worker walks the seed job alone while the rest idle -
   // useful when jobs are tiny relative to wire latency, and for tests

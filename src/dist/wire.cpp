@@ -166,12 +166,6 @@ util::Fingerprint WireReader::fingerprint() {
   return fp;
 }
 
-void WireReader::raw(std::uint8_t* out, std::size_t n) {
-  need(n);
-  std::copy(p_ + off_, p_ + off_ + n, out);
-  off_ += n;
-}
-
 void WireReader::expect_done() const {
   if (off_ != size_) {
     throw WireError("trailing bytes in wire payload (" +
@@ -201,8 +195,6 @@ void encode_hello(WireWriter& w, const HelloMsg& m) {
   w.u64(m.m);
   w.u64(m.step_budget);
   w.u64(m.probe_interval);
-  w.u32(m.fp_batch);
-  w.u32(m.fp_window);
 }
 
 HelloMsg decode_hello(WireReader& r) {
@@ -232,8 +224,6 @@ HelloMsg decode_hello(WireReader& r) {
   m.m = r.u64();
   m.step_budget = r.u64();
   m.probe_interval = r.u64();
-  m.fp_batch = r.u32();
-  m.fp_window = r.u32();
   r.expect_done();
   return m;
 }
@@ -407,32 +397,6 @@ CreditMsg decode_credit(WireReader& r) {
   return m;
 }
 
-void encode_fp_insert(WireWriter& w, const FpInsertMsg& m) {
-  w.fingerprint(m.fp);
-  w.u8(m.has_canonical ? 1 : 0);
-  w.str(m.canonical);
-}
-
-FpInsertMsg decode_fp_insert(WireReader& r) {
-  FpInsertMsg m;
-  m.fp = r.fingerprint();
-  m.has_canonical = r.u8() != 0;
-  m.canonical = r.str();
-  r.expect_done();
-  return m;
-}
-
-void encode_fp_reply(WireWriter& w, const FpReplyMsg& m) {
-  w.u8(m.was_new ? 1 : 0);
-}
-
-FpReplyMsg decode_fp_reply(WireReader& r) {
-  FpReplyMsg m;
-  m.was_new = r.u8() != 0;
-  r.expect_done();
-  return m;
-}
-
 void encode_fp_batch(WireWriter& w, const FpBatchMsg& m) {
   if (m.fps.size() > kMaxFrameBytes / 16) {
     throw WireError("fingerprint batch too large to serialize");
@@ -467,26 +431,6 @@ FpBatchMsg decode_fp_batch(WireReader& r) {
       m.canonicals.push_back(r.str());
     }
   }
-  r.expect_done();
-  return m;
-}
-
-void encode_fp_verdicts(WireWriter& w, const FpVerdictsMsg& m) {
-  if (m.bitmap.size() != (static_cast<std::size_t>(m.count) + 7) / 8) {
-    throw WireError("verdict bitmap length disagrees with verdict count");
-  }
-  w.u32(m.count);
-  w.data(m.bitmap.data(), m.bitmap.size());
-}
-
-FpVerdictsMsg decode_fp_verdicts(WireReader& r) {
-  FpVerdictsMsg m;
-  m.count = r.u32();
-  const std::size_t bytes = (static_cast<std::size_t>(m.count) + 7) / 8;
-  m.bitmap.resize(bytes);
-  r.raw(m.bitmap.data(), bytes);
-  // A bitmap longer than the count claims verdicts for entries that do not
-  // exist; expect_done rejects the trailing bytes.
   r.expect_done();
   return m;
 }

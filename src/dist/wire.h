@@ -7,8 +7,11 @@
 // worlds (the worker rebuilds its root world and replays the prefix) - so
 // the encoding below is a straight transcription.
 //
-// Encoding rules, version 4 (v4 dropped the warm-pool capacity from kHello
-// and replay_steps_saved from the kJobResult summary):
+// Encoding rules, version 5 (v5 dropped kFpInsert, kFpReply and
+// kFpVerdicts and the fp_batch/fp_window hello fields: workers dedupe
+// against their own tables and kFpBatch became a one-way report; v4
+// dropped the warm-pool capacity from kHello and replay_steps_saved from
+// the kJobResult summary):
 //   - All integers are fixed-width little-endian, written byte by byte
 //     (shift/mask), so the format is identical across host endianness and
 //     word size.
@@ -51,16 +54,11 @@
 //                     the job entirely (lex-earlier regions secured the
 //                     cap, or a lex-earlier violation)
 //   kStealReq   C->W  empty; asks the worker to split its current job
-//   kFpInsert   W->C  fingerprint + optional canonical state text (audit);
-//                     first local sighting, forwarded to the shard service
-//                     (v2 synchronous path, kept for one-off inserts)
-//   kFpReply    C->W  was_new flag (claim-then-walk verdict)
-//   kFpBatch    W->C  a window of fingerprints in one frame (+ parallel
-//                     canonical texts in audit mode); the async pipeline's
-//                     claim request
-//   kFpVerdicts C->W  packed was_new bitmap, bit i answering entry i of the
-//                     oldest unanswered kFpBatch (batches are answered
-//                     strictly in order)
+//   kFpBatch    W->C  up to kFpBatchSize first sightings of the worker's
+//                     own state table (+ parallel canonical texts in audit
+//                     mode); a one-way report the coordinator folds into
+//                     the run's distinct-state count and collision audit -
+//                     it is never answered
 //   kShutdown   C->W  empty; the run is over
 //   kPing       both  liveness probe with an echo nonce; legal at any
 //                     protocol point, answered with kPong
@@ -85,11 +83,13 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4d535652u;  // "RVSM"
-inline constexpr std::uint16_t kWireVersion = 4;
+inline constexpr std::uint16_t kWireVersion = 5;
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 // [u32 len][u8 type][u32 seq][u32 crc]
 inline constexpr std::size_t kFrameHeaderBytes = 13;
 
+// Codes 10, 11 and 16 carried the v2-v4 fingerprint RPCs; they stay
+// unassigned so a stray old frame can never decode as something else.
 enum class MsgType : std::uint8_t {
   kHello = 1,
   kHelloAck = 2,
@@ -100,14 +100,15 @@ enum class MsgType : std::uint8_t {
   kDonate = 7,
   kCredit = 8,
   kStealReq = 9,
-  kFpInsert = 10,
-  kFpReply = 11,
   kShutdown = 12,
   kPing = 13,
   kPong = 14,
   kFpBatch = 15,
-  kFpVerdicts = 16,
 };
+
+// Fingerprints per kFpBatch report frame.  A worker sends a frame when its
+// batch fills and flushes the remainder before every kJobResult/kJobError.
+inline constexpr std::size_t kFpBatchSize = 4096;
 
 // --- schedule entries --------------------------------------------------------
 
@@ -134,9 +135,6 @@ class WireWriter {
   void entry(runtime::ProcessId e) { u64(entry_to_wire(e)); }
   void schedule(const std::vector<runtime::ProcessId>& entries);
   void fingerprint(util::Fingerprint fp);
-  void data(const std::uint8_t* p, std::size_t n) {
-    buf_.insert(buf_.end(), p, p + n);
-  }
 
   [[nodiscard]] const std::uint8_t* data() const { return buf_.data(); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -160,7 +158,6 @@ class WireReader {
   runtime::ProcessId entry() { return entry_from_wire(u64()); }
   std::vector<runtime::ProcessId> schedule();
   util::Fingerprint fingerprint();
-  void raw(std::uint8_t* out, std::size_t n);
 
   [[nodiscard]] bool done() const { return off_ == size_; }
   void expect_done() const;
@@ -201,11 +198,6 @@ struct HelloMsg {
   // `probe_interval`-th abort probe (ScheduleExploreOptions::
   // dist_probe_interval, validated >= 1).
   std::uint64_t probe_interval = 16;
-  // Fingerprint pipeline: claims ship in kFpBatch frames of up to fp_batch
-  // entries, and at most fp_window claims may be awaiting verdicts before
-  // the worker blocks (the bounded speculation window).
-  std::uint32_t fp_batch = 32;
-  std::uint32_t fp_window = 128;
   // Registry world (src/check/crash_worlds.h) for cluster workers; an empty
   // name means the worker holds the factory already (fork mode).
   std::string world;
@@ -233,9 +225,10 @@ struct JobMsg {
   // Leading entries of `sleep` that are inherited sleepers (wakeup-counting)
   // rather than the donor's explored elder siblings; see Donation.
   std::uint32_t sleep_inherited = 0;
-  // Re-run of a job whose previous attempt died mid-walk with dedupe on:
-  // the worker must walk the whole region unpruned (and donate it onward
-  // unpruned), because the lost attempt's fingerprint claims have no owner.
+  // Re-run of a job whose previous attempt was lost with dedupe on: the
+  // worker must walk the whole region unpruned (and donate it onward
+  // unpruned), because worker tables may hold states of regions the
+  // requeue cancelled (see requeue_or_fail in coordinator.cpp).
   bool no_dedupe = false;
 };
 
@@ -268,46 +261,12 @@ struct CreditMsg {
   bool abort = false;
 };
 
-struct FpInsertMsg {
-  util::Fingerprint fp;
-  bool has_canonical = false;  // audit mode ships the canonical state text
-  std::string canonical;
-};
-
-struct FpReplyMsg {
-  bool was_new = false;
-};
-
 struct FpBatchMsg {
   std::vector<util::Fingerprint> fps;
   // Audit mode ships canonical state texts parallel to `fps`; decode
   // rejects a canonical list whose length disagrees with the batch.
   bool has_canonical = false;
   std::vector<std::string> canonicals;
-};
-
-struct FpVerdictsMsg {
-  // Number of verdicts; must equal the oldest unanswered batch's size.
-  std::uint32_t count = 0;
-  // ceil(count / 8) bytes; bit i (little-endian within each byte) is the
-  // was_new verdict for batch entry i.  encode/decode reject a bitmap
-  // whose length disagrees with `count`.
-  std::vector<std::uint8_t> bitmap;
-
-  [[nodiscard]] bool was_new(std::uint32_t i) const {
-    return (bitmap[i >> 3] >> (i & 7)) & 1u;
-  }
-  void set(std::uint32_t i, bool v) {
-    if (v) {
-      bitmap[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
-    } else {
-      bitmap[i >> 3] &= static_cast<std::uint8_t>(~(1u << (i & 7)));
-    }
-  }
-  void resize(std::uint32_t n) {
-    count = n;
-    bitmap.assign((n + 7) / 8, 0);
-  }
 };
 
 struct PingMsg {
@@ -342,14 +301,8 @@ void encode_donate(WireWriter& w, const DonateMsg& m);
 [[nodiscard]] DonateMsg decode_donate(WireReader& r);
 void encode_credit(WireWriter& w, const CreditMsg& m);
 [[nodiscard]] CreditMsg decode_credit(WireReader& r);
-void encode_fp_insert(WireWriter& w, const FpInsertMsg& m);
-[[nodiscard]] FpInsertMsg decode_fp_insert(WireReader& r);
-void encode_fp_reply(WireWriter& w, const FpReplyMsg& m);
-[[nodiscard]] FpReplyMsg decode_fp_reply(WireReader& r);
 void encode_fp_batch(WireWriter& w, const FpBatchMsg& m);
 [[nodiscard]] FpBatchMsg decode_fp_batch(WireReader& r);
-void encode_fp_verdicts(WireWriter& w, const FpVerdictsMsg& m);
-[[nodiscard]] FpVerdictsMsg decode_fp_verdicts(WireReader& r);
 void encode_ping(WireWriter& w, const PingMsg& m);
 [[nodiscard]] PingMsg decode_ping(WireReader& r);
 void encode_pong(WireWriter& w, const PongMsg& m);

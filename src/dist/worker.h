@@ -12,16 +12,15 @@
 // past the timeout as a dead connection.  Run via run_worker (fork mode),
 // a lost connection is not fatal: the worker re-dials the coordinator with
 // jittered backoff, re-handshakes under its prior session token
-// (HelloAck.resume) and keeps serving with its dedupe cache intact; any
+// (HelloAck.resume) and keeps serving with its dedupe table intact; any
 // in-flight job is abandoned (the coordinator re-queues it).
 //
-// With dedupe on, the worker routes first-sightings of a state through the
-// coordinator's sharded fingerprint service asynchronously: claims are
-// batched into kFpBatch frames and the DFS keeps descending speculatively
-// while up to fp_window claims await their packed kFpVerdicts bitmap; a
-// duplicate verdict cancels the speculative subtree (see RemoteStateStore
-// in worker.cpp for the soundness invariant).  A local StateTable caches
-// every sighting, so repeats prune locally without touching the wire.
+// With dedupe on, the worker dedupes against its own session StateTable,
+// claim-then-walk as the in-process engine does at one thread, so the walk
+// never waits on the wire.  First sightings are reported one way to the
+// coordinator in fixed-size kFpBatch frames, flushed before every job
+// result, for the run's exact distinct-state count and the cross-worker
+// collision audit (see ReportingStore in worker.cpp).
 #pragma once
 
 #include <cstdint>

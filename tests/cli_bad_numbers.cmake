@@ -1,5 +1,6 @@
-# revisim_cli must refuse every malformed numeric flag value: exit code 2
-# and a message naming the flag, before any exploration starts.
+# revisim_cli must refuse every malformed numeric flag value, and every
+# removed flag: exit code 2 and a message naming the flag, before any
+# exploration starts.
 #
 #   cmake -DCLI=<path to revisim_cli> -P tests/cli_bad_numbers.cmake
 
@@ -33,3 +34,24 @@ expect_rejected(--max-crashes explore --max-crashes " 2")
 expect_rejected(--seeds --seeds 3x)
 expect_rejected(--eps --eps nan)
 expect_rejected("--task kset:K" --task kset:two)
+
+# Removed flags must fail loudly (exit 2, naming the flag), never be
+# silently ignored.
+function(expect_unknown flag)
+  execute_process(COMMAND "${CLI}" dist-explore ${flag} 4
+                  RESULT_VARIABLE rc
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err
+                  TIMEOUT 20)
+  if(NOT rc EQUAL 2)
+    message(SEND_ERROR "revisim_cli dist-explore ${flag} 4: exit ${rc}, want 2\n${err}")
+  endif()
+  string(FIND "${err}" "unknown flag ${flag}" at)
+  if(at EQUAL -1)
+    message(SEND_ERROR "revisim_cli dist-explore ${flag}: error does not name it:\n${err}")
+  endif()
+endfunction()
+
+expect_unknown(--shards)
+expect_unknown(--fp-batch)
+expect_unknown(--fp-window)

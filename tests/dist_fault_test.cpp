@@ -95,6 +95,58 @@ auto script_factory(std::vector<std::size_t> writes) {
   };
 }
 
+Task<void> gate_script(Scheduler& sched, std::size_t obj,
+                       std::vector<ProcessId>& order, ProcessId me,
+                       std::size_t writes) {
+  co_await runtime::StepAwaiter<void>(
+      sched, [&order, me] { order.push_back(me); }, obj, StepKind::kWrite,
+      {});
+  if (order.front() != 0) {
+    co_return;
+  }
+  for (std::size_t i = 0; i < writes; ++i) {
+    co_await runtime::StepAwaiter<void>(
+        sched, [&order, me] { order.push_back(me); }, obj, StepKind::kWrite,
+        {});
+  }
+}
+
+// The first process to move decides the run.  If it is p0, every process
+// goes on to `writes` more shared writes: the seed job's region is large.
+// Any other first mover ends the run after each process's one gate step,
+// so the root's later children form a tiny region that a steal request
+// donates early.  A complete execution whose first mover is `planted`
+// violates.  The order log is folded into the fingerprint, so every state
+// is distinct and a sound dedupe prunes nothing at all.
+class GateWorld final : public ExplorableWorld {
+ public:
+  GateWorld(std::size_t procs, std::size_t writes, ProcessId planted)
+      : planted_(planted) {
+    const std::size_t shared = sched_.register_object("r");
+    for (ProcessId p = 0; p < procs; ++p) {
+      sched_.spawn(gate_script(sched_, shared, order_, p, writes), "q");
+    }
+  }
+
+  Scheduler& scheduler() override { return sched_; }
+
+  std::optional<std::string> verdict(bool complete) override {
+    if (complete && order_.front() == planted_) {
+      return "planted violation";
+    }
+    return std::nullopt;
+  }
+
+  void fingerprint_extra(util::StateSink& sink) override {
+    util::feed(sink, order_);
+  }
+
+ private:
+  Scheduler sched_;
+  std::vector<ProcessId> order_;
+  ProcessId planted_;
+};
+
 void expect_same(const ScheduleExploreResult& got,
                  const ScheduleExploreResult& want, const std::string& what) {
   EXPECT_EQ(got.executions, want.executions) << what;
@@ -197,16 +249,6 @@ std::vector<WireCase> wire_cases() {
     dist::encode_credit(w, {7, 500, true});
   });
   add("steal_req", MsgType::kStealReq, [](WireWriter&) {});
-  add("fp_insert", MsgType::kFpInsert, [](WireWriter& w) {
-    dist::FpInsertMsg m;
-    m.fp = util::Fingerprint{0x0123456789abcdefull, 0xfedcba9876543210ull};
-    m.has_canonical = true;
-    m.canonical = "state text";
-    dist::encode_fp_insert(w, m);
-  });
-  add("fp_reply", MsgType::kFpReply, [](WireWriter& w) {
-    dist::encode_fp_reply(w, {true});
-  });
   add("fp_batch", MsgType::kFpBatch, [](WireWriter& w) {
     dist::FpBatchMsg m;
     m.fps = {util::Fingerprint{0x0123456789abcdefull, 0xfedcba9876543210ull},
@@ -215,14 +257,6 @@ std::vector<WireCase> wire_cases() {
     m.has_canonical = true;
     m.canonicals = {"state a", "state b", "state c"};
     dist::encode_fp_batch(w, m);
-  });
-  add("fp_verdicts", MsgType::kFpVerdicts, [](WireWriter& w) {
-    dist::FpVerdictsMsg m;
-    m.resize(11);  // straddles a bitmap byte boundary
-    for (std::uint32_t i = 0; i < 11; ++i) {
-      m.set(i, (i % 3) == 0);
-    }
-    dist::encode_fp_verdicts(w, m);
   });
   add("shutdown", MsgType::kShutdown, [](WireWriter&) {});
   add("ping", MsgType::kPing, [](WireWriter& w) {
@@ -292,12 +326,7 @@ TEST(WireTruncation, EveryPayloadPrefixThrowsAtDecode) {
           case MsgType::kLive: (void)dist::decode_live(r); break;
           case MsgType::kDonate: (void)dist::decode_donate(r); break;
           case MsgType::kCredit: (void)dist::decode_credit(r); break;
-          case MsgType::kFpInsert: (void)dist::decode_fp_insert(r); break;
-          case MsgType::kFpReply: (void)dist::decode_fp_reply(r); break;
           case MsgType::kFpBatch: (void)dist::decode_fp_batch(r); break;
-          case MsgType::kFpVerdicts:
-            (void)dist::decode_fp_verdicts(r);
-            break;
           case MsgType::kPing: (void)dist::decode_ping(r); break;
           case MsgType::kPong: (void)dist::decode_pong(r); break;
           default: throw WireError("empty-payload message");
@@ -353,7 +382,7 @@ TEST(WireFraming, OversizedLengthIsRejectedNotAllocated) {
   EXPECT_EQ(recv_outcome(header), 2);
 }
 
-// --- fingerprint pipeline messages (wire v3) ---------------------------------
+// --- fingerprint report frames ------------------------------------------------
 
 TEST(WireFpPipeline, BatchRoundTripsWithAndWithoutCanonicals) {
   dist::FpBatchMsg m;
@@ -381,27 +410,9 @@ TEST(WireFpPipeline, BatchRoundTripsWithAndWithoutCanonicals) {
   }
 }
 
-TEST(WireFpPipeline, VerdictBitmapRoundTripsEveryCountMod8) {
-  for (std::uint32_t n = 1; n <= 17; ++n) {
-    dist::FpVerdictsMsg m;
-    m.resize(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      m.set(i, ((i * 7) % 3) != 0);
-    }
-    WireWriter w;
-    dist::encode_fp_verdicts(w, m);
-    dist::WireReader r(w.data(), w.size());
-    const dist::FpVerdictsMsg got = dist::decode_fp_verdicts(r);
-    ASSERT_EQ(got.count, n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got.was_new(i), m.was_new(i)) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-// A canonical list whose length disagrees with the batch, and a verdict
-// bitmap whose length disagrees with its count, must be rejected on BOTH
-// sides of the wire - a desynced pipeline dies loudly, never misprunes.
+// A canonical list whose length disagrees with the batch must be rejected
+// on BOTH sides of the wire - a malformed report dies loudly, never
+// misaudits.
 TEST(WireFpPipeline, LengthMismatchesAreRejectedBothWays) {
   dist::FpBatchMsg batch;
   batch.fps = {util::Fingerprint{1, 2}, util::Fingerprint{3, 4}};
@@ -410,21 +421,16 @@ TEST(WireFpPipeline, LengthMismatchesAreRejectedBothWays) {
   WireWriter w;
   EXPECT_THROW(dist::encode_fp_batch(w, batch), WireError);
 
-  dist::FpVerdictsMsg verdicts;
-  verdicts.resize(9);
-  verdicts.bitmap.push_back(0);  // one byte too many for count=9
+  // Decode side: a frame that flags audit texts but carries one text for
+  // two fingerprints.
   WireWriter w2;
-  EXPECT_THROW(dist::encode_fp_verdicts(w2, verdicts), WireError);
-
-  // Decode side: a well-formed frame whose bitmap was re-counted shorter.
-  dist::FpVerdictsMsg ok;
-  ok.resize(9);
-  WireWriter w3;
-  dist::encode_fp_verdicts(w3, ok);
-  std::vector<std::uint8_t> bytes(w3.data(), w3.data() + w3.size());
-  bytes[0] = 17;  // count LE u32: 17 verdicts cannot fit 2 bitmap bytes
-  dist::WireReader r(bytes.data(), bytes.size());
-  EXPECT_THROW((void)dist::decode_fp_verdicts(r), WireError);
+  w2.u32(2);
+  w2.fingerprint(batch.fps[0]);
+  w2.fingerprint(batch.fps[1]);
+  w2.u8(1);
+  w2.str("only one");
+  dist::WireReader r(w2.data(), w2.size());
+  EXPECT_THROW((void)dist::decode_fp_batch(r), WireError);
 }
 
 // --- run journal -------------------------------------------------------------
@@ -777,11 +783,10 @@ TEST_F(FaultMatrix, HeartbeatsOffStillMatchesSerial) {
   EXPECT_FALSE(dist.error.has_value()) << *dist.error;
 }
 
-// With dedupe on, a lost attempt re-queues with dedupe OFF: the lost
-// attempt's claims survive in the shard table, so the re-run (and every
-// region it donates) walks claim-free and can never be pruned by an
-// orphaned claim.  The run completes with the serial verdict and
-// states_seen stays bounded by the serial distinct-state count.
+// With dedupe on, a lost attempt re-queues with dedupe OFF: worker tables
+// may hold states of the cancelled walk, so the re-run (and every region
+// it donates) walks unpruned.  The run completes with the serial verdict
+// and states_seen stays bounded by the serial distinct-state count.
 TEST_F(FaultMatrix, DedupeLostAttemptRequeuesWithDedupeOff) {
   check::ScheduleExploreOptions serial_opt;
   serial_opt.dedupe_states = true;
@@ -802,33 +807,63 @@ TEST_F(FaultMatrix, DedupeLostAttemptRequeuesWithDedupeOff) {
   EXPECT_LE(dist.states_seen, serial_dedupe.states_seen);
 }
 
-// The same drill with the cut landing mid-pipeline: a tiny fp_batch and a
-// worker cut deep enough into the run that kFpBatch windows are in flight
-// when the connection dies.  The re-queue (dedupe-off) must still finish
-// the search with the serial verdict and bounded states_seen - this is the
-// drill that would catch an orphaned speculative claim pruning a re-run.
+// The same drill with the cut landing while report frames are in flight.
+// {3,3,3} has 5,247 distinct states below the root, so the seed job sends
+// one full kFpBatch mid-walk and the rest before its result.  With one
+// worker, no heartbeats and no live counters, its frames are exactly:
+// hello-ack, full report, final report, job result.  Cut 2 lands right
+// after the mid-walk report, cut 3 right after the final one (the result
+// is lost).  Either way the coordinator has folded in sightings of a walk
+// that will never be merged, and the worker re-dials with that walk's
+// states in its table.  The dedupe-off re-queue must still walk the whole
+// tree: every state is distinct, so any prune would be a lost region.
 TEST_F(FaultMatrix, DedupeMidBatchCutRequeuesSoundly) {
   check::ScheduleExploreOptions serial_opt;
   serial_opt.dedupe_states = true;
   const auto serial_dedupe =
-      explore_schedules(script_factory({3, 3, 2}), serial_opt);
+      explore_schedules(script_factory({3, 3, 3}), serial_opt);
   ASSERT_TRUE(serial_dedupe.exhausted);
+  ASSERT_EQ(serial_dedupe.states_seen, 5'247u);
 
-  for (const std::uint64_t cut : {std::uint64_t{5}, std::uint64_t{9}}) {
+  for (const std::uint64_t cut : {std::uint64_t{2}, std::uint64_t{3}}) {
     DistExploreOptions opt = drill_options();
+    opt.workers = 1;
     opt.base.dedupe_states = true;
-    opt.fp_batch = 2;   // many small batches: the cut lands mid-window
-    opt.fp_window = 4;
+    opt.heartbeat_interval_ms = 0;
+    opt.live_interval = std::uint64_t{1} << 40;
     opt.worker_faults.cut_after = cut;
     const auto dist =
-        dist::dist_explore_schedules(script_factory({3, 3, 2}), opt);
+        dist::dist_explore_schedules(script_factory({3, 3, 3}), opt);
     EXPECT_FALSE(dist.error.has_value()) << "cut=" << cut << ": "
                                          << *dist.error;
-    EXPECT_TRUE(dist.exhausted) << "cut=" << cut;
-    EXPECT_EQ(dist.violation, serial_dedupe.violation) << "cut=" << cut;
-    EXPECT_EQ(dist.witness, serial_dedupe.witness) << "cut=" << cut;
+    expect_same(dist, serial_dedupe, "cut=" + std::to_string(cut));
+    // The full report landed before the cut; the dedupe-off re-run
+    // reports nothing, so the count stays a lower bound.
+    EXPECT_GE(dist.states_seen, dist::kFpBatchSize) << "cut=" << cut;
     EXPECT_LE(dist.states_seen, serial_dedupe.states_seen) << "cut=" << cut;
   }
+}
+
+// Why the re-queue must run with dedupe off.  The seed job donates the
+// root's tiny later children - the planted violation among them - to the
+// other worker, which walks them into its table and reports the violation.
+// Then the seed job's worker dies, so the re-queue cancels that donation
+// and re-runs the whole tree on the survivor.  A deduped re-run there
+// would prune at every state of the cancelled donation, and no merged
+// record would cover the violation.
+TEST_F(FaultMatrix, DedupeRequeueNeverPrunesIntoACancelledDonation) {
+  const auto factory = [] { return std::make_unique<GateWorld>(3, 2, 1); };
+  check::ScheduleExploreOptions serial_opt;
+  serial_opt.dedupe_states = true;
+  const auto serial_dedupe = explore_schedules(factory, serial_opt);
+  ASSERT_TRUE(serial_dedupe.violation.has_value());
+
+  DistExploreOptions opt = drill_options();
+  opt.base.dedupe_states = true;
+  opt.fault_first_job_after = 100;  // the seed job's region is 560 leaves
+  const auto dist = dist::dist_explore_schedules(factory, opt);
+  EXPECT_FALSE(dist.error.has_value()) << *dist.error;
+  expect_same(dist, serial_dedupe, "seed worker lost after donating");
 }
 
 // --- checkpoint-resume, end to end -------------------------------------------

@@ -25,6 +25,8 @@
 #include <string>
 #include <vector>
 
+#include "src/augmented/augmented_snapshot.h"
+#include "src/augmented/linearizer.h"
 #include "src/check/crash_worlds.h"
 #include "src/check/explore_core.h"
 #include "src/check/explore_merge.h"
@@ -39,6 +41,7 @@
 namespace revisim {
 namespace {
 
+using aug::AugmentedSnapshot;
 using check::ExplorableWorld;
 using check::explore_schedules;
 using check::parallel_explore_schedules;
@@ -160,6 +163,63 @@ auto mixed_factory(std::size_t contended, std::size_t private_procs,
   };
 }
 
+// Every state hashes to one fingerprint while canonical_state() stays
+// honest: the collision audit must see distinct texts behind one hash.
+class CollidingWorld final : public ExplorableWorld {
+ public:
+  CollidingWorld() : inner_({2, 2, 1}, {}) {}
+
+  Scheduler& scheduler() override { return inner_.scheduler(); }
+  std::optional<std::string> verdict(bool complete) override {
+    return inner_.verdict(complete);
+  }
+  void fingerprint_extra(util::StateSink& sink) override {
+    inner_.fingerprint_extra(sink);
+  }
+  util::Fingerprint fingerprint() override { return {7, 7}; }
+
+ private:
+  ScriptWorld inner_;
+};
+
+Task<void> aug_mixed(AugmentedSnapshot& m, ProcessId me) {
+  std::vector<std::size_t> comps{0};
+  std::vector<Val> vals{Val(10 * (me + 1))};
+  co_await m.BlockUpdate(me, comps, vals);
+  co_await m.Scan(me);
+}
+
+Task<void> aug_scan(AugmentedSnapshot& m, ProcessId me) {
+  co_await m.Scan(me);
+}
+
+// parallel_explore_test.cpp's pinned augmented world: q1 Scans, q2 runs a
+// Block-Update then a Scan, and the verdict is the section 3.3 linearizer.
+class AugMixedWorld final : public ExplorableWorld {
+ public:
+  AugMixedWorld() : m_(sched_, "M", 2, 2) {
+    sched_.spawn(aug_scan(m_, 0), "q1");
+    sched_.spawn(aug_mixed(m_, 1), "q2");
+  }
+
+  Scheduler& scheduler() override { return sched_; }
+
+  std::optional<std::string> verdict(bool complete) override {
+    if (!complete) {
+      return "execution did not finish within the depth bound";
+    }
+    auto lin = aug::linearize(m_.log(), 2);
+    if (!lin.ok()) {
+      return lin.violations.front();
+    }
+    return std::nullopt;
+  }
+
+ private:
+  Scheduler sched_;
+  AugmentedSnapshot m_;
+};
+
 void expect_same(const ScheduleExploreResult& got,
                  const ScheduleExploreResult& want, const std::string& what) {
   EXPECT_EQ(got.executions, want.executions) << what;
@@ -244,8 +304,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   m.por = true;
   m.live_interval = 99;
   m.probe_interval = 1;
-  m.fp_batch = 7;
-  m.fp_window = 21;
   m.world = "aug-mutant";
   m.f = 2;
   m.m = 3;
@@ -266,8 +324,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   EXPECT_EQ(got.por, m.por);
   EXPECT_EQ(got.live_interval, m.live_interval);
   EXPECT_EQ(got.probe_interval, m.probe_interval);
-  EXPECT_EQ(got.fp_batch, m.fp_batch);
-  EXPECT_EQ(got.fp_window, m.fp_window);
   EXPECT_EQ(got.world, m.world);
   EXPECT_EQ(got.f, m.f);
   EXPECT_EQ(got.m, m.m);
@@ -313,7 +369,7 @@ TEST(Wire, VersionThreePeersAreRefusedByName) {
   // v4 dropped the warm-pool capacity from kHello and replay_steps_saved
   // from the kJobResult summary: a v3 peer must be refused at the
   // handshake, never misparsed.
-  static_assert(dist::kWireVersion == 4);
+  static_assert(dist::kWireVersion > 3);
   dist::WireWriter w;
   dist::encode_hello(w, dist::HelloMsg{});
   expect_version_skew(with_version(w, 3), dist::decode_hello, 3);
@@ -321,6 +377,20 @@ TEST(Wire, VersionThreePeersAreRefusedByName) {
   w.clear();
   dist::encode_hello_ack(w, dist::HelloAckMsg{});
   expect_version_skew(with_version(w, 3), dist::decode_hello_ack, 3);
+}
+
+TEST(Wire, VersionFourPeersAreRefusedByName) {
+  // v5 dropped kFpInsert, kFpReply and kFpVerdicts and the fp_batch /
+  // fp_window hello fields: a v4 worker would wait forever for verdicts
+  // that never come, so it must be refused at the handshake by name.
+  static_assert(dist::kWireVersion == 5);
+  dist::WireWriter w;
+  dist::encode_hello(w, dist::HelloMsg{});
+  expect_version_skew(with_version(w, 4), dist::decode_hello, 4);
+
+  w.clear();
+  dist::encode_hello_ack(w, dist::HelloAckMsg{});
+  expect_version_skew(with_version(w, 4), dist::decode_hello_ack, 4);
 }
 
 TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
@@ -463,30 +533,6 @@ TEST(Wire, ControlMessagesRoundTrip) {
     EXPECT_EQ(got.id, m.id);
     EXPECT_EQ(got.budget, m.budget);
     EXPECT_EQ(got.abort, m.abort);
-  }
-  {
-    dist::FpInsertMsg m;
-    m.fp = util::Fingerprint{1, 2};
-    m.has_canonical = true;
-    m.canonical = "state text";
-    w.clear();
-    dist::encode_fp_insert(w, m);
-    dist::WireReader r(w.data(), w.size());
-    const dist::FpInsertMsg got = dist::decode_fp_insert(r);
-    r.expect_done();
-    EXPECT_EQ(got.fp.hi, m.fp.hi);
-    EXPECT_EQ(got.fp.lo, m.fp.lo);
-    EXPECT_EQ(got.has_canonical, m.has_canonical);
-    EXPECT_EQ(got.canonical, m.canonical);
-  }
-  {
-    dist::FpReplyMsg m;
-    m.was_new = true;
-    w.clear();
-    dist::encode_fp_reply(w, m);
-    dist::WireReader r(w.data(), w.size());
-    EXPECT_EQ(dist::decode_fp_reply(r).was_new, true);
-    r.expect_done();
   }
 }
 
@@ -687,17 +733,16 @@ TEST(DistParity, PorCountersDecompositionInvariant) {
   EXPECT_LE(dist.steals, dist.jobs - 1);
 }
 
-// --- sharded fingerprint service --------------------------------------------
+// --- worker-local dedupe tables ---------------------------------------------
 
 TEST(DistDedupe, AllStatesDistinctMeansNoPruningAnywhere) {
   // ScriptWorld folds the order log into the fingerprint, so every state is
-  // unique: the sharded service must answer "new" to every insert and the
-  // run must reproduce the undeduped results bit-for-bit.
+  // unique: no worker table ever hits and the run must reproduce the
+  // undeduped results bit-for-bit.
   auto serial = explore_schedules(script_factory({3, 3, 2}));
   DistExploreOptions opt;
   opt.workers = 2;
   opt.base.dedupe_states = true;
-  opt.fp_shards = 4;
   auto dist = dist::dist_explore_schedules(script_factory({3, 3, 2}), opt);
   expect_same(dist, serial, "dedupe on all-distinct states");
   EXPECT_GT(dist.states_seen, 0u);
@@ -721,16 +766,15 @@ TEST(DistDedupe, ShardedServiceKeepsVerdictAndBoundsStates) {
   DistExploreOptions opt;
   opt.base = base;
   opt.workers = 2;
-  opt.fp_shards = 4;
   auto dist = dist::dist_explore_schedules(check::make_crash_world_factory(spec),
                                            opt);
   EXPECT_EQ(dist.violation, serial.violation);
   EXPECT_EQ(dist.exhausted, serial.exhausted);
-  // Claim-then-walk across the shards: never more distinct states than the
-  // serial table records, and never more executions than the undeduped tree.
-  // (Speculative descent can overlap the serial DEDUPED execution count -
-  // work done before a duplicate verdict lands stays counted - but it only
-  // ever prunes relative to the full tree, so the undeduped bound holds.)
+  // The reported sightings are a subset of the distinct states the serial
+  // table records, and the executions never exceed the undeduped tree.
+  // (A state two workers both reach is walked twice, so the count can
+  // exceed the serial DEDUPED one, but every prune is still a real
+  // transposition, so the undeduped bound holds.)
   EXPECT_LE(dist.states_seen, serial.states_seen);
   EXPECT_LE(dist.executions, undeduped.executions);
   EXPECT_FALSE(dist.error.has_value());
@@ -752,6 +796,54 @@ TEST(DistDedupe, AuditModeRunsClean) {
   EXPECT_FALSE(dist.error.has_value());
   EXPECT_TRUE(dist.exhausted);
   EXPECT_FALSE(dist.violation.has_value());
+}
+
+// Each worker prunes only against its own table, so a state two workers
+// both reach is walked twice: executions may exceed the serial deduped
+// count, never the undeduped tree.  The reported sightings still add up
+// to exactly the serial distinct-state count on a fault-free exhausted
+// search - every reachable state is walked by some worker.
+TEST(DistDedupe, AugmentedCountsArePinned) {
+  const auto factory = [] { return std::make_unique<AugMixedWorld>(); };
+  const auto plain = explore_schedules(factory);
+  ASSERT_EQ(plain.executions, 1'144u);
+  ScheduleExploreOptions base;
+  base.dedupe_states = true;
+  const auto serial = explore_schedules(factory, base);
+  ASSERT_EQ(serial.executions, 1'004u);
+  ASSERT_EQ(serial.states_seen, 4'235u);
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    const std::string what = "workers=" + std::to_string(workers);
+    DistExploreOptions opt;
+    opt.base = base;
+    opt.workers = workers;
+    const auto dist = dist::dist_explore_schedules(factory, opt);
+    EXPECT_FALSE(dist.error.has_value()) << what;
+    EXPECT_TRUE(dist.exhausted) << what;
+    EXPECT_EQ(dist.violation, serial.violation) << what;
+    EXPECT_EQ(dist.states_seen, 4'235u) << what;
+    EXPECT_GE(dist.executions, 1'004u) << what;
+    EXPECT_LE(dist.executions, 1'144u) << what;
+  }
+}
+
+// A fabricated collision poisons the run: a worker's audited table reports
+// the colliding state before failing its job, and the coordinator's table,
+// which also sees every other worker's sightings, names the collision.
+TEST(DistDedupe, AuditCollisionPoisonsTheRun) {
+  const auto factory = [] { return std::make_unique<CollidingWorld>(); };
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    DistExploreOptions opt;
+    opt.base.dedupe_states = true;
+    opt.base.dedupe_audit = true;
+    opt.workers = workers;
+    const auto dist = dist::dist_explore_schedules(factory, opt);
+    ASSERT_TRUE(dist.error.has_value()) << "workers=" << workers;
+    EXPECT_NE(dist.error->find("collision"), std::string::npos)
+        << *dist.error;
+    EXPECT_FALSE(dist.exhausted);
+  }
 }
 
 // --- worker loss -------------------------------------------------------------
