@@ -30,6 +30,7 @@
 // states essentially unique.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -48,6 +49,7 @@
 #include "src/memory/collect_snapshot.h"
 #include "src/memory/register.h"
 #include "src/runtime/scheduler.h"
+#include "src/util/fingerprint.h"
 
 namespace {
 
@@ -189,6 +191,31 @@ Measured timed(Fn&& run) {
   return m;
 }
 
+// Digest of (executions, exhausted, violation, witness), the recipe of
+// e2ebench's result_digest: two rows with the same digest report the same
+// search outcome, so a re-recorded file shows it measured the same searches.
+std::string result_digest(const ScheduleExploreResult& res) {
+  util::HashSink sink;
+  sink.word(res.executions);
+  sink.word(res.exhausted ? 1 : 0);
+  sink.word(res.violation ? 1 : 0);
+  if (res.violation) {
+    for (char c : *res.violation) {
+      sink.word(static_cast<unsigned char>(c));
+    }
+  }
+  sink.word(res.witness.size());
+  for (auto p : res.witness) {
+    sink.word(static_cast<std::uint64_t>(p));
+  }
+  const auto fp = sink.digest();
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%016llx%016llx",
+                static_cast<unsigned long long>(fp.hi),
+                static_cast<unsigned long long>(fp.lo));
+  return buf;
+}
+
 bool same(const ScheduleExploreResult& a, const ScheduleExploreResult& b) {
   return a.executions == b.executions && a.exhausted == b.exhausted &&
          a.violation == b.violation && a.witness == b.witness;
@@ -264,7 +291,8 @@ bool run_instance(const std::string& name,
          {"speedup_vs_traced", speedup},
          {"verdict_parity", parity},
          {"witness_parity", por_parity},
-         {"identical_to_baseline", identical}});
+         {"identical_to_baseline", identical},
+         {"result_digest", result_digest(m.result)}});
   };
   row("serial-traced", baseline, 1, Mode::kExact, false, false);
   row("serial-fast", serial_fast, 1, Mode::kExact, false, false);
@@ -445,7 +473,8 @@ bool run_crash_instance(const std::string& world, bool expect_violation) {
                             {"jobs", m.result.jobs},
                             {"steals", m.result.steals},
                             {"seconds", m.seconds},
-                            {"execs_per_sec", rate}});
+                            {"execs_per_sec", rate},
+                            {"result_digest", result_digest(m.result)}});
     };
     // Crash entries cross the wire with the top bit re-encoded; the
     // distributed run must reproduce the crash-closed tree bit-for-bit.

@@ -102,9 +102,22 @@ class AtomicHProvider {
       : sched_(sched),
         snap_(sched, std::move(name), f, /*opaque_footprint=*/true) {}
 
-  runtime::Task<HScan> scan(runtime::ProcessId /*me*/) {
-    HView v = co_await snap_.scan();
-    co_return HScan{std::move(v), sched_.total_steps() - 1};
+  // The snapshot's scan step, stamped on resumption with the index of the
+  // step it took: an awaiter rather than a coroutine, so an H scan costs no
+  // frame of its own.
+  struct ScanAwaiter {
+    runtime::StepAwaiter<HView> step;
+    const runtime::Scheduler& sched;
+
+    bool await_ready() const noexcept { return step.await_ready(); }
+    void await_suspend(std::coroutine_handle<> h) { step.await_suspend(h); }
+    HScan await_resume() {
+      return HScan{step.await_resume(), sched.total_steps() - 1};
+    }
+  };
+
+  ScanAwaiter scan(runtime::ProcessId /*me*/) {
+    return {snap_.scan(), sched_};
   }
   auto update(runtime::ProcessId /*me*/, HComp v) {
     return snap_.update(std::move(v));
@@ -196,23 +209,26 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
       ScanOpRecord rec;
       rec.op_id = op_id;
       rec.process = me;
+      reserve_first(log_.scans);
       log_.scans.push_back(std::move(rec));
     }
 
     HScan first = co_await h_.scan(me);
     log_.scans[idx].first_step = first.lin_step;
     HView hprime = std::move(first.view);
-    HView h;
+    // The first collect of the double collect, held as the view it is
+    // published as.
+    std::shared_ptr<const PublishedView> h;
     for (;;) {
-      h = std::move(hprime);
+      h = std::make_shared<const PublishedView>(std::move(hprime));
       // Lines 5-6: publish h as L_{me,j}[#h_j] for every j != me; the f-1
       // single-writer writes are one update of H[me].
       if (ablation_.helping) {
-        auto hptr = std::make_shared<const PublishedView>(h);
         std::vector<LRecord> records;
+        records.reserve(f_ - 1);
         for (std::size_t j = 0; j < f_; ++j) {
           if (j != me) {
-            records.push_back(LRecord{j, num_bu(h, j), hptr});
+            records.push_back(LRecord{j, num_bu(h->view, j), h});
           }
         }
         own_[me] = own_[me].with_lrecords(std::move(records));
@@ -223,11 +239,11 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
       log_.scans[idx].last_step = confirm.lin_step;
       // Helping records do not invalidate the double collect; only update
       // triples (the object's actual contents) do.
-      if (triples_equal(h, hprime)) {
+      if (triples_equal(h->view, hprime)) {
         break;
       }
     }
-    View v = get_view(h, m_);
+    View v = get_view(h->view, m_);
     ScanOpRecord& rec = log_.scans[idx];
     rec.returned = v;
     rec.completed = true;
@@ -258,6 +274,7 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
       rec.process = me;
       rec.comps = comps;
       rec.vals = vals;
+      reserve_first(log_.block_updates);
       log_.block_updates.push_back(std::move(rec));
     }
 
@@ -290,6 +307,7 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     if (ablation_.helping && me > 0) {
       auto gptr = std::make_shared<const PublishedView>(std::move(g));
       std::vector<LRecord> records;
+      records.reserve(me);
       for (std::size_t j = 0; j < me; ++j) {
         records.push_back(LRecord{j, num_bu(gptr->view, j), gptr});
       }
@@ -341,6 +359,15 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
 
  private:
   std::size_t last_step() const { return sched_.total_steps() - 1; }
+
+  // A log of f processes' operations usually holds at least f of each kind,
+  // so the first record makes room for f.
+  template <typename Record>
+  void reserve_first(std::vector<Record>& records) const {
+    if (records.empty()) {
+      records.reserve(f_);
+    }
+  }
 
   runtime::Scheduler& sched_;
   std::size_t m_;

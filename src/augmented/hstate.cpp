@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <memory>
 
 namespace revisim::aug {
@@ -10,71 +11,99 @@ namespace {
 
 // One entry sequence of a log version: the entries, shared by every version
 // that has exactly these (an append to the other sequence leaves this one
-// shared), and the HashSink state after feeding them all, which an append
-// extends by the new entries only.  A helping record's embedded view enters
-// the sum as the view's two digest words.
+// shared, digest included), and the digest of the HashSink stream that
+// feeds them in order, sealed the first time it is asked for.  A helping
+// record's embedded view enters the stream as the view's two digest words.
 template <typename T>
-struct Entries {
-  std::shared_ptr<const std::vector<T>> items;  // null: no entries
-  util::HashSink sum;
-
+class Entries {
+ public:
   [[nodiscard]] const std::vector<T>& get() const noexcept {
     static const std::vector<T> none;
-    return items != nullptr ? *items : none;
+    return seq_ != nullptr ? seq_->items : none;
+  }
+
+  [[nodiscard]] util::Fingerprint digest() const {
+    if (seq_ == nullptr) {
+      return util::HashSink().digest();
+    }
+    return seq_->digest.get([this] {
+      util::HashSink sum;
+      for (const T& e : seq_->items) {
+        util::feed(sum, e);
+      }
+      return sum.digest();
+    });
   }
 
   [[nodiscard]] Entries appended(std::vector<T> more) const {
-    Entries out{nullptr, sum};
-    auto all = std::make_shared<std::vector<T>>();
-    all->reserve(get().size() + more.size());
-    all->insert(all->end(), get().begin(), get().end());
-    for (T& e : more) {
-      util::feed(out.sum, e);
-      all->push_back(std::move(e));
+    auto seq = std::make_shared<Seq>();
+    if (seq_ == nullptr) {
+      seq->items = std::move(more);
+    } else {
+      seq->items.reserve(seq_->items.size() + more.size());
+      seq->items.insert(seq->items.end(), seq_->items.begin(),
+                        seq_->items.end());
+      std::move(more.begin(), more.end(), std::back_inserter(seq->items));
     }
-    out.items = std::move(all);
+    Entries out;
+    out.seq_ = std::move(seq);
     return out;
   }
+
+ private:
+  struct Seq {
+    std::vector<T> items;
+    LazyDigest digest;
+  };
+
+  std::shared_ptr<const Seq> seq_;  // null: no entries
 };
 
 }  // namespace
 
-// The version a handle points at.
+// The version a handle points at.  The shared empty log, which every
+// thread reads, is sealed when it is made.
 struct HComp::Node {
   Entries<UpdateTriple> triples;
   std::size_t num_bu = 0;
   Entries<LRecord> lrecords;
-  util::Fingerprint digest;
+  LazyDigest digest;
 
-  void seal() {
-    util::HashSink sink;
-    sink.take_digest(triples.sum.digest());
-    sink.word(num_bu);
-    sink.take_digest(lrecords.sum.digest());
-    digest = sink.digest();
+  const util::Fingerprint& sealed_digest() const {
+    return digest.get([this] {
+      util::HashSink sink;
+      sink.take_digest(triples.digest());
+      sink.word(num_bu);
+      sink.take_digest(lrecords.digest());
+      return sink.digest();
+    });
   }
 };
 
 const HComp::Node& HComp::node() const noexcept {
   static const Node empty = [] {
     Node n;
-    n.seal();
+    n.sealed_digest();
     return n;
   }();
   return node_ != nullptr ? *node_ : empty;
 }
 
-PublishedView::PublishedView(HView v) : view(std::move(v)) {
-  util::HashSink sink;
-  util::feed(sink, view);
-  digest = sink.digest();
+PublishedView::PublishedView(HView v) : view(std::move(v)) {}
+
+const util::Fingerprint& PublishedView::digest() const {
+  return digest_.get([this] {
+    util::HashSink sink;
+    util::feed(sink, view);
+    return sink.digest();
+  });
 }
 
 void LRecord::fingerprint_into(util::StateSink& sink) const {
   util::feed(sink, target);
   util::feed(sink, index);
   sink.word(h != nullptr ? 1 : 0);
-  if (h != nullptr && !sink.take_digest(h->digest)) {
+  if (h != nullptr && !sink.take_digest(h->digest())) {
     util::feed(sink, h->view);
   }
 }
@@ -89,15 +118,16 @@ const std::vector<LRecord>& HComp::lrecords() const noexcept {
   return node().lrecords.get();
 }
 
-const util::Fingerprint& HComp::digest() const noexcept {
-  return node().digest;
+const util::Fingerprint& HComp::digest() const {
+  return node().sealed_digest();
 }
 
 HComp HComp::with_batch(std::vector<UpdateTriple> batch) const {
-  auto next = std::make_shared<Node>(node());
-  next->triples = next->triples.appended(std::move(batch));
-  next->num_bu += 1;
-  next->seal();
+  const Node& prev = node();
+  auto next = std::make_shared<Node>();
+  next->triples = prev.triples.appended(std::move(batch));
+  next->num_bu = prev.num_bu + 1;
+  next->lrecords = prev.lrecords;
   HComp out;
   out.node_ = std::move(next);
   return out;
@@ -107,9 +137,11 @@ HComp HComp::with_lrecords(std::vector<LRecord> records) const {
   if (records.empty()) {
     return *this;
   }
-  auto next = std::make_shared<Node>(node());
-  next->lrecords = next->lrecords.appended(std::move(records));
-  next->seal();
+  const Node& prev = node();
+  auto next = std::make_shared<Node>();
+  next->triples = prev.triples;
+  next->num_bu = prev.num_bu;
+  next->lrecords = prev.lrecords.appended(std::move(records));
   HComp out;
   out.node_ = std::move(next);
   return out;
@@ -167,7 +199,9 @@ Timestamp new_timestamp(const HView& h, std::size_t me) {
 
 View get_view(const HView& h, std::size_t m) {
   View out(m);
-  std::vector<const UpdateTriple*> best(m, nullptr);
+  // Scratch kept per thread: every Scan and Block-Update calls this.
+  thread_local std::vector<const UpdateTriple*> best;
+  best.assign(m, nullptr);
   for (const HComp& comp : h) {
     for (const UpdateTriple& tr : comp.triples()) {
       assert(tr.component < m);

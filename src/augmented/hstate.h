@@ -12,15 +12,19 @@
 // log.  Appending (with_batch / with_lrecords) builds the next version and
 // leaves every existing one untouched, so a scan of H copies f handles, and
 // a scan result - held by a Block-Update, or embedded in a helping record -
-// can never change under its holder.  Each version carries a digest of its
-// content, extended on every append from running digests of the two entry
-// sequences; a published scan result (PublishedView) carries the digest of
-// its f components, computed once when it is published.  Hashing sinks
-// consume these digests (StateSink::take_digest), so fingerprinting H or a
-// helping record costs O(1) words per component whatever the log length and
-// nesting depth; TextSink still renders the full content.  Digests depend on
-// content only: two versions with equal entries have equal digests however
-// they were built.
+// can never change under its holder.  Each version has a digest of its
+// content, combined from digests of its two entry sequences; a published
+// scan result (PublishedView) has the digest of its f components.  Digests
+// are sealed lazily, on the first digest() call, and cached: a run that
+// never fingerprints (dedupe off) hashes nothing, and an entry sequence
+// shared by several versions is hashed once.  Hashing sinks consume these
+// digests (StateSink::take_digest), so fingerprinting H or a helping record
+// costs O(1) words per component once its digests are sealed, whatever the
+// log length and nesting depth; TextSink still renders the full content.
+// Digests depend on content only: two versions with equal entries have
+// equal digests however they were built, and whichever was asked first.
+// The caches are not synchronized: a version belongs to the world that
+// built it, and a world runs on one thread.
 //
 // The paper's prefix order on scan results (Observation 1) concerns the
 // update-triple logs: those are what Get-View and the Block-Update return
@@ -59,14 +63,37 @@ struct UpdateTriple {
 class HComp;
 using HView = std::vector<HComp>;  // result of a scan of H (all f components)
 
-// A scan result published in helping records, with its content digest (an
-// O(f) combination of the component digests) computed once, here.  One
-// instance is shared by all the records of one publish.
-struct PublishedView {
+// A content digest computed on the first request and cached (see the header
+// comment: unsynchronized, like the object it belongs to).
+class LazyDigest {
+ public:
+  template <typename Compute>
+  const util::Fingerprint& get(Compute&& compute) const {
+    if (!sealed_) {
+      digest_ = compute();
+      sealed_ = true;
+    }
+    return digest_;
+  }
+
+ private:
+  mutable bool sealed_ = false;
+  mutable util::Fingerprint digest_;
+};
+
+// A scan result published in helping records.  Its content digest (an
+// O(f) combination of the component digests) is sealed on the first
+// digest() call.  One instance is shared by all the records of one publish.
+class PublishedView {
+ public:
   explicit PublishedView(HView v);
 
+  [[nodiscard]] const util::Fingerprint& digest() const;
+
   HView view;
-  util::Fingerprint digest;
+
+ private:
+  LazyDigest digest_;
 };
 
 // The paper's L_{i,j}[b] <- h: "for q_{target+1}'s Block-Update number
@@ -87,8 +114,8 @@ class HComp {
   // #h_i: number of Block-Updates recorded (distinct timestamps in triples).
   [[nodiscard]] std::size_t num_bu() const noexcept;
   [[nodiscard]] const std::vector<LRecord>& lrecords() const noexcept;
-  // Digest of (triples, num_bu, lrecords).
-  [[nodiscard]] const util::Fingerprint& digest() const noexcept;
+  // Digest of (triples, num_bu, lrecords), sealed on the first call.
+  [[nodiscard]] const util::Fingerprint& digest() const;
 
   // The next version: this log plus one Block-Update's batch of triples
   // (#h_i grows by one), resp. plus helping records.  Appending no records

@@ -52,6 +52,11 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
     return kNoStep;  // unreachable: the Update's own batch qualifies
   };
 
+  std::size_t op_count = log.scans.size();
+  for (const Batch& batch : batches) {
+    op_count += batch.bu->comps.size();
+  }
+  res.ops.reserve(op_count);
   for (const auto& b : log.block_updates) {
     if (b.step_x == kNoStep) {
       continue;  // crashed before X: its Updates never took effect

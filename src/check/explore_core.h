@@ -14,12 +14,17 @@
 // of depth <= D necessarily costs E factory calls and up to E*D steps - the
 // replay explorer meets that lower bound exactly (DESIGN.md finding 7):
 // every backtrack rebuilds a fresh world from the factory and replays the
-// schedule prefix.  What this engine adds are the constant-factor levers:
-// worlds run with trace recording off (Scheduler fast mode), and the
-// runnable() buffer and the DFS frames are reused instead of reallocated
-// per node.  No warm checkpoint worlds are parked at branch nodes: finding
-// 7 makes parking cost-neutral in steps at best, and it measured a net
-// loss in wall clock (DESIGN.md finding 9).
+// schedule prefix.  What remains are the constant-factor levers: worlds run
+// with trace recording off (Scheduler fast mode); the runnable() buffer and
+// the DFS frames are reused instead of reallocated per node; and the path
+// every execution replays is kept lean below this engine - coroutine frames
+// come from a per-thread pool (src/runtime/task.h), H-log digests are
+// sealed only when a fingerprint asks for them (src/augmented/hstate.h),
+// and world construction, H steps and the Lemma-26 validator reserve or
+// index their containers instead of growing them.  No warm checkpoint
+// worlds are parked at branch nodes: finding 7 makes parking cost-neutral
+// in steps at best, and it measured a net loss in wall clock (DESIGN.md
+// finding 9).
 #pragma once
 
 #include <atomic>

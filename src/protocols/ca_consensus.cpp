@@ -73,8 +73,10 @@ class CAProcess final : public SimProcess {
         // with one value; otherwise adopt a clean value if any and advance.
         bool all_clean = true;
         std::optional<std::int32_t> clean_val;
-        std::optional<std::int32_t> common;
-        bool first = true;
+        // The entries agree iff there is one and all carry `common`.
+        std::size_t seen = 0;
+        std::int32_t common = 0;
+        bool agree = true;
         for (const CAEntry& e : entries) {
           if (e.round != round_ || e.phase != 2) {
             continue;
@@ -84,15 +86,14 @@ class CAProcess final : public SimProcess {
           } else {
             all_clean = false;
           }
-          if (first) {
+          if (seen++ == 0) {
             common = e.value;
-            first = false;
-          } else if (common != e.value) {
-            common.reset();
+          } else if (e.value != common) {
+            agree = false;
           }
         }
-        if (all_clean && common) {
-          return SimAction::make_output(*common);
+        if (all_clean && seen > 0 && agree) {
+          return SimAction::make_output(common);
         }
         if (clean_val) {
           value_ = *clean_val;

@@ -52,8 +52,10 @@ class CAOneShot final : public SimProcess {
       case Stage::kSentPhase2: {
         bool all_clean = true;
         std::optional<std::int32_t> clean_val;
-        std::optional<std::int32_t> common;
-        bool first = true;
+        // The entries agree iff there is one and all carry `common`.
+        std::size_t seen = 0;
+        std::int32_t common = 0;
+        bool agree = true;
         for (const auto& c : view) {
           if (!c) {
             continue;
@@ -67,15 +69,14 @@ class CAOneShot final : public SimProcess {
           } else {
             all_clean = false;
           }
-          if (first) {
+          if (seen++ == 0) {
             common = e.value;
-            first = false;
-          } else if (common != e.value) {
-            common.reset();
+          } else if (e.value != common) {
+            agree = false;
           }
         }
-        if (all_clean && common) {
-          return SimAction::make_output(pack_ca_result(true, *common));
+        if (all_clean && seen > 0 && agree) {
+          return SimAction::make_output(pack_ca_result(true, common));
         }
         return SimAction::make_output(
             pack_ca_result(false, clean_val.value_or(value_)));

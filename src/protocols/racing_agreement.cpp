@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 
 namespace revisim::proto {
 namespace {
@@ -25,21 +24,26 @@ class RacingProcess final : public SimProcess {
     }
     if (top) {
       const std::uint32_t rm = top->round;
-      // Values present at the top round, including my own if I am there.
-      std::set<std::int32_t> top_vals;
+      // Smallest and largest value present at the top round, including my
+      // own if I am there: more than one value is present iff they differ.
+      std::int32_t vmin = top->value;
+      std::int32_t vmax = top->value;
+      auto note = [&](std::int32_t v) {
+        vmin = std::min(vmin, v);
+        vmax = std::max(vmax, v);
+      };
       for (const auto& c : view) {
         if (c) {
           RoundVal p = unpack_round_val(*c);
           if (p.round == rm) {
-            top_vals.insert(p.value);
+            note(p.value);
           }
         }
       }
       if (rv_.round == rm) {
-        top_vals.insert(rv_.value);
+        note(rv_.value);
       }
-      const std::int32_t vmax = *top_vals.rbegin();
-      if (top_vals.size() > 1) {
+      if (vmin != vmax) {
         // Same-round conflict: escalate with the largest conflicting value.
         rv_ = RoundVal{rm + 1, vmax};
       } else if (rm > rv_.round ||

@@ -4,7 +4,15 @@
 
 namespace revisim::runtime {
 
-Scheduler::Scheduler() = default;
+// Worlds are rebuilt for every explored execution, so a world's few
+// processes, objects and state sources are reserved for up front instead of
+// growing their vectors one reallocation at a time.
+Scheduler::Scheduler() {
+  constexpr std::size_t kTypical = 8;
+  procs_.reserve(kTypical);
+  state_sources_.reserve(kTypical);
+  object_names_.reserve(kTypical);
+}
 Scheduler::~Scheduler() = default;
 
 std::size_t Scheduler::register_object(std::string name) {

@@ -7,9 +7,21 @@
 // symmetrically transferred back to its awaiter, so arbitrarily deep call
 // chains (e.g. the recursive Construct(r) of a covering simulator) suspend
 // and resume as a unit at each shared-memory step.
+//
+// Frames come from a per-thread pool.  Worlds cannot be copied, so the
+// explorer rebuilds and replays one for every execution, and every world
+// allocates the same few dozen frames again; the pool keeps freed frames on
+// thread-local free lists in 64-byte size classes and hands them back out,
+// so the steady state of an exploration allocates no frames from the heap.
+// A frame may be freed on another thread than the one that allocated it (it
+// then joins the freeing thread's lists).  A thread parks at most a
+// mebibyte of frames and returns them to the heap when it exits; parked
+// frames are poisoned for AddressSanitizer, so a use of a destroyed frame is
+// still reported.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -21,7 +33,17 @@ class Task;
 
 namespace detail {
 
+// The frame pool (task.cpp).  Frames larger than the largest size class go
+// to the heap directly.
+void* allocate_frame(std::size_t bytes);
+void deallocate_frame(void* frame, std::size_t bytes) noexcept;
+
 struct PromiseBase {
+  static void* operator new(std::size_t bytes) { return allocate_frame(bytes); }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    deallocate_frame(frame, bytes);
+  }
+
   std::coroutine_handle<> continuation;  // resumed when this coroutine finishes
   std::exception_ptr exception;
 

@@ -29,8 +29,12 @@ SimulationDriver::SimulationDriver(runtime::Scheduler& sched,
 
   // Covering simulators first: the augmented snapshot favors smaller ids
   // (their Block-Updates yield less), exactly as §4 requires.
+  covering_.reserve(covering);
+  direct_outcomes_.reserve(d_);
+  direct_stats_.reserve(d_);
   for (std::size_t i = 0; i < covering; ++i) {
     std::vector<std::unique_ptr<proto::SimProcess>> procs;
+    procs.reserve(part_.groups[i].size());
     for (std::size_t gid : part_.groups[i]) {
       procs.push_back(protocol.make(gid, inputs_[i]));
     }
@@ -56,6 +60,7 @@ bool SimulationDriver::run(runtime::Adversary& adversary,
 
 std::vector<Val> SimulationDriver::outputs() const {
   std::vector<Val> out;
+  out.reserve(f());
   for (runtime::ProcessId i = 0; i < f(); ++i) {
     if (finished(i)) {
       out.push_back(outcome(i).output);

@@ -1,8 +1,9 @@
 #include "src/sim/replay.h"
 
 #include <algorithm>
-#include <map>
+#include <cassert>
 #include <sstream>
+#include <utility>
 
 #include "src/augmented/linearizer.h"
 
@@ -43,47 +44,63 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
   //   Update position g    -> P_i[g]'s update.
   const Partition& part = driver.partition();
 
-  // Map op id -> Block-Update record, and Block-Update op id -> revision.
-  std::map<std::size_t, const aug::BlockUpdateOpRecord*> bu_by_id;
+  // Tables indexed by op id, up to the largest Block-Update id: the record
+  // of each Block-Update, and the revision that used it.
+  std::size_t bu_ids = 0;
+  for (const auto& b : log.block_updates) {
+    bu_ids = std::max(bu_ids, b.op_id + 1);
+  }
+  std::vector<const aug::BlockUpdateOpRecord*> bu_by_id(bu_ids, nullptr);
   for (const auto& b : log.block_updates) {
     bu_by_id[b.op_id] = &b;
   }
-  std::map<std::size_t, const RevisionRecord*> rev_by_bu;
+  std::vector<const RevisionRecord*> rev_by_bu(bu_ids, nullptr);
   for (const auto& r : revisions) {
-    if (!rev_by_bu.emplace(r.used_block_update, &r).second) {
-      violate("two revisions used Block-Update#" +
-              std::to_string(r.used_block_update));
+    const std::size_t id = r.used_block_update;
+    if (id >= bu_ids || bu_by_id[id] == nullptr) {
+      violate("a revision used op#" + std::to_string(id) +
+              ", which is not a Block-Update of the log");
+    } else if (rev_by_bu[id] != nullptr) {
+      violate("two revisions used Block-Update#" + std::to_string(id));
+    } else {
+      rev_by_bu[id] = &r;
     }
   }
 
-  // Prefix contents (no hidden steps): prefix[t] = contents after first t ops.
-  std::vector<View> prefix(ops.size() + 1);
-  prefix[0] = View(m);
-  for (std::size_t t = 0; t < ops.size(); ++t) {
-    prefix[t + 1] = prefix[t];
-    if (ops[t].kind == aug::LinearizedOp::Kind::kUpdate) {
-      prefix[t + 1].at(ops[t].component) = ops[t].value;
+  // Prefix contents (no hidden steps): prefix[t] = contents after first t
+  // ops.  Only the insertion points of revisions read them.
+  std::vector<View> prefix;
+  if (!revisions.empty()) {
+    prefix.resize(ops.size() + 1);
+    prefix[0] = View(m);
+    for (std::size_t t = 0; t < ops.size(); ++t) {
+      prefix[t + 1] = prefix[t];
+      if (ops[t].kind == aug::LinearizedOp::Kind::kUpdate) {
+        prefix[t + 1].at(ops[t].component) = ops[t].value;
+      }
     }
   }
 
   // Choose an insertion point for every used atomic Block-Update: the latest
   // t in (previous atomic update .. first own update] where the contents
   // equal the view the revision used and no Scan follows before the block.
-  std::map<std::size_t, std::vector<const RevisionRecord*>> insert_at;
+  // Each window starts past the previous block's first update, so the
+  // points come out strictly increasing: insert_at is sorted by t.
+  std::vector<std::pair<std::size_t, const RevisionRecord*>> insert_at;
   {
     std::size_t last_atomic_end = 0;  // index just past the last atomic update
-    std::map<std::size_t, bool> first_seen;
+    std::vector<bool> first_seen(bu_ids, false);
     for (std::size_t z = 0; z < ops.size(); ++z) {
       const auto& op = ops[z];
       if (op.kind != aug::LinearizedOp::Kind::kUpdate || !op.from_atomic) {
         continue;
       }
-      if (!first_seen.emplace(op.op_id, true).second) {
+      if (first_seen.at(op.op_id)) {
         last_atomic_end = z + 1;
         continue;  // only the first update of each block starts a window
       }
-      auto it = rev_by_bu.find(op.op_id);
-      if (it != rev_by_bu.end()) {
+      first_seen[op.op_id] = true;
+      if (const RevisionRecord* rev = rev_by_bu.at(op.op_id)) {
         const aug::BlockUpdateOpRecord* bu = bu_by_id.at(op.op_id);
         bool placed = false;
         for (std::size_t t = z + 1; t-- > last_atomic_end;) {
@@ -95,7 +112,8 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
             }
           }
           if (!scan_between && prefix[t] == bu->returned) {
-            insert_at[t].push_back(it->second);
+            assert(insert_at.empty() || insert_at.back().first < t);
+            insert_at.emplace_back(t, rev);
             placed = true;
             break;
           }
@@ -124,12 +142,12 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
   }
   View contents(m);
 
+  std::size_t next_insertion = 0;
   auto run_insertions = [&](std::size_t t) {
-    auto it = insert_at.find(t);
-    if (it == insert_at.end()) {
-      return;
-    }
-    for (const RevisionRecord* rev : it->second) {
+    for (; next_insertion < insert_at.size() &&
+           insert_at[next_insertion].first == t;
+         ++next_insertion) {
+      const RevisionRecord* rev = insert_at[next_insertion].second;
       const aug::BlockUpdateOpRecord* bu = bu_by_id.at(rev->used_block_update);
       const std::size_t p = rev->revised_proc;
       ++report.revisions_validated;

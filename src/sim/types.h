@@ -79,6 +79,7 @@ struct Partition {
           "not enough simulated processes: need (f-d)*m + d <= n");
     }
     Partition p;
+    p.groups.reserve(f);
     std::size_t next = 0;
     for (std::size_t i = 0; i < covering; ++i) {
       std::vector<std::size_t> g(m);

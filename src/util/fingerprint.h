@@ -15,14 +15,15 @@
 //
 // Immutable sub-objects may carry a cached digest of their content (the
 // augmented snapshot's H logs and the scan results embedded in them, see
-// src/augmented/hstate.h).  Such an object offers its digest to the sink
-// first (StateSink::take_digest): a hashing sink consumes the two digest
-// words in place of the content, so fingerprinting a deep object is O(1)
-// rather than O(content); TextSink declines, and the object then renders its
-// full content.  The two streams therefore differ: the hash is a Merkle-style
-// hash of the state, the text its full injective encoding - and the audit
-// still catches any collision, sub-digest collisions included, because it
-// compares texts.
+// src/augmented/hstate.h), sealed the first time it is asked for, so a run
+// that never fingerprints never hashes them.  Such an object offers its
+// digest to the sink first (StateSink::take_digest): a hashing sink
+// consumes the two digest words in place of the content, so fingerprinting
+// a deep object is O(1) rather than O(content) once its digest is sealed;
+// TextSink declines, and the object then renders its full content.  The
+// two streams therefore differ: the hash is a Merkle-style hash of the
+// state, the text its full injective encoding - and the audit still catches
+// any collision, sub-digest collisions included, because it compares texts.
 //
 // Objects that hold behaviour-relevant shared state implement the
 // Fingerprintable mixin and register themselves with their Scheduler
@@ -39,8 +40,9 @@
 // off for that world.  Every word fed below is length-prefixed (vector sizes,
 // presence flags), so the full (text) stream is an injective encoding of the
 // state for a fixed world factory.  A cached digest must be a function of
-// the object's content only - never of a pointer, an allocation or the order
-// of operations that built it - or equal states would hash apart.
+// the object's content only - never of a pointer, an allocation, the order
+// of operations that built it or the moment it was sealed - or equal states
+// would hash apart.
 #pragma once
 
 #include <cstdint>

@@ -74,8 +74,8 @@ TEST(Bounds, KSetLowerMatchesPaperSpecialCases) {
       }
     }
   }
-  EXPECT_THROW(kset_space_lower_bound(3, 3, 1), std::invalid_argument);
-  EXPECT_THROW(kset_space_lower_bound(5, 2, 3), std::invalid_argument);
+  EXPECT_THROW((void)kset_space_lower_bound(3, 3, 1), std::invalid_argument);
+  EXPECT_THROW((void)kset_space_lower_bound(5, 2, 3), std::invalid_argument);
 }
 
 TEST(Bounds, ApproxBounds) {

@@ -284,8 +284,8 @@ TEST(AugmentedFingerprint, EmbeddedViewContentsChangeHashAndText) {
   util::feed(seen_sink, seen7);
   EXPECT_NE(t7.find(seen_text), std::string::npos);
   const auto& published = *w7->h.peek()[0].lrecords().front().h;
-  EXPECT_EQ(t7.find(std::to_string(published.digest.hi)), std::string::npos);
-  EXPECT_EQ(t7.find(std::to_string(published.digest.lo)), std::string::npos);
+  EXPECT_EQ(t7.find(std::to_string(published.digest().hi)), std::string::npos);
+  EXPECT_EQ(t7.find(std::to_string(published.digest().lo)), std::string::npos);
 
   // Equal content built twice hashes equal: digests depend on content,
   // not on which objects hold it.

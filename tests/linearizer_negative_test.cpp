@@ -196,6 +196,13 @@ TEST(ReplayNegative, TamperedRevisionsRejected) {
     bad = revisions;
     bad[idx].hidden_updates.emplace_back(0, Val{12345});
     EXPECT_FALSE(sim::validate_simulation(driver, bad).ok());
+
+    // Cite an op that is not a Block-Update: a Scan, or no op at all.
+    bad = revisions;
+    bad[idx].used_block_update = bad[idx].at_scan_op;
+    EXPECT_FALSE(sim::validate_simulation(driver, bad).ok());
+    bad[idx].used_block_update = driver.snapshot().log().next_op_id;
+    EXPECT_FALSE(sim::validate_simulation(driver, bad).ok());
     return;
   }
   GTEST_SKIP() << "no revision-bearing run found in 200 seeds";

@@ -70,7 +70,9 @@ enforces four things:
 
 8. Row schema: every record in the file carries the fields (with the types)
    its record kind promises, so sweeps over commits can diff numbers
-   without defensive parsing.
+   without defensive parsing.  Every row's result_digest hashes its
+   (executions, exhausted, violation, witness), so a re-recorded file
+   shows whether it measured the same searches.
 
 9. Augmented dedupe exactness: on augmented-3proc, serial-dedupe must
    record exactly AUG_STATES_SEEN distinct states.  The capped serial walk
@@ -129,6 +131,7 @@ SCALING_SCHEMA = {
     "verdict_parity": bool,
     "witness_parity": bool,
     "identical_to_baseline": bool,
+    "result_digest": str,
 }
 CRASH_SCHEMA = {
     "world": str,
@@ -143,6 +146,7 @@ CRASH_SCHEMA = {
     "steals": int,
     "seconds": NUMBER,
     "execs_per_sec": NUMBER,
+    "result_digest": str,
 }
 SCHEMAS = {"modelcheck-scaling": SCALING_SCHEMA, "modelcheck-crash": CRASH_SCHEMA}
 
