@@ -186,18 +186,18 @@ void BM_WireRoundtrip(benchmark::State& state) {
   job.id = 7;
   job.budget = 500'000;
   for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i) {
-    job.prefix.push_back(static_cast<ProcessId>(i % 3));
+    job.region.prefix.push_back(static_cast<ProcessId>(i % 3));
   }
-  job.choices = {0, 1, 2, runtime::make_crash_entry(1)};
-  job.sleep = {2};
+  job.region.choices = {0, 1, 2, runtime::make_crash_entry(1)};
+  job.region.sleep = {2};
   dist::WireWriter w;
   for (auto _ : state) {
     w.clear();
     dist::encode_job(w, job);
     dist::WireReader r(w.data(), w.size());
     dist::JobMsg back = dist::decode_job(r);
-    benchmark::DoNotOptimize(back.prefix.data());
-    benchmark::DoNotOptimize(back.choices.data());
+    benchmark::DoNotOptimize(back.region.prefix.data());
+    benchmark::DoNotOptimize(back.region.choices.data());
   }
 }
 BENCHMARK(BM_WireRoundtrip)->Arg(16)->Arg(64);

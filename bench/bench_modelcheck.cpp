@@ -284,7 +284,6 @@ bool run_instance(const std::string& name,
          {"dependent_wakeups", m.result.dependent_wakeups},
          {"footprint_bytes",
           static_cast<std::size_t>(m.result.footprint_bytes)},
-         {"dedupe_disabled_adaptively", m.result.dedupe_disabled_adaptively},
          {"reduction_vs_undeduped", reduction},
          {"seconds", m.seconds},
          {"execs_per_sec", rate},
@@ -394,20 +393,12 @@ bool run_instance(const std::string& name,
   }
 
   // POR and the transposition table compose (sleep sets are folded into the
-  // fingerprint); adaptive dedupe turns the table off mid-run when a lookup
-  // window earns nothing.
+  // fingerprint).
   ScheduleExploreOptions por_dedupe = por;
   por_dedupe.dedupe_states = true;
   const auto serial_por_dedupe =
       timed([&] { return explore_schedules(make, por_dedupe); });
   row("serial-por-dedupe", serial_por_dedupe, 1, Mode::kDedupe, true, true);
-
-  ScheduleExploreOptions adaptive = dedupe;
-  adaptive.dedupe_adaptive = true;
-  const auto serial_adaptive =
-      timed([&] { return explore_schedules(make, adaptive); });
-  row("serial-dedupe-adaptive", serial_adaptive, 1, Mode::kDedupe, false,
-      true);
   return ok;
 }
 

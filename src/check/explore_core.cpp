@@ -28,11 +28,6 @@ struct Frame {
   std::size_t sleep_inherited = 0;
 };
 
-// Adaptive dedupe: evaluate the prune rate every this-many table lookups...
-constexpr std::uint64_t kDedupeAdaptWindow = 4'096;
-// ...and stop fingerprinting when fewer than 1-in-this-many lookups pruned.
-constexpr std::uint64_t kDedupeAdaptFactor = 64;
-
 }  // namespace
 
 void append_node_choices(const std::vector<runtime::ProcessId>& runnable,
@@ -72,11 +67,6 @@ SubtreeResult explore_job(
       table = &*own_table;
     }
   }
-  // `table` may be nulled mid-job by the adaptive kill-switch; final
-  // statistics still come from the real table.
-  StateStore* stats_table = table;
-  std::uint64_t dedupe_lookups = 0;
-  std::uint64_t dedupe_prunes = 0;
 
   std::vector<runtime::ProcessId> schedule = prefix;
   schedule.reserve(std::max(options.max_steps, prefix.size()));
@@ -230,23 +220,6 @@ SubtreeResult explore_job(
         }
       }
       pruned = !table->insert(fp, canonical);
-      if (options.dedupe_adaptive) {
-        dedupe_lookups++;
-        dedupe_prunes += pruned ? 1 : 0;
-        if (dedupe_lookups >= kDedupeAdaptWindow) {
-          if (dedupe_prunes * kDedupeAdaptFactor < dedupe_lookups) {
-            // The window closed at a loss: fingerprinting every node costs
-            // more than the prunes it earns.  Stop consulting the table for
-            // the rest of this job; claims already made stand (this walk
-            // still explores everything it claimed, so racing workers that
-            // pruned against those claims stay covered).
-            table = nullptr;
-            res.dedupe_disabled = true;
-          }
-          dedupe_lookups = 0;
-          dedupe_prunes = 0;
-        }
-      }
     }
     world->scheduler().runnable_into(runnable);
     const bool complete = runnable.empty();
@@ -364,8 +337,8 @@ SubtreeResult explore_job(
         res.violation = std::move(v);
         res.witness = schedule;
         res.violation_index = res.executions;
-        if (stats_table != nullptr) {
-          res.states_seen = stats_table->states();
+        if (table != nullptr) {
+          res.states_seen = table->states();
         }
         return res;
       }
@@ -379,15 +352,15 @@ SubtreeResult explore_job(
       sched_pop();
     }
     if (depth == 0) {
-      if (stats_table != nullptr) {
-        res.states_seen = stats_table->states();
+      if (table != nullptr) {
+        res.states_seen = table->states();
       }
       return res;
     }
     if (res.executions >= cap || (abort && abort())) {
       res.fully_explored = false;
-      if (stats_table != nullptr) {
-        res.states_seen = stats_table->states();
+      if (table != nullptr) {
+        res.states_seen = table->states();
       }
       return res;
     }
@@ -414,7 +387,6 @@ SubtreeOptions subtree_options(const ScheduleExploreOptions& options) {
   sub.max_crashes = options.max_crashes;
   sub.dedupe_states = options.dedupe_states;
   sub.dedupe_audit = options.dedupe_audit;
-  sub.dedupe_adaptive = options.dedupe_adaptive;
   sub.por = options.por;
   return sub;
 }
@@ -431,7 +403,6 @@ ScheduleExploreResult whole_tree_result(SubtreeResult&& sr) {
   res.por_skipped = sr.por_skipped;
   res.dependent_wakeups = sr.dependent_wakeups;
   res.footprint_bytes = sr.footprint_bytes;
-  res.dedupe_disabled_adaptively = sr.dedupe_disabled;
   return res;
 }
 

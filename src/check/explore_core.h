@@ -76,14 +76,6 @@ struct SubtreeOptions {
   // Null with dedupe_states set means the walk creates a private table for
   // its own lifetime.
   StateStore* table = nullptr;
-  // Adaptive dedupe kill-switch (a spent-vs-saved ledger over lookups):
-  // fingerprinting every node is pure overhead on workloads whose states
-  // are all distinct, so when a window of kDedupeAdaptWindow lookups closes
-  // with a prune rate below 1/kDedupeAdaptFactor, the walk stops consulting
-  // the table for the rest of the job and reports dedupe_disabled.  Claims
-  // already inserted stand (claim-then-walk stays sound: this walk still
-  // explores everything it claimed).  Requires dedupe_states.
-  bool dedupe_adaptive = false;
   // Sleep-set partial-order reduction.  After the walk explores choice c at
   // a node, c joins the *sleep set* of every later sibling branch and stays
   // asleep down that branch until a step with a conflicting footprint
@@ -177,8 +169,6 @@ struct SubtreeResult {
   std::size_t dependent_wakeups = 0;
   // POR: serialized bytes of the footprints captured at node expansions.
   std::uint64_t footprint_bytes = 0;
-  // Adaptive dedupe stopped fingerprinting mid-job (prune rate too low).
-  bool dedupe_disabled = false;
 };
 
 // The one translation between the public option/result structs and the

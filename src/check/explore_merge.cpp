@@ -27,7 +27,6 @@ ScheduleExploreResult merge_job_results(std::vector<MergeJob>& jobs,
       res.por_skipped += j.result->por_skipped;
       res.dependent_wakeups += j.result->dependent_wakeups;
       res.footprint_bytes += j.result->footprint_bytes;
-      res.dedupe_disabled_adaptively |= j.result->dedupe_disabled;
     }
   }
 
@@ -36,7 +35,7 @@ ScheduleExploreResult merge_job_results(std::vector<MergeJob>& jobs,
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const MergeJob& j = jobs[i];
     if (j.state == MergeJob::State::kFailed) {
-      // The job threw past its retry budget (or donated mid-failure).
+      // The job threw or was lost past its retry budget.
       // Everything before it merged normally; report the partial summary
       // instead of rethrowing.
       res.executions = static_cast<std::size_t>(cum);

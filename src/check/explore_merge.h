@@ -17,9 +17,8 @@
 //     under the cap, truncate at the cap.  Bit-identical to the serial
 //     engine (with dedupe off); independent of job decomposition.
 //
-//   por_skipped, dependent_wakeups, footprint_bytes,
-//   dedupe_disabled_adaptively
-//     Summed (|| for the flag) over every record that COMPLETED its walk -
+//   por_skipped, dependent_wakeups, footprint_bytes
+//     Summed over every record that COMPLETED its walk -
 //     including records lexicographically past the merge's return point.
 //     They describe work actually performed, not work serially accounted.
 //     On an exhausted, undeduped, violation-free search the decomposition

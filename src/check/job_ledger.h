@@ -1,0 +1,141 @@
+// The job ledger shared by the in-process work-stealing explorer
+// (parallel_explore.cpp) and the distributed coordinator
+// (src/dist/coordinator.cpp).  Both split the schedule tree into
+// prefix-keyed jobs whose regions are contiguous lexicographic intervals
+// (explore_merge.h); the ledger owns every job record and makes each
+// bookkeeping decision over them in exactly one place:
+//   - claim order: the lex-least pending job (claim);
+//   - the cap bound: live execution counters of lex-earlier records
+//     lower-bound the serial count before a region (bound_before);
+//   - the pre-skip and abort test: a job whose result the merge provably
+//     cannot read - cancelled, past a secured lex-earlier violation, or at
+//     or past the cap bound (unreadable);
+//   - the lex-smallest violation cut-off (complete);
+//   - a donation as a child record with genealogy (donate);
+//   - retry (requeue_or_fail): a failed or lost attempt re-queues its job,
+//     cancels every region the attempt donated (recursively) and re-runs
+//     with dedupe off; past the retry budget the job fails;
+//   - the hand-off to merge_job_results (merge).
+//
+// Why a re-run cancels and drops dedupe.  The re-run walks the job's FULL
+// original region, so the regions its lost attempt donated would be
+// counted twice: they are cancelled (pending ones never run, running ones
+// are unreadable and abort, finished ones are excluded from the merge).
+// And with dedupe on, visited-state tables - the in-process engine's shared
+// StateTable, a distributed worker's session table - outlive attempts: they
+// hold claims of the failed attempt and of the cancelled regions whose
+// subtrees no merged record walked.  A deduped re-run would prune at those
+// claims and skip a region nobody covers (a missed violation on an
+// exhausted search).  The dedupe-off re-run, and every region it donates,
+// walks its whole region, so every such claim is re-covered - including
+// claims another job already pruned against.
+//
+// The ledger is single-threaded: the in-process engine calls it under its
+// mutex, the coordinator from its event loop.  The one exception is
+// Job::live, an atomic the in-process walk publishes lock-free.
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/check/explore_core.h"
+#include "src/check/model_check.h"
+
+namespace revisim::check::detail {
+
+class JobLedger {
+ public:
+  struct Job {
+    enum State : int { kPending, kRunning, kDone, kFailed, kAborted };
+
+    std::uint64_t id = 0;
+    std::vector<runtime::ProcessId> key;  // prefix + first choice; key_less
+    // The region: prefix, untried choices (empty = all, the seed job), and
+    // the POR sleep set of the split node.
+    Donation spec;
+    std::size_t donor = 0;  // worker that split this job off
+    bool donated = false;   // false for the seed and for resumed jobs
+    State state = kPending;
+    std::size_t failures = 0;  // failed or lost attempts so far
+    // Re-run of a failed deduped attempt (or a region such a re-run
+    // donated): walk with dedupe off.
+    bool no_dedupe = false;
+    // An ancestor's re-run re-covers this region: excluded from the merge
+    // and from every cap bound.
+    bool cancelled = false;
+    Job* parent = nullptr;
+    std::vector<Job*> children;  // across every attempt
+    // Executions counted so far (never more than the region's serial
+    // total); the cap bound sums these.
+    std::atomic<std::uint64_t> live{0};
+    SubtreeResult result;  // valid once kDone
+    std::string error;     // valid once kFailed
+  };
+
+  // `cap` is the run's execution cap; `dedupe` says whether re-runs must
+  // switch dedupe off.
+  JobLedger(std::uint64_t cap, std::size_t job_retries, bool dedupe);
+
+  // Adds a record with a caller-chosen id: the seed job, or a job reloaded
+  // from a run journal (`done` non-null: its completed walk, reused as is).
+  Job& insert(std::uint64_t id, Donation spec, Job* parent,
+              const SubtreeResult* done = nullptr);
+
+  // Claims the lex-least pending job for `worker`, first marking aborted
+  // every lex-earlier pending job that is unreadable.  Sets `budget` to the
+  // job's execution cap (the run cap minus the bound before it).  Null
+  // when nothing is pending.
+  Job* claim(std::size_t worker, std::uint64_t& budget);
+
+  bool unreadable(const Job& job) const;
+
+  // Records a donation of `parent`'s running attempt as a pending child.
+  // Null (the donor keeps the work) when `parent` is cancelled: its region
+  // is already re-covered by an ancestor's re-run.
+  Job* donate(Job& parent, Donation&& d, std::size_t worker);
+
+  // A walk returned.  Partial walks (abort, cap, deadline) are stored too:
+  // the merge either never reads them or reports their truncation.  False
+  // when the job was cancelled meanwhile and the result is discarded.
+  bool complete(Job& job, SubtreeResult&& result);
+
+  // An attempt threw or its worker was lost.  Returns the descendants this
+  // call cancelled (for journal tombstones and abort credits).
+  std::vector<Job*> requeue_or_fail(Job& job, const std::string& why);
+
+  // The deterministic merge over every non-cancelled record, with `jobs`
+  // (every record created) and `steals` (records first claimed by a worker
+  // other than their donor) filled in.  A nonempty `unfinished_error` names why the
+  // run could not finish its work (see merge_job_results); it also poisons
+  // a run whose records all resolved.
+  ScheduleExploreResult merge(const std::string& unfinished_error) const;
+
+  // Keeps `id` from ever being assigned to a new record (a resumed run's
+  // journal may tombstone ids that no record carries any more).
+  void reserve_id(std::uint64_t id) { next_id_ = std::max(next_id_, id + 1); }
+
+  std::size_t pending() const { return pending_; }
+  std::size_t running() const { return running_; }
+  std::uint64_t next_id() const { return next_id_; }
+
+ private:
+  std::uint64_t bound_before(const std::vector<runtime::ProcessId>& key) const;
+  void cancel_descendants(Job& job, std::vector<Job*>& out);
+
+  std::uint64_t cap_;
+  std::size_t job_retries_;
+  bool dedupe_;
+  std::vector<std::unique_ptr<Job>> jobs_;  // append-only
+  std::uint64_t next_id_ = 0;
+  std::size_t pending_ = 0;
+  std::size_t running_ = 0;
+  std::size_t steals_ = 0;
+  bool have_violation_ = false;
+  std::vector<runtime::ProcessId> violation_key_;
+};
+
+}  // namespace revisim::check::detail

@@ -24,10 +24,6 @@ void validate(const ScheduleExploreOptions& options) {
     throw std::invalid_argument(
         "ScheduleExploreOptions: dedupe_audit requires dedupe_states");
   }
-  if (options.dedupe_adaptive && !options.dedupe_states) {
-    throw std::invalid_argument(
-        "ScheduleExploreOptions: dedupe_adaptive requires dedupe_states");
-  }
   if (options.dist_probe_interval < 1) {
     throw std::invalid_argument(
         "ScheduleExploreOptions: dist_probe_interval must be >= 1 (a worker "

@@ -117,12 +117,6 @@ struct ScheduleExploreOptions {
   // dedupe_states and with crash branching (crash entries are dependent
   // with everything).
   bool por = false;
-  // With dedupe_states: stop fingerprinting mid-search when a window of
-  // lookups closes with a negligible prune rate (a spent-vs-saved ledger
-  // over table lookups).  On workloads whose states are all distinct this
-  // recovers nearly the whole dedupe overhead; on workloads that do
-  // transpose it never triggers.
-  bool dedupe_adaptive = false;
   // Distributed workers only: pump the control channel (abort probes,
   // fingerprint verdicts) every N explored executions.  1 probes at every
   // execution boundary - the cadence used by the wire bit-parity tests -
@@ -183,9 +177,6 @@ struct ScheduleExploreResult {
   std::size_t por_skipped = 0;
   std::size_t dependent_wakeups = 0;
   std::uint64_t footprint_bytes = 0;
-  // True iff the adaptive dedupe kill-switch stopped fingerprinting in at
-  // least one job (dedupe_adaptive).
-  bool dedupe_disabled_adaptively = false;
 
   [[nodiscard]] bool ok() const noexcept { return !violation; }
 };

@@ -23,11 +23,15 @@
 //   * the reported witness is the lexicographically smallest violating
 //     schedule (identical to the serial explorer's DFS-first violation).
 //
-// Cap coupling: each job publishes a live execution counter; the sum over
-// lexicographically earlier jobs lower-bounds the serial execution count
-// before a job's region, so capped searches shrink each job's local cap at
-// claim time and abort jobs whose results the merge provably cannot read
-// (bound >= cap, or a violation already secured in an earlier region).
+// Job bookkeeping - claim order, cap bound, pre-skip, violation cut-off,
+// donation records, retry and the merge hand-off - lives in the JobLedger
+// (job_ledger.h) shared with the distributed coordinator; this engine
+// drives it under one mutex.  Cap coupling: each job publishes a live
+// execution counter; the sum over lexicographically earlier jobs
+// lower-bounds the serial execution count before a job's region, so capped
+// searches shrink each job's local cap at claim time and abort jobs whose
+// results the merge provably cannot read (bound >= cap, or a violation
+// already secured in an earlier region).
 //
 // With base.dedupe_states set, all workers share one lock-free
 // transposition table (state_table.h) and the guarantee deliberately
@@ -40,27 +44,30 @@
 // claiming worker, and `states_seen` cannot exceed the serial count on
 // exhausted searches (each distinct state is claimed exactly once).
 //
-// Thread counts and the one-core reality.  `threads == 1` bypasses the
-// coordinator entirely and runs the serial engine inline - no queue, no
-// thread spawn, no atomics - so parallel-1 costs serial-fast plus
-// nothing.  For `threads >= 2` the worker
-// count is clamped to the hardware concurrency unless `oversubscribe` is
-// set: extra threads on saturated cores cannot run subtrees faster, they
-// only interleave them (the pre-rework frontier-split explorer lost 5x to
-// exactly that).  Tests set `oversubscribe` to force real thread
-// interleavings - steals, shared-table races - on any machine.
+// Thread counts and the one-core reality.  The worker count is clamped to
+// the hardware concurrency unless `oversubscribe` is set: extra threads on
+// saturated cores cannot run subtrees faster, they only interleave them
+// (the pre-rework frontier-split explorer lost 5x to exactly that).  Tests
+// set `oversubscribe` to force real thread interleavings - steals,
+// shared-table races - on any machine.  One worker (`threads == 1`, or a
+// clamp to one core) runs the ledger on the calling thread: nobody is ever
+// hungry, so it is one job walked by the serial engine, with no thread
+// spawn and no serial probe.
 //
 // The factory is invoked concurrently from worker threads and must be
 // thread-safe; worlds it returns must not share mutable state.
 //
-// Graceful degradation.  A job that throws is retried (fresh replay) up to
-// `job_retries` times unless it donated work mid-attempt - a retry would
-// re-explore the donated regions - in which case, or after the budget is
-// exhausted, the run degrades to a partial summary (`error` set, exhausted
-// false) covering the lexicographic prefix merged before the failed job.
-// A positive `time_limit` bounds the wall clock: running jobs abort at
-// their next probe, pending jobs stay unclaimed, and the merge returns a
-// partial summary with `timed_out` set.
+// Graceful degradation.  A job that throws is re-queued, up to
+// `job_retries` times: the re-run walks the job's whole region again, so
+// every region the failed attempt donated is cancelled (recursively), and
+// with dedupe on the re-run - and everything it donates - walks with
+// dedupe off, because the shared table holds claims of the failed attempt
+// and of the cancelled regions that no merged record walked (job_ledger.h
+// has the argument).  Past the budget the run degrades to a partial
+// summary (`error` set, exhausted false) covering the lexicographic prefix
+// merged before the failed job.  A positive `time_limit` bounds the wall
+// clock: running jobs abort at their next probe, pending jobs stay
+// unclaimed, and the merge returns a partial summary with `timed_out` set.
 #pragma once
 
 #include <chrono>
@@ -72,17 +79,17 @@ namespace revisim::check {
 struct ParallelExploreOptions {
   ScheduleExploreOptions base{};
   // Worker threads; 0 means std::thread::hardware_concurrency().  1 runs
-  // the serial engine inline with no stealing machinery at all.
+  // one job on the calling thread: the serial walk under the job ledger.
   std::size_t threads = 0;
   // Spawn `threads` workers even beyond the hardware concurrency.  Off by
   // default: oversubscribed workers add interleaving overhead without
   // adding throughput.  Tests use it to force steals deterministically of
   // the core count.
   bool oversubscribe = false;
-  // Additional attempts for a job whose exploration throws.  Replay is
-  // deterministic, so retries recover only transient failures (resource
-  // exhaustion); a deterministic throw exhausts the budget and the run
-  // degrades to a partial summary with `error` set.
+  // Re-runs of a job whose exploration throws.  Replay is deterministic, so
+  // retries recover only transient failures (resource exhaustion); a
+  // deterministic throw exhausts the budget and the run degrades to a
+  // partial summary with `error` set.
   std::size_t job_retries = 2;
   // Serial probe: before spawning any thread, run the serial engine for up
   // to this many executions.  If that already settles the search - the tree
@@ -92,7 +99,8 @@ struct ParallelExploreOptions {
   // runs as before.  Thread spawn plus shared-table synchronization costs
   // far more than a small tree costs to walk, which made parallel-4 over
   // 10x slower than parallel-2 on heavily-deduped instances whose whole
-  // deduped tree fits in a few hundred executions.  0 disables the probe.
+  // deduped tree fits in a few hundred executions.  0 disables the probe;
+  // a one-worker run never probes.
   std::size_t serial_probe_executions = 1024;
   // Wall-clock budget; zero means unlimited.
   std::chrono::milliseconds time_limit{0};

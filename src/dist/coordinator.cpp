@@ -19,7 +19,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/check/explore_core.h"
+#include "src/check/job_ledger.h"
 #include "src/check/explore_merge.h"
 #include "src/check/state_table.h"
 #include "src/dist/journal.h"
@@ -30,8 +30,7 @@ namespace revisim::dist {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-using check::detail::key_less;
-using runtime::ProcessId;
+using Job = check::detail::JobLedger::Job;
 
 class Log {
  public:
@@ -61,43 +60,6 @@ class Log {
   std::FILE* file_ = nullptr;
 };
 
-// The distributed twin of parallel_explore.cpp's JobRecord, extended with
-// the genealogy the fault-recovery machinery needs: a lost attempt's
-// re-run walks the job's FULL original region, so everything the attempt
-// donated (children, recursively) must be cancelled or it would be double
-// counted.  All state is owned by the single-threaded event loop - no
-// locks anywhere in the coordinator.
-struct DistJob {
-  enum State : int { kPending, kRunning, kDone, kFailed, kAborted };
-
-  std::uint64_t id = 0;
-  std::vector<ProcessId> key;      // prefix + first choice; see explore_merge.h
-  std::vector<ProcessId> prefix;
-  std::vector<ProcessId> choices;  // empty = all (seed job)
-  std::vector<ProcessId> sleep;
-  std::uint32_t sleep_inherited = 0;  // see DonateMsg
-  std::size_t donor = 0;
-  bool donated = false;            // false for the seed and resumed jobs
-  State state = kPending;
-  std::size_t failures = 0;        // failed/lost attempts consumed
-  bool abort_sent = false;         // a kCredit abort is already in flight
-  // Set on the re-run of a lost deduped attempt; the re-run and every
-  // region it donates, recursively, walk with dedupe off (see
-  // requeue_or_fail).
-  bool no_dedupe = false;
-  // Genealogy.  `children` spans every attempt; `cancelled` excludes the
-  // record from the merge because an ancestor's re-run re-covers its
-  // region.
-  DistJob* parent = nullptr;
-  std::vector<DistJob*> children;
-  bool cancelled = false;
-  // Lower bound on this region's executions, fed by kLive messages; same
-  // cap-bound role as JobRecord::live_execs.
-  std::uint64_t live = 0;
-  check::detail::SubtreeResult result;  // valid once kDone
-  std::string error;                    // valid once kFailed
-};
-
 // Every epoll registration points at one of these; `kind` says what the
 // event loop is looking at.
 struct PollTarget {
@@ -122,7 +84,8 @@ struct Conn : PollTarget {
   Frame in;
   FaultPlan faults;  // per-connection C->W fault plan storage
   Phase phase = kHandshaking;
-  DistJob* current = nullptr;
+  Job* current = nullptr;
+  bool abort_sent = false;  // a kCredit abort for `current` is in flight
 
   // Liveness bookkeeping.  last_sent drives ping piggybacking: ANY frame
   // advances the worker's liveness clock, so a ping goes out only when
@@ -153,25 +116,24 @@ struct Provisional : PollTarget {
 };
 
 struct CoState {
-  const DistExploreOptions* options = nullptr;
-  std::uint64_t cap = 0;
+  explicit CoState(const DistExploreOptions& o)
+      : options(&o),
+        cap(std::max<std::uint64_t>(o.base.max_executions, 1)),
+        ledger(cap, o.job_retries, o.base.dedupe_states) {}
+
+  const DistExploreOptions* options;
+  std::uint64_t cap;
   std::optional<Clock::time_point> deadline;
   Log* log = nullptr;
   JournalWriter* journal = nullptr;  // nullptr = journaling off
   int listen_fd = -1;                // reconnect acceptor source; -1 = none
   int epfd = -1;
 
-  std::vector<std::unique_ptr<DistJob>> records;  // append-only
-  std::uint64_t next_id = 0;  // ids survive resume, so != records index
-  std::size_t pending = 0;
-  std::size_t running = 0;
+  check::detail::JobLedger ledger;
   std::size_t alive = 0;   // connections not yet retired
   std::size_t completions = 0;  // non-cancelled kDone resolutions
   bool stop = false;
   bool first_job_shipped = false;
-  bool have_violation = false;
-  std::vector<ProcessId> violation_key;
-  std::size_t steals = 0;
   // Nonempty once the run lost the means to finish outstanding work (every
   // worker disconnected, the fingerprint audit found a collision, or the
   // halt_after_jobs hook fired); becomes the merged partial summary's error.
@@ -183,20 +145,6 @@ struct CoState {
   // the run's distinct-state count and the cross-worker collision audit.
   // It answers nothing; each worker prunes against its own table.
   std::unique_ptr<check::StateTable> seen;
-
-  // Sum of live execution counters over records lex-before `key` - a lower
-  // bound on the serial execution count before this record's region.
-  // Cancelled records hold live == 0 (their region is re-counted by the
-  // ancestor that re-runs it).
-  std::uint64_t bound_before(const std::vector<ProcessId>& key) const {
-    std::uint64_t sum = 0;
-    for (const auto& r : records) {
-      if (!r->cancelled && key_less(r->key, key)) {
-        sum += r->live;
-      }
-    }
-    return sum;
-  }
 };
 
 // Poll granularity: with heartbeats armed the loop must wake often enough
@@ -308,97 +256,52 @@ void heartbeat(CoState& co, Conn& conn) {
 }
 
 // Pushes kCredit aborts to every running job the merge provably cannot
-// read: lex-earlier regions already secured the cap, a lex-earlier
-// violation is final, or the job was cancelled outright (an ancestor
-// re-runs its region).
+// read (JobLedger::unreadable), or to every running job once the run stops.
 void push_aborts(CoState& co) {
   for (const auto& c : co.conns) {
     if (c->phase != Conn::kServing || c->current == nullptr ||
-        c->current->abort_sent) {
+        c->abort_sent ||
+        !(co.stop || co.ledger.unreadable(*c->current))) {
       continue;
     }
-    DistJob* rec = c->current;
-    const bool dead_key =
-        co.have_violation && key_less(co.violation_key, rec->key);
-    if (co.stop || dead_key || rec->cancelled ||
-        co.bound_before(rec->key) >= co.cap) {
-      rec->abort_sent = true;
-      const std::uint64_t id = rec->id;
-      send_msg(co, *c, MsgType::kCredit, [id](WireWriter& w) {
-        CreditMsg m;
-        m.id = id;
-        m.abort = true;
-        encode_credit(w, m);
-      });
-    }
+    c->abort_sent = true;
+    const std::uint64_t id = c->current->id;
+    send_msg(co, *c, MsgType::kCredit, [id](WireWriter& w) {
+      CreditMsg m;
+      m.id = id;
+      m.abort = true;
+      encode_credit(w, m);
+    });
   }
 }
 
-// Cancels every descendant of `rec`, recursively: the re-run of `rec`
-// walks its full original region, descendants included, so keeping their
-// records would double count.  Pending descendants leave the queue,
-// running ones are left to their abort credit (caller runs push_aborts),
-// finished ones are excluded from the merge, and the journal gets a
-// tombstone so a later resume ignores them too.
-void cancel_subtree(CoState& co, DistJob* rec) {
-  for (DistJob* child : rec->children) {
-    if (!child->cancelled) {
-      child->cancelled = true;
-      child->live = 0;
-      if (child->state == DistJob::kPending) {
-        child->state = DistJob::kAborted;
-        --co.pending;
-      }
-      if (co.journal != nullptr) {
-        co.journal->job_discarded(child->id);
-      }
-      co.log->line("coordinator: job %llu cancelled (ancestor %llu re-runs)",
-                   static_cast<unsigned long long>(child->id),
-                   static_cast<unsigned long long>(rec->id));
+// A lost or throwing attempt: the ledger re-queues the job (cancelling the
+// regions the attempt donated) or fails it.  Cancelled regions get journal
+// tombstones so a later resume ignores them too, and running ones their
+// abort credit.
+void requeue_or_fail(CoState& co, Job* job, const std::string& why) {
+  for (const Job* c : co.ledger.requeue_or_fail(*job, why)) {
+    if (co.journal != nullptr) {
+      co.journal->job_discarded(c->id);
     }
-    cancel_subtree(co, child);
+    co.log->line("coordinator: job %llu cancelled (ancestor %llu re-runs)",
+                 static_cast<unsigned long long>(c->id),
+                 static_cast<unsigned long long>(job->id));
   }
-}
-
-// Re-queues a lost or throwing job - cancelling everything the lost
-// attempt donated - or fails it once retries are exhausted.
-//
-// With dedupe_states on, the re-run is marked no_dedupe (inherited by every
-// region it donates) and walks with dedupe off.  Worker tables outlive
-// jobs, so they can hold states whose walk no merged record covers: a
-// donated child that finished on a surviving worker and that this requeue
-// now cancels, or the lost attempt's own partial walk on a worker that
-// re-dialed.  A deduped re-run on such a worker would prune at those states
-// and skip a region that no record in the merge covers - a missed
-// violation on an exhausted search.  The dedupe-off re-run walks the whole
-// region, so every state any worker table holds from the cancelled walks
-// is re-covered; a later job that prunes against one is covered by it too.
-void requeue_or_fail(CoState& co, DistJob* rec, const std::string& why) {
-  ++rec->failures;
-  if (rec->failures > co.options->job_retries) {
-    rec->state = DistJob::kFailed;
-    rec->error = why;
-    co.log->line("coordinator: job %llu failed (%s)",
-                 static_cast<unsigned long long>(rec->id), why.c_str());
-  } else {
-    cancel_subtree(co, rec);
-    rec->state = DistJob::kPending;
-    rec->live = 0;
-    rec->abort_sent = false;
-    if (co.options->base.dedupe_states) {
-      rec->no_dedupe = true;
-    }
-    ++co.pending;
-    co.log->line("coordinator: job %llu re-queued%s (%s)",
-                 static_cast<unsigned long long>(rec->id),
-                 rec->no_dedupe ? " dedupe-off" : "", why.c_str());
-  }
+  co.log->line("coordinator: job %llu %s (%s)",
+               static_cast<unsigned long long>(job->id),
+               job->state == Job::kFailed    ? "failed"
+               : job->state != Job::kPending ? "dropped (cancelled)"
+               : job->no_dedupe              ? "re-queued dedupe-off"
+                                             : "re-queued",
+               why.c_str());
+  push_aborts(co);
 }
 
 // Journals a completed walk the merge may reuse verbatim (fully explored
 // or violating; partial cap/stop walks re-run on resume) and advances the
 // halt_after_jobs hook.
-void note_completion(CoState& co, DistJob* rec) {
+void note_completion(CoState& co, const Job* rec) {
   if (co.journal != nullptr &&
       (rec->result.fully_explored || rec->result.violation.has_value())) {
     co.journal->job_done(rec->id, rec->result);
@@ -425,22 +328,13 @@ bool past_deadline(const CoState& co) {
 HelloMsg make_hello(const CoState& co, std::uint32_t worker,
                     std::uint64_t session,
                     const check::CrashWorldSpec* spec) {
-  const check::ScheduleExploreOptions& base = co.options->base;
   HelloMsg hello;
   hello.worker = worker;
   hello.session = session;
   hello.heartbeat_interval_ms = co.options->heartbeat_interval_ms;
   hello.heartbeat_timeout_ms = co.options->heartbeat_timeout_ms;
-  hello.max_steps = base.max_steps;
-  hello.max_crashes = base.max_crashes;
-  hello.record_traces = base.record_traces;
-  hello.dedupe_states = base.dedupe_states;
-  hello.dedupe_audit = base.dedupe_audit;
-  hello.dedupe_adaptive = base.dedupe_adaptive;
-  hello.por = base.por;
+  hello.options = co.options->base;
   hello.live_interval = std::max<std::uint64_t>(co.options->live_interval, 1);
-  hello.probe_interval =
-      std::max<std::uint64_t>(base.dist_probe_interval, 1);
   if (spec != nullptr) {
     hello.world = spec->world;
     hello.f = spec->f;
@@ -458,7 +352,8 @@ void retire(CoState& co, Conn& conn, const std::string& reason) {
   conn.phase = Conn::kDead;
   conn.write_armed = false;
   conn.ch.close();
-  if (--co.alive == 0 && (co.pending > 0 || co.running > 0)) {
+  if (--co.alive == 0 &&
+      (co.ledger.pending() > 0 || co.ledger.running() > 0)) {
     co.stop = true;
     if (co.unfinished_reason.empty()) {
       co.unfinished_reason = reason;
@@ -505,10 +400,9 @@ void on_conn_lost(CoState& co, Conn& conn, const std::string& why,
       "worker " + std::to_string(conn.worker) + " disconnected: " + why;
   co.log->line("coordinator: %s", death.c_str());
   if (conn.current != nullptr) {
-    requeue_or_fail(co, conn.current, death);
-    --co.running;
+    Job* lost = conn.current;
     conn.current = nullptr;
-    push_aborts(co);
+    requeue_or_fail(co, lost, death);
   }
   conn.stop_stalling = false;
   epoll_del(co, conn.ch.fd());
@@ -594,7 +488,7 @@ void handle_fp_batch(CoState& co, Conn& conn) {
 // One inbound frame from a serving worker.  Throws WireError on protocol
 // violations; the caller runs the disconnect path.
 void handle_frame(CoState& co, Conn& conn) {
-  DistJob* rec = conn.current;
+  Job* rec = conn.current;
   switch (conn.in.type) {
     case MsgType::kPing: {
       WireReader r = conn.in.reader();
@@ -615,52 +509,28 @@ void handle_frame(CoState& co, Conn& conn) {
       WireReader r = conn.in.reader();
       const LiveMsg live = decode_live(r);
       if (rec != nullptr && live.id == rec->id) {
-        // A cancelled job's credits must stay zero: bound_before feeding a
-        // cancelled region's executions into budgets would double count
-        // against the ancestor's re-run.
-        if (!rec->cancelled) {
-          rec->live = live.executions;
-          push_aborts(co);
-        }
+        rec->live.store(live.executions, std::memory_order_relaxed);
+        push_aborts(co);
       }
       break;
     }
     case MsgType::kDonate: {
       WireReader r = conn.in.reader();
       DonateMsg d = decode_donate(r);
-      if (d.choices.empty()) {
+      if (d.region.choices.empty()) {
         throw WireError("donation with no choices");
       }
       if (rec == nullptr) {
         throw WireError("donation outside a job");
       }
-      if (rec->cancelled) {
-        // The donated region is inside rec's region, which an ancestor's
-        // re-run already re-covers.
+      const Job* child =
+          co.ledger.donate(*rec, std::move(d.region), conn.worker);
+      if (child == nullptr) {
         co.log->line("coordinator: donation from cancelled job %llu dropped",
                      static_cast<unsigned long long>(rec->id));
-        break;
+      } else if (co.journal != nullptr) {
+        co.journal->job_created(child->id, true, rec->id, child->spec);
       }
-      auto child = std::make_unique<DistJob>();
-      child->id = co.next_id++;
-      child->key = d.prefix;
-      child->key.push_back(d.choices[0]);
-      child->prefix = std::move(d.prefix);
-      child->choices = std::move(d.choices);
-      child->sleep = std::move(d.sleep);
-      child->sleep_inherited = d.sleep_inherited;
-      child->donor = conn.worker;
-      child->donated = true;
-      child->no_dedupe = rec->no_dedupe;  // dedupe-off regions donate likewise
-      child->parent = rec;
-      rec->children.push_back(child.get());
-      if (co.journal != nullptr) {
-        co.journal->job_created(child->id, true, rec->id, child->prefix,
-                                child->choices, child->sleep,
-                                child->sleep_inherited);
-      }
-      co.records.push_back(std::move(child));
-      ++co.pending;
       break;
     }
     case MsgType::kJobResult: {
@@ -669,27 +539,11 @@ void handle_frame(CoState& co, Conn& conn) {
       if (rec == nullptr) {
         throw WireError("job result outside a job");
       }
-      if (!rec->cancelled) {
-        rec->live = msg.result.executions;
-        if (msg.result.violation &&
-            (!co.have_violation || key_less(rec->key, co.violation_key))) {
-          co.have_violation = true;
-          co.violation_key = rec->key;
-        }
-        rec->result = std::move(msg.result);
-        // Partial walks (abort credits, stop) are stored as kDone too,
-        // exactly like the in-process explorer: the merge either never
-        // reads them or reports the truncation they represent.
-        rec->state = DistJob::kDone;
-        note_completion(co, rec);
-      } else {
-        // The walk raced its cancellation; the result is already
-        // re-covered by an ancestor's re-run.
-        rec->state = DistJob::kDone;
-      }
-      --co.running;
       conn.current = nullptr;
       conn.stop_stalling = false;
+      if (co.ledger.complete(*rec, std::move(msg.result))) {
+        note_completion(co, rec);
+      }
       push_aborts(co);
       break;
     }
@@ -699,15 +553,9 @@ void handle_frame(CoState& co, Conn& conn) {
       if (rec == nullptr) {
         throw WireError("job error outside a job");
       }
-      if (!rec->cancelled) {
-        requeue_or_fail(co, rec, msg.message);
-        push_aborts(co);
-      } else {
-        rec->state = DistJob::kDone;  // cancelled: merged as skipped
-      }
-      --co.running;
       conn.current = nullptr;
       conn.stop_stalling = false;
+      requeue_or_fail(co, rec, msg.message);
       break;
     }
     default:
@@ -848,7 +696,7 @@ void accept_reconnects(CoState& co, const check::CrashWorldSpec* spec) {
 // event batch, so a freed worker or a fresh donation is matched
 // immediately instead of waiting out a poll tick.
 void assign_jobs(CoState& co) {
-  while (!co.stop && co.pending > 0) {
+  while (!co.stop && co.ledger.pending() > 0) {
     Conn* idle = nullptr;
     for (const auto& c : co.conns) {
       if (c->phase == Conn::kServing && c->current == nullptr) {
@@ -859,42 +707,17 @@ void assign_jobs(CoState& co) {
     if (idle == nullptr) {
       return;
     }
-    DistJob* rec = nullptr;
-    for (const auto& r : co.records) {
-      if (r->state == DistJob::kPending &&
-          (rec == nullptr || key_less(r->key, rec->key))) {
-        rec = r.get();
-      }
-    }
+    std::uint64_t budget = 0;
+    Job* rec = co.ledger.claim(idle->worker, budget);
     if (rec == nullptr) {
       return;
     }
-    // Pre-skip jobs whose result the merge provably cannot read (same
-    // bound as the in-process claim path).
-    const std::uint64_t before = co.bound_before(rec->key);
-    const bool dead_key =
-        co.have_violation && key_less(co.violation_key, rec->key);
-    if (before >= co.cap || dead_key) {
-      rec->state = DistJob::kAborted;
-      --co.pending;
-      continue;
-    }
-    rec->state = DistJob::kRunning;
-    --co.pending;
-    ++co.running;
     idle->current = rec;
-    rec->abort_sent = false;
-    rec->live = 0;
-    if (rec->donated && rec->donor != idle->worker) {
-      ++co.steals;
-    }
+    idle->abort_sent = false;
     JobMsg job;
     job.id = rec->id;
-    job.budget = co.cap - before;
-    job.prefix = rec->prefix;
-    job.choices = rec->choices;
-    job.sleep = rec->sleep;
-    job.sleep_inherited = rec->sleep_inherited;
+    job.budget = budget;
+    job.region = rec->spec;
     job.no_dedupe = rec->no_dedupe;
     if (co.options->fault_first_job_after != 0 && !co.first_job_shipped) {
       job.fault_after = co.options->fault_first_job_after;
@@ -904,7 +727,7 @@ void assign_jobs(CoState& co) {
         "coordinator: job %llu -> worker %zu (prefix=%zu choices=%zu "
         "budget=%llu%s)",
         static_cast<unsigned long long>(job.id), idle->worker,
-        job.prefix.size(), job.choices.size(),
+        job.region.prefix.size(), job.region.choices.size(),
         static_cast<unsigned long long>(job.budget),
         job.no_dedupe ? " dedupe-off" : "");
     send_msg(co, *idle, MsgType::kJob,
@@ -916,8 +739,8 @@ void assign_jobs(CoState& co) {
 // with no pending job, poke every busy worker to donate.  Re-poked every
 // tick in case a request raced a donation someone else claimed.
 void poke_steals(CoState& co) {
-  if (!co.options->steal_requests || co.stop || co.pending != 0 ||
-      co.running == 0) {
+  if (!co.options->steal_requests || co.stop || co.ledger.pending() != 0 ||
+      co.ledger.running() == 0) {
     return;
   }
   bool hungry = false;
@@ -1027,7 +850,8 @@ void run_event_loop(CoState& co, const check::CrashWorldSpec* spec) {
   }
 
   struct epoll_event events[64];
-  while (!(co.running == 0 && (co.stop || co.pending == 0))) {
+  while (!(co.ledger.running() == 0 &&
+           (co.stop || co.ledger.pending() == 0))) {
     const int n =
         ::epoll_wait(co.epfd, events, 64, tick_ms(co, 100));
     if (n < 0) {
@@ -1102,12 +926,13 @@ JournalConfig journal_config_from(const DistExploreOptions& options) {
   return jc;
 }
 
-// Loads a prior run's journal into the record table: completed regions
-// with completed ancestors are reused verbatim, incomplete ones re-queue
-// from their recorded specs, and descendants of incomplete jobs are
-// tombstoned (their regions re-run with the ancestor).  Reopens the
-// journal for appending.  Runs before the event loop starts.
-void load_journal(CoState& co, const DistExploreOptions& options,
+// Loads a prior run's journal into the ledger: completed regions with
+// completed ancestors are reused verbatim, incomplete ones re-queue from
+// their recorded specs, and descendants of incomplete jobs are tombstoned
+// (their regions re-run with the ancestor).  Reopens the journal for
+// appending and returns the number of records loaded.  Runs before the
+// event loop starts.
+std::size_t load_journal(CoState& co, const DistExploreOptions& options,
                   JournalWriter& journal) {
   const JournalContents contents = read_journal(options.journal_path);
   const JournalConfig expected = journal_config_from(options);
@@ -1120,7 +945,7 @@ void load_journal(CoState& co, const DistExploreOptions& options,
   std::vector<const JournalJob*> alive;
   std::vector<check::detail::ResumeJob> genealogy;
   for (const JournalJob& j : contents.jobs) {
-    co.next_id = std::max(co.next_id, j.id + 1);
+    co.ledger.reserve_id(j.id);
     if (j.discarded) {
       continue;
     }
@@ -1134,7 +959,9 @@ void load_journal(CoState& co, const DistExploreOptions& options,
   std::size_t reused = 0;
   std::size_t rerun = 0;
   std::size_t discarded = 0;
-  std::unordered_map<std::uint64_t, DistJob*> by_id;
+  // Journal order puts every parent before its children, so one pass
+  // rebuilds the genealogy among survivors.
+  std::unordered_map<std::uint64_t, Job*> by_id;
   for (std::size_t i = 0; i < alive.size(); ++i) {
     const JournalJob& j = *alive[i];
     if (plan[i] == check::detail::ResumeAction::kDiscard) {
@@ -1142,48 +969,16 @@ void load_journal(CoState& co, const DistExploreOptions& options,
       ++discarded;
       continue;
     }
-    auto rec = std::make_unique<DistJob>();
-    rec->id = j.id;
-    rec->prefix = j.prefix;
-    rec->choices = j.choices;
-    rec->sleep = j.sleep;
-    rec->sleep_inherited = j.sleep_inherited;
-    rec->key = j.prefix;
-    if (!j.choices.empty()) {
-      rec->key.push_back(j.choices[0]);
-    }
-    if (plan[i] == check::detail::ResumeAction::kReuse) {
-      rec->state = DistJob::kDone;
-      rec->result = j.result;
-      rec->live = j.result.executions;
-      if (rec->result.violation &&
-          (!co.have_violation || key_less(rec->key, co.violation_key))) {
-        co.have_violation = true;
-        co.violation_key = rec->key;
-      }
+    const auto parent = j.has_parent ? by_id.find(j.parent) : by_id.end();
+    const bool reuse = plan[i] == check::detail::ResumeAction::kReuse;
+    Job& rec = co.ledger.insert(
+        j.id, j.region, parent == by_id.end() ? nullptr : parent->second,
+        reuse ? &j.result : nullptr);
+    by_id[j.id] = &rec;
+    if (reuse) {
       ++reused;
     } else {
-      rec->state = DistJob::kPending;
-      ++co.pending;
       ++rerun;
-    }
-    by_id[rec->id] = rec.get();
-    co.records.push_back(std::move(rec));
-  }
-  // Rebuild the genealogy among survivors so a rerun job that fails AGAIN
-  // cancels its (new) descendants correctly.
-  for (const auto& r : co.records) {
-    // Loaded records never link to discarded parents: a discarded parent
-    // implies a discarded child.
-    for (const JournalJob* j : alive) {
-      if (j->id == r->id && j->has_parent) {
-        const auto it = by_id.find(j->parent);
-        if (it != by_id.end()) {
-          r->parent = it->second;
-          it->second->children.push_back(r.get());
-        }
-        break;
-      }
     }
   }
   co.log->line(
@@ -1191,6 +986,7 @@ void load_journal(CoState& co, const DistExploreOptions& options,
       "%zu torn byte(s) dropped",
       options.journal_path.c_str(), reused, rerun, discarded,
       contents.dropped_tail_bytes);
+  return reused + rerun;
 }
 
 void reap_children(const std::vector<pid_t>& kids) {
@@ -1236,11 +1032,9 @@ check::ScheduleExploreResult coordinate(
   }
 
   Log log(log_path_for("coordinator"));
-  CoState co;
-  co.options = &options;
+  CoState co(options);
   co.log = &log;
   co.listen_fd = options.reconnect_window_ms > 0 ? reconnect_listen_fd : -1;
-  co.cap = std::max<std::uint64_t>(options.base.max_executions, 1);
   if (options.time_limit.count() > 0) {
     co.deadline = Clock::now() + options.time_limit;
   }
@@ -1279,25 +1073,22 @@ check::ScheduleExploreResult coordinate(
   co.alive = co.conns.size();
 
   JournalWriter journal;
+  std::size_t loaded = 0;
   if (!options.journal_path.empty()) {
     if (options.resume) {
-      load_journal(co, options, journal);  // throws WireError on mismatch
+      loaded = load_journal(co, options, journal);  // throws on mismatch
     } else {
       journal.create(options.journal_path, journal_config_from(options));
     }
     co.journal = &journal;
   }
-  if (co.records.empty()) {
+  if (loaded == 0) {
     // Fresh run (or a journal that died before its seed record): one seed
     // job covering the whole tree, empty key.
-    auto seed = std::make_unique<DistJob>();
-    seed->id = co.next_id++;
+    const Job& seed = co.ledger.insert(co.ledger.next_id(), {}, nullptr);
     if (co.journal != nullptr) {
-      journal.job_created(seed->id, false, 0, seed->prefix, seed->choices,
-                          seed->sleep, seed->sleep_inherited);
+      journal.job_created(seed.id, false, 0, seed.spec);
     }
-    co.records.push_back(std::move(seed));
-    co.pending = 1;
   }
   log.line(
       "coordinator: %zu worker(s), cap=%llu, dedupe=%d, por=%d, "
@@ -1325,48 +1116,12 @@ check::ScheduleExploreResult coordinate(
   }
   journal.close();
 
-  std::vector<check::detail::MergeJob> order;
-  order.reserve(co.records.size());
-  std::size_t merged_jobs = 0;
-  for (const auto& r : co.records) {
-    if (r->cancelled) {
-      continue;  // region re-covered by an ancestor's re-run
-    }
-    ++merged_jobs;
-    check::detail::MergeJob j;
-    j.key = &r->key;
-    switch (r->state) {
-      case DistJob::kDone:
-        j.state = check::detail::MergeJob::State::kDone;
-        j.result = &r->result;
-        break;
-      case DistJob::kFailed:
-        j.state = check::detail::MergeJob::State::kFailed;
-        j.error = &r->error;
-        break;
-      default:
-        j.state = check::detail::MergeJob::State::kUnfinished;
-        break;
-    }
-    order.push_back(j);
-  }
-  check::ScheduleExploreResult res = check::detail::merge_job_results(
-      order, co.cap, options.job_retries + 1, co.unfinished_reason);
-  res.jobs = merged_jobs;
-  res.steals = co.steals;
+  check::ScheduleExploreResult res = co.ledger.merge(co.unfinished_reason);
   if (co.seen != nullptr) {
     // The union of the workers' reports is the run's distinct-state count;
     // each job's own figure is only its worker's table size.
     // subtrees_pruned stays the per-job sum from the merge.
     res.states_seen = co.seen->states();
-  }
-  if (!co.unfinished_reason.empty() && !res.error.has_value() &&
-      !res.timed_out) {
-    // Every record resolved before the poison landed (e.g. an audit
-    // collision raced the last result): the numbers merged, but no prune
-    // in them is trustworthy.
-    res.error = co.unfinished_reason;
-    res.exhausted = false;
   }
   log.line("coordinator: merged %zu job(s): executions=%zu exhausted=%d "
            "violation=%d steals=%zu",

@@ -1,8 +1,9 @@
 // Distributed exploration coordinator.
 //
-// Mirrors the in-process work-stealing explorer one level up: the unit of
-// work is the same prefix-identified job, the hungry hint becomes a
-// kStealReq RPC, the cap/abort coupling becomes periodic live-counter
+// Mirrors the in-process work-stealing explorer one level up and drives
+// the same job ledger (src/check/job_ledger.h) from its event loop: the
+// unit of work is the same prefix-identified job, the hungry hint becomes
+// a kStealReq RPC, the cap/abort coupling becomes periodic live-counter
 // credit messages, and the final accounting is the identical key-sorted
 // merge (src/check/explore_merge.h) - so executions / exhausted / verdict /
 // lex-smallest witness stay bit-identical to the serial engine at any
@@ -27,8 +28,9 @@
 //     even after donations.  With dedupe_states on, the re-run (and every
 //     region it donates, recursively) executes with dedupe off: worker
 //     tables may hold states of the cancelled regions, and a deduped
-//     re-run could prune into a region no merged record covers (the full
-//     argument is at requeue_or_fail in coordinator.cpp).
+//     re-run could prune into a region no merged record covers.  The
+//     retry rule is the JobLedger's, shared with the in-process explorer
+//     (the full argument is in src/check/job_ledger.h).
 //   - The worker keeps its session: it re-dials with backoff and
 //     re-handshakes under its prior session token, and the coordinator's
 //     acceptor hands the fresh socket back to the waiting serve thread

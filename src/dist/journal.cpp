@@ -12,7 +12,7 @@ namespace {
 
 // The last byte is the layout version: "2" since kDone records carry the
 // wire v4 SubtreeResult summary.
-constexpr char kJournalMagic[8] = {'R', 'V', 'S', 'J', 'R', 'N', 'L', '2'};
+constexpr char kJournalMagic[8] = {'R', 'V', 'S', 'J', 'R', 'N', 'L', '3'};
 
 enum RecordType : std::uint8_t {
   kConfig = 1,
@@ -115,19 +115,13 @@ void JournalWriter::record(std::uint8_t type, const WireWriter& payload) {
 
 void JournalWriter::job_created(std::uint64_t id, bool has_parent,
                                 std::uint64_t parent,
-                                const std::vector<runtime::ProcessId>& prefix,
-                                const std::vector<runtime::ProcessId>& choices,
-                                const std::vector<runtime::ProcessId>& sleep,
-                                std::uint32_t sleep_inherited) {
+                                const check::detail::Donation& region) {
   std::lock_guard<std::mutex> g(mu_);
   body_.clear();
   body_.u64(id);
   body_.u8(has_parent ? 1 : 0);
   body_.u64(parent);
-  body_.schedule(prefix);
-  body_.schedule(choices);
-  body_.schedule(sleep);
-  body_.u32(sleep_inherited);
+  body_.region(region);
   record(kCreated, body_);
 }
 
@@ -218,10 +212,7 @@ JournalContents read_journal(const std::string& path) {
           job.id = r.u64();
           job.has_parent = r.u8() != 0;
           job.parent = r.u64();
-          job.prefix = r.schedule();
-          job.choices = r.schedule();
-          job.sleep = r.schedule();
-          job.sleep_inherited = r.u32();
+          job.region = r.region();
           r.expect_done();
           index[job.id] = out.jobs.size();
           out.jobs.push_back(std::move(job));

@@ -3,8 +3,9 @@
 // `revisim_cli dist-explore --resume <journal>` skip every lex range whose
 // walk already completed.
 //
-// File layout: an 8-byte magic ("RVSJRNL2"; the last byte is the layout
-// version, and a journal of another version is refused by name), then
+// File layout: an 8-byte magic ("RVSJRNL3"; the last byte is the layout
+// version, and a journal of another version is refused by name - layout 3
+// dropped the dedupe_disabled flag from the kDone summary), then
 // records framed like the wire format - [u32 payload length][u8 record
 // type][payload][u32 crc over type + payload] - with all payload integers
 // little-endian via WireWriter/WireReader.  Record types:
@@ -87,10 +88,7 @@ class JournalWriter {
   [[nodiscard]] bool open() const { return file_ != nullptr; }
 
   void job_created(std::uint64_t id, bool has_parent, std::uint64_t parent,
-                   const std::vector<runtime::ProcessId>& prefix,
-                   const std::vector<runtime::ProcessId>& choices,
-                   const std::vector<runtime::ProcessId>& sleep,
-                   std::uint32_t sleep_inherited);
+                   const check::detail::Donation& region);
   void job_done(std::uint64_t id, const check::detail::SubtreeResult& result);
   void job_discarded(std::uint64_t id);
 
@@ -106,10 +104,7 @@ struct JournalJob {
   std::uint64_t id = 0;
   bool has_parent = false;
   std::uint64_t parent = 0;
-  std::vector<runtime::ProcessId> prefix;
-  std::vector<runtime::ProcessId> choices;
-  std::vector<runtime::ProcessId> sleep;
-  std::uint32_t sleep_inherited = 0;
+  check::detail::Donation region;
   bool done = false;
   check::detail::SubtreeResult result;  // valid when done
   bool discarded = false;               // tombstoned by an earlier resume

@@ -88,6 +88,13 @@ void WireWriter::schedule(const std::vector<ProcessId>& entries) {
   }
 }
 
+void WireWriter::region(const check::detail::Donation& d) {
+  schedule(d.prefix);
+  schedule(d.choices);
+  schedule(d.sleep);
+  u32(static_cast<std::uint32_t>(d.sleep_inherited));
+}
+
 void WireWriter::fingerprint(util::Fingerprint fp) {
   u64(fp.hi);
   u64(fp.lo);
@@ -159,6 +166,18 @@ std::vector<ProcessId> WireReader::schedule() {
   return v;
 }
 
+check::detail::Donation WireReader::region() {
+  check::detail::Donation d;
+  d.prefix = schedule();
+  d.choices = schedule();
+  d.sleep = schedule();
+  d.sleep_inherited = u32();
+  if (d.sleep_inherited > d.sleep.size()) {
+    throw WireError("region sleep_inherited exceeds sleep size");
+  }
+  return d;
+}
+
 util::Fingerprint WireReader::fingerprint() {
   util::Fingerprint fp;
   fp.hi = u64();
@@ -182,19 +201,18 @@ void encode_hello(WireWriter& w, const HelloMsg& m) {
   w.u64(m.session);
   w.u32(m.heartbeat_interval_ms);
   w.u32(m.heartbeat_timeout_ms);
-  w.u64(m.max_steps);
-  w.u64(m.max_crashes);
-  w.u8(m.record_traces ? 1 : 0);
-  w.u8(m.dedupe_states ? 1 : 0);
-  w.u8(m.dedupe_audit ? 1 : 0);
-  w.u8(m.dedupe_adaptive ? 1 : 0);
-  w.u8(m.por ? 1 : 0);
+  w.u64(m.options.max_steps);
+  w.u64(m.options.max_crashes);
+  w.u8(m.options.record_traces ? 1 : 0);
+  w.u8(m.options.dedupe_states ? 1 : 0);
+  w.u8(m.options.dedupe_audit ? 1 : 0);
+  w.u8(m.options.por ? 1 : 0);
   w.u64(m.live_interval);
   w.str(m.world);
   w.u64(m.f);
   w.u64(m.m);
   w.u64(m.step_budget);
-  w.u64(m.probe_interval);
+  w.u64(m.options.dist_probe_interval);
 }
 
 HelloMsg decode_hello(WireReader& r) {
@@ -211,19 +229,18 @@ HelloMsg decode_hello(WireReader& r) {
   m.session = r.u64();
   m.heartbeat_interval_ms = r.u32();
   m.heartbeat_timeout_ms = r.u32();
-  m.max_steps = r.u64();
-  m.max_crashes = r.u64();
-  m.record_traces = r.u8() != 0;
-  m.dedupe_states = r.u8() != 0;
-  m.dedupe_audit = r.u8() != 0;
-  m.dedupe_adaptive = r.u8() != 0;
-  m.por = r.u8() != 0;
+  m.options.max_steps = static_cast<std::size_t>(r.u64());
+  m.options.max_crashes = static_cast<std::size_t>(r.u64());
+  m.options.record_traces = r.u8() != 0;
+  m.options.dedupe_states = r.u8() != 0;
+  m.options.dedupe_audit = r.u8() != 0;
+  m.options.por = r.u8() != 0;
   m.live_interval = r.u64();
   m.world = r.str();
   m.f = r.u64();
   m.m = r.u64();
   m.step_budget = r.u64();
-  m.probe_interval = r.u64();
+  m.options.dist_probe_interval = static_cast<std::size_t>(r.u64());
   r.expect_done();
   return m;
 }
@@ -259,10 +276,7 @@ void encode_job(WireWriter& w, const JobMsg& m) {
   w.u64(m.id);
   w.u64(m.budget);
   w.u64(m.fault_after);
-  w.schedule(m.prefix);
-  w.schedule(m.choices);
-  w.schedule(m.sleep);
-  w.u32(m.sleep_inherited);
+  w.region(m.region);
   w.u8(m.no_dedupe ? 1 : 0);
 }
 
@@ -271,13 +285,7 @@ JobMsg decode_job(WireReader& r) {
   m.id = r.u64();
   m.budget = r.u64();
   m.fault_after = r.u64();
-  m.prefix = r.schedule();
-  m.choices = r.schedule();
-  m.sleep = r.schedule();
-  m.sleep_inherited = r.u32();
-  if (m.sleep_inherited > m.sleep.size()) {
-    throw WireError("job sleep_inherited exceeds sleep size");
-  }
+  m.region = r.region();
   m.no_dedupe = r.u8() != 0;
   r.expect_done();
   return m;
@@ -297,7 +305,6 @@ void encode_subtree_result(WireWriter& w,
   w.u64(s.por_skipped);
   w.u64(s.dependent_wakeups);
   w.u64(s.footprint_bytes);
-  w.u8(s.dedupe_disabled ? 1 : 0);
 }
 
 check::detail::SubtreeResult decode_subtree_result(WireReader& r) {
@@ -317,7 +324,6 @@ check::detail::SubtreeResult decode_subtree_result(WireReader& r) {
   s.por_skipped = static_cast<std::size_t>(r.u64());
   s.dependent_wakeups = static_cast<std::size_t>(r.u64());
   s.footprint_bytes = r.u64();
-  s.dedupe_disabled = r.u8() != 0;
   return s;
 }
 
@@ -362,22 +368,13 @@ LiveMsg decode_live(WireReader& r) {
 
 void encode_donate(WireWriter& w, const DonateMsg& m) {
   w.u64(m.parent);
-  w.schedule(m.prefix);
-  w.schedule(m.choices);
-  w.schedule(m.sleep);
-  w.u32(m.sleep_inherited);
+  w.region(m.region);
 }
 
 DonateMsg decode_donate(WireReader& r) {
   DonateMsg m;
   m.parent = r.u64();
-  m.prefix = r.schedule();
-  m.choices = r.schedule();
-  m.sleep = r.schedule();
-  m.sleep_inherited = r.u32();
-  if (m.sleep_inherited > m.sleep.size()) {
-    throw WireError("donate sleep_inherited exceeds sleep size");
-  }
+  m.region = r.region();
   r.expect_done();
   return m;
 }

@@ -7,8 +7,9 @@
 // worlds (the worker rebuilds its root world and replays the prefix) - so
 // the encoding below is a straight transcription.
 //
-// Encoding rules, version 5 (v5 dropped kFpInsert, kFpReply and
-// kFpVerdicts and the fp_batch/fp_window hello fields: workers dedupe
+// Encoding rules, version 6 (v6 dropped the dedupe_adaptive hello flag and
+// the dedupe_disabled result-summary flag; v5 dropped kFpInsert, kFpReply
+// and kFpVerdicts and the fp_batch/fp_window hello fields: workers dedupe
 // against their own tables and kFpBatch became a one-way report; v4
 // dropped the warm-pool capacity from kHello and replay_steps_saved from
 // the kJobResult summary):
@@ -83,7 +84,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4d535652u;  // "RVSM"
-inline constexpr std::uint16_t kWireVersion = 5;
+inline constexpr std::uint16_t kWireVersion = 6;
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 // [u32 len][u8 type][u32 seq][u32 crc]
 inline constexpr std::size_t kFrameHeaderBytes = 13;
@@ -134,6 +135,9 @@ class WireWriter {
   void str(const std::string& v);
   void entry(runtime::ProcessId e) { u64(entry_to_wire(e)); }
   void schedule(const std::vector<runtime::ProcessId>& entries);
+  // A job region: prefix, choices and sleep schedules, then the u32 count
+  // of inherited sleepers.
+  void region(const check::detail::Donation& d);
   void fingerprint(util::Fingerprint fp);
 
   [[nodiscard]] const std::uint8_t* data() const { return buf_.data(); }
@@ -157,6 +161,8 @@ class WireReader {
   std::string str();
   runtime::ProcessId entry() { return entry_from_wire(u64()); }
   std::vector<runtime::ProcessId> schedule();
+  // Rejects an inherited-sleeper count larger than the sleep set.
+  check::detail::Donation region();
   util::Fingerprint fingerprint();
 
   [[nodiscard]] bool done() const { return off_ == size_; }
@@ -184,20 +190,12 @@ struct HelloMsg {
   // timeout of silence.  interval 0 = heartbeats off.
   std::uint32_t heartbeat_interval_ms = 0;
   std::uint32_t heartbeat_timeout_ms = 0;
-  // Exploration options shipped once per connection; the per-job execution
-  // budget rides on each kJob instead (it depends on the cap bound).
-  std::uint64_t max_steps = 64;
-  std::uint64_t max_crashes = 0;
-  bool record_traces = false;
-  bool dedupe_states = false;
-  bool dedupe_audit = false;
-  bool dedupe_adaptive = false;
-  bool por = false;
+  // Exploration options shipped once per connection: every field but
+  // max_executions, whose per-job budget rides on each kJob instead (it
+  // depends on the cap bound).  dist_probe_interval is the abort-probe pump
+  // cadence: the worker drains coordinator frames every that-many-th probe.
+  check::ScheduleExploreOptions options;
   std::uint64_t live_interval = 256;  // executions between kLive messages
-  // Abort-probe pump cadence: the worker drains coordinator frames every
-  // `probe_interval`-th abort probe (ScheduleExploreOptions::
-  // dist_probe_interval, validated >= 1).
-  std::uint64_t probe_interval = 16;
   // Registry world (src/check/crash_worlds.h) for cluster workers; an empty
   // name means the worker holds the factory already (fork mode).
   std::string world;
@@ -219,16 +217,13 @@ struct JobMsg {
   std::uint64_t id = 0;
   std::uint64_t budget = 0;       // max executions for this job
   std::uint64_t fault_after = 0;  // test hook: _exit after N executions
-  std::vector<runtime::ProcessId> prefix;
-  std::vector<runtime::ProcessId> choices;  // empty = all choices (seed job)
-  std::vector<runtime::ProcessId> sleep;
-  // Leading entries of `sleep` that are inherited sleepers (wakeup-counting)
-  // rather than the donor's explored elder siblings; see Donation.
-  std::uint32_t sleep_inherited = 0;
+  // Prefix, choices (empty = all choices: the seed job) and sleep set; see
+  // Donation.
+  check::detail::Donation region;
   // Re-run of a job whose previous attempt was lost with dedupe on: the
   // worker must walk the whole region unpruned (and donate it onward
   // unpruned), because worker tables may hold states of regions the
-  // requeue cancelled (see requeue_or_fail in coordinator.cpp).
+  // requeue cancelled (see JobLedger::requeue_or_fail, job_ledger.h).
   bool no_dedupe = false;
 };
 
@@ -249,10 +244,7 @@ struct LiveMsg {
 
 struct DonateMsg {
   std::uint64_t parent = 0;  // job the region was split from
-  std::vector<runtime::ProcessId> prefix;
-  std::vector<runtime::ProcessId> choices;
-  std::vector<runtime::ProcessId> sleep;
-  std::uint32_t sleep_inherited = 0;  // as in JobMsg
+  check::detail::Donation region;
 };
 
 struct CreditMsg {

@@ -138,7 +138,7 @@ class ReportingStore final : public check::StateStore {
  public:
   explicit ReportingStore(Session& session)
       : session_(session),
-        local_(check::StateTable::Options{.audit = session.hello.dedupe_audit}) {
+        local_(check::StateTable::Options{.audit = session.hello.options.dedupe_audit}) {
     batch_.has_canonical = local_.audit();
   }
 
@@ -266,40 +266,35 @@ void run_job(Session& s, const JobMsg& job,
   s.budget.store(job.budget, std::memory_order_relaxed);
   s.abort_job = false;
 
-  check::detail::SubtreeOptions sub;
-  sub.max_steps = static_cast<std::size_t>(s.hello.max_steps);
+  check::detail::SubtreeOptions sub =
+      check::detail::subtree_options(s.hello.options);
   sub.max_executions = static_cast<std::size_t>(job.budget);
-  sub.record_traces = s.hello.record_traces;
-  sub.max_crashes = static_cast<std::size_t>(s.hello.max_crashes);
   // A job re-queued after a lost deduped attempt runs with dedupe off: a
   // worker table may hold states of regions the requeue cancelled, which
-  // must not prune the re-run - the coordinator marks it no_dedupe.
-  sub.dedupe_states = s.hello.dedupe_states && !job.no_dedupe;
-  sub.dedupe_adaptive = s.hello.dedupe_adaptive && !job.no_dedupe;
-  sub.por = s.hello.por;
+  // must not prune the re-run (job_ledger.h) - the coordinator marks it
+  // no_dedupe.
+  sub.dedupe_states = sub.dedupe_states && !job.no_dedupe;
   sub.table = job.no_dedupe ? nullptr : store;
   sub.live_executions = &s.live;
 
   check::detail::JobContext ctx;
-  if (!job.choices.empty()) {
-    ctx.root_choices = &job.choices;
-    ctx.root_sleep = &job.sleep;
-    ctx.root_sleep_inherited = job.sleep_inherited;
+  if (!job.region.choices.empty()) {
+    ctx.root_choices = &job.region.choices;
+    ctx.root_sleep = &job.region.sleep;
+    ctx.root_sleep_inherited = job.region.sleep_inherited;
   }
   ctx.split.want = [&s] { return s.steal_wanted; };
   ctx.split.take = [&s](check::detail::Donation& d) {
     DonateMsg msg;
     msg.parent = s.job_id;
-    msg.prefix = std::move(d.prefix);
-    msg.choices = std::move(d.choices);
-    msg.sleep = std::move(d.sleep);
-    msg.sleep_inherited = static_cast<std::uint32_t>(d.sleep_inherited);
+    msg.region = std::move(d);
     s.out.clear();
     encode_donate(s.out, msg);
     s.ch.send(MsgType::kDonate, s.out);
     s.steal_wanted = false;  // one donation per request
     s.log->line("worker %u: donated prefix=%zu choices=%zu (job %llu)",
-                s.hello.worker, msg.prefix.size(), msg.choices.size(),
+                s.hello.worker, msg.region.prefix.size(),
+                msg.region.choices.size(),
                 static_cast<unsigned long long>(s.job_id));
     return true;
   };
@@ -315,7 +310,7 @@ void run_job(Session& s, const JobMsg& job,
   // smoke gate bounds.  Interval 1 drains at every execution boundary,
   // the cadence the wire bit-parity tests pin.
   const std::uint64_t probe_interval =
-      std::max<std::uint64_t>(s.hello.probe_interval, 1);
+      std::max<std::uint64_t>(s.hello.options.dist_probe_interval, 1);
   auto abort = [&]() -> bool {
     if (probes++ % probe_interval == 0) {
       pump(s);
@@ -345,7 +340,8 @@ void run_job(Session& s, const JobMsg& job,
 
   try {
     check::detail::SubtreeResult result =
-        check::detail::explore_job(factory, job.prefix, sub, abort, &ctx);
+        check::detail::explore_job(factory, job.region.prefix, sub, abort,
+                                   &ctx);
     if (store != nullptr) {
       store->flush();  // the job's sightings land before its result
     }
@@ -444,11 +440,11 @@ bool serve_session(
         "heartbeat=%ums)",
         s.hello.worker,
         s.hello.world.empty() ? "<local factory>" : s.hello.world.c_str(),
-        s.hello.dedupe_states ? 1 : 0, s.hello.por ? 1 : 0,
-        static_cast<unsigned long long>(s.hello.max_crashes),
+        s.hello.options.dedupe_states ? 1 : 0, s.hello.options.por ? 1 : 0,
+        static_cast<unsigned long long>(s.hello.options.max_crashes),
         s.hello.heartbeat_interval_ms);
     // The dedupe table persists across jobs (and across reconnects).
-    if (s.hello.dedupe_states) {
+    if (s.hello.options.dedupe_states) {
       store = std::make_unique<ReportingStore>(s);
     }
   } else {

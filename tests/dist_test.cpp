@@ -295,15 +295,14 @@ TEST(Wire, ReaderRejectsTruncationTrailingBytesAndCorruptCounts) {
 TEST(Wire, HelloRoundTripAndVersionCheck) {
   dist::HelloMsg m;
   m.worker = 3;
-  m.max_steps = 48;
-  m.max_crashes = 2;
-  m.record_traces = true;
-  m.dedupe_states = true;
-  m.dedupe_audit = true;
-  m.dedupe_adaptive = true;
-  m.por = true;
+  m.options.max_steps = 48;
+  m.options.max_crashes = 2;
+  m.options.record_traces = true;
+  m.options.dedupe_states = true;
+  m.options.dedupe_audit = true;
+  m.options.por = true;
   m.live_interval = 99;
-  m.probe_interval = 1;
+  m.options.dist_probe_interval = 1;
   m.world = "aug-mutant";
   m.f = 2;
   m.m = 3;
@@ -315,15 +314,14 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   const dist::HelloMsg got = dist::decode_hello(r);
   r.expect_done();
   EXPECT_EQ(got.worker, m.worker);
-  EXPECT_EQ(got.max_steps, m.max_steps);
-  EXPECT_EQ(got.max_crashes, m.max_crashes);
-  EXPECT_EQ(got.record_traces, m.record_traces);
-  EXPECT_EQ(got.dedupe_states, m.dedupe_states);
-  EXPECT_EQ(got.dedupe_audit, m.dedupe_audit);
-  EXPECT_EQ(got.dedupe_adaptive, m.dedupe_adaptive);
-  EXPECT_EQ(got.por, m.por);
+  EXPECT_EQ(got.options.max_steps, m.options.max_steps);
+  EXPECT_EQ(got.options.max_crashes, m.options.max_crashes);
+  EXPECT_EQ(got.options.record_traces, m.options.record_traces);
+  EXPECT_EQ(got.options.dedupe_states, m.options.dedupe_states);
+  EXPECT_EQ(got.options.dedupe_audit, m.options.dedupe_audit);
+  EXPECT_EQ(got.options.por, m.options.por);
   EXPECT_EQ(got.live_interval, m.live_interval);
-  EXPECT_EQ(got.probe_interval, m.probe_interval);
+  EXPECT_EQ(got.options.dist_probe_interval, m.options.dist_probe_interval);
   EXPECT_EQ(got.world, m.world);
   EXPECT_EQ(got.f, m.f);
   EXPECT_EQ(got.m, m.m);
@@ -383,7 +381,7 @@ TEST(Wire, VersionFourPeersAreRefusedByName) {
   // v5 dropped kFpInsert, kFpReply and kFpVerdicts and the fp_batch /
   // fp_window hello fields: a v4 worker would wait forever for verdicts
   // that never come, so it must be refused at the handshake by name.
-  static_assert(dist::kWireVersion == 5);
+  static_assert(dist::kWireVersion > 4);
   dist::WireWriter w;
   dist::encode_hello(w, dist::HelloMsg{});
   expect_version_skew(with_version(w, 4), dist::decode_hello, 4);
@@ -393,15 +391,29 @@ TEST(Wire, VersionFourPeersAreRefusedByName) {
   expect_version_skew(with_version(w, 4), dist::decode_hello_ack, 4);
 }
 
+TEST(Wire, VersionFivePeersAreRefusedByName) {
+  // v6 dropped the dedupe_adaptive hello flag and the dedupe_disabled
+  // result-summary flag: a v5 peer's frames are one byte off, so it must be
+  // refused at the handshake by name, never misparsed.
+  static_assert(dist::kWireVersion == 6);
+  dist::WireWriter w;
+  dist::encode_hello(w, dist::HelloMsg{});
+  expect_version_skew(with_version(w, 5), dist::decode_hello, 5);
+
+  w.clear();
+  dist::encode_hello_ack(w, dist::HelloAckMsg{});
+  expect_version_skew(with_version(w, 5), dist::decode_hello_ack, 5);
+}
+
 TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
   dist::JobMsg job;
   job.id = 42;
   job.budget = 1234;
   job.fault_after = 9;
-  job.prefix = {0, 1, runtime::make_crash_entry(0)};
-  job.choices = {2, runtime::make_crash_entry(1)};
-  job.sleep = {1, 2};
-  job.sleep_inherited = 1;
+  job.region.prefix = {0, 1, runtime::make_crash_entry(0)};
+  job.region.choices = {2, runtime::make_crash_entry(1)};
+  job.region.sleep = {1, 2};
+  job.region.sleep_inherited = 1;
   job.no_dedupe = true;
   dist::WireWriter w;
   dist::encode_job(w, job);
@@ -412,17 +424,17 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
     EXPECT_EQ(got.id, job.id);
     EXPECT_EQ(got.budget, job.budget);
     EXPECT_EQ(got.fault_after, job.fault_after);
-    EXPECT_EQ(got.prefix, job.prefix);
-    EXPECT_EQ(got.choices, job.choices);
-    EXPECT_EQ(got.sleep, job.sleep);
-    EXPECT_EQ(got.sleep_inherited, job.sleep_inherited);
+    EXPECT_EQ(got.region.prefix, job.region.prefix);
+    EXPECT_EQ(got.region.choices, job.region.choices);
+    EXPECT_EQ(got.region.sleep, job.region.sleep);
+    EXPECT_EQ(got.region.sleep_inherited, job.region.sleep_inherited);
     EXPECT_EQ(got.no_dedupe, job.no_dedupe);
   }
 
   {
     // An inherited count past the sleep list is corruption, not data.
     dist::JobMsg bad = job;
-    bad.sleep_inherited = 3;
+    bad.region.sleep_inherited = 3;
     w.clear();
     dist::encode_job(w, bad);
     dist::WireReader r(w.data(), w.size());
@@ -442,7 +454,6 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
   res.result.por_skipped = 5;
   res.result.dependent_wakeups = 6;
   res.result.footprint_bytes = 4096;
-  res.result.dedupe_disabled = true;
   w.clear();
   dist::encode_job_result(w, res);
   {
@@ -461,7 +472,6 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
     EXPECT_EQ(got.result.por_skipped, res.result.por_skipped);
     EXPECT_EQ(got.result.dependent_wakeups, res.result.dependent_wakeups);
     EXPECT_EQ(got.result.footprint_bytes, res.result.footprint_bytes);
-    EXPECT_EQ(got.result.dedupe_disabled, res.result.dedupe_disabled);
   }
 }
 
@@ -505,20 +515,20 @@ TEST(Wire, ControlMessagesRoundTrip) {
   {
     dist::DonateMsg m;
     m.parent = 4;
-    m.prefix = {1, 0};
-    m.choices = {0, 1, runtime::make_crash_entry(0)};
-    m.sleep = {1, 2};
-    m.sleep_inherited = 2;
+    m.region.prefix = {1, 0};
+    m.region.choices = {0, 1, runtime::make_crash_entry(0)};
+    m.region.sleep = {1, 2};
+    m.region.sleep_inherited = 2;
     w.clear();
     dist::encode_donate(w, m);
     dist::WireReader r(w.data(), w.size());
     const dist::DonateMsg got = dist::decode_donate(r);
     r.expect_done();
     EXPECT_EQ(got.parent, m.parent);
-    EXPECT_EQ(got.prefix, m.prefix);
-    EXPECT_EQ(got.choices, m.choices);
-    EXPECT_EQ(got.sleep, m.sleep);
-    EXPECT_EQ(got.sleep_inherited, m.sleep_inherited);
+    EXPECT_EQ(got.region.prefix, m.region.prefix);
+    EXPECT_EQ(got.region.choices, m.region.choices);
+    EXPECT_EQ(got.region.sleep, m.region.sleep);
+    EXPECT_EQ(got.region.sleep_inherited, m.region.sleep_inherited);
   }
   {
     dist::CreditMsg m;

@@ -85,6 +85,8 @@ class ScriptWorld final : public ExplorableWorld {
     util::feed(sink, order_);
   }
 
+  const Schedule& order() const { return order_; }
+
  private:
   Scheduler sched_;
   std::vector<ProcessId> order_;
@@ -327,9 +329,9 @@ TEST(ParallelExplore, ForcedStealsStayBitIdentical) {
 }
 
 TEST(ParallelExplore, SingleThreadIsTheSerialEngineInline) {
-  // threads == 1 bypasses the stealing machinery entirely: one job, zero
-  // steals, results bit-identical to explore_schedules - with and without
-  // a cap or a planted violation.
+  // threads == 1 is one worker on the calling thread: nobody is ever
+  // hungry, so one job, zero steals, results bit-identical to
+  // explore_schedules - with and without a cap or a planted violation.
   const Schedule planted{0, 1, 1, 0};
   for (std::size_t cap : {3u, 500'000u}) {
     ScheduleExploreOptions base;
@@ -618,12 +620,23 @@ TEST(ParallelExplore, ViolationExactlyAtCapAcrossThreads) {
 // --- graceful degradation: failing jobs, retries, wall-clock abort ---
 
 // Wraps ScriptWorld; verdict() throws until the shared countdown hits zero.
+// With `first_leaf_calls` set, it also counts the verdicts evaluated at the
+// lexicographically first leaf - which only the seed job's region holds,
+// and which each of its attempts reaches first.
 class FlakyWorld final : public ExplorableWorld {
  public:
-  FlakyWorld(std::vector<std::size_t> writes, std::atomic<int>* throws_left)
-      : inner_(std::move(writes), {}), throws_left_(throws_left) {}
+  FlakyWorld(std::vector<std::size_t> writes, std::atomic<int>* throws_left,
+             std::vector<Schedule> planted = {},
+             std::atomic<int>* first_leaf_calls = nullptr)
+      : first_leaf_(first_leaf(writes)),
+        inner_(std::move(writes), std::move(planted)),
+        throws_left_(throws_left),
+        first_leaf_calls_(first_leaf_calls) {}
   Scheduler& scheduler() override { return inner_.scheduler(); }
   std::optional<std::string> verdict(bool complete) override {
+    if (first_leaf_calls_ != nullptr && inner_.order() == first_leaf_) {
+      first_leaf_calls_->fetch_add(1);
+    }
     if (throws_left_->fetch_add(-1) > 0) {
       throw std::runtime_error("injected verdict fault");
     }
@@ -634,8 +647,18 @@ class FlakyWorld final : public ExplorableWorld {
   }
 
  private:
+  static Schedule first_leaf(const std::vector<std::size_t>& writes) {
+    Schedule leaf;
+    for (ProcessId p = 0; p < writes.size(); ++p) {
+      leaf.insert(leaf.end(), writes[p], p);
+    }
+    return leaf;
+  }
+
+  Schedule first_leaf_;
   ScriptWorld inner_;
   std::atomic<int>* throws_left_;
+  std::atomic<int>* first_leaf_calls_;
 };
 
 TEST(ParallelDegrade, PersistentlyThrowingJobYieldsErrorNotDeadlock) {
@@ -673,6 +696,76 @@ TEST(ParallelDegrade, TransientFaultIsAbsorbedByRetry) {
   expect_same(res, serial, "transient fault absorbed");
   EXPECT_FALSE(res.error.has_value());
   EXPECT_FALSE(res.timed_out);
+}
+
+TEST(ParallelDegrade, TransientFaultUnderDedupeRequeuesSoundly) {
+  // One injected throw under dedupe, with no serial probe to absorb it.  The
+  // failing attempt may have donated regions, and it claimed states in the
+  // shared table whose subtrees it never walked.  Its re-run must cancel
+  // those donations and walk the whole region with dedupe off: a re-run
+  // against the shared table prunes at the failed attempt's own claims and
+  // loses executions - or the planted violation.  Every ScriptWorld state
+  // is unique, so a sound deduped run prunes nothing and matches serial
+  // exactly.
+  const std::vector<std::size_t> writes{2, 2, 2};
+  for (bool plant : {false, true}) {
+    std::vector<Schedule> planted;
+    if (plant) {
+      planted.push_back({0, 1, 0, 1, 2, 2});
+    }
+    ScheduleExploreOptions base;
+    base.dedupe_states = true;
+    const auto serial = explore_schedules(script_factory(writes, planted), base);
+    if (!plant) {
+      ASSERT_EQ(serial.executions, 90u);  // 6! / (2!2!2!)
+    }
+    ASSERT_EQ(serial.violation.has_value(), plant);
+    for (int iter = 0; iter < 20; ++iter) {
+      std::atomic<int> once(1);
+      ParallelExploreOptions opt;
+      opt.base = base;
+      opt.threads = 2;
+      opt.oversubscribe = true;
+      opt.serial_probe_executions = 0;
+      const auto res = parallel_explore_schedules(
+          [&] { return std::make_unique<FlakyWorld>(writes, &once, planted); },
+          opt);
+      const std::string what =
+          "planted=" + std::to_string(plant) + " iter=" + std::to_string(iter);
+      expect_same(res, serial, what);
+      EXPECT_FALSE(res.error.has_value()) << what << ": " << *res.error;
+      EXPECT_LT(once.load(), 1) << what;  // the fault did fire
+    }
+  }
+}
+
+TEST(ParallelDegrade, FailedJobQuotesTheAttemptsThatRan) {
+  // Every verdict throws, so the seed job fails; each of its attempts
+  // reaches the lexicographically first leaf first and throws there.  With
+  // two hungry workers the seed donates before it throws, and its retries
+  // must still run (cancel the donations, re-run), so the error's attempt
+  // count is the number of attempts that really reached that leaf.
+  for (std::size_t threads : {1u, 2u}) {
+    std::atomic<int> always(1 << 20);
+    std::atomic<int> seed_attempts(0);
+    ParallelExploreOptions opt;
+    opt.threads = threads;
+    opt.oversubscribe = true;
+    opt.serial_probe_executions = 0;
+    opt.job_retries = 2;
+    const auto res = parallel_explore_schedules(
+        [&] {
+          return std::make_unique<FlakyWorld>(std::vector<std::size_t>{2, 2, 2},
+                                              &always, std::vector<Schedule>{},
+                                              &seed_attempts);
+        },
+        opt);
+    ASSERT_TRUE(res.error.has_value()) << threads;
+    EXPECT_NE(res.error->find("failed after 3 attempt(s)"), std::string::npos)
+        << *res.error;
+    EXPECT_EQ(seed_attempts.load(), 3) << threads;
+    EXPECT_FALSE(res.exhausted);
+  }
 }
 
 Task<void> slow_writes(Scheduler& sched, std::size_t obj, ProcessId /*me*/,

@@ -404,80 +404,5 @@ TEST(Por, ComposesWithDedupeOnViolation) {
   EXPECT_TRUE(both.violation.has_value());
 }
 
-// --- adaptive dedupe kill-switch -----------------------------------------
-
-Task<void> log_script(Scheduler& sched, std::size_t obj,
-                      std::vector<ProcessId>& order, ProcessId me,
-                      std::size_t writes) {
-  for (std::size_t i = 0; i < writes; ++i) {
-    co_await runtime::StepAwaiter<void>(
-        sched, [&order, me] { order.push_back(me); }, obj, StepKind::kWrite,
-        {});
-  }
-}
-
-// Every state unique: the order log is the schedule and is folded into the
-// fingerprint, so the transposition table can never prune here - the
-// pathological workload the adaptive kill-switch exists for.
-class UniqueStateWorld final : public ExplorableWorld {
- public:
-  explicit UniqueStateWorld(std::vector<std::size_t> writes) {
-    const std::size_t obj = sched_.register_object("r");
-    for (ProcessId p = 0; p < writes.size(); ++p) {
-      sched_.spawn(log_script(sched_, obj, order_, p, writes[p]), "q");
-    }
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-  std::optional<std::string> verdict(bool /*complete*/) override {
-    return std::nullopt;
-  }
-  void fingerprint_extra(util::StateSink& sink) override {
-    util::feed(sink, order_);
-  }
-
- private:
-  Scheduler sched_;
-  std::vector<ProcessId> order_;
-};
-
-TEST(AdaptiveDedupe, DisablesOnPruneFreeWorkload) {
-  ScheduleExploreOptions opt;
-  opt.dedupe_states = true;
-  opt.dedupe_adaptive = true;
-  auto factory = [] {
-    return std::make_unique<UniqueStateWorld>(
-        std::vector<std::size_t>{4, 4, 3});
-  };
-  auto res = explore_schedules(factory, opt);
-  EXPECT_TRUE(res.exhausted);
-  EXPECT_EQ(res.executions, 11550u);  // 11! / (4! 4! 3!): nothing pruned
-  EXPECT_TRUE(res.dedupe_disabled_adaptively);
-  EXPECT_EQ(res.subtrees_pruned, 0u);
-}
-
-TEST(AdaptiveDedupe, StaysOnWhenPruningEarns) {
-  // Disjoint registers transpose massively: the prune rate stays far above
-  // the kill threshold, so adaptive dedupe must not disable itself.
-  ScheduleExploreOptions opt;
-  opt.dedupe_states = true;
-  opt.dedupe_adaptive = true;
-  auto res = explore_schedules(disjoint_factory(3, 4), opt);
-  EXPECT_TRUE(res.exhausted);
-  EXPECT_GT(res.subtrees_pruned, 0u);
-  EXPECT_FALSE(res.dedupe_disabled_adaptively);
-  // And the deduped verdict agrees with the plain explorer's.
-  auto plain = explore_schedules(disjoint_factory(3, 4), {});
-  EXPECT_EQ(res.violation, plain.violation);
-  EXPECT_EQ(res.exhausted, plain.exhausted);
-}
-
-TEST(AdaptiveDedupe, RequiresDedupeStates) {
-  ScheduleExploreOptions opt;
-  opt.dedupe_adaptive = true;
-  EXPECT_THROW(explore_schedules(disjoint_factory(2, 2), opt),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace revisim

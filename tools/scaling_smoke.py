@@ -123,7 +123,6 @@ SCALING_SCHEMA = {
     "por_skipped": int,
     "dependent_wakeups": int,
     "footprint_bytes": int,
-    "dedupe_disabled_adaptively": bool,
     "reduction_vs_undeduped": NUMBER,
     "seconds": NUMBER,
     "execs_per_sec": NUMBER,
