@@ -229,11 +229,10 @@ BENCHMARK(BM_WireFpBatchRoundtrip)
     ->Arg(static_cast<std::int64_t>(dist::kFpBatchSize));
 
 void BM_ChannelEnqueueFlush(benchmark::State& state) {
-  // The buffered (epoll-side) send path end to end: enqueue N frames into
-  // the reserve-once tx buffer, flush with one scatter-gather writev, and
-  // drain them through buffered_recv on the far side of a socketpair.
-  // Compares directly with N blocking send() round trips (syscalls per
-  // frame vs per flush).
+  // The channel's send path end to end: enqueue N frames into the
+  // reserve-once tx buffer, flush them with one send, and drain them
+  // through buffered_recv on the far side of a socketpair (syscalls per
+  // flush, not per frame).
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
@@ -244,8 +243,6 @@ void BM_ChannelEnqueueFlush(benchmark::State& state) {
   dist::Channel rx;
   tx.adopt(sv[0]);
   rx.adopt(sv[1]);
-  tx.set_nonblocking();
-  rx.set_nonblocking();
   dist::LiveMsg live{7, 123456};
   dist::WireWriter w;
   dist::Frame frame;

@@ -14,7 +14,7 @@
 //   revisim_cli dist-explore [--workers N | --connect H:P ...] [--world W]
 //               [--f F] [--m M] [--budget B] [--max-crashes C]
 //               [--max-steps S] [--max-executions E] [--por] [--dedupe]
-//               [--retries R] [--witness PATH] [--probe-interval N]
+//               [--retries R] [--witness PATH]
 //               [--journal PATH | --resume PATH] [--heartbeat-ms MS]
 //               [--heartbeat-timeout-ms MS] [--reconnect-ms MS]
 //               [--fault SPEC] [--coord-fault SPEC] [--halt-after-jobs N]
@@ -371,9 +371,6 @@ int run_dist_explore(int argc, char** argv) {
       parse_number("--workers", next("--workers"), opt.workers);
     } else if (!std::strcmp(argv[i], "--connect")) {
       endpoints.push_back(next("--connect"));
-    } else if (!std::strcmp(argv[i], "--probe-interval")) {
-      parse_number("--probe-interval", next("--probe-interval"),
-                   opt.base.dist_probe_interval);
     } else if (!std::strcmp(argv[i], "--retries")) {
       parse_number("--retries", next("--retries"), opt.job_retries);
     } else if (!std::strcmp(argv[i], "--witness")) {

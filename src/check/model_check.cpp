@@ -24,11 +24,6 @@ void validate(const ScheduleExploreOptions& options) {
     throw std::invalid_argument(
         "ScheduleExploreOptions: dedupe_audit requires dedupe_states");
   }
-  if (options.dist_probe_interval < 1) {
-    throw std::invalid_argument(
-        "ScheduleExploreOptions: dist_probe_interval must be >= 1 (a worker "
-        "that never pumps the control channel cannot hear aborts)");
-  }
 }
 
 ScheduleExploreResult explore_schedules(

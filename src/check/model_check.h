@@ -117,12 +117,6 @@ struct ScheduleExploreOptions {
   // dedupe_states and with crash branching (crash entries are dependent
   // with everything).
   bool por = false;
-  // Distributed workers only: pump the control channel (abort probes,
-  // fingerprint verdicts) every N explored executions.  1 probes at every
-  // execution boundary - the cadence used by the wire bit-parity tests -
-  // at the cost of a poll syscall per execution.  Ignored by the serial
-  // and in-process parallel explorers.
-  std::size_t dist_probe_interval = 16;
 };
 
 struct ScheduleExploreResult {

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdarg>
 #include <cstring>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +22,7 @@
 #include "src/check/explore_merge.h"
 #include "src/check/state_table.h"
 #include "src/dist/journal.h"
+#include "src/dist/log.h"
 #include "src/dist/wire.h"
 #include "src/dist/worker.h"
 
@@ -31,34 +31,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using Job = check::detail::JobLedger::Job;
-
-class Log {
- public:
-  explicit Log(const std::string& path) {
-    if (!path.empty()) {
-      file_ = std::fopen(path.c_str(), "a");
-    }
-  }
-  ~Log() {
-    if (file_ != nullptr) {
-      std::fclose(file_);
-    }
-  }
-  void line(const char* fmt, ...) {
-    if (file_ == nullptr) {
-      return;
-    }
-    va_list ap;
-    va_start(ap, fmt);
-    std::vfprintf(file_, fmt, ap);
-    va_end(ap);
-    std::fputc('\n', file_);
-    std::fflush(file_);
-  }
-
- private:
-  std::FILE* file_ = nullptr;
-};
 
 // Every epoll registration points at one of these; `kind` says what the
 // event loop is looking at.
@@ -73,8 +45,9 @@ struct PollTarget {
 // channel back under the same session token.
 struct Conn : PollTarget {
   // kHandshaking: hello sent, awaiting the ack.  kServing: live.
-  // kAwaitingReconnect: socket dead, fork-mode worker may re-dial within
-  // the window.  kDead: retired for good.
+  // kAwaitingReconnect: socket dead; within the window a fork-mode worker
+  // re-dials us, or we re-dial a cluster endpoint.  kDead: retired for
+  // good.
   enum Phase { kHandshaking, kServing, kAwaitingReconnect, kDead };
 
   Channel ch;
@@ -100,9 +73,11 @@ struct Conn : PollTarget {
   bool write_armed = false;  // epoll registration includes EPOLLOUT
 
   // Cluster mode: the endpoint to re-dial (empty host = fork mode, where
-  // the worker re-dials us through the kept-open listener instead).
+  // the worker re-dials us through the kept-open listener instead), and
+  // when the next attempt may start.
   std::string host;
   std::uint16_t port = 0;
+  Clock::time_point next_dial{};
 };
 
 // A re-dialed socket mid-handshake: the provisional hello is out, the ack
@@ -110,10 +85,16 @@ struct Conn : PollTarget {
 struct Provisional : PollTarget {
   Channel ch;
   Frame in;
+  // The token the hello carried: a cluster re-dial's session, or 0 for a
+  // fork-mode worker accepted on the listener.
+  std::uint64_t session = 0;
   Clock::time_point deadline{};
   bool dead = false;
   bool write_armed = false;
 };
+
+// Pause between re-dial attempts at a lost cluster endpoint.
+constexpr std::chrono::milliseconds kRedialInterval{100};
 
 struct CoState {
   explicit CoState(const DistExploreOptions& o)
@@ -361,41 +342,11 @@ void retire(CoState& co, Conn& conn, const std::string& reason) {
   }
 }
 
-// Blocking hello/ack handshake on conn's current (blocking) channel - the
-// cluster-mode re-dial path only; first connections and fork-mode
-// reconnects handshake asynchronously through the event loop.  Returns
-// false on rejection or I/O failure.
-bool handshake_blocking(CoState& co, Conn& conn,
-                        const check::CrashWorldSpec* spec) {
-  const HelloMsg hello = make_hello(
-      co, static_cast<std::uint32_t>(conn.worker), conn.session, spec);
-  try {
-    conn.out.clear();
-    encode_hello(conn.out, hello);
-    conn.ch.send(MsgType::kHello, conn.out);
-    if (!conn.ch.wait(10'000) || !conn.ch.recv(conn.in) ||
-        conn.in.type != MsgType::kHelloAck) {
-      throw WireError("no hello-ack");
-    }
-    WireReader r = conn.in.reader();
-    const HelloAckMsg ack = decode_hello_ack(r);
-    if (!ack.ok) {
-      throw WireError("worker rejected hello: " + ack.error);
-    }
-  } catch (const std::exception& e) {
-    co.log->line("coordinator: worker %zu handshake failed: %s", conn.worker,
-                 e.what());
-    return false;
-  }
-  return true;
-}
-
 // Lost connection: requeue the in-flight job (cancelling what the attempt
-// donated), then either re-dial (cluster mode; deliberately blocking - the
-// loop pauses, which is acceptable for the rare recovery path), park the
-// session awaiting a fork-mode re-dial, or retire it.
-void on_conn_lost(CoState& co, Conn& conn, const std::string& why,
-                  const check::CrashWorldSpec* spec) {
+// donated), then park the session for a re-dial within the window - the
+// worker's (fork mode) or ours (cluster mode, from run_timers) - or retire
+// it.
+void on_conn_lost(CoState& co, Conn& conn, const std::string& why) {
   const std::string death =
       "worker " + std::to_string(conn.worker) + " disconnected: " + why;
   co.log->line("coordinator: %s", death.c_str());
@@ -408,42 +359,17 @@ void on_conn_lost(CoState& co, Conn& conn, const std::string& why,
   epoll_del(co, conn.ch.fd());
   conn.write_armed = false;
 
-  if (!co.stop && co.options->reconnect_window_ms > 0 && !conn.host.empty()) {
-    // Cluster mode: re-dial the recorded endpoint ourselves.
-    try {
-      const int fd = connect_tcp(
-          conn.host, conn.port,
-          std::chrono::milliseconds(co.options->reconnect_window_ms),
-          conn.worker);
-      conn.ch.adopt(fd);
-      conn.ch.set_faults(conn.faults.any() ? &conn.faults : nullptr);
-      if (handshake_blocking(co, conn, spec)) {
-        conn.ch.set_nonblocking();
-        conn.phase = Conn::kServing;
-        conn.last_heard = conn.last_sent = Clock::now();
-        epoll_add(co, conn.ch.fd(), &conn, false);
-        co.log->line("coordinator: worker %zu session resumed", conn.worker);
-        return;
-      }
-      conn.ch.close();
-    } catch (const std::exception& e) {
-      co.log->line("coordinator: worker %zu re-dial failed: %s", conn.worker,
-                   e.what());
-    }
-    retire(co, conn,
-           "every worker disconnected with work outstanding (last: " + death +
-               ")");
-    return;
-  }
-
-  if (!co.stop && co.options->reconnect_window_ms > 0 && co.listen_fd >= 0) {
-    // Fork mode: close the dead socket NOW so a partitioned-but-alive
-    // worker sees the EOF and knows to re-dial the kept-open listener.
+  if (!co.stop && co.options->reconnect_window_ms > 0 &&
+      (!conn.host.empty() || co.listen_fd >= 0)) {
+    // Close the dead socket NOW so a partitioned-but-alive worker sees the
+    // EOF: a fork worker then re-dials the kept-open listener, a serve
+    // session ends and its listener takes our re-dial.
     conn.ch.close();
     conn.phase = Conn::kAwaitingReconnect;
     conn.phase_deadline =
         Clock::now() +
         std::chrono::milliseconds(co.options->reconnect_window_ms);
+    conn.next_dial = Clock::now();
     conn.death = death;
     return;
   }
@@ -608,8 +534,9 @@ void service_read(CoState& co, Conn& conn) {
 
 // Drives a provisional (re-dial) handshake: flush the provisional hello,
 // read the ack, and hand the channel - WITH its sequence counters, which
-// is why it moves instead of re-adopting - to the session whose token the
-// ack echoes.
+// is why it moves instead of re-adopting - to the waiting session whose
+// token the ack echoes (a fork worker's resume, or a fresh serve session
+// echoing our re-dial's hello).
 void service_provisional(CoState& co, Provisional& p, std::uint32_t events) {
   try {
     if ((events & EPOLLOUT) != 0 && p.ch.flush() && p.write_armed) {
@@ -629,14 +556,14 @@ void service_provisional(CoState& co, Provisional& p, std::uint32_t events) {
     }
     WireReader r = p.in.reader();
     const HelloAckMsg ack = decode_hello_ack(r);
-    if (!ack.ok || !ack.resume) {
-      kill_provisional(co, p);  // not a reconnect; drop it
+    if (!ack.ok) {
+      co.log->line("coordinator: re-dial rejected: %s", ack.error.c_str());
+      kill_provisional(co, p);
       return;
     }
     for (const auto& c : co.conns) {
       if (c->session == ack.session &&
           c->phase == Conn::kAwaitingReconnect) {
-        co.log->line("coordinator: worker %zu re-dialed", c->worker);
         epoll_del(co, p.ch.fd());
         c->ch = std::move(p.ch);
         p.dead = true;
@@ -656,6 +583,27 @@ void service_provisional(CoState& co, Provisional& p, std::uint32_t events) {
   }
 }
 
+// Starts a provisional handshake on a fresh socket: the hello goes out
+// fault-free (the session's fault plan reattaches with the channel) and
+// the ack is awaited through the event loop.
+void start_provisional(CoState& co, int fd, const HelloMsg& hello) {
+  auto prov = std::make_unique<Provisional>();
+  prov->kind = PollTarget::kProvisional;
+  prov->session = hello.session;
+  prov->deadline = Clock::now() + std::chrono::milliseconds(5'000);
+  try {
+    prov->ch.adopt(fd);
+    WireWriter w;
+    encode_hello(w, hello);
+    prov->ch.enqueue(MsgType::kHello, w);
+    prov->write_armed = !prov->ch.flush();
+    epoll_add(co, prov->ch.fd(), prov.get(), prov->write_armed);
+  } catch (const std::exception&) {
+    return;  // socket died mid-hello; drop it
+  }
+  co.provisional.push_back(std::move(prov));
+}
+
 // Accepts every re-dialing fork-mode worker queued on the listener and
 // starts its provisional handshake (the worker's HelloAck echoes its prior
 // session token with resume=true).
@@ -670,25 +618,34 @@ void accept_reconnects(CoState& co, const check::CrashWorldSpec* spec) {
     if (fd < 0) {
       return;
     }
-    auto prov = std::make_unique<Provisional>();
-    prov->kind = PollTarget::kProvisional;
-    prov->ch.adopt(fd);
-    prov->deadline = Clock::now() + std::chrono::milliseconds(5'000);
-    try {
-      prov->ch.set_nonblocking();
-      // The handshake runs fault-free on a provisional identity; the
-      // session's fault plan reattaches with the channel.
-      WireWriter w;
-      encode_hello(w, make_hello(co, /*worker=*/0xffffffffu, /*session=*/0,
+    start_provisional(co, fd,
+                      make_hello(co, /*worker=*/0xffffffffu, /*session=*/0,
                                  spec));
-      prov->ch.enqueue(MsgType::kHello, w);
-      prov->write_armed = !prov->ch.flush();
-      epoll_add(co, prov->ch.fd(), prov.get(), prov->write_armed);
-    } catch (const std::exception&) {
-      continue;  // socket died mid-hello; drop it
-    }
-    co.provisional.push_back(std::move(prov));
   }
+}
+
+// Cluster mode: starts one non-blocking connect to a lost session's
+// endpoint, whose hello carries the session's own token.  A refused or
+// failed connect surfaces on the provisional's first write and kills it;
+// run_timers tries again every kRedialInterval until the window closes.
+void redial(CoState& co, Conn& conn, const check::CrashWorldSpec* spec) {
+  conn.next_dial = Clock::now() + kRedialInterval;
+  for (const auto& p : co.provisional) {
+    if (!p->dead && p->session == conn.session) {
+      return;  // the previous attempt is still in flight
+    }
+  }
+  int fd = -1;
+  try {
+    fd = connect_tcp_async(conn.host, conn.port);
+  } catch (const std::exception& e) {
+    co.log->line("coordinator: worker %zu re-dial failed: %s", conn.worker,
+                 e.what());
+    return;
+  }
+  start_provisional(co, fd,
+                    make_hello(co, static_cast<std::uint32_t>(conn.worker),
+                               conn.session, spec));
 }
 
 // Event-driven job assignment: ships the lex-least pending job to an idle
@@ -762,8 +719,8 @@ void poke_steals(CoState& co) {
 }
 
 // Timer pass, run once per epoll wakeup: run deadline, heartbeats,
-// reconnect-window and handshake expiries, the stop-stall guard, and the
-// provisional sweep.
+// reconnect-window and handshake expiries, cluster re-dials, the
+// stop-stall guard, and the provisional sweep.
 void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
   const auto now = Clock::now();
   if (!co.stop && past_deadline(co)) {
@@ -776,7 +733,7 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
         try {
           heartbeat(co, *c);
         } catch (const std::exception& e) {
-          on_conn_lost(co, *c, e.what(), spec);
+          on_conn_lost(co, *c, e.what());
           break;
         }
         if (co.stop && c->current != nullptr) {
@@ -787,7 +744,7 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
             c->stop_stalling = true;
             c->stop_since = now;
           } else if (now - c->stop_since >= std::chrono::seconds(10)) {
-            on_conn_lost(co, *c, "worker unresponsive after stop", spec);
+            on_conn_lost(co, *c, "worker unresponsive after stop");
           }
         } else {
           c->stop_stalling = false;
@@ -806,6 +763,8 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
           retire(co, *c,
                  "every worker disconnected with work outstanding (last: " +
                      c->death + ")");
+        } else if (!c->host.empty() && now >= c->next_dial) {
+          redial(co, *c, spec);
         }
         break;
       case Conn::kDead:
@@ -835,7 +794,6 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
 void run_event_loop(CoState& co, const check::CrashWorldSpec* spec) {
   const auto now = Clock::now();
   for (const auto& c : co.conns) {
-    c->ch.set_nonblocking();
     c->phase = Conn::kHandshaking;
     c->phase_deadline = now + std::chrono::milliseconds(10'000);
     c->last_heard = c->last_sent = now;
@@ -886,7 +844,7 @@ void run_event_loop(CoState& co, const check::CrashWorldSpec* spec) {
           service_read(co, conn);
         }
       } catch (const std::exception& e) {
-        on_conn_lost(co, conn, e.what(), spec);
+        on_conn_lost(co, conn, e.what());
       }
     }
     run_timers(co, spec);
@@ -1009,14 +967,6 @@ void reap_children(const std::vector<pid_t>& kids) {
   }
 }
 
-std::string log_path_for(const char* name) {
-  const char* dir = std::getenv("REVISIM_DIST_LOG");
-  if (dir == nullptr) {
-    return {};
-  }
-  return std::string(dir) + "/" + name + ".log";
-}
-
 }  // namespace
 
 check::ScheduleExploreResult coordinate(
@@ -1031,7 +981,7 @@ check::ScheduleExploreResult coordinate(
     throw std::invalid_argument("dist: resume needs a journal path");
   }
 
-  Log log(log_path_for("coordinator"));
+  Log log(log_path("coordinator"));
   CoState co(options);
   co.log = &log;
   co.listen_fd = options.reconnect_window_ms > 0 ? reconnect_listen_fd : -1;
@@ -1139,7 +1089,6 @@ check::ScheduleExploreResult dist_explore_schedules(
   }
   std::uint16_t port = 0;
   const int listen_fd = listen_tcp("127.0.0.1", port);
-  const char* log_dir = std::getenv("REVISIM_DIST_LOG");
 
   // Fork every worker first; the coordinator is single-threaded, but a
   // worker forked after any thread ever existed may inherit held
@@ -1164,10 +1113,7 @@ check::ScheduleExploreResult dist_explore_schedules(
         wopt.port = port;
         wopt.reconnect_window_ms = options.reconnect_window_ms;
         wopt.seed = i;
-        if (log_dir != nullptr) {
-          wopt.log_path =
-              std::string(log_dir) + "/worker-" + std::to_string(i) + ".log";
-        }
+        wopt.log_path = log_path("worker-" + std::to_string(i));
         if (options.worker_faults.any()) {
           wopt.faults = derive_fault_plan(options.worker_faults, i);
         }

@@ -31,11 +31,15 @@
 //     re-run could prune into a region no merged record covers.  The
 //     retry rule is the JobLedger's, shared with the in-process explorer
 //     (the full argument is in src/check/job_ledger.h).
-//   - The worker keeps its session: it re-dials with backoff and
-//     re-handshakes under its prior session token, and the coordinator's
-//     acceptor hands the fresh socket back to the waiting serve thread
-//     (reconnect_window_ms bounds the wait).  In-flight live-counter
-//     credit is zeroed on requeue, never double counted.
+//   - A session outlives its socket.  A fork-mode worker re-dials the
+//     kept-open listener with backoff and re-handshakes under its prior
+//     session token; a lost cluster endpoint is re-dialed by the
+//     coordinator with a non-blocking connect whose hello carries the
+//     session token.  Either way the event loop's provisional handshake
+//     hands the fresh channel to the waiting session
+//     (reconnect_window_ms bounds the wait) and the loop never blocks on
+//     it.  In-flight live-counter credit is zeroed on requeue, never
+//     double counted.
 //   - A run journal (journal_path) records created jobs and completed
 //     walks; after a coordinator crash, resume=true reloads it, reuses
 //     completed regions, re-runs incomplete ones and discards their
@@ -78,9 +82,9 @@ struct DistExploreOptions {
   // layer (a partitioned peer is then only detected by socket errors).
   std::uint32_t heartbeat_interval_ms = 500;
   std::uint32_t heartbeat_timeout_ms = 10'000;
-  // How long a serve thread holds a dead worker's session open waiting for
-  // it to re-dial and re-handshake (fork mode: via the kept-open listener;
-  // cluster mode: the coordinator re-dials the endpoint itself).  0
+  // How long a lost worker's session stays open for a re-dial and
+  // re-handshake (fork mode: the worker re-dials the kept-open listener;
+  // cluster mode: the coordinator re-dials the endpoint every 100 ms).  0
   // disables reconnect: a lost connection is a lost worker.
   std::uint32_t reconnect_window_ms = 10'000;
 

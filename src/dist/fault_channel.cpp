@@ -118,7 +118,6 @@ Channel& Channel::operator=(Channel&& other) noexcept {
     recv_seq_ = other.recv_seq_;
     broken_ = other.broken_;
     partitioned_ = other.partitioned_;
-    nonblocking_ = other.nonblocking_;
     cut_on_drain_ = other.cut_on_drain_;
     rx_eof_ = other.rx_eof_;
     tx_ = std::move(other.tx_);
@@ -139,13 +138,18 @@ void Channel::adopt(int fd) {
   recv_seq_ = 0;
   broken_ = false;
   partitioned_ = false;
-  nonblocking_ = false;
   cut_on_drain_ = false;
   rx_eof_ = false;
   tx_.clear();
   tx_off_ = 0;
   rx_.clear();
   rx_pos_ = 0;
+  const int flags = ::fcntl(fd_, F_GETFL, 0);
+  if (flags < 0 || ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) < 0) {
+    throw WireError(std::string("fcntl O_NONBLOCK: ") + std::strerror(errno));
+  }
+  tx_.reserve(std::size_t{64} << 10);
+  rx_.reserve(std::size_t{64} << 10);
 }
 
 void Channel::close() {
@@ -173,29 +177,16 @@ bool Channel::chance(double p) {
 }
 
 void Channel::send(MsgType type, const WireWriter& body) {
-  if (fd_ < 0 || broken_) {
-    throw WireError("connection cut by fault injection");
-  }
-  if ((faults_ == nullptr || !faults_->any()) && !tx_pending()) {
-    // Fault-free fast path: one scatter-gather write, nothing buffered.
-    send_frame(fd_, type, body, send_seq_++);
-    ++sent_frames_;
-    return;
-  }
-  queue_frame(type, body);
+  enqueue(type, body);
   flush_all();
 }
 
+// The fault pipeline: commits the (possibly perturbed) frame bytes to tx_;
+// the enqueue order is the stream order.
 void Channel::enqueue(MsgType type, const WireWriter& body) {
   if (fd_ < 0 || broken_) {
     throw WireError("connection cut by fault injection");
   }
-  queue_frame(type, body);
-}
-
-// The one fault pipeline both I/O modes share.  Commits the (possibly
-// perturbed) frame bytes to tx_; the enqueue order is the stream order.
-void Channel::queue_frame(MsgType type, const WireWriter& body) {
   if (faults_ == nullptr || !faults_->any()) {
     append_frame(tx_, type, body, send_seq_++);
     ++sent_frames_;
@@ -281,23 +272,11 @@ bool Channel::flush() {
 
 void Channel::flush_all() {
   while (!flush()) {
-    // Only a non-blocking fd can report would-block; wait for socket space
-    // rather than spinning.
     struct pollfd pfd {};
     pfd.fd = fd_;
     pfd.events = POLLOUT;
     ::poll(&pfd, 1, -1);
   }
-}
-
-void Channel::set_nonblocking() {
-  const int flags = ::fcntl(fd_, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw WireError(std::string("fcntl O_NONBLOCK: ") + std::strerror(errno));
-  }
-  nonblocking_ = true;
-  tx_.reserve(std::size_t{64} << 10);
-  rx_.reserve(std::size_t{64} << 10);
 }
 
 int Channel::buffered_recv(Frame& frame) {
@@ -345,22 +324,6 @@ int Channel::buffered_recv(Frame& frame) {
     }
     rx_.insert(rx_.end(), chunk, chunk + n);
   }
-}
-
-bool Channel::recv(Frame& frame) {
-  if (!recv_frame(fd_, frame, recv_seq_)) {
-    return false;
-  }
-  ++recv_seq_;
-  return true;
-}
-
-int Channel::try_recv(Frame& frame) {
-  const int got = try_recv_frame(fd_, frame, recv_seq_);
-  if (got == 1) {
-    ++recv_seq_;
-  }
-  return got;
 }
 
 }  // namespace revisim::dist

@@ -1,9 +1,9 @@
 // Deterministic network fault injection for the distributed explorer.
 //
-// Channel is the framed-I/O object both endpoints own: a connected socket
-// fd plus the per-direction sequence counters the version-2 wire format
-// carries in every frame header.  Normally it is a thin veneer over
-// send_frame/recv_frame.  Given a FaultPlan it perturbs its OWN send path -
+// Channel is the framed-I/O object both endpoints own: a connected
+// non-blocking socket, the per-direction sequence counters every frame
+// header carries, and the buffers frames are coalesced into and parsed out
+// of.  Given a FaultPlan it perturbs its OWN send path -
 // drop, duplicate, delay, stall, truncate mid-frame, one-way partition,
 // hard cut - while the receive path stays honest, so a test faults the
 // worker->coordinator direction by handing the worker a plan and the
@@ -72,35 +72,34 @@ std::string fault_plan_text(const FaultPlan& plan);
 FaultPlan derive_fault_plan(const FaultPlan& plan, std::size_t index);
 
 // A connected socket plus the framing state (send/recv sequence numbers)
-// and an optional fault plan applied to sends.  Two I/O modes share the
-// fault pipeline:
-//   - blocking (the worker): send() writes one frame per call as a single
-//     scatter-gather sendmsg (header + payload, no assembly copy);
-//   - non-blocking buffered (the coordinator's epoll loop): enqueue()
-//     commits frames to a per-connection tx buffer (faults apply here, at
-//     commit-to-stream order) and flush() coalesces everything pending
-//     into one sendmsg, while buffered_recv() parses frames out of a
-//     per-connection rx buffer fed by non-blocking reads.
-// Not thread-safe per direction: callers serialize sends among themselves
-// and receive from one thread only (the epoll loop owns both directions).
+// and an optional fault plan applied to sends.  One I/O path serves both
+// endpoints: the socket is non-blocking, enqueue() commits frames to a
+// per-connection tx buffer (faults apply here, at commit-to-stream order)
+// and flush() writes everything pending in as few syscalls as the socket
+// takes, while buffered_recv() parses frames out of an rx buffer fed by
+// non-blocking reads.  The coordinator's epoll loop drives these directly;
+// the worker uses send() and wait().
+// Not thread-safe: one thread owns the channel (the epoll loop, or the
+// single-threaded worker).
 class Channel {
  public:
   Channel() = default;
-  explicit Channel(int fd) : fd_(fd) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
-  // Movable so a handshake performed on a temporary channel (the
-  // coordinator's reconnect acceptor) can be handed to the session's serve
-  // thread WITH its sequence counters - the frames exchanged during the
-  // handshake are part of the connection's sequence space.
+  // Movable so a handshake performed on a provisional channel (the
+  // coordinator's re-dial or reconnect acceptor) can be handed to the
+  // waiting session WITH its sequence counters - the frames exchanged
+  // during the handshake are part of the connection's sequence space.
   Channel(Channel&& other) noexcept;
   Channel& operator=(Channel&& other) noexcept;
   ~Channel() { close(); }
 
-  // Points the channel at a (re)connected fd: closes any previous fd and
-  // resets the sequence counters and per-connection fault state.  The
-  // fault plan pointer survives adoption (positional faults that already
-  // fired stay disarmed).
+  // Points the channel at a (re)connected fd: closes any previous fd,
+  // switches the new one to O_NONBLOCK, reserves the tx/rx buffers once
+  // for the life of the connection, and resets the sequence counters and
+  // per-connection fault state.  The fault plan pointer survives adoption
+  // (positional faults that already fired stay disarmed).  Throws
+  // WireError if the fd cannot be made non-blocking.
   void adopt(int fd);
   void close();
   [[nodiscard]] int fd() const { return fd_; }
@@ -111,51 +110,35 @@ class Channel {
   // reconnects gives fire-once semantics.
   void set_faults(FaultPlan* plan);
 
-  // Sends one frame, applying any armed faults.  Throws WireError if the
-  // socket fails or a previously fired cut/truncate left it dead.
-  void send(MsgType type, const WireWriter& body);
-
-  // Blocking receive; false on clean EOF.  Throws WireError on I/O
-  // failure, crc mismatch, or a sequence gap (the peer's faults showing).
-  bool recv(Frame& frame);
-
-  // Non-blocking variant: 1 = frame, 0 = nothing pending, -1 = EOF.
-  int try_recv(Frame& frame);
-
-  // True when a frame header is ready within timeout_ms.
-  bool wait(int timeout_ms) { return wait_readable(fd_, timeout_ms); }
-
-  // --- non-blocking buffered mode (the coordinator's epoll loop) ------------
-
-  // Switches the fd to O_NONBLOCK and reserves the tx/rx buffers once for
-  // the life of the connection.
-  void set_nonblocking();
-
   // Commits one frame to the tx buffer without writing to the socket.
   // Faults fire here - the enqueue order is the stream order - so the
-  // injection matrix composes with coalesced sends.  Throws WireError like
-  // send() when the connection is already dead.
+  // injection matrix composes with coalesced sends.  Throws WireError if
+  // the socket fails or a previously fired cut/truncate left it dead.
   void enqueue(MsgType type, const WireWriter& body);
 
-  // Writes everything enqueued in as few sendmsg calls as the socket
+  // enqueue() plus a flush that waits for socket space until everything
+  // pending is on the wire.
+  void send(MsgType type, const WireWriter& body);
+
+  // Writes everything enqueued in as few send calls as the socket
   // accepts.  Returns true when the tx buffer drained; false when the
   // socket would block (arm EPOLLOUT and call again on writability).
   bool flush();
-  [[nodiscard]] bool tx_pending() const { return tx_.size() > tx_off_; }
 
-  // Non-blocking buffered receive: drains readable bytes into the rx
-  // buffer, then parses at most one frame.  1 = frame, 0 = no complete
-  // frame available yet, -1 = EOF at a frame boundary with the buffer
-  // consumed.  Throws WireError on mid-frame EOF, crc/seq mismatch, or
-  // I/O failure.  Call in a loop until 0 - the socket is edge-drained on
-  // the first call, so later frames sit in the buffer.
+  // Buffered receive: parses one frame out of the rx buffer, reading the
+  // socket only while no complete frame is buffered.  1 = frame, 0 = no
+  // complete frame available yet, -1 = EOF at a frame boundary with the
+  // buffer consumed.  Throws WireError on mid-frame EOF, crc/seq mismatch,
+  // or I/O failure.  Call until 0 before waiting on the fd: later frames
+  // may already sit in the buffer.
   int buffered_recv(Frame& frame);
+
+  // True when the socket turns readable within timeout_ms (-1 = forever).
+  bool wait(int timeout_ms) { return wait_readable(fd_, timeout_ms); }
 
  private:
   [[nodiscard]] bool chance(double p);
-  // Shared fault pipeline: appends the faulted frame bytes to tx_.
-  void queue_frame(MsgType type, const WireWriter& body);
-  // flush() that tolerates a blocking fd (the send() path).
+  // Waits for socket space until flush() drains the tx buffer.
   void flush_all();
 
   int fd_ = -1;
@@ -166,7 +149,6 @@ class Channel {
   std::uint32_t recv_seq_ = 0;
   bool broken_ = false;       // cut/truncate fired on this connection
   bool partitioned_ = false;  // partition fired on this connection
-  bool nonblocking_ = false;
   bool cut_on_drain_ = false;  // cut_after fired; shut down once tx_ drains
   bool rx_eof_ = false;
   // Coalescing buffers, reserved once per connection: frames are appended

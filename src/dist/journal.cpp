@@ -48,7 +48,6 @@ JournalConfig decode_config(WireReader& r) {
 
 void JournalWriter::create(const std::string& path,
                            const JournalConfig& config) {
-  std::lock_guard<std::mutex> g(mu_);
   if (file_ != nullptr) {
     std::fclose(file_);
     file_ = nullptr;
@@ -68,7 +67,6 @@ void JournalWriter::create(const std::string& path,
 }
 
 void JournalWriter::append_to(const std::string& path) {
-  std::lock_guard<std::mutex> g(mu_);
   if (file_ != nullptr) {
     std::fclose(file_);
     file_ = nullptr;
@@ -81,7 +79,6 @@ void JournalWriter::append_to(const std::string& path) {
 }
 
 void JournalWriter::close() {
-  std::lock_guard<std::mutex> g(mu_);
   if (file_ != nullptr) {
     std::fclose(file_);
     file_ = nullptr;
@@ -116,7 +113,6 @@ void JournalWriter::record(std::uint8_t type, const WireWriter& payload) {
 void JournalWriter::job_created(std::uint64_t id, bool has_parent,
                                 std::uint64_t parent,
                                 const check::detail::Donation& region) {
-  std::lock_guard<std::mutex> g(mu_);
   body_.clear();
   body_.u64(id);
   body_.u8(has_parent ? 1 : 0);
@@ -127,7 +123,6 @@ void JournalWriter::job_created(std::uint64_t id, bool has_parent,
 
 void JournalWriter::job_done(std::uint64_t id,
                              const check::detail::SubtreeResult& result) {
-  std::lock_guard<std::mutex> g(mu_);
   body_.clear();
   body_.u64(id);
   encode_subtree_result(body_, result);
@@ -135,7 +130,6 @@ void JournalWriter::job_done(std::uint64_t id,
 }
 
 void JournalWriter::job_discarded(std::uint64_t id) {
-  std::lock_guard<std::mutex> g(mu_);
   body_.clear();
   body_.u64(id);
   record(kDiscarded, body_);

@@ -45,7 +45,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -70,8 +69,8 @@ struct JournalConfig {
   bool operator==(const JournalConfig&) const = default;
 };
 
-// Appends records to a journal file.  Thread-safe: coordinator connection
-// threads log donations and completions concurrently.
+// Appends records to a journal file.  Not thread-safe: the coordinator's
+// event loop is its only writer.
 class JournalWriter {
  public:
   JournalWriter() = default;
@@ -95,7 +94,6 @@ class JournalWriter {
  private:
   void record(std::uint8_t type, const WireWriter& payload);
 
-  std::mutex mu_;
   std::FILE* file_ = nullptr;
   WireWriter body_;
 };

@@ -9,7 +9,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include "src/util/crc32.h"
@@ -28,6 +27,22 @@ constexpr std::uint64_t kMaxWirePid =
 
 std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
+}
+
+sockaddr_in ipv4_address(const std::string& host, std::uint16_t port,
+                         const char* who) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    throw WireError(std::string(who) + ": bad host address " + host);
+  }
+  return addr;
+}
+
+void set_nodelay(int fd) {
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 }  // namespace
@@ -212,7 +227,6 @@ void encode_hello(WireWriter& w, const HelloMsg& m) {
   w.u64(m.f);
   w.u64(m.m);
   w.u64(m.step_budget);
-  w.u64(m.options.dist_probe_interval);
 }
 
 HelloMsg decode_hello(WireReader& r) {
@@ -240,7 +254,6 @@ HelloMsg decode_hello(WireReader& r) {
   m.f = r.u64();
   m.m = r.u64();
   m.step_budget = r.u64();
-  m.options.dist_probe_interval = static_cast<std::size_t>(r.u64());
   r.expect_done();
   return m;
 }
@@ -452,82 +465,6 @@ PongMsg decode_pong(WireReader& r) {
 
 // --- framing -----------------------------------------------------------------
 
-namespace {
-
-void send_all(int fd, const std::uint8_t* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t sent = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw WireError(errno_text("send"));
-    }
-    data += sent;
-    n -= static_cast<std::size_t>(sent);
-  }
-}
-
-// Returns false on EOF before the first byte; throws on mid-read EOF.
-bool recv_all(int fd, std::uint8_t* data, std::size_t n, bool eof_ok) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, data + got, n - got, 0);
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw WireError(errno_text("recv"));
-    }
-    if (r == 0) {
-      if (got == 0 && eof_ok) {
-        return false;
-      }
-      throw WireError("connection closed mid-frame");
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-// Verifies the crc (over type + seq bytes + payload) and the per-direction
-// sequence number of a frame whose payload already sits in frame.payload.
-void verify_frame(Frame& frame, const std::uint8_t header[kFrameHeaderBytes],
-                  std::uint32_t expected_seq) {
-  std::uint32_t seq = 0;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    seq |= std::uint32_t{header[5 + i]} << (8 * i);
-    crc |= std::uint32_t{header[9 + i]} << (8 * i);
-  }
-  frame.type = static_cast<MsgType>(header[4]);
-  frame.seq = seq;
-  std::uint32_t want = util::crc32(0, header + 4, 5);
-  want = util::crc32(want, frame.payload.data(), frame.payload.size());
-  if (want != crc) {
-    throw WireError("frame crc mismatch (corrupted stream)");
-  }
-  if (seq != expected_seq) {
-    throw WireError("frame sequence " + std::to_string(seq) + ", expected " +
-                    std::to_string(expected_seq) +
-                    " (dropped or duplicated frame)");
-  }
-}
-
-// Reads the payload after a complete 13-byte header, then verifies.
-void recv_frame_body(int fd, Frame& frame,
-                     const std::uint8_t header[kFrameHeaderBytes],
-                     std::uint32_t expected_seq) {
-  const std::uint32_t len = frame_payload_size(header);
-  frame.payload.resize(len);
-  if (len > 0) {
-    recv_all(fd, frame.payload.data(), len, /*eof_ok=*/false);
-  }
-  verify_frame(frame, header, expected_seq);
-}
-
-}  // namespace
-
 std::uint32_t frame_payload_size(const std::uint8_t* header) {
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) {
@@ -543,13 +480,25 @@ void parse_frame(const std::uint8_t* header, const std::uint8_t* payload,
                  std::size_t payload_len, Frame& frame,
                  std::uint32_t expected_seq) {
   frame.payload.assign(payload, payload + payload_len);
-  verify_frame(frame, header, expected_seq);
-}
-
-void build_frame(std::vector<std::uint8_t>& out, MsgType type,
-                 const WireWriter& body, std::uint32_t seq) {
-  out.clear();
-  append_frame(out, type, body, seq);
+  std::uint32_t seq = 0;
+  std::uint32_t crc = 0;
+  for (int i = 0; i < 4; ++i) {
+    seq |= std::uint32_t{header[5 + i]} << (8 * i);
+    crc |= std::uint32_t{header[9 + i]} << (8 * i);
+  }
+  frame.type = static_cast<MsgType>(header[4]);
+  frame.seq = seq;
+  // The crc covers type + seq bytes + payload.
+  std::uint32_t want = util::crc32(0, header + 4, 5);
+  want = util::crc32(want, frame.payload.data(), frame.payload.size());
+  if (want != crc) {
+    throw WireError("frame crc mismatch (corrupted stream)");
+  }
+  if (seq != expected_seq) {
+    throw WireError("frame sequence " + std::to_string(seq) + ", expected " +
+                    std::to_string(expected_seq) +
+                    " (dropped or duplicated frame)");
+  }
 }
 
 void append_frame(std::vector<std::uint8_t>& out, MsgType type,
@@ -573,100 +522,6 @@ void append_frame(std::vector<std::uint8_t>& out, MsgType type,
     out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
   }
   out.insert(out.end(), body.data(), body.data() + body.size());
-}
-
-void send_bytes(int fd, const std::uint8_t* data, std::size_t n) {
-  send_all(fd, data, n);
-}
-
-void send_frame(int fd, MsgType type, const WireWriter& body,
-                std::uint32_t seq) {
-  if (body.size() > kMaxFrameBytes) {
-    throw WireError("frame payload too large");
-  }
-  std::uint8_t header[kFrameHeaderBytes];
-  const auto len = static_cast<std::uint32_t>(body.size());
-  for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<std::uint8_t>(len >> (8 * i));
-  }
-  header[4] = static_cast<std::uint8_t>(type);
-  for (int i = 0; i < 4; ++i) {
-    header[5 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  std::uint32_t crc = util::crc32(0, header + 4, 5);
-  crc = util::crc32(crc, body.data(), body.size());
-  for (int i = 0; i < 4; ++i) {
-    header[9 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  }
-  // One scatter-gather write: header + payload leave in a single syscall
-  // (and, on TCP, usually a single segment) with no assembly copy.
-  iovec iov[2];
-  iov[0] = {header, sizeof header};
-  iov[1] = {const_cast<std::uint8_t*>(body.data()), body.size()};
-  std::size_t total = sizeof header + body.size();
-  int iov_at = 0;
-  while (total > 0) {
-    msghdr mh{};
-    mh.msg_iov = iov + iov_at;
-    mh.msg_iovlen = 2 - iov_at;
-    const ssize_t sent = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      throw WireError(errno_text("sendmsg"));
-    }
-    total -= static_cast<std::size_t>(sent);
-    std::size_t left = static_cast<std::size_t>(sent);
-    while (left > 0 && left >= iov[iov_at].iov_len) {
-      left -= iov[iov_at].iov_len;
-      iov[iov_at].iov_len = 0;
-      ++iov_at;
-    }
-    if (left > 0) {
-      iov[iov_at].iov_base = static_cast<std::uint8_t*>(iov[iov_at].iov_base) + left;
-      iov[iov_at].iov_len -= left;
-    }
-  }
-}
-
-bool recv_frame(int fd, Frame& frame, std::uint32_t expected_seq) {
-  std::uint8_t header[kFrameHeaderBytes];
-  if (!recv_all(fd, header, sizeof header, /*eof_ok=*/true)) {
-    return false;
-  }
-  recv_frame_body(fd, frame, header, expected_seq);
-  return true;
-}
-
-int try_recv_frame(int fd, Frame& frame, std::uint32_t expected_seq) {
-  std::uint8_t header[kFrameHeaderBytes];
-  std::size_t got = 0;
-  // First probe non-blockingly; once any header byte arrives the peer has
-  // committed to a frame, so finishing the read blockingly cannot stall
-  // beyond one in-flight message.
-  while (got < sizeof header) {
-    const ssize_t r =
-        ::recv(fd, header + got, sizeof(header) - got, got == 0 ? MSG_DONTWAIT : 0);
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (got == 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        return 0;
-      }
-      throw WireError(errno_text("recv"));
-    }
-    if (r == 0) {
-      if (got == 0) {
-        return -1;
-      }
-      throw WireError("connection closed mid-frame");
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  recv_frame_body(fd, frame, header, expected_seq);
-  return 1;
 }
 
 bool wait_readable(int fd, int timeout_ms) {
@@ -701,19 +556,13 @@ bool wait_readable(int fd, int timeout_ms) {
 // --- TCP helpers -------------------------------------------------------------
 
 int listen_tcp(const std::string& host, std::uint16_t& port) {
+  sockaddr_in addr = ipv4_address(host, port, "listen_tcp");
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     throw WireError(errno_text("socket"));
   }
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw WireError("listen_tcp: bad host address " + host);
-  }
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
       ::listen(fd, 64) < 0) {
     const std::string err = errno_text("bind/listen");
@@ -737,8 +586,7 @@ int accept_tcp(int listen_fd, int timeout_ms) {
   for (;;) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd >= 0) {
-      int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+      set_nodelay(fd);
       return fd;
     }
     if (errno != EINTR) {
@@ -750,12 +598,7 @@ int accept_tcp(int listen_fd, int timeout_ms) {
 int connect_tcp(const std::string& host, std::uint16_t port,
                 std::chrono::milliseconds deadline,
                 std::uint64_t jitter_seed) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    throw WireError("connect_tcp: bad host address " + host);
-  }
+  const sockaddr_in addr = ipv4_address(host, port, "connect_tcp");
   // Jittered exponential backoff under a caller-supplied deadline: a
   // freshly forked worker can race the coordinator's listen(), and a
   // reconnecting fleet must not re-dial in lockstep (the jitter seed
@@ -778,9 +621,9 @@ int connect_tcp(const std::string& host, std::uint16_t port,
     if (fd < 0) {
       throw WireError(errno_text("socket"));
     }
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
-      int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
+        0) {
+      set_nodelay(fd);
       return fd;
     }
     last_err = errno_text("connect");
@@ -804,6 +647,23 @@ int connect_tcp(const std::string& host, std::uint16_t port,
                   " failed after " + std::to_string(attempts) +
                   " attempt(s) over " + std::to_string(deadline.count()) +
                   " ms: " + last_err);
+}
+
+int connect_tcp_async(const std::string& host, std::uint16_t port) {
+  const sockaddr_in addr = ipv4_address(host, port, "connect_tcp_async");
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (fd < 0) {
+    throw WireError(errno_text("socket"));
+  }
+  set_nodelay(fd);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+          0 &&
+      errno != EINPROGRESS) {
+    const std::string err = errno_text("connect");
+    ::close(fd);
+    throw WireError(err);
+  }
+  return fd;
 }
 
 }  // namespace revisim::dist

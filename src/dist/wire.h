@@ -7,12 +7,13 @@
 // worlds (the worker rebuilds its root world and replays the prefix) - so
 // the encoding below is a straight transcription.
 //
-// Encoding rules, version 6 (v6 dropped the dedupe_adaptive hello flag and
-// the dedupe_disabled result-summary flag; v5 dropped kFpInsert, kFpReply
-// and kFpVerdicts and the fp_batch/fp_window hello fields: workers dedupe
-// against their own tables and kFpBatch became a one-way report; v4
-// dropped the warm-pool capacity from kHello and replay_steps_saved from
-// the kJobResult summary):
+// Encoding rules, version 7 (v7 dropped the probe-interval hello field; v6
+// dropped the dedupe_adaptive hello flag and the dedupe_disabled
+// result-summary flag; v5 dropped kFpInsert, kFpReply and kFpVerdicts and
+// the fp_batch/fp_window hello fields: workers dedupe against their own
+// tables and kFpBatch became a one-way report; v4 dropped the warm-pool
+// capacity from kHello and replay_steps_saved from the kJobResult
+// summary):
 //   - All integers are fixed-width little-endian, written byte by byte
 //     (shift/mask), so the format is identical across host endianness and
 //     word size.
@@ -35,14 +36,17 @@
 //     kMaxFrameBytes are rejected as corruption.
 //
 // Message catalogue (direction, payload):
-//   kHello      C->W  magic, version, worker index, session token,
-//                     heartbeat interval/timeout, exploration options,
-//                     registry world spec (empty world name = the worker
-//                     was forked from the coordinator and already owns the
-//                     factory), live-counter interval
+//   kHello      C->W  magic, version, worker index, session token (a
+//                     cluster re-dial carries the lost session's; a
+//                     fork-mode re-dial carries 0), heartbeat
+//                     interval/timeout, exploration options but
+//                     max_executions, live-counter interval, registry
+//                     world spec (empty world name = the worker was forked
+//                     from the coordinator and already owns the factory)
 //   kHelloAck   W->C  magic, version, ok flag + error text (unknown world,
 //                     version skew), resume flag + session token (a
-//                     reconnecting worker echoes its prior session)
+//                     reconnecting fork worker echoes its prior session, a
+//                     fresh session echoes the hello's)
 //   kJob        C->W  job id, execution budget, fault_after (test
 //                     instrumentation), prefix, choices, sleep pids,
 //                     no_dedupe flag (re-run of a lost deduped attempt)
@@ -84,7 +88,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4d535652u;  // "RVSM"
-inline constexpr std::uint16_t kWireVersion = 6;
+inline constexpr std::uint16_t kWireVersion = 7;
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 // [u32 len][u8 type][u32 seq][u32 crc]
 inline constexpr std::size_t kFrameHeaderBytes = 13;
@@ -192,8 +196,7 @@ struct HelloMsg {
   std::uint32_t heartbeat_timeout_ms = 0;
   // Exploration options shipped once per connection: every field but
   // max_executions, whose per-job budget rides on each kJob instead (it
-  // depends on the cap bound).  dist_probe_interval is the abort-probe pump
-  // cadence: the worker drains coordinator frames every that-many-th probe.
+  // depends on the cap bound).
   check::ScheduleExploreOptions options;
   std::uint64_t live_interval = 256;  // executions between kLive messages
   // Registry world (src/check/crash_worlds.h) for cluster workers; an empty
@@ -305,56 +308,30 @@ void encode_pong(WireWriter& w, const PongMsg& m);
 struct Frame {
   MsgType type{};
   std::uint32_t seq = 0;
-  std::vector<std::uint8_t> payload;  // reused across recv_frame calls
+  std::vector<std::uint8_t> payload;  // reused across receives
 
   [[nodiscard]] WireReader reader() const {
     return WireReader(payload.data(), payload.size());
   }
 };
 
-// Serializes one complete frame (header + payload) into `out` (cleared
-// first).  Exposed so the fault-injection channel can mutate the byte
-// stream below the framing layer; send_frame is build + send.
-void build_frame(std::vector<std::uint8_t>& out, MsgType type,
-                 const WireWriter& body, std::uint32_t seq);
-
-// Appends one complete frame to `out` WITHOUT clearing it - the
-// frame-coalescing tx-buffer path; build_frame is clear + append.
+// Appends one complete frame (header + payload) to `out` without clearing
+// it: the coalescing tx buffer of fault_channel.h's Channel, the one send
+// path both endpoints use.
 void append_frame(std::vector<std::uint8_t>& out, MsgType type,
                   const WireWriter& body, std::uint32_t seq);
-
-// Writes raw bytes with MSG_NOSIGNAL; throws WireError on I/O failure (a
-// dead peer surfaces as an error, never a SIGPIPE).
-void send_bytes(int fd, const std::uint8_t* data, std::size_t n);
-
-// Writes one frame carrying the given per-direction sequence number as a
-// single scatter-gather write (header + payload in one sendmsg, no
-// assembly copy).  Callers own the counter (see fault_channel.h's Channel,
-// which wraps fd + both counters); throws WireError on I/O failure.
-void send_frame(int fd, MsgType type, const WireWriter& body,
-                std::uint32_t seq);
 
 // Reads the payload length out of a 13-byte frame header; throws WireError
 // when it exceeds kMaxFrameBytes (stream corruption).
 [[nodiscard]] std::uint32_t frame_payload_size(const std::uint8_t* header);
 
 // Verifies and unpacks one complete frame whose header and payload bytes
-// are already in memory - the buffered (epoll) receive path.  Same crc /
-// sequence / size checks as recv_frame.
+// are already in memory (Channel::buffered_recv's parse step).  Throws
+// WireError on a crc mismatch or a sequence number other than
+// `expected_seq` (a dropped or duplicated frame in between).
 void parse_frame(const std::uint8_t* header, const std::uint8_t* payload,
                  std::size_t payload_len, Frame& frame,
                  std::uint32_t expected_seq);
-
-// Blocking receive.  Returns false on clean EOF at a frame boundary; throws
-// WireError on I/O failure, truncated frames, oversized payloads, crc
-// mismatch, or a sequence number other than `expected_seq` (a dropped or
-// duplicated frame in between).
-bool recv_frame(int fd, Frame& frame, std::uint32_t expected_seq);
-
-// Non-blocking poll-then-receive: 1 = frame received, 0 = nothing pending,
-// -1 = EOF.  Once a frame header byte is visible the rest is read
-// blockingly (the peer has committed to sending it).
-int try_recv_frame(int fd, Frame& frame, std::uint32_t expected_seq);
 
 // Blocks until fd is readable or `timeout_ms` expires; true = readable.
 // EINTR restarts the poll with the REMAINING time (monotonic deadline), so
@@ -378,5 +355,11 @@ int connect_tcp(const std::string& host, std::uint16_t port,
                 std::chrono::milliseconds deadline =
                     std::chrono::milliseconds(5000),
                 std::uint64_t jitter_seed = 0);
+// One non-blocking connect attempt: returns the fd at once, usually with
+// the connect still in progress.  The first write on it would-block until
+// the connect lands and fails with the connect's errno if it does not, so
+// an event loop learns the outcome from its ordinary send path.  Throws
+// WireError when the attempt fails outright.
+int connect_tcp_async(const std::string& host, std::uint16_t port);
 
 }  // namespace revisim::dist

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -14,6 +13,7 @@
 #include "src/check/crash_worlds.h"
 #include "src/check/explore_core.h"
 #include "src/check/state_table.h"
+#include "src/dist/log.h"
 #include "src/dist/wire.h"
 
 namespace revisim::dist {
@@ -22,34 +22,6 @@ namespace {
 using check::ExplorableWorld;
 using Clock = std::chrono::steady_clock;
 using runtime::ProcessId;
-
-class Log {
- public:
-  explicit Log(const std::string& path) {
-    if (!path.empty()) {
-      file_ = std::fopen(path.c_str(), "a");
-    }
-  }
-  ~Log() {
-    if (file_ != nullptr) {
-      std::fclose(file_);
-    }
-  }
-  void line(const char* fmt, ...) {
-    if (file_ == nullptr) {
-      return;
-    }
-    va_list ap;
-    va_start(ap, fmt);
-    std::vfprintf(file_, fmt, ap);
-    va_end(ap);
-    std::fputc('\n', file_);
-    std::fflush(file_);
-  }
-
- private:
-  std::FILE* file_ = nullptr;
-};
 
 // One coordinator session: the channel (socket + framing state), the reused
 // serialization buffers, and the control flags the message pump feeds into
@@ -78,6 +50,13 @@ struct Session {
 
 bool handle_control(Session& s, const Frame& f);
 
+// The abort probe runs after every execution, and a recv syscall each time
+// costs more than a small-step execution does (the socket is empty almost
+// always).  Draining every 16th probe keeps steal-request and credit
+// latency at a few executions while cutting the syscall rate - the toll
+// the dist-workers-2 vs parallel-2 smoke gate bounds.
+constexpr std::uint64_t kProbeInterval = 16;
+
 // Coordinator silence past the heartbeat timeout means the connection is
 // dead even though the socket looks healthy (hang, one-way partition).
 void check_liveness(Session& s) {
@@ -100,18 +79,27 @@ int liveness_tick_ms(const Session& s) {
       std::max<std::uint32_t>(hb / 2, 10), 200));
 }
 
-// Drains every frame already queued on the socket without blocking, then
-// checks the coordinator's liveness deadline.
+// Next frame into s.in: 1 = frame, 0 = none within `timeout_ms` (-1 =
+// wait forever), -1 = EOF at a frame boundary.  Throws WireError on a
+// broken stream.
+int next_frame(Session& s, int timeout_ms) {
+  int got = s.ch.buffered_recv(s.in);
+  while (got == 0 && timeout_ms != 0 && s.ch.wait(timeout_ms)) {
+    got = s.ch.buffered_recv(s.in);
+  }
+  if (got > 0) {
+    s.last_heard = Clock::now();
+  }
+  return got;
+}
+
+// Drains every frame already buffered or queued on the socket without
+// blocking, then checks the coordinator's liveness deadline.
 void pump(Session& s) {
-  for (;;) {
-    const int got = s.ch.try_recv(s.in);
-    if (got == 0) {
-      break;
-    }
+  for (int got = next_frame(s, 0); got != 0; got = next_frame(s, 0)) {
     if (got < 0) {
       throw WireError("coordinator closed the connection");
     }
-    s.last_heard = Clock::now();
     if (!handle_control(s, s.in)) {
       throw WireError("unexpected frame type " +
                       std::to_string(static_cast<int>(s.in.type)) +
@@ -301,18 +289,8 @@ void run_job(Session& s, const JobMsg& job,
 
   std::uint64_t last_reported = 0;
   std::uint64_t probes = 0;
-  // The probe runs after every execution; a recvmsg syscall each time
-  // costs more than a small-step execution does (the socket is empty
-  // almost always).  Draining every probe_interval-th probe (negotiated in
-  // the hello; ScheduleExploreOptions::dist_probe_interval, default 16)
-  // keeps steal-request and credit latency at a few executions while
-  // cutting the syscall rate - the toll the dist-workers-2 vs parallel-2
-  // smoke gate bounds.  Interval 1 drains at every execution boundary,
-  // the cadence the wire bit-parity tests pin.
-  const std::uint64_t probe_interval =
-      std::max<std::uint64_t>(s.hello.options.dist_probe_interval, 1);
   auto abort = [&]() -> bool {
-    if (probes++ % probe_interval == 0) {
+    if (probes++ % kProbeInterval == 0) {
       pump(s);
     }
     const std::uint64_t n = s.live.load(std::memory_order_relaxed);
@@ -382,10 +360,9 @@ bool serve_session(
     const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
     std::function<std::unique_ptr<ExplorableWorld>()>& make,
     std::unique_ptr<ReportingStore>& store, bool eof_is_clean) {
-  if (!s.ch.recv(s.in) || s.in.type != MsgType::kHello) {
+  if (next_frame(s, -1) <= 0 || s.in.type != MsgType::kHello) {
     throw WireError("expected hello");
   }
-  s.last_heard = Clock::now();
   HelloMsg hello;
   {
     WireReader r = s.in.reader();
@@ -395,8 +372,8 @@ bool serve_session(
   HelloAckMsg ack;
   if (s.have_hello) {
     // Reconnect: the coordinator's hello is provisional; answer with the
-    // prior session token so the acceptor can route this socket back to
-    // our serve thread.  Session options stay as first negotiated.
+    // prior session token so the coordinator hands this socket back to
+    // our session.  Session options stay as first negotiated.
     ack.resume = true;
     ack.session = s.token;
   } else {
@@ -452,19 +429,18 @@ bool serve_session(
   }
 
   while (!s.shutdown) {
-    if (s.hello.heartbeat_interval_ms != 0) {
-      if (!s.ch.wait(liveness_tick_ms(s))) {
-        check_liveness(s);
-        continue;
-      }
+    const int got = next_frame(
+        s, s.hello.heartbeat_interval_ms != 0 ? liveness_tick_ms(s) : -1);
+    if (got == 0) {
+      check_liveness(s);
+      continue;
     }
-    if (!s.ch.recv(s.in)) {
+    if (got < 0) {
       if (eof_is_clean) {
         break;  // coordinator gone; nothing left to serve
       }
       throw WireError("coordinator closed the connection");
     }
-    s.last_heard = Clock::now();
     if (handle_control(s, s.in)) {
       continue;
     }
@@ -565,7 +541,6 @@ int run_worker(
 }
 
 int serve_forever(const std::string& host, std::uint16_t port) {
-  const char* log_dir = std::getenv("REVISIM_DIST_LOG");
   FaultPlan faults;
   if (const char* spec = std::getenv("REVISIM_FAULT_PLAN")) {
     try {
@@ -595,12 +570,9 @@ int serve_forever(const std::string& host, std::uint16_t port) {
     if (fd < 0) {
       continue;
     }
-    std::string log_path;
-    if (log_dir != nullptr) {
-      log_path = std::string(log_dir) + "/worker-serve-" +
-                 std::to_string(::getpid()) + ".log";
-    }
-    serve_connection(fd, nullptr, log_path, faults);
+    serve_connection(fd, nullptr,
+                     log_path("worker-serve-" + std::to_string(::getpid())),
+                     faults);
   }
 }
 

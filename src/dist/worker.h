@@ -4,8 +4,8 @@
 // stack-splitting donation machinery unchanged.  One connection, one job at
 // a time; the worker is single-threaded and pumps coordinator messages
 // (cap credits, steal requests, heartbeat pings, shutdown) between
-// executions via the abort probe, so steal latency is bounded by one
-// execution.
+// executions via the abort probe, which drains the socket every 16th
+// execution, so steal latency is bounded by that many executions.
 //
 // Liveness and recovery: the hello carries the heartbeat cadence; the
 // worker answers every kPing with a kPong and treats coordinator silence

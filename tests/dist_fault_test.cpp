@@ -268,22 +268,41 @@ std::vector<WireCase> wire_cases() {
   return cases;
 }
 
-// Feeds exactly `bytes` to a socket and EOFs it, then receives.
-// 0 = clean EOF, 1 = frame, 2 = WireError.
-int recv_outcome(const std::vector<std::uint8_t>& bytes) {
+// Writes exactly `bytes` into one end of a socketpair, EOFs it, and
+// adopts the other end into a receiving Channel.
+void feed(dist::Channel& rx, const std::vector<std::uint8_t>& bytes) {
   int sv[2];
-  EXPECT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
-  dist::send_bytes(sv[0], bytes.data(), bytes.size());
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
+  ASSERT_EQ(::write(sv[0], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
   ::close(sv[0]);
+  rx.adopt(sv[1]);
+}
+
+// Feeds exactly `bytes` to a Channel and EOFs the stream, then receives
+// one frame through buffered_recv.  0 = clean EOF, 1 = frame,
+// 2 = WireError, 3 = "nothing yet" (never right: the whole stream and its
+// EOF are already in the socket).
+int recv_outcome(const std::vector<std::uint8_t>& bytes) {
+  dist::Channel rx;
+  feed(rx, bytes);
   Frame frame;
-  int outcome;
   try {
-    outcome = dist::recv_frame(sv[1], frame, 0) ? 1 : 0;
+    switch (rx.buffered_recv(frame)) {
+      case 1: return 1;
+      case -1: return 0;
+      default: return 3;
+    }
   } catch (const WireError&) {
-    outcome = 2;
+    return 2;
   }
-  ::close(sv[1]);
-  return outcome;
+}
+
+std::vector<std::uint8_t> framed(MsgType type, const WireWriter& body,
+                                 std::uint32_t seq) {
+  std::vector<std::uint8_t> bytes;
+  dist::append_frame(bytes, type, body, seq);
+  return bytes;
 }
 
 // Satellite: every wire message, truncated at EVERY byte boundary, must be
@@ -292,8 +311,7 @@ int recv_outcome(const std::vector<std::uint8_t>& bytes) {
 // frame boundary.
 TEST(WireTruncation, EveryMessageAtEveryByteBoundary) {
   for (const WireCase& c : wire_cases()) {
-    std::vector<std::uint8_t> full;
-    dist::build_frame(full, c.type, c.body, 0);
+    const std::vector<std::uint8_t> full = framed(c.type, c.body, 0);
     ASSERT_GE(full.size(), dist::kFrameHeaderBytes) << c.name;
     for (std::size_t cut = 0; cut < full.size(); ++cut) {
       const std::vector<std::uint8_t> prefix(full.begin(),
@@ -341,8 +359,7 @@ TEST(WireTruncation, EveryPayloadPrefixThrowsAtDecode) {
 TEST(WireFraming, CorruptedByteFailsCrc) {
   WireWriter body;
   dist::encode_live(body, {7, 1234});
-  std::vector<std::uint8_t> bytes;
-  dist::build_frame(bytes, MsgType::kLive, body, 0);
+  const std::vector<std::uint8_t> bytes = framed(MsgType::kLive, body, 0);
   for (std::size_t i = dist::kFrameHeaderBytes; i < bytes.size(); ++i) {
     std::vector<std::uint8_t> bad = bytes;
     bad[i] ^= 0x40;
@@ -353,23 +370,24 @@ TEST(WireFraming, CorruptedByteFailsCrc) {
 TEST(WireFraming, SequenceGapAndRepeatAreWireErrors) {
   WireWriter body;
   dist::encode_live(body, {7, 1});
-  int sv[2];
-  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
   // A dropped frame shows as a gap: the peer sent seq 2, we expected 0.
-  dist::send_frame(sv[0], MsgType::kLive, body, 2);
   Frame frame;
-  EXPECT_THROW((void)dist::recv_frame(sv[1], frame, 0), WireError);
-  ::close(sv[0]);
-  ::close(sv[1]);
+  {
+    dist::Channel rx;
+    feed(rx, framed(MsgType::kLive, body, 2));
+    EXPECT_THROW((void)rx.buffered_recv(frame), WireError);
+  }
 
-  // A duplicated frame shows as a repeat of the last sequence number.
-  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
-  dist::send_frame(sv[0], MsgType::kLive, body, 0);
-  dist::send_frame(sv[0], MsgType::kLive, body, 0);
-  EXPECT_TRUE(dist::recv_frame(sv[1], frame, 0));
-  EXPECT_THROW((void)dist::recv_frame(sv[1], frame, 1), WireError);
-  ::close(sv[0]);
-  ::close(sv[1]);
+  // A duplicated frame shows as a repeat of the last sequence number: the
+  // channel expects seq 1 after receiving seq 0.
+  {
+    std::vector<std::uint8_t> twice = framed(MsgType::kLive, body, 0);
+    dist::append_frame(twice, MsgType::kLive, body, 0);
+    dist::Channel rx;
+    feed(rx, twice);
+    EXPECT_EQ(rx.buffered_recv(frame), 1);
+    EXPECT_THROW((void)rx.buffered_recv(frame), WireError);
+  }
 }
 
 TEST(WireFraming, OversizedLengthIsRejectedNotAllocated) {

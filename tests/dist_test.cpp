@@ -302,7 +302,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   m.options.dedupe_audit = true;
   m.options.por = true;
   m.live_interval = 99;
-  m.options.dist_probe_interval = 1;
   m.world = "aug-mutant";
   m.f = 2;
   m.m = 3;
@@ -321,7 +320,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   EXPECT_EQ(got.options.dedupe_audit, m.options.dedupe_audit);
   EXPECT_EQ(got.options.por, m.options.por);
   EXPECT_EQ(got.live_interval, m.live_interval);
-  EXPECT_EQ(got.options.dist_probe_interval, m.options.dist_probe_interval);
   EXPECT_EQ(got.world, m.world);
   EXPECT_EQ(got.f, m.f);
   EXPECT_EQ(got.m, m.m);
@@ -395,7 +393,7 @@ TEST(Wire, VersionFivePeersAreRefusedByName) {
   // v6 dropped the dedupe_adaptive hello flag and the dedupe_disabled
   // result-summary flag: a v5 peer's frames are one byte off, so it must be
   // refused at the handshake by name, never misparsed.
-  static_assert(dist::kWireVersion == 6);
+  static_assert(dist::kWireVersion > 5);
   dist::WireWriter w;
   dist::encode_hello(w, dist::HelloMsg{});
   expect_version_skew(with_version(w, 5), dist::decode_hello, 5);
@@ -403,6 +401,20 @@ TEST(Wire, VersionFivePeersAreRefusedByName) {
   w.clear();
   dist::encode_hello_ack(w, dist::HelloAckMsg{});
   expect_version_skew(with_version(w, 5), dist::decode_hello_ack, 5);
+}
+
+TEST(Wire, VersionSixPeersAreRefusedByName) {
+  // v7 dropped the probe-interval hello field: a v6 coordinator's hello is
+  // eight bytes longer, so it must be refused at the handshake by name,
+  // never misparsed.
+  static_assert(dist::kWireVersion == 7);
+  dist::WireWriter w;
+  dist::encode_hello(w, dist::HelloMsg{});
+  expect_version_skew(with_version(w, 6), dist::decode_hello, 6);
+
+  w.clear();
+  dist::encode_hello_ack(w, dist::HelloAckMsg{});
+  expect_version_skew(with_version(w, 6), dist::decode_hello_ack, 6);
 }
 
 TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
@@ -623,32 +635,6 @@ TEST(DistParity, TwoAndFourWorkersBitIdenticalToSerial) {
     EXPECT_GE(dist.jobs, 1u);
     EXPECT_LE(dist.steals, dist.jobs - 1);  // aggregation contract
   }
-}
-
-// Satellite: the probe cadence is a pure latency/syscall knob, never a
-// semantic one.  At dist_probe_interval=1 (pump the control channel at
-// every execution boundary - the cadence the wire bit-parity tests use)
-// the merged summary must still be bit-identical to serial.
-TEST(DistParity, ProbeIntervalOneBitIdenticalToSerial) {
-  auto serial = explore_schedules(script_factory({3, 3, 2}));
-  ASSERT_TRUE(serial.exhausted);
-  DistExploreOptions opt;
-  opt.workers = 2;
-  opt.base.dist_probe_interval = 1;
-  auto dist = dist::dist_explore_schedules(script_factory({3, 3, 2}), opt);
-  expect_same(dist, serial, "probe_interval=1");
-  EXPECT_FALSE(dist.error.has_value());
-
-  // And with dedupe on: every-execution pumping drains verdicts at the
-  // fastest possible cadence; the all-distinct world must still prune
-  // nothing and match the undeduped run bit-for-bit.
-  DistExploreOptions dopt;
-  dopt.workers = 2;
-  dopt.base.dist_probe_interval = 1;
-  dopt.base.dedupe_states = true;
-  auto ddist = dist::dist_explore_schedules(script_factory({3, 3, 2}), dopt);
-  expect_same(ddist, serial, "probe_interval=1 + dedupe");
-  EXPECT_FALSE(ddist.error.has_value());
 }
 
 TEST(DistParity, LexSmallestWitnessAcrossWorkers) {
@@ -951,6 +937,107 @@ TEST(DistCluster, UnknownWorldIsRejectedAtHandshake) {
   ASSERT_TRUE(dist.error.has_value());
   EXPECT_FALSE(dist.exhausted);
   EXPECT_EQ(dist.executions, 0u);
+}
+
+// Forks one worker per endpoint, each serving up to `sessions` coordinator
+// connections in turn on its own loopback listener, as `revisim_cli serve`
+// does.  Only the child keeps its listener open, so an endpoint refuses
+// connections once its worker is gone.  Fills `endpoints` with host:port.
+std::vector<pid_t> fork_serve_workers(std::size_t n, std::size_t sessions,
+                                      std::vector<std::string>& endpoints) {
+  std::vector<int> listeners(n);
+  std::vector<std::uint16_t> ports(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    listeners[i] = dist::listen_tcp("127.0.0.1", ports[i]);
+  }
+  std::vector<pid_t> kids;
+  for (std::size_t i = 0; i < n; ++i) {
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j != i) {
+          ::close(listeners[j]);
+        }
+      }
+      try {
+        for (std::size_t k = 0; k < sessions; ++k) {
+          const int fd = dist::accept_tcp(listeners[i], 10'000);
+          if (fd < 0) {
+            break;
+          }
+          dist::serve_connection(fd, nullptr);
+        }
+      } catch (...) {
+      }
+      std::_Exit(0);
+    }
+    kids.push_back(pid);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ::close(listeners[i]);
+    endpoints.push_back("127.0.0.1:" + std::to_string(ports[i]));
+  }
+  return kids;
+}
+
+check::CrashWorldSpec aug_bu_spec() {
+  check::CrashWorldSpec spec;
+  spec.world = "aug-bu";
+  spec.f = 2;
+  spec.m = 2;
+  spec.step_budget = 6;
+  return spec;
+}
+
+// A --connect endpoint that dies and stays down must not stall the rest of
+// the cluster.  The coordinator re-dials it with non-blocking connects from
+// its event loop, so the survivor keeps hearing heartbeats, takes the
+// re-queued job and finishes the run, while the dead endpoint refuses every
+// attempt until its window closes.  A re-dial that blocked the loop would
+// outlast the survivor's heartbeat timeout and end its (one-shot) session.
+TEST(DistCluster, LostEndpointDoesNotStallSurvivors) {
+  std::vector<std::string> endpoints;
+  const std::vector<pid_t> kids =
+      fork_serve_workers(2, /*sessions=*/1, endpoints);
+  ASSERT_EQ(kids.size(), 2u);
+  const check::CrashWorldSpec spec = aug_bu_spec();
+  DistExploreOptions opt;
+  opt.base.max_crashes = 1;
+  opt.heartbeat_interval_ms = 25;
+  opt.heartbeat_timeout_ms = 300;
+  opt.reconnect_window_ms = 3'000;  // 10x the survivor's timeout
+  opt.fault_first_job_after = 25;   // the seed job's worker _Exit()s
+  auto serial =
+      explore_schedules(check::make_crash_world_factory(spec), opt.base);
+  auto dist = dist::dist_explore_remote(spec, endpoints, opt);
+  for (const pid_t pid : kids) {
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+  }
+  expect_same(dist, serial, "one endpoint lost for good");
+  EXPECT_FALSE(dist.error.has_value()) << *dist.error;
+}
+
+// A cut cluster connection whose endpoint stays up is re-dialed: the
+// coordinator's hello carries the lost session's token, the fresh serve
+// session echoes it, and the channel moves back into the waiting session.
+// The run then finishes on the same worker, bit-identical to serial.
+TEST(DistCluster, CutConnectionIsRedialedUnderItsSessionToken) {
+  std::vector<std::string> endpoints;
+  const std::vector<pid_t> kids =
+      fork_serve_workers(1, /*sessions=*/2, endpoints);
+  ASSERT_EQ(kids.size(), 1u);
+  const check::CrashWorldSpec spec = aug_bu_spec();
+  DistExploreOptions opt;
+  opt.base.max_crashes = 1;
+  opt.coordinator_faults.cut_after = 2;  // the hello, then the seed job
+  auto serial =
+      explore_schedules(check::make_crash_world_factory(spec), opt.base);
+  auto dist = dist::dist_explore_remote(spec, endpoints, opt);
+  int status = 0;
+  ::waitpid(kids[0], &status, 0);
+  expect_same(dist, serial, "re-dialed after a cut");
+  EXPECT_FALSE(dist.error.has_value()) << *dist.error;
 }
 
 }  // namespace
