@@ -41,8 +41,9 @@
 //       region and completes with a bit-identical summary
 //   revisim_cli dist-explore --world aug-bu --retries 8 --fault drop=.02,seed=7
 //       deterministic fault drill: each worker's outbound frames drop with
-//       P=.02; seq-gap detection cuts, the worker re-dials, jobs re-queue,
-//       and the summary still matches the fault-free run
+//       P=.02; seq-gap detection cuts, the coordinator re-dials, jobs
+//       re-queue, and the summary still matches the fault-free run
+//       (forked workers only: a `serve` worker takes REVISIM_FAULT_PLAN)
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -339,6 +340,9 @@ int run_dist_explore(int argc, char** argv) {
   opt.base.max_crashes = 2;
   std::string witness_path;
   std::vector<std::string> endpoints;
+  // Fork-mode flags given, refused with --connect: cluster workers are not
+  // forked, so these would be silently ignored.
+  std::vector<const char*> fork_only;
   for (int i = 2; i < argc; ++i) {
     auto next = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -369,6 +373,7 @@ int run_dist_explore(int argc, char** argv) {
       opt.base.dedupe_states = true;
     } else if (!std::strcmp(argv[i], "--workers")) {
       parse_number("--workers", next("--workers"), opt.workers);
+      fork_only.push_back("--workers");
     } else if (!std::strcmp(argv[i], "--connect")) {
       endpoints.push_back(next("--connect"));
     } else if (!std::strcmp(argv[i], "--retries")) {
@@ -399,6 +404,7 @@ int run_dist_explore(int argc, char** argv) {
         std::fprintf(stderr, "bad --fault spec: %s\n", e.what());
         return 2;
       }
+      fork_only.push_back("--fault");
     } else if (!std::strcmp(argv[i], "--coord-fault")) {
       try {
         opt.coordinator_faults = dist::parse_fault_plan(next("--coord-fault"));
@@ -410,6 +416,15 @@ int run_dist_explore(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
     }
+  }
+  if (!endpoints.empty() && !fork_only.empty()) {
+    const bool fault = !std::strcmp(fork_only.front(), "--fault");
+    std::fprintf(stderr,
+                 "%s applies to forked workers only and cannot be used with "
+                 "--connect%s\n",
+                 fork_only.front(),
+                 fault ? " (serve workers take REVISIM_FAULT_PLAN)" : "");
+    return 2;
   }
   // Pin the world identity in the journal config: resume refuses a journal
   // recorded for a different world/f/m/budget even before comparing the

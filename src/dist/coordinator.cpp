@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <unordered_map>
@@ -32,31 +33,26 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using Job = check::detail::JobLedger::Job;
 
-// Every epoll registration points at one of these; `kind` says what the
-// event loop is looking at.
-struct PollTarget {
-  enum Kind { kWorkerConn, kProvisional };
-  Kind kind = kWorkerConn;
-};
-
-// One worker connection, owned and driven entirely by the epoll loop.  The
-// session outlives individual sockets: on a lost connection the Conn moves
-// to kAwaitingReconnect and a provisional handshake delivers the fresh
-// channel back under the same session token.
-struct Conn : PollTarget {
-  // kHandshaking: hello sent, awaiting the ack.  kServing: live.
-  // kAwaitingReconnect: socket dead; within the window a fork-mode worker
-  // re-dials us, or we re-dial a cluster endpoint.  kDead: retired for
-  // good.
+// One worker slot, owned and driven entirely by the epoll loop.  Every
+// connection the slot gets, first dial and re-dial alike, starts in
+// kHandshaking with a non-blocking connect and the hello queued behind it;
+// the ack moves it to kServing.  Each connection is a fresh session on the
+// worker's side.
+struct Conn {
+  // kHandshaking: connect started and hello sent, awaiting the ack.
+  // kServing: live.  kAwaitingReconnect: socket dead; we re-dial within
+  // the window.  kDead: retired for good.
   enum Phase { kHandshaking, kServing, kAwaitingReconnect, kDead };
 
   Channel ch;
   std::size_t worker = 0;
-  std::uint64_t session = 0;  // token the reconnecting worker echoes
-  WireWriter out;             // per-connection serialization buffer
+  std::uint64_t session = 0;  // token every hello of this slot carries
+  Endpoint endpoint;
+  WireWriter out;  // per-connection serialization buffer
   Frame in;
-  FaultPlan faults;  // per-connection C->W fault plan storage
+  FaultPlan faults;  // this slot's C->W fault plan, kept across re-dials
   Phase phase = kHandshaking;
+  bool served = false;  // a handshake completed, so a loss is re-dialed
   Job* current = nullptr;
   bool abort_sent = false;  // a kCredit abort for `current` is in flight
 
@@ -66,35 +62,19 @@ struct Conn : PollTarget {
   Clock::time_point last_heard{};
   Clock::time_point last_sent{};
   std::uint64_t ping_nonce = 0;
-  Clock::time_point phase_deadline{};  // handshake / reconnect-window expiry
-  std::string death;                   // why the socket died (reconnect path)
+  Clock::time_point phase_deadline{};  // handshake expiry
+  Clock::time_point window_end{};      // reconnect window expiry
+  Clock::time_point next_dial{};       // earliest next re-dial
+  std::string death;                   // why the last served socket died
   Clock::time_point stop_since{};      // stop seen with a job still in flight
   bool stop_stalling = false;
   bool write_armed = false;  // epoll registration includes EPOLLOUT
-
-  // Cluster mode: the endpoint to re-dial (empty host = fork mode, where
-  // the worker re-dials us through the kept-open listener instead), and
-  // when the next attempt may start.
-  std::string host;
-  std::uint16_t port = 0;
-  Clock::time_point next_dial{};
 };
 
-// A re-dialed socket mid-handshake: the provisional hello is out, the ack
-// (echoing a session token) decides which Conn adopts the channel.
-struct Provisional : PollTarget {
-  Channel ch;
-  Frame in;
-  // The token the hello carried: a cluster re-dial's session, or 0 for a
-  // fork-mode worker accepted on the listener.
-  std::uint64_t session = 0;
-  Clock::time_point deadline{};
-  bool dead = false;
-  bool write_armed = false;
-};
-
-// Pause between re-dial attempts at a lost cluster endpoint.
+// Pause between re-dial attempts at a lost endpoint.
 constexpr std::chrono::milliseconds kRedialInterval{100};
+// How long a dialed worker may take to answer the hello.
+constexpr std::chrono::milliseconds kHandshakeTimeout{10'000};
 
 struct CoState {
   explicit CoState(const DistExploreOptions& o)
@@ -107,7 +87,6 @@ struct CoState {
   std::optional<Clock::time_point> deadline;
   Log* log = nullptr;
   JournalWriter* journal = nullptr;  // nullptr = journaling off
-  int listen_fd = -1;                // reconnect acceptor source; -1 = none
   int epfd = -1;
 
   check::detail::JobLedger ledger;
@@ -120,7 +99,6 @@ struct CoState {
   // halt_after_jobs hook fired); becomes the merged partial summary's error.
   std::string unfinished_reason;
   std::vector<std::unique_ptr<Conn>> conns;
-  std::vector<std::unique_ptr<Provisional>> provisional;
 
   // Dedupe only: every first sighting the workers report (kFpBatch), for
   // the run's distinct-state count and the cross-worker collision audit.
@@ -144,12 +122,11 @@ int tick_ms(const CoState& co, int cap) {
 // lose the connection's events and hang the run.  Throws WireError naming
 // the operation, the fd and errno.  Deleting an fd that is already closed
 // or unregistered (EBADF, ENOENT) is not an error.
-void epoll_ctl_checked(CoState& co, int op, int fd, PollTarget* t,
-                       bool write) {
+void epoll_ctl_checked(CoState& co, int op, int fd, Conn* conn, bool write) {
   struct epoll_event ev {};
   ev.events = static_cast<std::uint32_t>(EPOLLIN) |
               (write ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
-  ev.data.ptr = t;
+  ev.data.ptr = conn;
   if (::epoll_ctl(co.epfd, op, fd, op == EPOLL_CTL_DEL ? nullptr : &ev) ==
       0) {
     return;
@@ -165,12 +142,12 @@ void epoll_ctl_checked(CoState& co, int op, int fd, PollTarget* t,
                   std::to_string(fd) + ": " + std::strerror(err));
 }
 
-void epoll_add(CoState& co, int fd, PollTarget* t, bool write) {
-  epoll_ctl_checked(co, EPOLL_CTL_ADD, fd, t, write);
+void epoll_add(CoState& co, int fd, Conn* conn, bool write) {
+  epoll_ctl_checked(co, EPOLL_CTL_ADD, fd, conn, write);
 }
 
-void epoll_mod(CoState& co, int fd, PollTarget* t, bool write) {
-  epoll_ctl_checked(co, EPOLL_CTL_MOD, fd, t, write);
+void epoll_mod(CoState& co, int fd, Conn* conn, bool write) {
+  epoll_ctl_checked(co, EPOLL_CTL_MOD, fd, conn, write);
 }
 
 void epoll_del(CoState& co, int fd) {
@@ -306,12 +283,11 @@ bool past_deadline(const CoState& co) {
   return co.deadline && Clock::now() >= *co.deadline;
 }
 
-HelloMsg make_hello(const CoState& co, std::uint32_t worker,
-                    std::uint64_t session,
+HelloMsg make_hello(const CoState& co, const Conn& conn,
                     const check::CrashWorldSpec* spec) {
   HelloMsg hello;
-  hello.worker = worker;
-  hello.session = session;
+  hello.worker = static_cast<std::uint32_t>(conn.worker);
+  hello.session = conn.session;
   hello.heartbeat_interval_ms = co.options->heartbeat_interval_ms;
   hello.heartbeat_timeout_ms = co.options->heartbeat_timeout_ms;
   hello.options = co.options->base;
@@ -342,47 +318,73 @@ void retire(CoState& co, Conn& conn, const std::string& reason) {
   }
 }
 
+std::string endpoint_text(const Endpoint& e) {
+  return e.host + ":" + std::to_string(e.port);
+}
+
 // Lost connection: requeue the in-flight job (cancelling what the attempt
-// donated), then park the session for a re-dial within the window - the
-// worker's (fork mode) or ours (cluster mode, from run_timers) - or retire
-// it.
+// donated), then park the slot for a re-dial within the window, or retire
+// it.  A failed re-dial just waits for the next one.  A slot that never
+// completed a handshake is not re-dialed: the run fails, naming its
+// endpoint.
 void on_conn_lost(CoState& co, Conn& conn, const std::string& why) {
-  const std::string death =
-      "worker " + std::to_string(conn.worker) + " disconnected: " + why;
-  co.log->line("coordinator: %s", death.c_str());
-  if (conn.current != nullptr) {
-    Job* lost = conn.current;
-    conn.current = nullptr;
-    requeue_or_fail(co, lost, death);
+  if (!conn.served) {
+    throw WireError("worker " + std::to_string(conn.worker) + " at " +
+                    endpoint_text(conn.endpoint) +
+                    " never completed its handshake: " + why);
+  }
+  const bool redialing = conn.phase == Conn::kHandshaking;
+  const auto now = Clock::now();
+  if (redialing) {
+    co.log->line("coordinator: worker %zu re-dial failed: %s", conn.worker,
+                 why.c_str());
+  } else {
+    conn.death =
+        "worker " + std::to_string(conn.worker) + " disconnected: " + why;
+    co.log->line("coordinator: %s", conn.death.c_str());
+    if (conn.current != nullptr) {
+      Job* lost = conn.current;
+      conn.current = nullptr;
+      requeue_or_fail(co, lost, conn.death);
+    }
+    conn.window_end =
+        now + std::chrono::milliseconds(co.options->reconnect_window_ms);
   }
   conn.stop_stalling = false;
   epoll_del(co, conn.ch.fd());
   conn.write_armed = false;
+  // Close the dead socket NOW so a partitioned-but-alive worker sees the
+  // EOF, ends its session and goes back to accepting our re-dial.
+  conn.ch.close();
 
-  if (!co.stop && co.options->reconnect_window_ms > 0 &&
-      (!conn.host.empty() || co.listen_fd >= 0)) {
-    // Close the dead socket NOW so a partitioned-but-alive worker sees the
-    // EOF: a fork worker then re-dials the kept-open listener, a serve
-    // session ends and its listener takes our re-dial.
-    conn.ch.close();
+  if (!co.stop && now < conn.window_end) {
     conn.phase = Conn::kAwaitingReconnect;
-    conn.phase_deadline =
-        Clock::now() +
-        std::chrono::milliseconds(co.options->reconnect_window_ms);
-    conn.next_dial = Clock::now();
-    conn.death = death;
+    conn.next_dial = redialing ? now + kRedialInterval : now;
     return;
   }
-
   retire(co, conn,
-         "every worker disconnected with work outstanding (last: " + death +
-             ")");
+         "every worker disconnected with work outstanding (last: " +
+             conn.death + ")");
 }
 
-void kill_provisional(CoState& co, Provisional& p) {
-  epoll_del(co, p.ch.fd());
-  p.ch.close();
-  p.dead = true;
+// Starts one connection for the slot, first dial and re-dial alike: a
+// non-blocking connect with the hello queued behind it.  A refused connect
+// surfaces through the event loop (or as a throw from here) and reaches
+// on_conn_lost like any lost handshake.
+void dial(CoState& co, Conn& conn, const check::CrashWorldSpec* spec) {
+  const auto now = Clock::now();
+  conn.phase = Conn::kHandshaking;
+  conn.phase_deadline = now + kHandshakeTimeout;
+  if (conn.served) {
+    conn.phase_deadline = std::min(conn.phase_deadline, conn.window_end);
+  }
+  conn.last_heard = conn.last_sent = now;
+  conn.ch.adopt(connect_tcp_async(conn.endpoint.host, conn.endpoint.port));
+  conn.ch.set_faults(conn.faults.any() ? &conn.faults : nullptr);
+  epoll_add(co, conn.ch.fd(), &conn, false);
+  const HelloMsg hello = make_hello(co, conn, spec);
+  send_msg(co, conn, MsgType::kHello,
+           [&hello](WireWriter& w) { encode_hello(w, hello); });
 }
 
 // Folds one kFpBatch report into the run's distinct-state table.  Reports
@@ -502,9 +504,22 @@ void finish_handshake(CoState& co, Conn& conn) {
   if (!ack.ok) {
     co.log->line("coordinator: worker %zu rejected hello: %s", conn.worker,
                  ack.error.c_str());
-    retire(co, conn, "every worker disconnected before the run finished");
+    retire(co, conn,
+           "every worker disconnected before the run finished (last: worker " +
+               std::to_string(conn.worker) + " at " +
+               endpoint_text(conn.endpoint) +
+               " rejected the hello: " + ack.error + ")");
     return;
   }
+  if (ack.session != conn.session) {
+    throw WireError("hello-ack echoes session " +
+                    std::to_string(ack.session) + ", expected " +
+                    std::to_string(conn.session));
+  }
+  if (conn.served) {
+    co.log->line("coordinator: worker %zu re-dialed", conn.worker);
+  }
+  conn.served = true;
   conn.phase = Conn::kServing;
   conn.last_heard = conn.last_sent = Clock::now();
 }
@@ -530,122 +545,6 @@ void service_read(CoState& co, Conn& conn) {
     }
     handle_frame(co, conn);
   }
-}
-
-// Drives a provisional (re-dial) handshake: flush the provisional hello,
-// read the ack, and hand the channel - WITH its sequence counters, which
-// is why it moves instead of re-adopting - to the waiting session whose
-// token the ack echoes (a fork worker's resume, or a fresh serve session
-// echoing our re-dial's hello).
-void service_provisional(CoState& co, Provisional& p, std::uint32_t events) {
-  try {
-    if ((events & EPOLLOUT) != 0 && p.ch.flush() && p.write_armed) {
-      p.write_armed = false;
-      epoll_mod(co, p.ch.fd(), &p, false);
-    }
-    if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) == 0) {
-      return;
-    }
-    const int got = p.ch.buffered_recv(p.in);
-    if (got == 0) {
-      return;
-    }
-    if (got < 0 || p.in.type != MsgType::kHelloAck) {
-      kill_provisional(co, p);
-      return;
-    }
-    WireReader r = p.in.reader();
-    const HelloAckMsg ack = decode_hello_ack(r);
-    if (!ack.ok) {
-      co.log->line("coordinator: re-dial rejected: %s", ack.error.c_str());
-      kill_provisional(co, p);
-      return;
-    }
-    for (const auto& c : co.conns) {
-      if (c->session == ack.session &&
-          c->phase == Conn::kAwaitingReconnect) {
-        epoll_del(co, p.ch.fd());
-        c->ch = std::move(p.ch);
-        p.dead = true;
-        c->ch.set_faults(c->faults.any() ? &c->faults : nullptr);
-        c->phase = Conn::kServing;
-        c->current = nullptr;
-        c->write_armed = false;
-        c->last_heard = c->last_sent = Clock::now();
-        epoll_add(co, c->ch.fd(), c.get(), false);
-        co.log->line("coordinator: worker %zu session resumed", c->worker);
-        return;
-      }
-    }
-    kill_provisional(co, p);  // unmatched (window expired, bogus token)
-  } catch (const std::exception&) {
-    kill_provisional(co, p);
-  }
-}
-
-// Starts a provisional handshake on a fresh socket: the hello goes out
-// fault-free (the session's fault plan reattaches with the channel) and
-// the ack is awaited through the event loop.
-void start_provisional(CoState& co, int fd, const HelloMsg& hello) {
-  auto prov = std::make_unique<Provisional>();
-  prov->kind = PollTarget::kProvisional;
-  prov->session = hello.session;
-  prov->deadline = Clock::now() + std::chrono::milliseconds(5'000);
-  try {
-    prov->ch.adopt(fd);
-    WireWriter w;
-    encode_hello(w, hello);
-    prov->ch.enqueue(MsgType::kHello, w);
-    prov->write_armed = !prov->ch.flush();
-    epoll_add(co, prov->ch.fd(), prov.get(), prov->write_armed);
-  } catch (const std::exception&) {
-    return;  // socket died mid-hello; drop it
-  }
-  co.provisional.push_back(std::move(prov));
-}
-
-// Accepts every re-dialing fork-mode worker queued on the listener and
-// starts its provisional handshake (the worker's HelloAck echoes its prior
-// session token with resume=true).
-void accept_reconnects(CoState& co, const check::CrashWorldSpec* spec) {
-  for (;;) {
-    int fd = -1;
-    try {
-      fd = accept_tcp(co.listen_fd, 0);
-    } catch (const std::exception&) {
-      return;  // listener gone
-    }
-    if (fd < 0) {
-      return;
-    }
-    start_provisional(co, fd,
-                      make_hello(co, /*worker=*/0xffffffffu, /*session=*/0,
-                                 spec));
-  }
-}
-
-// Cluster mode: starts one non-blocking connect to a lost session's
-// endpoint, whose hello carries the session's own token.  A refused or
-// failed connect surfaces on the provisional's first write and kills it;
-// run_timers tries again every kRedialInterval until the window closes.
-void redial(CoState& co, Conn& conn, const check::CrashWorldSpec* spec) {
-  conn.next_dial = Clock::now() + kRedialInterval;
-  for (const auto& p : co.provisional) {
-    if (!p->dead && p->session == conn.session) {
-      return;  // the previous attempt is still in flight
-    }
-  }
-  int fd = -1;
-  try {
-    fd = connect_tcp_async(conn.host, conn.port);
-  } catch (const std::exception& e) {
-    co.log->line("coordinator: worker %zu re-dial failed: %s", conn.worker,
-                 e.what());
-    return;
-  }
-  start_provisional(co, fd,
-                    make_hello(co, static_cast<std::uint32_t>(conn.worker),
-                               conn.session, spec));
 }
 
 // Event-driven job assignment: ships the lex-least pending job to an idle
@@ -719,8 +618,8 @@ void poke_steals(CoState& co) {
 }
 
 // Timer pass, run once per epoll wakeup: run deadline, heartbeats,
-// reconnect-window and handshake expiries, cluster re-dials, the
-// stop-stall guard, and the provisional sweep.
+// reconnect-window and handshake expiries, re-dials, and the stop-stall
+// guard.
 void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
   const auto now = Clock::now();
   if (!co.stop && past_deadline(co)) {
@@ -752,59 +651,42 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
         break;
       case Conn::kHandshaking:
         if (now >= c->phase_deadline) {
-          co.log->line("coordinator: worker %zu handshake timed out",
-                       c->worker);
-          retire(co, *c,
-                 "every worker disconnected before the run finished");
+          on_conn_lost(co, *c, "handshake timed out");
         }
         break;
       case Conn::kAwaitingReconnect:
-        if (co.stop || now >= c->phase_deadline) {
+        if (co.stop || now >= c->window_end) {
           retire(co, *c,
                  "every worker disconnected with work outstanding (last: " +
                      c->death + ")");
-        } else if (!c->host.empty() && now >= c->next_dial) {
-          redial(co, *c, spec);
+        } else if (now >= c->next_dial) {
+          try {
+            dial(co, *c, spec);
+          } catch (const std::exception& e) {
+            on_conn_lost(co, *c, e.what());
+          }
         }
         break;
       case Conn::kDead:
         break;
     }
   }
-  for (const auto& p : co.provisional) {
-    if (!p->dead && now >= p->deadline) {
-      kill_provisional(co, *p);
-    }
-  }
-  co.provisional.erase(
-      std::remove_if(co.provisional.begin(), co.provisional.end(),
-                     [](const std::unique_ptr<Provisional>& p) {
-                       return p->dead;
-                     }),
-      co.provisional.end());
 }
 
 // The coordinator: one thread, one epoll loop, every connection
-// non-blocking and buffered.  Ownership rules: the loop alone touches
-// channels, job records and the state table (no locks anywhere);
-// registrations point at Conn/Provisional objects whose lifetime outlasts
-// their fd (Conns live for the whole run, Provisionals are swept only
-// between event batches, so a stale event in the current batch always
-// finds a live object and a phase/dead check).
+// non-blocking and buffered, and the only side that dials.  Ownership
+// rules: the loop alone touches channels, job records and the state table
+// (no locks anywhere); registrations point at Conns, which live for the
+// whole run, so a stale event in the current batch always finds a live
+// object and a phase check.  Re-dials start only from run_timers, between
+// event batches.
 void run_event_loop(CoState& co, const check::CrashWorldSpec* spec) {
-  const auto now = Clock::now();
   for (const auto& c : co.conns) {
-    c->phase = Conn::kHandshaking;
-    c->phase_deadline = now + std::chrono::milliseconds(10'000);
-    c->last_heard = c->last_sent = now;
-    epoll_add(co, c->ch.fd(), c.get(), false);
-    const HelloMsg hello = make_hello(
-        co, static_cast<std::uint32_t>(c->worker), c->session, spec);
-    send_msg(co, *c, MsgType::kHello,
-             [&hello](WireWriter& w) { encode_hello(w, hello); });
-  }
-  if (co.listen_fd >= 0) {
-    epoll_add(co, co.listen_fd, nullptr, false);
+    try {
+      dial(co, *c, spec);
+    } catch (const std::exception& e) {
+      on_conn_lost(co, *c, e.what());  // throws: never served
+    }
   }
 
   struct epoll_event events[64];
@@ -819,19 +701,7 @@ void run_event_loop(CoState& co, const check::CrashWorldSpec* spec) {
       throw WireError(std::string("epoll_wait: ") + std::strerror(errno));
     }
     for (int i = 0; i < n; ++i) {
-      PollTarget* target = static_cast<PollTarget*>(events[i].data.ptr);
-      if (target == nullptr) {
-        accept_reconnects(co, spec);
-        continue;
-      }
-      if (target->kind == PollTarget::kProvisional) {
-        auto* p = static_cast<Provisional*>(target);
-        if (!p->dead) {
-          service_provisional(co, *p, events[i].events);
-        }
-        continue;
-      }
-      Conn& conn = *static_cast<Conn*>(target);
+      Conn& conn = *static_cast<Conn*>(events[i].data.ptr);
       if (conn.phase == Conn::kDead ||
           conn.phase == Conn::kAwaitingReconnect) {
         continue;  // stale event from earlier in this batch
@@ -947,34 +817,54 @@ std::size_t load_journal(CoState& co, const DistExploreOptions& options,
   return reused + rerun;
 }
 
+// Reaps every forked worker the moment it exits, waiting on a pidfd
+// instead of polling; one still running once the shared 5 s grace is over
+// is SIGKILLed.  Without pidfds (kernels before 5.3) a worker is killed at
+// once.
 void reap_children(const std::vector<pid_t>& kids) {
+  const auto grace_end = Clock::now() + std::chrono::seconds(5);
   for (const pid_t pid : kids) {
-    int status = 0;
-    // Workers exit on shutdown or coordinator EOF; give each a grace
-    // window before escalating.
-    for (int spins = 0; spins < 500; ++spins) {
-      const pid_t r = ::waitpid(pid, &status, WNOHANG);
-      if (r == pid || (r < 0 && errno != EINTR)) {
-        break;  // reaped, or not our child anymore
-      }
-      if (spins == 499) {
-        ::kill(pid, SIGKILL);
-        ::waitpid(pid, &status, 0);
-        break;
-      }
-      ::usleep(10 * 1000);
+    bool exited = false;
+    const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+    if (pidfd >= 0) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          grace_end - Clock::now());
+      exited = wait_readable(
+          pidfd, static_cast<int>(std::max<long long>(left.count(), 0)));
+      ::close(pidfd);
+    }
+    if (!exited) {
+      ::kill(pid, SIGKILL);
+    }
+    while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
     }
   }
+}
+
+// Strict host:port: the port is 1-65535, written in digits only.
+Endpoint parse_endpoint(const std::string& text) {
+  const std::size_t colon = text.rfind(':');
+  const std::string digits =
+      colon == std::string::npos ? std::string() : text.substr(colon + 1);
+  const bool numeric =
+      !digits.empty() && digits.size() <= 5 &&
+      std::all_of(digits.begin(), digits.end(),
+                  [](char ch) { return ch >= '0' && ch <= '9'; });
+  const unsigned long port = numeric ? std::stoul(digits) : 0;
+  if (colon == 0 || port == 0 || port > 65535) {
+    throw WireError("endpoint '" + text +
+                    "' is not host:port with a port in 1-65535");
+  }
+  return {text.substr(0, colon), static_cast<std::uint16_t>(port)};
 }
 
 }  // namespace
 
 check::ScheduleExploreResult coordinate(
-    std::vector<int> worker_fds, const DistExploreOptions& options,
-    const check::CrashWorldSpec* spec, int reconnect_listen_fd,
-    const std::vector<std::pair<std::string, std::uint16_t>>* endpoints) {
+    const std::vector<Endpoint>& endpoints, const DistExploreOptions& options,
+    const check::CrashWorldSpec* spec) {
   check::validate(options.base);
-  if (worker_fds.empty()) {
+  if (endpoints.empty()) {
     throw std::invalid_argument("dist: coordinate needs at least one worker");
   }
   if (options.resume && options.journal_path.empty()) {
@@ -984,7 +874,6 @@ check::ScheduleExploreResult coordinate(
   Log log(log_path("coordinator"));
   CoState co(options);
   co.log = &log;
-  co.listen_fd = options.reconnect_window_ms > 0 ? reconnect_listen_fd : -1;
   if (options.time_limit.count() > 0) {
     co.deadline = Clock::now() + options.time_limit;
   }
@@ -993,30 +882,20 @@ check::ScheduleExploreResult coordinate(
         check::StateTable::Options{.audit = options.base.dedupe_audit});
   }
 
-  // Adopt the sockets into Conn channels FIRST: any throw below (a resume
-  // config mismatch, an unreadable journal) then closes them via the
-  // Channel destructors, and the workers see EOF instead of hanging on a
-  // hello that will never come.
-  //
   // Session tokens: unique within this coordinator's lifetime (and across
-  // quick restarts) so a stale worker cannot hijack another session.
+  // quick restarts), so an ack answering some other coordinator's hello is
+  // refused.
   const std::uint64_t token_base =
       (static_cast<std::uint64_t>(::getpid()) << 40) ^
       static_cast<std::uint64_t>(
           Clock::now().time_since_epoch().count());
-  for (std::size_t i = 0; i < worker_fds.size(); ++i) {
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
     auto conn = std::make_unique<Conn>();
-    conn->kind = PollTarget::kWorkerConn;
-    conn->ch.adopt(worker_fds[i]);
     conn->worker = i;
     conn->session = token_base + i + 1;
-    if (endpoints != nullptr && i < endpoints->size()) {
-      conn->host = (*endpoints)[i].first;
-      conn->port = (*endpoints)[i].second;
-    }
+    conn->endpoint = endpoints[i];
     if (options.coordinator_faults.any()) {
       conn->faults = derive_fault_plan(options.coordinator_faults, i);
-      conn->ch.set_faults(&conn->faults);
     }
     co.conns.push_back(std::move(conn));
   }
@@ -1087,69 +966,78 @@ check::ScheduleExploreResult dist_explore_schedules(
   if (options.workers == 0) {
     throw std::invalid_argument("dist: workers must be >= 1");
   }
-  std::uint16_t port = 0;
-  const int listen_fd = listen_tcp("127.0.0.1", port);
+  // One loopback listener per worker, bound before the fork so the
+  // coordinator's first dial never races the child.
+  std::vector<int> listeners;
+  std::vector<Endpoint> endpoints;
+  const auto close_listeners = [&listeners] {
+    for (const int fd : listeners) {
+      ::close(fd);
+    }
+    listeners.clear();
+  };
+  try {
+    for (std::size_t i = 0; i < options.workers; ++i) {
+      std::uint16_t port = 0;
+      listeners.push_back(listen_tcp("127.0.0.1", port));
+      endpoints.push_back({"127.0.0.1", port});
+    }
+  } catch (...) {
+    close_listeners();
+    throw;
+  }
 
   // Fork every worker first; the coordinator is single-threaded, but a
   // worker forked after any thread ever existed may inherit held
   // malloc/sanitizer locks, and TSan forbids it outright.
   std::vector<pid_t> kids;
+  const auto kill_kids = [&kids] {
+    for (const pid_t k : kids) {
+      ::kill(k, SIGKILL);
+    }
+  };
   for (std::size_t i = 0; i < options.workers; ++i) {
     const pid_t pid = ::fork();
     if (pid < 0) {
-      for (const pid_t k : kids) {
-        ::kill(k, SIGKILL);
-      }
+      kill_kids();
       reap_children(kids);
-      ::close(listen_fd);
+      close_listeners();
       throw WireError("fork failed");
     }
     if (pid == 0) {
-      ::close(listen_fd);
-      int code = 1;
-      try {
-        WorkerOptions wopt;
-        wopt.host = "127.0.0.1";
-        wopt.port = port;
-        wopt.reconnect_window_ms = options.reconnect_window_ms;
-        wopt.seed = i;
-        wopt.log_path = log_path("worker-" + std::to_string(i));
-        if (options.worker_faults.any()) {
-          wopt.faults = derive_fault_plan(options.worker_faults, i);
+      for (std::size_t j = 0; j < listeners.size(); ++j) {
+        if (j != i) {
+          ::close(listeners[j]);
         }
-        code = run_worker(factory, wopt);
+      }
+      try {
+        serve(listeners[i], factory,
+              options.worker_faults.any()
+                  ? derive_fault_plan(options.worker_faults, i)
+                  : FaultPlan{},
+              log_path("worker-" + std::to_string(i)),
+              static_cast<int>(std::min<std::uint32_t>(
+                  options.reconnect_window_ms, std::uint32_t{1} << 30)));
       } catch (...) {
       }
       // _Exit: never run the parent's atexit handlers or static
       // destructors in a forked child.
-      std::_Exit(code);
+      std::_Exit(0);
     }
     kids.push_back(pid);
   }
+  // Only the children hold the listeners, so a dead worker's endpoint
+  // refuses the re-dial instead of queueing it.
+  close_listeners();
 
-  std::vector<int> fds;
-  for (std::size_t i = 0; i < options.workers; ++i) {
-    const int fd = accept_tcp(listen_fd, 10'000);
-    if (fd < 0) {
-      break;  // a child died before connecting; run with the rest
-    }
-    fds.push_back(fd);
-  }
-
-  // The listener stays open for the run: disconnected workers re-dial it
-  // and the coordinator's epoll loop re-handshakes them.
   check::ScheduleExploreResult res;
   std::exception_ptr failure;
-  if (fds.empty()) {
-    failure = std::make_exception_ptr(WireError("no worker connected"));
-  } else {
-    try {
-      res = coordinate(std::move(fds), options, nullptr, listen_fd);
-    } catch (...) {
-      failure = std::current_exception();
-    }
+  try {
+    res = coordinate(endpoints, options, nullptr);
+  } catch (...) {
+    failure = std::current_exception();
+    kill_kids();  // the run is over; no worker should wait out its window
   }
-  ::close(listen_fd);
   reap_children(kids);
   if (failure) {
     std::rethrow_exception(failure);
@@ -1164,29 +1052,11 @@ check::ScheduleExploreResult dist_explore_remote(
   if (endpoints.empty()) {
     throw std::invalid_argument("dist: no worker endpoints");
   }
-  std::vector<int> fds;
-  std::vector<std::pair<std::string, std::uint16_t>> addrs;
-  try {
-    for (const std::string& ep : endpoints) {
-      const std::size_t colon = ep.rfind(':');
-      if (colon == std::string::npos) {
-        throw WireError("endpoint '" + ep + "' is not host:port");
-      }
-      const std::string host = ep.substr(0, colon);
-      const int port = std::atoi(ep.c_str() + colon + 1);
-      if (port <= 0 || port > 65535) {
-        throw WireError("endpoint '" + ep + "' has a bad port");
-      }
-      fds.push_back(connect_tcp(host, static_cast<std::uint16_t>(port)));
-      addrs.emplace_back(host, static_cast<std::uint16_t>(port));
-    }
-  } catch (...) {
-    for (const int fd : fds) {
-      ::close(fd);
-    }
-    throw;
+  std::vector<Endpoint> parsed;
+  for (const std::string& ep : endpoints) {
+    parsed.push_back(parse_endpoint(ep));
   }
-  return coordinate(std::move(fds), options, &spec, -1, &addrs);
+  return coordinate(parsed, options, &spec);
 }
 
 }  // namespace revisim::dist

@@ -31,15 +31,17 @@
 //     re-run could prune into a region no merged record covers.  The
 //     retry rule is the JobLedger's, shared with the in-process explorer
 //     (the full argument is in src/check/job_ledger.h).
-//   - A session outlives its socket.  A fork-mode worker re-dials the
-//     kept-open listener with backoff and re-handshakes under its prior
-//     session token; a lost cluster endpoint is re-dialed by the
-//     coordinator with a non-blocking connect whose hello carries the
-//     session token.  Either way the event loop's provisional handshake
-//     hands the fresh channel to the waiting session
-//     (reconnect_window_ms bounds the wait) and the loop never blocks on
-//     it.  In-flight live-counter credit is zeroed on requeue, never
-//     double counted.
+//   - The coordinator is the only side that dials: every worker, forked
+//     or `revisim_cli serve`, listens.  First dial and re-dial take one
+//     path through the event loop - a non-blocking connect, then
+//     hello/ack in the slot's handshaking phase - so the loop never blocks
+//     on either.  A lost connection is re-dialed every 100 ms within
+//     reconnect_window_ms.  A session is one connection: the re-dialed
+//     worker starts with an empty dedupe table, and first-sighting reports
+//     it had not sent yet are lost, so states_seen is only a lower bound
+//     after a fault.  An endpoint that never completed a handshake is not
+//     re-dialed; the run fails with a WireError naming it.  In-flight
+//     live-counter credit is zeroed on requeue, never double counted.
 //   - A run journal (journal_path) records created jobs and completed
 //     walks; after a coordinator crash, resume=true reloads it, reuses
 //     completed regions, re-runs incomplete ones and discards their
@@ -54,7 +56,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/check/crash_worlds.h"
@@ -82,10 +83,10 @@ struct DistExploreOptions {
   // layer (a partitioned peer is then only detected by socket errors).
   std::uint32_t heartbeat_interval_ms = 500;
   std::uint32_t heartbeat_timeout_ms = 10'000;
-  // How long a lost worker's session stays open for a re-dial and
-  // re-handshake (fork mode: the worker re-dials the kept-open listener;
-  // cluster mode: the coordinator re-dials the endpoint every 100 ms).  0
-  // disables reconnect: a lost connection is a lost worker.
+  // How long the coordinator keeps re-dialing a lost worker (every
+  // 100 ms); a forked worker likewise exits once no coordinator dialed it
+  // for this long.  0 disables reconnect: a lost connection is a lost
+  // worker.
   std::uint32_t reconnect_window_ms = 10'000;
 
   // --- run journal / checkpoint-resume ---------------------------------
@@ -100,8 +101,9 @@ struct DistExploreOptions {
 
   // --- deterministic fault injection (tests / CI) ----------------------
   // Outbound fault plans: coordinator_faults perturbs every C->W send
-  // (re-seeded per connection), worker_faults is shipped to forked workers
-  // (re-seeded per worker) and perturbs their W->C sends.
+  // (re-seeded per worker slot), worker_faults is handed to forked workers
+  // (re-seeded per worker) and perturbs their W->C sends.  Cluster workers
+  // take theirs from REVISIM_FAULT_PLAN (see serve_forever).
   FaultPlan coordinator_faults;
   FaultPlan worker_faults;
 
@@ -116,34 +118,41 @@ struct DistExploreOptions {
   std::uint64_t halt_after_jobs = 0;
 };
 
-// Runs one exploration over already-connected worker sockets (ownership
-// taken; sockets are closed on return).  `spec` names the registry world
-// cluster workers must build; pass nullptr when every worker was forked
-// from this process and owns the factory already.  `reconnect_listen_fd`,
-// when >= 0, is a listening socket (NOT owned; the caller closes it) on
-// which disconnected fork-mode workers re-dial; -1 disables acceptor-based
-// reconnect.  `endpoints`, when non-null, records each worker's dialable
-// (host, port) so a lost cluster connection is re-dialed by the
-// coordinator instead.
-check::ScheduleExploreResult coordinate(
-    std::vector<int> worker_fds, const DistExploreOptions& options,
-    const check::CrashWorldSpec* spec, int reconnect_listen_fd = -1,
-    const std::vector<std::pair<std::string, std::uint16_t>>* endpoints =
-        nullptr);
+// A worker's listening address: a `revisim_cli serve` instance, or the
+// loopback listener of a forked worker.
+struct Endpoint {
+  std::string host;
+  std::uint16_t port = 0;
+};
 
-// Single-binary localhost mode: forks `options.workers` worker processes
-// connected over loopback TCP, coordinates the run, shuts the workers down
+// Runs one exploration over the workers listening at `endpoints`, dialing
+// each from the event loop and re-dialing lost ones.  `spec` names the
+// registry world the workers must build; pass nullptr when every worker
+// was forked from this process and owns the factory already.  Throws
+// WireError naming the endpoint if one refuses its first dial or is lost
+// before its first handshake completes.  A worker that rejects the hello
+// (unknown world, say) is retired; with none left, the summary's error
+// says why.
+check::ScheduleExploreResult coordinate(const std::vector<Endpoint>& endpoints,
+                                        const DistExploreOptions& options,
+                                        const check::CrashWorldSpec* spec);
+
+// Single-binary localhost mode: binds one loopback listener per worker,
+// forks `options.workers` worker processes that each run serve()
+// (src/dist/worker.h) on their own listener with the inherited factory,
+// then coordinates the run over those endpoints, shuts the workers down
 // and reaps them.  Fork happens before any coordinator thread starts, so
-// the mode is safe under TSan.  The listener stays open for the run so
-// lost workers can re-dial.  This is what tests, the benchmark and
-// `revisim_cli dist-explore --workers N` use.
+// the mode is safe under TSan.  The parent keeps no copy of the listeners,
+// so a dead worker refuses the re-dial.  This is what tests, the benchmark
+// and `revisim_cli dist-explore --workers N` use.
 check::ScheduleExploreResult dist_explore_schedules(
     const std::function<std::unique_ptr<check::ExplorableWorld>()>& factory,
     const DistExploreOptions& options);
 
-// Cluster mode: connects to `host:port` endpoints running `revisim_cli
-// serve` and ships them `spec` to build.  Throws WireError if any endpoint
-// is unreachable or rejects the hello.
+// Cluster mode: dials `host:port` endpoints running `revisim_cli serve` and
+// ships them `spec` to build.  Throws WireError naming the endpoint if one
+// is malformed (the port must be 1-65535, in digits only), or as
+// coordinate() does.
 check::ScheduleExploreResult dist_explore_remote(
     const check::CrashWorldSpec& spec,
     const std::vector<std::string>& endpoints,

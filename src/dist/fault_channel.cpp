@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <sys/socket.h>
 #include <unistd.h>
-#include <utility>
 
 namespace revisim::dist {
 
@@ -103,31 +102,6 @@ FaultPlan derive_fault_plan(const FaultPlan& plan, std::size_t index) {
   FaultPlan derived = plan;
   derived.seed = plan.seed + static_cast<std::uint64_t>(index) * 1000003ull;
   return derived;
-}
-
-Channel::Channel(Channel&& other) noexcept { *this = std::move(other); }
-
-Channel& Channel::operator=(Channel&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = other.fd_;
-    faults_ = other.faults_;
-    rng_ = other.rng_;
-    sent_frames_ = other.sent_frames_;
-    send_seq_ = other.send_seq_;
-    recv_seq_ = other.recv_seq_;
-    broken_ = other.broken_;
-    partitioned_ = other.partitioned_;
-    cut_on_drain_ = other.cut_on_drain_;
-    rx_eof_ = other.rx_eof_;
-    tx_ = std::move(other.tx_);
-    tx_off_ = other.tx_off_;
-    rx_ = std::move(other.rx_);
-    rx_pos_ = other.rx_pos_;
-    other.fd_ = -1;
-    other.faults_ = nullptr;
-  }
-  return *this;
 }
 
 void Channel::adopt(int fd) {

@@ -12,7 +12,7 @@
 // Every fault is either detected or survived deterministically:
 //   - drop/duplicate: the sequence number gap/repeat is caught by the
 //     peer's next recv as a WireError, which cuts the connection and hands
-//     recovery to the job re-queue + reconnect machinery.  Heartbeats
+//     recovery to the coordinator's job re-queue and re-dial.  Heartbeats
 //     guarantee a next frame exists, so a dropped frame can stall the run
 //     for at most one heartbeat interval.
 //   - truncate/cut: the peer sees a mid-frame EOF or crc mismatch.
@@ -26,9 +26,11 @@
 // Rate faults (drop/dup/delay) draw from a seeded xorshift generator and
 // keep firing for the life of the plan.  Positional faults (stall_at,
 // cut_after, truncate_at, partition_after) fire once per PLAN, not per
-// connection: after firing they disarm themselves, so the reconnected
-// session runs clean and the run converges to the fault-free result -
-// which is exactly what the bit-parity fault tests assert.
+// connection: after firing they disarm themselves, so the re-dialed
+// connection runs clean and the run converges to the fault-free result -
+// which is exactly what the bit-parity fault tests assert.  That is why the
+// coordinator keeps one plan per worker slot across re-dials, and a worker
+// one plan for its whole process.
 #pragma once
 
 #include <cstdint>
@@ -86,12 +88,6 @@ class Channel {
   Channel() = default;
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
-  // Movable so a handshake performed on a provisional channel (the
-  // coordinator's re-dial or reconnect acceptor) can be handed to the
-  // waiting session WITH its sequence counters - the frames exchanged
-  // during the handshake are part of the connection's sequence space.
-  Channel(Channel&& other) noexcept;
-  Channel& operator=(Channel&& other) noexcept;
   ~Channel() { close(); }
 
   // Points the channel at a (re)connected fd: closes any previous fd,
@@ -107,7 +103,7 @@ class Channel {
 
   // Attaches a fault plan (not owned; may be nullptr).  The plan object is
   // mutated as positional faults disarm, so sharing one plan across
-  // reconnects gives fire-once semantics.
+  // connections gives fire-once semantics.
   void set_faults(FaultPlan* plan);
 
   // Commits one frame to the tx buffer without writing to the socket.

@@ -263,7 +263,6 @@ void encode_hello_ack(WireWriter& w, const HelloAckMsg& m) {
   w.u16(kWireVersion);
   w.u8(m.ok ? 1 : 0);
   w.str(m.error);
-  w.u8(m.resume ? 1 : 0);
   w.u64(m.session);
 }
 
@@ -279,7 +278,6 @@ HelloAckMsg decode_hello_ack(WireReader& r) {
   HelloAckMsg m;
   m.ok = r.u8() != 0;
   m.error = r.str();
-  m.resume = r.u8() != 0;
   m.session = r.u64();
   r.expect_done();
   return m;
@@ -593,60 +591,6 @@ int accept_tcp(int listen_fd, int timeout_ms) {
       throw WireError(errno_text("accept"));
     }
   }
-}
-
-int connect_tcp(const std::string& host, std::uint16_t port,
-                std::chrono::milliseconds deadline,
-                std::uint64_t jitter_seed) {
-  const sockaddr_in addr = ipv4_address(host, port, "connect_tcp");
-  // Jittered exponential backoff under a caller-supplied deadline: a
-  // freshly forked worker can race the coordinator's listen(), and a
-  // reconnecting fleet must not re-dial in lockstep (the jitter seed
-  // de-synchronizes workers that lost the coordinator at the same instant).
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point give_up = Clock::now() + deadline;
-  std::uint64_t rng = jitter_seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull;
-  auto next_jitter = [&rng] {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
-  std::string last_err = "unreachable";
-  int attempts = 0;
-  std::uint64_t backoff_us = 2'000;  // 2ms, doubling to a 200ms ceiling
-  for (;;) {
-    ++attempts;
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      throw WireError(errno_text("socket"));
-    }
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) ==
-        0) {
-      set_nodelay(fd);
-      return fd;
-    }
-    last_err = errno_text("connect");
-    ::close(fd);
-    if (Clock::now() >= give_up) {
-      break;
-    }
-    // Sleep backoff/2 .. backoff, capped so the final attempt lands near
-    // the deadline instead of overshooting it by a whole backoff step.
-    std::uint64_t sleep_us = backoff_us / 2 + next_jitter() % (backoff_us / 2 + 1);
-    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-        give_up - Clock::now());
-    sleep_us = std::min<std::uint64_t>(
-        sleep_us, static_cast<std::uint64_t>(std::max<long long>(left.count(), 0)));
-    if (sleep_us > 0) {
-      ::usleep(static_cast<useconds_t>(sleep_us));
-    }
-    backoff_us = std::min<std::uint64_t>(backoff_us * 2, 200'000);
-  }
-  throw WireError("connect_tcp " + host + ":" + std::to_string(port) +
-                  " failed after " + std::to_string(attempts) +
-                  " attempt(s) over " + std::to_string(deadline.count()) +
-                  " ms: " + last_err);
 }
 
 int connect_tcp_async(const std::string& host, std::uint16_t port) {

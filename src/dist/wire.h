@@ -7,13 +7,23 @@
 // worlds (the worker rebuilds its root world and replays the prefix) - so
 // the encoding below is a straight transcription.
 //
-// Encoding rules, version 7 (v7 dropped the probe-interval hello field; v6
-// dropped the dedupe_adaptive hello flag and the dedupe_disabled
-// result-summary flag; v5 dropped kFpInsert, kFpReply and kFpVerdicts and
-// the fp_batch/fp_window hello fields: workers dedupe against their own
-// tables and kFpBatch became a one-way report; v4 dropped the warm-pool
-// capacity from kHello and replay_steps_saved from the kJobResult
-// summary):
+// Version history; a peer speaking any other version is refused at the
+// handshake by name, never misparsed:
+//   v2  the frame header gained the sequence number and crc; kPing/kPong
+//   v3  the batched fingerprint pipeline (kFpBatch claims answered by
+//       kFpVerdicts) and its hello fields
+//   v4  dropped the warm-pool capacity from kHello and replay_steps_saved
+//       from the kJobResult summary
+//   v5  dropped kFpInsert, kFpReply and kFpVerdicts and the fp_batch /
+//       fp_window hello fields: workers dedupe against their own tables and
+//       kFpBatch became a one-way report
+//   v6  dropped the dedupe_adaptive hello flag and the dedupe_disabled
+//       result-summary flag
+//   v7  dropped the probe-interval hello field
+//   v8  dropped the resume flag from kHelloAck: only the coordinator dials,
+//       and a re-dial starts a fresh session
+//
+// Encoding rules:
 //   - All integers are fixed-width little-endian, written byte by byte
 //     (shift/mask), so the format is identical across host endianness and
 //     word size.
@@ -30,23 +40,19 @@
 //     mismatch means a corrupted stream; a sequence mismatch means a frame
 //     was dropped or duplicated in between.  Either is a WireError: the
 //     receiver cuts the connection and recovery happens one level up
-//     (job re-queue on the coordinator, reconnect on the worker) - there is
+//     (job re-queue and re-dial on the coordinator) - there is
 //     deliberately no retransmission layer, because the job protocol is
 //     already idempotent under connection loss.  Payloads above
 //     kMaxFrameBytes are rejected as corruption.
 //
 // Message catalogue (direction, payload):
-//   kHello      C->W  magic, version, worker index, session token (a
-//                     cluster re-dial carries the lost session's; a
-//                     fork-mode re-dial carries 0), heartbeat
-//                     interval/timeout, exploration options but
+//   kHello      C->W  magic, version, worker index, session token,
+//                     heartbeat interval/timeout, exploration options but
 //                     max_executions, live-counter interval, registry
 //                     world spec (empty world name = the worker was forked
 //                     from the coordinator and already owns the factory)
 //   kHelloAck   W->C  magic, version, ok flag + error text (unknown world,
-//                     version skew), resume flag + session token (a
-//                     reconnecting fork worker echoes its prior session, a
-//                     fresh session echoes the hello's)
+//                     version skew), the hello's session token echoed
 //   kJob        C->W  job id, execution budget, fault_after (test
 //                     instrumentation), prefix, choices, sleep pids,
 //                     no_dedupe flag (re-run of a lost deduped attempt)
@@ -70,7 +76,6 @@
 //   kPong       both  echo of a kPing nonce
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -88,7 +93,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4d535652u;  // "RVSM"
-inline constexpr std::uint16_t kWireVersion = 7;
+inline constexpr std::uint16_t kWireVersion = 8;
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 // [u32 len][u8 type][u32 seq][u32 crc]
 inline constexpr std::size_t kFrameHeaderBytes = 13;
@@ -187,8 +192,8 @@ class WireReader {
 
 struct HelloMsg {
   std::uint32_t worker = 0;  // index assigned by the coordinator
-  // Session token assigned by the coordinator; a worker that reconnects
-  // echoes its prior token in HelloAck to resume the session.
+  // Token the coordinator assigns per connection; the ack echoes it, so an
+  // ack that answers some other hello is refused.
   std::uint64_t session = 0;
   // Liveness layer: ping every interval, declare the peer dead after
   // timeout of silence.  interval 0 = heartbeats off.
@@ -210,10 +215,7 @@ struct HelloMsg {
 struct HelloAckMsg {
   bool ok = true;
   std::string error;
-  // resume: this connection re-handshakes an existing session; `session`
-  // then carries the prior token (otherwise it echoes hello.session).
-  bool resume = false;
-  std::uint64_t session = 0;
+  std::uint64_t session = 0;  // hello.session, echoed
 };
 
 struct JobMsg {
@@ -345,17 +347,8 @@ bool wait_readable(int fd, int timeout_ms);
 int listen_tcp(const std::string& host, std::uint16_t& port);
 // Accepts one connection; -1 on timeout.  Throws WireError on failure.
 int accept_tcp(int listen_fd, int timeout_ms);
-// Connects to host:port, retrying with jittered exponential backoff until
-// `deadline` elapses (a freshly forked worker can race the coordinator's
-// listen(), and reconnecting workers dial a coordinator that may take a
-// moment to come back).  `jitter_seed` perturbs the backoff so a fleet of
-// workers does not reconnect in lockstep.  Throws WireError naming the
-// attempt count and the last errno on failure.
-int connect_tcp(const std::string& host, std::uint16_t port,
-                std::chrono::milliseconds deadline =
-                    std::chrono::milliseconds(5000),
-                std::uint64_t jitter_seed = 0);
-// One non-blocking connect attempt: returns the fd at once, usually with
+// The coordinator's only dial, first dial and re-dial alike: one
+// non-blocking connect attempt that returns the fd at once, usually with
 // the connect still in progress.  The first write on it would-block until
 // the connect lands and fails with the connect's errno if it does not, so
 // an event loop learns the outcome from its ordinary send path.  Throws

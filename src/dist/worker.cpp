@@ -23,21 +23,16 @@ using check::ExplorableWorld;
 using Clock = std::chrono::steady_clock;
 using runtime::ProcessId;
 
-// One coordinator session: the channel (socket + framing state), the reused
-// serialization buffers, and the control flags the message pump feeds into
-// the running job.  The session OUTLIVES individual connections: run_worker
-// re-dials on loss and the dedupe table, session token and one-shot fault
-// state all carry over.
+// One coordinator session, which is one connection: the channel (socket +
+// framing state), the reused serialization buffers, and the control flags
+// the message pump feeds into the running job.
 struct Session {
   Channel ch;
   WireWriter out;  // one buffer per session; cleared per message
   Frame in;        // receive buffer, likewise reused
   Log* log = nullptr;
-  FaultPlan faults;  // outbound plan storage; ch points here when armed
 
-  HelloMsg hello;           // options from the FIRST hello of the session
-  bool have_hello = false;  // a later hello is a reconnect re-handshake
-  std::uint64_t token = 0;  // session token echoed on reconnect
+  HelloMsg hello;
   Clock::time_point last_heard{};
 
   std::uint64_t job_id = 0;
@@ -120,8 +115,8 @@ void pump(Session& s) {
 // frames of kFpBatchSize fingerprints, flushed before every job result:
 // the coordinator folds them into one table, which keeps `states_seen` an
 // exact distinct-state count across workers and extends the collision
-// audit across them.  A report whose send fails stays queued and goes out
-// on the next connection of the session.
+// audit across them.  Reports still queued when the connection dies are
+// lost with the session.
 class ReportingStore final : public check::StateStore {
  public:
   explicit ReportingStore(Session& session)
@@ -161,8 +156,8 @@ class ReportingStore final : public check::StateStore {
     return true;
   }
 
-  // Sends the queued first sightings, if any; throws WireError (keeping
-  // them queued) if the connection is gone.
+  // Sends the queued first sightings, if any; throws WireError if the
+  // connection is gone.
   void flush() {
     if (batch_.fps.empty()) {
       return;
@@ -349,56 +344,38 @@ void run_job(Session& s, const JobMsg& job,
   }
 }
 
-// Handshake + serve loop for one (re)connection of a session.  The first
-// connection's hello fixes the session options and builds the factory and
-// dedupe store; a reconnect re-handshakes (HelloAck.resume
-// echoing the prior token) and reuses them all.  Returns true on a clean
-// end: kShutdown, a rejected hello, or - when `eof_is_clean` - EOF while
-// idle.  Throws WireError when the connection is lost.
-bool serve_session(
+// Handshake + serve loop for one connection.  Returns on kShutdown, a
+// rejected hello, or coordinator EOF while idle; throws WireError when the
+// connection breaks.
+void serve_session(
     Session& s,
-    const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
-    std::function<std::unique_ptr<ExplorableWorld>()>& make,
-    std::unique_ptr<ReportingStore>& store, bool eof_is_clean) {
+    const std::function<std::unique_ptr<ExplorableWorld>()>& factory) {
   if (next_frame(s, -1) <= 0 || s.in.type != MsgType::kHello) {
     throw WireError("expected hello");
   }
-  HelloMsg hello;
   {
     WireReader r = s.in.reader();
-    hello = decode_hello(r);
+    s.hello = decode_hello(r);
   }
 
   HelloAckMsg ack;
-  if (s.have_hello) {
-    // Reconnect: the coordinator's hello is provisional; answer with the
-    // prior session token so the coordinator hands this socket back to
-    // our session.  Session options stay as first negotiated.
-    ack.resume = true;
-    ack.session = s.token;
-  } else {
-    s.hello = hello;
-    s.token = hello.session;
-    ack.session = hello.session;
-    if (make == nullptr) {
-      make = factory;
-    }
-    if (make == nullptr) {
-      if (s.hello.world.empty()) {
+  ack.session = s.hello.session;
+  std::function<std::unique_ptr<ExplorableWorld>()> make = factory;
+  if (make == nullptr) {
+    if (s.hello.world.empty()) {
+      ack.ok = false;
+      ack.error = "hello named no world and the worker holds no factory";
+    } else {
+      check::CrashWorldSpec spec;
+      spec.world = s.hello.world;
+      spec.f = static_cast<std::size_t>(s.hello.f);
+      spec.m = static_cast<std::size_t>(s.hello.m);
+      spec.step_budget = static_cast<std::size_t>(s.hello.step_budget);
+      try {
+        make = check::make_crash_world_factory(spec);
+      } catch (const std::exception& e) {
         ack.ok = false;
-        ack.error = "hello named no world and the worker holds no factory";
-      } else {
-        check::CrashWorldSpec spec;
-        spec.world = s.hello.world;
-        spec.f = static_cast<std::size_t>(s.hello.f);
-        spec.m = static_cast<std::size_t>(s.hello.m);
-        spec.step_budget = static_cast<std::size_t>(s.hello.step_budget);
-        try {
-          make = check::make_crash_world_factory(spec);
-        } catch (const std::exception& e) {
-          ack.ok = false;
-          ack.error = e.what();
-        }
+        ack.error = e.what();
       }
     }
   }
@@ -408,24 +385,20 @@ bool serve_session(
   if (!ack.ok) {
     s.log->line("worker %u: rejected hello: %s", s.hello.worker,
                 ack.error.c_str());
-    return true;
+    return;
   }
-  if (!s.have_hello) {
-    s.have_hello = true;
-    s.log->line(
-        "worker %u: serving (world=%s dedupe=%d por=%d crashes=%llu "
-        "heartbeat=%ums)",
-        s.hello.worker,
-        s.hello.world.empty() ? "<local factory>" : s.hello.world.c_str(),
-        s.hello.options.dedupe_states ? 1 : 0, s.hello.options.por ? 1 : 0,
-        static_cast<unsigned long long>(s.hello.options.max_crashes),
-        s.hello.heartbeat_interval_ms);
-    // The dedupe table persists across jobs (and across reconnects).
-    if (s.hello.options.dedupe_states) {
-      store = std::make_unique<ReportingStore>(s);
-    }
-  } else {
-    s.log->line("worker %u: session resumed", s.hello.worker);
+  s.log->line(
+      "worker %u: serving (world=%s dedupe=%d por=%d crashes=%llu "
+      "heartbeat=%ums)",
+      s.hello.worker,
+      s.hello.world.empty() ? "<local factory>" : s.hello.world.c_str(),
+      s.hello.options.dedupe_states ? 1 : 0, s.hello.options.por ? 1 : 0,
+      static_cast<unsigned long long>(s.hello.options.max_crashes),
+      s.hello.heartbeat_interval_ms);
+  // The dedupe table persists across the session's jobs.
+  std::unique_ptr<ReportingStore> store;
+  if (s.hello.options.dedupe_states) {
+    store = std::make_unique<ReportingStore>(s);
   }
 
   while (!s.shutdown) {
@@ -436,10 +409,7 @@ bool serve_session(
       continue;
     }
     if (got < 0) {
-      if (eof_is_clean) {
-        break;  // coordinator gone; nothing left to serve
-      }
-      throw WireError("coordinator closed the connection");
+      return;  // coordinator gone while idle; nothing in flight is lost
     }
     if (handle_control(s, s.in)) {
       continue;
@@ -457,87 +427,54 @@ bool serve_session(
     s.steal_wanted = false;  // requests for a previous job are stale
     run_job(s, job, make, store.get());
   }
-  if (s.shutdown) {
-    s.log->line("worker %u: shutdown", s.hello.worker);
-  }
-  return true;
+  s.log->line("worker %u: shutdown", s.hello.worker);
 }
+
+// Extra wait for a run's first dial: the coordinator dials right after the
+// fork, but a loaded host may take a moment to get there.
+constexpr int kFirstDialSlackMs = 10'000;
 
 }  // namespace
 
-void serve_connection(
-    int fd,
-    const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
-    const std::string& log_path, const FaultPlan& faults) {
+void serve(int listen_fd,
+           const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
+           FaultPlan faults, const std::string& log_path,
+           int redial_window_ms) {
   Log log(log_path);
-  Session s;
-  s.log = &log;
-  s.faults = faults;
-  s.ch.adopt(fd);
-  if (s.faults.any()) {
-    s.ch.set_faults(&s.faults);
-  }
-  std::function<std::unique_ptr<ExplorableWorld>()> make;
-  std::unique_ptr<ReportingStore> store;
-  try {
-    serve_session(s, factory, make, store, /*eof_is_clean=*/true);
-  } catch (const std::exception& e) {
-    log.line("worker %u: connection error: %s", s.hello.worker, e.what());
-  }
-}
-
-int run_worker(
-    const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
-    const WorkerOptions& options) {
-  Log log(options.log_path);
-  Session s;
-  s.log = &log;
-  s.faults = options.faults;
-  std::function<std::unique_ptr<ExplorableWorld>()> make;
-  std::unique_ptr<ReportingStore> store;
-
-  try {
-    s.ch.adopt(connect_tcp(options.host, options.port,
-                           std::chrono::milliseconds(10'000), options.seed));
-  } catch (const std::exception& e) {
-    log.line("worker: initial dial failed: %s", e.what());
-    return 1;
-  }
-  if (s.faults.any()) {
-    s.ch.set_faults(&s.faults);
-  }
-
-  for (;;) {
+  const bool standing = redial_window_ms < 0;
+  for (bool first = true;; first = false) {
+    const int wait_ms =
+        standing ? -1 : redial_window_ms + (first ? kFirstDialSlackMs : 0);
+    int fd = -1;
     try {
-      // EOF while idle is clean only when reconnect is off; with it on, an
-      // idle EOF is the coordinator cutting a dead connection and the
-      // session should re-dial (the run may still be live).
-      serve_session(s, factory, make, store,
-                    /*eof_is_clean=*/options.reconnect_window_ms == 0);
-      return 0;
+      fd = accept_tcp(listen_fd, wait_ms);
     } catch (const std::exception& e) {
-      if (s.shutdown || options.reconnect_window_ms == 0) {
-        log.line("worker %u: connection error: %s", s.hello.worker, e.what());
-        return s.shutdown ? 0 : 1;
+      log.line("worker: accept: %s", e.what());
+      if (standing) {
+        continue;
       }
-      log.line("worker %u: connection lost (%s); re-dialing", s.hello.worker,
-               e.what());
+      break;
     }
+    if (fd < 0) {
+      log.line("worker: no coordinator dialed within the window");
+      break;
+    }
+    Session s;
+    s.log = &log;
     try {
-      const int fd = connect_tcp(
-          options.host, options.port,
-          std::chrono::milliseconds(options.reconnect_window_ms),
-          options.seed);
       s.ch.adopt(fd);
-      if (s.faults.any()) {
-        s.ch.set_faults(&s.faults);
+      if (faults.any()) {
+        s.ch.set_faults(&faults);
       }
+      serve_session(s, factory);
     } catch (const std::exception& e) {
-      log.line("worker %u: gave up reconnecting: %s", s.hello.worker,
-               e.what());
-      return 1;
+      log.line("worker %u: connection error: %s", s.hello.worker, e.what());
+    }
+    if (s.shutdown && !standing) {
+      break;
     }
   }
+  ::close(listen_fd);
 }
 
 int serve_forever(const std::string& host, std::uint16_t port) {
@@ -559,21 +496,10 @@ int serve_forever(const std::string& host, std::uint16_t port) {
   }
   std::fprintf(stderr, "serve: listening on %s:%u\n", host.c_str(),
                static_cast<unsigned>(port));
-  for (;;) {
-    int fd = -1;
-    try {
-      fd = accept_tcp(listen_fd, /*timeout_ms=*/-1);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "serve: accept: %s\n", e.what());
-      continue;
-    }
-    if (fd < 0) {
-      continue;
-    }
-    serve_connection(fd, nullptr,
-                     log_path("worker-serve-" + std::to_string(::getpid())),
-                     faults);
-  }
+  serve(listen_fd, nullptr, faults,
+        log_path("worker-serve-" + std::to_string(::getpid())),
+        /*redial_window_ms=*/-1);
+  return 0;
 }
 
 }  // namespace revisim::dist

@@ -7,20 +7,22 @@
 // executions via the abort probe, which drains the socket every 16th
 // execution, so steal latency is bounded by that many executions.
 //
-// Liveness and recovery: the hello carries the heartbeat cadence; the
-// worker answers every kPing with a kPong and treats coordinator silence
-// past the timeout as a dead connection.  Run via run_worker (fork mode),
-// a lost connection is not fatal: the worker re-dials the coordinator with
-// jittered backoff, re-handshakes under its prior session token
-// (HelloAck.resume) and keeps serving with its dedupe table intact; any
-// in-flight job is abandoned (the coordinator re-queues it).
+// The worker never dials: it listens, and the coordinator dials it - a
+// `revisim_cli serve` instance and a fork-mode worker alike run serve()
+// below.  A session is one connection.  The hello carries the heartbeat
+// cadence; the worker answers every kPing with a kPong and treats
+// coordinator silence past the timeout as a dead connection.  A lost
+// connection abandons its in-flight job (the coordinator re-queues it) and
+// the worker goes back to accepting; the coordinator's re-dial starts a
+// fresh session with an empty dedupe table.
 //
-// With dedupe on, the worker dedupes against its own session StateTable,
+// With dedupe on, the worker dedupes against its session's own StateTable,
 // claim-then-walk as the in-process engine does at one thread, so the walk
 // never waits on the wire.  First sightings are reported one way to the
 // coordinator in fixed-size kFpBatch frames, flushed before every job
-// result, for the run's exact distinct-state count and the cross-worker
-// collision audit (see ReportingStore in worker.cpp).
+// result, for the run's distinct-state count and the cross-worker
+// collision audit (see ReportingStore in worker.cpp); reports still queued
+// when a connection dies are lost with it.
 #pragma once
 
 #include <cstdint>
@@ -33,46 +35,29 @@
 
 namespace revisim::dist {
 
-// Serves jobs on a connected coordinator socket until a shutdown message or
-// EOF; single-shot (no reconnect).  `factory` may be null: the
-// coordinator's hello must then name a crash-world registry world
-// (src/check/crash_worlds.h), which the worker builds itself - the
-// cluster-mode path.  `log_path`, when nonempty, gets one line per
-// protocol event (CI failure artifacts).  `faults`, when armed, perturbs
-// the worker's outbound (W->C) sends.
-void serve_connection(
-    int fd,
-    const std::function<std::unique_ptr<check::ExplorableWorld>()>& factory,
-    const std::string& log_path = {}, const FaultPlan& faults = {});
+// Serves coordinator connections accepted on `listen_fd` (owned; closed on
+// return), one at a time.  `factory` may be null: each hello must then name
+// a crash-world registry world (src/check/crash_worlds.h), which the worker
+// builds itself.  `faults`, when armed, perturbs the worker's outbound
+// (W->C) sends; it is one plan for the whole process, so a positional
+// fault that fired on one connection stays disarmed on the next.
+// `log_path`, when nonempty, gets one line per protocol event.
+//
+// `redial_window_ms` < 0 makes a standing server that serves one
+// coordinator after another and never returns.  Otherwise serve() works
+// for one run: it returns at kShutdown, or once no coordinator dials within
+// `redial_window_ms` of a connection ending (the first dial may take up to
+// 10 s longer).
+void serve(int listen_fd,
+           const std::function<std::unique_ptr<check::ExplorableWorld>()>&
+               factory,
+           FaultPlan faults, const std::string& log_path,
+           int redial_window_ms);
 
-struct WorkerOptions {
-  std::string host;
-  std::uint16_t port = 0;
-  std::string log_path;
-  // How long a lost connection is worth re-dialing (0 = give up at once:
-  // single connection, like serve_connection).
-  std::uint32_t reconnect_window_ms = 0;
-  // Jitters the reconnect backoff so a worker fleet does not re-dial in
-  // lockstep; conventionally the worker index.
-  std::uint64_t seed = 0;
-  // Outbound (W->C) fault plan; shared across reconnects of this worker,
-  // so positional one-shot faults fire once per worker, not per dial.
-  FaultPlan faults;
-};
-
-// Fork-mode worker entry: dials the coordinator, serves jobs, and on a
-// lost connection re-dials within the reconnect window and resumes its
-// session.  Returns a process exit code (0 = clean shutdown or
-// coordinator EOF, nonzero = gave up reconnecting or never handshook).
-int run_worker(
-    const std::function<std::unique_ptr<check::ExplorableWorld>()>& factory,
-    const WorkerOptions& options);
-
-// `revisim_cli serve`: listens on host:port and serves one coordinator
-// connection at a time, forever.  Worlds come from the registry; the
-// REVISIM_FAULT_PLAN environment variable, when set, arms an outbound
-// fault plan (see parse_fault_plan).  Returns only if the listener cannot
-// be created (nonzero exit code).
+// `revisim_cli serve`: listens on host:port and runs a standing serve().
+// Worlds come from the registry; the REVISIM_FAULT_PLAN environment
+// variable, when set, arms the outbound fault plan (see parse_fault_plan).
+// Returns only if the plan or the listener is bad (nonzero exit code).
 int serve_forever(const std::string& host, std::uint16_t port);
 
 }  // namespace revisim::dist

@@ -55,3 +55,30 @@ endfunction()
 expect_unknown(--shards)
 expect_unknown(--fp-batch)
 expect_unknown(--fp-window)
+
+# expect_refused(<text the message must contain> <revisim_cli arguments...>):
+# exit code 2 before any exploration starts.
+function(expect_refused text)
+  execute_process(COMMAND "${CLI}" ${ARGN}
+                  RESULT_VARIABLE rc
+                  OUTPUT_QUIET
+                  ERROR_VARIABLE err
+                  TIMEOUT 20)
+  if(NOT rc EQUAL 2)
+    message(SEND_ERROR "revisim_cli ${ARGN}: exit ${rc}, want 2\n${err}")
+  endif()
+  string(FIND "${err}" "${text}" at)
+  if(at EQUAL -1)
+    message(SEND_ERROR "revisim_cli ${ARGN}: error does not say '${text}':\n${err}")
+  endif()
+endfunction()
+
+# Fork-mode flags do nothing for `serve` workers reached with --connect:
+# refused by name, never silently dropped.
+expect_refused("--fault applies to forked workers only"
+               dist-explore --connect 127.0.0.1:7421 --fault cut_after=3)
+expect_refused("--workers applies to forked workers only"
+               dist-explore --workers 4 --connect 127.0.0.1:7421)
+# A --connect port is digits only: host:12x is refused, not dialed as 12.
+expect_refused("endpoint '127.0.0.1:12x'"
+               dist-explore --connect 127.0.0.1:12x)

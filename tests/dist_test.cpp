@@ -14,12 +14,12 @@
 // killed process) to pin the re-queue and partial-summary contracts.
 #include <gtest/gtest.h>
 
-#include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -361,60 +361,21 @@ void expect_version_skew(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-TEST(Wire, VersionThreePeersAreRefusedByName) {
-  // v4 dropped the warm-pool capacity from kHello and replay_steps_saved
-  // from the kJobResult summary: a v3 peer must be refused at the
-  // handshake, never misparsed.
-  static_assert(dist::kWireVersion > 3);
-  dist::WireWriter w;
-  dist::encode_hello(w, dist::HelloMsg{});
-  expect_version_skew(with_version(w, 3), dist::decode_hello, 3);
+// Every version bump changed the layout of some message (the history is
+// in wire.h), so a peer speaking any older version must be refused at the
+// handshake by name, never misparsed - in both directions.
+TEST(Wire, EveryOlderVersionIsRefusedByName) {
+  static_assert(dist::kWireVersion == 8);
+  for (std::uint16_t v = 1; v < dist::kWireVersion; ++v) {
+    SCOPED_TRACE("wire version " + std::to_string(v));
+    dist::WireWriter w;
+    dist::encode_hello(w, dist::HelloMsg{});
+    expect_version_skew(with_version(w, v), dist::decode_hello, v);
 
-  w.clear();
-  dist::encode_hello_ack(w, dist::HelloAckMsg{});
-  expect_version_skew(with_version(w, 3), dist::decode_hello_ack, 3);
-}
-
-TEST(Wire, VersionFourPeersAreRefusedByName) {
-  // v5 dropped kFpInsert, kFpReply and kFpVerdicts and the fp_batch /
-  // fp_window hello fields: a v4 worker would wait forever for verdicts
-  // that never come, so it must be refused at the handshake by name.
-  static_assert(dist::kWireVersion > 4);
-  dist::WireWriter w;
-  dist::encode_hello(w, dist::HelloMsg{});
-  expect_version_skew(with_version(w, 4), dist::decode_hello, 4);
-
-  w.clear();
-  dist::encode_hello_ack(w, dist::HelloAckMsg{});
-  expect_version_skew(with_version(w, 4), dist::decode_hello_ack, 4);
-}
-
-TEST(Wire, VersionFivePeersAreRefusedByName) {
-  // v6 dropped the dedupe_adaptive hello flag and the dedupe_disabled
-  // result-summary flag: a v5 peer's frames are one byte off, so it must be
-  // refused at the handshake by name, never misparsed.
-  static_assert(dist::kWireVersion > 5);
-  dist::WireWriter w;
-  dist::encode_hello(w, dist::HelloMsg{});
-  expect_version_skew(with_version(w, 5), dist::decode_hello, 5);
-
-  w.clear();
-  dist::encode_hello_ack(w, dist::HelloAckMsg{});
-  expect_version_skew(with_version(w, 5), dist::decode_hello_ack, 5);
-}
-
-TEST(Wire, VersionSixPeersAreRefusedByName) {
-  // v7 dropped the probe-interval hello field: a v6 coordinator's hello is
-  // eight bytes longer, so it must be refused at the handshake by name,
-  // never misparsed.
-  static_assert(dist::kWireVersion == 7);
-  dist::WireWriter w;
-  dist::encode_hello(w, dist::HelloMsg{});
-  expect_version_skew(with_version(w, 6), dist::decode_hello, 6);
-
-  w.clear();
-  dist::encode_hello_ack(w, dist::HelloAckMsg{});
-  expect_version_skew(with_version(w, 6), dist::decode_hello_ack, 6);
+    w.clear();
+    dist::encode_hello_ack(w, dist::HelloAckMsg{});
+    expect_version_skew(with_version(w, v), dist::decode_hello_ack, v);
+  }
 }
 
 TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
@@ -881,69 +842,14 @@ TEST(DistFailure, EveryWorkerLostReturnsInsteadOfHanging) {
   EXPECT_FALSE(dist.exhausted);
 }
 
-// --- cluster handshake (spec-shipping) over a socketpair ---------------------
+// --- cluster mode: `serve` workers on loopback listeners ---------------------
 
-TEST(DistCluster, HelloShipsRegistryWorldToFactorylessWorker) {
-  int sv[2] = {-1, -1};
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::close(sv[0]);
-    try {
-      dist::serve_connection(sv[1], nullptr);  // world must come from hello
-    } catch (...) {
-    }
-    std::_Exit(0);
-  }
-  ::close(sv[1]);
-  check::CrashWorldSpec spec;
-  spec.world = "aug-bu";
-  spec.f = 2;
-  spec.m = 2;
-  spec.step_budget = 6;
-  DistExploreOptions opt;
-  opt.base.max_crashes = 1;
-  auto serial =
-      explore_schedules(check::make_crash_world_factory(spec), opt.base);
-  ASSERT_GT(serial.executions, 1000u);
-  auto dist = dist::coordinate({sv[0]}, opt, &spec);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  expect_same(dist, serial, "cluster spec-shipping");
-  EXPECT_FALSE(dist.error.has_value());
-}
-
-TEST(DistCluster, UnknownWorldIsRejectedAtHandshake) {
-  int sv[2] = {-1, -1};
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::close(sv[0]);
-    try {
-      dist::serve_connection(sv[1], nullptr);
-    } catch (...) {
-    }
-    std::_Exit(0);
-  }
-  ::close(sv[1]);
-  check::CrashWorldSpec spec;
-  spec.world = "no-such-world";
-  DistExploreOptions opt;
-  auto dist = dist::coordinate({sv[0]}, opt, &spec);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  ASSERT_TRUE(dist.error.has_value());
-  EXPECT_FALSE(dist.exhausted);
-  EXPECT_EQ(dist.executions, 0u);
-}
-
-// Forks one worker per endpoint, each serving up to `sessions` coordinator
-// connections in turn on its own loopback listener, as `revisim_cli serve`
-// does.  Only the child keeps its listener open, so an endpoint refuses
-// connections once its worker is gone.  Fills `endpoints` with host:port.
-std::vector<pid_t> fork_serve_workers(std::size_t n, std::size_t sessions,
+// Forks one worker per endpoint, each running a registry-world serve() on
+// its own loopback listener, as `revisim_cli serve` does, until kShutdown
+// or until no coordinator dials within `redial_window_ms`.  Only the child
+// keeps its listener open, so an endpoint refuses connections once its
+// worker is gone.  Fills `endpoints` with host:port.
+std::vector<pid_t> fork_serve_workers(std::size_t n, int redial_window_ms,
                                       std::vector<std::string>& endpoints) {
   std::vector<int> listeners(n);
   std::vector<std::uint16_t> ports(n, 0);
@@ -960,13 +866,7 @@ std::vector<pid_t> fork_serve_workers(std::size_t n, std::size_t sessions,
         }
       }
       try {
-        for (std::size_t k = 0; k < sessions; ++k) {
-          const int fd = dist::accept_tcp(listeners[i], 10'000);
-          if (fd < 0) {
-            break;
-          }
-          dist::serve_connection(fd, nullptr);
-        }
+        dist::serve(listeners[i], nullptr, {}, {}, redial_window_ms);
       } catch (...) {
       }
       std::_Exit(0);
@@ -980,6 +880,13 @@ std::vector<pid_t> fork_serve_workers(std::size_t n, std::size_t sessions,
   return kids;
 }
 
+void wait_all(const std::vector<pid_t>& kids) {
+  for (const pid_t pid : kids) {
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+  }
+}
+
 check::CrashWorldSpec aug_bu_spec() {
   check::CrashWorldSpec spec;
   spec.world = "aug-bu";
@@ -987,6 +894,80 @@ check::CrashWorldSpec aug_bu_spec() {
   spec.m = 2;
   spec.step_budget = 6;
   return spec;
+}
+
+TEST(DistCluster, HelloShipsRegistryWorldToFactorylessWorker) {
+  std::vector<std::string> endpoints;
+  const std::vector<pid_t> kids =
+      fork_serve_workers(1, /*redial_window_ms=*/0, endpoints);
+  const check::CrashWorldSpec spec = aug_bu_spec();
+  DistExploreOptions opt;
+  opt.base.max_crashes = 1;
+  auto serial =
+      explore_schedules(check::make_crash_world_factory(spec), opt.base);
+  ASSERT_GT(serial.executions, 1000u);
+  auto dist = dist::dist_explore_remote(spec, endpoints, opt);
+  wait_all(kids);
+  expect_same(dist, serial, "cluster spec-shipping");
+  EXPECT_FALSE(dist.error.has_value());
+}
+
+TEST(DistCluster, UnknownWorldIsRejectedAtHandshake) {
+  std::vector<std::string> endpoints;
+  const std::vector<pid_t> kids =
+      fork_serve_workers(1, /*redial_window_ms=*/0, endpoints);
+  check::CrashWorldSpec spec;
+  spec.world = "no-such-world";
+  DistExploreOptions opt;
+  auto dist = dist::dist_explore_remote(spec, endpoints, opt);
+  wait_all(kids);
+  ASSERT_TRUE(dist.error.has_value());
+  EXPECT_NE(dist.error->find("rejected the hello"), std::string::npos)
+      << *dist.error;
+  EXPECT_FALSE(dist.exhausted);
+  EXPECT_EQ(dist.executions, 0u);
+}
+
+// An endpoint that refuses its first dial fails the run with a WireError
+// naming it: a slot that never completed a handshake is not re-dialed.
+TEST(DistCluster, RefusedFirstDialFailsNamingTheEndpoint) {
+  // Grab an ephemeral port, then close the listener: dialing it is a
+  // deterministic ECONNREFUSED.
+  std::uint16_t port = 0;
+  ::close(dist::listen_tcp("127.0.0.1", port));
+  const std::string endpoint = "127.0.0.1:" + std::to_string(port);
+  DistExploreOptions opt;
+  opt.base.max_crashes = 1;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)dist::dist_explore_remote(aug_bu_spec(), {endpoint}, opt);
+    FAIL() << "a refused endpoint did not fail the run";
+  } catch (const dist::WireError& e) {
+    EXPECT_NE(std::string(e.what()).find(endpoint), std::string::npos)
+        << e.what();
+  }
+  // Failing at once, not after the reconnect window (10 s by default).
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count(),
+            5'000);
+}
+
+// A port must be digits only: `host:12x` is refused, not dialed as port 12.
+TEST(DistCluster, MalformedEndpointIsRejectedByName) {
+  DistExploreOptions opt;
+  for (const std::string bad :
+       {"127.0.0.1:12x", "127.0.0.1:", "127.0.0.1", ":7421", "127.0.0.1:0",
+        "127.0.0.1:65536", "127.0.0.1:+80", "127.0.0.1: 80"}) {
+    try {
+      (void)dist::dist_explore_remote(aug_bu_spec(), {bad}, opt);
+      ADD_FAILURE() << "endpoint '" << bad << "' was accepted";
+    } catch (const dist::WireError& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // A --connect endpoint that dies and stays down must not stall the rest of
@@ -998,7 +979,7 @@ check::CrashWorldSpec aug_bu_spec() {
 TEST(DistCluster, LostEndpointDoesNotStallSurvivors) {
   std::vector<std::string> endpoints;
   const std::vector<pid_t> kids =
-      fork_serve_workers(2, /*sessions=*/1, endpoints);
+      fork_serve_workers(2, /*redial_window_ms=*/0, endpoints);
   ASSERT_EQ(kids.size(), 2u);
   const check::CrashWorldSpec spec = aug_bu_spec();
   DistExploreOptions opt;
@@ -1010,22 +991,19 @@ TEST(DistCluster, LostEndpointDoesNotStallSurvivors) {
   auto serial =
       explore_schedules(check::make_crash_world_factory(spec), opt.base);
   auto dist = dist::dist_explore_remote(spec, endpoints, opt);
-  for (const pid_t pid : kids) {
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-  }
+  wait_all(kids);
   expect_same(dist, serial, "one endpoint lost for good");
   EXPECT_FALSE(dist.error.has_value()) << *dist.error;
 }
 
 // A cut cluster connection whose endpoint stays up is re-dialed: the
-// coordinator's hello carries the lost session's token, the fresh serve
-// session echoes it, and the channel moves back into the waiting session.
-// The run then finishes on the same worker, bit-identical to serial.
+// re-dial's hello carries the slot's session token, the fresh serve session
+// echoes it, and the slot serves again.  The run then finishes on the same
+// worker, bit-identical to serial.
 TEST(DistCluster, CutConnectionIsRedialedUnderItsSessionToken) {
   std::vector<std::string> endpoints;
   const std::vector<pid_t> kids =
-      fork_serve_workers(1, /*sessions=*/2, endpoints);
+      fork_serve_workers(1, /*redial_window_ms=*/10'000, endpoints);
   ASSERT_EQ(kids.size(), 1u);
   const check::CrashWorldSpec spec = aug_bu_spec();
   DistExploreOptions opt;
@@ -1034,8 +1012,7 @@ TEST(DistCluster, CutConnectionIsRedialedUnderItsSessionToken) {
   auto serial =
       explore_schedules(check::make_crash_world_factory(spec), opt.base);
   auto dist = dist::dist_explore_remote(spec, endpoints, opt);
-  int status = 0;
-  ::waitpid(kids[0], &status, 0);
+  wait_all(kids);
   expect_same(dist, serial, "re-dialed after a cut");
   EXPECT_FALSE(dist.error.has_value()) << *dist.error;
 }
