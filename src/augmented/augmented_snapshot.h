@@ -30,7 +30,7 @@
 //    revisionist simulation - bottoms out in plain registers.
 #pragma once
 
-#include <set>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -41,12 +41,14 @@
 #include "src/memory/sw_snapshot.h"
 #include "src/runtime/scheduler.h"
 #include "src/runtime/task.h"
+#include "src/util/pool.h"
 #include "src/util/value.h"
 
 namespace revisim::aug {
 
 // Abstract augmented snapshot: what the simulation layer programs against.
-class IAugmentedSnapshot {
+// Every simulation world makes one, so it lives in the block pool.
+class IAugmentedSnapshot : public util::Pooled {
  public:
   struct ScanResult {
     View view;
@@ -122,7 +124,7 @@ class AtomicHProvider {
   auto update(runtime::ProcessId /*me*/, HComp v) {
     return snap_.update(std::move(v));
   }
-  [[nodiscard]] std::vector<HComp> peek() const { return snap_.peek(); }
+  [[nodiscard]] HView peek() const { return snap_.peek(); }
 
  private:
   runtime::Scheduler& sched_;
@@ -143,7 +145,7 @@ class RegisterHProvider {
   auto update(runtime::ProcessId me, HComp v) {
     return snap_.update(me, std::move(v));
   }
-  [[nodiscard]] std::vector<HComp> peek() const { return snap_.peek(); }
+  [[nodiscard]] HView peek() const { return snap_.peek(); }
 
  private:
   mem::AfekSnapshotT<HComp> snap_;
@@ -218,13 +220,13 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     HView hprime = std::move(first.view);
     // The first collect of the double collect, held as the view it is
     // published as.
-    std::shared_ptr<const PublishedView> h;
+    LocalRef<const PublishedView> h;
     for (;;) {
-      h = std::make_shared<const PublishedView>(std::move(hprime));
+      h = make_local<const PublishedView>(std::move(hprime));
       // Lines 5-6: publish h as L_{me,j}[#h_j] for every j != me; the f-1
       // single-writer writes are one update of H[me].
       if (ablation_.helping) {
-        std::vector<LRecord> records;
+        HComp::LRecords records;
         records.reserve(f_ - 1);
         for (std::size_t j = 0; j < f_; ++j) {
           if (j != me) {
@@ -256,9 +258,11 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     if (comps.empty() || comps.size() != vals.size()) {
       throw std::invalid_argument("Block-Update needs r >= 1 components");
     }
-    std::set<std::size_t> distinct(comps.begin(), comps.end());
-    if (distinct.size() != comps.size()) {
-      throw std::invalid_argument("Block-Update components must be distinct");
+    // r is a handful, so a pairwise scan beats building a set.
+    for (auto it = comps.begin(); it != comps.end(); ++it) {
+      if (std::find(comps.begin(), it, *it) != it) {
+        throw std::invalid_argument("Block-Update components must be distinct");
+      }
     }
     for (std::size_t c : comps) {
       if (c >= m_) {
@@ -272,8 +276,8 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
       BlockUpdateOpRecord rec;
       rec.op_id = op_id;
       rec.process = me;
-      rec.comps = comps;
-      rec.vals = vals;
+      rec.comps.assign(comps.begin(), comps.end());
+      rec.vals.assign(vals.begin(), vals.end());
       reserve_first(log_.block_updates);
       log_.block_updates.push_back(std::move(rec));
     }
@@ -290,7 +294,7 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     // Line 4: append the r update triples to H[me]; this is the update X at
     // which an atomic Block-Update linearizes.
     {
-      std::vector<UpdateTriple> batch;
+      HComp::Triples batch;
       batch.reserve(comps.size());
       for (std::size_t g = 0; g < comps.size(); ++g) {
         batch.push_back(UpdateTriple{comps[g], vals[g], t});
@@ -305,8 +309,8 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     HView g = std::move(gs.view);
     log_.block_updates[idx].step_g = gs.lin_step;
     if (ablation_.helping && me > 0) {
-      auto gptr = std::make_shared<const PublishedView>(std::move(g));
-      std::vector<LRecord> records;
+      auto gptr = make_local<const PublishedView>(std::move(g));
+      HComp::LRecords records;
       records.reserve(me);
       for (std::size_t j = 0; j < me; ++j) {
         records.push_back(LRecord{j, num_bu(gptr->view, j), gptr});
@@ -339,7 +343,7 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     log_.block_updates[idx].step_read = curs.lin_step;
     const std::size_t b = num_bu(h, me);
     const HView* last = &h;
-    std::shared_ptr<const PublishedView> keepalive;
+    LocalRef<const PublishedView> keepalive;
     for (std::size_t j = 0; j < f_; ++j) {
       if (j == me) {
         continue;
@@ -363,7 +367,7 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
   // A log of f processes' operations usually holds at least f of each kind,
   // so the first record makes room for f.
   template <typename Record>
-  void reserve_first(std::vector<Record>& records) const {
+  void reserve_first(util::PoolVector<Record>& records) const {
     if (records.empty()) {
       records.reserve(f_);
     }
@@ -376,7 +380,7 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
   // Local mirror of each process's own single-writer component (a process
   // may read its own component without a shared-memory step): the latest
   // version, which the next H update publishes.
-  std::vector<HComp> own_;
+  HView own_;
   OpLog log_;
   AugmentedAblation ablation_;
 };

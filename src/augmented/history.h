@@ -14,6 +14,7 @@
 #include "src/augmented/timestamp.h"
 #include "src/runtime/trace.h"
 #include "src/util/fingerprint.h"
+#include "src/util/pool.h"
 #include "src/util/value.h"
 
 namespace revisim::aug {
@@ -41,8 +42,8 @@ struct ScanOpRecord {
 struct BlockUpdateOpRecord {
   std::size_t op_id = 0;
   runtime::ProcessId process = 0;
-  std::vector<std::size_t> comps;  // components updated, in call order
-  std::vector<Val> vals;
+  util::PoolVector<std::size_t> comps;  // components updated, in call order
+  util::PoolVector<Val> vals;
   Timestamp ts;                    // timestamp shared by all its Updates
   std::size_t step_h = kNoStep;     // line 2: scan H
   std::size_t step_x = kNoStep;     // line 4: update X appending the triples
@@ -72,9 +73,11 @@ struct BlockUpdateOpRecord {
   }
 };
 
+// Records are made on every operation of every world, so the log's storage
+// lives in the block pool.
 struct OpLog {
-  std::vector<ScanOpRecord> scans;
-  std::vector<BlockUpdateOpRecord> block_updates;
+  util::PoolVector<ScanOpRecord> scans;
+  util::PoolVector<BlockUpdateOpRecord> block_updates;
   std::size_t next_op_id = 0;
 
   // The log is verdict input (the §3.3 linearizer consumes it), so it is

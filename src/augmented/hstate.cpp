@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <iterator>
-#include <memory>
 
 namespace revisim::aug {
 
@@ -17,8 +16,10 @@ namespace {
 template <typename T>
 class Entries {
  public:
-  [[nodiscard]] const std::vector<T>& get() const noexcept {
-    static const std::vector<T> none;
+  using Items = util::PoolVector<T>;
+
+  [[nodiscard]] const Items& get() const noexcept {
+    static const Items none;
     return seq_ != nullptr ? seq_->items : none;
   }
 
@@ -35,8 +36,8 @@ class Entries {
     });
   }
 
-  [[nodiscard]] Entries appended(std::vector<T> more) const {
-    auto seq = std::make_shared<Seq>();
+  [[nodiscard]] Entries appended(Items more) const {
+    auto seq = make_local<Seq>();
     if (seq_ == nullptr) {
       seq->items = std::move(more);
     } else {
@@ -51,19 +52,19 @@ class Entries {
   }
 
  private:
-  struct Seq {
-    std::vector<T> items;
+  struct Seq : LocalCounted {
+    Items items;
     LazyDigest digest;
   };
 
-  std::shared_ptr<const Seq> seq_;  // null: no entries
+  LocalRef<const Seq> seq_;  // null: no entries
 };
 
 }  // namespace
 
 // The version a handle points at.  The shared empty log, which every
 // thread reads, is sealed when it is made.
-struct HComp::Node {
+struct HComp::Node : LocalCounted {
   Entries<UpdateTriple> triples;
   std::size_t num_bu = 0;
   Entries<LRecord> lrecords;
@@ -79,6 +80,13 @@ struct HComp::Node {
     });
   }
 };
+
+HComp::HComp() noexcept = default;
+HComp::HComp(const HComp& other) noexcept = default;
+HComp::HComp(HComp&& other) noexcept = default;
+HComp& HComp::operator=(const HComp& other) noexcept = default;
+HComp& HComp::operator=(HComp&& other) noexcept = default;
+HComp::~HComp() = default;
 
 const HComp::Node& HComp::node() const noexcept {
   static const Node empty = [] {
@@ -108,13 +116,13 @@ void LRecord::fingerprint_into(util::StateSink& sink) const {
   }
 }
 
-const std::vector<UpdateTriple>& HComp::triples() const noexcept {
+const HComp::Triples& HComp::triples() const noexcept {
   return node().triples.get();
 }
 
 std::size_t HComp::num_bu() const noexcept { return node().num_bu; }
 
-const std::vector<LRecord>& HComp::lrecords() const noexcept {
+const HComp::LRecords& HComp::lrecords() const noexcept {
   return node().lrecords.get();
 }
 
@@ -122,9 +130,9 @@ const util::Fingerprint& HComp::digest() const {
   return node().sealed_digest();
 }
 
-HComp HComp::with_batch(std::vector<UpdateTriple> batch) const {
+HComp HComp::with_batch(Triples batch) const {
   const Node& prev = node();
-  auto next = std::make_shared<Node>();
+  auto next = make_local<Node>();
   next->triples = prev.triples.appended(std::move(batch));
   next->num_bu = prev.num_bu + 1;
   next->lrecords = prev.lrecords;
@@ -133,12 +141,12 @@ HComp HComp::with_batch(std::vector<UpdateTriple> batch) const {
   return out;
 }
 
-HComp HComp::with_lrecords(std::vector<LRecord> records) const {
+HComp HComp::with_lrecords(LRecords records) const {
   if (records.empty()) {
     return *this;
   }
   const Node& prev = node();
-  auto next = std::make_shared<Node>();
+  auto next = make_local<Node>();
   next->triples = prev.triples;
   next->num_bu = prev.num_bu;
   next->lrecords = prev.lrecords.appended(std::move(records));
@@ -189,7 +197,7 @@ bool triples_equal(const HView& h, const HView& g) {
 }
 
 Timestamp new_timestamp(const HView& h, std::size_t me) {
-  std::vector<std::uint32_t> parts(h.size());
+  Timestamp::Parts parts(h.size());
   for (std::size_t j = 0; j < h.size(); ++j) {
     parts[j] = static_cast<std::uint32_t>(num_bu(h, j));
   }
@@ -219,10 +227,9 @@ View get_view(const HView& h, std::size_t m) {
   return out;
 }
 
-std::shared_ptr<const PublishedView> read_lrecord(const HView& h,
-                                                  std::size_t j,
-                                                  std::size_t target,
-                                                  std::size_t index) {
+LocalRef<const PublishedView> read_lrecord(const HView& h, std::size_t j,
+                                           std::size_t target,
+                                           std::size_t index) {
   const auto& recs = h.at(j).lrecords();
   for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
     if (it->target == target && it->index == index) {

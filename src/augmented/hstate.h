@@ -23,8 +23,14 @@
 // log length and nesting depth; TextSink still renders the full content.
 // Digests depend on content only: two versions with equal entries have
 // equal digests however they were built, and whichever was asked first.
-// The caches are not synchronized: a version belongs to the world that
-// built it, and a world runs on one thread.
+//
+// Ownership.  A version belongs to the world that built it, and a world runs
+// on one thread.  So the caches are not synchronized, and versions, entry
+// sequences and published views are shared through LocalRef: an intrusive
+// handle with a plain (non-atomic) reference count, whose objects come from
+// the per-thread block pool (src/util/pool.h).  A world may still be
+// destroyed on another thread than the one that built it, as long as no two
+// threads touch it at once.
 //
 // The paper's prefix order on scan results (Observation 1) concerns the
 // update-triple logs: those are what Get-View and the Block-Update return
@@ -35,13 +41,16 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/augmented/timestamp.h"
 #include "src/util/fingerprint.h"
+#include "src/util/pool.h"
 #include "src/util/value.h"
 
 namespace revisim::aug {
@@ -60,8 +69,71 @@ struct UpdateTriple {
   }
 };
 
+// Base of the objects LocalRef shares: pooled, with a plain count.
+class LocalCounted : public util::Pooled {
+ private:
+  template <typename T>
+  friend class LocalRef;
+  mutable std::uint32_t refs_ = 0;
+};
+
+// Shared ownership of one LocalCounted object within one thread (see the
+// header comment).  Copying bumps an integer; the last handle deletes.
+template <typename T>
+class LocalRef {
+ public:
+  LocalRef() noexcept = default;
+  LocalRef(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  // Takes a freshly allocated object (make_local).
+  explicit LocalRef(T* p) noexcept : p_(p) { retain(); }
+  LocalRef(const LocalRef& other) noexcept : p_(other.p_) { retain(); }
+  LocalRef(LocalRef&& other) noexcept : p_(std::exchange(other.p_, nullptr)) {}
+  // A handle to a just-built object becomes a handle to its const view.
+  template <typename U>
+    requires std::is_convertible_v<U*, T*>
+  LocalRef(LocalRef<U>&& other) noexcept  // NOLINT(google-explicit-constructor)
+      : p_(std::exchange(other.p_, nullptr)) {}
+  LocalRef& operator=(LocalRef other) noexcept {
+    std::swap(p_, other.p_);
+    return *this;
+  }
+  ~LocalRef() {
+    if (p_ != nullptr && --p_->refs_ == 0) {
+      delete p_;
+    }
+  }
+
+  T& operator*() const noexcept { return *p_; }
+  T* operator->() const noexcept { return p_; }
+
+  friend bool operator==(const LocalRef& a, const LocalRef& b) noexcept {
+    return a.p_ == b.p_;
+  }
+  friend bool operator==(const LocalRef& a, std::nullptr_t) noexcept {
+    return a.p_ == nullptr;
+  }
+
+ private:
+  template <typename U>
+  friend class LocalRef;
+
+  void retain() noexcept {
+    if (p_ != nullptr) {
+      ++p_->refs_;
+    }
+  }
+
+  T* p_ = nullptr;
+};
+
+template <typename T, typename... Args>
+[[nodiscard]] LocalRef<T> make_local(Args&&... args) {
+  return LocalRef<T>(new T(std::forward<Args>(args)...));
+}
+
 class HComp;
-using HView = std::vector<HComp>;  // result of a scan of H (all f components)
+// Result of a scan of H (all f components).
+using HView = util::PoolVector<HComp>;
 
 // A content digest computed on the first request and cached (see the header
 // comment: unsynchronized, like the object it belongs to).
@@ -84,7 +156,7 @@ class LazyDigest {
 // A scan result published in helping records.  Its content digest (an
 // O(f) combination of the component digests) is sealed on the first
 // digest() call.  One instance is shared by all the records of one publish.
-class PublishedView {
+class PublishedView : public LocalCounted {
  public:
   explicit PublishedView(HView v);
 
@@ -101,7 +173,7 @@ class PublishedView {
 struct LRecord {
   std::size_t target = 0;  // j: the process being helped (0-based)
   std::size_t index = 0;   // b: which of its Block-Updates
-  std::shared_ptr<const PublishedView> h;  // scan result being published
+  LocalRef<const PublishedView> h;  // scan result being published
 
   void fingerprint_into(util::StateSink& sink) const;
 };
@@ -110,18 +182,30 @@ struct LRecord {
 // default-constructed handle is the empty log.
 class HComp {
  public:
-  [[nodiscard]] const std::vector<UpdateTriple>& triples() const noexcept;
+  using Triples = util::PoolVector<UpdateTriple>;
+  using LRecords = util::PoolVector<LRecord>;
+
+  // The empty log.  Copies share the version; the special members live in
+  // hstate.cpp, where the version type is complete.
+  HComp() noexcept;
+  HComp(const HComp& other) noexcept;
+  HComp(HComp&& other) noexcept;
+  HComp& operator=(const HComp& other) noexcept;
+  HComp& operator=(HComp&& other) noexcept;
+  ~HComp();
+
+  [[nodiscard]] const Triples& triples() const noexcept;
   // #h_i: number of Block-Updates recorded (distinct timestamps in triples).
   [[nodiscard]] std::size_t num_bu() const noexcept;
-  [[nodiscard]] const std::vector<LRecord>& lrecords() const noexcept;
+  [[nodiscard]] const LRecords& lrecords() const noexcept;
   // Digest of (triples, num_bu, lrecords), sealed on the first call.
   [[nodiscard]] const util::Fingerprint& digest() const;
 
   // The next version: this log plus one Block-Update's batch of triples
   // (#h_i grows by one), resp. plus helping records.  Appending no records
   // returns this version itself.
-  [[nodiscard]] HComp with_batch(std::vector<UpdateTriple> batch) const;
-  [[nodiscard]] HComp with_lrecords(std::vector<LRecord> records) const;
+  [[nodiscard]] HComp with_batch(Triples batch) const;
+  [[nodiscard]] HComp with_lrecords(LRecords records) const;
 
   // Full contents, helping records included: a published scan result is
   // readable by later Block-Updates (read_lrecord), so it is part of the
@@ -135,7 +219,7 @@ class HComp {
   // The version pointed at, or the shared empty log.
   [[nodiscard]] const Node& node() const noexcept;
 
-  std::shared_ptr<const Node> node_;  // null: the empty log
+  LocalRef<const Node> node_;  // null: the empty log
 };
 
 // #h_j of the paper.
@@ -162,7 +246,7 @@ inline std::size_t num_bu(const HView& h, std::size_t j) {
 // Reads the paper's L_{j+1,me+1}[index]: the scan result of the last
 // helping record in component j of `h` with the given target and index, or
 // nullptr.
-[[nodiscard]] std::shared_ptr<const PublishedView> read_lrecord(
+[[nodiscard]] LocalRef<const PublishedView> read_lrecord(
     const HView& h, std::size_t j, std::size_t target, std::size_t index);
 
 }  // namespace revisim::aug

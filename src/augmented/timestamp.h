@@ -10,17 +10,20 @@
 #include <compare>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/util/fingerprint.h"
+#include "src/util/pool.h"
 
 namespace revisim::aug {
 
 class Timestamp {
  public:
+  // Every Block-Update and every linearized Update carries one, so the
+  // parts live in the block pool.
+  using Parts = util::PoolVector<std::uint32_t>;
+
   Timestamp() = default;
-  explicit Timestamp(std::vector<std::uint32_t> parts)
-      : parts_(std::move(parts)) {}
+  explicit Timestamp(Parts parts) : parts_(std::move(parts)) {}
 
   [[nodiscard]] bool empty() const noexcept { return parts_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return parts_.size(); }
@@ -43,7 +46,7 @@ class Timestamp {
   }
 
  private:
-  std::vector<std::uint32_t> parts_;
+  Parts parts_;
 };
 
 }  // namespace revisim::aug

@@ -47,6 +47,17 @@
 
 namespace revisim::check::detail {
 
+// How often a running walk consults its engine about aborting: on every
+// kProbeInterval-th execution (the first included).  The probe runs after
+// every execution, and consulting costs more than a small-step execution
+// does - the in-process engine takes the pool mutex and walks the ledger
+// (unreadable), a distributed worker drains its socket with a recv syscall
+// - while the answer is almost always "keep going".  A late abort only
+// walks executions the merge never reads, so the cadence trades at most
+// kProbeInterval - 1 wasted executions per abort for that toll; steal and
+// credit latency stay at a few executions.
+inline constexpr std::uint64_t kProbeInterval = 16;
+
 class JobLedger {
  public:
   struct Job {

@@ -99,9 +99,15 @@ void run_one_worker(Pool& pool, std::size_t worker_id,
       pool.cv.notify_one();
       return true;
     };
-    auto abort = [&pool, job, &past_deadline] {
+    // The deadline is read after every execution, the ledger only every
+    // kProbeInterval-th (job_ledger.h): the walk stays off the pool mutex.
+    std::uint64_t probes = 0;
+    auto abort = [&pool, job, &past_deadline, &probes] {
       if (past_deadline()) {
         return true;
+      }
+      if (probes++ % detail::kProbeInterval != 0) {
+        return false;
       }
       std::lock_guard<std::mutex> g(pool.mu);
       return pool.ledger.unreadable(*job);

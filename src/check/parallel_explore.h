@@ -31,7 +31,11 @@
 // lower-bounds the serial execution count before a job's region, so capped
 // searches shrink each job's local cap at claim time and abort jobs whose
 // results the merge provably cannot read (bound >= cap, or a violation
-// already secured in an earlier region).
+// already secured in an earlier region).  A running walk asks the ledger
+// only on every kProbeInterval-th execution (job_ledger.h), the cadence the
+// distributed worker uses too, so the walk itself never contends for the
+// mutex; an abort lands at most kProbeInterval - 1 executions late, all of
+// them in a region the merge does not read.
 //
 // With base.dedupe_states set, all workers share one lock-free
 // transposition table (state_table.h) and the guarantee deliberately

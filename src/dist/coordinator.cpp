@@ -56,11 +56,12 @@ struct Conn {
   Job* current = nullptr;
   bool abort_sent = false;  // a kCredit abort for `current` is in flight
 
-  // Liveness bookkeeping.  last_sent drives ping piggybacking: ANY frame
-  // advances the worker's liveness clock, so a ping goes out only when
-  // nothing else has for a full interval.
+  // Liveness bookkeeping.  Pings go out on a cadence of their own: other
+  // frames (steal requests above all) need no answer, so only a ping
+  // guarantees the worker a next frame to send - the pong that exposes a
+  // dropped frame as a sequence gap.
   Clock::time_point last_heard{};
-  Clock::time_point last_sent{};
+  Clock::time_point last_ping{};
   std::uint64_t ping_nonce = 0;
   Clock::time_point phase_deadline{};  // handshake expiry
   Clock::time_point window_end{};      // reconnect window expiry
@@ -69,6 +70,10 @@ struct Conn {
   Clock::time_point stop_since{};      // stop seen with a job still in flight
   bool stop_stalling = false;
   bool write_armed = false;  // epoll registration includes EPOLLOUT
+  // Fork mode: the slot's worker is our child, watched through `child`, a
+  // pidfd (-1 when it could not be opened).
+  bool forked = false;
+  int child = -1;
 };
 
 // Pause between re-dial attempts at a lost endpoint.
@@ -179,16 +184,16 @@ void send_msg(CoState& co, Conn& conn, MsgType type, Encode encode) {
   encode(conn.out);
   try {
     conn.ch.enqueue(type, conn.out);
-    conn.last_sent = Clock::now();
     pump_writes(co, conn);
   } catch (const WireError&) {
   }
 }
 
 // Heartbeat driver, run every tick for every serving connection: throws
-// once the worker has been silent past the timeout, and pings only when no
-// other frame (job, credit, steal request) went out for a full interval -
-// the liveness traffic piggybacks on the job protocol's own.
+// once the worker has been silent past the timeout, and pings once per
+// interval whatever else went out.  A worker whose job result was dropped
+// believes itself idle and answers steal requests with nothing, so
+// without its pong the gap would surface only at the timeout.
 void heartbeat(CoState& co, Conn& conn) {
   const std::uint32_t interval = co.options->heartbeat_interval_ms;
   if (interval == 0) {
@@ -203,7 +208,8 @@ void heartbeat(CoState& co, Conn& conn) {
                     std::to_string(conn.worker) + " silent for " +
                     std::to_string(silent.count()) + "ms");
   }
-  if (now - conn.last_sent >= std::chrono::milliseconds(interval)) {
+  if (now - conn.last_ping >= std::chrono::milliseconds(interval)) {
+    conn.last_ping = now;
     const std::uint64_t nonce = ++conn.ping_nonce;
     send_msg(co, conn, MsgType::kPing, [nonce](WireWriter& w) {
       PingMsg m;
@@ -322,11 +328,21 @@ std::string endpoint_text(const Endpoint& e) {
   return e.host + ":" + std::to_string(e.port);
 }
 
+// Fork mode: nothing can answer a re-dial of this slot any more.  Only the
+// child holds the slot's listener, so that is once the child has exited -
+// or, without a pidfd to ask, once a re-dial has failed.
+bool child_gone(const Conn& conn, bool redial_failed) {
+  if (!conn.forked) {
+    return false;
+  }
+  return conn.child >= 0 ? wait_readable(conn.child, 0) : redial_failed;
+}
+
 // Lost connection: requeue the in-flight job (cancelling what the attempt
 // donated), then park the slot for a re-dial within the window, or retire
-// it.  A failed re-dial just waits for the next one.  A slot that never
-// completed a handshake is not re-dialed: the run fails, naming its
-// endpoint.
+// it.  A failed re-dial just waits for the next one, unless the slot's
+// forked worker is gone.  A slot that never completed a handshake is not
+// re-dialed: the run fails, naming its endpoint.
 void on_conn_lost(CoState& co, Conn& conn, const std::string& why) {
   if (!conn.served) {
     throw WireError("worker " + std::to_string(conn.worker) + " at " +
@@ -357,10 +373,15 @@ void on_conn_lost(CoState& co, Conn& conn, const std::string& why) {
   // EOF, ends its session and goes back to accepting our re-dial.
   conn.ch.close();
 
-  if (!co.stop && now < conn.window_end) {
+  const bool gone = child_gone(conn, redialing);
+  if (!co.stop && now < conn.window_end && !gone) {
     conn.phase = Conn::kAwaitingReconnect;
     conn.next_dial = redialing ? now + kRedialInterval : now;
     return;
+  }
+  if (gone) {
+    co.log->line("coordinator: worker %zu process is gone; slot retired",
+                 conn.worker);
   }
   retire(co, conn,
          "every worker disconnected with work outstanding (last: " +
@@ -378,7 +399,7 @@ void dial(CoState& co, Conn& conn, const check::CrashWorldSpec* spec) {
   if (conn.served) {
     conn.phase_deadline = std::min(conn.phase_deadline, conn.window_end);
   }
-  conn.last_heard = conn.last_sent = now;
+  conn.last_heard = conn.last_ping = now;
   conn.ch.adopt(connect_tcp_async(conn.endpoint.host, conn.endpoint.port));
   conn.ch.set_faults(conn.faults.any() ? &conn.faults : nullptr);
   epoll_add(co, conn.ch.fd(), &conn, false);
@@ -521,7 +542,7 @@ void finish_handshake(CoState& co, Conn& conn) {
   }
   conn.served = true;
   conn.phase = Conn::kServing;
-  conn.last_heard = conn.last_sent = Clock::now();
+  conn.last_heard = conn.last_ping = Clock::now();
 }
 
 // Drains every complete frame buffered on the connection.  Throws on EOF
@@ -655,7 +676,7 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
         }
         break;
       case Conn::kAwaitingReconnect:
-        if (co.stop || now >= c->window_end) {
+        if (co.stop || now >= c->window_end || child_gone(*c, false)) {
           retire(co, *c,
                  "every worker disconnected with work outstanding (last: " +
                      c->death + ")");
@@ -862,7 +883,7 @@ Endpoint parse_endpoint(const std::string& text) {
 
 check::ScheduleExploreResult coordinate(
     const std::vector<Endpoint>& endpoints, const DistExploreOptions& options,
-    const check::CrashWorldSpec* spec) {
+    const check::CrashWorldSpec* spec, const std::vector<int>& children) {
   check::validate(options.base);
   if (endpoints.empty()) {
     throw std::invalid_argument("dist: coordinate needs at least one worker");
@@ -896,6 +917,10 @@ check::ScheduleExploreResult coordinate(
     conn->endpoint = endpoints[i];
     if (options.coordinator_faults.any()) {
       conn->faults = derive_fault_plan(options.coordinator_faults, i);
+    }
+    if (i < children.size()) {
+      conn->forked = true;
+      conn->child = children[i];
     }
     co.conns.push_back(std::move(conn));
   }
@@ -1029,14 +1054,25 @@ check::ScheduleExploreResult dist_explore_schedules(
   // Only the children hold the listeners, so a dead worker's endpoint
   // refuses the re-dial instead of queueing it.
   close_listeners();
+  // One pidfd per child lets the coordinator retire a dead worker's slot at
+  // once (-1 on kernels without pidfds).
+  std::vector<int> children;
+  for (const pid_t pid : kids) {
+    children.push_back(static_cast<int>(::syscall(SYS_pidfd_open, pid, 0)));
+  }
 
   check::ScheduleExploreResult res;
   std::exception_ptr failure;
   try {
-    res = coordinate(endpoints, options, nullptr);
+    res = coordinate(endpoints, options, nullptr, children);
   } catch (...) {
     failure = std::current_exception();
     kill_kids();  // the run is over; no worker should wait out its window
+  }
+  for (const int fd : children) {
+    if (fd >= 0) {
+      ::close(fd);
+    }
   }
   reap_children(kids);
   if (failure) {

@@ -132,10 +132,15 @@ struct Endpoint {
 // WireError naming the endpoint if one refuses its first dial or is lost
 // before its first handshake completes.  A worker that rejects the hello
 // (unknown world, say) is retired; with none left, the summary's error
-// says why.
+// says why.  `children` is for fork mode: per endpoint, a pidfd of the
+// worker process behind it (-1 if none could be opened).  A lost slot whose
+// process has exited is retired at once instead of being re-dialed until
+// its window closes; so is one whose re-dial fails while it has no pidfd,
+// since only the child held its listener.  Empty in cluster mode.
 check::ScheduleExploreResult coordinate(const std::vector<Endpoint>& endpoints,
                                         const DistExploreOptions& options,
-                                        const check::CrashWorldSpec* spec);
+                                        const check::CrashWorldSpec* spec,
+                                        const std::vector<int>& children = {});
 
 // Single-binary localhost mode: binds one loopback listener per worker,
 // forks `options.workers` worker processes that each run serve()

@@ -133,21 +133,20 @@ void Channel::close() {
   }
 }
 
-void Channel::set_faults(FaultPlan* plan) {
-  faults_ = plan;
-  if (plan != nullptr) {
-    rng_ = plan->seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull;
-  }
-}
+void Channel::set_faults(FaultPlan* plan) { faults_ = plan; }
 
 bool Channel::chance(double p) {
   if (p <= 0) {
     return false;
   }
-  rng_ ^= rng_ << 13;
-  rng_ ^= rng_ >> 7;
-  rng_ ^= rng_ << 17;
-  return static_cast<double>(rng_ >> 11) * 0x1.0p-53 < p;
+  std::uint64_t& rng = faults_->rng;
+  if (rng == 0) {
+    rng = faults_->seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull;
+  }
+  rng ^= rng << 13;
+  rng ^= rng >> 7;
+  rng ^= rng << 17;
+  return static_cast<double>(rng >> 11) * 0x1.0p-53 < p;
 }
 
 void Channel::send(MsgType type, const WireWriter& body) {
@@ -160,6 +159,13 @@ void Channel::send(MsgType type, const WireWriter& body) {
 void Channel::enqueue(MsgType type, const WireWriter& body) {
   if (fd_ < 0 || broken_) {
     throw WireError("connection cut by fault injection");
+  }
+  // A fired partition outlives its own disarming (which leaves the plan
+  // with no faults at all): the peer hears nothing more on this connection.
+  if (partitioned_) {
+    ++sent_frames_;
+    ++send_seq_;
+    return;
   }
   if (faults_ == nullptr || !faults_->any()) {
     append_frame(tx_, type, body, send_seq_++);
@@ -181,8 +187,6 @@ void Channel::enqueue(MsgType type, const WireWriter& body) {
       sent_frames_ >= faults_->partition_after) {
     faults_->partition_after = 0;  // disarm for the next connection
     partitioned_ = true;
-  }
-  if (partitioned_) {
     ++send_seq_;  // the peer never hears this frame, or any after it
     return;
   }

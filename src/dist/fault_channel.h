@@ -23,14 +23,16 @@
 //   - delay/stall: sleeps before the send; a stall longer than the
 //     heartbeat timeout is indistinguishable from a hang, by design.
 //
-// Rate faults (drop/dup/delay) draw from a seeded xorshift generator and
-// keep firing for the life of the plan.  Positional faults (stall_at,
-// cut_after, truncate_at, partition_after) fire once per PLAN, not per
-// connection: after firing they disarm themselves, so the re-dialed
-// connection runs clean and the run converges to the fault-free result -
-// which is exactly what the bit-parity fault tests assert.  That is why the
-// coordinator keeps one plan per worker slot across re-dials, and a worker
-// one plan for its whole process.
+// Rate faults (drop/dup/delay) draw from a seeded xorshift generator that
+// lives in the plan, so the draws continue across re-dials instead of
+// replaying the same sequence on every connection.  Positional faults
+// (stall_at, cut_after, truncate_at, partition_after) fire once per PLAN,
+// not per connection: after firing they disarm themselves, so the
+// re-dialed connection runs clean and the run converges to the fault-free
+// result - which is exactly what the bit-parity fault tests assert.  A
+// partition, once fired, lasts for the rest of its connection.  That is why
+// the coordinator keeps one plan per worker slot across re-dials, and a
+// worker one plan for its whole process.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +56,9 @@ struct FaultPlan {
   std::uint64_t cut_after = 0;     // send frame N, then shut the socket down
   std::uint64_t truncate_at = 0;   // send only half of frame N, then shut down
   std::uint64_t partition_after = 0;  // swallow every send from frame N on
+  // Rate-fault generator state; 0 until the first draw seeds it from
+  // `seed`.  Advanced by every channel the plan is attached to.
+  std::uint64_t rng = 0;
 
   [[nodiscard]] bool any() const {
     return drop_rate > 0 || dup_rate > 0 || delay_rate > 0 || stall_at != 0 ||
@@ -102,8 +107,9 @@ class Channel {
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
 
   // Attaches a fault plan (not owned; may be nullptr).  The plan object is
-  // mutated as positional faults disarm, so sharing one plan across
-  // connections gives fire-once semantics.
+  // mutated as positional faults disarm and as rate faults draw, so sharing
+  // one plan across connections gives fire-once semantics and one
+  // continuing stream of draws.
   void set_faults(FaultPlan* plan);
 
   // Commits one frame to the tx buffer without writing to the socket.
@@ -139,7 +145,6 @@ class Channel {
 
   int fd_ = -1;
   FaultPlan* faults_ = nullptr;
-  std::uint64_t rng_ = 0x9E3779B97F4A7C15ull;
   std::uint64_t sent_frames_ = 0;
   std::uint32_t send_seq_ = 0;
   std::uint32_t recv_seq_ = 0;

@@ -12,6 +12,7 @@
 
 #include "src/check/crash_worlds.h"
 #include "src/check/explore_core.h"
+#include "src/check/job_ledger.h"
 #include "src/check/state_table.h"
 #include "src/dist/log.h"
 #include "src/dist/wire.h"
@@ -44,13 +45,6 @@ struct Session {
 };
 
 bool handle_control(Session& s, const Frame& f);
-
-// The abort probe runs after every execution, and a recv syscall each time
-// costs more than a small-step execution does (the socket is empty almost
-// always).  Draining every 16th probe keeps steal-request and credit
-// latency at a few executions while cutting the syscall rate - the toll
-// the dist-workers-2 vs parallel-2 smoke gate bounds.
-constexpr std::uint64_t kProbeInterval = 16;
 
 // Coordinator silence past the heartbeat timeout means the connection is
 // dead even though the socket looks healthy (hang, one-way partition).
@@ -285,7 +279,7 @@ void run_job(Session& s, const JobMsg& job,
   std::uint64_t last_reported = 0;
   std::uint64_t probes = 0;
   auto abort = [&]() -> bool {
-    if (probes++ % kProbeInterval == 0) {
+    if (probes++ % check::detail::kProbeInterval == 0) {
       pump(s);
     }
     const std::uint64_t n = s.live.load(std::memory_order_relaxed);

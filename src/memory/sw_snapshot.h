@@ -14,6 +14,7 @@
 
 #include "src/runtime/scheduler.h"
 #include "src/util/fingerprint.h"
+#include "src/util/pool.h"
 
 namespace revisim::mem {
 
@@ -41,7 +42,7 @@ class SWSnapshot : public util::Fingerprintable {
     util::feed(sink, comps_);
   }
 
-  runtime::StepAwaiter<std::vector<T>> scan() {
+  runtime::StepAwaiter<util::PoolVector<T>> scan() {
     return {sched_,
             [this] {
               sched_.note_access(id_, runtime::Footprint::kAllComponents,
@@ -78,13 +79,15 @@ class SWSnapshot : public util::Fingerprintable {
                           id_, static_cast<std::uint32_t>(writer))};
   }
 
-  [[nodiscard]] const std::vector<T>& peek() const noexcept { return comps_; }
+  [[nodiscard]] const util::PoolVector<T>& peek() const noexcept {
+    return comps_;
+  }
 
  private:
   runtime::Scheduler& sched_;
   std::size_t id_;
   bool opaque_;
-  std::vector<T> comps_;
+  util::PoolVector<T> comps_;  // scans copy it on every step
 };
 
 }  // namespace revisim::mem

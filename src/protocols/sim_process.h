@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 
+#include "src/util/pool.h"
 #include "src/util/value.h"
 
 namespace revisim::proto {
@@ -45,7 +46,9 @@ struct SimAction {
   friend bool operator==(const SimAction&, const SimAction&) = default;
 };
 
-class SimProcess {
+// Worlds make and clone simulated processes on every explored execution,
+// so they live in the block pool.
+class SimProcess : public util::Pooled {
  public:
   virtual ~SimProcess() = default;
 

@@ -8,16 +8,12 @@
 // chains (e.g. the recursive Construct(r) of a covering simulator) suspend
 // and resume as a unit at each shared-memory step.
 //
-// Frames come from a per-thread pool.  Worlds cannot be copied, so the
-// explorer rebuilds and replays one for every execution, and every world
-// allocates the same few dozen frames again; the pool keeps freed frames on
-// thread-local free lists in 64-byte size classes and hands them back out,
-// so the steady state of an exploration allocates no frames from the heap.
-// A frame may be freed on another thread than the one that allocated it (it
-// then joins the freeing thread's lists).  A thread parks at most a
-// mebibyte of frames and returns them to the heap when it exits; parked
-// frames are poisoned for AddressSanitizer, so a use of a destroyed frame is
-// still reported.
+// Frames come from the per-thread block pool (src/util/pool.h).  Worlds
+// cannot be copied, so the explorer rebuilds and replays one for every
+// execution, and every world allocates the same few dozen frames again; the
+// pool hands freed frames back out, so the steady state of an exploration
+// allocates no frames from the heap.  A frame may be destroyed on another
+// thread than the one that created it.
 #pragma once
 
 #include <coroutine>
@@ -26,6 +22,8 @@
 #include <optional>
 #include <utility>
 
+#include "src/util/pool.h"
+
 namespace revisim::runtime {
 
 template <typename T>
@@ -33,17 +31,8 @@ class Task;
 
 namespace detail {
 
-// The frame pool (task.cpp).  Frames larger than the largest size class go
-// to the heap directly.
-void* allocate_frame(std::size_t bytes);
-void deallocate_frame(void* frame, std::size_t bytes) noexcept;
-
-struct PromiseBase {
-  static void* operator new(std::size_t bytes) { return allocate_frame(bytes); }
-  static void operator delete(void* frame, std::size_t bytes) noexcept {
-    deallocate_frame(frame, bytes);
-  }
-
+// Coroutine frames are allocated through the promise type's operator new.
+struct PromiseBase : util::Pooled {
   std::coroutine_handle<> continuation;  // resumed when this coroutine finishes
   std::exception_ptr exception;
 

@@ -6,9 +6,8 @@
 namespace revisim::sim {
 
 CoveringSimulator::CoveringSimulator(
-    aug::IAugmentedSnapshot& m, runtime::ProcessId me,
-    std::vector<std::unique_ptr<proto::SimProcess>> procs,
-    std::vector<std::size_t> global_ids, std::size_t local_budget)
+    aug::IAugmentedSnapshot& m, runtime::ProcessId me, Procs procs,
+    Comps global_ids, std::size_t local_budget)
     : m_(m),
       me_(me),
       procs_(std::move(procs)),
@@ -21,9 +20,10 @@ CoveringSimulator::CoveringSimulator(
 }
 
 CoveringSimulator::LocalSimResult CoveringSimulator::simulate_locally(
-    std::size_t idx, View base, const std::vector<std::size_t>& allowed) {
+    std::size_t idx, View base, const Comps& allowed) {
   LocalSimResult res;
-  std::set<std::size_t> allowed_set(allowed.begin(), allowed.end());
+  const std::set<std::size_t, std::less<>, util::PoolAllocator<std::size_t>>
+      allowed_set(allowed.begin(), allowed.end());
   for (std::size_t step = 0; step < local_budget_; ++step) {
     ++stats_.local_steps;
     proto::SimAction act = procs_[idx]->on_scan(base);
@@ -64,19 +64,21 @@ runtime::Task<ConstructOutcome> CoveringSimulator::construct(std::size_t r) {
     co_return out;
   }
 
+  using CompSet =
+      std::set<std::size_t, std::less<>, util::PoolAllocator<std::size_t>>;
   struct AEntry {
-    std::set<std::size_t> comps;
+    CompSet comps;
     View view;
     std::size_t op_id;
   };
-  std::vector<AEntry> a;
+  util::PoolVector<AEntry> a;
 
   for (;;) {
     ConstructOutcome sub = co_await construct(r - 1);
     if (sub.output) {
       co_return sub;
     }
-    std::set<std::size_t> key(sub.plan.comps.begin(), sub.plan.comps.end());
+    CompSet key(sub.plan.comps.begin(), sub.plan.comps.end());
     const AEntry* match = nullptr;
     for (const AEntry& e : a) {
       if (e.comps == key) {
@@ -110,7 +112,9 @@ runtime::Task<ConstructOutcome> CoveringSimulator::construct(std::size_t r) {
     }
     // Simulate the pending updates of p_{i,1}..p_{i,r-1} as one
     // M.Block-Update; remember it (with its view) when it was atomic.
-    auto res = co_await m_.BlockUpdate(me_, sub.plan.comps, sub.plan.vals);
+    auto res = co_await m_.BlockUpdate(
+        me_, {sub.plan.comps.begin(), sub.plan.comps.end()},
+        {sub.plan.vals.begin(), sub.plan.vals.end()});
     ++stats_.block_updates;
     if (res.yielded) {
       ++stats_.yields;

@@ -23,6 +23,7 @@
 #include "src/protocols/sim_process.h"
 #include "src/runtime/task.h"
 #include "src/sim/types.h"
+#include "src/util/pool.h"
 
 namespace revisim::sim {
 
@@ -34,14 +35,17 @@ struct CoveringStats {
   std::size_t local_steps = 0; // locally simulated (hidden + final) steps
 };
 
-class CoveringSimulator {
+// Every simulation world makes its simulators afresh, so they and their
+// containers live in the block pool.
+class CoveringSimulator : public util::Pooled {
  public:
+  using Procs = util::PoolVector<std::unique_ptr<proto::SimProcess>>;
+  using Comps = util::PoolVector<std::size_t>;
+
   // `procs` are p_{i,1}..p_{i,m} (fresh, all with the simulator's input);
   // `global_ids` are their ids in the simulated system.
   CoveringSimulator(aug::IAugmentedSnapshot& m, runtime::ProcessId me,
-                    std::vector<std::unique_ptr<proto::SimProcess>> procs,
-                    std::vector<std::size_t> global_ids,
-                    std::size_t local_budget);
+                    Procs procs, Comps global_ids, std::size_t local_budget);
 
   // Algorithm 7; the coroutine is the whole life of real process q_{me+1}.
   runtime::Task<void> run();
@@ -67,12 +71,12 @@ class CoveringSimulator {
   // recording updates to `allowed` components as hidden steps, until it is
   // poised to update a component outside `allowed` or outputs.
   LocalSimResult simulate_locally(std::size_t idx, View base,
-                                  const std::vector<std::size_t>& allowed);
+                                  const Comps& allowed);
 
   aug::IAugmentedSnapshot& m_;
   runtime::ProcessId me_;
-  std::vector<std::unique_ptr<proto::SimProcess>> procs_;
-  std::vector<std::size_t> global_ids_;
+  Procs procs_;
+  Comps global_ids_;
   std::size_t local_budget_;
   std::size_t last_scan_op_ = 0;  // op id of the most recent M.Scan (delta)
 

@@ -33,7 +33,7 @@ SimulationDriver::SimulationDriver(runtime::Scheduler& sched,
   direct_outcomes_.reserve(d_);
   direct_stats_.reserve(d_);
   for (std::size_t i = 0; i < covering; ++i) {
-    std::vector<std::unique_ptr<proto::SimProcess>> procs;
+    CoveringSimulator::Procs procs;
     procs.reserve(part_.groups[i].size());
     for (std::size_t gid : part_.groups[i]) {
       procs.push_back(protocol.make(gid, inputs_[i]));

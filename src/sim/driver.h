@@ -88,7 +88,7 @@ class SimulationDriver {
   std::size_t d_;
   Partition part_;
   std::unique_ptr<aug::IAugmentedSnapshot> m_;
-  std::vector<std::unique_ptr<CoveringSimulator>> covering_;
+  util::PoolVector<std::unique_ptr<CoveringSimulator>> covering_;
   // Direct-simulator sinks (stable addresses).
   std::vector<std::unique_ptr<SimulatorOutcome>> direct_outcomes_;
   std::vector<std::unique_ptr<DirectStats>> direct_stats_;

@@ -9,15 +9,17 @@
 #include <vector>
 
 #include "src/runtime/trace.h"
+#include "src/util/pool.h"
 #include "src/util/value.h"
 
 namespace revisim::sim {
 
 // A constructed block update: the processes p_{i,1}..p_{i,r} are poised to
-// update comps[g] with vals[g] (g = 0..r-1).
+// update comps[g] with vals[g] (g = 0..r-1).  Every Construct(1) builds one,
+// so the plan lives in the block pool.
 struct BlockPlan {
-  std::vector<std::size_t> comps;
-  std::vector<Val> vals;
+  util::PoolVector<std::size_t> comps;
+  util::PoolVector<Val> vals;
 
   [[nodiscard]] std::size_t size() const noexcept { return comps.size(); }
 };
@@ -64,9 +66,11 @@ class SimulationDiverged : public std::runtime_error {
 };
 
 // Partition of the n simulated processes among the f simulators (§2.1):
-// covering simulators get m processes each, direct simulators one.
+// covering simulators get m processes each, direct simulators one.  Every
+// simulation world makes one, so it lives in the block pool.
 struct Partition {
-  std::vector<std::vector<std::size_t>> groups;  // groups[i] = P_{i+1}
+  using Group = util::PoolVector<std::size_t>;
+  util::PoolVector<Group> groups;  // groups[i] = P_{i+1}
 
   static Partition make(std::size_t n, std::size_t f, std::size_t d,
                         std::size_t m) {
@@ -82,7 +86,7 @@ struct Partition {
     p.groups.reserve(f);
     std::size_t next = 0;
     for (std::size_t i = 0; i < covering; ++i) {
-      std::vector<std::size_t> g(m);
+      Group g(m);
       for (std::size_t j = 0; j < m; ++j) {
         g[j] = next++;
       }

@@ -165,8 +165,8 @@ inline void feed(StateSink& sink, const std::optional<T>& v) {
   }
 }
 
-template <typename T>
-inline void feed(StateSink& sink, const std::vector<T>& v) {
+template <typename T, typename A>
+inline void feed(StateSink& sink, const std::vector<T, A>& v) {
   sink.word(v.size());
   for (const auto& e : v) {
     feed(sink, e);

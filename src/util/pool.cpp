@@ -1,33 +1,29 @@
-#include "src/runtime/task.h"
+#include "src/util/pool.h"
 
 #include <sanitizer/asan_interface.h>
 
-#include <new>
-
-namespace revisim::runtime::detail {
+namespace revisim::util {
 namespace {
 
-constexpr std::size_t kGranule = 64;
-constexpr std::size_t kClasses = 64;  // frames up to 4 KiB are pooled
-// Most a thread keeps parked; past it, freed frames go back to the heap, so
-// a thread that only ever frees other threads' frames cannot hoard them.
-constexpr std::size_t kMaxParkedBytes = std::size_t{1} << 20;
+constexpr std::size_t kClasses = kPoolMaxBytes / kPoolGranule;
 
-struct FreeFrame {
-  FreeFrame* next;
+struct FreeBlock {
+  FreeBlock* next;
 };
 
-// Size class c holds blocks of (c + 1) * kGranule bytes.
+// Size class c holds blocks of (c + 1) * kPoolGranule bytes.
 constexpr std::size_t class_of(std::size_t bytes) {
-  return (bytes + kGranule - 1) / kGranule - 1;
+  return (bytes + kPoolGranule - 1) / kPoolGranule - 1;
 }
 
-constexpr std::size_t class_bytes(std::size_t c) { return (c + 1) * kGranule; }
+constexpr std::size_t class_bytes(std::size_t c) {
+  return (c + 1) * kPoolGranule;
+}
 
 // One thread's free lists.  Parked blocks are poisoned whole; a block is
 // unpoisoned before its link is read.
 struct FreeLists {
-  FreeFrame* heads[kClasses] = {};
+  FreeBlock* heads[kClasses] = {};
   std::size_t parked_bytes = 0;
 
   FreeLists() = default;
@@ -36,31 +32,31 @@ struct FreeLists {
   ~FreeLists();
 
   void* pop(std::size_t c) {
-    FreeFrame* frame = heads[c];
-    if (frame == nullptr) {
+    FreeBlock* block = heads[c];
+    if (block == nullptr) {
       return nullptr;
     }
-    ASAN_UNPOISON_MEMORY_REGION(frame, class_bytes(c));
-    heads[c] = frame->next;
+    ASAN_UNPOISON_MEMORY_REGION(block, class_bytes(c));
+    heads[c] = block->next;
     parked_bytes -= class_bytes(c);
-    return frame;
+    return block;
   }
 
   // False when the thread's parking budget is spent.
-  bool push(void* block, std::size_t c) noexcept {
-    if (parked_bytes + class_bytes(c) > kMaxParkedBytes) {
+  bool push(void* raw, std::size_t c) noexcept {
+    if (parked_bytes + class_bytes(c) > kPoolParkBytes) {
       return false;
     }
-    auto* frame = static_cast<FreeFrame*>(block);
-    frame->next = heads[c];
-    heads[c] = frame;
+    auto* block = static_cast<FreeBlock*>(raw);
+    block->next = heads[c];
+    heads[c] = block;
     parked_bytes += class_bytes(c);
-    ASAN_POISON_MEMORY_REGION(frame, class_bytes(c));
+    ASAN_POISON_MEMORY_REGION(block, class_bytes(c));
     return true;
   }
 };
 
-// Frames can still be freed on this thread after its lists were destroyed
+// Blocks can still be freed on this thread after its lists were destroyed
 // (by a thread_local destroyed later); those go straight to the heap.
 thread_local bool lists_gone = false;
 thread_local FreeLists lists;
@@ -78,7 +74,7 @@ FreeLists::~FreeLists() {
 
 // A pooled size gets a block of its whole class even when it does not come
 // from the lists, because it may be parked on another thread's lists later.
-void* allocate_frame(std::size_t bytes) {
+void* pool_allocate(std::size_t bytes) {
   const std::size_t c = class_of(bytes);
   if (c >= kClasses) {
     return ::operator new(bytes);
@@ -91,11 +87,11 @@ void* allocate_frame(std::size_t bytes) {
   return ::operator new(class_bytes(c));
 }
 
-void deallocate_frame(void* frame, std::size_t bytes) noexcept {
+void pool_deallocate(void* block, std::size_t bytes) noexcept {
   const std::size_t c = class_of(bytes);
-  if (c >= kClasses || lists_gone || !lists.push(frame, c)) {
-    ::operator delete(frame);
+  if (c >= kClasses || lists_gone || !lists.push(block, c)) {
+    ::operator delete(block);
   }
 }
 
-}  // namespace revisim::runtime::detail
+}  // namespace revisim::util

@@ -23,7 +23,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -706,6 +711,49 @@ TEST(ResumePlan, OrphanParentIsConservativelyDiscarded) {
 // serial explorer.  {3,3,2} has 8!/(3!3!2!) = 560 leaves - big enough that
 // every fault lands mid-run, small enough to keep the matrix fast.
 
+// Points REVISIM_DIST_LOG at a fresh directory for the scope's runs (the
+// forked workers inherit it) and reads the coordinator's log back, so a
+// drill can assert which detector fired, not just that the run recovered.
+class ScopedDistLog {
+ public:
+  ScopedDistLog() {
+    if (const char* old = std::getenv("REVISIM_DIST_LOG")) {
+      previous_ = old;
+    }
+    std::string dir = ::testing::TempDir() + "revisim-dist-log-XXXXXX";
+    if (::mkdtemp(dir.data()) != nullptr) {
+      dir_ = dir;
+      ::setenv("REVISIM_DIST_LOG", dir_.c_str(), 1);
+    }
+  }
+  ~ScopedDistLog() {
+    if (previous_) {
+      ::setenv("REVISIM_DIST_LOG", previous_->c_str(), 1);
+    } else {
+      ::unsetenv("REVISIM_DIST_LOG");
+    }
+    if (!dir_.empty()) {
+      std::error_code ignored;
+      std::filesystem::remove_all(dir_, ignored);
+    }
+  }
+  ScopedDistLog(const ScopedDistLog&) = delete;
+  ScopedDistLog& operator=(const ScopedDistLog&) = delete;
+
+  [[nodiscard]] bool ok() const { return !dir_.empty(); }
+
+  [[nodiscard]] std::string coordinator_log() const {
+    std::ifstream in(dir_ + "/coordinator.log");
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+  }
+
+ private:
+  std::string dir_;
+  std::optional<std::string> previous_;
+};
+
 class FaultMatrix : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -777,10 +825,18 @@ TEST_F(FaultMatrix, OneWayPartitionDetectedByHeartbeatTimeout) {
   DistExploreOptions opt = drill_options();
   opt.heartbeat_timeout_ms = 400;  // a partition stalls the run this long
   opt.worker_faults.partition_after = 3;
+  ScopedDistLog log;
+  ASSERT_TRUE(log.ok());
   const auto dist =
       dist::dist_explore_schedules(script_factory({3, 3, 2}), opt);
   expect_same(dist, serial_, "partition_after=3");
   EXPECT_FALSE(dist.error.has_value()) << *dist.error;
+  // The partition lasts for the rest of its connection, so the silence
+  // detector - not a sequence gap at a later frame - cuts it.
+  const std::string text = log.coordinator_log();
+  EXPECT_NE(text.find("disconnected: heartbeat timeout"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("frame sequence"), std::string::npos) << text;
 }
 
 TEST_F(FaultMatrix, StallPastTimeoutIsDeclaredDeadThenRecovers) {

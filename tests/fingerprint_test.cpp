@@ -263,7 +263,7 @@ TEST(AugmentedFingerprint, EmbeddedViewContentsChangeHashAndText) {
   auto build = [](const HView& seen) {
     auto w = std::make_unique<World>();
     HComp mine = HComp().with_lrecords(
-        {LRecord{1, 1, std::make_shared<const PublishedView>(seen)}});
+        {LRecord{1, 1, aug::make_local<const PublishedView>(seen)}});
     w->sched.spawn(publish(w->h, std::move(mine)), "q1");
     w->sched.run_step(0);
     return w;
@@ -301,7 +301,7 @@ Task<void> scan_then_append(mem::SWSnapshot<HComp>& h, HView& seen) {
   // What a Scan does next: publish the scan result in the writer's own
   // component, then append another Block-Update's triples.
   mine = mine.with_lrecords(
-      {LRecord{1, 0, std::make_shared<const PublishedView>(seen)}});
+      {LRecord{1, 0, aug::make_local<const PublishedView>(seen)}});
   mine = mine.with_batch({UpdateTriple{1, 6, aug::Timestamp({2, 0})}});
   co_await h.update(std::move(mine));
 }

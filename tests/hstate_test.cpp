@@ -11,19 +11,19 @@
 namespace revisim::aug {
 namespace {
 
-Timestamp ts(std::vector<std::uint32_t> parts) {
+Timestamp ts(Timestamp::Parts parts) {
   return Timestamp(std::move(parts));
 }
 
 HView make_hview(std::size_t f) { return HView(f); }
 
 void append_batch(HView& h, std::size_t writer,
-                  std::vector<UpdateTriple> triples) {
+                  HComp::Triples triples) {
   h[writer] = h[writer].with_batch(std::move(triples));
 }
 
-std::shared_ptr<const PublishedView> publish(HView v) {
-  return std::make_shared<const PublishedView>(std::move(v));
+LocalRef<const PublishedView> publish(HView v) {
+  return make_local<const PublishedView>(std::move(v));
 }
 
 void append_lrecord(HView& h, std::size_t writer, LRecord rec) {
@@ -184,7 +184,7 @@ util::Fingerprint scratch_view_digest(const HView& view) {
 // fingerprinting every node does.
 struct Chain {
   std::vector<HComp> versions;
-  std::vector<std::shared_ptr<const PublishedView>> views;
+  std::vector<LocalRef<const PublishedView>> views;
 };
 
 Chain build_chain(bool seal_as_built = false) {

@@ -85,7 +85,7 @@ TEST(LinearizerNegative, TamperedTimestampBreaksLemma12) {
   // every later batch - outside its own (H, X] interval.
   for (auto& b : log.block_updates) {
     if (b.completed && !b.yielded) {
-      b.ts = aug::Timestamp(std::vector<std::uint32_t>{99, 99});
+      b.ts = aug::Timestamp({99, 99});
       auto lin = aug::linearize(log, 2);
       EXPECT_FALSE(lin.ok());
       return;

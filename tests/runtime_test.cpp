@@ -1,11 +1,9 @@
 // Tests for the cooperative runtime: step granularity, nested Task chains,
-// adversaries, determinism, error propagation and the coroutine frame pool.
+// adversaries, determinism and error propagation.  (The coroutine frame
+// pool's tests live with the pool, in pool_test.cpp.)
 #include <gtest/gtest.h>
-#include <sanitizer/asan_interface.h>
 
-#include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "src/memory/mw_snapshot.h"
@@ -193,140 +191,6 @@ TEST(Runtime, TraceRecordsEveryStep) {
   EXPECT_EQ(ev[0].kind, runtime::StepKind::kWrite);
   EXPECT_EQ(ev[1].kind, runtime::StepKind::kRead);
   EXPECT_EQ(ev[0].process, 0u);
-}
-
-// --- coroutine frame pool ---------------------------------------------------
-
-#if defined(__SANITIZE_ADDRESS__)
-#define REVISIM_TEST_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define REVISIM_TEST_ASAN 1
-#endif
-#endif
-
-#ifdef REVISIM_TEST_ASAN
-constexpr bool kAsan = true;
-#else
-constexpr bool kAsan = false;
-#endif
-
-// True iff AddressSanitizer reports the frame's first byte as poisoned
-// (always false in builds without it).
-bool frame_poisoned(void* frame) {
-#ifdef REVISIM_TEST_ASAN
-  return __asan_address_is_poisoned(frame) != 0;
-#else
-  (void)frame;
-  return false;
-#endif
-}
-
-Task<Val> add_one(Val x) { co_return x + 1; }
-
-TEST(FramePool, TaskCreatedOnOneThreadIsDestroyedOnAnother) {
-  // A frame follows its Task across threads: finished or dropped on a
-  // worker, it joins the worker's free lists, which hand it out again there
-  // (last freed, first reused).  The worker then exits with frames parked.
-  Task<Val> ran = add_one(1);
-  Task<Val> dropped = add_one(2);  // never started
-  void* const dropped_frame = dropped.handle().address();
-  Val result = 0;
-  Val again_result = 0;
-  bool reused = false;
-  std::thread worker([&] {
-    ran.resume();
-    result = ran.result();
-    ran = Task<Val>{};
-    dropped = Task<Val>{};
-    Task<Val> again = add_one(3);
-    reused = again.handle().address() == dropped_frame;
-    again.resume();
-    again_result = again.result();
-  });
-  worker.join();
-  EXPECT_EQ(result, 2);
-  EXPECT_EQ(again_result, 4);
-  EXPECT_TRUE(reused);
-}
-
-TEST(FramePool, AThreadParksABoundedAmountOfFrames) {
-  // A worker frees far more than its parking budget (a mebibyte) of frames
-  // made here: the first ones are parked, the rest go back to the heap.  So
-  // the frame it hands out next is a parked one, not the last it freed.
-  std::vector<Task<Val>> made;
-  std::vector<void*> frames;
-  for (int i = 0; i < 20'000; ++i) {
-    made.push_back(add_one(i));
-    frames.push_back(made.back().handle().address());
-  }
-  void* reused = nullptr;
-  std::thread worker([&] {
-    made.clear();
-    Task<Val> again = add_one(0);
-    reused = again.handle().address();
-  });
-  worker.join();
-  EXPECT_NE(std::find(frames.begin(), frames.end() - 1, reused),
-            frames.end() - 1);
-}
-
-TEST(FramePool, FramesDestroyedByACrashServeAFreshWorld) {
-  // A crash destroys a process's frames while it is poised inside a nested
-  // call; the next world built on this thread reuses them and runs to the
-  // same result as on fresh memory.
-  void* crashed_frame = nullptr;
-  {
-    Scheduler sched;
-    mem::Register r(sched, "r", 0);
-    Val out = 0;
-    Task<void> body = nested_caller(r, out);
-    crashed_frame = body.handle().address();
-    sched.spawn(std::move(body), "q1");
-    sched.run_step(0);  // helper_sum's read; now poised at its write
-    sched.crash(0);
-    EXPECT_EQ(out, 0);
-    EXPECT_EQ(frame_poisoned(crashed_frame), kAsan);
-  }
-  Scheduler sched;
-  mem::Register r(sched, "r", 0);
-  Val out = 0;
-  Task<void> body = nested_caller(r, out);
-  EXPECT_EQ(body.handle().address(), crashed_frame);
-  EXPECT_FALSE(frame_poisoned(crashed_frame));
-  sched.spawn(std::move(body), "q1");
-  RoundRobinAdversary adv;
-  EXPECT_TRUE(sched.run(adv));
-  EXPECT_EQ(out, 10 + 15);
-  EXPECT_EQ(r.peek(), std::optional<Val>(15));
-}
-
-TEST(FramePool, ThreadExitReleasesParkedFrames) {
-  // Workers park frames of several sizes and exit; their lists go back to
-  // the heap (in sanitizer builds, LeakSanitizer checks that nothing is
-  // left behind at process exit).
-  std::vector<Val> totals(3, 0);
-  std::vector<std::thread> workers;
-  for (std::size_t w = 0; w < totals.size(); ++w) {
-    workers.emplace_back([&totals, w] {
-      Scheduler sched;
-      mem::Register r(sched, "r", 0);
-      Val out = 0;
-      sched.spawn(recursive_count(r, 20), "q1");
-      sched.spawn(nested_caller(r, out), "q2");
-      sched.spawn(infinite_writer(r), "q3");
-      RandomAdversary adv(w);
-      sched.run(adv, 30, /*throw_on_limit=*/false);
-      sched.crash(2);  // q3 never finishes; its frame is destroyed here
-      totals[w] = sched.total_steps();
-    });
-  }
-  for (auto& t : workers) {
-    t.join();
-  }
-  for (Val steps : totals) {
-    EXPECT_EQ(steps, 30);
-  }
 }
 
 }  // namespace

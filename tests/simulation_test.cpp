@@ -146,9 +146,9 @@ TEST(Simulation, ApproxAgreementUnderTwoSimulators) {
 TEST(Simulation, PartitionShapes) {
   auto p = sim::Partition::make(7, 3, 1, 3);
   ASSERT_EQ(p.groups.size(), 3u);
-  EXPECT_EQ(p.groups[0], (std::vector<std::size_t>{0, 1, 2}));
-  EXPECT_EQ(p.groups[1], (std::vector<std::size_t>{3, 4, 5}));
-  EXPECT_EQ(p.groups[2], (std::vector<std::size_t>{6}));
+  EXPECT_EQ(p.groups[0], (sim::Partition::Group{0, 1, 2}));
+  EXPECT_EQ(p.groups[1], (sim::Partition::Group{3, 4, 5}));
+  EXPECT_EQ(p.groups[2], (sim::Partition::Group{6}));
   EXPECT_THROW(sim::Partition::make(5, 3, 1, 3), std::invalid_argument);
 }
 
