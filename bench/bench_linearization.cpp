@@ -13,6 +13,7 @@
 #include "src/augmented/augmented_snapshot.h"
 #include "src/augmented/linearizer.h"
 #include "src/check/model_check.h"
+#include "src/check/worlds.h"
 #include "src/runtime/adversary.h"
 #include "src/runtime/scheduler.h"
 
@@ -44,24 +45,6 @@ Task<void> mixed(AugmentedSnapshot& m, ProcessId me, std::size_t rounds,
     }
   }
 }
-
-struct TwoProcWorld final : check::ExplorableWorld {
-  Scheduler sched;
-  std::unique_ptr<AugmentedSnapshot> m;
-  TwoProcWorld() {
-    m = std::make_unique<AugmentedSnapshot>(sched, "M", 2, 2);
-    sched.spawn(mixed(*m, 0, 2, 5), "q1");
-    sched.spawn(mixed(*m, 1, 2, 9), "q2");
-  }
-  Scheduler& scheduler() override { return sched; }
-  std::optional<std::string> verdict(bool) override {
-    auto lin = aug::linearize(m->log(), 2);
-    if (!lin.ok()) {
-      return lin.violations.front();
-    }
-    return std::nullopt;
-  }
-};
 
 }  // namespace
 
@@ -104,8 +87,9 @@ int main() {
   benchutil::verdict(ok, std::to_string(total_checked) +
                              " random executions all linearized");
 
+  // q1 Scans twice; q2 Block-Updates component 1, then Scans.
   auto res = check::explore_schedules(
-      [] { return std::make_unique<TwoProcWorld>(); });
+      check::make_world_factory("aug-script:2,ss,u1s"));
   std::printf("\n  exhaustive 2-process exploration: %zu executions, %s\n",
               res.executions, res.ok() ? "all linearized" : "VIOLATION");
   benchutil::json_line("BENCH_linearization.json", "exhaustive-2proc",

@@ -19,8 +19,9 @@
 //     snapshot: real Fingerprintable shared objects whose canonical state
 //     collapses to the per-process progress tuple.
 //   augmented 3-proc        - the §3 augmented snapshot under a 3-process
-//     mixed script with full linearization verdicts, capped at 30,000
-//     executions: the realistic verdict-heavy workload.
+//     mixed script (registry world aug-script:2,u0,w,ss) with full
+//     linearization verdicts, capped at 30,000 executions: the realistic
+//     verdict-heavy workload.
 //
 // Each instance additionally runs with dedupe_states on (serial and
 // parallel): transposition pruning must preserve the violation verdict
@@ -40,11 +41,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/augmented/augmented_snapshot.h"
-#include "src/augmented/linearizer.h"
-#include "src/check/crash_worlds.h"
 #include "src/check/model_check.h"
 #include "src/check/parallel_explore.h"
+#include "src/check/worlds.h"
 #include "src/dist/coordinator.h"
 #include "src/memory/collect_snapshot.h"
 #include "src/memory/register.h"
@@ -54,7 +53,6 @@
 namespace {
 
 using namespace revisim;
-using aug::AugmentedSnapshot;
 using check::ExplorableWorld;
 using check::explore_schedules;
 using check::ScheduleExploreOptions;
@@ -132,47 +130,6 @@ class CollectWorld final : public ExplorableWorld {
   Scheduler sched_;
   std::vector<std::size_t> writes_;
   mem::CollectSnapshot snap_;
-};
-
-Task<void> bu_script(AugmentedSnapshot& m, ProcessId me, std::size_t j,
-                     Val v) {
-  std::vector<std::size_t> comps{j};
-  std::vector<Val> vals{v};
-  co_await m.BlockUpdate(me, comps, vals);
-}
-
-Task<void> wide_bu_script(AugmentedSnapshot& m, ProcessId me) {
-  std::vector<std::size_t> comps{0, 1};
-  std::vector<Val> vals{Val(10 * (me + 1)), Val(10 * (me + 1) + 1)};
-  co_await m.BlockUpdate(me, comps, vals);
-}
-
-Task<void> scan_script(AugmentedSnapshot& m, ProcessId me) {
-  co_await m.Scan(me);
-  co_await m.Scan(me);
-}
-
-// Augmented snapshot under three mixed processes with linearizer verdicts.
-class AugWorld final : public ExplorableWorld {
- public:
-  AugWorld() {
-    m_ = std::make_unique<AugmentedSnapshot>(sched_, "M", 2, 3);
-    sched_.spawn(bu_script(*m_, 0, 0, 1), "q1");
-    sched_.spawn(wide_bu_script(*m_, 1), "q2");
-    sched_.spawn(scan_script(*m_, 2), "q3");
-  }
-  Scheduler& scheduler() override { return sched_; }
-  std::optional<std::string> verdict(bool) override {
-    auto lin = aug::linearize(m_->log(), 2);
-    if (!lin.ok()) {
-      return lin.violations.front();
-    }
-    return std::nullopt;
-  }
-
- private:
-  Scheduler sched_;
-  std::unique_ptr<AugmentedSnapshot> m_;
 };
 
 struct Measured {
@@ -407,12 +364,10 @@ bool run_instance(const std::string& name,
 // verdict (clean real object, flagged mutant) carries over to the parallel
 // explorer at every thread count.
 bool run_crash_instance(const std::string& world, bool expect_violation) {
-  check::CrashWorldSpec spec;
-  spec.world = world;
-  const auto make = check::make_crash_world_factory(spec);
+  const std::string spec = world + ":2,2,10";
+  const auto make = check::make_world_factory(spec);
 
-  std::printf("\n  crash instance %s (f=%zu m=%zu budget=%zu)\n",
-              world.c_str(), spec.f, spec.m, spec.step_budget);
+  std::printf("\n  crash instance %s\n", spec.c_str());
   std::printf("  %-16s %10s %9s %12s\n", "config", "execs", "sec",
               "execs/sec");
 
@@ -521,9 +476,9 @@ int main(int argc, char** argv) {
         500'000);
   }
   if (wanted("augmented-3proc")) {
-    ok &= run_instance(
-        "augmented-3proc", [] { return std::make_unique<AugWorld>(); },
-        30'000);
+    ok &= run_instance("augmented-3proc",
+                       check::make_world_factory("aug-script:2,u0,w,ss"),
+                       30'000);
   }
   if (wanted("aug-bu")) {
     ok &= run_crash_instance("aug-bu", /*expect_violation=*/false);

@@ -13,45 +13,14 @@
 //   ./examples/model_checking
 #include <cstdio>
 
-#include "src/augmented/augmented_snapshot.h"
-#include "src/augmented/linearizer.h"
 #include "src/check/model_check.h"
 #include "src/check/protocol_check.h"
+#include "src/check/worlds.h"
 #include "src/protocols/ca_consensus.h"
 #include "src/protocols/racing_agreement.h"
 #include "src/tasks/task_spec.h"
 
 using namespace revisim;
-
-namespace {
-
-class TwoBlockUpdates final : public check::ExplorableWorld {
- public:
-  TwoBlockUpdates() {
-    m_ = std::make_unique<aug::AugmentedSnapshot>(sched_, "M", 2, 2);
-    auto body = [](aug::AugmentedSnapshot& m, runtime::ProcessId me)
-        -> runtime::Task<void> {
-      std::vector<std::size_t> comps{me % 2};
-      std::vector<Val> vals{Val(10 + me)};
-      co_await m.BlockUpdate(me, comps, vals);
-      co_await m.Scan(me);
-    };
-    sched_.spawn(body(*m_, 0), "q1");
-    sched_.spawn(body(*m_, 1), "q2");
-  }
-  runtime::Scheduler& scheduler() override { return sched_; }
-  std::optional<std::string> verdict(bool) override {
-    auto lin = aug::linearize(m_->log(), 2);
-    return lin.ok() ? std::nullopt
-                    : std::optional<std::string>(lin.violations.front());
-  }
-
- private:
-  runtime::Scheduler sched_;
-  std::unique_ptr<aug::AugmentedSnapshot> m_;
-};
-
-}  // namespace
 
 int main() {
   // 1. Prove (instance-exhaustively) that the m = n consensus protocol is
@@ -90,10 +59,12 @@ int main() {
   }
 
   // 3. Exhaust every real-system schedule of two Block-Updates + Scans over
-  //    the augmented snapshot and re-check §3.3 on each.
+  //    the augmented snapshot and re-check §3.3 on each.  The world comes
+  //    from the registry (src/check/worlds.h): q1 Block-Updates component 0
+  //    and Scans, q2 does the same on component 1.
   {
     auto res = check::explore_schedules(
-        [] { return std::make_unique<TwoBlockUpdates>(); });
+        check::make_world_factory("aug-script:2,u0s,u1s"));
     std::printf("augmented snapshot, 2 processes, every interleaving:\n");
     std::printf("  %zu complete executions, linearization checks %s\n",
                 res.executions,

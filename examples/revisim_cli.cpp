@@ -6,40 +6,49 @@
 //               [--eps E] [--seed S] [--seeds COUNT] [--burst]
 //               [--substrate atomic|registers] [--task consensus|kset:K|approx]
 //               [--trace]
-//   revisim_cli explore [--world aug-bu|aug-mutant] [--f F] [--m M]
-//               [--budget B] [--max-crashes C] [--max-steps S]
-//               [--max-executions E] [--witness PATH]
+//   revisim_cli explore [--world SPEC] [--max-crashes C] [--max-steps S]
+//               [--max-executions E] [--por] [--dedupe] [--witness PATH]
 //   revisim_cli replay <witness-file>
 //   revisim_cli serve [--host H] [--port P]
-//   revisim_cli dist-explore [--workers N | --connect H:P ...] [--world W]
-//               [--f F] [--m M] [--budget B] [--max-crashes C]
-//               [--max-steps S] [--max-executions E] [--por] [--dedupe]
+//   revisim_cli dist-explore [--workers N | --connect H:P ...]
+//               [--world SPEC]
+//               [--max-crashes C] [--max-steps S] [--max-executions E]
+//               [--por] [--dedupe]
 //               [--retries R] [--witness PATH]
 //               [--journal PATH | --resume PATH] [--heartbeat-ms MS]
 //               [--heartbeat-timeout-ms MS] [--reconnect-ms MS]
 //               [--fault SPEC] [--coord-fault SPEC] [--halt-after-jobs N]
+//
+// SPEC names a registry world as `name:params` (src/check/worlds.h has the
+// grammar): aug-bu:f,m,budget, aug-mutant:f,m,budget,
+// sim-racing:n,k,x,m[,atomic|registers] or aug-script:m,ops,ops,...  The
+// default is aug-bu:2,2,10.  sim-racing refuses --dedupe.
 //
 // Examples:
 //   revisim_cli --protocol racing --n 4 --m 2 --f 2 --seeds 50
 //       hunt for consensus violations of the starved racing protocol
 //   revisim_cli --protocol approx --n 4 --m 2 --eps 1e-4 --substrate registers
 //       run the epsilon-agreement reduction on plain registers
-//   revisim_cli explore --world aug-mutant --max-crashes 2 --witness w.txt
+//   revisim_cli explore --world aug-mutant:2,2,10 --witness w.txt
 //       crash-closed wait-freedom check of the mutant; writes the witness
+//   revisim_cli explore --world sim-racing:4,3,0,1 --max-crashes 0
+//       every schedule of the paper's reduction: 4 covering simulators,
+//       each execution checked by the Lemma-26 validator
 //   revisim_cli replay w.txt
 //       deterministically reproduce a recorded verdict (exit 0 iff it
 //       matches)
-//   revisim_cli dist-explore --workers 4 --world aug-mutant --max-crashes 2
+//   revisim_cli dist-explore --workers 4 --world aug-mutant:2,2,10
 //       the same exploration fanned out over 4 forked worker processes;
 //       executions/verdict/witness are bit-identical to `explore`
 //   revisim_cli serve --port 7421
 //       long-running worker for cluster mode; a dist-explore elsewhere
 //       connects with --connect host:7421
-//   revisim_cli dist-explore --workers 4 --world aug-mutant --journal run.j
+//   revisim_cli dist-explore --workers 4 --world aug-bu:2,2,6 --journal run.j
 //       journal the run; if it is interrupted, re-running the SAME command
 //       with --resume run.j instead of --journal reuses every finished
 //       region and completes with a bit-identical summary
-//   revisim_cli dist-explore --world aug-bu --retries 8 --fault drop=.02,seed=7
+//   revisim_cli dist-explore --world aug-bu:2,2,6 --retries 8
+//               --fault drop=.02,seed=7
 //       deterministic fault drill: each worker's outbound frames drop with
 //       P=.02; seq-gap detection cuts, the coordinator re-dials, jobs
 //       re-queue, and the summary still matches the fault-free run
@@ -50,6 +59,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -58,9 +68,9 @@
 #include <vector>
 
 #include "src/bounds/bounds.h"
-#include "src/check/crash_worlds.h"
 #include "src/check/model_check.h"
 #include "src/check/witness.h"
+#include "src/check/worlds.h"
 #include "src/dist/coordinator.h"
 #include "src/dist/worker.h"
 #include "src/protocols/approx_agreement.h"
@@ -73,6 +83,9 @@
 using namespace revisim;
 
 namespace {
+
+// The world `explore` and `dist-explore` use without --world.
+constexpr const char* kDefaultWorld = "aug-bu:2,2,10";
 
 struct Args {
   std::string protocol = "racing";
@@ -198,7 +211,7 @@ std::unique_ptr<tasks::ColorlessTask> make_task(const Args& a) {
 }
 
 // `revisim_cli replay <witness-file>`: rebuild the witnessed world from the
-// crash-world registry, replay the recorded schedule (steps and crashes)
+// world registry, replay the recorded schedule (steps and crashes)
 // and compare the re-derived verdict with the recorded one.  Exit 0 iff
 // they match, 1 on mismatch, 2 on a malformed witness.
 int run_replay(int argc, char** argv) {
@@ -208,8 +221,7 @@ int run_replay(int argc, char** argv) {
   }
   try {
     const check::Witness w = check::load_witness_file(argv[2]);
-    std::printf("witness: world %s f=%zu m=%zu budget=%zu | %zu entries\n",
-                w.spec.world.c_str(), w.spec.f, w.spec.m, w.spec.step_budget,
+    std::printf("witness: world %s | %zu entries\n", w.world.c_str(),
                 w.schedule.size());
     const check::ReplayResult r = check::replay_witness(w);
     std::printf("recorded verdict: %s\n",
@@ -225,11 +237,46 @@ int run_replay(int argc, char** argv) {
   }
 }
 
+// The registry factory for `world`.  With dedupe on, one fresh world is
+// fingerprinted first, so a world that cannot be deduped (sim-racing)
+// refuses before any exploration starts.  Throws std::invalid_argument.
+std::function<std::unique_ptr<check::ExplorableWorld>()> world_factory(
+    const std::string& world, bool dedupe) {
+  auto factory = check::make_world_factory(world);
+  if (dedupe) {
+    (void)factory()->fingerprint();
+  }
+  return factory;
+}
+
+// Prints the violation and its replayable witness, to `path` or to stdout.
+// Returns the violation exit code, 1.
+int report_violation(const std::string& world,
+                     const check::ScheduleExploreOptions& opt,
+                     const check::ScheduleExploreResult& res,
+                     const std::string& path) {
+  std::printf("violation: %s\n", res.violation->c_str());
+  check::Witness w;
+  w.world = world;
+  w.max_steps = opt.max_steps;
+  w.max_crashes = opt.max_crashes;
+  w.por = opt.por;
+  w.verdict = *res.violation;
+  w.schedule = res.witness;
+  if (!path.empty()) {
+    check::write_witness_file(w, path);
+    std::printf("witness written to %s\n", path.c_str());
+  } else {
+    std::printf("%s", check::to_text(w).c_str());
+  }
+  return 1;
+}
+
 // `revisim_cli explore ...`: crash-closed exhaustive exploration of a
 // registry world; writes a replayable witness when a violation is found.
 // Exit 0 when no violation exists, 1 on a violation, 2 on bad arguments.
 int run_explore(int argc, char** argv) {
-  check::CrashWorldSpec spec;
+  std::string world = kDefaultWorld;
   check::ScheduleExploreOptions opt;
   opt.max_crashes = 2;
   std::string witness_path;
@@ -242,13 +289,7 @@ int run_explore(int argc, char** argv) {
       return argv[++i];
     };
     if (!std::strcmp(argv[i], "--world")) {
-      spec.world = next("--world");
-    } else if (!std::strcmp(argv[i], "--f")) {
-      parse_number("--f", next("--f"), spec.f);
-    } else if (!std::strcmp(argv[i], "--m")) {
-      parse_number("--m", next("--m"), spec.m);
-    } else if (!std::strcmp(argv[i], "--budget")) {
-      parse_number("--budget", next("--budget"), spec.step_budget);
+      world = next("--world");
     } else if (!std::strcmp(argv[i], "--max-crashes")) {
       parse_number("--max-crashes", next("--max-crashes"), opt.max_crashes);
     } else if (!std::strcmp(argv[i], "--max-steps")) {
@@ -268,11 +309,9 @@ int run_explore(int argc, char** argv) {
     }
   }
   try {
-    auto factory = check::make_crash_world_factory(spec);
+    auto factory = world_factory(world, opt.dedupe_states);
     auto res = check::explore_schedules(factory, opt);
-    std::printf("world %s f=%zu m=%zu budget=%zu | max_crashes=%zu "
-                "max_steps=%zu\n",
-                spec.world.c_str(), spec.f, spec.m, spec.step_budget,
+    std::printf("world %s | max_crashes=%zu max_steps=%zu\n", world.c_str(),
                 opt.max_crashes, opt.max_steps);
     std::printf("%zu executions, %s\n", res.executions,
                 res.exhausted ? "exhausted" : "truncated at cap");
@@ -280,21 +319,7 @@ int run_explore(int argc, char** argv) {
       std::printf("no violation\n");
       return 0;
     }
-    std::printf("violation: %s\n", res.violation->c_str());
-    check::Witness w;
-    w.spec = spec;
-    w.max_steps = opt.max_steps;
-    w.max_crashes = opt.max_crashes;
-    w.por = opt.por;
-    w.verdict = *res.violation;
-    w.schedule = res.witness;
-    if (!witness_path.empty()) {
-      check::write_witness_file(w, witness_path);
-      std::printf("witness written to %s\n", witness_path.c_str());
-    } else {
-      std::printf("%s", check::to_text(w).c_str());
-    }
-    return 1;
+    return report_violation(world, opt, res, witness_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "explore failed: %s\n", e.what());
     return 2;
@@ -303,7 +328,7 @@ int run_explore(int argc, char** argv) {
 
 // `revisim_cli serve`: long-running cluster-mode worker.  Listens on
 // host:port and serves one coordinator connection at a time; worlds come
-// from the crash-world registry, named by the coordinator's hello.
+// from the world registry, named by the coordinator's hello.
 int run_serve(int argc, char** argv) {
   std::string host = "0.0.0.0";
   std::uint16_t port = 7421;
@@ -335,7 +360,7 @@ int run_serve(int argc, char** argv) {
 // `explore`; the summary is bit-identical to the serial run when dedupe is
 // off.
 int run_dist_explore(int argc, char** argv) {
-  check::CrashWorldSpec spec;
+  std::string world = kDefaultWorld;
   dist::DistExploreOptions opt;
   opt.base.max_crashes = 2;
   std::string witness_path;
@@ -352,13 +377,7 @@ int run_dist_explore(int argc, char** argv) {
       return argv[++i];
     };
     if (!std::strcmp(argv[i], "--world")) {
-      spec.world = next("--world");
-    } else if (!std::strcmp(argv[i], "--f")) {
-      parse_number("--f", next("--f"), spec.f);
-    } else if (!std::strcmp(argv[i], "--m")) {
-      parse_number("--m", next("--m"), spec.m);
-    } else if (!std::strcmp(argv[i], "--budget")) {
-      parse_number("--budget", next("--budget"), spec.step_budget);
+      world = next("--world");
     } else if (!std::strcmp(argv[i], "--max-crashes")) {
       parse_number("--max-crashes", next("--max-crashes"),
                    opt.base.max_crashes);
@@ -427,23 +446,17 @@ int run_dist_explore(int argc, char** argv) {
     return 2;
   }
   // Pin the world identity in the journal config: resume refuses a journal
-  // recorded for a different world/f/m/budget even before comparing the
+  // recorded for a different world spec even before comparing the
   // exploration options.
-  opt.journal_tag = spec.world + " f=" + std::to_string(spec.f) +
-                    " m=" + std::to_string(spec.m) +
-                    " budget=" + std::to_string(spec.step_budget);
+  opt.journal_tag = world;
   try {
-    check::ScheduleExploreResult res;
-    if (!endpoints.empty()) {
-      res = dist::dist_explore_remote(spec, endpoints, opt);
-    } else {
-      auto factory = check::make_crash_world_factory(spec);
-      res = dist::dist_explore_schedules(factory, opt);
-    }
-    std::printf("world %s f=%zu m=%zu budget=%zu | max_crashes=%zu "
-                "max_steps=%zu | %zu worker(s)\n",
-                spec.world.c_str(), spec.f, spec.m, spec.step_budget,
-                opt.base.max_crashes, opt.base.max_steps,
+    auto factory = world_factory(world, opt.base.dedupe_states);
+    check::ScheduleExploreResult res =
+        endpoints.empty()
+            ? dist::dist_explore_schedules(factory, opt)
+            : dist::dist_explore_remote(world, endpoints, opt);
+    std::printf("world %s | max_crashes=%zu max_steps=%zu | %zu worker(s)\n",
+                world.c_str(), opt.base.max_crashes, opt.base.max_steps,
                 endpoints.empty() ? opt.workers : endpoints.size());
     std::printf("%zu executions across %zu jobs (%zu steals), %s\n",
                 res.executions, res.jobs, res.steals,
@@ -462,21 +475,7 @@ int run_dist_explore(int argc, char** argv) {
       std::printf("no violation\n");
       return 0;
     }
-    std::printf("violation: %s\n", res.violation->c_str());
-    check::Witness w;
-    w.spec = spec;
-    w.max_steps = opt.base.max_steps;
-    w.max_crashes = opt.base.max_crashes;
-    w.por = opt.base.por;
-    w.verdict = *res.violation;
-    w.schedule = res.witness;
-    if (!witness_path.empty()) {
-      check::write_witness_file(w, witness_path);
-      std::printf("witness written to %s\n", witness_path.c_str());
-    } else {
-      std::printf("%s", check::to_text(w).c_str());
-    }
-    return 1;
+    return report_violation(world, opt.base, res, witness_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dist-explore failed: %s\n", e.what());
     return 2;

@@ -1,6 +1,7 @@
 #include "src/check/witness.h"
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,11 +25,8 @@ std::string one_line(const std::string& s) {
 
 std::string to_text(const Witness& w) {
   std::ostringstream out;
-  out << "revisim-witness v1\n";
-  out << "world " << w.spec.world << '\n';
-  out << "processes " << w.spec.f << '\n';
-  out << "components " << w.spec.m << '\n';
-  out << "budget " << w.spec.step_budget << '\n';
+  out << "revisim-witness v2\n";
+  out << "world " << w.world << '\n';
   out << "max_steps " << w.max_steps << '\n';
   out << "max_crashes " << w.max_crashes << '\n';
   if (w.por) {
@@ -54,6 +52,7 @@ Witness parse_witness(const std::string& text) {
   std::size_t lineno = 0;
   bool saw_header = false;
   bool saw_end = false;
+  std::set<std::string> seen;
   auto fail = [&](const std::string& why) -> void {
     throw std::invalid_argument("witness line " + std::to_string(lineno) +
                                 ": " + why);
@@ -67,68 +66,77 @@ Witness parse_witness(const std::string& text) {
       continue;
     }
     if (!saw_header) {
-      if (line != "revisim-witness v1") {
-        fail("expected header \"revisim-witness v1\", got \"" + line + "\"");
+      if (line == "revisim-witness v1") {
+        fail("witness format v1 is no longer read (v2 names the world by "
+             "one spec line, \"world <name>:<params>\"); re-record it");
+      }
+      if (line != "revisim-witness v2") {
+        fail("expected header \"revisim-witness v2\", got \"" + line + "\"");
       }
       saw_header = true;
       continue;
     }
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
+    const std::size_t space = line.find(' ');
+    const std::string key = line.substr(0, space);
+    const std::string rest =
+        space == std::string::npos ? "" : line.substr(space + 1);
     if (key == "end") {
       saw_end = true;
       break;
     }
-    if (key == "world") {
-      ls >> w.spec.world;
-    } else if (key == "processes") {
-      if (!(ls >> w.spec.f)) fail("processes needs a number");
-    } else if (key == "components") {
-      if (!(ls >> w.spec.m)) fail("components needs a number");
-    } else if (key == "budget") {
-      if (!(ls >> w.spec.step_budget)) fail("budget needs a number");
-    } else if (key == "max_steps") {
-      if (!(ls >> w.max_steps)) fail("max_steps needs a number");
-    } else if (key == "max_crashes") {
-      if (!(ls >> w.max_crashes)) fail("max_crashes needs a number");
-    } else if (key == "por") {
-      int v = 0;
-      if (!(ls >> v) || (v != 0 && v != 1)) fail("por needs 0 or 1");
-      w.por = v != 0;
-    } else if (key == "verdict") {
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest.front() == ' ') {
-        rest.erase(0, 1);
+    if (!seen.insert(key).second) {
+      fail("duplicate key \"" + key + "\"");
+    }
+    auto number = [&]() -> std::size_t {
+      const auto v = parse_decimal(rest);
+      if (!v) {
+        fail(key + " needs a decimal number, got \"" + rest + "\"");
       }
+      return *v;
+    };
+    if (key == "world") {
+      try {
+        (void)make_world_factory(rest);
+      } catch (const std::invalid_argument& e) {
+        fail(e.what());
+      }
+      w.world = rest;
+    } else if (key == "max_steps") {
+      w.max_steps = number();
+    } else if (key == "max_crashes") {
+      w.max_crashes = number();
+    } else if (key == "por") {
+      if (rest != "0" && rest != "1") fail("por needs 0 or 1");
+      w.por = rest == "1";
+    } else if (key == "verdict") {
       w.verdict = rest;
     } else if (key == "schedule") {
+      std::istringstream ls(rest);
       std::string tok;
       while (ls >> tok) {
-        if (tok.size() < 2 || (tok[0] != 's' && tok[0] != 'c')) {
+        const auto pid = parse_decimal(std::string_view(tok).substr(1));
+        if (tok.size() < 2 || (tok[0] != 's' && tok[0] != 'c') || !pid ||
+            *pid >= runtime::kCrashEntryBit) {
           fail("bad schedule entry \"" + tok +
                "\" (want s<pid> or c<pid>, 0-based)");
         }
-        runtime::ProcessId pid = 0;
-        try {
-          pid = std::stoull(tok.substr(1));
-        } catch (const std::exception&) {
-          fail("bad schedule entry \"" + tok + "\"");
-        }
-        w.schedule.push_back(tok[0] == 'c' ? runtime::make_crash_entry(pid)
-                                           : pid);
+        w.schedule.push_back(tok[0] == 'c' ? runtime::make_crash_entry(*pid)
+                                           : *pid);
       }
     } else {
       fail("unknown key \"" + key + "\"");
     }
   }
   if (!saw_header) {
-    throw std::invalid_argument("witness: missing \"revisim-witness v1\" header");
+    throw std::invalid_argument(
+        "witness: missing \"revisim-witness v2\" header");
   }
   if (!saw_end) {
     throw std::invalid_argument(
         "witness: missing \"end\" line (truncated file?)");
+  }
+  if (w.world.empty()) {
+    throw std::invalid_argument("witness: missing \"world\" line");
   }
   return w;
 }
@@ -155,7 +163,7 @@ Witness load_witness_file(const std::string& path) {
 }
 
 ReplayResult replay_witness(const Witness& w) {
-  auto factory = make_crash_world_factory(w.spec);
+  auto factory = make_world_factory(w.world);
   auto world = factory();
   for (runtime::ProcessId entry : w.schedule) {
     const runtime::ProcessId target = runtime::is_crash_entry(entry)

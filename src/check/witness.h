@@ -5,17 +5,14 @@
 // serializes that proof in a versioned text format so the verdict survives
 // the process that found it: a later binary (the test rerun, `revisim_cli
 // replay`, a human with an editor) rebuilds the named world from the
-// crash-world registry, replays the schedule entry by entry, and re-derives
+// world registry, replays the schedule entry by entry, and re-derives
 // the verdict deterministically.  Determinism of executions under a fixed
 // schedule (the scheduler's core invariant) is what makes this sound.
 //
-// Format v1, line-oriented, '#' comments allowed:
+// Format v2, line-oriented, '#' comments allowed:
 //
-//   revisim-witness v1
-//   world aug-mutant
-//   processes 2
-//   components 2
-//   budget 10
+//   revisim-witness v2
+//   world aug-mutant:2,2,10
 //   max_steps 64
 //   max_crashes 2
 //   por 1
@@ -23,32 +20,34 @@
 //   schedule s0 s1 c1 s0 ...
 //   end
 //
-// Schedule entries: `s<pid>` is one step by process pid, `c<pid>` crashes
-// it (0-based pids).  `verdict` holds the rest of the line verbatim (empty
-// means the execution was accepted - useful for regression-pinning a
-// passing run).  max_steps / max_crashes record the exploration options
-// that found the witness; replay does not need them but tooling does.
+// `world` holds the registry spec (src/check/worlds.h) verbatim; it is
+// required, and a spec the registry refuses fails the parse.  Schedule
+// entries: `s<pid>` is one step by process pid,
+// `c<pid>` crashes it (0-based pids).  `verdict` holds the rest of the line
+// verbatim (empty means the execution was accepted - useful for
+// regression-pinning a passing run).  max_steps / max_crashes record the
+// exploration options that found the witness; replay does not need them
+// but tooling does.  The optional `por` key records whether that
+// exploration ran with partial-order reduction: POR prunes executions, so
+// the lex-smallest witness under POR may differ from the unreduced one even
+// though both prove the same verdict.  It is written only when true.
 //
-// The optional `por` key (format v1 revision 2) records whether the
-// exploration that produced the witness ran with partial-order reduction.
-// POR prunes executions, so the lex-smallest witness under POR may differ
-// from the unreduced one even though both prove the same verdict; the flag
-// lets tooling know which family the schedule came from.  It is written
-// only when true, so witnesses from non-POR runs are byte-identical to
-// revision 1 files, and revision-1 parsers reject nothing new.
+// Every number and pid is decimal digits only (parse_decimal); a key may
+// appear once.  Format v1 named the world by four keys (world, processes,
+// components, budget); a v1 file is refused by name, never guessed at.
 #pragma once
 
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "src/check/crash_worlds.h"
+#include "src/check/worlds.h"
 #include "src/runtime/trace.h"
 
 namespace revisim::check {
 
 struct Witness {
-  CrashWorldSpec spec;
+  std::string world;  // registry spec, e.g. "aug-bu:2,2,10"
   std::size_t max_steps = 0;
   std::size_t max_crashes = 0;
   bool por = false;  // exploration ran with partial-order reduction
@@ -57,7 +56,8 @@ struct Witness {
 };
 
 // Serialization.  parse_witness throws std::invalid_argument naming the
-// offending line; load_witness_file adds std::runtime_error for I/O.
+// offending line, or the missing one; load_witness_file adds
+// std::runtime_error for I/O.
 [[nodiscard]] std::string to_text(const Witness& w);
 [[nodiscard]] Witness parse_witness(const std::string& text);
 void write_witness_file(const Witness& w, const std::string& path);

@@ -22,6 +22,7 @@
 #include "src/check/job_ledger.h"
 #include "src/check/explore_merge.h"
 #include "src/check/state_table.h"
+#include "src/check/worlds.h"
 #include "src/dist/journal.h"
 #include "src/dist/log.h"
 #include "src/dist/wire.h"
@@ -88,6 +89,7 @@ struct CoState {
         ledger(cap, o.job_retries, o.base.dedupe_states) {}
 
   const DistExploreOptions* options;
+  std::string world;  // registry spec shipped in every hello; "" = forked
   std::uint64_t cap;
   std::optional<Clock::time_point> deadline;
   Log* log = nullptr;
@@ -289,8 +291,7 @@ bool past_deadline(const CoState& co) {
   return co.deadline && Clock::now() >= *co.deadline;
 }
 
-HelloMsg make_hello(const CoState& co, const Conn& conn,
-                    const check::CrashWorldSpec* spec) {
+HelloMsg make_hello(const CoState& co, const Conn& conn) {
   HelloMsg hello;
   hello.worker = static_cast<std::uint32_t>(conn.worker);
   hello.session = conn.session;
@@ -298,12 +299,7 @@ HelloMsg make_hello(const CoState& co, const Conn& conn,
   hello.heartbeat_timeout_ms = co.options->heartbeat_timeout_ms;
   hello.options = co.options->base;
   hello.live_interval = std::max<std::uint64_t>(co.options->live_interval, 1);
-  if (spec != nullptr) {
-    hello.world = spec->world;
-    hello.f = spec->f;
-    hello.m = spec->m;
-    hello.step_budget = spec->step_budget;
-  }
+  hello.world = co.world;
   return hello;
 }
 
@@ -392,7 +388,7 @@ void on_conn_lost(CoState& co, Conn& conn, const std::string& why) {
 // non-blocking connect with the hello queued behind it.  A refused connect
 // surfaces through the event loop (or as a throw from here) and reaches
 // on_conn_lost like any lost handshake.
-void dial(CoState& co, Conn& conn, const check::CrashWorldSpec* spec) {
+void dial(CoState& co, Conn& conn) {
   const auto now = Clock::now();
   conn.phase = Conn::kHandshaking;
   conn.phase_deadline = now + kHandshakeTimeout;
@@ -403,7 +399,7 @@ void dial(CoState& co, Conn& conn, const check::CrashWorldSpec* spec) {
   conn.ch.adopt(connect_tcp_async(conn.endpoint.host, conn.endpoint.port));
   conn.ch.set_faults(conn.faults.any() ? &conn.faults : nullptr);
   epoll_add(co, conn.ch.fd(), &conn, false);
-  const HelloMsg hello = make_hello(co, conn, spec);
+  const HelloMsg hello = make_hello(co, conn);
   send_msg(co, conn, MsgType::kHello,
            [&hello](WireWriter& w) { encode_hello(w, hello); });
 }
@@ -641,7 +637,7 @@ void poke_steals(CoState& co) {
 // Timer pass, run once per epoll wakeup: run deadline, heartbeats,
 // reconnect-window and handshake expiries, re-dials, and the stop-stall
 // guard.
-void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
+void run_timers(CoState& co) {
   const auto now = Clock::now();
   if (!co.stop && past_deadline(co)) {
     co.stop = true;
@@ -682,7 +678,7 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
                      c->death + ")");
         } else if (now >= c->next_dial) {
           try {
-            dial(co, *c, spec);
+            dial(co, *c);
           } catch (const std::exception& e) {
             on_conn_lost(co, *c, e.what());
           }
@@ -701,10 +697,10 @@ void run_timers(CoState& co, const check::CrashWorldSpec* spec) {
 // whole run, so a stale event in the current batch always finds a live
 // object and a phase check.  Re-dials start only from run_timers, between
 // event batches.
-void run_event_loop(CoState& co, const check::CrashWorldSpec* spec) {
+void run_event_loop(CoState& co) {
   for (const auto& c : co.conns) {
     try {
-      dial(co, *c, spec);
+      dial(co, *c);
     } catch (const std::exception& e) {
       on_conn_lost(co, *c, e.what());  // throws: never served
     }
@@ -738,7 +734,7 @@ void run_event_loop(CoState& co, const check::CrashWorldSpec* spec) {
         on_conn_lost(co, conn, e.what());
       }
     }
-    run_timers(co, spec);
+    run_timers(co);
     assign_jobs(co);
     poke_steals(co);
   }
@@ -883,7 +879,7 @@ Endpoint parse_endpoint(const std::string& text) {
 
 check::ScheduleExploreResult coordinate(
     const std::vector<Endpoint>& endpoints, const DistExploreOptions& options,
-    const check::CrashWorldSpec* spec, const std::vector<int>& children) {
+    const std::string& world, const std::vector<int>& children) {
   check::validate(options.base);
   if (endpoints.empty()) {
     throw std::invalid_argument("dist: coordinate needs at least one worker");
@@ -894,6 +890,7 @@ check::ScheduleExploreResult coordinate(
 
   Log log(log_path("coordinator"));
   CoState co(options);
+  co.world = world;
   co.log = &log;
   if (options.time_limit.count() > 0) {
     co.deadline = Clock::now() + options.time_limit;
@@ -959,7 +956,7 @@ check::ScheduleExploreResult coordinate(
     throw WireError(std::string("epoll_create1: ") + std::strerror(errno));
   }
   try {
-    run_event_loop(co, spec);
+    run_event_loop(co);
   } catch (...) {
     ::close(co.epfd);
     throw;
@@ -1064,7 +1061,7 @@ check::ScheduleExploreResult dist_explore_schedules(
   check::ScheduleExploreResult res;
   std::exception_ptr failure;
   try {
-    res = coordinate(endpoints, options, nullptr, children);
+    res = coordinate(endpoints, options, "", children);
   } catch (...) {
     failure = std::current_exception();
     kill_kids();  // the run is over; no worker should wait out its window
@@ -1082,9 +1079,9 @@ check::ScheduleExploreResult dist_explore_schedules(
 }
 
 check::ScheduleExploreResult dist_explore_remote(
-    const check::CrashWorldSpec& spec,
-    const std::vector<std::string>& endpoints,
+    const std::string& world, const std::vector<std::string>& endpoints,
     const DistExploreOptions& options) {
+  (void)check::make_world_factory(world);  // a refused spec never dials
   if (endpoints.empty()) {
     throw std::invalid_argument("dist: no worker endpoints");
   }
@@ -1092,7 +1089,7 @@ check::ScheduleExploreResult dist_explore_remote(
   for (const std::string& ep : endpoints) {
     parsed.push_back(parse_endpoint(ep));
   }
-  return coordinate(parsed, options, &spec);
+  return coordinate(parsed, options, world);
 }
 
 }  // namespace revisim::dist

@@ -58,7 +58,6 @@
 #include <string>
 #include <vector>
 
-#include "src/check/crash_worlds.h"
 #include "src/check/model_check.h"
 #include "src/dist/fault_channel.h"
 
@@ -96,7 +95,7 @@ struct DistExploreOptions {
   // regions, re-run the rest.  The journal's recorded config must match.
   bool resume = false;
   // Opaque world tag pinned in the journal config (the CLI records its
-  // world flags here); resume refuses a journal with a different tag.
+  // world spec here); resume refuses a journal with a different tag.
   std::string journal_tag;
 
   // --- deterministic fault injection (tests / CI) ----------------------
@@ -126,20 +125,21 @@ struct Endpoint {
 };
 
 // Runs one exploration over the workers listening at `endpoints`, dialing
-// each from the event loop and re-dialing lost ones.  `spec` names the
-// registry world the workers must build; pass nullptr when every worker
-// was forked from this process and owns the factory already.  Throws
-// WireError naming the endpoint if one refuses its first dial or is lost
-// before its first handshake completes.  A worker that rejects the hello
-// (unknown world, say) is retired; with none left, the summary's error
-// says why.  `children` is for fork mode: per endpoint, a pidfd of the
-// worker process behind it (-1 if none could be opened).  A lost slot whose
-// process has exited is retired at once instead of being re-dialed until
-// its window closes; so is one whose re-dial fails while it has no pidfd,
-// since only the child held its listener.  Empty in cluster mode.
+// each from the event loop and re-dialing lost ones.  `world` is the
+// registry spec the workers must build (src/check/worlds.h), shipped
+// unchecked; pass "" when every worker was forked from this process and
+// owns the factory already.  Throws WireError naming the endpoint if one
+// refuses its first dial or is lost before its first handshake completes.
+// A worker that rejects the hello (a spec its registry refuses, say) is
+// retired; with none left, the summary's error says why.  `children` is
+// for fork mode: per endpoint, a pidfd of the worker process behind it (-1
+// if none could be opened).  A lost slot whose process has exited is
+// retired at once instead of being re-dialed until its window closes; so is
+// one whose re-dial fails while it has no pidfd, since only the child held
+// its listener.  Empty in cluster mode.
 check::ScheduleExploreResult coordinate(const std::vector<Endpoint>& endpoints,
                                         const DistExploreOptions& options,
-                                        const check::CrashWorldSpec* spec,
+                                        const std::string& world,
                                         const std::vector<int>& children = {});
 
 // Single-binary localhost mode: binds one loopback listener per worker,
@@ -155,11 +155,12 @@ check::ScheduleExploreResult dist_explore_schedules(
     const DistExploreOptions& options);
 
 // Cluster mode: dials `host:port` endpoints running `revisim_cli serve` and
-// ships them `spec` to build.  Throws WireError naming the endpoint if one
-// is malformed (the port must be 1-65535, in digits only), or as
-// coordinate() does.
+// ships them the registry spec `world` to build.  Throws
+// std::invalid_argument if the registry refuses `world`, before any dial;
+// WireError naming the endpoint if one is malformed (the port must be
+// 1-65535, in digits only); or as coordinate() does.
 check::ScheduleExploreResult dist_explore_remote(
-    const check::CrashWorldSpec& spec,
+    const std::string& world,
     const std::vector<std::string>& endpoints,
     const DistExploreOptions& options);
 

@@ -55,8 +55,8 @@
 namespace revisim::dist {
 
 // The options fingerprint a journal pins.  `tag` is an opaque caller
-// string naming the world (CLI: "world=aug-bu,f=2,m=2,budget=6"; tests:
-// a fixture name); empty tags match only empty tags.
+// string naming the world (CLI: the registry spec, e.g. "aug-bu:2,2,6";
+// tests: a fixture name); empty tags match only empty tags.
 struct JournalConfig {
   std::string tag;
   std::uint64_t max_steps = 0;

@@ -224,9 +224,6 @@ void encode_hello(WireWriter& w, const HelloMsg& m) {
   w.u8(m.options.por ? 1 : 0);
   w.u64(m.live_interval);
   w.str(m.world);
-  w.u64(m.f);
-  w.u64(m.m);
-  w.u64(m.step_budget);
 }
 
 HelloMsg decode_hello(WireReader& r) {
@@ -251,9 +248,6 @@ HelloMsg decode_hello(WireReader& r) {
   m.options.por = r.u8() != 0;
   m.live_interval = r.u64();
   m.world = r.str();
-  m.f = r.u64();
-  m.m = r.u64();
-  m.step_budget = r.u64();
   r.expect_done();
   return m;
 }

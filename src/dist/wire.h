@@ -22,6 +22,9 @@
 //   v7  dropped the probe-interval hello field
 //   v8  dropped the resume flag from kHelloAck: only the coordinator dials,
 //       and a re-dial starts a fresh session
+//   v9  kHello carries the registry world as one spec string
+//       (src/check/worlds.h) in place of a world name and its f / m /
+//       budget fields
 //
 // Encoding rules:
 //   - All integers are fixed-width little-endian, written byte by byte
@@ -49,10 +52,11 @@
 //   kHello      C->W  magic, version, worker index, session token,
 //                     heartbeat interval/timeout, exploration options but
 //                     max_executions, live-counter interval, registry
-//                     world spec (empty world name = the worker was forked
-//                     from the coordinator and already owns the factory)
-//   kHelloAck   W->C  magic, version, ok flag + error text (unknown world,
-//                     version skew), the hello's session token echoed
+//                     world spec (empty = the worker was forked from the
+//                     coordinator and already owns the factory)
+//   kHelloAck   W->C  magic, version, ok flag + error text (a spec the
+//                     worker's registry refuses, version skew), the hello's
+//                     session token echoed
 //   kJob        C->W  job id, execution budget, fault_after (test
 //                     instrumentation), prefix, choices, sleep pids,
 //                     no_dedupe flag (re-run of a lost deduped attempt)
@@ -93,7 +97,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4d535652u;  // "RVSM"
-inline constexpr std::uint16_t kWireVersion = 8;
+inline constexpr std::uint16_t kWireVersion = 9;
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 // [u32 len][u8 type][u32 seq][u32 crc]
 inline constexpr std::size_t kFrameHeaderBytes = 13;
@@ -204,12 +208,9 @@ struct HelloMsg {
   // depends on the cap bound).
   check::ScheduleExploreOptions options;
   std::uint64_t live_interval = 256;  // executions between kLive messages
-  // Registry world (src/check/crash_worlds.h) for cluster workers; an empty
-  // name means the worker holds the factory already (fork mode).
+  // Registry world spec (src/check/worlds.h) for cluster workers; empty
+  // means the worker holds the factory already (fork mode).
   std::string world;
-  std::uint64_t f = 0;
-  std::uint64_t m = 0;
-  std::uint64_t step_budget = 0;
 };
 
 struct HelloAckMsg {

@@ -10,10 +10,10 @@
 #include <utility>
 #include <vector>
 
-#include "src/check/crash_worlds.h"
 #include "src/check/explore_core.h"
 #include "src/check/job_ledger.h"
 #include "src/check/state_table.h"
+#include "src/check/worlds.h"
 #include "src/dist/log.h"
 #include "src/dist/wire.h"
 
@@ -360,13 +360,8 @@ void serve_session(
       ack.ok = false;
       ack.error = "hello named no world and the worker holds no factory";
     } else {
-      check::CrashWorldSpec spec;
-      spec.world = s.hello.world;
-      spec.f = static_cast<std::size_t>(s.hello.f);
-      spec.m = static_cast<std::size_t>(s.hello.m);
-      spec.step_budget = static_cast<std::size_t>(s.hello.step_budget);
       try {
-        make = check::make_crash_world_factory(spec);
+        make = check::make_world_factory(s.hello.world);
       } catch (const std::exception& e) {
         ack.ok = false;
         ack.error = e.what();

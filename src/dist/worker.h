@@ -37,7 +37,7 @@ namespace revisim::dist {
 
 // Serves coordinator connections accepted on `listen_fd` (owned; closed on
 // return), one at a time.  `factory` may be null: each hello must then name
-// a crash-world registry world (src/check/crash_worlds.h), which the worker
+// a registry world spec (src/check/worlds.h), which the worker
 // builds itself.  `faults`, when armed, perturbs the worker's outbound
 // (W->C) sends; it is one plan for the whole process, so a positional
 // fault that fired on one connection stays disarmed on the next.

@@ -20,15 +20,13 @@
 #include <vector>
 
 #include "src/check/model_check.h"
-#include "src/protocols/racing_agreement.h"
-#include "src/runtime/scheduler.h"
-#include "src/sim/driver.h"
-#include "src/sim/replay.h"
+#include "src/check/worlds.h"
 
 namespace {
 
 std::atomic<bool> counting{false};
 std::atomic<std::size_t> allocations{0};
+std::atomic<std::size_t> allocated_bytes{0};
 
 // Out of line, so that the compiler does not pair a visible free() with the
 // operator new it inlined next to it and warn about a mismatch.
@@ -41,6 +39,7 @@ std::atomic<std::size_t> allocations{0};
 void* operator new(std::size_t bytes) {
   if (counting.load(std::memory_order_relaxed)) {
     allocations.fetch_add(1, std::memory_order_relaxed);
+    allocated_bytes.fetch_add(bytes, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(bytes != 0 ? bytes : 1)) {
     return p;
@@ -53,47 +52,6 @@ void operator delete(void* p, std::size_t /*bytes*/) noexcept { release(p); }
 namespace revisim {
 namespace {
 
-// sim-covering: f=4 covering simulators (d=0) over a one-component
-// augmented snapshot on the atomic substrate, simulating
-// RacingAgreement(n=4, m=1); verdict = Lemma-26 validator + validity.
-class SimCoveringWorld final : public check::ExplorableWorld {
- public:
-  SimCoveringWorld()
-      : protocol_(4, 1), driver_(sched_, protocol_, kInputs, options()) {}
-
-  runtime::Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool complete) override {
-    if (!complete) {
-      return "execution did not finish within the depth bound";
-    }
-    auto report = sim::validate_simulation(driver_);
-    if (!report.ok()) {
-      return report.violations.front();
-    }
-    for (Val y : driver_.outputs()) {
-      if (y != 10 && y != 20 && y != 30 && y != 40) {
-        return "output " + std::to_string(y) + " is not an input";
-      }
-    }
-    return std::nullopt;
-  }
-
- private:
-  static inline const std::vector<Val> kInputs{10, 20, 30, 40};
-
-  static sim::SimulationDriver::Options options() {
-    sim::SimulationDriver::Options opt;
-    opt.d = 0;
-    opt.substrate = sim::SimulationDriver::Substrate::kAtomicSnapshot;
-    return opt;
-  }
-
-  runtime::Scheduler sched_;
-  proto::RacingAgreement protocol_;
-  sim::SimulationDriver driver_;
-};
-
 // At the parent of the pooled replay path, this workload made 106 heap
 // allocations per execution.  What is left: the world object itself, the
 // driver's copy of the inputs and the outputs the verdict reads - all
@@ -102,10 +60,10 @@ class SimCoveringWorld final : public check::ExplorableWorld {
 constexpr double kBudgetPerExecution = 16;
 
 TEST(AllocBudget, SimCoveringExecutionsStayWithinBudget) {
-  auto factory = [] {
-    return std::unique_ptr<check::ExplorableWorld>(
-        std::make_unique<SimCoveringWorld>());
-  };
+  // sim-covering: f=4 covering simulators (d=0) over a one-component
+  // augmented snapshot on the atomic substrate, simulating
+  // RacingAgreement(n=4, m=1); verdict = Lemma-26 validator + validity.
+  const auto factory = check::make_world_factory("sim-racing:4,3,0,1");
   check::ScheduleExploreOptions opt;
   // The first executions fill this thread's pool; the measured run then
   // starts from the steady state every long exploration reaches.
@@ -127,6 +85,19 @@ TEST(AllocBudget, SimCoveringExecutionsStayWithinBudget) {
   EXPECT_LE(per_execution, kBudgetPerExecution)
       << allocations.load() << " heap allocations over " << res.executions
       << " executions";
+}
+
+// Witness files and the distributed worker's hello hand outside text to
+// make_world_factory, so parsing a spec builds nothing whose size a
+// parameter sets: a million simulators cost the parse no more than two.
+TEST(AllocBudget, ParsingAWorldSpecBuildsNoWorld) {
+  allocated_bytes.store(0);
+  counting.store(true);
+  const auto factory =
+      check::make_world_factory("sim-racing:1000001,1000000,1000001,1");
+  counting.store(false);
+  EXPECT_LE(allocated_bytes.load(), 4096u);
+  EXPECT_TRUE(static_cast<bool>(factory));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-# revisim_cli must refuse every malformed numeric flag value, and every
-# removed flag: exit code 2 and a message naming the flag, before any
-# exploration starts.
+# revisim_cli must refuse every malformed numeric flag value, every removed
+# flag and every world spec the registry refuses: exit code 2 and a message
+# naming the flag or the spec, before any exploration starts.
 #
 #   cmake -DCLI=<path to revisim_cli> -P tests/cli_bad_numbers.cmake
 
@@ -55,13 +55,18 @@ endfunction()
 expect_unknown(--shards)
 expect_unknown(--fp-batch)
 expect_unknown(--fp-window)
+# The world is one registry spec (--world name:params); its old parameter
+# flags are gone.
+expect_unknown(--f)
+expect_unknown(--m)
+expect_unknown(--budget)
 
 # expect_refused(<text the message must contain> <revisim_cli arguments...>):
-# exit code 2 before any exploration starts.
+# exit code 2 before any exploration starts, so no execution is counted.
 function(expect_refused text)
   execute_process(COMMAND "${CLI}" ${ARGN}
                   RESULT_VARIABLE rc
-                  OUTPUT_QUIET
+                  OUTPUT_VARIABLE out
                   ERROR_VARIABLE err
                   TIMEOUT 20)
   if(NOT rc EQUAL 2)
@@ -70,6 +75,10 @@ function(expect_refused text)
   string(FIND "${err}" "${text}" at)
   if(at EQUAL -1)
     message(SEND_ERROR "revisim_cli ${ARGN}: error does not say '${text}':\n${err}")
+  endif()
+  string(FIND "${out}" "executions" at)
+  if(NOT at EQUAL -1)
+    message(SEND_ERROR "revisim_cli ${ARGN}: counted executions:\n${out}")
   endif()
 endfunction()
 
@@ -82,3 +91,23 @@ expect_refused("--workers applies to forked workers only"
 # A --connect port is digits only: host:12x is refused, not dialed as 12.
 expect_refused("endpoint '127.0.0.1:12x'"
                dist-explore --connect 127.0.0.1:12x)
+
+# A --world spec the registry refuses names the spec and the field, before
+# any exploration starts (and, for dist-explore, before any worker forks).
+expect_refused("\"aug-bu:2,x,6\": m must be a decimal count"
+               explore --world aug-bu:2,x,6)
+expect_refused("\"aug-bu:2,2\": takes f,m,budget"
+               explore --world aug-bu:2,2)
+expect_refused("\"aug-bu:2,2,6,1\": takes f,m,budget"
+               dist-explore --world aug-bu:2,2,6,1)
+expect_refused("\"sim-racing:4,3,0,0\": m must be >= 1"
+               explore --world sim-racing:4,3,0,0)
+expect_refused("\"nope:1\": unknown world"
+               dist-explore --connect 127.0.0.1:7421 --world nope:1)
+
+# Dedupe on the simulation world would prune unsoundly (the simulators'
+# local state is not fingerprinted): refused, naming the world and dedupe.
+expect_refused("sim-racing does not support dedupe"
+               explore --world sim-racing:2,1,0,1 --dedupe)
+expect_refused("sim-racing does not support dedupe"
+               dist-explore --world sim-racing:2,1,0,1 --dedupe)

@@ -6,7 +6,8 @@
 // Block-Update wait-freedom / Scan non-blocking distinction (§3.2) under
 // crashes, simulation termination with crashed simulators, post-crash
 // solo-termination probes in the protocol checker, and the witness files
-// that make every flagged execution reproducible across binaries.
+// that make every flagged execution reproducible across binaries, with the
+// world registry specs they name.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,12 +15,12 @@
 
 #include "src/augmented/augmented_snapshot.h"
 #include "src/augmented/mutant_snapshot.h"
-#include "src/check/crash_worlds.h"
 #include "src/check/model_check.h"
 #include "src/check/parallel_explore.h"
 #include "src/check/protocol_check.h"
 #include "src/check/watchdog.h"
 #include "src/check/witness.h"
+#include "src/check/worlds.h"
 #include "src/memory/register.h"
 #include "src/protocols/racing_agreement.h"
 #include "src/runtime/adversary.h"
@@ -30,16 +31,16 @@
 #include "src/solo/nd_protocol.h"
 #include "src/tasks/task_spec.h"
 #include "src/util/fingerprint.h"
+#include "tests/test_worlds.h"
 
 namespace revisim {
 namespace {
 
 using aug::AugmentedSnapshot;
 using aug::MutantAugmentedSnapshot;
-using check::CrashWorldSpec;
 using check::ExplorableWorld;
 using check::explore_schedules;
-using check::make_crash_world_factory;
+using check::make_world_factory;
 using check::ProgressMonitor;
 using check::ScheduleExploreOptions;
 using check::Witness;
@@ -339,29 +340,14 @@ TEST(Watchdog, CrashFreezesTheCountAndExcusesTheOperation) {
 
 // --- crash-branching exploration --------------------------------------------
 
-// Two single-step writers: small enough to count leaves by hand.
-class TinyWorld final : public ExplorableWorld {
- public:
-  TinyWorld() {
-    r_ = std::make_unique<mem::Register>(sched_, "r");
-    sched_.spawn(write_once(*r_, 1), "q1");
-    sched_.spawn(write_once(*r_, 2), "q2");
-  }
-  Scheduler& scheduler() override { return sched_; }
-  std::optional<std::string> verdict(bool) override { return std::nullopt; }
-
- private:
-  Scheduler sched_;
-  std::unique_ptr<mem::Register> r_;
-};
-
 TEST(CrashExplore, BranchCountsOnTinyWorld) {
   // Executions of two 1-step writers:
   //   crash-free:      s0 s1 | s1 s0                               = 2
   //   max_crashes = 1: + s0 c1 | s1 c0 | c0 s1 | c1 s0             = 6
   //   max_crashes = 2: + c0 c1 (c1 c0 canonicalized away:
   //                     adjacent crashes commute)                  = 7
-  auto factory = [] { return std::make_unique<TinyWorld>(); };
+  // Two single-step writers: small enough to count leaves by hand.
+  const auto factory = test_worlds::register_factory(2, 0, 1);
   ScheduleExploreOptions opt;
   EXPECT_EQ(explore_schedules(factory, opt).executions, 2u);
   opt.max_crashes = 1;
@@ -371,7 +357,7 @@ TEST(CrashExplore, BranchCountsOnTinyWorld) {
 }
 
 TEST(CrashExplore, OptionValidation) {
-  auto factory = [] { return std::make_unique<TinyWorld>(); };
+  const auto factory = test_worlds::register_factory(2, 0, 1);
   ScheduleExploreOptions opt;
   opt.max_steps = 0;
   EXPECT_THROW(explore_schedules(factory, opt), std::invalid_argument);
@@ -390,10 +376,9 @@ TEST(CrashExplore, OptionValidation) {
 // the verdict bit for bit.
 
 TEST(CrashExplore, BlockUpdateStaysWaitFreeUnderTwoCrashes) {
-  CrashWorldSpec spec;  // aug-bu, f=2, m=2, budget 10
   ScheduleExploreOptions opt;
   opt.max_crashes = 2;
-  auto res = explore_schedules(make_crash_world_factory(spec), opt);
+  auto res = explore_schedules(make_world_factory("aug-bu:2,2,10"), opt);
   EXPECT_TRUE(res.exhausted);
   EXPECT_FALSE(res.violation) << *res.violation;
   // Regression anchor: deterministic crash-closed leaf count of this
@@ -403,16 +388,15 @@ TEST(CrashExplore, BlockUpdateStaysWaitFreeUnderTwoCrashes) {
 }
 
 TEST(CrashExplore, MutantIsFlaggedAndWitnessReplays) {
-  CrashWorldSpec spec;
-  spec.world = "aug-mutant";
+  const std::string world = "aug-mutant:2,2,10";
   ScheduleExploreOptions opt;
   opt.max_crashes = 2;
-  auto res = explore_schedules(make_crash_world_factory(spec), opt);
+  auto res = explore_schedules(make_world_factory(world), opt);
   ASSERT_TRUE(res.violation.has_value());
   EXPECT_NE(res.violation->find("progress violation"), std::string::npos);
 
   Witness w;
-  w.spec = spec;
+  w.world = world;
   w.max_steps = opt.max_steps;
   w.max_crashes = opt.max_crashes;
   w.verdict = *res.violation;
@@ -422,7 +406,7 @@ TEST(CrashExplore, MutantIsFlaggedAndWitnessReplays) {
   const std::string path = "witness_mutant_flagged.txt";
   check::write_witness_file(w, path);
   Witness loaded = check::load_witness_file(path);
-  EXPECT_EQ(loaded.spec.world, "aug-mutant");
+  EXPECT_EQ(loaded.world, world);
   EXPECT_EQ(loaded.schedule, w.schedule);
   auto replayed = check::replay_witness(loaded);
   EXPECT_TRUE(replayed.matches);
@@ -436,9 +420,7 @@ TEST(CrashExplore, CrashingTheInterfererRestoresMutantCompliance) {
   // +2 per interfering update batch.  Crash q1 before it updates and run
   // q2's mutant Block-Update solo: 9 <= 10, no violation - crashes excuse
   // rather than create progress violations.
-  CrashWorldSpec spec;
-  spec.world = "aug-mutant";
-  auto world = make_crash_world_factory(spec)();
+  auto world = make_world_factory("aug-mutant:2,2,10")();
   Scheduler& sched = world->scheduler();
   sched.crash(0);
   while (!sched.runnable().empty()) {
@@ -450,16 +432,15 @@ TEST(CrashExplore, CrashingTheInterfererRestoresMutantCompliance) {
 }
 
 TEST(CrashExplore, SerialAndParallelAgreeUnderCrashes) {
-  CrashWorldSpec spec;
+  const auto factory = make_world_factory("aug-bu:2,2,10");
   ScheduleExploreOptions opt;
   opt.max_crashes = 1;
-  auto serial = explore_schedules(make_crash_world_factory(spec), opt);
+  auto serial = explore_schedules(factory, opt);
   check::ParallelExploreOptions popt;
   popt.base = opt;
   popt.threads = 2;
   popt.oversubscribe = true;
-  auto parallel =
-      check::parallel_explore_schedules(make_crash_world_factory(spec), popt);
+  auto parallel = check::parallel_explore_schedules(factory, popt);
   EXPECT_EQ(serial.executions, parallel.executions);
   EXPECT_EQ(serial.exhausted, parallel.exhausted);
   EXPECT_EQ(serial.violation, parallel.violation);
@@ -470,19 +451,13 @@ TEST(CrashExplore, SerialAndParallelAgreeUnderCrashes) {
 
 TEST(Witness, TextRoundTripIncludingCrashEntries) {
   Witness w;
-  w.spec.world = "aug-bu";
-  w.spec.f = 3;
-  w.spec.m = 2;
-  w.spec.step_budget = 6;
+  w.world = "aug-bu:3,2,6";
   w.max_steps = 40;
   w.max_crashes = 2;
   w.verdict = "progress violation: q1's Block-Update took 7 own steps";
   w.schedule = {0, 1, make_crash_entry(2), 0, make_crash_entry(1)};
   Witness back = check::parse_witness(check::to_text(w));
-  EXPECT_EQ(back.spec.world, w.spec.world);
-  EXPECT_EQ(back.spec.f, w.spec.f);
-  EXPECT_EQ(back.spec.m, w.spec.m);
-  EXPECT_EQ(back.spec.step_budget, w.spec.step_budget);
+  EXPECT_EQ(back.world, w.world);
   EXPECT_EQ(back.max_steps, w.max_steps);
   EXPECT_EQ(back.max_crashes, w.max_crashes);
   EXPECT_EQ(back.verdict, w.verdict);
@@ -493,10 +468,7 @@ TEST(Witness, PorFlagRoundTripsAndStaysBackwardCompatible) {
   // A witness from a POR run mixing crash entries: the `por 1` line (format
   // v1 revision 2) must survive the round trip alongside the schedule.
   Witness w;
-  w.spec.world = "aug-mutant";
-  w.spec.f = 2;
-  w.spec.m = 2;
-  w.spec.step_budget = 8;
+  w.world = "aug-mutant:2,2,8";
   w.max_steps = 32;
   w.max_crashes = 1;
   w.por = true;
@@ -510,36 +482,162 @@ TEST(Witness, PorFlagRoundTripsAndStaysBackwardCompatible) {
   EXPECT_EQ(back.verdict, w.verdict);
   EXPECT_EQ(back.max_crashes, w.max_crashes);
 
-  // Non-POR witnesses serialize without the key - byte-identical to
-  // revision 1 output - and revision-1 files parse with por=false.
+  // Non-POR witnesses serialize without the key and parse with por=false.
   w.por = false;
-  const std::string old = check::to_text(w);
-  EXPECT_EQ(old.find("por"), std::string::npos);
-  EXPECT_FALSE(check::parse_witness(old).por);
+  const std::string plain = check::to_text(w);
+  EXPECT_EQ(plain.find("por"), std::string::npos);
+  EXPECT_FALSE(check::parse_witness(plain).por);
 
   // An explicit `por 0` is accepted; junk is rejected.
-  EXPECT_FALSE(
-      check::parse_witness("revisim-witness v1\npor 0\nend\n").por);
-  EXPECT_THROW(check::parse_witness("revisim-witness v1\npor yes\nend\n"),
+  const std::string head = "revisim-witness v2\nworld aug-bu:2,2,10\n";
+  EXPECT_FALSE(check::parse_witness(head + "por 0\nend\n").por);
+  EXPECT_THROW(check::parse_witness(head + "por yes\nend\n"),
                std::invalid_argument);
 }
 
+// parse_witness must throw std::invalid_argument whose message contains
+// `why`.
+void expect_refused(const std::string& text, const std::string& why) {
+  try {
+    (void)check::parse_witness(text);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what() << "\nfor:\n"
+        << text;
+  }
+}
+
 TEST(Witness, ParserRejectsMalformedFiles) {
-  EXPECT_THROW(check::parse_witness("not a witness\n"), std::invalid_argument);
-  EXPECT_THROW(check::parse_witness("revisim-witness v1\nworld aug-bu\n"),
-               std::invalid_argument);  // missing end
-  EXPECT_THROW(
-      check::parse_witness("revisim-witness v1\nschedule x9\nend\n"),
-      std::invalid_argument);  // bad entry
-  EXPECT_THROW(
-      check::parse_witness("revisim-witness v1\nbogus key\nend\n"),
-      std::invalid_argument);  // unknown key
+  const std::string head = "revisim-witness v2\nworld aug-mutant:2,2,10\n";
+  expect_refused("not a witness\n", "expected header");
+  expect_refused(head, "missing \"end\"");
+  expect_refused(head + "schedule x9\nend\n", "bad schedule entry \"x9\"");
+  expect_refused(head + "bogus key\nend\n", "unknown key \"bogus\"");
   EXPECT_THROW(check::load_witness_file("no_such_witness_file.txt"),
                std::runtime_error);
+
+  // Numbers and pids are decimal digits only: no trailing junk, no sign,
+  // no leading space.
+  expect_refused(head + "max_steps -1\nend\n", "max_steps");
+  expect_refused(head + "max_steps 64x\nend\n", "max_steps");
+  expect_refused(head + "max_crashes  2\nend\n", "max_crashes");
+  expect_refused(head + "max_crashes 18446744073709551616\nend\n",
+                 "max_crashes");
+  expect_refused(head + "schedule s0 s0junk s1\nend\n", "\"s0junk\"");
+  expect_refused(head + "schedule s-1\nend\n", "\"s-1\"");
+  expect_refused(head + "schedule c+1\nend\n", "\"c+1\"");
+  expect_refused(head + "schedule s18446744073709551615\nend\n",
+                 "s18446744073709551615");
+
+  // The world is one registry spec, and it is required: a witness without
+  // it must not silently replay some default world.
+  expect_refused("revisim-witness v2\nmax_steps 64\nschedule s0\nend\n",
+                 "missing \"world\" line");
+  expect_refused("revisim-witness v2\nworld aug-bu 2\nend\n", "world");
+  expect_refused("revisim-witness v2\nworld aug-mutant:2x,2,10\nend\n",
+                 "f must be a decimal count");
+  expect_refused(head + "world aug-bu:2,2,10\nend\n",
+                 "duplicate key \"world\"");
+
+  // Format v1 named the world by four keys; it is refused by name.
+  expect_refused("revisim-witness v1\nworld aug-mutant\nprocesses 2\nend\n",
+                 "witness format v1");
+}
+
+// The registry reaches replay: a witness of the simulation world, on either
+// substrate, survives the text format and reproduces its verdict.
+TEST(Witness, SimulationWitnessRoundTrips) {
+  for (const std::string world :
+       {"sim-racing:2,1,1,1", "sim-racing:2,1,0,1,registers"}) {
+    SCOPED_TRACE(world);
+    ScheduleExploreOptions opt;
+    opt.max_steps = 16;  // too shallow for some schedules to finish
+    auto res = explore_schedules(make_world_factory(world), opt);
+    ASSERT_TRUE(res.violation.has_value());
+    EXPECT_NE(res.violation->find("did not finish"), std::string::npos);
+
+    Witness w;
+    w.world = world;
+    w.max_steps = opt.max_steps;
+    w.verdict = *res.violation;
+    w.schedule = res.witness;
+    const Witness back = check::parse_witness(check::to_text(w));
+    EXPECT_EQ(back.world, world);
+    EXPECT_EQ(back.schedule, w.schedule);
+    const auto replayed = check::replay_witness(back);
+    EXPECT_TRUE(replayed.matches);
+    EXPECT_EQ(replayed.steps, res.witness.size());
+    EXPECT_EQ(replayed.verdict, res.violation);
+  }
+}
+
+// --- the world registry ---------------------------------------------------
+
+TEST(Worlds, MalformedSpecsAreRefusedNamingSpecAndField) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"aug-bu:2,x,6", "m must be a decimal count"},
+      {"aug-bu:2,2", "takes f,m,budget"},
+      {"aug-bu:2,2,6,1", "takes f,m,budget"},
+      {"aug-bu:2,2,0", "budget must be >= 1"},
+      {"aug-bu:-2,2,6", "f must be a decimal count"},
+      {"aug-bu: 2,2,6", "f must be a decimal count"},
+      {"aug-bu", "takes f,m,budget"},
+      {"nope:1", "unknown world \"nope\""},
+      {"sim-racing:4,3,0,0", "m must be >= 1"},
+      {"sim-racing:3,3,0,1", "below the partition minimum"},
+      {"sim-racing:4,1,3,1", "x must be <= k+1"},
+      {"sim-racing:4,3,0,1,plain", "substrate"},
+      {"sim-racing:4,3,0", "takes n,k,x,m[,atomic|registers]"},
+      {"aug-script:2", "takes m,ops,ops,..."},
+      {"aug-script:2,u2", "component below m"},
+      {"aug-script:2,u", "component below m"},
+      {"aug-script:2,sx", "unknown op 'x'"},
+      {"aug-script:2,s,", "op word 2 \"\" is empty"},
+      {"aug-script:2,u0u0u0u0u0u0u0u0u0u0,u0s", "writes more than 9 values"},
+      {"aug-script:10,s,w", "op word 2 \"w\" writes more than 9 values"},
+      {"sim-racing:2,922337203685477580,1,1", "k is too large"},
+  };
+  for (const auto& [spec, why] : bad) {
+    try {
+      (void)make_world_factory(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("\"") + spec + "\""), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
+  }
+  // The largest scripts the value rule admits: 9 values per process.
+  EXPECT_NO_THROW((void)make_world_factory("aug-script:9,w,s"));
+  EXPECT_NO_THROW((void)make_world_factory("aug-script:1,u0u0u0u0u0u0u0u0u0"));
+}
+
+TEST(Worlds, SimulationWorldRefusesDedupe) {
+  // The simulators' local state is not fingerprinted, so deduping would
+  // prune unsoundly: the world refuses, and no execution is counted.
+  ScheduleExploreOptions opt;
+  opt.dedupe_states = true;
+  try {
+    (void)explore_schedules(make_world_factory("sim-racing:2,1,0,1"), opt);
+    ADD_FAILURE() << "dedupe ran on sim-racing";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sim-racing"), std::string::npos) << what;
+    EXPECT_NE(what.find("dedupe"), std::string::npos) << what;
+  }
+  opt.dedupe_states = false;
+  opt.max_steps = 64;
+  const auto res =
+      explore_schedules(make_world_factory("sim-racing:2,1,0,1"), opt);
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_FALSE(res.violation.has_value());
 }
 
 TEST(Witness, ReplayAppliesCrashEntriesAndChecksPids) {
-  Witness w;  // aug-bu defaults: f=2, m=2, budget 10
+  Witness w;
+  w.world = "aug-bu:2,2,10";
   w.verdict = "";
   // Crash q1 cold, then run q2's Block-Update to completion (6 steps).
   w.schedule = {make_crash_entry(0), 1, 1, 1, 1, 1, 1};
@@ -554,7 +652,7 @@ TEST(Witness, ReplayAppliesCrashEntriesAndChecksPids) {
   EXPECT_THROW(check::replay_witness(bad), std::invalid_argument);
 
   Witness unknown = w;
-  unknown.spec.world = "no-such-world";
+  unknown.world = "no-such-world:2,2,10";
   EXPECT_THROW(check::replay_witness(unknown), std::invalid_argument);
 }
 

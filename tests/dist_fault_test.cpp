@@ -4,10 +4,10 @@
 // and the end-to-end fault matrix - every seeded fault plan must leave the
 // merged summary bit-identical to the uninterrupted serial run.
 //
-// The e2e tests reuse dist_test.cpp's closed-form ScriptWorld: n processes
-// perform fixed write counts, so the full tree has a multinomial number of
-// leaves and the serial explorer's summary is the ground truth the faulted
-// distributed runs are pinned against.  Faults are injected with seeded
+// The e2e tests use the closed-form ScriptWorld of tests/test_worlds.h: n
+// processes perform fixed write counts, so the full tree has a multinomial
+// number of leaves and the serial explorer's summary is the ground truth
+// the faulted distributed runs are pinned against.  Faults are injected with seeded
 // FaultPlans (src/dist/fault_channel.h): rate faults draw from a fixed
 // xorshift stream, positional faults fire once per plan, so every run here
 // is a deterministic drill, not a stress test.
@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "src/check/crash_worlds.h"
 #include "src/check/explore_core.h"
 #include "src/check/explore_merge.h"
 #include "src/check/model_check.h"
@@ -42,6 +41,7 @@
 #include "src/dist/wire.h"
 #include "src/dist/worker.h"
 #include "src/runtime/scheduler.h"
+#include "tests/test_worlds.h"
 
 namespace revisim {
 namespace {
@@ -59,46 +59,7 @@ using runtime::ProcessId;
 using runtime::Scheduler;
 using runtime::StepKind;
 using runtime::Task;
-
-Task<void> count_script(Scheduler& sched, std::size_t obj,
-                        std::vector<ProcessId>& order, ProcessId me,
-                        std::size_t writes) {
-  for (std::size_t i = 0; i < writes; ++i) {
-    co_await runtime::StepAwaiter<void>(
-        sched, [&order, me] { order.push_back(me); }, obj, StepKind::kWrite,
-        {});
-  }
-}
-
-// As in dist_test.cpp: process i performs writes[i] shared-register writes;
-// the order log is folded into the fingerprint so dedupe stays sound.
-class ScriptWorld final : public ExplorableWorld {
- public:
-  explicit ScriptWorld(std::vector<std::size_t> writes) {
-    const std::size_t shared = sched_.register_object("r");
-    for (ProcessId p = 0; p < writes.size(); ++p) {
-      sched_.spawn(count_script(sched_, shared, order_, p, writes[p]), "q");
-    }
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool) override { return std::nullopt; }
-
-  void fingerprint_extra(util::StateSink& sink) override {
-    util::feed(sink, order_);
-  }
-
- private:
-  Scheduler sched_;
-  std::vector<ProcessId> order_;
-};
-
-auto script_factory(std::vector<std::size_t> writes) {
-  return [writes = std::move(writes)] {
-    return std::make_unique<ScriptWorld>(writes);
-  };
-}
+using test_worlds::script_factory;
 
 Task<void> gate_script(Scheduler& sched, std::size_t obj,
                        std::vector<ProcessId>& order, ProcessId me,
@@ -201,10 +162,7 @@ std::vector<WireCase> wire_cases() {
     m.heartbeat_interval_ms = 25;
     m.heartbeat_timeout_ms = 500;
     m.options.max_steps = 64;
-    m.world = "aug-bu";
-    m.f = 2;
-    m.m = 2;
-    m.step_budget = 6;
+    m.world = "aug-bu:2,2,6";
     dist::encode_hello(w, m);
   });
   add("hello_ack", MsgType::kHelloAck, [](WireWriter& w) {

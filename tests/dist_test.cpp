@@ -2,11 +2,11 @@
 // key-sorted merge, and end-to-end fork-mode runs pinned bit-for-bit
 // against the serial explorer.
 //
-// The parity tests reuse the closed-form ScriptWorld idea from
-// parallel_explore_test.cpp: each process performs a fixed number of
-// writes and logs its pid, so a completed execution's log *is* its
-// schedule, leaf counts are multinomial coefficients, and the
-// lexicographically-smallest-witness guarantee is checkable by hand.
+// The parity tests use the closed-form ScriptWorld of tests/test_worlds.h:
+// each process performs a fixed number of writes and logs its pid, so a
+// completed execution's log *is* its schedule, leaf counts are multinomial
+// coefficients, and the lexicographically-smallest-witness guarantee is
+// checkable by hand.
 // Distributed runs fork real worker processes over loopback TCP, so these
 // tests exercise the full serialize/re-replay/merge path, including steals
 // donated across the wire.  Failure-path tests use the coordinator's
@@ -25,23 +25,21 @@
 #include <string>
 #include <vector>
 
-#include "src/augmented/augmented_snapshot.h"
-#include "src/augmented/linearizer.h"
-#include "src/check/crash_worlds.h"
 #include "src/check/explore_core.h"
 #include "src/check/explore_merge.h"
 #include "src/check/model_check.h"
 #include "src/check/parallel_explore.h"
+#include "src/check/worlds.h"
 #include "src/dist/coordinator.h"
 #include "src/dist/wire.h"
 #include "src/dist/worker.h"
 #include "src/memory/register.h"
 #include "src/runtime/scheduler.h"
+#include "tests/test_worlds.h"
 
 namespace revisim {
 namespace {
 
-using aug::AugmentedSnapshot;
 using check::ExplorableWorld;
 using check::explore_schedules;
 using check::parallel_explore_schedules;
@@ -51,117 +49,12 @@ using check::ScheduleExploreResult;
 using dist::DistExploreOptions;
 using runtime::ProcessId;
 using runtime::Scheduler;
-using runtime::StepKind;
 using runtime::Task;
 
-using Schedule = std::vector<ProcessId>;
-
-Task<void> count_script(Scheduler& sched, std::size_t obj,
-                        std::vector<ProcessId>& order, ProcessId me,
-                        std::size_t writes) {
-  for (std::size_t i = 0; i < writes; ++i) {
-    co_await runtime::StepAwaiter<void>(
-        sched, [&order, me] { order.push_back(me); }, obj, StepKind::kWrite,
-        {});
-  }
-}
-
-// Processes i = 0..n-1 perform writes[i] steps each and flag a violation on
-// any completed execution whose schedule is in `planted`.  Processes with
-// index >= first_private write a private register instead of the shared
-// one, giving POR step-swap classes to collapse; parity tests that enable
-// POR must plant nothing (the order log is not trace-invariant).
-class ScriptWorld final : public ExplorableWorld {
- public:
-  ScriptWorld(std::vector<std::size_t> writes, std::vector<Schedule> planted,
-              std::size_t first_private = SIZE_MAX)
-      : planted_(std::move(planted)) {
-    const std::size_t shared = sched_.register_object("r");
-    for (ProcessId p = 0; p < writes.size(); ++p) {
-      const std::size_t obj = p >= first_private
-                                  ? sched_.register_object("own")
-                                  : shared;
-      sched_.spawn(count_script(sched_, obj, order_, p, writes[p]), "q");
-    }
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool complete) override {
-    if (complete &&
-        std::find(planted_.begin(), planted_.end(), order_) != planted_.end()) {
-      return "planted violation";
-    }
-    return std::nullopt;
-  }
-
-  // The verdict reads the order log, so the fingerprint soundness contract
-  // requires folding it in; every state then being unique, dedupe must
-  // prune nothing and reproduce undeduped results bit-for-bit.
-  void fingerprint_extra(util::StateSink& sink) override {
-    util::feed(sink, order_);
-  }
-
- private:
-  Scheduler sched_;
-  std::vector<ProcessId> order_;
-  std::vector<Schedule> planted_;
-};
-
-auto script_factory(std::vector<std::size_t> writes,
-                    std::vector<Schedule> planted = {},
-                    std::size_t first_private = SIZE_MAX) {
-  return [writes = std::move(writes), planted = std::move(planted),
-          first_private] {
-    return std::make_unique<ScriptWorld>(writes, planted, first_private);
-  };
-}
-
-Task<void> reg_script(mem::TypedRegister<int>& r, std::size_t writes) {
-  for (std::size_t i = 1; i <= writes; ++i) {
-    co_await r.write(static_cast<int>(i));
-  }
-}
-
-// POR-reducible fixture: `contended` processes write one shared register
-// (every pair of their steps conflicts), the rest write private registers
-// (independent, so POR collapses their placements).  The verdict is always
-// accepting - trivially trace-invariant - so the test can compare raw
-// reduction counters across engines.  Footprints come from the real memory
-// primitive; ScriptWorld's raw StepAwaiters are opaque to POR.
-class MixedWorld final : public ExplorableWorld {
- public:
-  MixedWorld(std::size_t contended, std::size_t private_procs,
-             std::size_t writes) {
-    regs_.push_back(
-        std::make_unique<mem::TypedRegister<int>>(sched_, "shared", 0));
-    for (std::size_t p = 0; p < contended; ++p) {
-      sched_.spawn(reg_script(*regs_[0], writes), "q");
-    }
-    for (std::size_t p = 0; p < private_procs; ++p) {
-      regs_.push_back(std::make_unique<mem::TypedRegister<int>>(
-          sched_, "own" + std::to_string(p), 0));
-      sched_.spawn(reg_script(*regs_.back(), writes), "q");
-    }
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool /*complete*/) override {
-    return std::nullopt;
-  }
-
- private:
-  Scheduler sched_;
-  std::vector<std::unique_ptr<mem::TypedRegister<int>>> regs_;
-};
-
-auto mixed_factory(std::size_t contended, std::size_t private_procs,
-                   std::size_t writes) {
-  return [contended, private_procs, writes] {
-    return std::make_unique<MixedWorld>(contended, private_procs, writes);
-  };
-}
+using test_worlds::register_factory;
+using test_worlds::Schedule;
+using test_worlds::script_factory;
+using test_worlds::ScriptWorld;
 
 // Every state hashes to one fingerprint while canonical_state() stays
 // honest: the collision audit must see distinct texts behind one hash.
@@ -180,44 +73,6 @@ class CollidingWorld final : public ExplorableWorld {
 
  private:
   ScriptWorld inner_;
-};
-
-Task<void> aug_mixed(AugmentedSnapshot& m, ProcessId me) {
-  std::vector<std::size_t> comps{0};
-  std::vector<Val> vals{Val(10 * (me + 1))};
-  co_await m.BlockUpdate(me, comps, vals);
-  co_await m.Scan(me);
-}
-
-Task<void> aug_scan(AugmentedSnapshot& m, ProcessId me) {
-  co_await m.Scan(me);
-}
-
-// parallel_explore_test.cpp's pinned augmented world: q1 Scans, q2 runs a
-// Block-Update then a Scan, and the verdict is the section 3.3 linearizer.
-class AugMixedWorld final : public ExplorableWorld {
- public:
-  AugMixedWorld() : m_(sched_, "M", 2, 2) {
-    sched_.spawn(aug_scan(m_, 0), "q1");
-    sched_.spawn(aug_mixed(m_, 1), "q2");
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool complete) override {
-    if (!complete) {
-      return "execution did not finish within the depth bound";
-    }
-    auto lin = aug::linearize(m_.log(), 2);
-    if (!lin.ok()) {
-      return lin.violations.front();
-    }
-    return std::nullopt;
-  }
-
- private:
-  Scheduler sched_;
-  AugmentedSnapshot m_;
 };
 
 void expect_same(const ScheduleExploreResult& got,
@@ -302,10 +157,7 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   m.options.dedupe_audit = true;
   m.options.por = true;
   m.live_interval = 99;
-  m.world = "aug-mutant";
-  m.f = 2;
-  m.m = 3;
-  m.step_budget = 10;
+  m.world = "aug-mutant:2,3,10";
 
   dist::WireWriter w;
   dist::encode_hello(w, m);
@@ -321,9 +173,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   EXPECT_EQ(got.options.por, m.options.por);
   EXPECT_EQ(got.live_interval, m.live_interval);
   EXPECT_EQ(got.world, m.world);
-  EXPECT_EQ(got.f, m.f);
-  EXPECT_EQ(got.m, m.m);
-  EXPECT_EQ(got.step_budget, m.step_budget);
 
   // A flipped magic byte is version skew, not garbage-in-garbage-out.
   std::vector<std::uint8_t> bad(w.data(), w.data() + w.size());
@@ -365,8 +214,8 @@ void expect_version_skew(const std::vector<std::uint8_t>& bytes,
 // in wire.h), so a peer speaking any older version must be refused at the
 // handshake by name, never misparsed - in both directions.
 TEST(Wire, EveryOlderVersionIsRefusedByName) {
-  static_assert(dist::kWireVersion == 8);
-  for (std::uint16_t v = 1; v < dist::kWireVersion; ++v) {
+  static_assert(dist::kWireVersion == 9);
+  for (std::uint16_t v = 1; v <= 8; ++v) {
     SCOPED_TRACE("wire version " + std::to_string(v));
     dist::WireWriter w;
     dist::encode_hello(w, dist::HelloMsg{});
@@ -629,32 +478,26 @@ TEST(DistParity, CapTruncationMatchesSerial) {
 TEST(DistParity, CrashBranchingRegistryWorldMatchesSerial) {
   // Budget 6 is aug-bu's smallest violation-free budget: the whole
   // crash-closed tree (2754 executions at max_crashes=1) gets walked.
-  check::CrashWorldSpec spec;
-  spec.world = "aug-bu";
-  spec.f = 2;
-  spec.m = 2;
-  spec.step_budget = 6;
+  const auto factory = check::make_world_factory("aug-bu:2,2,6");
   ScheduleExploreOptions base;
   base.max_crashes = 1;
-  auto serial = explore_schedules(check::make_crash_world_factory(spec), base);
+  auto serial = explore_schedules(factory, base);
   ASSERT_TRUE(serial.exhausted);
   ASSERT_FALSE(serial.violation.has_value());
   ASSERT_GT(serial.executions, 1000u);
   DistExploreOptions opt;
   opt.base = base;
   opt.workers = 2;
-  auto dist = dist::dist_explore_schedules(check::make_crash_world_factory(spec),
-                                           opt);
+  auto dist = dist::dist_explore_schedules(factory, opt);
   expect_same(dist, serial, "crash-branching world");
 
   // Budget 5 starves the protocol: a progress violation exists, and the
   // distributed run must report the same lex-smallest crash-bearing
   // witness schedule the serial engine finds.
-  spec.step_budget = 5;
-  auto vserial = explore_schedules(check::make_crash_world_factory(spec), base);
+  const auto starved = check::make_world_factory("aug-bu:2,2,5");
+  auto vserial = explore_schedules(starved, base);
   ASSERT_TRUE(vserial.violation.has_value());
-  auto vdist = dist::dist_explore_schedules(
-      check::make_crash_world_factory(spec), opt);
+  auto vdist = dist::dist_explore_schedules(starved, opt);
   expect_same(vdist, vserial, "violating crash-branching world");
 }
 
@@ -666,7 +509,7 @@ TEST(DistParity, PorCountersDecompositionInvariant) {
   // decompositions (the documented aggregation contract).
   ScheduleExploreOptions base;
   base.por = true;
-  auto serial = explore_schedules(mixed_factory(2, 1, 2), base);
+  auto serial = explore_schedules(register_factory(2, 1, 2), base);
   ASSERT_TRUE(serial.exhausted);
   ASSERT_GT(serial.por_skipped, 0u);
 
@@ -675,7 +518,7 @@ TEST(DistParity, PorCountersDecompositionInvariant) {
   par.threads = 2;
   par.oversubscribe = true;
   par.serial_probe_executions = 0;
-  auto inproc = parallel_explore_schedules(mixed_factory(2, 1, 2), par);
+  auto inproc = parallel_explore_schedules(register_factory(2, 1, 2), par);
   expect_same(inproc, serial, "in-process POR");
   EXPECT_EQ(inproc.por_skipped, serial.por_skipped);
   EXPECT_EQ(inproc.dependent_wakeups, serial.dependent_wakeups);
@@ -683,7 +526,7 @@ TEST(DistParity, PorCountersDecompositionInvariant) {
   DistExploreOptions opt;
   opt.base = base;
   opt.workers = 2;
-  auto dist = dist::dist_explore_schedules(mixed_factory(2, 1, 2), opt);
+  auto dist = dist::dist_explore_schedules(register_factory(2, 1, 2), opt);
   expect_same(dist, serial, "distributed POR");
   EXPECT_EQ(dist.por_skipped, serial.por_skipped);
   EXPECT_EQ(dist.dependent_wakeups, serial.dependent_wakeups);
@@ -706,25 +549,19 @@ TEST(DistDedupe, AllStatesDistinctMeansNoPruningAnywhere) {
 }
 
 TEST(DistDedupe, ShardedServiceKeepsVerdictAndBoundsStates) {
-  check::CrashWorldSpec spec;
-  spec.world = "aug-bu";
-  spec.f = 2;
-  spec.m = 2;
-  spec.step_budget = 6;
+  const auto factory = check::make_world_factory("aug-bu:2,2,6");
   ScheduleExploreOptions base;
   base.max_crashes = 1;
-  auto undeduped =
-      explore_schedules(check::make_crash_world_factory(spec), base);
+  auto undeduped = explore_schedules(factory, base);
   base.dedupe_states = true;
-  auto serial = explore_schedules(check::make_crash_world_factory(spec), base);
+  auto serial = explore_schedules(factory, base);
   ASSERT_TRUE(serial.exhausted);
   ASSERT_LT(serial.executions, undeduped.executions);  // dedupe really prunes
 
   DistExploreOptions opt;
   opt.base = base;
   opt.workers = 2;
-  auto dist = dist::dist_explore_schedules(check::make_crash_world_factory(spec),
-                                           opt);
+  auto dist = dist::dist_explore_schedules(factory, opt);
   EXPECT_EQ(dist.violation, serial.violation);
   EXPECT_EQ(dist.exhausted, serial.exhausted);
   // The reported sightings are a subset of the distinct states the serial
@@ -738,18 +575,13 @@ TEST(DistDedupe, ShardedServiceKeepsVerdictAndBoundsStates) {
 }
 
 TEST(DistDedupe, AuditModeRunsClean) {
-  check::CrashWorldSpec spec;
-  spec.world = "aug-bu";
-  spec.f = 2;
-  spec.m = 2;
-  spec.step_budget = 6;
   DistExploreOptions opt;
   opt.base.max_crashes = 1;
   opt.base.dedupe_states = true;
   opt.base.dedupe_audit = true;
   opt.workers = 2;
-  auto dist = dist::dist_explore_schedules(check::make_crash_world_factory(spec),
-                                           opt);
+  auto dist = dist::dist_explore_schedules(
+      check::make_world_factory("aug-bu:2,2,6"), opt);
   EXPECT_FALSE(dist.error.has_value());
   EXPECT_TRUE(dist.exhausted);
   EXPECT_FALSE(dist.violation.has_value());
@@ -761,7 +593,10 @@ TEST(DistDedupe, AuditModeRunsClean) {
 // to exactly the serial distinct-state count on a fault-free exhausted
 // search - every reachable state is walked by some worker.
 TEST(DistDedupe, AugmentedCountsArePinned) {
-  const auto factory = [] { return std::make_unique<AugMixedWorld>(); };
+  // parallel_explore_test.cpp's pinned augmented world: q1 Scans, q2 runs
+  // a Block-Update then a Scan, and the verdict is the section 3.3
+  // linearizer.
+  const auto factory = check::make_world_factory("aug-script:2,s,u0s");
   const auto plain = explore_schedules(factory);
   ASSERT_EQ(plain.executions, 1'144u);
   ScheduleExploreOptions base;
@@ -887,42 +722,59 @@ void wait_all(const std::vector<pid_t>& kids) {
   }
 }
 
-check::CrashWorldSpec aug_bu_spec() {
-  check::CrashWorldSpec spec;
-  spec.world = "aug-bu";
-  spec.f = 2;
-  spec.m = 2;
-  spec.step_budget = 6;
-  return spec;
-}
+const std::string kAugBu = "aug-bu:2,2,6";
 
+// A factoryless `serve` worker builds each hello's world from its registry
+// spec: the crash-branching augmented world, and the simulation world of
+// Theorem 21 (one covering and one direct simulator), both bit-identical
+// to serial.
 TEST(DistCluster, HelloShipsRegistryWorldToFactorylessWorker) {
-  std::vector<std::string> endpoints;
-  const std::vector<pid_t> kids =
-      fork_serve_workers(1, /*redial_window_ms=*/0, endpoints);
-  const check::CrashWorldSpec spec = aug_bu_spec();
-  DistExploreOptions opt;
-  opt.base.max_crashes = 1;
-  auto serial =
-      explore_schedules(check::make_crash_world_factory(spec), opt.base);
-  ASSERT_GT(serial.executions, 1000u);
-  auto dist = dist::dist_explore_remote(spec, endpoints, opt);
-  wait_all(kids);
-  expect_same(dist, serial, "cluster spec-shipping");
-  EXPECT_FALSE(dist.error.has_value());
+  for (const std::string& world :
+       {kAugBu, std::string("sim-racing:2,1,1,1")}) {
+    SCOPED_TRACE(world);
+    std::vector<std::string> endpoints;
+    const std::vector<pid_t> kids =
+        fork_serve_workers(1, /*redial_window_ms=*/0, endpoints);
+    DistExploreOptions opt;
+    opt.base.max_crashes = world == kAugBu ? 1 : 0;
+    opt.base.max_steps = world == kAugBu ? 64 : 160;
+    auto serial =
+        explore_schedules(check::make_world_factory(world), opt.base);
+    ASSERT_TRUE(serial.exhausted);
+    ASSERT_GT(serial.executions, 1000u);
+    auto dist = dist::dist_explore_remote(world, endpoints, opt);
+    wait_all(kids);
+    expect_same(dist, serial, "cluster spec-shipping");
+    EXPECT_FALSE(dist.error.has_value());
+  }
 }
 
+// The coordinator refuses a spec its own registry rejects before dialing
+// anyone; a worker whose registry rejects the shipped spec (a coordinator
+// that skipped the check) refuses the hello, naming the spec.
 TEST(DistCluster, UnknownWorldIsRejectedAtHandshake) {
+  DistExploreOptions opt;
+  try {
+    (void)dist::dist_explore_remote("no-such-world:1", {"127.0.0.1:1"}, opt);
+    ADD_FAILURE() << "an unknown world was shipped";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("no-such-world:1"),
+              std::string::npos)
+        << e.what();
+  }
+
   std::vector<std::string> endpoints;
   const std::vector<pid_t> kids =
       fork_serve_workers(1, /*redial_window_ms=*/0, endpoints);
-  check::CrashWorldSpec spec;
-  spec.world = "no-such-world";
-  DistExploreOptions opt;
-  auto dist = dist::dist_explore_remote(spec, endpoints, opt);
+  const std::string port = endpoints[0].substr(endpoints[0].rfind(':') + 1);
+  auto dist = dist::coordinate(
+      {{"127.0.0.1", static_cast<std::uint16_t>(std::stoi(port))}}, opt,
+      "no-such-world:1");
   wait_all(kids);
   ASSERT_TRUE(dist.error.has_value());
   EXPECT_NE(dist.error->find("rejected the hello"), std::string::npos)
+      << *dist.error;
+  EXPECT_NE(dist.error->find("no-such-world:1"), std::string::npos)
       << *dist.error;
   EXPECT_FALSE(dist.exhausted);
   EXPECT_EQ(dist.executions, 0u);
@@ -940,7 +792,7 @@ TEST(DistCluster, RefusedFirstDialFailsNamingTheEndpoint) {
   opt.base.max_crashes = 1;
   const auto start = std::chrono::steady_clock::now();
   try {
-    (void)dist::dist_explore_remote(aug_bu_spec(), {endpoint}, opt);
+    (void)dist::dist_explore_remote(kAugBu, {endpoint}, opt);
     FAIL() << "a refused endpoint did not fail the run";
   } catch (const dist::WireError& e) {
     EXPECT_NE(std::string(e.what()).find(endpoint), std::string::npos)
@@ -960,7 +812,7 @@ TEST(DistCluster, MalformedEndpointIsRejectedByName) {
        {"127.0.0.1:12x", "127.0.0.1:", "127.0.0.1", ":7421", "127.0.0.1:0",
         "127.0.0.1:65536", "127.0.0.1:+80", "127.0.0.1: 80"}) {
     try {
-      (void)dist::dist_explore_remote(aug_bu_spec(), {bad}, opt);
+      (void)dist::dist_explore_remote(kAugBu, {bad}, opt);
       ADD_FAILURE() << "endpoint '" << bad << "' was accepted";
     } catch (const dist::WireError& e) {
       EXPECT_NE(std::string(e.what()).find("'" + bad + "'"),
@@ -981,7 +833,6 @@ TEST(DistCluster, LostEndpointDoesNotStallSurvivors) {
   const std::vector<pid_t> kids =
       fork_serve_workers(2, /*redial_window_ms=*/0, endpoints);
   ASSERT_EQ(kids.size(), 2u);
-  const check::CrashWorldSpec spec = aug_bu_spec();
   DistExploreOptions opt;
   opt.base.max_crashes = 1;
   opt.heartbeat_interval_ms = 25;
@@ -989,8 +840,8 @@ TEST(DistCluster, LostEndpointDoesNotStallSurvivors) {
   opt.reconnect_window_ms = 3'000;  // 10x the survivor's timeout
   opt.fault_first_job_after = 25;   // the seed job's worker _Exit()s
   auto serial =
-      explore_schedules(check::make_crash_world_factory(spec), opt.base);
-  auto dist = dist::dist_explore_remote(spec, endpoints, opt);
+      explore_schedules(check::make_world_factory(kAugBu), opt.base);
+  auto dist = dist::dist_explore_remote(kAugBu, endpoints, opt);
   wait_all(kids);
   expect_same(dist, serial, "one endpoint lost for good");
   EXPECT_FALSE(dist.error.has_value()) << *dist.error;
@@ -1005,13 +856,12 @@ TEST(DistCluster, CutConnectionIsRedialedUnderItsSessionToken) {
   const std::vector<pid_t> kids =
       fork_serve_workers(1, /*redial_window_ms=*/10'000, endpoints);
   ASSERT_EQ(kids.size(), 1u);
-  const check::CrashWorldSpec spec = aug_bu_spec();
   DistExploreOptions opt;
   opt.base.max_crashes = 1;
   opt.coordinator_faults.cut_after = 2;  // the hello, then the seed job
   auto serial =
-      explore_schedules(check::make_crash_world_factory(spec), opt.base);
-  auto dist = dist::dist_explore_remote(spec, endpoints, opt);
+      explore_schedules(check::make_world_factory(kAugBu), opt.base);
+  auto dist = dist::dist_explore_remote(kAugBu, endpoints, opt);
   wait_all(kids);
   expect_same(dist, serial, "re-dialed after a cut");
   EXPECT_FALSE(dist.error.has_value()) << *dist.error;

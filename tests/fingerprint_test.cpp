@@ -30,6 +30,7 @@
 #include "src/memory/sw_snapshot.h"
 #include "src/runtime/scheduler.h"
 #include "src/util/fingerprint.h"
+#include "tests/test_worlds.h"
 
 namespace revisim {
 namespace {
@@ -43,6 +44,7 @@ using mem::TypedRegister;
 using runtime::ProcessId;
 using runtime::Scheduler;
 using runtime::Task;
+using test_worlds::last_writer_factory;
 
 util::Fingerprint digest_of(Scheduler& sched) {
   util::HashSink sink;
@@ -373,46 +375,9 @@ TEST(StateTable, AuditThrowsOnFabricatedCollision) {
 
 // --- serial dedupe on a state-merging world -------------------------------
 
-Task<void> tag_script(TypedRegister<Val>& reg, Val me, std::size_t writes) {
-  for (std::size_t i = 0; i < writes; ++i) {
-    co_await reg.write(me);
-  }
-}
-
-// Processes stamp their id into one shared register.  The canonical state
-// collapses to (per-process progress, last writer), so schedules that agree
-// on those merge - the transposition win is combinatorial.  The verdict
-// reads only shared state, satisfying the soundness contract with no
-// fingerprint_extra.
-class LastWriterWorld final : public ExplorableWorld {
- public:
-  LastWriterWorld(std::vector<std::size_t> writes, Val banned)
-      : reg_(sched_, "R", Val{-1}), banned_(banned) {
-    for (ProcessId p = 0; p < writes.size(); ++p) {
-      sched_.spawn(tag_script(reg_, Val(p), writes[p]), "w");
-    }
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool complete) override {
-    if (complete && reg_.peek() == banned_) {
-      return "banned last writer";
-    }
-    return std::nullopt;
-  }
-
- private:
-  Scheduler sched_;
-  TypedRegister<Val> reg_;
-  Val banned_;
-};
-
-auto last_writer_factory(std::vector<std::size_t> writes, Val banned) {
-  return [writes = std::move(writes), banned] {
-    return std::make_unique<LastWriterWorld>(writes, banned);
-  };
-}
+// LastWriterWorld (tests/test_worlds.h): processes stamp their id into one
+// shared register, so the canonical state collapses to (per-process
+// progress, last writer) and the transposition win is combinatorial.
 
 TEST(SerialDedupe, PreservesViolationVerdict) {
   // Both explorers stop at their first violating leaf, so execution counts

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "src/augmented/augmented_snapshot.h"
-#include "src/augmented/linearizer.h"
 #include "src/check/model_check.h"
 #include "src/check/parallel_explore.h"
+#include "src/check/worlds.h"
 #include "src/runtime/scheduler.h"
 
 namespace revisim {
@@ -29,64 +29,15 @@ Task<void> bu_script(AugmentedSnapshot& m, ProcessId me,
   }
 }
 
-Task<void> wide_bu_script(AugmentedSnapshot& m, ProcessId me) {
-  std::vector<std::size_t> comps{0, 1};
-  std::vector<Val> vals{Val(10 * (me + 1)), Val(10 * (me + 1) + 1)};
-  co_await m.BlockUpdate(me, comps, vals);
-}
-
-Task<void> scan_script(AugmentedSnapshot& m, ProcessId me) {
-  co_await m.Scan(me);
-  co_await m.Scan(me);
-}
-
-class AugWorld final : public ExplorableWorld {
- public:
-  enum class Shape { kTwoSingles, kWideVsScan, kWideVsWide, kThreeMixed };
-
-  explicit AugWorld(Shape shape) {
-    const std::size_t f = shape == Shape::kThreeMixed ? 3 : 2;
-    m_ = std::make_unique<AugmentedSnapshot>(sched_, "M", 2, f);
-    switch (shape) {
-      case Shape::kTwoSingles:
-        sched_.spawn(bu_script(*m_, 0, {{0, 1}}), "q1");
-        sched_.spawn(bu_script(*m_, 1, {{1, 2}}), "q2");
-        break;
-      case Shape::kWideVsScan:
-        sched_.spawn(wide_bu_script(*m_, 0), "q1");
-        sched_.spawn(scan_script(*m_, 1), "q2");
-        break;
-      case Shape::kWideVsWide:
-        sched_.spawn(wide_bu_script(*m_, 0), "q1");
-        sched_.spawn(wide_bu_script(*m_, 1), "q2");
-        break;
-      case Shape::kThreeMixed:
-        sched_.spawn(bu_script(*m_, 0, {{0, 1}}), "q1");
-        sched_.spawn(wide_bu_script(*m_, 1), "q2");
-        sched_.spawn(scan_script(*m_, 2), "q3");
-        break;
-    }
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool complete) override {
-    (void)complete;  // the linearizer accepts partial executions
-    auto lin = aug::linearize(m_->log(), 2);
-    if (!lin.ok()) {
-      return lin.violations.front();
-    }
-    return std::nullopt;
-  }
-
- private:
-  Scheduler sched_;
-  std::unique_ptr<AugmentedSnapshot> m_;
-};
+// The registry's augmented-snapshot script worlds (src/check/worlds.h):
+// one op word per process, verdict = the §3.3 linearizer.
+const char* const kTwoSingles = "aug-script:2,u0,u1";
+const char* const kWideVsScan = "aug-script:2,w,ss";
+const char* const kWideVsWide = "aug-script:2,w,w";
+const char* const kThreeMixed = "aug-script:2,u0,w,ss";
 
 TEST(ScheduleExplorer, TwoSingleBlockUpdatesExhaustive) {
-  auto res = explore_schedules(
-      [] { return std::make_unique<AugWorld>(AugWorld::Shape::kTwoSingles); });
+  auto res = explore_schedules(check::make_world_factory(kTwoSingles));
   EXPECT_TRUE(res.exhausted);
   EXPECT_FALSE(res.violation) << *res.violation << " witness size "
                               << res.witness.size();
@@ -98,16 +49,14 @@ TEST(ScheduleExplorer, TwoSingleBlockUpdatesExhaustive) {
 }
 
 TEST(ScheduleExplorer, WideBlockUpdateVersusScanExhaustive) {
-  auto res = explore_schedules(
-      [] { return std::make_unique<AugWorld>(AugWorld::Shape::kWideVsScan); });
+  auto res = explore_schedules(check::make_world_factory(kWideVsScan));
   EXPECT_TRUE(res.exhausted);
   EXPECT_FALSE(res.violation) << *res.violation;
   EXPECT_GT(res.executions, 100u);
 }
 
 TEST(ScheduleExplorer, WideVersusWideExhaustive) {
-  auto res = explore_schedules(
-      [] { return std::make_unique<AugWorld>(AugWorld::Shape::kWideVsWide); });
+  auto res = explore_schedules(check::make_world_factory(kWideVsWide));
   EXPECT_TRUE(res.exhausted);
   EXPECT_FALSE(res.violation) << *res.violation;
 }
@@ -115,9 +64,7 @@ TEST(ScheduleExplorer, WideVersusWideExhaustive) {
 TEST(ScheduleExplorer, ThreeProcessesBounded) {
   ScheduleExploreOptions opt;
   opt.max_executions = 60'000;
-  auto res = explore_schedules(
-      [] { return std::make_unique<AugWorld>(AugWorld::Shape::kThreeMixed); },
-      opt);
+  auto res = explore_schedules(check::make_world_factory(kThreeMixed), opt);
   EXPECT_FALSE(res.violation) << *res.violation;
   EXPECT_GE(res.executions, 10'000u);
 }
@@ -148,19 +95,17 @@ class BrokenWorld final : public ExplorableWorld {
 // the seed instances, for any thread count.
 TEST(ScheduleExplorer, ParallelParityOnSeedInstances) {
   struct Case {
-    AugWorld::Shape shape;
+    const char* world;
     std::size_t max_executions;
   };
   const Case cases[] = {
-      {AugWorld::Shape::kTwoSingles, 500'000},
-      {AugWorld::Shape::kWideVsScan, 500'000},
-      {AugWorld::Shape::kWideVsWide, 500'000},
-      {AugWorld::Shape::kThreeMixed, 20'000},  // cap exercised in the merge
+      {kTwoSingles, 500'000},
+      {kWideVsScan, 500'000},
+      {kWideVsWide, 500'000},
+      {kThreeMixed, 20'000},  // cap exercised in the merge
   };
   for (const Case& c : cases) {
-    auto factory = [shape = c.shape] {
-      return std::make_unique<AugWorld>(shape);
-    };
+    auto factory = check::make_world_factory(c.world);
     check::ScheduleExploreOptions base;
     base.max_executions = c.max_executions;
     auto serial = explore_schedules(factory, base);
@@ -169,8 +114,8 @@ TEST(ScheduleExplorer, ParallelParityOnSeedInstances) {
       opt.base = base;
       opt.threads = threads;
       auto par = check::parallel_explore_schedules(factory, opt);
-      const auto what = "shape=" + std::to_string(int(c.shape)) +
-                        " threads=" + std::to_string(threads);
+      const auto what =
+          std::string(c.world) + " threads=" + std::to_string(threads);
       EXPECT_EQ(par.executions, serial.executions) << what;
       EXPECT_EQ(par.exhausted, serial.exhausted) << what;
       EXPECT_EQ(par.violation, serial.violation) << what;

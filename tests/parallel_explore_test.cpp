@@ -1,13 +1,13 @@
 // Parallel schedule exploration and explorer-core semantics on worlds whose
 // schedule trees are known in closed form.
 //
-// Each ScriptWorld process performs a fixed number of writes, and every
-// write appends the process id to a world-local order log, so a completed
-// execution's log *is* its schedule.  Leaf counts are multinomial
-// coefficients and a planted violation's DFS index is the lexicographic
-// rank of its schedule - which pins down cap-boundary accounting, the
-// lexicographically-smallest-witness guarantee, and bit-identical results
-// across thread counts and steal timings.  Parallel
+// Each ScriptWorld (tests/test_worlds.h) process performs a fixed number
+// of writes, and every write appends the process id to a world-local order
+// log, so a completed execution's log *is* its schedule.  Leaf counts are
+// multinomial coefficients and a planted violation's DFS index is the
+// lexicographic rank of its schedule - which pins down cap-boundary
+// accounting, the lexicographically-smallest-witness guarantee, and
+// bit-identical results across thread counts and steal timings.  Parallel
 // runs set `oversubscribe` so real worker threads (and therefore real
 // steals and shared-table races) happen even on a single-core machine.
 #include <gtest/gtest.h>
@@ -24,8 +24,9 @@
 #include "src/augmented/linearizer.h"
 #include "src/check/model_check.h"
 #include "src/check/parallel_explore.h"
-#include "src/memory/register.h"
+#include "src/check/worlds.h"
 #include "src/runtime/scheduler.h"
+#include "tests/test_worlds.h"
 
 namespace revisim {
 namespace {
@@ -42,62 +43,18 @@ using runtime::Scheduler;
 using runtime::StepKind;
 using runtime::Task;
 
-using Schedule = std::vector<ProcessId>;
+using test_worlds::last_writer_factory;
+using test_worlds::Schedule;
+using test_worlds::script_factory;
+using test_worlds::ScriptWorld;
 
-Task<void> count_script(Scheduler& sched, std::size_t obj,
-                        std::vector<ProcessId>& order, ProcessId me,
-                        std::size_t writes) {
-  for (std::size_t i = 0; i < writes; ++i) {
-    co_await runtime::StepAwaiter<void>(
-        sched, [&order, me] { order.push_back(me); }, obj, StepKind::kWrite,
-        {});
-  }
-}
-
-// Processes i = 0..n-1 perform writes[i] steps each; flags a violation on
-// any completed execution whose schedule is in `planted`.
-class ScriptWorld final : public ExplorableWorld {
- public:
-  ScriptWorld(std::vector<std::size_t> writes, std::vector<Schedule> planted)
-      : planted_(std::move(planted)) {
-    const std::size_t obj = sched_.register_object("r");
-    for (ProcessId p = 0; p < writes.size(); ++p) {
-      sched_.spawn(count_script(sched_, obj, order_, p, writes[p]), "q");
-    }
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool complete) override {
-    if (complete &&
-        std::find(planted_.begin(), planted_.end(), order_) != planted_.end()) {
-      return "planted violation";
-    }
-    return std::nullopt;
-  }
-
-  // The verdict reads the world-local order log - state the scheduler digest
-  // cannot see - so the soundness contract requires folding it into the
-  // fingerprint.  Doing so makes every state unique (the log is the
-  // schedule): dedupe must then prune nothing and reproduce undeduped
-  // results bit-for-bit, which the tests below pin down.
-  void fingerprint_extra(util::StateSink& sink) override {
-    util::feed(sink, order_);
-  }
-
-  const Schedule& order() const { return order_; }
-
- private:
-  Scheduler sched_;
-  std::vector<ProcessId> order_;
-  std::vector<Schedule> planted_;
-};
-
-auto script_factory(std::vector<std::size_t> writes,
-                    std::vector<Schedule> planted = {}) {
-  return [writes = std::move(writes), planted = std::move(planted)] {
-    return std::make_unique<ScriptWorld>(writes, planted);
-  };
+// Two processes on one augmented snapshot: q2 runs a Block-Update then a
+// Scan, q1 the same or only the Scan.  The verdict is the §3.3 linearizer
+// over the object's history, which the object's own fingerprint covers (op
+// log, own-component mirrors, H).
+auto aug_mixed_factory(bool q1_updates) {
+  return check::make_world_factory(q1_updates ? "aug-script:2,u0s,u0s"
+                                              : "aug-script:2,s,u0s");
 }
 
 void expect_same(const ScheduleExploreResult& got,
@@ -386,47 +343,6 @@ TEST(ParallelExplore, CapAccountingMatchesSerial) {
 
 // --- transposition dedupe: verdict parity across thread counts ---
 
-Task<void> tag_script(mem::TypedRegister<Val>& reg, Val me,
-                      std::size_t writes) {
-  for (std::size_t i = 0; i < writes; ++i) {
-    co_await reg.write(me);
-  }
-}
-
-// Processes stamp their id into one shared register; the verdict reads only
-// shared state, so the scheduler digest alone satisfies the soundness
-// contract and transpositions merge aggressively (the canonical state is
-// just per-process progress plus the last writer).
-class LastWriterWorld final : public ExplorableWorld {
- public:
-  LastWriterWorld(std::vector<std::size_t> writes, Val banned)
-      : reg_(sched_, "R", Val{-1}), banned_(banned) {
-    for (ProcessId p = 0; p < writes.size(); ++p) {
-      sched_.spawn(tag_script(reg_, Val(p), writes[p]), "w");
-    }
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool complete) override {
-    if (complete && reg_.peek() == banned_) {
-      return "banned last writer";
-    }
-    return std::nullopt;
-  }
-
- private:
-  Scheduler sched_;
-  mem::TypedRegister<Val> reg_;
-  Val banned_;
-};
-
-auto last_writer_factory(std::vector<std::size_t> writes, Val banned) {
-  return [writes = std::move(writes), banned] {
-    return std::make_unique<LastWriterWorld>(writes, banned);
-  };
-}
-
 TEST(ParallelDedupe, VerdictParityAcrossThreadCounts) {
   // Uncapped searches: the violation-found / violation-free verdict must
   // agree between undeduped serial, deduped serial and deduped parallel at
@@ -507,43 +423,6 @@ TEST(ParallelDedupe, FingerprintExtraKeepsUniqueStatesBitIdentical) {
     expect_same(res, plain, "threads=" + std::to_string(threads));
     EXPECT_EQ(res.subtrees_pruned, 0u) << threads;
   }
-}
-
-Task<void> aug_scan(AugmentedSnapshot& m, ProcessId me) {
-  co_await m.Scan(me);
-}
-
-// Two processes on one augmented snapshot: q2 runs a Block-Update then a
-// Scan, q1 the same or only the Scan.  The verdict is the §3.3 linearizer
-// over the object's history, which the object's own fingerprint covers (op
-// log, own-component mirrors, H).
-class AugMixedWorld final : public ExplorableWorld {
- public:
-  explicit AugMixedWorld(bool q1_updates) : m_(sched_, "M", 2, 2) {
-    sched_.spawn(q1_updates ? aug_mixed(m_, 0) : aug_scan(m_, 0), "q1");
-    sched_.spawn(aug_mixed(m_, 1), "q2");
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool complete) override {
-    if (!complete) {
-      return "execution did not finish within the depth bound";
-    }
-    auto lin = aug::linearize(m_.log(), 2);
-    if (!lin.ok()) {
-      return lin.violations.front();
-    }
-    return std::nullopt;
-  }
-
- private:
-  Scheduler sched_;
-  AugmentedSnapshot m_;
-};
-
-auto aug_mixed_factory(bool q1_updates) {
-  return [q1_updates] { return std::make_unique<AugMixedWorld>(q1_updates); };
 }
 
 struct DedupeCounts {

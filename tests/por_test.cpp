@@ -16,13 +16,13 @@
 #include <string>
 #include <vector>
 
-#include "src/augmented/augmented_snapshot.h"
-#include "src/augmented/linearizer.h"
 #include "src/check/model_check.h"
 #include "src/check/parallel_explore.h"
+#include "src/check/worlds.h"
 #include "src/memory/collect_snapshot.h"
 #include "src/memory/register.h"
 #include "src/runtime/scheduler.h"
+#include "tests/test_worlds.h"
 
 namespace revisim {
 namespace {
@@ -37,60 +37,7 @@ using runtime::ProcessId;
 using runtime::Scheduler;
 using runtime::StepKind;
 using runtime::Task;
-
-Task<void> own_script(mem::TypedRegister<int>& r, std::size_t writes) {
-  for (std::size_t i = 1; i <= writes; ++i) {
-    co_await r.write(static_cast<int>(i));
-  }
-}
-
-// Processes touching disjoint registers: every pair of steps from distinct
-// processes is independent, except each process's *first* step, which is
-// opaque (an unstarted process has nothing poised to introspect).  The
-// verdict is a predicate of the final registers, evaluated at complete and
-// truncated leaves alike, so it is trace-invariant by construction.
-class DisjointWorld final : public ExplorableWorld {
- public:
-  DisjointWorld(std::size_t procs, std::size_t writes,
-                std::vector<int> planted = {})
-      : planted_(std::move(planted)) {
-    regs_.reserve(procs);
-    for (std::size_t p = 0; p < procs; ++p) {
-      regs_.push_back(std::make_unique<mem::TypedRegister<int>>(
-          sched_, "r" + std::to_string(p), 0));
-    }
-    for (std::size_t p = 0; p < procs; ++p) {
-      sched_.spawn(own_script(*regs_[p], writes), "q");
-    }
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool /*complete*/) override {
-    if (planted_.size() == regs_.size()) {
-      bool match = true;
-      for (std::size_t p = 0; p < regs_.size(); ++p) {
-        match = match && regs_[p]->peek() == planted_[p];
-      }
-      if (match) {
-        return "planted register state";
-      }
-    }
-    return std::nullopt;
-  }
-
- private:
-  Scheduler sched_;
-  std::vector<std::unique_ptr<mem::TypedRegister<int>>> regs_;
-  std::vector<int> planted_;
-};
-
-auto disjoint_factory(std::size_t procs, std::size_t writes,
-                      std::vector<int> planted = {}) {
-  return [procs, writes, planted = std::move(planted)] {
-    return std::make_unique<DisjointWorld>(procs, writes, planted);
-  };
-}
+using test_worlds::register_factory;
 
 // Mixed sharing: every process writes its own register, then a shared one,
 // then its own again, so the tree holds both genuinely independent and
@@ -174,36 +121,6 @@ class CollectWorld final : public ExplorableWorld {
   mem::CollectSnapshot snap_;
 };
 
-// Small augmented-snapshot world (every step opaque by design).
-class AugWorld final : public ExplorableWorld {
- public:
-  AugWorld() {
-    m_ = std::make_unique<aug::AugmentedSnapshot>(sched_, "M", 2, 2);
-    sched_.spawn(script(*m_, 0), "q1");
-    sched_.spawn(script(*m_, 1), "q2");
-  }
-
-  static Task<void> script(aug::AugmentedSnapshot& m, ProcessId me) {
-    std::vector<std::size_t> comps{std::size_t(me)};
-    std::vector<Val> vals{Val(static_cast<int>(me) + 1)};
-    co_await m.BlockUpdate(me, comps, vals);
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool /*complete*/) override {
-    auto lin = aug::linearize(m_->log(), 2);
-    if (!lin.ok()) {
-      return lin.violations.front();
-    }
-    return std::nullopt;
-  }
-
- private:
-  Scheduler sched_;
-  std::unique_ptr<aug::AugmentedSnapshot> m_;
-};
-
 void expect_parity(const ScheduleExploreResult& por,
                    const ScheduleExploreResult& plain, const std::string& what) {
   EXPECT_EQ(por.exhausted, plain.exhausted) << what;
@@ -219,11 +136,11 @@ TEST(Por, TwoByTwoDisjointAnchor) {
   // (the opaque first steps are dependent with everything; only the second
   // steps commute).  Sleep sets explore exactly one representative each.
   ScheduleExploreOptions opt;
-  auto plain = explore_schedules(disjoint_factory(2, 2), opt);
+  auto plain = explore_schedules(register_factory(0, 2, 2), opt);
   ASSERT_TRUE(plain.exhausted);
   EXPECT_EQ(plain.executions, 6u);
   opt.por = true;
-  auto por = explore_schedules(disjoint_factory(2, 2), opt);
+  auto por = explore_schedules(register_factory(0, 2, 2), opt);
   expect_parity(por, plain, "2x2 disjoint");
   EXPECT_EQ(por.executions, 4u);
   EXPECT_GT(por.por_skipped, 0u);
@@ -232,11 +149,11 @@ TEST(Por, TwoByTwoDisjointAnchor) {
 
 TEST(Por, DisjointThreeProcsLargeReduction) {
   ScheduleExploreOptions opt;
-  auto plain = explore_schedules(disjoint_factory(3, 4), opt);
+  auto plain = explore_schedules(register_factory(0, 3, 4), opt);
   ASSERT_TRUE(plain.exhausted);
   EXPECT_EQ(plain.executions, 34650u);  // 12! / (4!)^3
   opt.por = true;
-  auto por = explore_schedules(disjoint_factory(3, 4), opt);
+  auto por = explore_schedules(register_factory(0, 3, 4), opt);
   expect_parity(por, plain, "3x4 disjoint");
   // The reduction target the bench gates on is 2x; disjoint-access worlds
   // collapse far harder than that.
@@ -248,10 +165,10 @@ TEST(Por, PlantedFinalStateKeepsLexSmallestWitness) {
   // both processes stepped exactly twice when the depth bound cut in.
   ScheduleExploreOptions opt;
   opt.max_steps = 4;  // truncate: leaves with differing partial states
-  auto plain = explore_schedules(disjoint_factory(2, 3, {2, 2}), opt);
+  auto plain = explore_schedules(register_factory(0, 2, 3, {2, 2}), opt);
   ASSERT_TRUE(plain.violation.has_value());
   opt.por = true;
-  auto por = explore_schedules(disjoint_factory(2, 3, {2, 2}), opt);
+  auto por = explore_schedules(register_factory(0, 2, 3, {2, 2}), opt);
   expect_parity(por, plain, "planted disjoint");
 }
 
@@ -298,14 +215,14 @@ TEST(Por, CollectSnapshotWritersReduce) {
 TEST(Por, OpaqueAugmentedWorldIsUntouched) {
   // Every augmented-H step is opaque, so POR must walk the identical tree:
   // same executions, zero skips.
+  // Two single-component Block-Updates on a small augmented snapshot.
+  const auto factory = check::make_world_factory("aug-script:2,u0,u1");
   ScheduleExploreOptions opt;
-  auto plain = explore_schedules([] { return std::make_unique<AugWorld>(); },
-                                 opt);
+  auto plain = explore_schedules(factory, opt);
   ASSERT_TRUE(plain.exhausted);
   ASSERT_FALSE(plain.violation);
   opt.por = true;
-  auto por = explore_schedules([] { return std::make_unique<AugWorld>(); },
-                               opt);
+  auto por = explore_schedules(factory, opt);
   EXPECT_EQ(por.executions, plain.executions);
   EXPECT_EQ(por.por_skipped, 0u);
   EXPECT_EQ(por.exhausted, plain.exhausted);
@@ -330,9 +247,9 @@ TEST(Por, CrashBranchingDisjointParity) {
   ScheduleExploreOptions opt;
   opt.max_crashes = 1;
   opt.max_steps = 5;
-  auto plain = explore_schedules(disjoint_factory(2, 2), opt);
+  auto plain = explore_schedules(register_factory(0, 2, 2), opt);
   opt.por = true;
-  auto por = explore_schedules(disjoint_factory(2, 2), opt);
+  auto por = explore_schedules(register_factory(0, 2, 2), opt);
   expect_parity(por, plain, "disjoint crash");
 }
 
@@ -341,7 +258,7 @@ TEST(Por, CrashBranchingDisjointParity) {
 TEST(Por, ParallelParityAcrossThreadCounts) {
   ScheduleExploreOptions base;
   base.por = true;
-  auto serial = explore_schedules(disjoint_factory(3, 3), base);
+  auto serial = explore_schedules(register_factory(0, 3, 3), base);
   ASSERT_TRUE(serial.exhausted);
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     ParallelExploreOptions opt;
@@ -349,7 +266,7 @@ TEST(Por, ParallelParityAcrossThreadCounts) {
     opt.threads = threads;
     opt.oversubscribe = true;
     opt.serial_probe_executions = 0;  // force the real worker pool
-    auto par = parallel_explore_schedules(disjoint_factory(3, 3), opt);
+    auto par = parallel_explore_schedules(register_factory(0, 3, 3), opt);
     EXPECT_EQ(par.executions, serial.executions) << threads;
     EXPECT_EQ(par.exhausted, serial.exhausted) << threads;
     EXPECT_EQ(par.violation, serial.violation) << threads;
@@ -386,9 +303,9 @@ TEST(Por, ComposesWithDedupe) {
   // differ: transpositions prune some representatives first).
   ScheduleExploreOptions opt;
   opt.por = true;
-  auto por = explore_schedules(disjoint_factory(3, 3), opt);
+  auto por = explore_schedules(register_factory(0, 3, 3), opt);
   opt.dedupe_states = true;
-  auto both = explore_schedules(disjoint_factory(3, 3), opt);
+  auto both = explore_schedules(register_factory(0, 3, 3), opt);
   EXPECT_TRUE(both.exhausted);
   EXPECT_EQ(both.violation, por.violation);
   EXPECT_LE(both.executions, por.executions);

@@ -8,6 +8,7 @@
 #include "src/augmented/augmented_snapshot.h"
 #include "src/check/model_check.h"
 #include "src/check/parallel_explore.h"
+#include "src/check/worlds.h"
 #include "src/protocols/racing_agreement.h"
 #include "src/protocols/sim_process.h"
 #include "src/runtime/adversary.h"
@@ -136,54 +137,24 @@ TEST(Robustness, DriverValidatesArguments) {
                std::invalid_argument);
 }
 
-// Exhaustive-schedule sweep of a complete tiny simulation: racing(n=2,m=1)
-// under two covering simulators; every interleaving must terminate, replay
-// to a legal execution, and produce valid outputs.
-class TinySimWorld final : public check::ExplorableWorld {
- public:
-  explicit TinySimWorld(std::size_t d)
-      : protocol_(2, 1), driver_(sched_, protocol_, {10, 20}, options(d)) {}
-
-  static sim::SimulationDriver::Options options(std::size_t d) {
-    sim::SimulationDriver::Options opt;
-    opt.d = d;
-    return opt;
-  }
-
-  Scheduler& scheduler() override { return sched_; }
-
-  std::optional<std::string> verdict(bool complete) override {
-    if (!complete) {
-      return "execution did not finish within the depth bound";
-    }
-    auto report = sim::validate_simulation(driver_);
-    if (!report.ok()) {
-      return report.violations.front();
-    }
-    for (Val y : driver_.outputs()) {
-      if (y != 10 && y != 20) {
-        return "output " + std::to_string(y) + " is not an input";
-      }
-    }
-    return std::nullopt;
-  }
-
- private:
-  Scheduler sched_;
-  proto::RacingAgreement protocol_;
-  sim::SimulationDriver driver_;
-};
+// Exhaustive-schedule sweeps of a complete tiny simulation: racing(n=2,m=1)
+// under two simulators, d of them direct (the registry's sim-racing world,
+// src/check/worlds.h); every interleaving must terminate, replay to a legal
+// execution, and produce valid outputs.
+auto tiny_sim_factory(std::size_t d) {
+  return check::make_world_factory("sim-racing:2,1," + std::to_string(d) +
+                                   ",1");
+}
 
 TEST(Robustness, ExhaustiveTinySimulationCoveringOnly) {
   check::ScheduleExploreOptions opt;
   opt.max_steps = 64;
   opt.max_executions = 400'000;
-  auto res = check::explore_schedules(
-      [] { return std::make_unique<TinySimWorld>(0); }, opt);
+  auto res = check::explore_schedules(tiny_sim_factory(0), opt);
   EXPECT_TRUE(res.exhausted);
   EXPECT_FALSE(res.violation) << *res.violation;
   // m = 1 keeps the simulators short; the tree is small but complete.
-  EXPECT_GE(res.executions, 10u);
+  EXPECT_EQ(res.executions, 20u);
 }
 
 TEST(Robustness, ExhaustiveTinySimulationWithDirectSimulator) {
@@ -192,30 +163,37 @@ TEST(Robustness, ExhaustiveTinySimulationWithDirectSimulator) {
   check::ScheduleExploreOptions opt;
   opt.max_steps = 160;
   opt.max_executions = 400'000;
-  auto res = check::explore_schedules(
-      [] { return std::make_unique<TinySimWorld>(1); }, opt);
+  auto res = check::explore_schedules(tiny_sim_factory(1), opt);
   EXPECT_TRUE(res.exhausted);
   EXPECT_FALSE(res.violation) << *res.violation;
-  EXPECT_GE(res.executions, 100u);
+  EXPECT_EQ(res.executions, 3'605u);
 }
 
 TEST(Robustness, ParallelParityOnTinySimulations) {
   // Whole-simulation worlds (driver + simulators + validator verdicts) under
   // the parallel explorer: results must match the serial sweep bit-for-bit
-  // for every thread count.
-  for (std::size_t d : {0u, 1u}) {
+  // for every thread count.  On the register substrate the tree is far
+  // larger, so that sweep is capped.
+  struct Case {
+    std::string world;
+    std::size_t max_steps;
+    std::size_t max_executions;
+  };
+  for (const Case& c : {Case{"sim-racing:2,1,0,1", 64, 400'000},
+                        Case{"sim-racing:2,1,1,1", 160, 400'000},
+                        Case{"sim-racing:2,1,0,1,registers", 160, 3'000}}) {
     check::ScheduleExploreOptions base;
-    base.max_steps = d == 0 ? 64 : 160;
-    base.max_executions = 400'000;
-    auto factory = [d] { return std::make_unique<TinySimWorld>(d); };
+    base.max_steps = c.max_steps;
+    base.max_executions = c.max_executions;
+    auto factory = check::make_world_factory(c.world);
     auto serial = check::explore_schedules(factory, base);
+    EXPECT_FALSE(serial.violation) << c.world << ": " << *serial.violation;
     for (std::size_t threads : {1u, 2u, 4u}) {
       check::ParallelExploreOptions opt;
       opt.base = base;
       opt.threads = threads;
       auto par = check::parallel_explore_schedules(factory, opt);
-      const auto what =
-          "d=" + std::to_string(d) + " threads=" + std::to_string(threads);
+      const auto what = c.world + " threads=" + std::to_string(threads);
       EXPECT_EQ(par.executions, serial.executions) << what;
       EXPECT_EQ(par.exhausted, serial.exhausted) << what;
       EXPECT_EQ(par.violation, serial.violation) << what;

@@ -1,0 +1,203 @@
+// Closed-form worlds shared by the explorer tests.
+//
+// ScriptWorld: process i performs writes[i] steps, and every step appends
+// the process id to a world-local order log, so a completed execution's
+// log *is* its schedule.  Leaf counts are multinomial coefficients and a
+// planted violation's DFS index is the lexicographic rank of its schedule,
+// which pins down cap-boundary accounting, the lexicographically-smallest
+// witness guarantee, and bit-identical results across thread counts,
+// worker counts and steal timings.  Processes with index >= first_private
+// write a private register instead of the shared one, giving POR
+// step-swap classes to collapse; parity tests that enable POR must plant
+// nothing (the order log is not trace-invariant).
+//
+// RegisterWorld: `contended` processes write one shared register (every
+// pair of their steps conflicts) and `private_procs` more write a register
+// of their own each (independent, so POR collapses their placements); each
+// process writes 1, 2, ..., writes.  Footprints come from the real memory
+// primitive, where ScriptWorld's raw StepAwaiters are opaque to POR.  The
+// verdict is a predicate of the final private registers, so it is
+// trace-invariant by construction.
+//
+// LastWriterWorld: processes stamp their id into one shared register.  The
+// canonical state collapses to (per-process progress, last writer), so
+// schedules that agree on those merge and the transposition win is
+// combinatorial.  The verdict reads only shared state, satisfying the
+// fingerprint soundness contract with no fingerprint_extra.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/check/model_check.h"
+#include "src/memory/register.h"
+#include "src/runtime/scheduler.h"
+#include "src/util/fingerprint.h"
+
+namespace revisim::test_worlds {
+
+using Schedule = std::vector<runtime::ProcessId>;
+
+inline runtime::Task<void> count_script(runtime::Scheduler& sched,
+                                        std::size_t obj, Schedule& order,
+                                        runtime::ProcessId me,
+                                        std::size_t writes) {
+  for (std::size_t i = 0; i < writes; ++i) {
+    co_await runtime::StepAwaiter<void>(
+        sched, [&order, me] { order.push_back(me); }, obj,
+        runtime::StepKind::kWrite, {});
+  }
+}
+
+// Flags a violation on any completed execution whose schedule is in
+// `planted`.
+class ScriptWorld final : public check::ExplorableWorld {
+ public:
+  explicit ScriptWorld(std::vector<std::size_t> writes,
+                       std::vector<Schedule> planted = {},
+                       std::size_t first_private = SIZE_MAX)
+      : planted_(std::move(planted)) {
+    const std::size_t shared = sched_.register_object("r");
+    for (runtime::ProcessId p = 0; p < writes.size(); ++p) {
+      const std::size_t obj =
+          p >= first_private ? sched_.register_object("own") : shared;
+      sched_.spawn(count_script(sched_, obj, order_, p, writes[p]), "q");
+    }
+  }
+
+  runtime::Scheduler& scheduler() override { return sched_; }
+
+  std::optional<std::string> verdict(bool complete) override {
+    if (complete &&
+        std::find(planted_.begin(), planted_.end(), order_) != planted_.end()) {
+      return "planted violation";
+    }
+    return std::nullopt;
+  }
+
+  // The verdict reads the order log, so the soundness contract requires
+  // folding it in; every state is then unique, and dedupe must prune
+  // nothing and reproduce undeduped results bit-for-bit.
+  void fingerprint_extra(util::StateSink& sink) override {
+    util::feed(sink, order_);
+  }
+
+  const Schedule& order() const { return order_; }
+
+ private:
+  runtime::Scheduler sched_;
+  Schedule order_;
+  std::vector<Schedule> planted_;
+};
+
+inline auto script_factory(std::vector<std::size_t> writes,
+                           std::vector<Schedule> planted = {},
+                           std::size_t first_private = SIZE_MAX) {
+  return [writes = std::move(writes), planted = std::move(planted),
+          first_private] {
+    return std::make_unique<ScriptWorld>(writes, planted, first_private);
+  };
+}
+
+inline runtime::Task<void> count_up(mem::TypedRegister<int>& reg,
+                                    std::size_t writes) {
+  for (std::size_t i = 1; i <= writes; ++i) {
+    co_await reg.write(static_cast<int>(i));
+  }
+}
+
+// Flags an execution whose private registers end at `planted`.
+class RegisterWorld final : public check::ExplorableWorld {
+ public:
+  RegisterWorld(std::size_t contended, std::size_t private_procs,
+                std::size_t writes, std::vector<int> planted = {})
+      : planted_(std::move(planted)) {
+    if (contended > 0) {
+      shared_ = std::make_unique<mem::TypedRegister<int>>(sched_, "shared", 0);
+    }
+    for (std::size_t p = 0; p < contended; ++p) {
+      sched_.spawn(count_up(*shared_, writes), "q");
+    }
+    own_.reserve(private_procs);
+    for (std::size_t p = 0; p < private_procs; ++p) {
+      own_.push_back(std::make_unique<mem::TypedRegister<int>>(
+          sched_, "r" + std::to_string(p), 0));
+    }
+    for (auto& reg : own_) {
+      sched_.spawn(count_up(*reg, writes), "q");
+    }
+  }
+
+  runtime::Scheduler& scheduler() override { return sched_; }
+
+  std::optional<std::string> verdict(bool /*complete*/) override {
+    if (planted_.empty() || planted_.size() != own_.size()) {
+      return std::nullopt;
+    }
+    for (std::size_t p = 0; p < own_.size(); ++p) {
+      if (own_[p]->peek() != planted_[p]) {
+        return std::nullopt;
+      }
+    }
+    return "planted register state";
+  }
+
+ private:
+  runtime::Scheduler sched_;
+  std::unique_ptr<mem::TypedRegister<int>> shared_;
+  std::vector<std::unique_ptr<mem::TypedRegister<int>>> own_;
+  std::vector<int> planted_;
+};
+
+inline auto register_factory(std::size_t contended, std::size_t private_procs,
+                             std::size_t writes, std::vector<int> planted = {}) {
+  return [=] {
+    return std::make_unique<RegisterWorld>(contended, private_procs, writes,
+                                           planted);
+  };
+}
+
+inline runtime::Task<void> tag_script(mem::TypedRegister<Val>& reg, Val me,
+                                      std::size_t writes) {
+  for (std::size_t i = 0; i < writes; ++i) {
+    co_await reg.write(me);
+  }
+}
+
+// Flags a completed execution whose last writer is `banned`.
+class LastWriterWorld final : public check::ExplorableWorld {
+ public:
+  LastWriterWorld(std::vector<std::size_t> writes, Val banned)
+      : reg_(sched_, "R", Val{-1}), banned_(banned) {
+    for (runtime::ProcessId p = 0; p < writes.size(); ++p) {
+      sched_.spawn(tag_script(reg_, Val(p), writes[p]), "w");
+    }
+  }
+
+  runtime::Scheduler& scheduler() override { return sched_; }
+
+  std::optional<std::string> verdict(bool complete) override {
+    if (complete && reg_.peek() == banned_) {
+      return "banned last writer";
+    }
+    return std::nullopt;
+  }
+
+ private:
+  runtime::Scheduler sched_;
+  mem::TypedRegister<Val> reg_;
+  Val banned_;
+};
+
+inline auto last_writer_factory(std::vector<std::size_t> writes, Val banned) {
+  return [writes = std::move(writes), banned] {
+    return std::make_unique<LastWriterWorld>(writes, banned);
+  };
+}
+
+}  // namespace revisim::test_worlds
