@@ -42,8 +42,8 @@ int main() {
       std::printf(" %.6f", as_real(*run.output(i)));
     }
     tasks::ApproxAgreementTask task(eps);
-    auto v = task.validate({to_fixed(0.0), to_fixed(1.0), to_fixed(0.25),
-                            to_fixed(0.75)},
+    auto v = task.validate(std::vector<Val>{to_fixed(0.0), to_fixed(1.0),
+                                            to_fixed(0.25), to_fixed(0.75)},
                            run.outputs());
     std::printf("\n  within eps = %g and the input range: %s\n\n", eps,
                 v.ok ? "yes" : v.reason.c_str());

@@ -70,10 +70,25 @@ class IAugmentedSnapshot : public util::Pooled {
   // Block-Updates can starve it.
   virtual runtime::Task<ScanResult> Scan(runtime::ProcessId me) = 0;
 
+  // A Block-Update's arguments, in the block pool like everything else a
+  // world's steps make.
+  using Comps = util::PoolVector<std::size_t>;
+  using Vals = util::PoolVector<Val>;
+
   // Algorithm 4.  Wait-free: exactly 6 steps on H (5 when yielding).
-  virtual runtime::Task<BlockUpdateResult> BlockUpdate(
-      runtime::ProcessId me, std::vector<std::size_t> comps,
-      std::vector<Val> vals) = 0;
+  virtual runtime::Task<BlockUpdateResult> BlockUpdate(runtime::ProcessId me,
+                                                       Comps comps,
+                                                       Vals vals) = 0;
+
+  // The same, for callers holding heap vectors: copies them into pooled
+  // storage.  Heap vectors made inside a world's steps keep the explorer
+  // from checkpointing that world (src/check/explore_core.h).
+  runtime::Task<BlockUpdateResult> BlockUpdate(
+      runtime::ProcessId me, const std::vector<std::size_t>& comps,
+      const std::vector<Val>& vals) {
+    return BlockUpdate(me, Comps(comps.begin(), comps.end()),
+                       Vals(vals.begin(), vals.end()));
+  }
 
   [[nodiscard]] virtual const OpLog& log() const noexcept = 0;
 
@@ -252,9 +267,10 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     co_return ScanResult{std::move(v), op_id};
   }
 
-  runtime::Task<BlockUpdateResult> BlockUpdate(
-      runtime::ProcessId me, std::vector<std::size_t> comps,
-      std::vector<Val> vals) override {
+  using IAugmentedSnapshot::BlockUpdate;
+  runtime::Task<BlockUpdateResult> BlockUpdate(runtime::ProcessId me,
+                                               Comps comps,
+                                               Vals vals) override {
     if (comps.empty() || comps.size() != vals.size()) {
       throw std::invalid_argument("Block-Update needs r >= 1 components");
     }

@@ -207,9 +207,8 @@ Timestamp new_timestamp(const HView& h, std::size_t me) {
 
 View get_view(const HView& h, std::size_t m) {
   View out(m);
-  // Scratch kept per thread: every Scan and Block-Update calls this.
-  thread_local std::vector<const UpdateTriple*> best;
-  best.assign(m, nullptr);
+  // Pooled scratch: every Scan and Block-Update calls this inside a step.
+  util::PoolVector<const UpdateTriple*> best(m, nullptr);
   for (const HComp& comp : h) {
     for (const UpdateTriple& tr : comp.triples()) {
       assert(tr.component < m);

@@ -53,9 +53,10 @@ class MutantAugmentedSnapshot final : public IAugmentedSnapshot {
     return inner_.Scan(me);
   }
 
-  runtime::Task<BlockUpdateResult> BlockUpdate(
-      runtime::ProcessId me, std::vector<std::size_t> comps,
-      std::vector<Val> vals) override {
+  using IAugmentedSnapshot::BlockUpdate;
+  runtime::Task<BlockUpdateResult> BlockUpdate(runtime::ProcessId me,
+                                               Comps comps,
+                                               Vals vals) override {
     // The fault: wait for quiescence before updating.  The inner Scan's
     // double collect is unbounded under concurrent update batches, so this
     // Block-Update's own-step count grows with interference.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/check/state_table.h"
+#include "src/util/pool.h"
 
 namespace revisim::check::detail {
 namespace {
@@ -26,7 +27,21 @@ struct Frame {
   // folded in by a donation, which the serial walk drops silently at this
   // frame (they only start counting once they survive a level deeper).
   std::size_t sleep_inherited = 0;
+  // Whether this node's checkpoint is on the arena's checkpoint stack.
+  bool saved = false;
 };
+
+// Whether this binary routes the global operator new through the library's
+// counting replacement (a program may replace it again; then the count
+// stays put and no checkpoint can be trusted).
+bool heap_is_counted() {
+  static const bool counted = [] {
+    const std::uint64_t before = util::heap_allocations();
+    ::operator delete(::operator new(1));
+    return util::heap_allocations() != before;
+  }();
+  return counted;
+}
 
 }  // namespace
 
@@ -98,14 +113,38 @@ SubtreeResult explore_job(
   std::vector<Frame> stack;
   std::size_t depth = 0;
 
+  // The world lives in this thread's arena, so every branch node's state is
+  // pushed onto the arena's checkpoint stack at expansion and copied back on
+  // backtrack (src/util/pool.h).  That is sound only while the world holds
+  // no heap memory, so every build, step and fingerprint is watched: once
+  // one of them reaches the global operator new, `in_place` drops and the
+  // rest of the walk rebuilds and replays instead.  Verdicts run only at
+  // leaves, whose state is discarded, so they are not watched.
+  util::ArenaScope arena;
+  bool in_place = arena.active() && heap_is_counted();
+  std::uint64_t heap_mark = 0;
+  auto watch = [&] { heap_mark = util::heap_allocations(); };
+  auto unwatch = [&] {
+    if (util::heap_allocations() != heap_mark) {
+      in_place = false;
+    }
+  };
+  auto step = [&](runtime::Scheduler& sched, runtime::ProcessId entry) {
+    watch();
+    runtime::apply_schedule_entry(sched, entry);
+    unwatch();
+  };
+
   // A fresh world that has executed schedule[0..len).
   auto world_at = [&](std::size_t len) {
+    watch();
     auto w = factory();
+    unwatch();
     if (!options.record_traces) {
       w->scheduler().set_recording(false);
     }
     for (std::size_t i = 0; i < len; ++i) {
-      runtime::apply_schedule_entry(w->scheduler(), schedule[i]);
+      step(w->scheduler(), schedule[i]);
     }
     return w;
   };
@@ -208,7 +247,9 @@ SubtreeResult explore_job(
     // skipped without counting an execution or evaluating a verdict.
     bool pruned = false;
     if (table != nullptr && schedule.size() > prefix.size()) {
+      watch();
       util::Fingerprint fp = world->fingerprint();
+      unwatch();
       if (options.por) {
         // Same state, smaller sleep set => strictly larger subtree, so the
         // sleep set is part of the node's identity: mix its entries (order
@@ -312,6 +353,12 @@ SubtreeResult explore_job(
             f.fps.push_back(fp);
           }
         }
+        f.saved = false;
+        if (in_place && f.choices.size() > 1) {
+          // A full checkpoint stack ends in-place walking, like the heap.
+          f.saved = arena.push_checkpoint();
+          in_place = f.saved;
+        }
         f.next = 1;
         ++depth;
         compute_child_sleep(f, 0);
@@ -322,7 +369,7 @@ SubtreeResult explore_job(
         if (ctx != nullptr && ctx->split.want && ctx->split.want()) {
           try_donate();
         }
-        runtime::apply_schedule_entry(world->scheduler(), schedule.back());
+        step(world->scheduler(), schedule.back());
         continue;
       }
     }
@@ -350,6 +397,10 @@ SubtreeResult explore_job(
            stack[depth - 1].next >= stack[depth - 1].choices.size()) {
       --depth;
       sched_pop();
+      if (stack[depth].saved) {
+        arena.pop_checkpoint();
+        stack[depth].saved = false;
+      }
     }
     if (depth == 0) {
       if (table != nullptr) {
@@ -367,8 +418,22 @@ SubtreeResult explore_job(
     Frame& f = stack[depth - 1];
     compute_child_sleep(f, f.next);
     sched_replace_back(f.choices[f.next++]);
-    world.reset();  // the walk holds one world at a time
-    world = world_at(schedule.size());
+    // Bring the world back to this node, then take its next choice.  While
+    // the walk is in place, every branch node on the stack was saved, and
+    // this node's checkpoint is the top one.
+    if (in_place) {
+      // The world object keeps its address, so `world` still points at it.
+      arena.restore_checkpoint();
+      res.replay_steps_saved += schedule.size() - 1;
+    } else {
+      world.reset();  // the walk holds one world at a time
+      world = world_at(schedule.size() - 1);
+    }
+    if (f.saved && f.next == f.choices.size()) {
+      arena.pop_checkpoint();  // the node will not be visited again
+      f.saved = false;
+    }
+    step(world->scheduler(), schedule.back());
   }
 }
 
@@ -403,6 +468,7 @@ ScheduleExploreResult whole_tree_result(SubtreeResult&& sr) {
   res.por_skipped = sr.por_skipped;
   res.dependent_wakeups = sr.dependent_wakeups;
   res.footprint_bytes = sr.footprint_bytes;
+  res.replay_steps_saved = sr.replay_steps_saved;
   return res;
 }
 

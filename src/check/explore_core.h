@@ -9,22 +9,29 @@
 // SplitHooks.  Keeping a single engine is what makes the serial/parallel
 // parity guarantee hold by construction.
 //
-// Cost model.  Coroutine worlds cannot be copied or rewound, so a world's
-// lifetime covers exactly one root-to-leaf path and evaluating E executions
-// of depth <= D necessarily costs E factory calls and up to E*D steps - the
-// replay explorer meets that lower bound exactly (DESIGN.md finding 7):
-// every backtrack rebuilds a fresh world from the factory and replays the
-// schedule prefix.  What remains are the constant-factor levers: worlds run
-// with trace recording off (Scheduler fast mode); the runnable() buffer and
-// the DFS frames are reused instead of reallocated per node; and the path
-// every execution replays is kept lean below this engine - coroutine frames
-// come from a per-thread pool (src/runtime/task.h), H-log digests are
-// sealed only when a fingerprint asks for them (src/augmented/hstate.h),
-// and world construction, H steps and the Lemma-26 validator reserve or
-// index their containers instead of growing them.  No warm checkpoint
-// worlds are parked at branch nodes: finding 7 makes parking cost-neutral
-// in steps at best, and it measured a net loss in wall clock (DESIGN.md
-// finding 9).
+// Cost model.  A job builds its world once and then walks it in place.
+// The world lives in this thread's arena (src/util/pool.h), at a fixed
+// address, so the engine pushes a copy of the arena's used bytes onto the
+// arena's checkpoint stack at every node with a second choice to come back
+// to, and on backtrack copies the node's checkpoint back instead of
+// rebuilding the world from the factory and replaying the schedule prefix.
+// No pointer moves, so none needs fixing.  A walk of a tree with E leaves,
+// N branch nodes and depth <= D then costs one build, one step per tree
+// edge, N saves and E - 1 restores, where rebuild-and-replay costs E builds
+// and up to E*D steps (DESIGN.md finding 7: that bound holds for explorers
+// that copy a world to a new place, and restoring in place beats it).  A
+// world that takes heap memory while it is built, stepped or fingerprinted
+// cannot be restored, so the engine watches the heap counter around those
+// calls; once it moves (or the checkpoint stack is full), the rest of the
+// job rebuilds and replays.  Results are identical either way, only the
+// cost differs; the steps restores saved are reported as
+// replay_steps_saved.  A job still starts from a fresh build plus a replay
+// of its prefix, so jobs stay pure (prefix, choices) values.  The other
+// constant-factor levers: worlds run with trace recording off (Scheduler
+// fast mode); the runnable() buffer and the DFS frames are reused instead
+// of reallocated per node; coroutine frames come from the pool
+// (src/runtime/task.h), and H-log digests are sealed only when a
+// fingerprint asks for them (src/augmented/hstate.h).
 #pragma once
 
 #include <atomic>
@@ -169,6 +176,9 @@ struct SubtreeResult {
   std::size_t dependent_wakeups = 0;
   // POR: serialized bytes of the footprints captured at node expansions.
   std::uint64_t footprint_bytes = 0;
+  // Steps a replay would have re-applied at the nodes this walk restored
+  // from a checkpoint instead (the node's schedule length, per restore).
+  std::uint64_t replay_steps_saved = 0;
 };
 
 // The one translation between the public option/result structs and the

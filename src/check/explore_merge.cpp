@@ -27,6 +27,7 @@ ScheduleExploreResult merge_job_results(std::vector<MergeJob>& jobs,
       res.por_skipped += j.result->por_skipped;
       res.dependent_wakeups += j.result->dependent_wakeups;
       res.footprint_bytes += j.result->footprint_bytes;
+      res.replay_steps_saved += j.result->replay_steps_saved;
     }
   }
 

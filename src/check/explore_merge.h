@@ -17,7 +17,7 @@
 //     under the cap, truncate at the cap.  Bit-identical to the serial
 //     engine (with dedupe off); independent of job decomposition.
 //
-//   por_skipped, dependent_wakeups, footprint_bytes
+//   por_skipped, dependent_wakeups, footprint_bytes, replay_steps_saved
 //     Summed over every record that COMPLETED its walk -
 //     including records lexicographically past the merge's return point.
 //     They describe work actually performed, not work serially accounted.
@@ -26,7 +26,9 @@
 //     sleep set, so por_skipped and dependent_wakeups equal the serial
 //     values at any worker count (asserted in tests/dist_test.cpp).
 //     footprint_bytes remains genuinely decomposition-dependent
-//     telemetry (a thief captures its donated root's footprints again).
+//     telemetry (a thief captures its donated root's footprints again), and
+//     so does replay_steps_saved (a job replays its prefix from a fresh
+//     build, so where the splits fall decides what restores save).
 //
 //   jobs, steals, states_seen, subtrees_pruned
 //     Owned by the caller (they are global properties of the run, not of

@@ -1,16 +1,17 @@
 // Exhaustive schedule exploration for the coroutine-based real system.
 //
-// Coroutine frames cannot be copied, so the explorer enumerates schedules by
-// *replay*: it rebuilds a fresh world from the user's factory, replays a
-// schedule prefix step by step, inspects which processes are runnable, and
-// backtracks.  Exploration runs on the scheduler's fast mode (no trace
-// recording), rebuilding one world per root-to-leaf path - the replay cost
-// model's lower bound (DESIGN.md finding 7) - and the companion parallel
-// explorer (src/check/parallel_explore.h) splits the search across a
-// work-stealing worker pool, so instances well beyond the historical "two
-// or three processes, a handful of operations" ceiling are in reach - the
-// strongest evidence the reproduction has for the augmented snapshot's
-// §3.3 properties, complementing the per-execution linearizer.
+// The explorer enumerates schedules depth first: it builds a world from the
+// user's factory, steps it along a schedule, inspects which processes are
+// runnable, and backtracks by restoring the world's arena checkpoint at the
+// branch node (or, for worlds that take heap memory, by rebuilding the
+// world and replaying the schedule prefix; src/check/explore_core.h has
+// the cost model).  Exploration runs on the scheduler's fast mode (no trace
+// recording), and the companion parallel explorer
+// (src/check/parallel_explore.h) splits the search across a work-stealing
+// worker pool, so instances well beyond the historical "two or three
+// processes, a handful of operations" ceiling are in reach - the strongest
+// evidence the reproduction has for the augmented snapshot's §3.3
+// properties, complementing the per-execution linearizer.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +23,7 @@
 
 #include "src/runtime/scheduler.h"
 #include "src/util/fingerprint.h"
+#include "src/util/pool.h"
 
 namespace revisim::check {
 
@@ -29,7 +31,15 @@ namespace revisim::check {
 // verdict evaluated when the exploration reaches the end of an execution
 // (all processes done, or the depth bound).  Return a message to flag a
 // violation, std::nullopt to accept.
-class ExplorableWorld {
+//
+// Worlds are pooled objects, so a world the factory makes with new or
+// std::make_unique lands in the explorer's arena, and the explorer can
+// rewind it in place (src/util/pool.h).  For that, a world keeps its state
+// in its own memory: steps must not change state outside the world (a
+// restore would not rewind it), and a verdict must not store heap memory in
+// the world (a restore would leak it).  A world whose build or steps take
+// heap memory is still explored correctly, by rebuild and replay.
+class ExplorableWorld : public util::Pooled {
  public:
   virtual ~ExplorableWorld() = default;
   virtual runtime::Scheduler& scheduler() = 0;
@@ -142,17 +152,21 @@ struct ScheduleExploreResult {
   //     the serial engine with dedupe off, at any worker count.
   //   - jobs counts every record created; steals counts records claimed
   //     away from their donor, so steals <= jobs - 1 always.
-  //   - por_skipped/dependent_wakeups/footprint_bytes sum over every
-  //     record whose walk completed, including regions past the merge's
-  //     return point: they describe work performed, not work serially
-  //     accounted.  On exhausted undeduped searches por_skipped and
-  //     dependent_wakeups are decomposition-invariant and equal the serial
-  //     values; footprint_bytes legitimately varies with split points.
+  //   - por_skipped/dependent_wakeups/footprint_bytes/replay_steps_saved
+  //     sum over every record whose walk completed, including regions past
+  //     the merge's return point: they describe work performed, not work
+  //     serially accounted.  On exhausted undeduped searches por_skipped
+  //     and dependent_wakeups are decomposition-invariant and equal the
+  //     serial values; footprint_bytes and replay_steps_saved legitimately
+  //     vary with split points.
   std::size_t jobs = 0;
   std::size_t steals = 0;
-  // Always 0: every engine rebuilds and replays, no step is ever skipped.
-  // Kept only because the end-to-end benchmark still reports it; it goes
-  // with the next change to that benchmark.
+  // Steps the walks did not replay because they restored a branch node's
+  // checkpoint instead of rebuilding the world (src/check/explore_core.h):
+  // each restore saves the node's schedule length.  Summed over every
+  // record whose walk completed, like por_skipped: work performed, not work
+  // serially accounted.  0 for worlds that take heap memory in their build
+  // or steps, which are always replayed.
   std::uint64_t replay_steps_saved = 0;
   // Graceful-degradation summary (parallel explorer only; the serial
   // explorer propagates exceptions and has no wall clock).  `error` carries

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/runtime/scheduler.h"
+#include "src/util/pool.h"
 
 namespace revisim::check {
 
@@ -83,7 +84,7 @@ class ProgressMonitor {
 
   const runtime::Scheduler& sched_;
   std::size_t budget_;
-  std::vector<Op> ops_;
+  util::PoolVector<Op> ops_;  // grows inside world steps: pooled
 };
 
 }  // namespace revisim::check

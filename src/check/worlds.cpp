@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -66,8 +67,8 @@ runtime::Task<void> monitored_block_update(aug::IAugmentedSnapshot& obj,
                                            runtime::ProcessId me,
                                            std::size_t comp, Val val) {
   const std::size_t token = monitor.begin(me, "Block-Update");
-  std::vector<std::size_t> comps{comp};
-  std::vector<Val> vals{val};
+  aug::IAugmentedSnapshot::Comps comps{comp};
+  aug::IAugmentedSnapshot::Vals vals{val};
   co_await obj.BlockUpdate(me, std::move(comps), std::move(vals));
   monitor.end(token);
 }
@@ -122,8 +123,8 @@ struct SimParams {
 
 // Simulator q_{i+1}'s input is 10*(i+1).  Built with the world, not with
 // the factory, so that parsing a spec stays O(spec length).
-std::vector<Val> sim_inputs(std::size_t f) {
-  std::vector<Val> inputs(f);
+util::PoolVector<Val> sim_inputs(std::size_t f) {
+  util::PoolVector<Val> inputs(f);
   for (std::size_t i = 0; i < f; ++i) {
     inputs[i] = static_cast<Val>(10 * (i + 1));
   }
@@ -146,7 +147,7 @@ class SimRacingWorld final : public ExplorableWorld {
     if (!report.ok()) {
       return report.violations.front();
     }
-    const std::vector<Val>& inputs = sim_.inputs();
+    const std::span<const Val> inputs = sim_.inputs();
     for (Val y : sim_.outputs()) {
       if (std::find(inputs.begin(), inputs.end(), y) == inputs.end()) {
         return "output " + std::to_string(y) + " is not an input";
@@ -223,10 +224,12 @@ runtime::Task<void> run_ops(aug::AugmentedSnapshot& obj, runtime::ProcessId me,
       co_await obj.Scan(me);
       continue;
     }
-    std::vector<Val> vals(op.size());
+    aug::IAugmentedSnapshot::Vals vals(op.size());
     std::iota(vals.begin(), vals.end(), next);
     next += static_cast<Val>(op.size());
-    co_await obj.BlockUpdate(me, op, std::move(vals));
+    co_await obj.BlockUpdate(
+        me, aug::IAugmentedSnapshot::Comps(op.begin(), op.end()),
+        std::move(vals));
   }
 }
 

@@ -332,15 +332,19 @@ check::detail::SubtreeResult decode_subtree_result(WireReader& r) {
   return s;
 }
 
+// replay_steps_saved rides outside the shared summary, so the run journal's
+// kDone records (which reuse it) keep their layout.
 void encode_job_result(WireWriter& w, const JobResultMsg& m) {
   w.u64(m.id);
   encode_subtree_result(w, m.result);
+  w.u64(m.result.replay_steps_saved);
 }
 
 JobResultMsg decode_job_result(WireReader& r) {
   JobResultMsg m;
   m.id = r.u64();
   m.result = decode_subtree_result(r);
+  m.result.replay_steps_saved = r.u64();
   r.expect_done();
   return m;
 }

@@ -25,6 +25,8 @@
 //   v9  kHello carries the registry world as one spec string
 //       (src/check/worlds.h) in place of a world name and its f / m /
 //       budget fields
+//   v10 kJobResult carries replay_steps_saved again, after the summary:
+//       the steps the job's checkpoint restores saved
 //
 // Encoding rules:
 //   - All integers are fixed-width little-endian, written byte by byte
@@ -60,7 +62,7 @@
 //   kJob        C->W  job id, execution budget, fault_after (test
 //                     instrumentation), prefix, choices, sleep pids,
 //                     no_dedupe flag (re-run of a lost deduped attempt)
-//   kJobResult  W->C  job id + the full SubtreeResult summary
+//   kJobResult  W->C  job id + the SubtreeResult summary + replay_steps_saved
 //   kJobError   W->C  job id + exception text (retry/degradation path)
 //   kLive       W->C  job id + executions so far (cap-credit input)
 //   kDonate     W->C  parent job id + a donated (prefix, choices, sleep)
@@ -97,7 +99,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4d535652u;  // "RVSM"
-inline constexpr std::uint16_t kWireVersion = 9;
+inline constexpr std::uint16_t kWireVersion = 10;
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 // [u32 len][u8 type][u32 seq][u32 crc]
 inline constexpr std::size_t kFrameHeaderBytes = 13;

@@ -8,12 +8,13 @@
 // chains (e.g. the recursive Construct(r) of a covering simulator) suspend
 // and resume as a unit at each shared-memory step.
 //
-// Frames come from the per-thread block pool (src/util/pool.h).  Worlds
-// cannot be copied, so the explorer rebuilds and replays one for every
-// execution, and every world allocates the same few dozen frames again; the
-// pool hands freed frames back out, so the steady state of an exploration
-// allocates no frames from the heap.  A frame may be destroyed on another
-// thread than the one that created it.
+// Frames come from the per-thread block pool (src/util/pool.h).  The
+// explorer builds many worlds, and every world allocates the same few dozen
+// frames again; the pool hands freed frames back out, so the steady state
+// of an exploration allocates no frames from the heap.  Inside the
+// explorer's arena, frames are part of the bytes a checkpoint copies, so a
+// restore brings them back at their own addresses.  Outside the arena, a
+// frame may be destroyed on another thread than the one that created it.
 #pragma once
 
 #include <coroutine>

@@ -112,9 +112,8 @@ runtime::Task<ConstructOutcome> CoveringSimulator::construct(std::size_t r) {
     }
     // Simulate the pending updates of p_{i,1}..p_{i,r-1} as one
     // M.Block-Update; remember it (with its view) when it was atomic.
-    auto res = co_await m_.BlockUpdate(
-        me_, {sub.plan.comps.begin(), sub.plan.comps.end()},
-        {sub.plan.vals.begin(), sub.plan.vals.end()});
+    auto res = co_await m_.BlockUpdate(me_, std::move(sub.plan.comps),
+                                       std::move(sub.plan.vals));
     ++stats_.block_updates;
     if (res.yielded) {
       ++stats_.yields;

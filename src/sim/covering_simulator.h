@@ -54,13 +54,14 @@ class CoveringSimulator : public util::Pooled {
     return outcome_;
   }
   [[nodiscard]] const CoveringStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const std::vector<RevisionRecord>& revisions() const noexcept {
+  [[nodiscard]] const util::PoolVector<RevisionRecord>& revisions()
+      const noexcept {
     return revisions_;
   }
 
  private:
   struct LocalSimResult {
-    std::vector<PoisedUpdate> hidden;
+    util::PoolVector<PoisedUpdate> hidden;
     std::optional<PoisedUpdate> final_update;
     std::optional<Val> output;
   };
@@ -82,7 +83,7 @@ class CoveringSimulator : public util::Pooled {
 
   SimulatorOutcome outcome_;
   CoveringStats stats_;
-  std::vector<RevisionRecord> revisions_;
+  util::PoolVector<RevisionRecord> revisions_;
 };
 
 }  // namespace revisim::sim

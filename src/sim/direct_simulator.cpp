@@ -17,8 +17,8 @@ runtime::Task<void> run_direct_simulator(aug::IAugmentedSnapshot& m,
       outcome.early_proc = proc_id;
       co_return;
     }
-    std::vector<std::size_t> comps{act.component};
-    std::vector<Val> vals{act.value};
+    aug::IAugmentedSnapshot::Comps comps{act.component};
+    aug::IAugmentedSnapshot::Vals vals{act.value};
     co_await m.BlockUpdate(me, std::move(comps), std::move(vals));
     ++stats.block_updates;
   }

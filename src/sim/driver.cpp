@@ -4,10 +4,10 @@ namespace revisim::sim {
 
 SimulationDriver::SimulationDriver(runtime::Scheduler& sched,
                                    const proto::Protocol& protocol,
-                                   const std::vector<Val>& inputs, Options opt)
+                                   std::span<const Val> inputs, Options opt)
     : sched_(sched),
       protocol_(&protocol),
-      inputs_(inputs),
+      inputs_(inputs.begin(), inputs.end()),
       n_(opt.n),
       d_(opt.d),
       part_() {
@@ -30,8 +30,8 @@ SimulationDriver::SimulationDriver(runtime::Scheduler& sched,
   // Covering simulators first: the augmented snapshot favors smaller ids
   // (their Block-Updates yield less), exactly as §4 requires.
   covering_.reserve(covering);
-  direct_outcomes_.reserve(d_);
-  direct_stats_.reserve(d_);
+  direct_outcomes_.resize(d_);
+  direct_stats_.resize(d_);
   for (std::size_t i = 0; i < covering; ++i) {
     CoveringSimulator::Procs procs;
     procs.reserve(part_.groups[i].size());
@@ -44,11 +44,10 @@ SimulationDriver::SimulationDriver(runtime::Scheduler& sched,
   }
   for (std::size_t i = covering; i < f; ++i) {
     const std::size_t gid = part_.groups[i][0];
-    direct_outcomes_.push_back(std::make_unique<SimulatorOutcome>());
-    direct_stats_.push_back(std::make_unique<DirectStats>());
     sched_.spawn(
         run_direct_simulator(*m_, i, protocol.make(gid, inputs_[i]), gid,
-                             *direct_outcomes_.back(), *direct_stats_.back()),
+                             direct_outcomes_[i - covering],
+                             direct_stats_[i - covering]),
         "q" + std::to_string(i + 1));
   }
 }
@@ -73,7 +72,7 @@ const SimulatorOutcome& SimulationDriver::outcome(runtime::ProcessId i) const {
   if (i < covering_.size()) {
     return covering_[i]->outcome();
   }
-  return *direct_outcomes_.at(i - covering_.size());
+  return direct_outcomes_.at(i - covering_.size());
 }
 
 const CoveringStats* SimulationDriver::covering_stats(
@@ -82,7 +81,7 @@ const CoveringStats* SimulationDriver::covering_stats(
 }
 
 const DirectStats* SimulationDriver::direct_stats(runtime::ProcessId i) const {
-  return i >= covering_.size() ? direct_stats_.at(i - covering_.size()).get()
+  return i >= covering_.size() ? &direct_stats_.at(i - covering_.size())
                                : nullptr;
 }
 

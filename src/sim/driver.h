@@ -8,7 +8,9 @@
 // reconstructs the corresponding simulated execution per Lemma 26.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/augmented/augmented_snapshot.h"
@@ -42,9 +44,17 @@ class SimulationDriver {
 
   // `inputs[i]` is simulator q_{i+1}'s input (f = inputs.size()).
   SimulationDriver(runtime::Scheduler& sched, const proto::Protocol& protocol,
-                   const std::vector<Val>& inputs, Options opt);
+                   std::span<const Val> inputs, Options opt);
   SimulationDriver(runtime::Scheduler& sched, const proto::Protocol& protocol,
-                   const std::vector<Val>& inputs)
+                   std::span<const Val> inputs)
+      : SimulationDriver(sched, protocol, inputs, Options()) {}
+  SimulationDriver(runtime::Scheduler& sched, const proto::Protocol& protocol,
+                   std::initializer_list<Val> inputs, Options opt)
+      : SimulationDriver(sched, protocol,
+                         std::span<const Val>(inputs.begin(), inputs.size()),
+                         opt) {}
+  SimulationDriver(runtime::Scheduler& sched, const proto::Protocol& protocol,
+                   std::initializer_list<Val> inputs)
       : SimulationDriver(sched, protocol, inputs, Options()) {}
 
   // Runs the real system to completion; returns false on step-limit cut.
@@ -55,7 +65,7 @@ class SimulationDriver {
   [[nodiscard]] std::size_t m() const noexcept { return m_->components(); }
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] std::size_t direct() const noexcept { return d_; }
-  [[nodiscard]] const std::vector<Val>& inputs() const noexcept {
+  [[nodiscard]] std::span<const Val> inputs() const noexcept {
     return inputs_;
   }
   [[nodiscard]] const Partition& partition() const noexcept { return part_; }
@@ -83,15 +93,17 @@ class SimulationDriver {
  private:
   runtime::Scheduler& sched_;
   const proto::Protocol* protocol_;
-  std::vector<Val> inputs_;
+  // Every simulation world makes a driver, so what it owns lives in the
+  // block pool.
+  util::PoolVector<Val> inputs_;
   std::size_t n_;
   std::size_t d_;
   Partition part_;
   std::unique_ptr<aug::IAugmentedSnapshot> m_;
   util::PoolVector<std::unique_ptr<CoveringSimulator>> covering_;
-  // Direct-simulator sinks (stable addresses).
-  std::vector<std::unique_ptr<SimulatorOutcome>> direct_outcomes_;
-  std::vector<std::unique_ptr<DirectStats>> direct_stats_;
+  // Direct-simulator sinks, sized once (stable addresses).
+  util::PoolVector<SimulatorOutcome> direct_outcomes_;
+  util::PoolVector<DirectStats> direct_stats_;
 };
 
 }  // namespace revisim::sim

@@ -39,12 +39,13 @@ using PoisedUpdate = std::pair<std::size_t, Val>;
 // simulated process `revised_proc` (global id), assuming the contents of M
 // were the view returned by the atomic Block-Update `used_block_update`.
 // The hidden steps and the resulting poised update are recorded so the
-// replay validator can cross-check its own recomputation.
+// replay validator can cross-check its own recomputation.  Simulators record
+// revisions as they run, so the records live in the block pool.
 struct RevisionRecord {
   std::size_t used_block_update = 0;  // op id of the atomic M.Block-Update
   std::size_t at_scan_op = 0;         // op id of the M.Scan delta
   std::size_t revised_proc = 0;       // global simulated process id
-  std::vector<PoisedUpdate> hidden_updates;  // within the plan's components
+  util::PoolVector<PoisedUpdate> hidden_updates;  // within the plan's comps
   std::optional<PoisedUpdate> final_update;  // nullopt: the process output
   std::optional<Val> early_output;           // set when the process output
 };

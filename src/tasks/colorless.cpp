@@ -91,7 +91,7 @@ std::string FiniteColorlessTask::check_closure() const {
   return {};
 }
 
-Verdict FiniteColorlessTask::validate(const std::vector<Val>& inputs,
+Verdict FiniteColorlessTask::validate(std::span<const Val> inputs,
                                       const std::vector<Val>& outputs) const {
   if (outputs.empty()) {
     return Verdict::good();  // the empty output set is always allowed

@@ -38,7 +38,7 @@ class FiniteColorlessTask {
   // Delta-membership for concrete executions: the set of outputs must be
   // allowed for the set of inputs (partial output sets are judged through
   // the subset closure).
-  [[nodiscard]] Verdict validate(const std::vector<Val>& inputs,
+  [[nodiscard]] Verdict validate(std::span<const Val> inputs,
                                  const std::vector<Val>& outputs) const;
 
   // The k-set agreement task over a finite domain, as an explicit triple.

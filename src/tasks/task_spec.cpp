@@ -6,7 +6,7 @@
 
 namespace revisim::tasks {
 
-Verdict KSetAgreement::validate(const std::vector<Val>& inputs,
+Verdict KSetAgreement::validate(std::span<const Val> inputs,
                                 const std::vector<Val>& outputs) const {
   std::set<Val> in(inputs.begin(), inputs.end());
   std::set<Val> out(outputs.begin(), outputs.end());
@@ -24,7 +24,7 @@ Verdict KSetAgreement::validate(const std::vector<Val>& inputs,
   return Verdict::good();
 }
 
-Verdict ApproxAgreementTask::validate(const std::vector<Val>& inputs,
+Verdict ApproxAgreementTask::validate(std::span<const Val> inputs,
                                       const std::vector<Val>& outputs) const {
   if (outputs.empty()) {
     return Verdict::good();

@@ -8,6 +8,7 @@
 // simulation driver to judge produced outputs.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,7 +29,7 @@ class ColorlessTask {
   virtual ~ColorlessTask() = default;
   [[nodiscard]] virtual std::string name() const = 0;
   // Checks Delta(inputs) membership for a (possibly partial) output set.
-  [[nodiscard]] virtual Verdict validate(const std::vector<Val>& inputs,
+  [[nodiscard]] virtual Verdict validate(std::span<const Val> inputs,
                                          const std::vector<Val>& outputs)
       const = 0;
 };
@@ -41,7 +42,7 @@ class KSetAgreement final : public ColorlessTask {
   [[nodiscard]] std::string name() const override {
     return k_ == 1 ? "consensus" : std::to_string(k_) + "-set-agreement";
   }
-  [[nodiscard]] Verdict validate(const std::vector<Val>& inputs,
+  [[nodiscard]] Verdict validate(std::span<const Val> inputs,
                                  const std::vector<Val>& outputs) const override;
   [[nodiscard]] std::size_t k() const noexcept { return k_; }
 
@@ -61,7 +62,7 @@ class ApproxAgreementTask final : public ColorlessTask {
   }
   // Inputs are 32-bit fixed point (util/value.h); outputs are the protocol's
   // 33-bit fixed point.
-  [[nodiscard]] Verdict validate(const std::vector<Val>& inputs,
+  [[nodiscard]] Verdict validate(std::span<const Val> inputs,
                                  const std::vector<Val>& outputs) const override;
   [[nodiscard]] double epsilon() const noexcept { return epsilon_; }
 

@@ -1,6 +1,21 @@
 #include "src/util/pool.h"
 
 #include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define REVISIM_POOL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define REVISIM_POOL_ASAN 1
+#endif
+#endif
 
 namespace revisim::util {
 namespace {
@@ -70,11 +85,156 @@ FreeLists::~FreeLists() {
   lists_gone = true;
 }
 
+// --- arena --------------------------------------------------------------------
+
+// The arena's classes: the pool's 16-byte classes, then one class per power
+// of two from 2 * kPoolMaxBytes up to the whole arena.
+constexpr std::size_t kLargeClasses =
+    std::bit_width(kArenaReserveBytes / kPoolMaxBytes) - 1;
+constexpr std::size_t kArenaClasses = kClasses + kLargeClasses;
+constexpr int kLargeShift = std::bit_width(kPoolMaxBytes);  // 2 * max = 1 << it
+
+constexpr std::size_t arena_class(std::size_t bytes) {
+  if (bytes <= kPoolMaxBytes) {
+    return bytes == 0 ? 0 : class_of(bytes);
+  }
+  return kClasses + static_cast<std::size_t>(std::bit_width(bytes - 1)) -
+         static_cast<std::size_t>(kLargeShift);
+}
+
+constexpr std::size_t arena_class_bytes(std::size_t c) {
+  return c < kClasses ? class_bytes(c)
+                      : std::size_t{1} << (c - kClasses + kLargeShift);
+}
+
+static_assert(arena_class_bytes(arena_class(kPoolMaxBytes + 1)) ==
+              2 * kPoolMaxBytes);
+static_assert(arena_class_bytes(kArenaClasses - 1) == kArenaReserveBytes);
+
+// The allocator's state, at the start of the arena it describes: offsets
+// from the arena's base, so that it is plain bytes like everything else
+// in the arena.  A free block's first four bytes hold the offset of the
+// next free block of its class; offset 0 (the header) ends a list.
+struct ArenaHeader {
+  std::uint32_t bump;  // first byte never handed out since the reset
+  std::uint32_t heads[kArenaClasses];
+};
+static_assert(kArenaReserveBytes <= std::uint64_t{1} << 32);
+
+constexpr std::size_t kArenaStart =
+    (sizeof(ArenaHeader) + kPoolGranule - 1) / kPoolGranule * kPoolGranule;
+
+// This thread's region (the arena, then the checkpoint stack), mapped by
+// its first ArenaScope and unmapped when the thread exits.  `arena_base`
+// mirrors it in a trivially destructible thread_local, so the free path's
+// range check costs one load.
+constexpr std::size_t kCheckpointStackBytes = kArenaReserveBytes;
+constexpr std::size_t kRegionBytes = kArenaReserveBytes + kCheckpointStackBytes;
+thread_local std::byte* arena_base = nullptr;
+// The arena while a scope serves this thread's pool.
+thread_local ArenaHeader* live_arena = nullptr;
+// Bytes in use on the checkpoint stack, which follows the arena.  Each
+// checkpoint is the arena's used prefix (header included), padded to
+// kPoolGranule, then its unpadded length in a kPoolGranule-sized trailer.
+thread_local std::size_t stack_top = 0;
+
+struct ArenaRegion {
+  std::byte* base = nullptr;
+  ArenaRegion() = default;
+  ArenaRegion(const ArenaRegion&) = delete;
+  ArenaRegion& operator=(const ArenaRegion&) = delete;
+  ~ArenaRegion() {
+    if (base != nullptr) {
+      ::munmap(base, kRegionBytes);
+      arena_base = nullptr;
+      live_arena = nullptr;
+    }
+  }
+};
+thread_local ArenaRegion region;
+
+ArenaHeader& header() { return *reinterpret_cast<ArenaHeader*>(arena_base); }
+
+bool in_arena(const void* block) {
+  return arena_base != nullptr &&
+         reinterpret_cast<std::uintptr_t>(block) -
+                 reinterpret_cast<std::uintptr_t>(arena_base) <
+             kArenaReserveBytes;
+}
+
+std::uint32_t next_free(const std::byte* block) {
+  std::uint32_t next;
+  std::memcpy(&next, block, sizeof next);
+  return next;
+}
+
+void* arena_allocate(ArenaHeader& a, std::size_t bytes) {
+  if (bytes > kArenaReserveBytes - kArenaStart) {
+    return nullptr;
+  }
+  const std::size_t c = arena_class(bytes);
+  const std::size_t size = arena_class_bytes(c);
+  std::byte* const base = reinterpret_cast<std::byte*>(&a);
+  if (const std::uint32_t off = a.heads[c]; off != 0) {
+    std::byte* block = base + off;
+    ASAN_UNPOISON_MEMORY_REGION(block, size);
+    a.heads[c] = next_free(block);
+    return block;
+  }
+  if (size > kArenaReserveBytes - a.bump) {
+    return nullptr;
+  }
+  std::byte* block = base + a.bump;
+  a.bump += static_cast<std::uint32_t>(size);
+  ASAN_UNPOISON_MEMORY_REGION(block, size);
+  return block;
+}
+
+void arena_free(void* raw, std::size_t bytes) {
+  ArenaHeader& a = header();
+  const std::size_t c = arena_class(bytes);
+  auto* block = static_cast<std::byte*>(raw);
+  std::memcpy(block, &a.heads[c], sizeof a.heads[c]);
+  a.heads[c] = static_cast<std::uint32_t>(block - arena_base);
+  ASAN_POISON_MEMORY_REGION(block, arena_class_bytes(c));
+}
+
+// The copies read and write free blocks, which AddressSanitizer holds
+// poisoned: unpoison the used prefix first, re-poison the free blocks after.
+void unpoison_used(std::size_t end) {
+  ASAN_UNPOISON_MEMORY_REGION(arena_base + kArenaStart, end - kArenaStart);
+  (void)end;
+}
+
+void repoison_free_blocks() {
+#ifdef REVISIM_POOL_ASAN
+  const ArenaHeader& a = header();
+  for (std::size_t c = 0; c < kArenaClasses; ++c) {
+    for (std::uint32_t off = a.heads[c]; off != 0;) {
+      std::byte* block = arena_base + off;
+      off = next_free(block);
+      ASAN_POISON_MEMORY_REGION(block, arena_class_bytes(c));
+    }
+  }
+#endif
+}
+
+// Calls to the global operator new on this thread and the bytes they asked
+// for (see the replacements at the end of this file).
+thread_local std::uint64_t heap_calls = 0;
+thread_local std::uint64_t heap_bytes = 0;
+
 }  // namespace
 
 // A pooled size gets a block of its whole class even when it does not come
 // from the lists, because it may be parked on another thread's lists later.
 void* pool_allocate(std::size_t bytes) {
+  if (ArenaHeader* a = live_arena) {
+    if (void* block = arena_allocate(*a, bytes)) {
+      return block;
+    }
+    ++heap_calls;  // the arena is full: the world now holds heap memory
+  }
   const std::size_t c = class_of(bytes);
   if (c >= kClasses) {
     return ::operator new(bytes);
@@ -88,10 +248,193 @@ void* pool_allocate(std::size_t bytes) {
 }
 
 void pool_deallocate(void* block, std::size_t bytes) noexcept {
+  if (in_arena(block)) {
+    arena_free(block, bytes);
+    return;
+  }
   const std::size_t c = class_of(bytes);
   if (c >= kClasses || lists_gone || !lists.push(block, c)) {
     ::operator delete(block);
   }
 }
 
+std::uint64_t heap_allocations() noexcept { return heap_calls; }
+std::uint64_t heap_allocated_bytes() noexcept { return heap_bytes; }
+
+ArenaScope::ArenaScope() {
+  if (live_arena != nullptr) {
+    return;  // nested: the outer scope keeps serving
+  }
+  if (arena_base == nullptr) {
+    void* mem = ::mmap(nullptr, kRegionBytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (mem == MAP_FAILED) {
+      return;  // inert: the heap-backed pool serves
+    }
+    region.base = static_cast<std::byte*>(mem);
+    arena_base = region.base;
+    // The mapping may reuse addresses an exited thread's arena poisoned.
+    ASAN_UNPOISON_MEMORY_REGION(mem, kRegionBytes);
+  } else {
+    // Whatever the last scope left is garbage now.
+    const std::size_t used = header().bump;
+    ASAN_POISON_MEMORY_REGION(arena_base + kArenaStart, used - kArenaStart);
+    (void)used;
+  }
+  ArenaHeader& a = header();
+  std::memset(&a, 0, sizeof a);
+  a.bump = kArenaStart;
+  live_arena = &a;
+  stack_top = 0;
+  active_ = true;
+}
+
+ArenaScope::~ArenaScope() {
+  if (active_) {
+    live_arena = nullptr;
+  }
+}
+
+namespace {
+
+std::byte* checkpoint_stack() { return arena_base + kArenaReserveBytes; }
+
+constexpr std::size_t padded(std::size_t n) {
+  return (n + kPoolGranule - 1) / kPoolGranule * kPoolGranule;
+}
+
+// Length of the top checkpoint, read from its trailer.
+std::size_t top_length() {
+  std::size_t n;
+  std::memcpy(&n, checkpoint_stack() + stack_top - kPoolGranule, sizeof n);
+  return n;
+}
+
+}  // namespace
+
+bool ArenaScope::push_checkpoint() const {
+  const std::size_t n = header().bump;
+  if (padded(n) + kPoolGranule > kCheckpointStackBytes - stack_top) {
+    return false;
+  }
+  std::byte* at = checkpoint_stack() + stack_top;
+  unpoison_used(n);
+  std::memcpy(at, arena_base, n);
+  repoison_free_blocks();
+  std::memcpy(at + padded(n), &n, sizeof n);
+  stack_top += padded(n) + kPoolGranule;
+  return true;
+}
+
+void ArenaScope::restore_checkpoint() const {
+  const std::size_t now = header().bump;
+  const std::size_t n = top_length();
+  unpoison_used(std::max(now, n));
+  std::memcpy(arena_base,
+              checkpoint_stack() + stack_top - kPoolGranule - padded(n), n);
+  if (now > n) {
+    ASAN_POISON_MEMORY_REGION(arena_base + n, now - n);
+  }
+  repoison_free_blocks();
+}
+
+void ArenaScope::pop_checkpoint() const {
+  stack_top -= padded(top_length()) + kPoolGranule;
+}
+
 }  // namespace revisim::util
+
+// --- the counting global operator new ----------------------------------------
+//
+// Every form forwards to malloc (posix_memalign for the aligned ones) after
+// bumping this thread's count; every delete forwards to free.
+
+namespace {
+
+void* counted_new(std::size_t bytes, std::size_t align) {
+  ++revisim::util::heap_calls;
+  revisim::util::heap_bytes += bytes;
+  if (bytes == 0) {
+    bytes = 1;
+  }
+  for (;;) {
+    void* p = nullptr;
+    if (align <= __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
+      p = std::malloc(bytes);
+    } else if (::posix_memalign(&p, align, bytes) != 0) {
+      p = nullptr;
+    }
+    if (p != nullptr) {
+      return p;
+    }
+    const std::new_handler handler = std::get_new_handler();
+    if (handler == nullptr) {
+      throw std::bad_alloc();
+    }
+    handler();
+  }
+}
+
+void* counted_new_nothrow(std::size_t bytes, std::size_t align) noexcept {
+  try {
+    return counted_new(bytes, align);
+  } catch (...) {
+    return nullptr;
+  }
+}
+
+// Out of line, so that the compiler does not pair a visible free() with an
+// operator new it inlined next to it and warn about a mismatch.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
+constexpr std::size_t kPlain = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+
+std::size_t align_of(std::align_val_t a) { return static_cast<std::size_t>(a); }
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new(n, kPlain); }
+void* operator new[](std::size_t n) { return counted_new(n, kPlain); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_new_nothrow(n, kPlain);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_new_nothrow(n, kPlain);
+}
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_new(n, align_of(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_new(n, align_of(a));
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return counted_new_nothrow(n, align_of(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return counted_new_nothrow(n, align_of(a));
+}
+
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  release(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  release(p);
+}

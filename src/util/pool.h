@@ -1,16 +1,16 @@
-// Per-thread block pool for world-lifetime memory.
+// Per-thread block pool for world-lifetime memory, with an arena mode that
+// lets the explorers checkpoint a world by copying its bytes.
 //
-// The explorers cannot copy a world, so they rebuild and replay one for
-// every execution, and every world allocates the same few dozen small
-// objects again: coroutine frames, views, H log versions, operation
-// records, simulated processes.  The pool keeps freed blocks on
-// thread-local free lists in 16-byte size classes and hands them back out,
-// so the steady state of an exploration takes almost nothing from the heap.
-// That matters most once a process has a second thread: the heap then takes
-// its locked paths (DESIGN.md, finding 13), while a free-list hit touches
-// only the calling thread's memory.
+// Every explored world allocates the same few dozen small objects:
+// coroutine frames, views, H log versions, operation records, simulated
+// processes.  The pool keeps freed blocks on thread-local free lists in
+// 16-byte size classes and hands them back out, so the steady state of an
+// exploration takes almost nothing from the heap.  That matters most once a
+// process has a second thread: the heap then takes its locked paths
+// (DESIGN.md, finding 13), while a free-list hit touches only the calling
+// thread's memory.
 //
-// Rules:
+// Rules of the heap-backed pool:
 //  * Blocks up to kPoolMaxBytes are pooled; larger ones come from and go
 //    back to the heap directly.
 //  * A block may be freed on another thread than the one that allocated it;
@@ -21,6 +21,34 @@
 //  * Parked blocks are poisoned for AddressSanitizer, so a use of a freed
 //    object is still reported.
 //
+// Arena mode.  Each thread owns one region at a fixed address, reserved on
+// first use and touched lazily: the arena, kArenaReserveBytes long, then a
+// checkpoint stack as long again.  While an ArenaScope is live on the
+// thread, pool_allocate serves every size from the arena: a bump pointer
+// plus one free list per size class, and the allocator's metadata (the
+// bump offset and the list heads) lives at the start of the arena itself.
+// Copying the arena's used prefix onto the checkpoint stack
+// therefore captures the allocator's state together with every object in
+// it, and copying it back to the same address restores both: no pointer
+// moves, so none needs fixing.  The explorer uses that to rewind a world to
+// a branch point (src/check/explore_core.h).  Checkpoints are packed, so
+// the stack's pages hold exactly the open checkpoints, and like the arena's
+// they are touched once and reused by every later job on the thread.
+// Rules of the arena:
+//  * Arena blocks are freed only on the thread that owns the arena.
+//  * Nothing outside the world may hold arena memory across a restore: a
+//    restore rewinds every block to its state at the save.
+//  * A world whose memory is all in the arena can be restored; memory it
+//    took from the heap would be leaked or aliased by a restore.  So the
+//    library replaces the global operator new (all its forms) with a
+//    forwarder to malloc that counts calls per thread; heap_allocations()
+//    reads the count, and the explorer checkpoints only while building and
+//    stepping a world leaves it unchanged.  An allocation the arena cannot
+//    fit is served from the heap pool and counted as a heap allocation.
+//  * Under AddressSanitizer free arena blocks are poisoned like parked
+//    blocks; a save or restore unpoisons the region before it copies and
+//    re-poisons the free blocks afterwards.
+//
 // Two ways in: PoolAllocator<T>, a stateless allocator for standard
 // containers (PoolVector<T>), and Pooled, a base class whose class-level
 // operator new/delete route single objects (and, through a virtual
@@ -28,6 +56,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <vector>
 
@@ -36,11 +65,43 @@ namespace revisim::util {
 inline constexpr std::size_t kPoolGranule = 16;  // size-class step
 inline constexpr std::size_t kPoolMaxBytes = 4096;
 inline constexpr std::size_t kPoolParkBytes = std::size_t{1} << 20;
+inline constexpr std::size_t kArenaReserveBytes = std::size_t{16} << 20;
 
 // A block of at least `bytes` bytes, aligned like ::operator new.
 void* pool_allocate(std::size_t bytes);
 // Returns a block; `bytes` must be the size it was allocated with.
 void pool_deallocate(void* block, std::size_t bytes) noexcept;
+
+// Calls to the global operator new made on this thread so far, and the
+// bytes they asked for.
+[[nodiscard]] std::uint64_t heap_allocations() noexcept;
+[[nodiscard]] std::uint64_t heap_allocated_bytes() noexcept;
+
+// Serves this thread's pool from its arena, emptied, for the scope's
+// lifetime.  A scope opened while another is live on the thread is inert:
+// active() is false, the outer scope keeps serving, and save/restore must
+// not be called.
+class ArenaScope {
+ public:
+  ArenaScope();
+  ~ArenaScope();
+  ArenaScope(const ArenaScope&) = delete;
+  ArenaScope& operator=(const ArenaScope&) = delete;
+
+  [[nodiscard]] bool active() const noexcept { return active_; }
+  // Pushes a copy of the arena's used prefix onto this thread's checkpoint
+  // stack; false (and nothing pushed) when the stack has no room for it.
+  bool push_checkpoint() const;
+  // Copies the top checkpoint back into the arena, which keeps it: every
+  // block is as it was at the push, and the allocator hands out what it
+  // would have handed out then.
+  void restore_checkpoint() const;
+  // Drops the top checkpoint.
+  void pop_checkpoint() const;
+
+ private:
+  bool active_ = false;
+};
 
 template <typename T>
 class PoolAllocator {

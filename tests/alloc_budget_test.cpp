@@ -1,68 +1,105 @@
-// Heap-allocation budget of the replay path.
+// Heap allocations of the registry worlds between world build and leaf.
 //
-// The explorers rebuild and replay a world for every execution, so whatever
-// a world allocates from the heap, it allocates once per execution.  Once a
-// process has a second thread the heap takes its locked paths, so parallel
-// workers pay for every such allocation in cross-thread traffic (DESIGN.md,
-// finding 13).  World-lifetime memory therefore comes from the per-thread
-// block pool (src/util/pool.h); this test counts the calls that still reach
-// the global operator new over the executions of the paper's reduction,
-// built like the end-to-end benchmark's sim-covering workload, and holds
-// them to a budget.
+// The explorers rewind a world to a branch point by copying its arena back
+// (src/util/pool.h, src/check/explore_core.h).  That is sound only while
+// the world takes no heap memory, so the engine watches the library's heap
+// counter around every build, step and fingerprint and replays instead once
+// it moves.  These tests read the same counter and pin 0 heap allocations
+// in the build and the steps of the paper's worlds, so that every one of
+// them is walked in place; they check that a walk of each builds one world
+// and nothing more, and hold whole executions, verdict included, to a
+// budget.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
+#include <cstdint>
 #include <memory>
-#include <new>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/check/model_check.h"
 #include "src/check/worlds.h"
-
-namespace {
-
-std::atomic<bool> counting{false};
-std::atomic<std::size_t> allocations{0};
-std::atomic<std::size_t> allocated_bytes{0};
-
-// Out of line, so that the compiler does not pair a visible free() with the
-// operator new it inlined next to it and warn about a mismatch.
-[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
-
-}  // namespace
-
-// Replaces the global scalar operator new (and its deletes, to stay paired)
-// for this test binary only.
-void* operator new(std::size_t bytes) {
-  if (counting.load(std::memory_order_relaxed)) {
-    allocations.fetch_add(1, std::memory_order_relaxed);
-    allocated_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(bytes != 0 ? bytes : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { release(p); }
-void operator delete(void* p, std::size_t /*bytes*/) noexcept { release(p); }
+#include "src/runtime/trace.h"
+#include "src/util/pool.h"
 
 namespace revisim {
 namespace {
 
-// At the parent of the pooled replay path, this workload made 106 heap
-// allocations per execution.  What is left: the world object itself, the
-// driver's copy of the inputs and the outputs the verdict reads - all
-// public types that hold std::vector - plus the explorer's own amortized
-// bookkeeping.
-constexpr double kBudgetPerExecution = 16;
+struct HeapUse {
+  std::uint64_t build = 0;
+  std::uint64_t steps = 0;
+};
 
+struct Spec {
+  std::string world;
+  bool fingerprints;  // dedupe-capable: fingerprints count as steps
+};
+
+// The simulation at several (n,k,x,m), then the augmented-snapshot worlds.
+const Spec kSpecs[] = {
+    {"sim-racing:4,3,0,1", false}, {"sim-racing:6,2,0,2", false},
+    {"sim-racing:9,2,0,3", false}, {"sim-racing:2,1,1,1", false},
+    {"aug-bu:2,2,6", true},        {"aug-script:2,u0s,u1ss", true},
+};
+
+// Runs `executions` executions of `spec` after as many warm-up ones, each
+// in a fresh arena like an explorer job, along schedules a fixed generator
+// picks (one crash entry in every third execution), and counts the heap
+// allocations made while building the worlds and while stepping and
+// fingerprinting them.
+HeapUse heap_use(const Spec& spec, std::size_t executions) {
+  const auto factory = check::make_world_factory(spec.world);
+  std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+  HeapUse use;
+  std::vector<runtime::ProcessId> runnable;
+  for (std::size_t e = 0; e < 2 * executions; ++e) {
+    util::ArenaScope arena;
+    const bool measured = e >= executions;
+    std::uint64_t mark = util::heap_allocations();
+    auto world = factory();
+    runtime::Scheduler& sched = world->scheduler();
+    sched.set_recording(false);
+    if (measured) {
+      use.build += util::heap_allocations() - mark;
+    }
+    bool crash_left = e % 3 == 0;
+    for (std::size_t depth = 0; depth < 10'000; ++depth) {
+      sched.runnable_into(runnable);
+      if (runnable.empty()) {
+        break;
+      }
+      rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+      runtime::ProcessId entry = runnable[(rng >> 33) % runnable.size()];
+      if (crash_left && (rng >> 20) % 7 == 0) {
+        entry = runtime::make_crash_entry(entry);
+        crash_left = false;
+      }
+      mark = util::heap_allocations();
+      runtime::apply_schedule_entry(sched, entry);
+      if (spec.fingerprints) {
+        (void)world->fingerprint();
+      }
+      if (measured) {
+        use.steps += util::heap_allocations() - mark;
+      }
+    }
+  }
+  return use;
+}
+
+TEST(AllocBudget, RegistryWorldsBuildAndStepWithoutTheHeap) {
+  for (const Spec& spec : kSpecs) {
+    SCOPED_TRACE(spec.world);
+    const HeapUse use = heap_use(spec, 60);
+    EXPECT_EQ(use.build, 0u);
+    EXPECT_EQ(use.steps, 0u);
+  }
+}
+
+// Whole executions, verdict and explorer bookkeeping included, as the
+// end-to-end benchmark's sim-covering workload runs them: what reaches the
+// heap is the verdict's outputs and the explorer's amortized bookkeeping.
 TEST(AllocBudget, SimCoveringExecutionsStayWithinBudget) {
-  // sim-covering: f=4 covering simulators (d=0) over a one-component
-  // augmented snapshot on the atomic substrate, simulating
-  // RacingAgreement(n=4, m=1); verdict = Lemma-26 validator + validity.
+  constexpr double kBudgetPerExecution = 16;
   const auto factory = check::make_world_factory("sim-racing:4,3,0,1");
   check::ScheduleExploreOptions opt;
   // The first executions fill this thread's pool; the measured run then
@@ -71,32 +108,61 @@ TEST(AllocBudget, SimCoveringExecutionsStayWithinBudget) {
   ASSERT_TRUE(check::explore_schedules(factory, opt).ok());
 
   opt.max_executions = 5'000;
-  allocations.store(0);
-  counting.store(true);
+  const std::uint64_t before = util::heap_allocations();
   const check::ScheduleExploreResult res =
       check::explore_schedules(factory, opt);
-  counting.store(false);
+  const std::uint64_t allocations = util::heap_allocations() - before;
   ASSERT_TRUE(res.ok()) << *res.violation;
   ASSERT_EQ(res.executions, opt.max_executions);
   const double per_execution =
-      static_cast<double>(allocations.load()) /
-      static_cast<double>(res.executions);
+      static_cast<double>(allocations) / static_cast<double>(res.executions);
   RecordProperty("allocations_per_execution", std::to_string(per_execution));
   EXPECT_LE(per_execution, kBudgetPerExecution)
-      << allocations.load() << " heap allocations over " << res.executions
+      << allocations << " heap allocations over " << res.executions
       << " executions";
+}
+
+TEST(AllocBudget, HeapCounterSeesEveryFormOfOperatorNew) {
+  const std::uint64_t before = util::heap_allocations();
+  const std::uint64_t bytes = util::heap_allocated_bytes();
+  auto one = std::make_unique<std::uint64_t>(1);
+  auto many = std::make_unique<std::uint64_t[]>(4);
+  std::vector<char> chars(100);
+  EXPECT_EQ(util::heap_allocations() - before, 3u);
+  EXPECT_EQ(*one + many[3] + chars.size(), 101u);
+  EXPECT_EQ(util::heap_allocated_bytes() - bytes, 8u + 32u + 100u);
+}
+
+// With nothing reaching the heap, a walk builds its one world and rewinds
+// it in place at every backtrack; replay_steps_saved reports the steps that
+// saved.
+TEST(AllocBudget, WalksOfTheRegistryWorldsBuildOneWorld) {
+  for (const Spec& spec : kSpecs) {
+    SCOPED_TRACE(spec.world);
+    const auto bare = check::make_world_factory(spec.world);
+    std::size_t builds = 0;
+    const auto counted = [&] {
+      ++builds;
+      return bare();
+    };
+    check::ScheduleExploreOptions opt;
+    opt.max_executions = 2'000;
+    opt.max_steps = 1'000;  // deep enough for every spec above
+    const auto res = check::explore_schedules(counted, opt);
+    ASSERT_TRUE(res.ok()) << *res.violation;
+    EXPECT_EQ(builds, 1u);
+    EXPECT_GT(res.replay_steps_saved, res.executions);
+  }
 }
 
 // Witness files and the distributed worker's hello hand outside text to
 // make_world_factory, so parsing a spec builds nothing whose size a
 // parameter sets: a million simulators cost the parse no more than two.
 TEST(AllocBudget, ParsingAWorldSpecBuildsNoWorld) {
-  allocated_bytes.store(0);
-  counting.store(true);
+  const std::uint64_t before = util::heap_allocated_bytes();
   const auto factory =
       check::make_world_factory("sim-racing:1000001,1000000,1000001,1");
-  counting.store(false);
-  EXPECT_LE(allocated_bytes.load(), 4096u);
+  EXPECT_LE(util::heap_allocated_bytes() - before, 4096u);
   EXPECT_TRUE(static_cast<bool>(factory));
 }
 

@@ -214,8 +214,8 @@ void expect_version_skew(const std::vector<std::uint8_t>& bytes,
 // in wire.h), so a peer speaking any older version must be refused at the
 // handshake by name, never misparsed - in both directions.
 TEST(Wire, EveryOlderVersionIsRefusedByName) {
-  static_assert(dist::kWireVersion == 9);
-  for (std::uint16_t v = 1; v <= 8; ++v) {
+  static_assert(dist::kWireVersion == 10);
+  for (std::uint16_t v = 1; v <= 9; ++v) {
     SCOPED_TRACE("wire version " + std::to_string(v));
     dist::WireWriter w;
     dist::encode_hello(w, dist::HelloMsg{});
@@ -276,6 +276,7 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
   res.result.por_skipped = 5;
   res.result.dependent_wakeups = 6;
   res.result.footprint_bytes = 4096;
+  res.result.replay_steps_saved = 8191;
   w.clear();
   dist::encode_job_result(w, res);
   {
@@ -294,6 +295,7 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
     EXPECT_EQ(got.result.por_skipped, res.result.por_skipped);
     EXPECT_EQ(got.result.dependent_wakeups, res.result.dependent_wakeups);
     EXPECT_EQ(got.result.footprint_bytes, res.result.footprint_bytes);
+    EXPECT_EQ(got.result.replay_steps_saved, res.result.replay_steps_saved);
   }
 }
 
@@ -375,6 +377,7 @@ TEST(MergeJobs, SumsTelemetryOverCompletedRecordsOnly) {
   a.executions = 3;
   a.footprint_bytes = 10;
   a.por_skipped = 2;
+  a.replay_steps_saved = 11;
   check::detail::SubtreeResult b;
   b.executions = 4;
   b.footprint_bytes = 20;
@@ -391,6 +394,7 @@ TEST(MergeJobs, SumsTelemetryOverCompletedRecordsOnly) {
   EXPECT_EQ(res.footprint_bytes, 30u);
   EXPECT_EQ(res.por_skipped, 2u);
   EXPECT_EQ(res.dependent_wakeups, 5u);
+  EXPECT_EQ(res.replay_steps_saved, 11u);
 }
 
 TEST(MergeJobs, FailedRecordDegradesWithAttemptCount) {

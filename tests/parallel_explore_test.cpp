@@ -171,12 +171,14 @@ class TalliedWorld final : public ExplorableWorld {
 };
 
 TEST(ExploreCore, SerialWalkMeetsTheReplayLowerBoundExactly) {
-  // DESIGN.md finding 7: a coroutine world covers one root-to-leaf path, so
-  // E executions of depth D cost at least E factory calls and E*D steps.
-  // The serial walk must meet that bound exactly - one world per execution,
-  // each replayed and stepped to its leaf once, and only one alive at a
-  // time - so no hidden rebuild path (checkpoint parking, re-replay) can
-  // creep back in.  A capped walk must pay for exactly what it counts.
+  // DESIGN.md finding 7: ScriptWorld keeps its order log on the heap, so
+  // the walk cannot rewind it in place and rebuilds and replays it, and a
+  // replayed world covers one root-to-leaf path: E executions of depth D
+  // cost at least E factory calls and E*D steps.  The replay path must meet
+  // that bound exactly - one world per execution, each replayed and stepped
+  // to its leaf once, and only one alive at a time - so no hidden rebuild
+  // (warm-world parking, re-replay) can creep back in.  A capped walk must
+  // pay for exactly what it counts.
   for (std::size_t cap : {std::size_t{560}, std::size_t{100}}) {
     BuildTally tally;
     auto inner = script_factory({3, 3, 2});

@@ -1,6 +1,7 @@
 // Tests for the per-thread block pool (src/util/pool.h): coroutine frames,
 // pooled containers and pooled objects crossing threads, the 16-byte size
-// class, the per-thread parking cap, and release at thread exit.
+// class, the per-thread parking cap, release at thread exit, and the arena
+// with its checkpoint stack.
 #include <gtest/gtest.h>
 #include <sanitizer/asan_interface.h>
 
@@ -280,6 +281,102 @@ TEST(BlockPool, OversizedBlocksBypassTheLists) {
     util::pool_deallocate(biggest_pooled, util::kPoolMaxBytes);
     EXPECT_EQ(util::pool_allocate(util::kPoolMaxBytes), biggest_pooled);
     util::pool_deallocate(biggest_pooled, util::kPoolMaxBytes);
+  });
+  worker.join();
+}
+
+// --- arena mode ---------------------------------------------------------------
+
+TEST(WorldArena, RestoreRewindsTheBlocksAndTheAllocator) {
+  std::thread worker([] {
+    util::ArenaScope arena;
+    ASSERT_TRUE(arena.active());
+    auto* kept = static_cast<std::uint64_t*>(util::pool_allocate(64));
+    *kept = 1;
+    void* freed = util::pool_allocate(48);
+    util::pool_deallocate(freed, 48);
+    ASSERT_TRUE(arena.push_checkpoint());
+
+    // After the save: a free-list pop, a bump, a block of a large class, a
+    // write and a free of a block that was live at the save.
+    void* popped = util::pool_allocate(48);
+    void* bumped = util::pool_allocate(200);
+    void* large = util::pool_allocate(util::kPoolMaxBytes + 1);
+    EXPECT_EQ(popped, freed);
+    *kept = 2;
+    util::pool_deallocate(kept, 64);
+
+    arena.restore_checkpoint();
+    EXPECT_EQ(*kept, 1u);
+    EXPECT_FALSE(poisoned(kept));
+    EXPECT_EQ(poisoned(freed), kAsan);
+    EXPECT_EQ(util::pool_allocate(48), popped);
+    EXPECT_EQ(util::pool_allocate(200), bumped);
+    EXPECT_EQ(util::pool_allocate(util::kPoolMaxBytes + 1), large);
+    EXPECT_NE(util::pool_allocate(64), kept);
+    arena.pop_checkpoint();
+  });
+  worker.join();
+}
+
+TEST(WorldArena, CheckpointsStackInPushOrder) {
+  std::thread worker([] {
+    util::ArenaScope arena;
+    auto* cell = static_cast<std::uint64_t*>(util::pool_allocate(8));
+    *cell = 1;
+    ASSERT_TRUE(arena.push_checkpoint());
+    *cell = 2;
+    void* later = util::pool_allocate(1000);  // a longer second checkpoint
+    ASSERT_TRUE(arena.push_checkpoint());
+    *cell = 3;
+    util::pool_deallocate(later, 1000);
+    arena.restore_checkpoint();
+    EXPECT_EQ(*cell, 2u);
+    EXPECT_FALSE(poisoned(later));
+    arena.pop_checkpoint();
+    arena.restore_checkpoint();
+    EXPECT_EQ(*cell, 1u);
+    EXPECT_EQ(util::pool_allocate(1000), later);
+    arena.pop_checkpoint();
+  });
+  worker.join();
+}
+
+TEST(WorldArena, NestedScopeIsInertAndBlocksOutliveNoScope) {
+  std::thread worker([] {
+    void* outside = util::pool_allocate(32);  // heap-backed pool
+    {
+      util::ArenaScope arena;
+      ASSERT_TRUE(arena.active());
+      void* inside = util::pool_allocate(32);
+      EXPECT_NE(inside, outside);
+      {
+        util::ArenaScope nested;
+        EXPECT_FALSE(nested.active());
+        // The outer arena still serves: the block it just freed comes back.
+        util::pool_deallocate(inside, 32);
+        EXPECT_EQ(util::pool_allocate(32), inside);
+      }
+      // A heap-pool block freed inside the scope rejoins the heap lists.
+      util::pool_deallocate(outside, 32);
+      util::pool_deallocate(inside, 32);
+    }
+    EXPECT_EQ(util::pool_allocate(32), outside);
+    util::pool_deallocate(outside, 32);
+  });
+  worker.join();
+}
+
+TEST(WorldArena, WhatTheArenaCannotHoldCountsAsAHeapAllocation) {
+  std::thread worker([] {
+    util::ArenaScope arena;
+    const std::uint64_t before = util::heap_allocations();
+    void* small = util::pool_allocate(64);
+    EXPECT_EQ(util::heap_allocations(), before);
+    void* huge = util::pool_allocate(util::kArenaReserveBytes);
+    EXPECT_GT(util::heap_allocations(), before);
+    util::pool_deallocate(huge, util::kArenaReserveBytes);
+    util::pool_deallocate(small, 64);
   });
   worker.join();
 }

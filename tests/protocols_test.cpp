@@ -171,8 +171,9 @@ TEST(ApproxAgreement, SequentialConvergence) {
                          {to_fixed(0.0), to_fixed(1.0), to_fixed(0.5)});
   ASSERT_TRUE(run.run_fair({0, 1, 2}, 100'000));
   ApproxAgreementTask task(0.01);
-  auto v = task.validate({to_fixed(0.0), to_fixed(1.0), to_fixed(0.5)},
-                         run.outputs());
+  auto v = task.validate(
+      std::vector<Val>{to_fixed(0.0), to_fixed(1.0), to_fixed(0.5)},
+      run.outputs());
   EXPECT_TRUE(v.ok) << v.reason;
 }
 

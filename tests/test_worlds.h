@@ -24,6 +24,15 @@
 // schedules that agree on those merge and the transposition win is
 // combinatorial.  The verdict reads only shared state, satisfying the
 // fingerprint soundness contract with no fingerprint_extra.
+//
+// HeapTouchingWorld: a registry world (src/check/worlds.h) that takes heap
+// memory once, so the explorer cannot rewind it in place and replays it
+// instead (src/check/explore_core.h).  With at_step == 0 it holds a heap
+// block from its build on, so a walk replays from the start.  With
+// at_step == k it turns trace recording on once the world has taken k
+// steps, so its next step appends to the trace - a heap allocation inside a
+// step - and a walk switches to replay in the middle.  Recording changes
+// no execution, so a wrapped walk must match the bare one bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -35,6 +44,7 @@
 #include <vector>
 
 #include "src/check/model_check.h"
+#include "src/check/worlds.h"
 #include "src/memory/register.h"
 #include "src/runtime/scheduler.h"
 #include "src/util/fingerprint.h"
@@ -197,6 +207,45 @@ class LastWriterWorld final : public check::ExplorableWorld {
 inline auto last_writer_factory(std::vector<std::size_t> writes, Val banned) {
   return [writes = std::move(writes), banned] {
     return std::make_unique<LastWriterWorld>(writes, banned);
+  };
+}
+
+class HeapTouchingWorld final : public check::ExplorableWorld {
+ public:
+  HeapTouchingWorld(std::unique_ptr<check::ExplorableWorld> inner,
+                    std::size_t at_step)
+      : inner_(std::move(inner)), at_step_(at_step) {
+    if (at_step_ == 0) {
+      held_ = std::make_unique<std::size_t>(0);
+    }
+  }
+
+  runtime::Scheduler& scheduler() override {
+    runtime::Scheduler& sched = inner_->scheduler();
+    if (at_step_ != 0 && sched.total_steps() >= at_step_) {
+      sched.set_recording(true);
+    }
+    return sched;
+  }
+  std::optional<std::string> verdict(bool complete) override {
+    return inner_->verdict(complete);
+  }
+  util::Fingerprint fingerprint() override { return inner_->fingerprint(); }
+  void fingerprint_extra(util::StateSink& sink) override {
+    inner_->fingerprint_extra(sink);
+  }
+  std::string canonical_state() override { return inner_->canonical_state(); }
+
+ private:
+  std::unique_ptr<check::ExplorableWorld> inner_;
+  std::size_t at_step_;
+  std::unique_ptr<std::size_t> held_;
+};
+
+inline auto heap_touching_factory(const std::string& spec,
+                                  std::size_t at_step) {
+  return [bare = check::make_world_factory(spec), at_step] {
+    return std::make_unique<HeapTouchingWorld>(bare(), at_step);
   };
 }
 

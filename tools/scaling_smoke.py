@@ -7,7 +7,7 @@ enforces four things:
 1. Parallel sanity: on each checked instance, parallel-4 must not run more
    than SLOWDOWN_LIMIT times slower than serial-fast.  The stealing explorer
    clamps its worker count to the hardware concurrency and runs the same
-   rebuild-and-replay DFS as the serial engine, so even on a single-core CI
+   DFS core as the serial engine, so even on a single-core CI
    runner parallel-4 must track the serial fast path - a regression here
    means the coordination machinery started costing real time again (the
    failure mode of the old frontier-split explorer, which ran 5x slower
