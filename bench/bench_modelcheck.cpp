@@ -151,6 +151,17 @@ Measured timed(Fn&& run) {
 // Digest of (executions, exhausted, violation, witness), the recipe of
 // e2ebench's result_digest: two rows with the same digest report the same
 // search outcome, so a re-recorded file shows it measured the same searches.
+// A digest is a pin only where the search is deterministic: every kExact
+// row (serial-traced, serial-fast, parallel-N, dist-workers-N,
+// dist-workers-2-heartbeat), the serial reductions (serial-dedupe,
+// serial-por, serial-por-dedupe), por-parallel-N (sleep sets travel with
+// donations) and dist-dedupe-workers-1.  dist-dedupe-workers-2 and -4 are
+// samples: each worker dedupes against its own table, so which worker
+// claims a state first decides the execution count (on register-script-554
+// and collect-writers-443 three runs gave 1, 2 or 3 executions).
+// parallel-dedupe-N shares one table and is deterministic here only
+// because the serial probe settles these small trees; past the probe it is
+// a sample too.
 std::string result_digest(const ScheduleExploreResult& res) {
   util::HashSink sink;
   sink.word(res.executions);

@@ -80,9 +80,10 @@ class IAugmentedSnapshot : public util::Pooled {
                                                        Comps comps,
                                                        Vals vals) = 0;
 
-  // The same, for callers holding heap vectors: copies them into pooled
-  // storage.  Heap vectors made inside a world's steps keep the explorer
-  // from checkpointing that world (src/check/explore_core.h).
+  // The same, for callers holding std::vector arguments: copies them into
+  // pooled storage.  Vectors a world makes inside its steps come from the
+  // explorer's arena like pooled ones (src/util/pool.h), so either form
+  // walks in place.
   runtime::Task<BlockUpdateResult> BlockUpdate(
       runtime::ProcessId me, const std::vector<std::size_t>& comps,
       const std::vector<Val>& vals) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "src/check/state_table.h"
@@ -42,6 +43,30 @@ bool heap_is_counted() {
   }();
   return counted;
 }
+
+// One watched call: a build, step or fingerprint of the world.  Inside it
+// the capture window is open, so the world's ordinary heap containers come
+// from the arena and are rewound with it; what the arena does not serve
+// (over-aligned or oversized memory) still moves the heap counter, and then
+// the walk stops rewinding in place.  A guard, so the window also closes
+// when the call throws.
+class Watch {
+ public:
+  explicit Watch(bool& in_place) noexcept
+      : in_place_(in_place), mark_(util::heap_allocations()) {}
+  ~Watch() {
+    if (util::heap_allocations() != mark_) {
+      in_place_ = false;
+    }
+  }
+  Watch(const Watch&) = delete;
+  Watch& operator=(const Watch&) = delete;
+
+ private:
+  util::CaptureWindow window_;
+  bool& in_place_;
+  std::uint64_t mark_;
+};
 
 }  // namespace
 
@@ -116,35 +141,29 @@ SubtreeResult explore_job(
   // The world lives in this thread's arena, so every branch node's state is
   // pushed onto the arena's checkpoint stack at expansion and copied back on
   // backtrack (src/util/pool.h).  That is sound only while the world holds
-  // no heap memory, so every build, step and fingerprint is watched: once
-  // one of them reaches the global operator new, `in_place` drops and the
-  // rest of the walk rebuilds and replays instead.  Verdicts run only at
-  // leaves, whose state is discarded, so they are not watched.
+  // no heap memory, so every build, step and fingerprint is a Watch: once
+  // one of them reaches the heap, `in_place` drops and the rest of the walk
+  // rebuilds and replays instead.  Verdicts run only at leaves, whose state
+  // is discarded, so they are not watched.
   util::ArenaScope arena;
   bool in_place = arena.active() && heap_is_counted();
-  std::uint64_t heap_mark = 0;
-  auto watch = [&] { heap_mark = util::heap_allocations(); };
-  auto unwatch = [&] {
-    if (util::heap_allocations() != heap_mark) {
-      in_place = false;
-    }
-  };
-  auto step = [&](runtime::Scheduler& sched, runtime::ProcessId entry) {
-    watch();
-    runtime::apply_schedule_entry(sched, entry);
-    unwatch();
+  auto step = [&](ExplorableWorld& w, runtime::ProcessId entry) {
+    Watch watch(in_place);
+    runtime::apply_schedule_entry(w.scheduler(), entry);
   };
 
   // A fresh world that has executed schedule[0..len).
   auto world_at = [&](std::size_t len) {
-    watch();
-    auto w = factory();
-    unwatch();
+    std::unique_ptr<ExplorableWorld> w;
+    {
+      Watch watch(in_place);
+      w = factory();
+    }
     if (!options.record_traces) {
       w->scheduler().set_recording(false);
     }
     for (std::size_t i = 0; i < len; ++i) {
-      step(w->scheduler(), schedule[i]);
+      step(*w, schedule[i]);
     }
     return w;
   };
@@ -247,9 +266,11 @@ SubtreeResult explore_job(
     // skipped without counting an execution or evaluating a verdict.
     bool pruned = false;
     if (table != nullptr && schedule.size() > prefix.size()) {
-      watch();
-      util::Fingerprint fp = world->fingerprint();
-      unwatch();
+      util::Fingerprint fp;
+      {
+        Watch watch(in_place);
+        fp = world->fingerprint();
+      }
       if (options.por) {
         // Same state, smaller sleep set => strictly larger subtree, so the
         // sleep set is part of the node's identity: mix its entries (order
@@ -369,7 +390,7 @@ SubtreeResult explore_job(
         if (ctx != nullptr && ctx->split.want && ctx->split.want()) {
           try_donate();
         }
-        step(world->scheduler(), schedule.back());
+        step(*world, schedule.back());
         continue;
       }
     }
@@ -381,13 +402,12 @@ SubtreeResult explore_job(
                                        std::memory_order_relaxed);
       }
       if (auto v = world->verdict(complete)) {
-        res.violation = std::move(v);
+        // A copy, on the heap: the verdict may have moved a string a step
+        // made out of the world, and the result crosses threads.
+        res.violation.emplace(*v);
         res.witness = schedule;
         res.violation_index = res.executions;
-        if (table != nullptr) {
-          res.states_seen = table->states();
-        }
-        return res;
+        break;
       }
     }
     // Backtrack to the deepest frame with an untried choice.  The order
@@ -403,17 +423,11 @@ SubtreeResult explore_job(
       }
     }
     if (depth == 0) {
-      if (table != nullptr) {
-        res.states_seen = table->states();
-      }
-      return res;
+      break;
     }
     if (res.executions >= cap || (abort && abort())) {
       res.fully_explored = false;
-      if (table != nullptr) {
-        res.states_seen = table->states();
-      }
-      return res;
+      break;
     }
     Frame& f = stack[depth - 1];
     compute_child_sleep(f, f.next);
@@ -433,8 +447,24 @@ SubtreeResult explore_job(
       arena.pop_checkpoint();  // the node will not be visited again
       f.saved = false;
     }
-    step(world->scheduler(), schedule.back());
+    step(*world, schedule.back());
   }
+  if (table != nullptr) {
+    res.states_seen = table->states();
+  }
+  // Arena memory still live once the world is gone was made in a build,
+  // step or fingerprint and kept outside the world, where a restore could
+  // have handed it out again: refuse the walk rather than trust it.  The
+  // arena keeps such memory valid until it is freed.
+  world.reset();
+  if (arena.active() && arena.live_bytes() > arena.carried_bytes()) {
+    throw std::runtime_error(
+        "explore: " +
+        std::to_string(arena.live_bytes() - arena.carried_bytes()) +
+        " bytes of arena memory made by the world's build, steps or "
+        "fingerprints outlived the world");
+  }
+  return res;
 }
 
 SubtreeResult explore_subtree(

@@ -19,14 +19,18 @@
 // N branch nodes and depth <= D then costs one build, one step per tree
 // edge, N saves and E - 1 restores, where rebuild-and-replay costs E builds
 // and up to E*D steps (DESIGN.md finding 7: that bound holds for explorers
-// that copy a world to a new place, and restoring in place beats it).  A
-// world that takes heap memory while it is built, stepped or fingerprinted
-// cannot be restored, so the engine watches the heap counter around those
-// calls; once it moves (or the checkpoint stack is full), the rest of the
-// job rebuilds and replays.  Results are identical either way, only the
-// cost differs; the steps restores saved are reported as
-// replay_steps_saved.  A job still starts from a fresh build plus a replay
-// of its prefix, so jobs stay pure (prefix, choices) values.  The other
+// that copy a world to a new place, and restoring in place beats it).
+// Builds, steps and fingerprints run inside the arena's capture window, so
+// the ordinary heap containers a world makes there are arena memory and
+// walk in place too.  Memory the arena does not serve - an over-aligned
+// new, or a block the arena cannot fit - reaches the heap counter, which
+// the engine watches around those calls; once it moves (or the checkpoint
+// stack is full), the rest of the job rebuilds and replays.  Results are
+// identical either way, only the cost differs; the steps restores saved
+// are reported as replay_steps_saved.  Arena memory still live once the
+// job has destroyed its world escaped it, and fails the job.  A job still
+// starts from a fresh build plus a replay of its prefix, so jobs stay pure
+// (prefix, choices) values.  The other
 // constant-factor levers: worlds run with trace recording off (Scheduler
 // fast mode); the runnable() buffer and the DFS frames are reused instead
 // of reallocated per node; coroutine frames come from the pool

@@ -34,11 +34,17 @@ namespace revisim::check {
 //
 // Worlds are pooled objects, so a world the factory makes with new or
 // std::make_unique lands in the explorer's arena, and the explorer can
-// rewind it in place (src/util/pool.h).  For that, a world keeps its state
-// in its own memory: steps must not change state outside the world (a
-// restore would not rewind it), and a verdict must not store heap memory in
-// the world (a restore would leak it).  A world whose build or steps take
-// heap memory is still explored correctly, by rebuild and replay.
+// rewind it in place (src/util/pool.h).  While the explorer builds, steps
+// or fingerprints a world, the global operator new serves from the arena
+// too, so ordinary heap containers (std::vector, std::string, ...) a world
+// makes there walk in place with it.  For that, a world keeps its state in
+// its own memory: steps must not change state outside the world (a restore
+// would not rewind it) nor leave memory they made outside it (the walk then
+// fails with an error naming the bytes), and a verdict must not store heap
+// memory in the world (a restore would leak it).  A world that takes memory
+// the arena does not serve - an over-aligned new, or a block larger than
+// the arena has room for - is still explored correctly, by rebuild and
+// replay.
 class ExplorableWorld : public util::Pooled {
  public:
   virtual ~ExplorableWorld() = default;

@@ -117,17 +117,23 @@ static_assert(arena_class_bytes(kArenaClasses - 1) == kArenaReserveBytes);
 // next free block of its class; offset 0 (the header) ends a list.
 struct ArenaHeader {
   std::uint32_t bump;  // first byte never handed out since the reset
+  std::uint32_t live;  // bytes of the blocks handed out and not freed
   std::uint32_t heads[kArenaClasses];
 };
 static_assert(kArenaReserveBytes <= std::uint64_t{1} << 32);
+
+// Size prefix of a block the global operator new takes from the arena: the
+// global delete may be unsized.
+constexpr std::size_t kArenaNewPrefix = kPoolGranule;
 
 constexpr std::size_t kArenaStart =
     (sizeof(ArenaHeader) + kPoolGranule - 1) / kPoolGranule * kPoolGranule;
 
 // This thread's region (the arena, then the checkpoint stack), mapped by
-// its first ArenaScope and unmapped when the thread exits.  `arena_base`
-// mirrors it in a trivially destructible thread_local, so the free path's
-// range check costs one load.
+// its first ArenaScope and unmapped when the thread exits, unless blocks in
+// it are still live: those must stay valid until they are freed.
+// `arena_base` mirrors it in a trivially destructible thread_local, so the
+// free path's range check costs one load.
 constexpr std::size_t kCheckpointStackBytes = kArenaReserveBytes;
 constexpr std::size_t kRegionBytes = kArenaReserveBytes + kCheckpointStackBytes;
 thread_local std::byte* arena_base = nullptr;
@@ -137,6 +143,9 @@ thread_local ArenaHeader* live_arena = nullptr;
 // checkpoint is the arena's used prefix (header included), padded to
 // kPoolGranule, then its unpadded length in a kPoolGranule-sized trailer.
 thread_local std::size_t stack_top = 0;
+// Whether a CaptureWindow is open: the global operator new then serves
+// from the live arena.
+thread_local bool capture_open = false;
 
 struct ArenaRegion {
   std::byte* base = nullptr;
@@ -144,7 +153,8 @@ struct ArenaRegion {
   ArenaRegion(const ArenaRegion&) = delete;
   ArenaRegion& operator=(const ArenaRegion&) = delete;
   ~ArenaRegion() {
-    if (base != nullptr) {
+    if (base != nullptr &&
+        reinterpret_cast<const ArenaHeader*>(base)->live == 0) {
       ::munmap(base, kRegionBytes);
       arena_base = nullptr;
       live_arena = nullptr;
@@ -168,7 +178,11 @@ std::uint32_t next_free(const std::byte* block) {
   return next;
 }
 
-void* arena_allocate(ArenaHeader& a, std::size_t bytes) {
+// Forced inline: pool_allocate and pool_deallocate run for nearly every
+// block a world makes, and arena_new and arena_delete are these helpers'
+// second callers, which would otherwise keep them out of line.
+[[gnu::always_inline]] inline void* arena_allocate(ArenaHeader& a,
+                                                   std::size_t bytes) {
   if (bytes > kArenaReserveBytes - kArenaStart) {
     return nullptr;
   }
@@ -179,6 +193,7 @@ void* arena_allocate(ArenaHeader& a, std::size_t bytes) {
     std::byte* block = base + off;
     ASAN_UNPOISON_MEMORY_REGION(block, size);
     a.heads[c] = next_free(block);
+    a.live += static_cast<std::uint32_t>(size);
     return block;
   }
   if (size > kArenaReserveBytes - a.bump) {
@@ -186,16 +201,18 @@ void* arena_allocate(ArenaHeader& a, std::size_t bytes) {
   }
   std::byte* block = base + a.bump;
   a.bump += static_cast<std::uint32_t>(size);
+  a.live += static_cast<std::uint32_t>(size);
   ASAN_UNPOISON_MEMORY_REGION(block, size);
   return block;
 }
 
-void arena_free(void* raw, std::size_t bytes) {
+[[gnu::always_inline]] inline void arena_free(void* raw, std::size_t bytes) {
   ArenaHeader& a = header();
   const std::size_t c = arena_class(bytes);
   auto* block = static_cast<std::byte*>(raw);
   std::memcpy(block, &a.heads[c], sizeof a.heads[c]);
   a.heads[c] = static_cast<std::uint32_t>(block - arena_base);
+  a.live -= static_cast<std::uint32_t>(arena_class_bytes(c));
   ASAN_POISON_MEMORY_REGION(block, arena_class_bytes(c));
 }
 
@@ -219,10 +236,68 @@ void repoison_free_blocks() {
 #endif
 }
 
-// Calls to the global operator new on this thread and the bytes they asked
-// for (see the replacements at the end of this file).
+// Calls to the global operator new that reached the heap on this thread,
+// and the bytes they asked for (see the replacements at the end of this
+// file).
 thread_local std::uint64_t heap_calls = 0;
 thread_local std::uint64_t heap_bytes = 0;
+
+// The heap behind the global operator new: a counted malloc (posix_memalign
+// for an over-aligned block) that honours the new-handler.
+void* heap_new(std::size_t bytes, std::size_t align) {
+  ++heap_calls;
+  heap_bytes += bytes;
+  if (bytes == 0) {
+    bytes = 1;
+  }
+  for (;;) {
+    void* p = nullptr;
+    if (align <= __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
+      p = std::malloc(bytes);
+    } else if (::posix_memalign(&p, align, bytes) != 0) {
+      p = nullptr;
+    }
+    if (p != nullptr) {
+      return p;
+    }
+    const std::new_handler handler = std::get_new_handler();
+    if (handler == nullptr) {
+      throw std::bad_alloc();
+    }
+    handler();
+  }
+}
+
+// A block for the global operator new from the live arena, behind its size
+// prefix; null outside a capture window, for an over-aligned block, or when
+// the arena cannot fit it.
+void* arena_new(std::size_t bytes, std::size_t align) noexcept {
+  ArenaHeader* a = live_arena;
+  if (a == nullptr || !capture_open ||
+      align > __STDCPP_DEFAULT_NEW_ALIGNMENT__ || bytes > kArenaReserveBytes) {
+    return nullptr;
+  }
+  auto* block =
+      static_cast<std::byte*>(arena_allocate(*a, bytes + kArenaNewPrefix));
+  if (block == nullptr) {
+    return nullptr;
+  }
+  std::memcpy(block, &bytes, sizeof bytes);
+  return block + kArenaNewPrefix;
+}
+
+// Frees a block of the global operator new if it lies in this thread's
+// arena; false otherwise.
+bool arena_delete(void* p) noexcept {
+  if (!in_arena(p)) {
+    return false;
+  }
+  std::byte* block = static_cast<std::byte*>(p) - kArenaNewPrefix;
+  std::size_t bytes;
+  std::memcpy(&bytes, block, sizeof bytes);
+  arena_free(block, bytes + kArenaNewPrefix);
+  return true;
+}
 
 }  // namespace
 
@@ -233,18 +308,18 @@ void* pool_allocate(std::size_t bytes) {
     if (void* block = arena_allocate(*a, bytes)) {
       return block;
     }
-    ++heap_calls;  // the arena is full: the world now holds heap memory
+    // The arena is full: the world now holds counted heap memory.
   }
   const std::size_t c = class_of(bytes);
   if (c >= kClasses) {
-    return ::operator new(bytes);
+    return heap_new(bytes, kPoolGranule);
   }
   if (!lists_gone) {
     if (void* block = lists.pop(c)) {
       return block;
     }
   }
-  return ::operator new(class_bytes(c));
+  return heap_new(class_bytes(c), kPoolGranule);
 }
 
 void pool_deallocate(void* block, std::size_t bytes) noexcept {
@@ -261,6 +336,14 @@ void pool_deallocate(void* block, std::size_t bytes) noexcept {
 std::uint64_t heap_allocations() noexcept { return heap_calls; }
 std::uint64_t heap_allocated_bytes() noexcept { return heap_bytes; }
 
+CaptureWindow::CaptureWindow() noexcept : was_open_(capture_open) {
+  capture_open = true;
+}
+
+CaptureWindow::~CaptureWindow() { capture_open = was_open_; }
+
+bool capturing() noexcept { return capture_open; }
+
 ArenaScope::ArenaScope() {
   if (live_arena != nullptr) {
     return;  // nested: the outer scope keeps serving
@@ -275,19 +358,26 @@ ArenaScope::ArenaScope() {
     arena_base = region.base;
     // The mapping may reuse addresses an exited thread's arena poisoned.
     ASAN_UNPOISON_MEMORY_REGION(mem, kRegionBytes);
-  } else {
-    // Whatever the last scope left is garbage now.
-    const std::size_t used = header().bump;
-    ASAN_POISON_MEMORY_REGION(arena_base + kArenaStart, used - kArenaStart);
-    (void)used;
   }
   ArenaHeader& a = header();
-  std::memset(&a, 0, sizeof a);
-  a.bump = kArenaStart;
+  if (a.live == 0) {
+    // Whatever the last scope left is garbage now.
+    if (a.bump != 0) {
+      ASAN_POISON_MEMORY_REGION(arena_base + kArenaStart,
+                                a.bump - kArenaStart);
+    }
+    std::memset(&a, 0, sizeof a);
+    a.bump = kArenaStart;
+  }
+  // Otherwise blocks the last scope handed out are still live: keep the
+  // allocator's state, which never hands them out again.
+  carried_ = a.live;
   live_arena = &a;
   stack_top = 0;
   active_ = true;
 }
+
+std::size_t ArenaScope::live_bytes() const { return header().live; }
 
 ArenaScope::~ArenaScope() {
   if (active_) {
@@ -346,33 +436,17 @@ void ArenaScope::pop_checkpoint() const {
 
 // --- the counting global operator new ----------------------------------------
 //
-// Every form forwards to malloc (posix_memalign for the aligned ones) after
-// bumping this thread's count; every delete forwards to free.
+// Every form takes its block from the arena inside a capture window and
+// from heap_new otherwise; every delete gives a block of this thread's
+// arena back to it and forwards anything else to free.
 
 namespace {
 
 void* counted_new(std::size_t bytes, std::size_t align) {
-  ++revisim::util::heap_calls;
-  revisim::util::heap_bytes += bytes;
-  if (bytes == 0) {
-    bytes = 1;
+  if (void* p = revisim::util::arena_new(bytes, align)) {
+    return p;
   }
-  for (;;) {
-    void* p = nullptr;
-    if (align <= __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
-      p = std::malloc(bytes);
-    } else if (::posix_memalign(&p, align, bytes) != 0) {
-      p = nullptr;
-    }
-    if (p != nullptr) {
-      return p;
-    }
-    const std::new_handler handler = std::get_new_handler();
-    if (handler == nullptr) {
-      throw std::bad_alloc();
-    }
-    handler();
-  }
+  return revisim::util::heap_new(bytes, align);
 }
 
 void* counted_new_nothrow(std::size_t bytes, std::size_t align) noexcept {
@@ -385,7 +459,11 @@ void* counted_new_nothrow(std::size_t bytes, std::size_t align) noexcept {
 
 // Out of line, so that the compiler does not pair a visible free() with an
 // operator new it inlined next to it and warn about a mismatch.
-[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void release(void* p) noexcept {
+  if (!revisim::util::arena_delete(p)) {
+    std::free(p);
+  }
+}
 
 constexpr std::size_t kPlain = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
 

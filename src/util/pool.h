@@ -40,11 +40,26 @@
 //    restore rewinds every block to its state at the save.
 //  * A world whose memory is all in the arena can be restored; memory it
 //    took from the heap would be leaked or aliased by a restore.  So the
-//    library replaces the global operator new (all its forms) with a
-//    forwarder to malloc that counts calls per thread; heap_allocations()
-//    reads the count, and the explorer checkpoints only while building and
-//    stepping a world leaves it unchanged.  An allocation the arena cannot
-//    fit is served from the heap pool and counted as a heap allocation.
+//    library replaces the global operator new (all its forms) with one that
+//    counts heap allocations per thread; heap_allocations() reads the
+//    count.  While a CaptureWindow is open and an ArenaScope is live, the
+//    global operator new serves from the arena too, without counting: each
+//    block carries a 16-byte prefix holding its size, since the global
+//    delete may be unsized, and every form of the global delete frees a
+//    block of this thread's arena back to it.  So ordinary heap containers
+//    a world builds in a step are arena memory and are rewound with it.
+//    Two kinds of memory stay on the heap and are counted: an
+//    over-aligned new (alignment above __STDCPP_DEFAULT_NEW_ALIGNMENT__),
+//    and a block the arena cannot fit (the arena is full, or the block is
+//    larger than it); a pool_allocate the arena cannot fit goes to the
+//    heap pool and is counted the same way.  The explorer opens the window
+//    around each build, step and fingerprint and, once the count moves,
+//    stops restoring.
+//  * The arena's header counts its live bytes.  A scope empties the arena
+//    only if none are live; blocks that outlived the last scope (the
+//    message of an exception thrown out of a watched call, say) stay valid
+//    and are never handed out again until they are freed.  A thread whose
+//    arena still has live blocks when it exits leaves the region mapped.
 //  * Under AddressSanitizer free arena blocks are poisoned like parked
 //    blocks; a save or restore unpoisons the region before it copies and
 //    re-poisons the free blocks afterwards.
@@ -99,9 +114,34 @@ class ArenaScope {
   // Drops the top checkpoint.
   void pop_checkpoint() const;
 
+  // Bytes of arena blocks in use, and how many of them were in use already
+  // when the scope opened: blocks an earlier scope handed out that are
+  // still live.  Only for an active scope.
+  [[nodiscard]] std::size_t live_bytes() const;
+  [[nodiscard]] std::size_t carried_bytes() const noexcept { return carried_; }
+
  private:
   bool active_ = false;
+  std::size_t carried_ = 0;
 };
+
+// Opens this thread's capture window for the guard's lifetime (and closes
+// it on unwinding): while it is open and an ArenaScope is live, the global
+// operator new serves from the arena.  Guards nest; the window closes with
+// the outermost.
+class CaptureWindow {
+ public:
+  CaptureWindow() noexcept;
+  ~CaptureWindow();
+  CaptureWindow(const CaptureWindow&) = delete;
+  CaptureWindow& operator=(const CaptureWindow&) = delete;
+
+ private:
+  bool was_open_;
+};
+
+// Whether a CaptureWindow is open on this thread.
+[[nodiscard]] bool capturing() noexcept;
 
 template <typename T>
 class PoolAllocator {

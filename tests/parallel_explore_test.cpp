@@ -137,7 +137,8 @@ TEST(ExploreCore, RecordTracesDoesNotChangeResults) {
 
 // Forwards to a ScriptWorld and tallies worlds built, worlds alive at once,
 // and - on destruction - the steps its scheduler ran, replayed prefix and
-// live steps alike.
+// live steps alike.  It holds an OffArena block from its build on, so the
+// explorer never rewinds it in place.
 struct BuildTally {
   std::size_t worlds = 0;
   std::size_t alive = 0;
@@ -168,12 +169,15 @@ class TalliedWorld final : public ExplorableWorld {
  private:
   std::unique_ptr<ExplorableWorld> inner_;
   BuildTally& tally_;
+  std::unique_ptr<test_worlds::OffArena> held_ =
+      std::make_unique<test_worlds::OffArena>();
 };
 
 TEST(ExploreCore, SerialWalkMeetsTheReplayLowerBoundExactly) {
-  // DESIGN.md finding 7: ScriptWorld keeps its order log on the heap, so
-  // the walk cannot rewind it in place and rebuilds and replays it, and a
-  // replayed world covers one root-to-leaf path: E executions of depth D
+  // DESIGN.md finding 7: TalliedWorld holds memory the arena does not
+  // serve, so the walk cannot rewind it in place and rebuilds and replays
+  // it, and a replayed world covers one root-to-leaf path: E executions of
+  // depth D
   // cost at least E factory calls and E*D steps.  The replay path must meet
   // that bound exactly - one world per execution, each replayed and stepped
   // to its leaf once, and only one alive at a time - so no hidden rebuild
@@ -192,7 +196,28 @@ TEST(ExploreCore, SerialWalkMeetsTheReplayLowerBoundExactly) {
     EXPECT_EQ(tally.steps, cap * 8u);
     EXPECT_EQ(tally.peak_alive, 1u);
     EXPECT_EQ(tally.alive, 0u);
+    EXPECT_EQ(res.replay_steps_saved, 0u);
   }
+}
+
+TEST(ExploreCore, InPlaceWalkBuildsOnceAndStepsEachEdgeOnce) {
+  // The bare ScriptWorld's order log is a std::vector its steps grow, which
+  // the arena serves, so the walk rewinds it in place: one build, and one
+  // step per edge of the schedule tree.  The tree of {3,3,2} has one edge
+  // per nonempty schedule prefix: the sum over (a,b,c) <= (3,3,2), other
+  // than zero, of (a+b+c)! / (a! b! c!), which is 1748.
+  std::size_t builds = 0;
+  std::size_t steps = 0;
+  auto inner = script_factory({3, 3, 2}, {}, SIZE_MAX, &steps);
+  auto res = explore_schedules([&] {
+    ++builds;
+    return inner();
+  });
+  EXPECT_EQ(res.executions, 560u);
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_EQ(builds, 1u);
+  EXPECT_EQ(steps, 1748u);
+  EXPECT_GT(res.replay_steps_saved, 0u);
 }
 
 // --- scheduler fast mode: step-for-step identical executions ---
@@ -271,16 +296,22 @@ TEST(ParallelExplore, DeterministicAcrossThreadsAndStealing) {
 }
 
 TEST(ParallelExplore, ForcedStealsStayBitIdentical) {
-  // Oversubscribed workers on any machine are all hungry at startup, so the
-  // seed job's worker starts splitting its stack immediately: every
-  // configuration steals for real, and the merged result must not budge.
+  // With the serial probe off the pool walks the tree from its seed job,
+  // and StealForcingWorld (tests/test_worlds.h) makes the seed's worker
+  // donate at its first expansion and a thief claim the donation, however
+  // fast the walk: every configuration steals for real, and the merged
+  // result must not budge.
   auto serial = explore_schedules(script_factory({4, 4, 3}));
   EXPECT_EQ(serial.executions, 11550u);  // 11! / (4!4!3!)
   for (std::size_t threads : {2u, 4u, 8u}) {
     ParallelExploreOptions opt;
     opt.threads = threads;
     opt.oversubscribe = true;
-    auto res = parallel_explore_schedules(script_factory({4, 4, 3}), opt);
+    opt.serial_probe_executions = 0;
+    test_worlds::StealGate gate;
+    auto res = parallel_explore_schedules(
+        test_worlds::steal_forcing_factory(script_factory({4, 4, 3}), gate),
+        opt);
     expect_same(res, serial, "threads=" + std::to_string(threads));
     EXPECT_GT(res.steals, 0u) << threads;
     EXPECT_GT(res.jobs, 1u) << threads;  // the seed was split at least once
@@ -722,12 +753,14 @@ TEST(ParallelCrash, CrashBranchingMatchesSerial) {
 }
 
 TEST(ParallelCrash, StealsDuringCrashBranchingStayBitIdentical) {
-  // A crash-extended tree big enough that oversubscribed workers steal
-  // while crash branches are being enumerated: donated choice lists carry
-  // crash entries (top bit set), and the key order must still replay the
-  // serial result exactly - planted violation included.  The planted order
-  // log is only reachable by crashing process 1 after its first write, so
-  // the reported witness necessarily contains a crash entry.
+  // Oversubscribed workers steal while crash branches are being
+  // enumerated (the serial probe is off, and StealForcingWorld makes the
+  // seed donate and a thief claim, however fast the walk): donated choice
+  // lists carry crash entries (top bit set), and the key order must still
+  // replay the serial result exactly - planted violation included.  The
+  // planted order log is only reachable by crashing process 1 after its
+  // first write, so the reported witness necessarily contains a crash
+  // entry.
   const Schedule planted{1, 0, 0, 0};
   for (auto writes : {std::vector<std::size_t>{3, 3}}) {
     ScheduleExploreOptions base;
@@ -742,8 +775,12 @@ TEST(ParallelCrash, StealsDuringCrashBranchingStayBitIdentical) {
       opt.base = base;
       opt.threads = threads;
       opt.oversubscribe = true;
-      auto res = parallel_explore_schedules(factory, opt);
+      opt.serial_probe_executions = 0;
+      test_worlds::StealGate gate;
+      auto res = parallel_explore_schedules(
+          test_worlds::steal_forcing_factory(factory, gate), opt);
       expect_same(res, serial, "threads=" + std::to_string(threads));
+      EXPECT_GT(res.steals, 0u) << threads;
     }
   }
 }

@@ -6,6 +6,9 @@
 #include <sanitizer/asan_interface.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -377,6 +380,101 @@ TEST(WorldArena, WhatTheArenaCannotHoldCountsAsAHeapAllocation) {
     EXPECT_GT(util::heap_allocations(), before);
     util::pool_deallocate(huge, util::kArenaReserveBytes);
     util::pool_deallocate(small, 64);
+  });
+  worker.join();
+}
+
+// A failed expectation inside a capture window would store its message, made
+// there, in the test framework: these tests read what they check into locals
+// and expect after the window closes.
+TEST(WorldArena, CaptureWindowServesTheGlobalOperatorNew) {
+  std::thread worker([] {
+    util::ArenaScope arena;
+    ASSERT_TRUE(arena.active());
+    const std::uint64_t before = util::heap_allocations();
+    const std::size_t live = arena.live_bytes();
+    std::vector<int>* v = nullptr;
+    bool open_after_nested = false;
+    {
+      util::CaptureWindow window;
+      { util::CaptureWindow nested; }
+      open_after_nested = util::capturing();  // the outer guard keeps it
+      v = new std::vector<int>(100, 7);
+    }
+    EXPECT_TRUE(open_after_nested);
+    EXPECT_FALSE(util::capturing());
+    EXPECT_EQ(util::heap_allocations(), before);  // the arena served both
+    EXPECT_GT(arena.live_bytes(), live);
+
+    // A restore rewinds a plain container like any pooled block.
+    ASSERT_TRUE(arena.push_checkpoint());
+    (*v)[0] = 1;
+    arena.restore_checkpoint();
+    EXPECT_EQ((*v)[0], 7);
+    arena.pop_checkpoint();
+
+    // The global delete gives arena blocks back, window or not.
+    delete v;
+    EXPECT_EQ(arena.live_bytes(), live);
+
+    // What the arena does not serve reaches the heap and is counted: an
+    // over-aligned new, and a block larger than the arena.  (Direct calls,
+    // which the compiler may not elide as it may an unused new-expression.)
+    constexpr std::align_val_t kWide{2 * __STDCPP_DEFAULT_NEW_ALIGNMENT__};
+    std::uint64_t after_wide = 0;
+    std::uint64_t after_huge = 0;
+    {
+      util::CaptureWindow window;
+      void* wide = ::operator new(8, kWide);
+      after_wide = util::heap_allocations();
+      void* huge = ::operator new(util::kArenaReserveBytes);
+      after_huge = util::heap_allocations();
+      ::operator delete(huge);
+      ::operator delete(wide, kWide);
+    }
+    EXPECT_EQ(after_wide, before + 1);
+    EXPECT_EQ(after_huge, before + 2);
+    EXPECT_EQ(arena.live_bytes(), live);
+  });
+  worker.join();
+}
+
+TEST(WorldArena, AWindowWithoutAScopeUsesTheHeap) {
+  std::thread worker([] {
+    const std::uint64_t before = util::heap_allocations();
+    std::uint64_t after = 0;
+    {
+      util::CaptureWindow window;
+      void* one = ::operator new(8);
+      after = util::heap_allocations();
+      ::operator delete(one);
+    }
+    EXPECT_EQ(after, before + 1);
+  });
+  worker.join();
+}
+
+TEST(WorldArena, BlocksLiveAtAScopesEndAreCarriedNotReused) {
+  std::thread worker([] {
+    std::string* kept = nullptr;
+    {
+      util::ArenaScope arena;
+      util::CaptureWindow window;
+      kept = new std::string(100, 'k');
+    }
+    {
+      util::ArenaScope arena;
+      EXPECT_GT(arena.carried_bytes(), 0u);
+      EXPECT_EQ(arena.live_bytes(), arena.carried_bytes());
+      {
+        util::CaptureWindow window;
+        auto other = std::make_unique<std::string>(100, 'o');
+      }
+      EXPECT_EQ(*kept, std::string(100, 'k'));
+    }
+    delete kept;
+    util::ArenaScope arena;
+    EXPECT_EQ(arena.carried_bytes(), 0u);
   });
   worker.join();
 }

@@ -72,7 +72,13 @@ enforces four things:
    its record kind promises, so sweeps over commits can diff numbers
    without defensive parsing.  Every row's result_digest hashes its
    (executions, exhausted, violation, witness), so a re-recorded file
-   shows whether it measured the same searches.
+   shows whether it measured the same searches - on the rows whose search
+   is deterministic: every config except dist-dedupe-workers-2/-4, whose
+   digests are samples (which worker claims a state first decides their
+   execution counts; see result_digest in bench/bench_modelcheck.cpp).
+   parallel-dedupe-N is deterministic on these instances only because the
+   serial probe settles them.  The gate checks the digest's type, never
+   its value.
 
 9. Augmented dedupe exactness: on augmented-3proc, serial-dedupe must
    record exactly AUG_STATES_SEEN distinct states.  The capped serial walk
