@@ -21,6 +21,12 @@ namespace revisim::aug {
 
 inline constexpr std::size_t kNoStep = std::numeric_limits<std::size_t>::max();
 
+// A record is written while its operation runs and never again once
+// `completed` is set.  From then on it is a sealed sub-object
+// (src/util/fingerprint.h): hashing sinks take its content digest, sealed
+// on the first fingerprint that meets it completed, and TextSink still
+// renders its content.  An open record feeds its content to every sink.
+
 struct ScanOpRecord {
   std::size_t op_id = 0;
   runtime::ProcessId process = 0;
@@ -30,6 +36,14 @@ struct ScanOpRecord {
   bool completed = false;
 
   void fingerprint_into(util::StateSink& sink) const {
+    if (completed) {
+      util::feed_sealed(sink, digest_, *this);
+    } else {
+      feed_content(sink);
+    }
+  }
+
+  void feed_content(util::StateSink& sink) const {
     util::feed(sink, op_id);
     util::feed(sink, process);
     util::feed(sink, first_step);
@@ -37,6 +51,9 @@ struct ScanOpRecord {
     util::feed(sink, returned);
     util::feed(sink, completed);
   }
+
+ private:
+  util::LazyDigest digest_;
 };
 
 struct BlockUpdateOpRecord {
@@ -56,6 +73,14 @@ struct BlockUpdateOpRecord {
   View returned;  // view returned when atomic (completed && !yielded)
 
   void fingerprint_into(util::StateSink& sink) const {
+    if (completed) {
+      util::feed_sealed(sink, digest_, *this);
+    } else {
+      feed_content(sink);
+    }
+  }
+
+  void feed_content(util::StateSink& sink) const {
     util::feed(sink, op_id);
     util::feed(sink, process);
     util::feed(sink, comps);
@@ -71,6 +96,9 @@ struct BlockUpdateOpRecord {
     util::feed(sink, completed);
     util::feed(sink, returned);
   }
+
+ private:
+  util::LazyDigest digest_;
 };
 
 // Records are made on every operation of every world, so the log's storage

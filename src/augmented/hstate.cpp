@@ -54,7 +54,7 @@ class Entries {
  private:
   struct Seq : LocalCounted {
     Items items;
-    LazyDigest digest;
+    util::LazyDigest digest;
   };
 
   LocalRef<const Seq> seq_;  // null: no entries
@@ -68,7 +68,7 @@ struct HComp::Node : LocalCounted {
   Entries<UpdateTriple> triples;
   std::size_t num_bu = 0;
   Entries<LRecord> lrecords;
-  LazyDigest digest;
+  util::LazyDigest digest;
 
   const util::Fingerprint& sealed_digest() const {
     return digest.get([this] {

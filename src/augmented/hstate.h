@@ -135,24 +135,6 @@ class HComp;
 // Result of a scan of H (all f components).
 using HView = util::PoolVector<HComp>;
 
-// A content digest computed on the first request and cached (see the header
-// comment: unsynchronized, like the object it belongs to).
-class LazyDigest {
- public:
-  template <typename Compute>
-  const util::Fingerprint& get(Compute&& compute) const {
-    if (!sealed_) {
-      digest_ = compute();
-      sealed_ = true;
-    }
-    return digest_;
-  }
-
- private:
-  mutable bool sealed_ = false;
-  mutable util::Fingerprint digest_;
-};
-
 // A scan result published in helping records.  Its content digest (an
 // O(f) combination of the component digests) is sealed on the first
 // digest() call.  One instance is shared by all the records of one publish.
@@ -165,7 +147,7 @@ class PublishedView : public LocalCounted {
   HView view;
 
  private:
-  LazyDigest digest_;
+  util::LazyDigest digest_;
 };
 
 // The paper's L_{i,j}[b] <- h: "for q_{target+1}'s Block-Update number

@@ -75,10 +75,10 @@ class ExplorableWorld : public util::Pooled {
   // The full canonical state as text, kept behind the hash in
   // collision-audit mode.  It is not the word stream fingerprint() hashes:
   // the hashing sink consumes the cached digests of immutable sub-objects
-  // (the augmented snapshot's H logs and their embedded scan results) in
-  // place of their content, while TextSink renders every sub-object in
-  // full - an injective encoding of the state, so the audit catches any
-  // collision, sub-digest collisions included.
+  // (the augmented snapshot's H logs, their embedded scan results and its
+  // completed operation records) in place of their content, while TextSink
+  // renders every sub-object in full - an injective encoding of the state,
+  // so the audit catches any collision, sub-digest collisions included.
   virtual std::string canonical_state() {
     std::string out;
     util::TextSink sink(out);

@@ -24,7 +24,7 @@ StateTable::StateTable(Options options) : audit_(options.audit) {
   if (!audit_) {
     const std::size_t cap =
         round_up_pow2(options.capacity < 16 ? 16 : options.capacity);
-    // An anonymous mapping: slots start zeroed (== kEmpty) and pages are
+    // An anonymous mapping: slots start zeroed (== empty) and pages are
     // mapped only when touched, so a search that visits a few hundred
     // states maps a few pages of a million-slot table.  calloc does not
     // promise that: once a process has freed a table of this size, calloc
@@ -54,46 +54,39 @@ bool StateTable::insert_lockfree(util::Fingerprint fp) {
     saturated_.store(true, std::memory_order_relaxed);
     return true;
   }
-  std::size_t idx = FingerprintHash{}(fp) & mask_;
+  // 0 marks an unwritten word (see the header's zero-word rule).
+  const std::uint64_t hi = fp.hi != 0 ? fp.hi : 1;
+  const std::uint64_t lo = fp.lo != 0 ? fp.lo : 1;
+  std::size_t idx = FingerprintHash{}({hi, lo}) & mask_;
   for (std::size_t probes = 0; probes <= mask_; ++probes) {
     Slot& slot = slots_[idx];
-    std::atomic_ref<std::uint32_t> state(slot.state);
-    for (;;) {
-      std::uint32_t st = state.load(std::memory_order_acquire);
-      if (st == kBusy) {
-        // The claimant is between its CAS and its FULL release - a handful
-        // of instructions; spin until the key is published.
+    std::atomic_ref<std::uint64_t> slot_hi(slot.hi);
+    std::uint64_t seen = slot_hi.load(std::memory_order_relaxed);
+    // Empty: claim it.  A lost race leaves the winner's hi in `seen`, and
+    // the winner may have inserted this very key.
+    if (seen == 0 && slot_hi.compare_exchange_strong(
+                         seen, hi, std::memory_order_relaxed,
+                         std::memory_order_relaxed)) {
+      std::atomic_ref<std::uint64_t>(slot.lo).store(lo,
+                                                    std::memory_order_release);
+      size_.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+    if (seen == hi) {
+      std::atomic_ref<std::uint64_t> slot_lo(slot.lo);
+      std::uint64_t stored = slot_lo.load(std::memory_order_acquire);
+      while (stored == 0) {
+        // The claimant is between its CAS and its lo store - a handful of
+        // instructions; spin until the key is published.
         std::this_thread::yield();
-        continue;
+        stored = slot_lo.load(std::memory_order_acquire);
       }
-      if (st == kFull) {
-        // The acquire load of kFull orders these reads after the
-        // claimant's key writes.
-        if (std::atomic_ref<std::uint64_t>(slot.lo).load(
-                std::memory_order_relaxed) == fp.lo &&
-            std::atomic_ref<std::uint64_t>(slot.hi).load(
-                std::memory_order_relaxed) == fp.hi) {
-          hits_.fetch_add(1, std::memory_order_relaxed);
-          return false;
-        }
-        break;  // occupied by another key; probe the next slot
-      }
-      // kEmpty: claim it.  On a lost race, re-examine the same slot (the
-      // winner may have inserted this very key).
-      std::uint32_t expected = kEmpty;
-      if (state.compare_exchange_strong(expected, kBusy,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        std::atomic_ref<std::uint64_t>(slot.lo).store(
-            fp.lo, std::memory_order_relaxed);
-        std::atomic_ref<std::uint64_t>(slot.hi).store(
-            fp.hi, std::memory_order_relaxed);
-        state.store(kFull, std::memory_order_release);
-        size_.fetch_add(1, std::memory_order_relaxed);
-        return true;
+      if (stored == lo) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return false;
       }
     }
-    idx = (idx + 1) & mask_;
+    idx = (idx + 1) & mask_;  // another key's slot; probe the next one
   }
   // Unreachable below the high-water mark (empty slots always remain), but
   // degrade like saturation rather than loop forever.

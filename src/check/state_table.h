@@ -1,11 +1,13 @@
 // Visited-state transposition table for the schedule explorer.
 //
 // Keys are 128-bit state fingerprints (src/util/fingerprint.h).  The table
-// is a fixed-capacity open-addressing array with linear probing and a
-// per-slot publication protocol (EMPTY -> BUSY -> FULL): an insert claims an
-// empty slot with one CAS, writes the key, and release-publishes FULL, so
-// the parallel explorer's workers share one table with no locks at all and
-// the serial explorer pays a single uncontended CAS per distinct state.
+// is a fixed-capacity open-addressing array of 16-byte slots {hi, lo} with
+// linear probing, where a zero word means "not yet written": an insert
+// claims an empty slot by one CAS of `hi` from 0 to the key's hi word, then
+// release-publishes `lo`; a probe that matches `hi` waits while `lo` is
+// still 0 and then compares it.  So the parallel explorer's workers share
+// one table with no locks at all and the serial explorer pays a single
+// uncontended CAS per distinct state.
 // The claim is synchronous - a successful insert *is* the claim-then-walk
 // handshake: whichever worker wins the CAS owns the subtree walk, and every
 // racing worker observes the published key and prunes, which is what keeps
@@ -27,6 +29,13 @@
 // subtree; audit mode converts that silent unsoundness into a hard error
 // (at the memory cost of retaining every canonical state, behind a single
 // mutex - audit is a validation mode, not a fast path).
+//
+// Zero words.  Since 0 marks an unwritten word, a fingerprint word that is
+// 0 is stored as 1, so {0, x} and {1, x} (and {x, 0} and {x, 1}) are one key
+// outside audit mode.  That is one more merge of two distinct fingerprints,
+// with odds of about 2^-64 per pair of states - the same order as the
+// 128-bit collision above; audit mode keys the full fingerprint and
+// catches it like any other collision.
 #pragma once
 
 #include <atomic>
@@ -75,7 +84,7 @@ class StateTable final : public StateStore {
  public:
   struct Options {
     bool audit = false;  // retain canonical states, detect collisions
-    // Slot count, rounded up to a power of two.  ~24 bytes per slot,
+    // Slot count, rounded up to a power of two.  16 bytes per slot,
     // allocated zeroed (lazily mapped), saturating at 7/8 occupancy.
     std::size_t capacity = std::size_t{1} << 20;
   };
@@ -121,20 +130,16 @@ class StateTable final : public StateStore {
     }
   };
 
-  // One open-addressing slot.  `state` moves EMPTY -> BUSY -> FULL exactly
-  // once; lo/hi are written between the BUSY claim and the FULL release, so
-  // an acquire load of FULL makes them safely readable.  Accessed through
-  // std::atomic_ref over an anonymous mapping: zeroed == EMPTY, and pages
-  // are touched only as slots are claimed.
+  // One open-addressing slot: a key's two words, 0 while unwritten (see
+  // the header comment).  `hi` moves from 0 to the key's hi word by the
+  // claiming CAS and `lo` from 0 by one release store, each exactly once.
+  // Accessed through std::atomic_ref over an anonymous mapping: zeroed ==
+  // empty, and pages are touched only as slots are claimed.
   struct Slot {
-    std::uint64_t lo;
     std::uint64_t hi;
-    std::uint32_t state;
-    std::uint32_t pad;
+    std::uint64_t lo;
   };
-  static constexpr std::uint32_t kEmpty = 0;
-  static constexpr std::uint32_t kBusy = 1;
-  static constexpr std::uint32_t kFull = 2;
+  static_assert(sizeof(Slot) == 16);
 
   bool insert_lockfree(util::Fingerprint fp);
 

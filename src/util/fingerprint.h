@@ -13,17 +13,20 @@
 //     128-bit collision is detected instead of silently merging two distinct
 //     states.
 //
-// Immutable sub-objects may carry a cached digest of their content (the
-// augmented snapshot's H logs and the scan results embedded in them, see
-// src/augmented/hstate.h), sealed the first time it is asked for, so a run
-// that never fingerprints never hashes them.  Such an object offers its
-// digest to the sink first (StateSink::take_digest): a hashing sink
-// consumes the two digest words in place of the content, so fingerprinting
-// a deep object is O(1) rather than O(content) once its digest is sealed;
-// TextSink declines, and the object then renders its full content.  The
-// two streams therefore differ: the hash is a Merkle-style hash of the
-// state, the text its full injective encoding - and the audit still catches
-// any collision, sub-digest collisions included, because it compares texts.
+// Immutable sub-objects may carry a cached digest of their content (a
+// LazyDigest), sealed the first time it is asked for, so a run that never
+// fingerprints never hashes them.  Three kinds do: the augmented snapshot's
+// H log versions and the scan results published in them
+// (src/augmented/hstate.h), and its completed operation records
+// (src/augmented/history.h), which no step writes again.  Such an object
+// offers its digest to the sink first (StateSink::take_digest): a hashing
+// sink consumes the two digest words in place of the content, so
+// fingerprinting a deep object is O(1) rather than O(content) once its
+// digest is sealed; TextSink declines, and the object then renders its full
+// content.  The two streams therefore differ: the hash is a Merkle-style
+// hash of the state, the text its full injective encoding - and the audit
+// still catches any collision, sub-digest collisions included, because it
+// compares texts.
 //
 // Objects that hold behaviour-relevant shared state implement the
 // Fingerprintable mixin and register themselves with their Scheduler
@@ -113,6 +116,42 @@ class HashSink final : public StateSink {
   std::uint64_t b_ = 0xbb67ae8584caa73bull;
   std::uint64_t n_ = 0;
 };
+
+// A content digest computed on the first request and cached.  Not
+// synchronized: it belongs to an object that one thread at a time touches
+// (a world's), and it is copied, and rewound by an arena restore, with that
+// object.
+class LazyDigest {
+ public:
+  template <typename Compute>
+  const Fingerprint& get(Compute&& compute) const {
+    if (!sealed_) {
+      digest_ = compute();
+      sealed_ = true;
+    }
+    return digest_;
+  }
+
+ private:
+  mutable bool sealed_ = false;
+  mutable Fingerprint digest_;
+};
+
+// Feeds a sealed sub-object: a hashing sink takes `digest`, sealed on first
+// use as the HashSink digest of what object.feed_content feeds; any other
+// sink gets the content itself.
+template <typename T>
+inline void feed_sealed(StateSink& sink, const LazyDigest& digest,
+                        const T& object) {
+  const Fingerprint& d = digest.get([&object] {
+    HashSink content;
+    object.feed_content(content);
+    return content.digest();
+  });
+  if (!sink.take_digest(d)) {
+    object.feed_content(sink);
+  }
+}
 
 // Renders the word stream as a decimal string: the full canonical state.
 // Declines every cached digest, so sub-objects expand their content.

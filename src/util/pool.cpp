@@ -2,10 +2,13 @@
 
 #include <sanitizer/asan_interface.h>
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -147,14 +150,43 @@ thread_local std::size_t stack_top = 0;
 // from the live arena.
 thread_local bool capture_open = false;
 
+// Every mapped region's base, so that the global delete can tell a block of
+// another thread's arena from a heap block and fail with a message instead
+// of handing it to free().  A thread claims a slot when it maps its region
+// and clears it when it unmaps it; past kRegionSlots mapped regions, a
+// region goes unregistered and such a free is no longer caught.
+constexpr std::size_t kRegionSlots = 256;
+std::atomic<std::byte*> region_bases[kRegionSlots];
+// One past the highest slot ever claimed: the scan's bound.
+std::atomic<std::size_t> region_slots_used{0};
+
+std::size_t register_region(std::byte* base) {
+  for (std::size_t i = 0; i < kRegionSlots; ++i) {
+    std::byte* expected = nullptr;
+    if (region_bases[i].compare_exchange_strong(expected, base,
+                                                std::memory_order_relaxed)) {
+      std::size_t used = region_slots_used.load(std::memory_order_relaxed);
+      while (used < i + 1 && !region_slots_used.compare_exchange_weak(
+                                 used, i + 1, std::memory_order_relaxed)) {
+      }
+      return i;
+    }
+  }
+  return kRegionSlots;
+}
+
 struct ArenaRegion {
   std::byte* base = nullptr;
+  std::size_t slot = kRegionSlots;  // its region_bases entry, if any
   ArenaRegion() = default;
   ArenaRegion(const ArenaRegion&) = delete;
   ArenaRegion& operator=(const ArenaRegion&) = delete;
   ~ArenaRegion() {
     if (base != nullptr &&
         reinterpret_cast<const ArenaHeader*>(base)->live == 0) {
+      if (slot < kRegionSlots) {
+        region_bases[slot].store(nullptr, std::memory_order_relaxed);
+      }
       ::munmap(base, kRegionBytes);
       arena_base = nullptr;
       live_arena = nullptr;
@@ -162,6 +194,33 @@ struct ArenaRegion {
   }
 };
 thread_local ArenaRegion region;
+
+// Fails, naming the block, if `p` lies in another thread's region.  The
+// free that made `p` reachable here is ordered after the allocation, and
+// that after the owner registered its region, so relaxed loads see it.
+void check_not_foreign_arena(const void* p) noexcept {
+  const auto at = reinterpret_cast<std::uintptr_t>(p);
+  const std::size_t used = region_slots_used.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < used; ++i) {
+    std::byte* base = region_bases[i].load(std::memory_order_relaxed);
+    if (base == nullptr || base == arena_base ||
+        at - reinterpret_cast<std::uintptr_t>(base) >= kRegionBytes) {
+      continue;
+    }
+    char msg[256];
+    const int n = std::snprintf(
+        msg, sizeof msg,
+        "revisim pool: cross-thread free of block %p, which lies in another "
+        "thread's arena (region %p); arena blocks must be freed on the "
+        "thread that allocated them\n",
+        p, static_cast<void*>(base));
+    if (n > 0) {
+      (void)!::write(STDERR_FILENO, msg,
+                     std::min(static_cast<std::size_t>(n), sizeof msg - 1));
+    }
+    std::abort();
+  }
+}
 
 ArenaHeader& header() { return *reinterpret_cast<ArenaHeader*>(arena_base); }
 
@@ -355,6 +414,7 @@ ArenaScope::ArenaScope() {
       return;  // inert: the heap-backed pool serves
     }
     region.base = static_cast<std::byte*>(mem);
+    region.slot = register_region(region.base);
     arena_base = region.base;
     // The mapping may reuse addresses an exited thread's arena poisoned.
     ASAN_UNPOISON_MEMORY_REGION(mem, kRegionBytes);
@@ -438,7 +498,8 @@ void ArenaScope::pop_checkpoint() const {
 //
 // Every form takes its block from the arena inside a capture window and
 // from heap_new otherwise; every delete gives a block of this thread's
-// arena back to it and forwards anything else to free.
+// arena back to it, fails naming a block of another thread's arena, and
+// forwards anything else to free.
 
 namespace {
 
@@ -461,6 +522,7 @@ void* counted_new_nothrow(std::size_t bytes, std::size_t align) noexcept {
 // operator new it inlined next to it and warn about a mismatch.
 [[gnu::noinline]] void release(void* p) noexcept {
   if (!revisim::util::arena_delete(p)) {
+    revisim::util::check_not_foreign_arena(p);
     std::free(p);
   }
 }

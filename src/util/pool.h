@@ -35,7 +35,9 @@
 // the stack's pages hold exactly the open checkpoints, and like the arena's
 // they are touched once and reused by every later job on the thread.
 // Rules of the arena:
-//  * Arena blocks are freed only on the thread that owns the arena.
+//  * Arena blocks are freed only on the thread that owns the arena.  The
+//    global delete of a block of another thread's arena fails with a
+//    message naming the block rather than handing it to free().
 //  * Nothing outside the world may hold arena memory across a restore: a
 //    restore rewinds every block to its state at the save.
 //  * A world whose memory is all in the arena can be restored; memory it

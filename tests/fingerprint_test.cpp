@@ -12,14 +12,20 @@
 //
 // The augmented snapshot's H logs are hash-consed (src/augmented/hstate.h):
 // hashing sinks consume cached digests while TextSink expands the content.
-// The AugmentedFingerprint tests pin that contract: transpositions still
-// merge, a change buried inside a published scan result still separates
-// both hash and text, and a scan result never changes under its holder.
+// Completed operation records (src/augmented/history.h) are sealed the same
+// way.  The AugmentedFingerprint tests pin that contract: transpositions
+// still merge however early their records were sealed, a change buried
+// inside a published scan result or a completed record's returned view
+// still separates both hash and text, the audit text renders completed
+// records in full, and a scan result never changes under its holder.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/augmented/augmented_snapshot.h"
@@ -206,16 +212,29 @@ Task<void> update_then_scan(aug::AugmentedSnapshot& m, ProcessId me) {
   co_await m.Scan(me);
 }
 
-struct AugPair {
+// The pair as an explorable world, so canonical_state() is the explorer's
+// own rendering.  With `seal_every_step` it is fingerprinted after every
+// step, as a deduped walk does: records are then sealed the step they
+// complete.
+struct AugPair final : ExplorableWorld {
   Scheduler sched;
   aug::AugmentedSnapshot m{sched, "M", 2, 2};
 
-  explicit AugPair(const std::vector<ProcessId>& schedule) {
+  explicit AugPair(const std::vector<ProcessId>& schedule,
+                   bool seal_every_step = false) {
     sched.spawn(update_then_scan(m, 0), "q1");
     sched.spawn(update_then_scan(m, 1), "q2");
     for (ProcessId p : schedule) {
       sched.run_step(p);
+      if (seal_every_step) {
+        fingerprint();
+      }
     }
+  }
+
+  Scheduler& scheduler() override { return sched; }
+  std::optional<std::string> verdict(bool /*complete*/) override {
+    return std::nullopt;
   }
 };
 
@@ -243,6 +262,125 @@ TEST(AugmentedFingerprint, TranspositionsHashAndRenderEqual) {
   AugPair c(with({0, 1, 0}));
   EXPECT_NE(digest_of(a.sched), digest_of(c.sched));
   EXPECT_NE(text_of(a.sched), text_of(c.sched));
+}
+
+// --- completed op records: sealed sub-objects --------------------------------
+
+// The prefix of TranspositionsHashAndRenderEqual: both Block-Updates run
+// solo to completion, then both Scans take their first collect.
+std::vector<ProcessId> solo_updates_then(std::vector<ProcessId> tail) {
+  std::vector<ProcessId> s(6, 0);
+  s.insert(s.end(), 6, 1);
+  s.insert(s.end(), {0, 1});
+  s.insert(s.end(), tail.begin(), tail.end());
+  return s;
+}
+
+std::string text_of(const auto& object) {
+  std::string out;
+  util::TextSink sink(out);
+  util::feed(sink, object);
+  return out;
+}
+
+util::Fingerprint hash_of(const auto& object) {
+  util::HashSink sink;
+  util::feed(sink, object);
+  return sink.digest();
+}
+
+TEST(AugmentedFingerprint, SealingEarlyOrLateHashesTranspositionsEqual) {
+  // `early` is fingerprinted after every step, so each Block-Update record
+  // is sealed the step it completes; `late` only at the end, so its records
+  // are sealed by that one call.  The digest is a function of the content,
+  // not of when it was sealed.
+  AugPair early(solo_updates_then({0, 1}), /*seal_every_step=*/true);
+  AugPair late(solo_updates_then({1, 0}));
+  ASSERT_EQ(early.m.log().block_updates.size(), 2u);
+  EXPECT_TRUE(early.m.log().block_updates[0].completed);
+  EXPECT_TRUE(early.m.log().block_updates[1].completed);
+  EXPECT_FALSE(early.m.log().scans[0].completed);
+  EXPECT_EQ(early.fingerprint(), late.fingerprint());
+  EXPECT_EQ(early.canonical_state(), late.canonical_state());
+
+  // Run on to the end, where every record is completed, sealing after
+  // every step in one world and only at the end in the other.
+  AugPair unsealed(solo_updates_then({0, 1}));
+  while (!early.sched.all_done()) {
+    early.sched.run_step(early.sched.runnable().front());
+    early.fingerprint();
+    unsealed.sched.run_step(unsealed.sched.runnable().front());
+  }
+  ASSERT_TRUE(unsealed.sched.all_done());
+  EXPECT_TRUE(early.m.log().scans[0].completed);
+  EXPECT_TRUE(early.m.log().scans[1].completed);
+  EXPECT_EQ(early.fingerprint(), unsealed.fingerprint());
+  EXPECT_EQ(early.canonical_state(), unsealed.canonical_state());
+}
+
+TEST(AugmentedFingerprint, CompletedRecordsReturnedViewChangesHashAndText) {
+  auto scan_returning = [](Val v) {
+    aug::ScanOpRecord rec;
+    rec.op_id = 3;
+    rec.process = 1;
+    rec.first_step = 4;
+    rec.last_step = 9;
+    rec.returned = View(2);
+    rec.returned[0] = v;
+    rec.completed = true;
+    return rec;
+  };
+  const aug::ScanOpRecord s7 = scan_returning(7);
+  const aug::ScanOpRecord s8 = scan_returning(8);
+  EXPECT_NE(hash_of(s7), hash_of(s8));
+  EXPECT_NE(text_of(s7), text_of(s8));
+
+  auto update_returning = [](Val v) {
+    aug::BlockUpdateOpRecord rec;
+    rec.op_id = 2;
+    rec.process = 0;
+    rec.comps.push_back(0);
+    rec.vals.push_back(5);
+    rec.step_h = 0;
+    rec.step_x = 1;
+    rec.step_g = 2;
+    rec.step_help = 3;
+    rec.step_h2 = 4;
+    rec.step_read = 5;
+    rec.returned = View(2);
+    rec.returned[1] = v;
+    rec.completed = true;
+    return rec;
+  };
+  const aug::BlockUpdateOpRecord u7 = update_returning(7);
+  const aug::BlockUpdateOpRecord u8 = update_returning(8);
+  EXPECT_NE(hash_of(u7), hash_of(u8));
+  EXPECT_NE(text_of(u7), text_of(u8));
+
+  // The hash of a completed record is its sealed digest, in O(1) words,
+  // and equal content hashes equal.
+  EXPECT_EQ(hash_of(s7), hash_of(scan_returning(7)));
+  EXPECT_EQ(hash_of(u7), hash_of(update_returning(7)));
+}
+
+TEST(AugmentedFingerprint, CanonicalStateRendersCompletedRecordsInFull) {
+  AugPair world(solo_updates_then({}), /*seal_every_step=*/true);
+  const aug::BlockUpdateOpRecord& rec = world.m.log().block_updates[0];
+  ASSERT_TRUE(rec.completed);
+  ASSERT_EQ(rec.step_read, 5u);  // q1's six H-steps are global steps 0-5
+  std::string content;
+  util::TextSink sink(content);
+  rec.feed_content(sink);
+  EXPECT_NE(content.find("0 1 2 3 4 5 "), std::string::npos);  // step indices
+
+  // The audit text holds the record's content, step indices included, and
+  // not the digest the hash consumed in its place.
+  const std::string text = world.canonical_state();
+  EXPECT_NE(text.find(content), std::string::npos);
+  util::HashSink hashed;
+  rec.feed_content(hashed);
+  EXPECT_EQ(text.find(std::to_string(hashed.digest().hi)), std::string::npos);
+  EXPECT_EQ(text.find(std::to_string(hashed.digest().lo)), std::string::npos);
 }
 
 Task<void> publish(mem::SWSnapshot<HComp>& h, HComp mine) {
@@ -371,6 +509,76 @@ TEST(StateTable, AuditThrowsOnFabricatedCollision) {
   EXPECT_TRUE(table.insert(fp, [] { return std::string("state-a"); }));
   EXPECT_THROW(table.insert(fp, [] { return std::string("state-b"); }),
                StateFingerprintCollision);
+}
+
+TEST(StateTable, ConcurrentInsertsClaimEachKeyOnce) {
+  // 2000 keys with no zero word, several pairs sharing a hi word, plus the
+  // three keys with zero words.  Four threads insert overlapping windows of
+  // the key list (each key two or three times in all) into a table small
+  // enough for long probe chains.
+  std::vector<util::Fingerprint> keys;
+  for (std::uint64_t k = 0; k < 2000; ++k) {
+    keys.push_back({2 + k / 2, 2 + k * 0x9e3779b97f4a7c15ull % 1000003});
+  }
+  keys.push_back({0, 42});
+  keys.push_back({42, 0});
+  keys.push_back({0, 0});
+  const std::size_t n = keys.size();
+  StateTable table(StateTable::Options{.capacity = 4096});
+  std::vector<std::atomic<int>> claims(n);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kWindow = 1200;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kWindow; ++i) {
+        const std::size_t k = (t * 500 + i) % n;
+        if (table.insert(keys[k])) {
+          claims[k].fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  std::size_t claimed = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_EQ(claims[k].load(), 1) << "key " << k;
+    claimed += static_cast<std::size_t>(claims[k].load());
+  }
+  EXPECT_EQ(claimed, n);
+  EXPECT_EQ(table.states(), n);
+  EXPECT_EQ(table.hits(), kThreads * kWindow - n);
+  EXPECT_FALSE(table.saturated());
+  for (const auto& key : keys) {
+    EXPECT_FALSE(table.insert(key));
+  }
+  // The zero-word rule (state_table.h): a zero word is stored as 1.
+  EXPECT_FALSE(table.insert({1, 42}));
+  EXPECT_FALSE(table.insert({1, 1}));
+  EXPECT_EQ(table.states(), n);
+}
+
+TEST(StateTable, SaturatesAtSevenEighthsAdmittingWithoutRecording) {
+  StateTable table(StateTable::Options{.capacity = 16});
+  for (std::uint64_t k = 0; k < 13; ++k) {
+    EXPECT_TRUE(table.insert({k + 2, k + 2}));
+  }
+  EXPECT_FALSE(table.insert({2, 2}));
+  EXPECT_EQ(table.hits(), 1u);
+  EXPECT_TRUE(table.insert({15, 15}));  // the high-water mark: 16 - 2
+  EXPECT_FALSE(table.saturated());
+  EXPECT_EQ(table.states(), 14u);
+
+  // Past the mark every insert is admitted and none is recorded, so a
+  // repeat is admitted again rather than pruned.
+  EXPECT_TRUE(table.insert({99, 99}));
+  EXPECT_TRUE(table.saturated());
+  EXPECT_TRUE(table.insert({99, 99}));
+  EXPECT_TRUE(table.insert({2, 2}));
+  EXPECT_EQ(table.states(), 14u);
+  EXPECT_EQ(table.hits(), 1u);
 }
 
 // --- serial dedupe on a state-merging world -------------------------------

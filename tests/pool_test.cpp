@@ -479,5 +479,24 @@ TEST(WorldArena, BlocksLiveAtAScopesEndAreCarriedNotReused) {
   worker.join();
 }
 
+// A block of another thread's arena cannot go back to that arena from here,
+// nor to free(): the global delete fails naming it.  The owning thread exits
+// first, so its region stays mapped for the block that is still live.
+TEST(WorldArenaDeathTest, CrossThreadFreeFailsNamingTheBlock) {
+  EXPECT_DEATH(
+      {
+        std::string* block = nullptr;
+        std::thread owner([&block] {
+          util::ArenaScope arena;
+          util::CaptureWindow window;
+          block = new std::string(100, 'x');
+        });
+        owner.join();
+        delete block;
+      },
+      "cross-thread free of block 0x[0-9a-f]+, which lies in another "
+      "thread's arena");
+}
+
 }  // namespace
 }  // namespace revisim
