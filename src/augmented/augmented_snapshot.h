@@ -41,14 +41,12 @@
 #include "src/memory/sw_snapshot.h"
 #include "src/runtime/scheduler.h"
 #include "src/runtime/task.h"
-#include "src/util/pool.h"
 #include "src/util/value.h"
 
 namespace revisim::aug {
 
 // Abstract augmented snapshot: what the simulation layer programs against.
-// Every simulation world makes one, so it lives in the block pool.
-class IAugmentedSnapshot : public util::Pooled {
+class IAugmentedSnapshot {
  public:
   struct ScanResult {
     View view;
@@ -70,26 +68,14 @@ class IAugmentedSnapshot : public util::Pooled {
   // Block-Updates can starve it.
   virtual runtime::Task<ScanResult> Scan(runtime::ProcessId me) = 0;
 
-  // A Block-Update's arguments, in the block pool like everything else a
-  // world's steps make.
-  using Comps = util::PoolVector<std::size_t>;
-  using Vals = util::PoolVector<Val>;
+  // A Block-Update's arguments.
+  using Comps = std::vector<std::size_t>;
+  using Vals = std::vector<Val>;
 
   // Algorithm 4.  Wait-free: exactly 6 steps on H (5 when yielding).
   virtual runtime::Task<BlockUpdateResult> BlockUpdate(runtime::ProcessId me,
                                                        Comps comps,
                                                        Vals vals) = 0;
-
-  // The same, for callers holding std::vector arguments: copies them into
-  // pooled storage.  Vectors a world makes inside its steps come from the
-  // explorer's arena like pooled ones (src/util/pool.h), so either form
-  // walks in place.
-  runtime::Task<BlockUpdateResult> BlockUpdate(
-      runtime::ProcessId me, const std::vector<std::size_t>& comps,
-      const std::vector<Val>& vals) {
-    return BlockUpdate(me, Comps(comps.begin(), comps.end()),
-                       Vals(vals.begin(), vals.end()));
-  }
 
   [[nodiscard]] virtual const OpLog& log() const noexcept = 0;
 
@@ -268,7 +254,6 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
     co_return ScanResult{std::move(v), op_id};
   }
 
-  using IAugmentedSnapshot::BlockUpdate;
   runtime::Task<BlockUpdateResult> BlockUpdate(runtime::ProcessId me,
                                                Comps comps,
                                                Vals vals) override {
@@ -293,8 +278,8 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
       BlockUpdateOpRecord rec;
       rec.op_id = op_id;
       rec.process = me;
-      rec.comps.assign(comps.begin(), comps.end());
-      rec.vals.assign(vals.begin(), vals.end());
+      rec.comps = comps;
+      rec.vals = vals;
       reserve_first(log_.block_updates);
       log_.block_updates.push_back(std::move(rec));
     }
@@ -384,7 +369,7 @@ class BasicAugmentedSnapshot final : public IAugmentedSnapshot,
   // A log of f processes' operations usually holds at least f of each kind,
   // so the first record makes room for f.
   template <typename Record>
-  void reserve_first(util::PoolVector<Record>& records) const {
+  void reserve_first(std::vector<Record>& records) const {
     if (records.empty()) {
       records.reserve(f_);
     }

@@ -14,7 +14,6 @@
 #include "src/augmented/timestamp.h"
 #include "src/runtime/trace.h"
 #include "src/util/fingerprint.h"
-#include "src/util/pool.h"
 #include "src/util/value.h"
 
 namespace revisim::aug {
@@ -59,9 +58,9 @@ struct ScanOpRecord {
 struct BlockUpdateOpRecord {
   std::size_t op_id = 0;
   runtime::ProcessId process = 0;
-  util::PoolVector<std::size_t> comps;  // components updated, in call order
-  util::PoolVector<Val> vals;
-  Timestamp ts;                    // timestamp shared by all its Updates
+  std::vector<std::size_t> comps;   // components updated, in call order
+  std::vector<Val> vals;
+  Timestamp ts;                     // timestamp shared by all its Updates
   std::size_t step_h = kNoStep;     // line 2: scan H
   std::size_t step_x = kNoStep;     // line 4: update X appending the triples
   std::size_t step_g = kNoStep;     // line 5: scan G
@@ -101,11 +100,9 @@ struct BlockUpdateOpRecord {
   util::LazyDigest digest_;
 };
 
-// Records are made on every operation of every world, so the log's storage
-// lives in the block pool.
 struct OpLog {
-  util::PoolVector<ScanOpRecord> scans;
-  util::PoolVector<BlockUpdateOpRecord> block_updates;
+  std::vector<ScanOpRecord> scans;
+  std::vector<BlockUpdateOpRecord> block_updates;
   std::size_t next_op_id = 0;
 
   // The log is verdict input (the §3.3 linearizer consumes it), so it is

@@ -16,7 +16,7 @@ namespace {
 template <typename T>
 class Entries {
  public:
-  using Items = util::PoolVector<T>;
+  using Items = std::vector<T>;
 
   [[nodiscard]] const Items& get() const noexcept {
     static const Items none;
@@ -207,8 +207,7 @@ Timestamp new_timestamp(const HView& h, std::size_t me) {
 
 View get_view(const HView& h, std::size_t m) {
   View out(m);
-  // Pooled scratch: every Scan and Block-Update calls this inside a step.
-  util::PoolVector<const UpdateTriple*> best(m, nullptr);
+  std::vector<const UpdateTriple*> best(m, nullptr);
   for (const HComp& comp : h) {
     for (const UpdateTriple& tr : comp.triples()) {
       assert(tr.component < m);

@@ -27,10 +27,9 @@
 // Ownership.  A version belongs to the world that built it, and a world runs
 // on one thread.  So the caches are not synchronized, and versions, entry
 // sequences and published views are shared through LocalRef: an intrusive
-// handle with a plain (non-atomic) reference count, whose objects come from
-// the per-thread block pool (src/util/pool.h).  A world may still be
-// destroyed on another thread than the one that built it, as long as no two
-// threads touch it at once.
+// handle with a plain (non-atomic) reference count.  Memory made inside the
+// explorer's capture window is the thread's world arena, and is freed on its
+// own thread (src/util/pool.h); outside the explorer it is plain heap.
 //
 // The paper's prefix order on scan results (Observation 1) concerns the
 // update-triple logs: those are what Get-View and the Block-Update return
@@ -50,7 +49,6 @@
 
 #include "src/augmented/timestamp.h"
 #include "src/util/fingerprint.h"
-#include "src/util/pool.h"
 #include "src/util/value.h"
 
 namespace revisim::aug {
@@ -69,8 +67,8 @@ struct UpdateTriple {
   }
 };
 
-// Base of the objects LocalRef shares: pooled, with a plain count.
-class LocalCounted : public util::Pooled {
+// Base of the objects LocalRef shares: a plain count.
+class LocalCounted {
  private:
   template <typename T>
   friend class LocalRef;
@@ -133,7 +131,7 @@ template <typename T, typename... Args>
 
 class HComp;
 // Result of a scan of H (all f components).
-using HView = util::PoolVector<HComp>;
+using HView = std::vector<HComp>;
 
 // A scan result published in helping records.  Its content digest (an
 // O(f) combination of the component digests) is sealed on the first
@@ -164,8 +162,8 @@ struct LRecord {
 // default-constructed handle is the empty log.
 class HComp {
  public:
-  using Triples = util::PoolVector<UpdateTriple>;
-  using LRecords = util::PoolVector<LRecord>;
+  using Triples = std::vector<UpdateTriple>;
+  using LRecords = std::vector<LRecord>;
 
   // The empty log.  Copies share the version; the special members live in
   // hstate.cpp, where the version type is complete.

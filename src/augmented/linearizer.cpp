@@ -26,9 +26,7 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
   struct Batch {
     const BlockUpdateOpRecord* bu;
   };
-  // Scratch below lives in the block pool: the linearizer runs at the leaf
-  // of every explored execution.
-  util::PoolVector<Batch> batches;
+  std::vector<Batch> batches;
   for (const auto& b : log.block_updates) {
     if (b.step_x != kNoStep) {
       batches.push_back(Batch{&b});
@@ -125,7 +123,7 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
     if (!b.completed || b.yielded) {
       continue;
     }
-    util::PoolVector<std::size_t> positions;
+    std::vector<std::size_t> positions;
     for (std::size_t i = 0; i < res.ops.size(); ++i) {
       if (res.ops[i].kind == LinearizedOp::Kind::kUpdate &&
           res.ops[i].op_id == b.op_id) {
@@ -199,7 +197,7 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
       // Replay to find whether some T in [z_prime_index, z_index] has
       // contents == b.returned with no Scan in (T, Z).
       View contents(m);
-      util::PoolVector<View> prefix_contents(res.ops.size() + 1);
+      std::vector<View> prefix_contents(res.ops.size() + 1);
       prefix_contents[0] = contents;
       for (std::size_t i = 0; i < res.ops.size(); ++i) {
         if (res.ops[i].kind == LinearizedOp::Kind::kUpdate) {
@@ -241,7 +239,7 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
   // per-block windows are chosen maximal-T, so it suffices that each
   // window's T lies at or past the end of every earlier window.
   {
-    util::PoolVector<Window> sorted = res.windows;
+    std::vector<Window> sorted = res.windows;
     std::sort(sorted.begin(), sorted.end(),
               [](const Window& a, const Window& w) {
                 return a.z_index < w.z_index;

@@ -62,8 +62,8 @@ struct Window {
 };
 
 struct LinearizationResult {
-  util::PoolVector<LinearizedOp> ops;   // in linearization order
-  util::PoolVector<Window> windows;     // one per atomic Block-Update
+  std::vector<LinearizedOp> ops;        // in linearization order
+  std::vector<Window> windows;          // one per atomic Block-Update
   std::vector<std::string> violations;  // empty iff all §3.3 checks pass
 
   [[nodiscard]] bool ok() const noexcept { return violations.empty(); }

@@ -53,7 +53,6 @@ class MutantAugmentedSnapshot final : public IAugmentedSnapshot {
     return inner_.Scan(me);
   }
 
-  using IAugmentedSnapshot::BlockUpdate;
   runtime::Task<BlockUpdateResult> BlockUpdate(runtime::ProcessId me,
                                                Comps comps,
                                                Vals vals) override {

@@ -10,17 +10,15 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/util/fingerprint.h"
-#include "src/util/pool.h"
 
 namespace revisim::aug {
 
 class Timestamp {
  public:
-  // Every Block-Update and every linearized Update carries one, so the
-  // parts live in the block pool.
-  using Parts = util::PoolVector<std::uint32_t>;
+  using Parts = std::vector<std::uint32_t>;
 
   Timestamp() = default;
   explicit Timestamp(Parts parts) : parts_(std::move(parts)) {}

@@ -44,12 +44,12 @@ bool heap_is_counted() {
   return counted;
 }
 
-// One watched call: a build, step or fingerprint of the world.  Inside it
-// the capture window is open, so the world's ordinary heap containers come
-// from the arena and are rewound with it; what the arena does not serve
-// (over-aligned or oversized memory) still moves the heap counter, and then
-// the walk stops rewinding in place.  A guard, so the window also closes
-// when the call throws.
+// One watched call: a build, step, fingerprint or verdict of the world.
+// Inside it the capture window is open, so the world's ordinary heap
+// containers come from the arena and are rewound with it; what the arena
+// does not serve (over-aligned or oversized memory) still moves the heap
+// counter, and then the walk stops rewinding in place.  A guard, so the
+// window also closes when the call throws.
 class Watch {
  public:
   explicit Watch(bool& in_place) noexcept
@@ -141,10 +141,9 @@ SubtreeResult explore_job(
   // The world lives in this thread's arena, so every branch node's state is
   // pushed onto the arena's checkpoint stack at expansion and copied back on
   // backtrack (src/util/pool.h).  That is sound only while the world holds
-  // no heap memory, so every build, step and fingerprint is a Watch: once
-  // one of them reaches the heap, `in_place` drops and the rest of the walk
-  // rebuilds and replays instead.  Verdicts run only at leaves, whose state
-  // is discarded, so they are not watched.
+  // no heap memory, so every call into the world - build, step, fingerprint
+  // and verdict - is a Watch: once one of them reaches the heap, `in_place`
+  // drops and the rest of the walk rebuilds and replays instead.
   util::ArenaScope arena;
   bool in_place = arena.active() && heap_is_counted();
   auto step = [&](ExplorableWorld& w, runtime::ProcessId entry) {
@@ -401,9 +400,14 @@ SubtreeResult explore_job(
         options.live_executions->store(res.executions,
                                        std::memory_order_relaxed);
       }
-      if (auto v = world->verdict(complete)) {
-        // A copy, on the heap: the verdict may have moved a string a step
-        // made out of the world, and the result crosses threads.
+      std::optional<std::string> v;
+      {
+        Watch watch(in_place);
+        v = world->verdict(complete);
+      }
+      if (v) {
+        // A copy, on the heap: the verdict's string is arena memory, and the
+        // result crosses threads.
         res.violation.emplace(*v);
         res.witness = schedule;
         res.violation_index = res.executions;
@@ -461,17 +465,10 @@ SubtreeResult explore_job(
     throw std::runtime_error(
         "explore: " +
         std::to_string(arena.live_bytes() - arena.carried_bytes()) +
-        " bytes of arena memory made by the world's build, steps or "
-        "fingerprints outlived the world");
+        " bytes of arena memory made by the world's build, steps, "
+        "fingerprints or verdicts outlived the world");
   }
   return res;
-}
-
-SubtreeResult explore_subtree(
-    const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
-    const std::vector<runtime::ProcessId>& prefix,
-    const SubtreeOptions& options, const AbortProbe& abort) {
-  return explore_job(factory, prefix, options, abort, nullptr);
 }
 
 SubtreeOptions subtree_options(const ScheduleExploreOptions& options) {

@@ -20,11 +20,11 @@
 // edge, N saves and E - 1 restores, where rebuild-and-replay costs E builds
 // and up to E*D steps (DESIGN.md finding 7: that bound holds for explorers
 // that copy a world to a new place, and restoring in place beats it).
-// Builds, steps and fingerprints run inside the arena's capture window, so
-// the ordinary heap containers a world makes there are arena memory and
-// walk in place too.  Memory the arena does not serve - an over-aligned
-// new, or a block the arena cannot fit - reaches the heap counter, which
-// the engine watches around those calls; once it moves (or the checkpoint
+// Builds, steps, fingerprints and verdicts run inside the arena's capture
+// window, so the containers and objects a world makes there are arena
+// memory and walk in place.  Memory the arena does not serve - an
+// over-aligned new, or a block the arena cannot fit - reaches the heap
+// counter, which the engine watches around those calls; once it moves (or the checkpoint
 // stack is full), the rest of the job rebuilds and replays.  Results are
 // identical either way, only the cost differs; the steps restores saved
 // are reported as replay_steps_saved.  Arena memory still live once the
@@ -33,7 +33,7 @@
 // (prefix, choices) values.  The other
 // constant-factor levers: worlds run with trace recording off (Scheduler
 // fast mode); the runnable() buffer and the DFS frames are reused instead
-// of reallocated per node; coroutine frames come from the pool
+// of reallocated per node; coroutine frames come from the arena
 // (src/runtime/task.h), and H-log digests are sealed only when a
 // fingerprint asks for them (src/augmented/hstate.h).
 #pragma once
@@ -204,12 +204,6 @@ SubtreeResult explore_job(
     const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
     const std::vector<runtime::ProcessId>& prefix, const SubtreeOptions& options,
     const AbortProbe& abort = {}, JobContext* ctx = nullptr);
-
-// Back-compat convenience: explore_job with no context.
-SubtreeResult explore_subtree(
-    const std::function<std::unique_ptr<ExplorableWorld>()>& factory,
-    const std::vector<runtime::ProcessId>& prefix, const SubtreeOptions& options,
-    const AbortProbe& abort = {});
 
 // Appends to `out` the schedule entries available at a node whose runnable
 // set is `runnable`: first one plain step entry per runnable process, then -

@@ -31,7 +31,7 @@ ScheduleExploreResult explore_schedules(
     const ScheduleExploreOptions& options) {
   validate(options);
   return detail::whole_tree_result(
-      detail::explore_subtree(factory, {}, detail::subtree_options(options)));
+      detail::explore_job(factory, {}, detail::subtree_options(options)));
 }
 
 }  // namespace revisim::check

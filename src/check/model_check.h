@@ -23,7 +23,6 @@
 
 #include "src/runtime/scheduler.h"
 #include "src/util/fingerprint.h"
-#include "src/util/pool.h"
 
 namespace revisim::check {
 
@@ -32,20 +31,18 @@ namespace revisim::check {
 // (all processes done, or the depth bound).  Return a message to flag a
 // violation, std::nullopt to accept.
 //
-// Worlds are pooled objects, so a world the factory makes with new or
-// std::make_unique lands in the explorer's arena, and the explorer can
-// rewind it in place (src/util/pool.h).  While the explorer builds, steps
-// or fingerprints a world, the global operator new serves from the arena
-// too, so ordinary heap containers (std::vector, std::string, ...) a world
-// makes there walk in place with it.  For that, a world keeps its state in
-// its own memory: steps must not change state outside the world (a restore
+// While the explorer builds, steps or fingerprints a world or takes its
+// verdict, the global operator new serves from the thread's world arena, so
+// the world the factory makes with new or std::make_unique, and the
+// ordinary containers (std::vector, std::string, ...) it makes in those
+// calls, walk in place: the explorer rewinds the world by copying the arena
+// back (src/util/pool.h).  For that, a world keeps its state in its own
+// memory: those calls must not change state outside the world (a restore
 // would not rewind it) nor leave memory they made outside it (the walk then
-// fails with an error naming the bytes), and a verdict must not store heap
-// memory in the world (a restore would leak it).  A world that takes memory
-// the arena does not serve - an over-aligned new, or a block larger than
-// the arena has room for - is still explored correctly, by rebuild and
-// replay.
-class ExplorableWorld : public util::Pooled {
+// fails with an error naming the bytes).  A world that takes memory the
+// arena does not serve - an over-aligned new, or a block larger than the
+// arena has room for - is still explored correctly, by rebuild and replay.
+class ExplorableWorld {
  public:
   virtual ~ExplorableWorld() = default;
   virtual runtime::Scheduler& scheduler() = 0;

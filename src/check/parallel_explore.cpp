@@ -175,7 +175,7 @@ ScheduleExploreResult parallel_explore_schedules(
       abort = past_deadline;
     }
     try {
-      auto sr = detail::explore_subtree(factory, {}, sub, abort);
+      auto sr = detail::explore_job(factory, {}, sub, abort);
       if (sr.fully_explored || sr.violation.has_value() || probe_cap >= cap) {
         const bool truncated = !sr.fully_explored;
         ScheduleExploreResult res = detail::whole_tree_result(std::move(sr));

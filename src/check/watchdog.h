@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "src/runtime/scheduler.h"
-#include "src/util/pool.h"
 
 namespace revisim::check {
 
@@ -84,7 +83,7 @@ class ProgressMonitor {
 
   const runtime::Scheduler& sched_;
   std::size_t budget_;
-  util::PoolVector<Op> ops_;  // grows inside world steps: pooled
+  std::vector<Op> ops_;
 };
 
 }  // namespace revisim::check

@@ -123,8 +123,8 @@ struct SimParams {
 
 // Simulator q_{i+1}'s input is 10*(i+1).  Built with the world, not with
 // the factory, so that parsing a spec stays O(spec length).
-util::PoolVector<Val> sim_inputs(std::size_t f) {
-  util::PoolVector<Val> inputs(f);
+std::vector<Val> sim_inputs(std::size_t f) {
+  std::vector<Val> inputs(f);
   for (std::size_t i = 0; i < f; ++i) {
     inputs[i] = static_cast<Val>(10 * (i + 1));
   }
@@ -227,9 +227,7 @@ runtime::Task<void> run_ops(aug::AugmentedSnapshot& obj, runtime::ProcessId me,
     aug::IAugmentedSnapshot::Vals vals(op.size());
     std::iota(vals.begin(), vals.end(), next);
     next += static_cast<Val>(op.size());
-    co_await obj.BlockUpdate(
-        me, aug::IAugmentedSnapshot::Comps(op.begin(), op.end()),
-        std::move(vals));
+    co_await obj.BlockUpdate(me, op, std::move(vals));
   }
 }
 

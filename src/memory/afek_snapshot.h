@@ -42,7 +42,7 @@ template <typename T>
 class AfekSnapshotT {
  public:
   struct ScanOutcome {
-    util::PoolVector<T> view;
+    std::vector<T> view;
     std::size_t lin_step = 0;  // global step index where the scan took effect
   };
 
@@ -102,8 +102,8 @@ class AfekSnapshotT {
   }
 
   // Test/debug peek: current component values, outside any execution.
-  [[nodiscard]] util::PoolVector<T> peek() const {
-    util::PoolVector<T> out;
+  [[nodiscard]] std::vector<T> peek() const {
+    std::vector<T> out;
     out.reserve(cells_.size());
     for (const auto& cell : cells_) {
       out.push_back(cell->peek().value);
@@ -132,7 +132,7 @@ class AfekSnapshotT {
   struct Cell {
     T value{};
     std::uint64_t seq = 0;
-    util::PoolVector<T> view;   // embedded scan published with this write
+    std::vector<T> view;        // embedded scan published with this write
     std::size_t view_lin = 0;   // linearization step of that embedded scan
 
     void fingerprint_into(util::StateSink& sink) const {

@@ -14,7 +14,6 @@
 
 #include "src/runtime/scheduler.h"
 #include "src/util/fingerprint.h"
-#include "src/util/pool.h"
 
 namespace revisim::mem {
 
@@ -42,7 +41,7 @@ class SWSnapshot : public util::Fingerprintable {
     util::feed(sink, comps_);
   }
 
-  runtime::StepAwaiter<util::PoolVector<T>> scan() {
+  runtime::StepAwaiter<std::vector<T>> scan() {
     return {sched_,
             [this] {
               sched_.note_access(id_, runtime::Footprint::kAllComponents,
@@ -79,7 +78,7 @@ class SWSnapshot : public util::Fingerprintable {
                           id_, static_cast<std::uint32_t>(writer))};
   }
 
-  [[nodiscard]] const util::PoolVector<T>& peek() const noexcept {
+  [[nodiscard]] const std::vector<T>& peek() const noexcept {
     return comps_;
   }
 
@@ -87,7 +86,7 @@ class SWSnapshot : public util::Fingerprintable {
   runtime::Scheduler& sched_;
   std::size_t id_;
   bool opaque_;
-  util::PoolVector<T> comps_;  // scans copy it on every step
+  std::vector<T> comps_;  // scans copy it on every step
 };
 
 }  // namespace revisim::mem

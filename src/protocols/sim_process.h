@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 
-#include "src/util/pool.h"
 #include "src/util/value.h"
 
 namespace revisim::proto {
@@ -46,9 +45,7 @@ struct SimAction {
   friend bool operator==(const SimAction&, const SimAction&) = default;
 };
 
-// Worlds make and clone simulated processes on every explored execution,
-// so they live in the block pool.
-class SimProcess : public util::Pooled {
+class SimProcess {
  public:
   virtual ~SimProcess() = default;
 

@@ -24,7 +24,6 @@
 #include "src/runtime/task.h"
 #include "src/runtime/trace.h"
 #include "src/util/fingerprint.h"
-#include "src/util/pool.h"
 #include "src/util/small_fn.h"
 
 namespace revisim::runtime {
@@ -208,9 +207,7 @@ class Scheduler {
                  Footprint footprint = Footprint::opaque_footprint());
 
  private:
-  // A world's processes and registries are rebuilt with it for every
-  // explored execution, so they live in the block pool.
-  struct Process : util::Pooled {
+  struct Process {
     Task<void> body;
     std::string name;
     bool started = false;
@@ -232,9 +229,9 @@ class Scheduler {
   void finish_if_done(Process& p);
   void execute_poised_step(Process& p, ProcessId pid);
 
-  util::PoolVector<std::unique_ptr<Process>> procs_;
-  util::PoolVector<const util::Fingerprintable*> state_sources_;
-  util::PoolVector<std::string> object_names_;
+  std::vector<std::unique_ptr<Process>> procs_;
+  std::vector<const util::Fingerprintable*> state_sources_;
+  std::vector<std::string> object_names_;
   Trace trace_;
   std::size_t step_count_ = 0;  // == trace_.size() while recording
   ProcessId current_ = 0;

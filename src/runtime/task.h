@@ -8,13 +8,11 @@
 // chains (e.g. the recursive Construct(r) of a covering simulator) suspend
 // and resume as a unit at each shared-memory step.
 //
-// Frames come from the per-thread block pool (src/util/pool.h).  The
-// explorer builds many worlds, and every world allocates the same few dozen
-// frames again; the pool hands freed frames back out, so the steady state
-// of an exploration allocates no frames from the heap.  Inside the
-// explorer's arena, frames are part of the bytes a checkpoint copies, so a
-// restore brings them back at their own addresses.  Outside the arena, a
-// frame may be destroyed on another thread than the one that created it.
+// Frames come from the global operator new.  Inside the explorer's builds
+// and steps that is the thread's world arena (src/util/pool.h): frames are
+// part of the bytes a checkpoint copies, so a restore brings them back at
+// their own addresses, and a frame made there is freed on its own thread.
+// Outside the explorer it is plain heap.
 #pragma once
 
 #include <coroutine>
@@ -23,8 +21,6 @@
 #include <optional>
 #include <utility>
 
-#include "src/util/pool.h"
-
 namespace revisim::runtime {
 
 template <typename T>
@@ -32,8 +28,7 @@ class Task;
 
 namespace detail {
 
-// Coroutine frames are allocated through the promise type's operator new.
-struct PromiseBase : util::Pooled {
+struct PromiseBase {
   std::coroutine_handle<> continuation;  // resumed when this coroutine finishes
   std::exception_ptr exception;
 

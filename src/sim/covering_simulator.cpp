@@ -22,8 +22,7 @@ CoveringSimulator::CoveringSimulator(
 CoveringSimulator::LocalSimResult CoveringSimulator::simulate_locally(
     std::size_t idx, View base, const Comps& allowed) {
   LocalSimResult res;
-  const std::set<std::size_t, std::less<>, util::PoolAllocator<std::size_t>>
-      allowed_set(allowed.begin(), allowed.end());
+  const std::set<std::size_t> allowed_set(allowed.begin(), allowed.end());
   for (std::size_t step = 0; step < local_budget_; ++step) {
     ++stats_.local_steps;
     proto::SimAction act = procs_[idx]->on_scan(base);
@@ -64,14 +63,13 @@ runtime::Task<ConstructOutcome> CoveringSimulator::construct(std::size_t r) {
     co_return out;
   }
 
-  using CompSet =
-      std::set<std::size_t, std::less<>, util::PoolAllocator<std::size_t>>;
+  using CompSet = std::set<std::size_t>;
   struct AEntry {
     CompSet comps;
     View view;
     std::size_t op_id;
   };
-  util::PoolVector<AEntry> a;
+  std::vector<AEntry> a;
 
   for (;;) {
     ConstructOutcome sub = co_await construct(r - 1);

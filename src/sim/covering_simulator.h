@@ -23,7 +23,6 @@
 #include "src/protocols/sim_process.h"
 #include "src/runtime/task.h"
 #include "src/sim/types.h"
-#include "src/util/pool.h"
 
 namespace revisim::sim {
 
@@ -35,12 +34,10 @@ struct CoveringStats {
   std::size_t local_steps = 0; // locally simulated (hidden + final) steps
 };
 
-// Every simulation world makes its simulators afresh, so they and their
-// containers live in the block pool.
-class CoveringSimulator : public util::Pooled {
+class CoveringSimulator {
  public:
-  using Procs = util::PoolVector<std::unique_ptr<proto::SimProcess>>;
-  using Comps = util::PoolVector<std::size_t>;
+  using Procs = std::vector<std::unique_ptr<proto::SimProcess>>;
+  using Comps = std::vector<std::size_t>;
 
   // `procs` are p_{i,1}..p_{i,m} (fresh, all with the simulator's input);
   // `global_ids` are their ids in the simulated system.
@@ -54,14 +51,13 @@ class CoveringSimulator : public util::Pooled {
     return outcome_;
   }
   [[nodiscard]] const CoveringStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const util::PoolVector<RevisionRecord>& revisions()
-      const noexcept {
+  [[nodiscard]] const std::vector<RevisionRecord>& revisions() const noexcept {
     return revisions_;
   }
 
  private:
   struct LocalSimResult {
-    util::PoolVector<PoisedUpdate> hidden;
+    std::vector<PoisedUpdate> hidden;
     std::optional<PoisedUpdate> final_update;
     std::optional<Val> output;
   };
@@ -83,7 +79,7 @@ class CoveringSimulator : public util::Pooled {
 
   SimulatorOutcome outcome_;
   CoveringStats stats_;
-  util::PoolVector<RevisionRecord> revisions_;
+  std::vector<RevisionRecord> revisions_;
 };
 
 }  // namespace revisim::sim

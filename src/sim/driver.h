@@ -93,17 +93,15 @@ class SimulationDriver {
  private:
   runtime::Scheduler& sched_;
   const proto::Protocol* protocol_;
-  // Every simulation world makes a driver, so what it owns lives in the
-  // block pool.
-  util::PoolVector<Val> inputs_;
+  std::vector<Val> inputs_;
   std::size_t n_;
   std::size_t d_;
   Partition part_;
   std::unique_ptr<aug::IAugmentedSnapshot> m_;
-  util::PoolVector<std::unique_ptr<CoveringSimulator>> covering_;
+  std::vector<std::unique_ptr<CoveringSimulator>> covering_;
   // Direct-simulator sinks, sized once (stable addresses).
-  util::PoolVector<SimulatorOutcome> direct_outcomes_;
-  util::PoolVector<DirectStats> direct_stats_;
+  std::vector<SimulatorOutcome> direct_outcomes_;
+  std::vector<DirectStats> direct_stats_;
 };
 
 }  // namespace revisim::sim

@@ -50,13 +50,11 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
   for (const auto& b : log.block_updates) {
     bu_ids = std::max(bu_ids, b.op_id + 1);
   }
-  // Scratch below lives in the block pool: the validator runs at the leaf
-  // of every explored execution.
-  util::PoolVector<const aug::BlockUpdateOpRecord*> bu_by_id(bu_ids, nullptr);
+  std::vector<const aug::BlockUpdateOpRecord*> bu_by_id(bu_ids, nullptr);
   for (const auto& b : log.block_updates) {
     bu_by_id[b.op_id] = &b;
   }
-  util::PoolVector<const RevisionRecord*> rev_by_bu(bu_ids, nullptr);
+  std::vector<const RevisionRecord*> rev_by_bu(bu_ids, nullptr);
   for (const auto& r : revisions) {
     const std::size_t id = r.used_block_update;
     if (id >= bu_ids || bu_by_id[id] == nullptr) {
@@ -71,7 +69,7 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
 
   // Prefix contents (no hidden steps): prefix[t] = contents after first t
   // ops.  Only the insertion points of revisions read them.
-  util::PoolVector<View> prefix;
+  std::vector<View> prefix;
   if (!revisions.empty()) {
     prefix.resize(ops.size() + 1);
     prefix[0] = View(m);
@@ -88,10 +86,10 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
   // equal the view the revision used and no Scan follows before the block.
   // Each window starts past the previous block's first update, so the
   // points come out strictly increasing: insert_at is sorted by t.
-  util::PoolVector<std::pair<std::size_t, const RevisionRecord*>> insert_at;
+  std::vector<std::pair<std::size_t, const RevisionRecord*>> insert_at;
   {
     std::size_t last_atomic_end = 0;  // index just past the last atomic update
-    util::PoolVector<bool> first_seen(bu_ids, false);
+    std::vector<bool> first_seen(bu_ids, false);
     for (std::size_t z = 0; z < ops.size(); ++z) {
       const auto& op = ops[z];
       if (op.kind != aug::LinearizedOp::Kind::kUpdate || !op.from_atomic) {
@@ -134,9 +132,9 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
 
   // Fresh replicas of the simulated system.
   const std::size_t n = driver.n();
-  util::PoolVector<std::unique_ptr<proto::SimProcess>> replica(n);
-  util::PoolVector<std::optional<PoisedUpdate>> pending(n);
-  util::PoolVector<std::optional<Val>> produced(n);
+  std::vector<std::unique_ptr<proto::SimProcess>> replica(n);
+  std::vector<std::optional<PoisedUpdate>> pending(n);
+  std::vector<std::optional<Val>> produced(n);
   for (std::size_t i = 0; i < part.groups.size(); ++i) {
     for (std::size_t gid : part.groups[i]) {
       replica[gid] = driver.protocol().make(gid, driver.inputs()[i]);

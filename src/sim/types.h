@@ -9,17 +9,15 @@
 #include <vector>
 
 #include "src/runtime/trace.h"
-#include "src/util/pool.h"
 #include "src/util/value.h"
 
 namespace revisim::sim {
 
 // A constructed block update: the processes p_{i,1}..p_{i,r} are poised to
-// update comps[g] with vals[g] (g = 0..r-1).  Every Construct(1) builds one,
-// so the plan lives in the block pool.
+// update comps[g] with vals[g] (g = 0..r-1).
 struct BlockPlan {
-  util::PoolVector<std::size_t> comps;
-  util::PoolVector<Val> vals;
+  std::vector<std::size_t> comps;
+  std::vector<Val> vals;
 
   [[nodiscard]] std::size_t size() const noexcept { return comps.size(); }
 };
@@ -39,13 +37,12 @@ using PoisedUpdate = std::pair<std::size_t, Val>;
 // simulated process `revised_proc` (global id), assuming the contents of M
 // were the view returned by the atomic Block-Update `used_block_update`.
 // The hidden steps and the resulting poised update are recorded so the
-// replay validator can cross-check its own recomputation.  Simulators record
-// revisions as they run, so the records live in the block pool.
+// replay validator can cross-check its own recomputation.
 struct RevisionRecord {
   std::size_t used_block_update = 0;  // op id of the atomic M.Block-Update
   std::size_t at_scan_op = 0;         // op id of the M.Scan delta
   std::size_t revised_proc = 0;       // global simulated process id
-  util::PoolVector<PoisedUpdate> hidden_updates;  // within the plan's comps
+  std::vector<PoisedUpdate> hidden_updates;  // within the plan's comps
   std::optional<PoisedUpdate> final_update;  // nullopt: the process output
   std::optional<Val> early_output;           // set when the process output
 };
@@ -67,11 +64,10 @@ class SimulationDiverged : public std::runtime_error {
 };
 
 // Partition of the n simulated processes among the f simulators (§2.1):
-// covering simulators get m processes each, direct simulators one.  Every
-// simulation world makes one, so it lives in the block pool.
+// covering simulators get m processes each, direct simulators one.
 struct Partition {
-  using Group = util::PoolVector<std::size_t>;
-  util::PoolVector<Group> groups;  // groups[i] = P_{i+1}
+  using Group = std::vector<std::size_t>;
+  std::vector<Group> groups;  // groups[i] = P_{i+1}
 
   static Partition make(std::size_t n, std::size_t f, std::size_t d,
                         std::size_t m) {

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
 #if defined(__SANITIZE_ADDRESS__)
 #define REVISIM_POOL_ASAN 1
@@ -23,95 +24,33 @@
 namespace revisim::util {
 namespace {
 
-constexpr std::size_t kClasses = kPoolMaxBytes / kPoolGranule;
-
-struct FreeBlock {
-  FreeBlock* next;
-};
-
-// Size class c holds blocks of (c + 1) * kPoolGranule bytes.
-constexpr std::size_t class_of(std::size_t bytes) {
-  return (bytes + kPoolGranule - 1) / kPoolGranule - 1;
-}
-
-constexpr std::size_t class_bytes(std::size_t c) {
-  return (c + 1) * kPoolGranule;
-}
-
-// One thread's free lists.  Parked blocks are poisoned whole; a block is
-// unpoisoned before its link is read.
-struct FreeLists {
-  FreeBlock* heads[kClasses] = {};
-  std::size_t parked_bytes = 0;
-
-  FreeLists() = default;
-  FreeLists(const FreeLists&) = delete;
-  FreeLists& operator=(const FreeLists&) = delete;
-  ~FreeLists();
-
-  void* pop(std::size_t c) {
-    FreeBlock* block = heads[c];
-    if (block == nullptr) {
-      return nullptr;
-    }
-    ASAN_UNPOISON_MEMORY_REGION(block, class_bytes(c));
-    heads[c] = block->next;
-    parked_bytes -= class_bytes(c);
-    return block;
-  }
-
-  // False when the thread's parking budget is spent.
-  bool push(void* raw, std::size_t c) noexcept {
-    if (parked_bytes + class_bytes(c) > kPoolParkBytes) {
-      return false;
-    }
-    auto* block = static_cast<FreeBlock*>(raw);
-    block->next = heads[c];
-    heads[c] = block;
-    parked_bytes += class_bytes(c);
-    ASAN_POISON_MEMORY_REGION(block, class_bytes(c));
-    return true;
-  }
-};
-
-// Blocks can still be freed on this thread after its lists were destroyed
-// (by a thread_local destroyed later); those go straight to the heap.
-thread_local bool lists_gone = false;
-thread_local FreeLists lists;
-
-FreeLists::~FreeLists() {
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    while (void* block = pop(c)) {
-      ::operator delete(block);
-    }
-  }
-  lists_gone = true;
-}
-
-// --- arena --------------------------------------------------------------------
-
-// The arena's classes: the pool's 16-byte classes, then one class per power
-// of two from 2 * kPoolMaxBytes up to the whole arena.
+// The arena's size classes: small ones kGranule bytes apart up to
+// kSmallMaxBytes, then one per power of two from 2 * kSmallMaxBytes up to
+// the whole arena.  Small class c holds blocks of (c + 1) * kGranule bytes.
+constexpr std::size_t kGranule = 16;
+constexpr std::size_t kSmallMaxBytes = 4096;
+constexpr std::size_t kClasses = kSmallMaxBytes / kGranule;
 constexpr std::size_t kLargeClasses =
-    std::bit_width(kArenaReserveBytes / kPoolMaxBytes) - 1;
+    std::bit_width(kArenaReserveBytes / kSmallMaxBytes) - 1;
 constexpr std::size_t kArenaClasses = kClasses + kLargeClasses;
-constexpr int kLargeShift = std::bit_width(kPoolMaxBytes);  // 2 * max = 1 << it
+// 2 * kSmallMaxBytes == 1 << kLargeShift.
+constexpr int kLargeShift = std::bit_width(kSmallMaxBytes);
 
 constexpr std::size_t arena_class(std::size_t bytes) {
-  if (bytes <= kPoolMaxBytes) {
-    return bytes == 0 ? 0 : class_of(bytes);
+  if (bytes <= kSmallMaxBytes) {
+    return bytes == 0 ? 0 : (bytes - 1) / kGranule;
   }
   return kClasses + static_cast<std::size_t>(std::bit_width(bytes - 1)) -
          static_cast<std::size_t>(kLargeShift);
 }
 
 constexpr std::size_t arena_class_bytes(std::size_t c) {
-  return c < kClasses ? class_bytes(c)
+  return c < kClasses ? (c + 1) * kGranule
                       : std::size_t{1} << (c - kClasses + kLargeShift);
 }
 
-static_assert(arena_class_bytes(arena_class(kPoolMaxBytes + 1)) ==
-              2 * kPoolMaxBytes);
+static_assert(arena_class_bytes(arena_class(kSmallMaxBytes + 1)) ==
+              2 * kSmallMaxBytes);
 static_assert(arena_class_bytes(kArenaClasses - 1) == kArenaReserveBytes);
 
 // The allocator's state, at the start of the arena it describes: offsets
@@ -127,10 +66,10 @@ static_assert(kArenaReserveBytes <= std::uint64_t{1} << 32);
 
 // Size prefix of a block the global operator new takes from the arena: the
 // global delete may be unsized.
-constexpr std::size_t kArenaNewPrefix = kPoolGranule;
+constexpr std::size_t kArenaNewPrefix = kGranule;
 
 constexpr std::size_t kArenaStart =
-    (sizeof(ArenaHeader) + kPoolGranule - 1) / kPoolGranule * kPoolGranule;
+    (sizeof(ArenaHeader) + kGranule - 1) / kGranule * kGranule;
 
 // This thread's region (the arena, then the checkpoint stack), mapped by
 // its first ArenaScope and unmapped when the thread exits, unless blocks in
@@ -140,11 +79,11 @@ constexpr std::size_t kArenaStart =
 constexpr std::size_t kCheckpointStackBytes = kArenaReserveBytes;
 constexpr std::size_t kRegionBytes = kArenaReserveBytes + kCheckpointStackBytes;
 thread_local std::byte* arena_base = nullptr;
-// The arena while a scope serves this thread's pool.
+// The arena while a scope is live on this thread.
 thread_local ArenaHeader* live_arena = nullptr;
 // Bytes in use on the checkpoint stack, which follows the arena.  Each
 // checkpoint is the arena's used prefix (header included), padded to
-// kPoolGranule, then its unpadded length in a kPoolGranule-sized trailer.
+// kGranule, then its unpadded length in a kGranule-sized trailer.
 thread_local std::size_t stack_top = 0;
 // Whether a CaptureWindow is open: the global operator new then serves
 // from the live arena.
@@ -210,7 +149,7 @@ void check_not_foreign_arena(const void* p) noexcept {
     char msg[256];
     const int n = std::snprintf(
         msg, sizeof msg,
-        "revisim pool: cross-thread free of block %p, which lies in another "
+        "revisim arena: cross-thread free of block %p, which lies in another "
         "thread's arena (region %p); arena blocks must be freed on the "
         "thread that allocated them\n",
         p, static_cast<void*>(base));
@@ -237,9 +176,8 @@ std::uint32_t next_free(const std::byte* block) {
   return next;
 }
 
-// Forced inline: pool_allocate and pool_deallocate run for nearly every
-// block a world makes, and arena_new and arena_delete are these helpers'
-// second callers, which would otherwise keep them out of line.
+// Forced inline into arena_new and arena_delete, which run for nearly every
+// block a world makes.
 [[gnu::always_inline]] inline void* arena_allocate(ArenaHeader& a,
                                                    std::size_t bytes) {
   if (bytes > kArenaReserveBytes - kArenaStart) {
@@ -360,38 +298,6 @@ bool arena_delete(void* p) noexcept {
 
 }  // namespace
 
-// A pooled size gets a block of its whole class even when it does not come
-// from the lists, because it may be parked on another thread's lists later.
-void* pool_allocate(std::size_t bytes) {
-  if (ArenaHeader* a = live_arena) {
-    if (void* block = arena_allocate(*a, bytes)) {
-      return block;
-    }
-    // The arena is full: the world now holds counted heap memory.
-  }
-  const std::size_t c = class_of(bytes);
-  if (c >= kClasses) {
-    return heap_new(bytes, kPoolGranule);
-  }
-  if (!lists_gone) {
-    if (void* block = lists.pop(c)) {
-      return block;
-    }
-  }
-  return heap_new(class_bytes(c), kPoolGranule);
-}
-
-void pool_deallocate(void* block, std::size_t bytes) noexcept {
-  if (in_arena(block)) {
-    arena_free(block, bytes);
-    return;
-  }
-  const std::size_t c = class_of(bytes);
-  if (c >= kClasses || lists_gone || !lists.push(block, c)) {
-    ::operator delete(block);
-  }
-}
-
 std::uint64_t heap_allocations() noexcept { return heap_calls; }
 std::uint64_t heap_allocated_bytes() noexcept { return heap_bytes; }
 
@@ -411,7 +317,7 @@ ArenaScope::ArenaScope() {
     void* mem = ::mmap(nullptr, kRegionBytes, PROT_READ | PROT_WRITE,
                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     if (mem == MAP_FAILED) {
-      return;  // inert: the heap-backed pool serves
+      return;  // inert: the heap serves
     }
     region.base = static_cast<std::byte*>(mem);
     region.slot = register_region(region.base);
@@ -450,13 +356,13 @@ namespace {
 std::byte* checkpoint_stack() { return arena_base + kArenaReserveBytes; }
 
 constexpr std::size_t padded(std::size_t n) {
-  return (n + kPoolGranule - 1) / kPoolGranule * kPoolGranule;
+  return (n + kGranule - 1) / kGranule * kGranule;
 }
 
 // Length of the top checkpoint, read from its trailer.
 std::size_t top_length() {
   std::size_t n;
-  std::memcpy(&n, checkpoint_stack() + stack_top - kPoolGranule, sizeof n);
+  std::memcpy(&n, checkpoint_stack() + stack_top - kGranule, sizeof n);
   return n;
 }
 
@@ -464,7 +370,7 @@ std::size_t top_length() {
 
 bool ArenaScope::push_checkpoint() const {
   const std::size_t n = header().bump;
-  if (padded(n) + kPoolGranule > kCheckpointStackBytes - stack_top) {
+  if (padded(n) + kGranule > kCheckpointStackBytes - stack_top) {
     return false;
   }
   std::byte* at = checkpoint_stack() + stack_top;
@@ -472,7 +378,7 @@ bool ArenaScope::push_checkpoint() const {
   std::memcpy(at, arena_base, n);
   repoison_free_blocks();
   std::memcpy(at + padded(n), &n, sizeof n);
-  stack_top += padded(n) + kPoolGranule;
+  stack_top += padded(n) + kGranule;
   return true;
 }
 
@@ -481,7 +387,7 @@ void ArenaScope::restore_checkpoint() const {
   const std::size_t n = top_length();
   unpoison_used(std::max(now, n));
   std::memcpy(arena_base,
-              checkpoint_stack() + stack_top - kPoolGranule - padded(n), n);
+              checkpoint_stack() + stack_top - kGranule - padded(n), n);
   if (now > n) {
     ASAN_POISON_MEMORY_REGION(arena_base + n, now - n);
   }
@@ -489,7 +395,7 @@ void ArenaScope::restore_checkpoint() const {
 }
 
 void ArenaScope::pop_checkpoint() const {
-  stack_top -= padded(top_length()) + kPoolGranule;
+  stack_top -= padded(top_length()) + kGranule;
 }
 
 }  // namespace revisim::util

@@ -12,16 +12,13 @@
 #include <string>
 #include <vector>
 
-#include "src/util/pool.h"
-
 namespace revisim {
 
 using Val = std::int64_t;
 
 // A view of an m-component object: component j holds nullopt until the first
-// update to j (the paper's initial value "bottom").  Views are built and
-// dropped on every step of a world, so they live in the block pool.
-using View = util::PoolVector<std::optional<Val>>;
+// update to j (the paper's initial value "bottom").
+using View = std::vector<std::optional<Val>>;
 
 // --- (round, value) pairs --------------------------------------------------
 // Packs a 32-bit round and a 31-bit *non-negative* payload (negative

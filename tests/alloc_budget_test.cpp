@@ -45,7 +45,8 @@ const Spec kSpecs[] = {
 // in a fresh arena like an explorer job, along schedules a fixed generator
 // picks (one crash entry in every third execution), and counts the heap
 // allocations made while building the worlds and while stepping and
-// fingerprinting them.
+// fingerprinting them.  Like the explorer, it makes those calls inside a
+// capture window.
 HeapUse heap_use(const Spec& spec, std::size_t executions) {
   const auto factory = check::make_world_factory(spec.world);
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
@@ -55,7 +56,11 @@ HeapUse heap_use(const Spec& spec, std::size_t executions) {
     util::ArenaScope arena;
     const bool measured = e >= executions;
     std::uint64_t mark = util::heap_allocations();
-    auto world = factory();
+    std::unique_ptr<check::ExplorableWorld> world;
+    {
+      util::CaptureWindow window;
+      world = factory();
+    }
     runtime::Scheduler& sched = world->scheduler();
     sched.set_recording(false);
     if (measured) {
@@ -74,9 +79,12 @@ HeapUse heap_use(const Spec& spec, std::size_t executions) {
         crash_left = false;
       }
       mark = util::heap_allocations();
-      runtime::apply_schedule_entry(sched, entry);
-      if (spec.fingerprints) {
-        (void)world->fingerprint();
+      {
+        util::CaptureWindow window;
+        runtime::apply_schedule_entry(sched, entry);
+        if (spec.fingerprints) {
+          (void)world->fingerprint();
+        }
       }
       if (measured) {
         use.steps += util::heap_allocations() - mark;
@@ -96,14 +104,14 @@ TEST(AllocBudget, RegistryWorldsBuildAndStepWithoutTheHeap) {
 }
 
 // Whole executions, verdict and explorer bookkeeping included, as the
-// end-to-end benchmark's sim-covering workload runs them: what reaches the
-// heap is the verdict's outputs and the explorer's amortized bookkeeping.
+// end-to-end benchmark's sim-covering workload runs them: the verdict runs
+// in the arena like the steps, so what reaches the heap is the explorer's
+// amortized bookkeeping.
 TEST(AllocBudget, SimCoveringExecutionsStayWithinBudget) {
-  constexpr double kBudgetPerExecution = 16;
+  constexpr double kBudgetPerExecution = 1;
   const auto factory = check::make_world_factory("sim-racing:4,3,0,1");
   check::ScheduleExploreOptions opt;
-  // The first executions fill this thread's pool; the measured run then
-  // starts from the steady state every long exploration reaches.
+  // A first run takes the one-time allocations (function-local statics).
   opt.max_executions = 200;
   ASSERT_TRUE(check::explore_schedules(factory, opt).ok());
 

@@ -1,6 +1,6 @@
 // Tests for the cooperative runtime: step granularity, nested Task chains,
-// adversaries, determinism and error propagation.  (The coroutine frame
-// pool's tests live with the pool, in pool_test.cpp.)
+// adversaries, determinism and error propagation.  (Tests of coroutine
+// frames in the world arena live in pool_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <stdexcept>
