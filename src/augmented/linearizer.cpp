@@ -13,6 +13,13 @@ std::string fmt_op(const BlockUpdateOpRecord& b) {
   return out.str();
 }
 
+// A Scan's timestamp in the sort: it orders like an empty one.
+const Timestamp kNoTimestamp;
+
+bool is_atomic(const BlockUpdateOpRecord& b) {
+  return b.completed && !b.yielded;
+}
+
 }  // namespace
 
 LinearizationResult linearize(const OpLog& log, std::size_t m) {
@@ -53,8 +60,14 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
   };
 
   std::size_t op_count = log.scans.size();
+  std::size_t atomic = 0;      // atomic Block-Updates: one window each
+  std::size_t update_ids = 0;  // one past the largest linearized op id
   for (const Batch& batch : batches) {
     op_count += batch.bu->comps.size();
+    update_ids = std::max(update_ids, batch.bu->op_id + 1);
+  }
+  for (const auto& b : log.block_updates) {
+    atomic += is_atomic(b) ? 1 : 0;
   }
   res.ops.reserve(op_count);
   for (const auto& b : log.block_updates) {
@@ -69,8 +82,8 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
       op.position = g;
       op.component = b.comps[g];
       op.value = b.vals[g];
-      op.ts = b.ts;
-      op.from_atomic = b.completed && !b.yielded;
+      op.ts = &b.ts;
+      op.from_atomic = is_atomic(b);
       op.point = lin_point(b.comps[g], b.ts);
       if (op.point == kNoStep) {
         violate(fmt_op(b) + ": no linearization point for component " +
@@ -85,7 +98,7 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
                 std::to_string(b.step_h) + ", " + std::to_string(b.step_x) +
                 "]");
       }
-      res.ops.push_back(std::move(op));
+      res.ops.push_back(op);
     }
   }
 
@@ -98,8 +111,8 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
     op.op_id = s.op_id;
     op.process = s.process;
     op.point = s.last_step;
-    op.returned = s.returned;
-    res.ops.push_back(std::move(op));
+    op.returned = &s.returned;
+    res.ops.push_back(op);
   }
 
   // Order: by point; Updates tied at one point by (timestamp, component).
@@ -110,135 +123,128 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
               if (a.point != b.point) {
                 return a.point < b.point;
               }
-              if (a.ts != b.ts) {
-                return a.ts < b.ts;
+              const Timestamp& ta = a.ts ? *a.ts : kNoTimestamp;
+              const Timestamp& tb = b.ts ? *b.ts : kNoTimestamp;
+              if (const auto order = ta <=> tb; order != 0) {
+                return order < 0;
               }
               return a.component < b.component;
             });
+  const auto& ops = res.ops;
+
+  // Sequence index of each linearized Block-Update's first Update, by op
+  // id; only atomic Block-Updates (Lemmas 11 and 19) read it.
+  std::vector<std::size_t> first_update(atomic != 0 ? update_ids : 0,
+                                        kNoStep);
+  if (atomic != 0) {
+    for (std::size_t i = ops.size(); i-- > 0;) {
+      if (ops[i].kind == LinearizedOp::Kind::kUpdate) {
+        first_update[ops[i].op_id] = i;
+      }
+    }
+  }
+  auto first_update_of = [&first_update](const BlockUpdateOpRecord& b) {
+    return b.op_id < first_update.size() ? first_update[b.op_id] : kNoStep;
+  };
 
   // --- checks -------------------------------------------------------------
 
   // Lemma 11: atomic Block-Updates are consecutive at X, in component order.
+  // All of a Block-Update's Updates lie at or after its first one.
   for (const auto& b : log.block_updates) {
-    if (!b.completed || b.yielded) {
+    if (!is_atomic(b)) {
       continue;
     }
-    std::vector<std::size_t> positions;
-    for (std::size_t i = 0; i < res.ops.size(); ++i) {
-      if (res.ops[i].kind == LinearizedOp::Kind::kUpdate &&
-          res.ops[i].op_id == b.op_id) {
-        positions.push_back(i);
+    std::size_t prev = kNoStep;
+    std::size_t seen = 0;
+    for (std::size_t i = first_update_of(b);
+         i < ops.size() && seen < b.comps.size(); ++i) {
+      const auto& op = ops[i];
+      if (op.kind != LinearizedOp::Kind::kUpdate || op.op_id != b.op_id) {
+        continue;
       }
-    }
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      const auto& op = res.ops[positions[i]];
       if (op.point != b.step_x) {
         violate(fmt_op(b) + ": atomic but Update to component " +
                 std::to_string(op.component) + " linearized at " +
                 std::to_string(op.point) + " != X = " +
                 std::to_string(b.step_x));
       }
-      if (i > 0 && positions[i] != positions[i - 1] + 1) {
+      if (prev != kNoStep && i != prev + 1) {
         violate(fmt_op(b) + ": atomic but Updates not consecutive");
       }
-      if (i > 0 &&
-          res.ops[positions[i]].component < res.ops[positions[i - 1]].component) {
+      if (prev != kNoStep && op.component < ops[prev].component) {
         violate(fmt_op(b) + ": atomic Updates not in component order");
       }
+      prev = i;
+      ++seen;
     }
   }
 
   // Corollary 15: every Scan returns the fold of the Updates before it.
+  // When some Block-Update is atomic, the fold also fills the prefix
+  // contents Lemma 19 reads: row t (m entries) is the contents after the
+  // first t ops.
+  std::vector<std::optional<Val>> prefix(
+      atomic != 0 ? (ops.size() + 1) * m : 0);
   {
     View contents(m);
-    std::size_t next = 0;
-    for (const auto& op : res.ops) {
-      (void)next;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const auto& op = ops[i];
       if (op.kind == LinearizedOp::Kind::kUpdate) {
         contents.at(op.component) = op.value;
-      } else if (op.returned != contents) {
+      } else if (*op.returned != contents) {
         violate("Scan#" + std::to_string(op.op_id) + " by q" +
                 std::to_string(op.process + 1) + " returned " +
-                revisim::to_string(op.returned) + " but contents are " +
+                revisim::to_string(*op.returned) + " but contents are " +
                 revisim::to_string(contents));
+      }
+      if (!prefix.empty()) {
+        std::copy(contents.begin(), contents.end(),
+                  prefix.begin() + static_cast<std::ptrdiff_t>((i + 1) * m));
       }
     }
   }
 
-  // Lemma 19: window property of atomic Block-Updates.
-  {
-    for (const auto& b : log.block_updates) {
-      if (!b.completed || b.yielded) {
-        continue;
+  // Lemma 19: window property of atomic Block-Updates.  Candidate points T
+  // run down from Z, the sequence index of B's first Update (all at X), to
+  // Z', the index just past the last atomic Update before Z (0 if none),
+  // and stop early at a Scan: T needs no Scan in (T, Z).  The window is the
+  // latest T whose contents equal b.returned.
+  res.windows.reserve(atomic);
+  for (const auto& b : log.block_updates) {
+    if (!is_atomic(b)) {
+      continue;
+    }
+    const std::size_t z_index = first_update_of(b);
+    if (z_index == kNoStep) {
+      violate(fmt_op(b) + ": atomic but has no linearized Updates");
+      continue;
+    }
+    bool found = false;
+    for (std::size_t t = z_index;; --t) {
+      const auto row = prefix.begin() + static_cast<std::ptrdiff_t>(t * m);
+      if (std::equal(row, row + static_cast<std::ptrdiff_t>(m),
+                     b.returned.begin(), b.returned.end())) {
+        res.windows.push_back(Window{b.op_id, t, z_index});
+        found = true;
+        break;
       }
-      // Sequence index of B's first Update (all at X).
-      std::size_t z_index = res.ops.size();
-      for (std::size_t i = 0; i < res.ops.size(); ++i) {
-        if (res.ops[i].kind == LinearizedOp::Kind::kUpdate &&
-            res.ops[i].op_id == b.op_id) {
-          z_index = i;
-          break;
-        }
+      if (t == 0 || ops[t - 1].kind == LinearizedOp::Kind::kScan ||
+          ops[t - 1].from_atomic) {
+        break;
       }
-      if (z_index == res.ops.size()) {
-        violate(fmt_op(b) + ": atomic but has no linearized Updates");
-        continue;
-      }
-      // Z': sequence index just after the last atomic Update before Z
-      // (0 if none): candidate points T live in [z_prime_index, z_index].
-      std::size_t z_prime_index = 0;
-      for (std::size_t i = z_index; i-- > 0;) {
-        if (res.ops[i].kind == LinearizedOp::Kind::kUpdate &&
-            res.ops[i].from_atomic) {
-          z_prime_index = i + 1;
-          break;
-        }
-      }
-      // Replay to find whether some T in [z_prime_index, z_index] has
-      // contents == b.returned with no Scan in (T, Z).
-      View contents(m);
-      std::vector<View> prefix_contents(res.ops.size() + 1);
-      prefix_contents[0] = contents;
-      for (std::size_t i = 0; i < res.ops.size(); ++i) {
-        if (res.ops[i].kind == LinearizedOp::Kind::kUpdate) {
-          contents.at(res.ops[i].component) = res.ops[i].value;
-        }
-        prefix_contents[i + 1] = contents;
-      }
-      bool found = false;
-      for (std::size_t t = z_index + 1; t-- > z_prime_index;) {
-        // T = position t: contents after the first t ops.
-        bool scan_between = false;
-        for (std::size_t i = t; i < z_index; ++i) {
-          if (res.ops[i].kind == LinearizedOp::Kind::kScan) {
-            scan_between = true;
-            break;
-          }
-        }
-        if (scan_between) {
-          continue;
-        }
-        if (prefix_contents[t] == b.returned) {
-          res.windows.push_back(Window{b.op_id, t, z_index});
-          found = true;
-          break;
-        }
-        // Lemma 19 additionally promises that everything between T and Z is
-        // a yielded Update by another process; once we cross a non-yielded
-        // Update going backwards we can stop.
-      }
-      if (!found) {
-        violate(fmt_op(b) + ": returned view " +
-                revisim::to_string(b.returned) +
-                " is not the contents at any valid window point");
-      }
+    }
+    if (!found) {
+      violate(fmt_op(b) + ": returned view " +
+              revisim::to_string(b.returned) +
+              " is not the contents at any valid window point");
     }
   }
 
   // Lemma 18: windows of atomic Block-Updates are pairwise disjoint.  Our
   // per-block windows are chosen maximal-T, so it suffices that each
   // window's T lies at or past the end of every earlier window.
-  {
+  if (res.windows.size() >= 2) {
     std::vector<Window> sorted = res.windows;
     std::sort(sorted.begin(), sorted.end(),
               [](const Window& a, const Window& w) {

@@ -23,6 +23,11 @@
 // The simulation layer replays the returned linearized sequence against the
 // simulated protocol (src/sim/replay.h), so this module is the bridge
 // between real executions and the paper's intermediate executions (§4.3).
+//
+// The result borrows from the log: each op points at its Block-Update's
+// timestamp or its Scan's returned view in the OpLog rather than copying
+// them, so the log must outlive the result and stay unchanged while the
+// result is read.
 #pragma once
 
 #include <string>
@@ -44,17 +49,20 @@ struct LinearizedOp {
   std::size_t position = 0;   // which Update of its Block-Update (call order)
   std::size_t component = 0;
   Val value = 0;
-  Timestamp ts;
+  const Timestamp* ts = nullptr;  // the Block-Update's, in the log
   bool from_atomic = false;  // owning Block-Update did not yield
 
   // Scan fields.
-  View returned;
+  const View* returned = nullptr;  // the Scan's, in the log
 };
 
 // The window of an atomic Block-Update (Lemma 19): T is a point whose
 // contents the operation returned; Z is the sequence position of its first
-// Update.  Lemma 18 says windows of distinct atomic Block-Updates are
-// pairwise disjoint; the linearizer computes and checks them explicitly.
+// Update.  T is the latest valid point: the latest one at or after the
+// previous atomic Update whose contents equal the returned view with no
+// Scan in (T, Z).  Lemma 18 says windows of distinct atomic Block-Updates
+// are pairwise disjoint; the linearizer computes and checks them
+// explicitly.
 struct Window {
   std::size_t op_id = 0;         // owning Block-Update
   std::size_t t_index = 0;       // sequence index of T (contents match here)
@@ -63,14 +71,15 @@ struct Window {
 
 struct LinearizationResult {
   std::vector<LinearizedOp> ops;        // in linearization order
-  std::vector<Window> windows;          // one per atomic Block-Update
+  std::vector<Window> windows;          // per atomic Block-Update, log order
   std::vector<std::string> violations;  // empty iff all §3.3 checks pass
 
   [[nodiscard]] bool ok() const noexcept { return violations.empty(); }
 };
 
 // Computes the linearization of a (possibly partial) execution and runs the
-// checks above.  `m` is the component count of the augmented snapshot.
+// checks above.  `m` is the component count of the augmented snapshot.  The
+// result borrows from `log` (see above).
 [[nodiscard]] LinearizationResult linearize(const OpLog& log, std::size_t m);
 
 }  // namespace revisim::aug

@@ -85,6 +85,14 @@ const DirectStats* SimulationDriver::direct_stats(runtime::ProcessId i) const {
                                : nullptr;
 }
 
+std::span<const RevisionRecord> SimulationDriver::revisions(
+    runtime::ProcessId i) const {
+  if (i < covering_.size()) {
+    return covering_[i]->revisions();
+  }
+  return {};
+}
+
 std::vector<RevisionRecord> SimulationDriver::all_revisions() const {
   std::vector<RevisionRecord> out;
   for (const auto& c : covering_) {

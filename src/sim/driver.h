@@ -87,7 +87,10 @@ class SimulationDriver {
 
   [[nodiscard]] const CoveringStats* covering_stats(runtime::ProcessId i) const;
   [[nodiscard]] const DirectStats* direct_stats(runtime::ProcessId i) const;
-  // All revisions performed by all covering simulators.
+  // The revisions covering simulator q_{i+1} performed, in order (none for
+  // a direct simulator), and a copy of all of them.
+  [[nodiscard]] std::span<const RevisionRecord> revisions(
+      runtime::ProcessId i) const;
   [[nodiscard]] std::vector<RevisionRecord> all_revisions() const;
 
  private:

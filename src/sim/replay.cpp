@@ -14,14 +14,34 @@ std::string fmt_update(std::size_t comp, Val val) {
   return "update(c" + std::to_string(comp) + ", " + std::to_string(val) + ")";
 }
 
-}  // namespace
+// A simulated process of the replayed system: the replica, the update it
+// is poised at, and its output once it produced one.
+struct Replica {
+  std::unique_ptr<proto::SimProcess> proc;
+  std::optional<PoisedUpdate> pending;
+  std::optional<Val> produced;
+};
 
-ReplayReport validate_simulation(const SimulationDriver& driver) {
-  return validate_simulation(driver, driver.all_revisions());
+// Whether `op_id` names a completed Scan by the simulator that ran `bu`,
+// invoked after it: the M.Scan a revision follows (§4.1).
+bool scan_after(const aug::OpLog& log, std::size_t op_id,
+                const aug::BlockUpdateOpRecord& bu) {
+  if (op_id <= bu.op_id) {
+    return false;
+  }
+  for (const auto& s : log.scans) {
+    if (s.op_id == op_id) {
+      return s.completed && s.process == bu.process;
+    }
+  }
+  return false;
 }
 
-ReplayReport validate_simulation(const SimulationDriver& driver,
-                                 const std::vector<RevisionRecord>& revisions) {
+// The validator; `for_each_revision(visit)` calls visit on every revision
+// record, which must stay valid until the call returns.
+template <typename ForEachRevision>
+ReplayReport validate(const SimulationDriver& driver,
+                      ForEachRevision&& for_each_revision) {
   ReplayReport report;
   auto violate = [&report](const std::string& msg) {
     report.violations.push_back(msg);
@@ -45,7 +65,9 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
   const Partition& part = driver.partition();
 
   // Tables indexed by op id, up to the largest Block-Update id: the record
-  // of each Block-Update, and the revision that used it.
+  // of each Block-Update, and the revision that used it.  A revision must
+  // use an atomic Block-Update, the only kind that returns a view, and
+  // follow a later Scan by the same simulator.
   std::size_t bu_ids = 0;
   for (const auto& b : log.block_updates) {
     bu_ids = std::max(bu_ids, b.op_id + 1);
@@ -55,89 +77,58 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
     bu_by_id[b.op_id] = &b;
   }
   std::vector<const RevisionRecord*> rev_by_bu(bu_ids, nullptr);
-  for (const auto& r : revisions) {
+  std::size_t revisions = 0;
+  for_each_revision([&](const RevisionRecord& r) {
+    ++revisions;
     const std::size_t id = r.used_block_update;
     if (id >= bu_ids || bu_by_id[id] == nullptr) {
       violate("a revision used op#" + std::to_string(id) +
               ", which is not a Block-Update of the log");
-    } else if (rev_by_bu[id] != nullptr) {
+      return;
+    }
+    if (rev_by_bu[id] != nullptr) {
       violate("two revisions used Block-Update#" + std::to_string(id));
-    } else {
-      rev_by_bu[id] = &r;
+      return;
     }
-  }
-
-  // Prefix contents (no hidden steps): prefix[t] = contents after first t
-  // ops.  Only the insertion points of revisions read them.
-  std::vector<View> prefix;
-  if (!revisions.empty()) {
-    prefix.resize(ops.size() + 1);
-    prefix[0] = View(m);
-    for (std::size_t t = 0; t < ops.size(); ++t) {
-      prefix[t + 1] = prefix[t];
-      if (ops[t].kind == aug::LinearizedOp::Kind::kUpdate) {
-        prefix[t + 1].at(ops[t].component) = ops[t].value;
-      }
+    rev_by_bu[id] = &r;
+    const aug::BlockUpdateOpRecord& bu = *bu_by_id[id];
+    if (!bu.completed || bu.yielded) {
+      violate("a revision used Block-Update#" + std::to_string(id) +
+              ", which returned no view (it " +
+              (bu.completed ? "yielded" : "did not finish") + ")");
     }
-  }
-
-  // Choose an insertion point for every used atomic Block-Update: the latest
-  // t in (previous atomic update .. first own update] where the contents
-  // equal the view the revision used and no Scan follows before the block.
-  // Each window starts past the previous block's first update, so the
-  // points come out strictly increasing: insert_at is sorted by t.
-  std::vector<std::pair<std::size_t, const RevisionRecord*>> insert_at;
-  {
-    std::size_t last_atomic_end = 0;  // index just past the last atomic update
-    std::vector<bool> first_seen(bu_ids, false);
-    for (std::size_t z = 0; z < ops.size(); ++z) {
-      const auto& op = ops[z];
-      if (op.kind != aug::LinearizedOp::Kind::kUpdate || !op.from_atomic) {
-        continue;
-      }
-      if (first_seen.at(op.op_id)) {
-        last_atomic_end = z + 1;
-        continue;  // only the first update of each block starts a window
-      }
-      first_seen[op.op_id] = true;
-      if (const RevisionRecord* rev = rev_by_bu.at(op.op_id)) {
-        const aug::BlockUpdateOpRecord* bu = bu_by_id.at(op.op_id);
-        bool placed = false;
-        for (std::size_t t = z + 1; t-- > last_atomic_end;) {
-          bool scan_between = false;
-          for (std::size_t i = t; i < z; ++i) {
-            if (ops[i].kind == aug::LinearizedOp::Kind::kScan) {
-              scan_between = true;
-              break;
-            }
-          }
-          if (!scan_between && prefix[t] == bu->returned) {
-            assert(insert_at.empty() || insert_at.back().first < t);
-            insert_at.emplace_back(t, rev);
-            placed = true;
-            break;
-          }
-        }
-        if (!placed) {
-          violate("no window point for revision using Block-Update#" +
-                  std::to_string(op.op_id));
-        }
-      }
-      last_atomic_end = z + 1;
+    if (!scan_after(log, r.at_scan_op, bu)) {
+      violate("a revision using Block-Update#" + std::to_string(id) +
+              " follows op#" + std::to_string(r.at_scan_op) +
+              ", which is not a later completed Scan by q" +
+              std::to_string(bu.process + 1));
     }
-  }
+  });
   if (!report.ok()) {
     return report;
   }
 
+  // Insertion point of every revision: the T of its Block-Update's window
+  // (Lemma 19), the latest point at or after the previous atomic Update
+  // where the contents equal the view the revision used, with no Scan
+  // before the block.  The linearizer accepted the log, so every atomic
+  // Block-Update has a window, and every revision one insertion point.
+  // Windows are disjoint (Lemma 18), so the points are distinct.
+  std::vector<std::pair<std::size_t, const RevisionRecord*>> insert_at;
+  insert_at.reserve(revisions);
+  for (const aug::Window& w : lin.windows) {
+    if (const RevisionRecord* rev = rev_by_bu[w.op_id]) {
+      insert_at.emplace_back(w.t_index, rev);
+    }
+  }
+  assert(insert_at.size() == revisions);
+  std::sort(insert_at.begin(), insert_at.end());
+
   // Fresh replicas of the simulated system.
-  const std::size_t n = driver.n();
-  std::vector<std::unique_ptr<proto::SimProcess>> replica(n);
-  std::vector<std::optional<PoisedUpdate>> pending(n);
-  std::vector<std::optional<Val>> produced(n);
+  std::vector<Replica> replicas(driver.n());
   for (std::size_t i = 0; i < part.groups.size(); ++i) {
     for (std::size_t gid : part.groups[i]) {
-      replica[gid] = driver.protocol().make(gid, driver.inputs()[i]);
+      replicas[gid].proc = driver.protocol().make(gid, driver.inputs()[i]);
     }
   }
   View contents(m);
@@ -150,23 +141,24 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
       const RevisionRecord* rev = insert_at[next_insertion].second;
       const aug::BlockUpdateOpRecord* bu = bu_by_id.at(rev->used_block_update);
       const std::size_t p = rev->revised_proc;
+      Replica& replica = replicas[p];
       ++report.revisions_validated;
       std::size_t hidden_idx = 0;
       const std::size_t budget = rev->hidden_updates.size() + 2;
       for (std::size_t step = 0; step < budget; ++step) {
-        if (produced[p]) {
+        if (replica.produced) {
           violate("revised p_" + std::to_string(p + 1) +
                   " already output before its revision");
           break;
         }
-        proto::SimAction act = replica[p]->on_scan(contents);
+        proto::SimAction act = replica.proc->on_scan(contents);
         if (act.kind == proto::SimAction::Kind::kOutput) {
           if (!rev->early_output || *rev->early_output != act.output) {
             violate("hidden run of p_" + std::to_string(p + 1) +
                     " output " + std::to_string(act.output) +
                     " but the simulator recorded a different ending");
           }
-          produced[p] = act.output;
+          replica.produced = act.output;
           break;
         }
         const bool allowed =
@@ -191,7 +183,7 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
             hidden_idx != rev->hidden_updates.size()) {
           violate("revision ending mismatch for p_" + std::to_string(p + 1));
         } else {
-          pending[p] = PoisedUpdate{act.component, act.value};
+          replica.pending = PoisedUpdate{act.component, act.value};
         }
         break;
       }
@@ -207,39 +199,40 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
     const std::size_t sim = op.process;
     if (op.kind == aug::LinearizedOp::Kind::kScan) {
       const std::size_t p = part.groups.at(sim)[0];
-      if (op.returned != contents) {
+      Replica& replica = replicas[p];
+      if (*op.returned != contents) {
         violate("Scan#" + std::to_string(op.op_id) + " returned " +
-                to_string(op.returned) + " but replayed contents are " +
+                to_string(*op.returned) + " but replayed contents are " +
                 to_string(contents));
         return report;
       }
-      if (produced[p]) {
+      if (replica.produced) {
         violate("p_" + std::to_string(p + 1) + " scanned after outputting");
         return report;
       }
-      if (pending[p]) {
+      if (replica.pending) {
         violate("p_" + std::to_string(p + 1) +
                 " scanned while poised to update (alternation broken)");
         return report;
       }
-      proto::SimAction act = replica[p]->on_scan(contents);
+      proto::SimAction act = replica.proc->on_scan(contents);
       if (act.kind == proto::SimAction::Kind::kOutput) {
-        produced[p] = act.output;
+        replica.produced = act.output;
       } else {
-        pending[p] = PoisedUpdate{act.component, act.value};
+        replica.pending = PoisedUpdate{act.component, act.value};
       }
     } else {
       const std::size_t p = part.groups.at(sim).at(op.position);
+      std::optional<PoisedUpdate>& pending = replicas[p].pending;
       // Proposition 25: the applied update must be exactly the replica's
       // poised step.
-      if (!pending[p] || pending[p]->first != op.component ||
-          pending[p]->second != op.value) {
+      if (!pending || pending->first != op.component ||
+          pending->second != op.value) {
         std::ostringstream why;
         why << "Update by q" << sim + 1 << " for p_" << p + 1 << " applied "
             << fmt_update(op.component, op.value) << " but replica is ";
-        if (pending[p]) {
-          why << "poised at " << fmt_update(pending[p]->first,
-                                            pending[p]->second);
+        if (pending) {
+          why << "poised at " << fmt_update(pending->first, pending->second);
         } else {
           why << "not poised to update";
         }
@@ -247,12 +240,14 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
         return report;
       }
       contents.at(op.component) = op.value;
-      pending[p].reset();
+      pending.reset();
     }
   }
   run_insertions(ops.size());
 
-  // Final outcomes (Lemma 27).
+  // Final outcomes (Lemma 27).  Each final solo run is p_{i,1}'s own
+  // replica's: nothing reads the replicas after it.
+  View w;
   for (runtime::ProcessId i = 0; i < driver.f(); ++i) {
     if (!driver.finished(i)) {
       continue;
@@ -266,12 +261,13 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
         violate("q" + std::to_string(i + 1) + " final block is not full");
         continue;
       }
-      View w = contents;
+      w = contents;
       bool plan_ok = true;
       for (std::size_t g = 0; g < m; ++g) {
         const std::size_t p = group[g];
-        if (!pending[p] || pending[p]->first != oc.final_beta.comps[g] ||
-            pending[p]->second != oc.final_beta.vals[g]) {
+        const std::optional<PoisedUpdate>& pending = replicas[p].pending;
+        if (!pending || pending->first != oc.final_beta.comps[g] ||
+            pending->second != oc.final_beta.vals[g]) {
           violate("q" + std::to_string(i + 1) + ": p_" + std::to_string(p + 1) +
                   " is not poised to perform its step of beta");
           plan_ok = false;
@@ -282,10 +278,10 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
       if (!plan_ok) {
         continue;
       }
-      auto xi = replica[group[0]]->clone();
+      proto::SimProcess& xi = *replicas[group[0]].proc;
       bool matched = false;
       for (std::size_t step = 0; step < 1'000'000; ++step) {
-        proto::SimAction act = xi->on_scan(w);
+        proto::SimAction act = xi.on_scan(w);
         if (act.kind == proto::SimAction::Kind::kOutput) {
           if (act.output != oc.output) {
             violate("q" + std::to_string(i + 1) + " output " +
@@ -309,17 +305,39 @@ ReplayReport validate_simulation(const SimulationDriver& driver,
         continue;
       }
       const std::size_t p = *oc.early_proc;
-      if (!produced[p] || *produced[p] != oc.output) {
+      const std::optional<Val>& produced = replicas[p].produced;
+      if (!produced || *produced != oc.output) {
         violate("q" + std::to_string(i + 1) + " output " +
                 std::to_string(oc.output) + " but replica p_" +
                 std::to_string(p + 1) +
-                (produced[p] ? " output " + std::to_string(*produced[p])
-                             : std::string(" produced nothing")));
+                (produced ? " output " + std::to_string(*produced)
+                          : std::string(" produced nothing")));
       }
     }
   }
 
   return report;
+}
+
+}  // namespace
+
+ReplayReport validate_simulation(const SimulationDriver& driver) {
+  return validate(driver, [&driver](const auto& visit) {
+    for (runtime::ProcessId i = 0; i < driver.f(); ++i) {
+      for (const RevisionRecord& r : driver.revisions(i)) {
+        visit(r);
+      }
+    }
+  });
+}
+
+ReplayReport validate_simulation(const SimulationDriver& driver,
+                                 const std::vector<RevisionRecord>& revisions) {
+  return validate(driver, [&revisions](const auto& visit) {
+    for (const RevisionRecord& r : revisions) {
+      visit(r);
+    }
+  });
 }
 
 }  // namespace revisim::sim

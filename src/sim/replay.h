@@ -10,9 +10,13 @@
 //
 //   1. it computes the linearization (augmented/linearizer.h) and the block
 //      decomposition;
-//   2. for every revision it locates a window point T where the contents of
-//      M equal the view the revision used, with no Scan linearized between T
-//      and the Block-Update (Lemma 19 shape);
+//   2. it places every revision: the revision must use an atomic
+//      Block-Update and follow a later completed Scan by the same simulator,
+//      and it is inserted at the T of that Block-Update's window
+//      (linearizer.h), the latest point where the contents of M equal the
+//      view the revision used, with no Scan linearized between T and the
+//      Block-Update (Lemma 19 shape).  A revision that cannot be placed is a
+//      violation, so every revision given is replayed;
 //   3. it replays the whole reconstructed sequence against fresh replicas of
 //      the simulated processes, checking that every step a simulator applied
 //      is exactly the step the replica takes (Proposition 25 / Lemma 26.2),

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -64,20 +65,26 @@ struct ArenaHeader {
 };
 static_assert(kArenaReserveBytes <= std::uint64_t{1} << 32);
 
-// Size prefix of a block the global operator new takes from the arena: the
-// global delete may be unsized.
-constexpr std::size_t kArenaNewPrefix = kGranule;
-
 constexpr std::size_t kArenaStart =
     (sizeof(ArenaHeader) + kGranule - 1) / kGranule * kGranule;
 
-// This thread's region (the arena, then the checkpoint stack), mapped by
-// its first ArenaScope and unmapped when the thread exits, unless blocks in
-// it are still live: those must stay valid until they are freed.
-// `arena_base` mirrors it in a trivially destructible thread_local, so the
-// free path's range check costs one load.
+// This thread's region (the arena, then the checkpoint stack, then the
+// class map), mapped by its first ArenaScope and unmapped when the thread
+// exits, unless blocks in it are still live: those must stay valid until
+// they are freed.  `arena_base` mirrors it in a trivially destructible
+// thread_local, so the free path's range check costs one load.
+//
+// The class map holds one entry per granule of the arena: the size class
+// of the block that starts there, written when the bump pointer carves it
+// (pool.h says why it needs no checkpoint).
+using ClassEntry = std::uint16_t;
+static_assert(kArenaClasses <= std::numeric_limits<ClassEntry>::max());
 constexpr std::size_t kCheckpointStackBytes = kArenaReserveBytes;
-constexpr std::size_t kRegionBytes = kArenaReserveBytes + kCheckpointStackBytes;
+constexpr std::size_t kClassMapOffset =
+    kArenaReserveBytes + kCheckpointStackBytes;
+constexpr std::size_t kClassMapBytes =
+    kArenaReserveBytes / kGranule * sizeof(ClassEntry);
+constexpr std::size_t kRegionBytes = kClassMapOffset + kClassMapBytes;
 thread_local std::byte* arena_base = nullptr;
 // The arena while a scope is live on this thread.
 thread_local ArenaHeader* live_arena = nullptr;
@@ -170,6 +177,10 @@ bool in_arena(const void* block) {
              kArenaReserveBytes;
 }
 
+ClassEntry* class_map(std::byte* base) {
+  return reinterpret_cast<ClassEntry*>(base + kClassMapOffset);
+}
+
 std::uint32_t next_free(const std::byte* block) {
   std::uint32_t next;
   std::memcpy(&next, block, sizeof next);
@@ -197,16 +208,19 @@ std::uint32_t next_free(const std::byte* block) {
     return nullptr;
   }
   std::byte* block = base + a.bump;
+  class_map(base)[a.bump / kGranule] = static_cast<ClassEntry>(c);
   a.bump += static_cast<std::uint32_t>(size);
   a.live += static_cast<std::uint32_t>(size);
   ASAN_UNPOISON_MEMORY_REGION(block, size);
   return block;
 }
 
-[[gnu::always_inline]] inline void arena_free(void* raw, std::size_t bytes) {
+[[gnu::always_inline]] inline void arena_free(void* raw) {
   ArenaHeader& a = header();
-  const std::size_t c = arena_class(bytes);
   auto* block = static_cast<std::byte*>(raw);
+  const std::size_t c =
+      class_map(arena_base)[static_cast<std::size_t>(block - arena_base) /
+                            kGranule];
   std::memcpy(block, &a.heads[c], sizeof a.heads[c]);
   a.heads[c] = static_cast<std::uint32_t>(block - arena_base);
   a.live -= static_cast<std::uint32_t>(arena_class_bytes(c));
@@ -265,22 +279,16 @@ void* heap_new(std::size_t bytes, std::size_t align) {
   }
 }
 
-// A block for the global operator new from the live arena, behind its size
-// prefix; null outside a capture window, for an over-aligned block, or when
-// the arena cannot fit it.
+// A block for the global operator new from the live arena; null outside a
+// capture window, for an over-aligned block, or when the arena cannot fit
+// it.
 void* arena_new(std::size_t bytes, std::size_t align) noexcept {
   ArenaHeader* a = live_arena;
   if (a == nullptr || !capture_open ||
-      align > __STDCPP_DEFAULT_NEW_ALIGNMENT__ || bytes > kArenaReserveBytes) {
+      align > __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
     return nullptr;
   }
-  auto* block =
-      static_cast<std::byte*>(arena_allocate(*a, bytes + kArenaNewPrefix));
-  if (block == nullptr) {
-    return nullptr;
-  }
-  std::memcpy(block, &bytes, sizeof bytes);
-  return block + kArenaNewPrefix;
+  return arena_allocate(*a, bytes);
 }
 
 // Frees a block of the global operator new if it lies in this thread's
@@ -289,10 +297,7 @@ bool arena_delete(void* p) noexcept {
   if (!in_arena(p)) {
     return false;
   }
-  std::byte* block = static_cast<std::byte*>(p) - kArenaNewPrefix;
-  std::size_t bytes;
-  std::memcpy(&bytes, block, sizeof bytes);
-  arena_free(block, bytes + kArenaNewPrefix);
+  arena_free(p);
   return true;
 }
 

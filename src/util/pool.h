@@ -4,31 +4,37 @@
 //
 // Each thread owns one region at a fixed address, reserved on first use
 // and touched lazily: the arena, kArenaReserveBytes long, then a checkpoint
-// stack as long again.  The arena is a bump pointer plus one free list per
-// size class (16-byte classes up to 4 KiB, then powers of two), and the
-// allocator's metadata (the bump offset and the list heads) lives at the
-// start of the arena itself.  Copying the arena's used prefix onto the
-// checkpoint stack therefore captures the allocator's state together with
-// every object in it, and copying it back to the same address restores
-// both: no pointer moves, so none needs fixing.  The explorer uses that to
-// rewind a world to a branch point (src/check/explore_core.h).  Checkpoints
-// are packed, so the stack's pages hold exactly the open checkpoints, and
-// like the arena's they are touched once and reused by every later job on
-// the thread.
+// stack as long again, then a class map.  The arena is a bump pointer plus
+// one free list per size class (16-byte classes up to 4 KiB, then powers of
+// two), and the allocator's metadata (the bump offset and the list heads)
+// lives at the start of the arena itself.  Copying the arena's used prefix
+// onto the checkpoint stack therefore captures the allocator's state
+// together with every object in it, and copying it back to the same
+// address restores both: no pointer moves, so none needs fixing.  The
+// explorer uses that to rewind a world to a branch point
+// (src/check/explore_core.h).  Checkpoints are packed, so the stack's pages
+// hold exactly the open checkpoints, and like the arena's they are touched
+// once and reused by every later job on the thread.
+//
+// The global delete may be unsized, so the class map holds, for each
+// 16-byte granule of the arena, the size class of the block that starts
+// there, written when the bump pointer carves the block.  The map is never
+// checkpointed: a block's class is fixed from its carve until a restore
+// moves the bump below it, and as checkpoints are a stack, a later carve at
+// that offset rewrites the entry before the block is used.
 //
 // The library replaces the global operator new (all its forms) with one
 // that counts heap allocations per thread; heap_allocations() reads the
 // count.  While a CaptureWindow is open and an ArenaScope is live, the
-// global operator new serves from the arena instead, without counting:
-// each block carries a 16-byte prefix holding its size, since the global
-// delete may be unsized.  So the ordinary containers and objects a world
-// makes in a build or step are arena memory and are rewound with it.  Two
-// kinds of memory stay on the heap and are counted: an over-aligned new
-// (alignment above __STDCPP_DEFAULT_NEW_ALIGNMENT__), and a block the arena
-// cannot fit (the arena is full, or the block is larger than it).  The
-// explorer opens the window around every call it makes into a world and,
-// once the count moves, stops restoring.  Outside a window, and on a thread
-// with no live scope, the global operator new is the plain (counted) heap.
+// global operator new serves from the arena instead, without counting.  So
+// the ordinary containers and objects a world makes in a build or step are
+// arena memory and are rewound with it.  Two kinds of memory stay on the
+// heap and are counted: an over-aligned new (alignment above
+// __STDCPP_DEFAULT_NEW_ALIGNMENT__), and a block the arena cannot fit (the
+// arena is full, or the block is larger than it).  The explorer opens the
+// window around every call it makes into a world and, once the count
+// moves, stops restoring.  Outside a window, and on a thread with no live
+// scope, the global operator new is the plain (counted) heap.
 //
 // Rules of the arena:
 //  * Arena blocks are freed only on the thread that owns the arena: memory

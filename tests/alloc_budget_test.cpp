@@ -18,7 +18,11 @@
 
 #include "src/check/model_check.h"
 #include "src/check/worlds.h"
+#include "src/protocols/racing_agreement.h"
+#include "src/runtime/adversary.h"
 #include "src/runtime/trace.h"
+#include "src/sim/driver.h"
+#include "src/sim/replay.h"
 #include "src/util/pool.h"
 
 namespace revisim {
@@ -128,6 +132,71 @@ TEST(AllocBudget, SimCoveringExecutionsStayWithinBudget) {
   EXPECT_LE(per_execution, kBudgetPerExecution)
       << allocations << " heap allocations over " << res.executions
       << " executions";
+}
+
+// Heap allocations of one call, made outside a capture window so that each
+// one reaches the counter; the call runs once untimed first, so that
+// one-time allocations (function-local statics) are not counted.
+template <typename Call>
+std::uint64_t allocations_of(const Call& call) {
+  call();
+  const std::uint64_t before = util::heap_allocations();
+  call();
+  return util::heap_allocations() - before;
+}
+
+// The leaf verdicts, per call: the §3.3 linearizer and the Lemma-26
+// validator borrow what they only read from the op log and build each
+// table once.  A budget is the count the checkers make today, so a change
+// that adds a copy or a rebuilt table fails here.
+TEST(AllocBudget, LeafVerdictsStayWithinBudget) {
+  {
+    // A sim-racing:4,3,0,1 leaf (the sim-covering workload's world): four
+    // Scans, no Block-Update and no revision.
+    SCOPED_TRACE("validate_simulation, sim-racing:4,3,0,1");
+    runtime::Scheduler sched;
+    proto::RacingAgreement protocol(4, 1);
+    sim::SimulationDriver::Options opt;
+    opt.n = 4;
+    sim::SimulationDriver driver(sched, protocol, {10, 20, 30, 40}, opt);
+    runtime::RoundRobinAdversary adv;
+    ASSERT_TRUE(driver.run(adv));
+    bool ok = false;
+    const std::uint64_t n = allocations_of(
+        [&] { ok = sim::validate_simulation(driver).ok(); });
+    EXPECT_TRUE(ok);
+    EXPECT_LE(n, 9u);
+  }
+  {
+    // An aug-script:2,u0s,u1ss leaf, whose verdict is the linearizer alone.
+    SCOPED_TRACE("linearize, aug-script:2,u0s,u1ss");
+    const auto world = check::make_world_factory("aug-script:2,u0s,u1ss")();
+    world->scheduler().set_recording(false);
+    runtime::RoundRobinAdversary adv;
+    ASSERT_TRUE(world->scheduler().run(adv));
+    bool ok = false;
+    const std::uint64_t n =
+        allocations_of([&] { ok = !world->verdict(true).has_value(); });
+    EXPECT_TRUE(ok);
+    EXPECT_LE(n, 7u);
+  }
+  {
+    // The run bench_micro's BM_ReplayValidation validates: 12 linearized
+    // ops and one revision.
+    SCOPED_TRACE("validate_simulation, racing(4,2) seed 3");
+    runtime::Scheduler sched;
+    proto::RacingAgreement protocol(4, 2);
+    sim::SimulationDriver driver(sched, protocol, {10, 20});
+    runtime::RandomAdversary adv(3);
+    ASSERT_TRUE(driver.run(adv, 10'000'000));
+    sim::ReplayReport report;
+    const std::uint64_t n =
+        allocations_of([&] { report = sim::validate_simulation(driver); });
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.linearized_ops, 12u);
+    EXPECT_EQ(report.revisions_validated, 1u);
+    EXPECT_LE(n, 19u);
+  }
 }
 
 TEST(AllocBudget, HeapCounterSeesEveryFormOfOperatorNew) {

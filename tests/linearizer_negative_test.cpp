@@ -4,6 +4,12 @@
 // aspect the paper's lemmas govern, and expects a violation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "src/augmented/augmented_snapshot.h"
 #include "src/augmented/linearizer.h"
 #include "src/protocols/racing_agreement.h"
@@ -11,6 +17,7 @@
 #include "src/runtime/scheduler.h"
 #include "src/sim/driver.h"
 #include "src/sim/replay.h"
+#include "src/util/crc32.h"
 
 namespace revisim {
 namespace {
@@ -152,10 +159,131 @@ TEST(LinearizerCrash, ResurrectedCrashedUpdateIsRejected) {
   FAIL() << "q1 has no Block-Update record";
 }
 
+// The verdicts the linearizer gives on seeded corruptions of healthy logs,
+// pinned: each of 500 seeded runs of random Scans and Block-Updates (some
+// with a crashed process) gets one seeded single-field mutation - a written
+// value, a step index, a yield flag, an entry of a returned view or a
+// timestamp part - and the digest covers every run's (ok(), first
+// violation).  A rewrite of the linearizer must keep every verdict and
+// every first message.
+Task<void> random_ops(AugmentedSnapshot& m, ProcessId me, std::size_t rounds,
+                      std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  for (std::size_t i = 0; i < rounds; ++i) {
+    if (rng() % 3 == 0) {
+      co_await m.Scan(me);
+      continue;
+    }
+    std::vector<std::size_t> comps;
+    std::vector<Val> vals;
+    for (std::size_t j = 0; j < m.components(); ++j) {
+      if (rng() % 2 == 0 || (comps.empty() && j + 1 == m.components())) {
+        comps.push_back(j);
+        vals.push_back(static_cast<Val>(rng() % 50));
+      }
+    }
+    co_await m.BlockUpdate(me, comps, vals);
+  }
+}
+
+void mutate_one_field(OpLog& log, std::mt19937_64& rng) {
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  // Moves a recorded step by 1 to 3, either way (not below 0).
+  auto nudge = [&rng](std::size_t& step) {
+    if (step == aug::kNoStep) {
+      return;
+    }
+    const bool up = rng() % 2 == 0;
+    const std::size_t by = 1 + rng() % 3;
+    step = up ? step + by : step - std::min(step, by);
+  };
+  const bool on_scan =
+      log.block_updates.empty() || (!log.scans.empty() && rng() % 3 == 0);
+  if (on_scan) {
+    auto& s = log.scans[pick(log.scans.size())];
+    if (rng() % 2 == 0 && !s.returned.empty()) {
+      s.returned[pick(s.returned.size())] = static_cast<Val>(rng() % 50);
+    } else {
+      nudge(rng() % 2 == 0 ? s.first_step : s.last_step);
+    }
+    return;
+  }
+  auto& b = log.block_updates[pick(log.block_updates.size())];
+  switch (rng() % 5) {
+    case 0:
+      b.vals[pick(b.vals.size())] ^= 1 + static_cast<Val>(rng() % 4);
+      break;
+    case 1: {
+      std::size_t* steps[] = {&b.step_h, &b.step_x, &b.step_g, &b.step_h2};
+      nudge(*steps[pick(4)]);
+      break;
+    }
+    case 2:
+      b.yielded = !b.yielded;
+      break;
+    case 3:
+      if (!b.returned.empty()) {
+        b.returned[pick(b.returned.size())] = static_cast<Val>(rng() % 50);
+      }
+      break;
+    default: {
+      aug::Timestamp::Parts parts(b.ts.size());
+      for (std::size_t i = 0; i < parts.size(); ++i) {
+        parts[i] = b.ts[i];
+      }
+      if (!parts.empty()) {
+        auto& part = parts[pick(parts.size())];
+        part = part == 0 || rng() % 2 == 0 ? part + 1 : part - 1;
+      }
+      b.ts = aug::Timestamp(std::move(parts));
+      break;
+    }
+  }
+}
+
+TEST(LinearizerGolden, SeededMutationVerdictsArePinned) {
+  std::uint32_t digest = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t seed = 0; seed < 500; ++seed) {
+    const std::size_t f = 2 + seed % 3;
+    const std::size_t m = 2 + seed % 2;
+    Scheduler sched;
+    AugmentedSnapshot obj(sched, "M", m, f);
+    for (ProcessId p = 0; p < f; ++p) {
+      sched.spawn(random_ops(obj, p, 4, seed * 131 + p), "q");
+    }
+    if (seed % 5 == 0) {
+      const ProcessId victim = static_cast<ProcessId>(seed % f);
+      for (std::size_t i = 0; i < seed % 7; ++i) {
+        sched.run_step(victim);
+      }
+      sched.crash(victim);
+    }
+    runtime::RandomAdversary adv(seed);
+    ASSERT_TRUE(sched.run(adv));
+    OpLog log = obj.log();
+    ASSERT_TRUE(aug::linearize(log, m).ok()) << "seed " << seed;
+    std::mt19937_64 rng(seed ^ 0x5eedull);
+    mutate_one_field(log, rng);
+    const auto lin = aug::linearize(log, m);
+    const std::string verdict = (lin.ok() ? "ok" : "rejected: " +
+                                 lin.violations.front()) + "\n";
+    digest = util::crc32(digest, verdict.data(), verdict.size());
+    rejected += lin.ok() ? 0 : 1;
+  }
+  char hex[16];
+  std::snprintf(hex, sizeof hex, "%08x", digest);
+  EXPECT_EQ(rejected, 283u);
+  EXPECT_STREQ(hex, "ca27c5b5");
+}
+
 TEST(ReplayNegative, TamperedRevisionsRejected) {
   // Hunt for a run with a revision ending in a poised update, then feed the
   // validator corrupted revision records: every corruption must be caught.
-  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+  bool hunted = false;
+  for (std::uint64_t seed = 0; seed < 200 && !hunted; ++seed) {
     Scheduler sched;
     proto::RacingAgreement protocol(4, 2);
     sim::SimulationDriver driver(sched, protocol, {10, 20});
@@ -174,6 +302,7 @@ TEST(ReplayNegative, TamperedRevisionsRejected) {
     if (idx == revisions.size()) {
       continue;
     }
+    const aug::OpLog& log = driver.snapshot().log();
     ASSERT_TRUE(sim::validate_simulation(driver, revisions).ok());
 
     // Corrupt the final poised update's value.
@@ -201,11 +330,54 @@ TEST(ReplayNegative, TamperedRevisionsRejected) {
     bad = revisions;
     bad[idx].used_block_update = bad[idx].at_scan_op;
     EXPECT_FALSE(sim::validate_simulation(driver, bad).ok());
-    bad[idx].used_block_update = driver.snapshot().log().next_op_id;
+    bad[idx].used_block_update = log.next_op_id;
     EXPECT_FALSE(sim::validate_simulation(driver, bad).ok());
-    return;
+
+    // Claim the revision followed a Scan it did not follow: an op that is
+    // not a Scan, a Scan by another simulator, or one before the
+    // Block-Update it used.
+    const std::size_t used = revisions[idx].used_block_update;
+    const ProcessId reviser = log.find_block_update(used)->process;
+    bad = revisions;
+    bad[idx].at_scan_op = used;
+    EXPECT_FALSE(sim::validate_simulation(driver, bad).ok());
+    for (const auto& scan : log.scans) {
+      if (scan.completed && (scan.process != reviser || scan.op_id < used)) {
+        bad[idx].at_scan_op = scan.op_id;
+        EXPECT_FALSE(sim::validate_simulation(driver, bad).ok())
+            << "Scan#" << scan.op_id << " by q" << scan.process + 1;
+      }
+    }
+    hunted = true;
   }
-  GTEST_SKIP() << "no revision-bearing run found in 200 seeds";
+  EXPECT_TRUE(hunted) << "no revision-bearing run found in 200 seeds";
+
+  // Add a revision that cites a yielded Block-Update, which returned no
+  // view to revise with: it has no window, so it cannot be replayed.
+  Scheduler sched;
+  proto::RacingAgreement protocol(4, 2);
+  sim::SimulationDriver driver(sched, protocol, {10, 20});
+  runtime::RandomAdversary adv(3);
+  ASSERT_TRUE(driver.run(adv, 5'000'000));
+  const aug::BlockUpdateOpRecord* yielded = nullptr;
+  for (const auto& b : driver.snapshot().log().block_updates) {
+    if (b.completed && b.yielded && yielded == nullptr) {
+      yielded = &b;
+    }
+  }
+  const auto revisions = driver.all_revisions();
+  ASSERT_NE(yielded, nullptr);
+  ASSERT_FALSE(revisions.empty());
+  ASSERT_TRUE(sim::validate_simulation(driver, revisions).ok());
+  auto bad = revisions;
+  bad.push_back(revisions.front());
+  bad.back().used_block_update = yielded->op_id;
+  bad.back().hidden_updates.assign(5, {0, Val{7}});
+  bad.back().final_update.reset();
+  bad.back().early_output = Val{424242};
+  const sim::ReplayReport added = sim::validate_simulation(driver, bad);
+  EXPECT_FALSE(added.ok()) << added.revisions_validated << " of "
+                           << bad.size() << " revisions validated";
 }
 
 TEST(ReplayNegative, WrongProtocolRejected) {

@@ -197,6 +197,40 @@ TEST(WorldArena, RestoreRewindsTheBlocksAndTheAllocator) {
   worker.join();
 }
 
+// A block's size class lives in the class map, which no checkpoint holds:
+// after a restore moves the bump below a block, the next carve at that
+// offset, at another class, rewrites its entry, and every block goes back
+// on its own class's list.
+TEST(WorldArena, ARecarvedOffsetFreesToItsNewClass) {
+  std::thread worker([] {
+    util::ArenaScope arena;
+    ASSERT_TRUE(arena.active());
+    void* before = arena_new(64);  // carved before the save
+    ASSERT_TRUE(arena.push_checkpoint());
+    void* after = arena_new(48);  // carved after it, past `before`
+    arena_free(after);
+    arena_free(before);
+
+    arena.restore_checkpoint();  // `before` is live again; `after` is gone
+    void* recarved = arena_new(300);
+    arena_free(recarved);
+    arena_free(before);
+    void* again_300 = arena_new(300);
+    void* again_64 = arena_new(64);
+    void* again_48 = arena_new(48);
+    EXPECT_EQ(recarved, after);
+    EXPECT_EQ(again_300, recarved);
+    EXPECT_EQ(again_64, before);
+    EXPECT_NE(again_48, after);
+    arena.pop_checkpoint();
+    for (void* block : {again_300, again_64, again_48}) {
+      arena_free(block);
+    }
+    EXPECT_EQ(arena.live_bytes(), 0u);
+  });
+  worker.join();
+}
+
 TEST(WorldArena, CheckpointsStackInPushOrder) {
   std::thread worker([] {
     util::ArenaScope arena;

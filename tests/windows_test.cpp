@@ -91,6 +91,19 @@ TEST_P(WindowSweep, WindowsArePerAtomicBlockAndOrdered) {
     for (std::size_t i = w.t_index; i < w.z_index; ++i) {
       EXPECT_NE(lin.ops[i].kind, aug::LinearizedOp::Kind::kScan);
     }
+    // T is the latest valid point: every later one up to Z either has a
+    // Scan between it and Z or other contents.  The replay validator
+    // inserts revisions at T and relies on this.
+    for (std::size_t t = w.t_index + 1; t <= w.z_index; ++t) {
+      bool scan_between = false;
+      for (std::size_t i = t; i < w.z_index; ++i) {
+        scan_between = scan_between ||
+                       lin.ops[i].kind == aug::LinearizedOp::Kind::kScan;
+      }
+      EXPECT_TRUE(scan_between || prefix[t] != bu->returned)
+          << "BlockUpdate#" << w.op_id << ": point " << t
+          << " is valid and later than T = " << w.t_index;
+    }
   }
 }
 
