@@ -6,8 +6,11 @@
 
 #include <sys/socket.h>
 
+#include <random>
+
 #include "src/augmented/augmented_snapshot.h"
 #include "src/augmented/linearizer.h"
+#include "src/check/state_table.h"
 #include "src/dist/fault_channel.h"
 #include "src/dist/wire.h"
 #include "src/memory/register.h"
@@ -18,6 +21,7 @@
 #include "src/runtime/scheduler.h"
 #include "src/sim/driver.h"
 #include "src/sim/replay.h"
+#include "src/util/fingerprint.h"
 
 namespace {
 
@@ -267,6 +271,53 @@ void BM_ChannelEnqueueFlush(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ChannelEnqueueFlush)->Arg(1)->Arg(16)->Arg(64);
+
+// Feeds words the way a world's fingerprint_into does: through a
+// StateSink reference the compiler cannot see behind.
+[[gnu::noinline]] void feed_words(util::StateSink& sink,
+                                  const std::vector<std::uint64_t>& words) {
+  for (std::uint64_t w : words) {
+    sink.word(w);
+  }
+}
+
+void BM_HashSinkWords(benchmark::State& state) {
+  // One node's fingerprint: a 36-word stream (an aug-dedupe node feeds
+  // 35.5 words on average) hashed into a 128-bit digest.
+  std::mt19937_64 rng(36);
+  std::vector<std::uint64_t> words(36);
+  for (auto& w : words) {
+    w = rng() % 16;  // small counts and ids, like a state stream
+  }
+  for (auto _ : state) {
+    util::HashSink sink;
+    feed_words(sink, words);
+    benchmark::DoNotOptimize(sink.digest());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(words.size()));
+}
+BENCHMARK(BM_HashSinkWords);
+
+void BM_StateTableInsert(benchmark::State& state) {
+  // Random keys into a fresh 2^20-slot (16 MB) table, filled to half: the
+  // probe's first load misses the caches, as in a deduped walk.
+  constexpr std::size_t kSlots = std::size_t{1} << 20;
+  std::mt19937_64 rng(20);
+  std::vector<util::Fingerprint> keys(kSlots / 2);
+  for (auto& k : keys) {
+    k = {rng(), rng()};
+  }
+  for (auto _ : state) {
+    check::StateTable table(check::StateTable::Options{.capacity = kSlots});
+    for (const auto& k : keys) {
+      benchmark::DoNotOptimize(table.insert(k));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_StateTableInsert)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -272,6 +272,22 @@ int report_violation(const std::string& world,
   return 1;
 }
 
+// With --dedupe: the state table's line, and a warning line once it
+// saturated (dedupe then went partial, so the walk did more work than it
+// needed to, never less).
+void print_dedupe(const check::ScheduleExploreOptions& opt,
+                  const check::ScheduleExploreResult& res) {
+  if (!opt.dedupe_states) {
+    return;
+  }
+  std::printf("%zu states, %zu subtrees pruned\n", res.states_seen,
+              res.subtrees_pruned);
+  if (res.table_saturated) {
+    std::printf("state table saturated: later states were walked without "
+                "being recorded\n");
+  }
+}
+
 // `revisim_cli explore ...`: crash-closed exhaustive exploration of a
 // registry world; writes a replayable witness when a violation is found.
 // Exit 0 when no violation exists, 1 on a violation, 2 on bad arguments.
@@ -315,6 +331,7 @@ int run_explore(int argc, char** argv) {
                 opt.max_crashes, opt.max_steps);
     std::printf("%zu executions, %s\n", res.executions,
                 res.exhausted ? "exhausted" : "truncated at cap");
+    print_dedupe(opt, res);
     if (!res.violation) {
       std::printf("no violation\n");
       return 0;
@@ -461,6 +478,7 @@ int run_dist_explore(int argc, char** argv) {
     std::printf("%zu executions across %zu jobs (%zu steals), %s\n",
                 res.executions, res.jobs, res.steals,
                 res.exhausted ? "exhausted" : "truncated at cap");
+    print_dedupe(opt.base, res);
     if (res.error) {
       std::fprintf(stderr, "partial summary: %s\n", res.error->c_str());
       if (!opt.journal_path.empty()) {

@@ -241,28 +241,6 @@ LinearizationResult linearize(const OpLog& log, std::size_t m) {
     }
   }
 
-  // Lemma 18: windows of atomic Block-Updates are pairwise disjoint.  Our
-  // per-block windows are chosen maximal-T, so it suffices that each
-  // window's T lies at or past the end of every earlier window.
-  if (res.windows.size() >= 2) {
-    std::vector<Window> sorted = res.windows;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Window& a, const Window& w) {
-                return a.z_index < w.z_index;
-              });
-    for (std::size_t i = 1; i < sorted.size(); ++i) {
-      if (sorted[i].t_index < sorted[i - 1].z_index + 1) {
-        // T of the later window strictly inside the earlier (T', Z'].
-        if (sorted[i].t_index <= sorted[i - 1].z_index &&
-            sorted[i].t_index > sorted[i - 1].t_index) {
-          violate("Lemma 18: windows of BlockUpdate#" +
-                  std::to_string(sorted[i - 1].op_id) + " and #" +
-                  std::to_string(sorted[i].op_id) + " overlap");
-        }
-      }
-    }
-  }
-
   // Theorem 20: yields only under smaller-id interference.
   for (const auto& b : log.block_updates) {
     if (!b.completed || !b.yielded) {

@@ -61,8 +61,9 @@ struct LinearizedOp {
 // Update.  T is the latest valid point: the latest one at or after the
 // previous atomic Update whose contents equal the returned view with no
 // Scan in (T, Z).  Lemma 18 says windows of distinct atomic Block-Updates
-// are pairwise disjoint; the linearizer computes and checks them
-// explicitly.
+// are pairwise disjoint; here that holds by construction, not by a check:
+// the search for T stops at any atomic Update, so T never lies before the
+// Z of an earlier atomic Block-Update (tests/windows_test.cpp asserts it).
 struct Window {
   std::size_t op_id = 0;         // owning Block-Update
   std::size_t t_index = 0;       // sequence index of T (contents match here)

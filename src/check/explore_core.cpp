@@ -169,12 +169,15 @@ SubtreeResult explore_job(
 
   std::unique_ptr<ExplorableWorld> world = world_at(prefix.size());
 
-  // Canonical-state callback for collision audit; captures the live world by
-  // reference so one std::function serves every node of the walk.  Invoked
-  // by the table only in audit mode.
+  // Canonical-state callback for collision audit; one std::function serves
+  // every node of the walk.  The claim may come after the node's first step
+  // (see the loop), so an auditing walk renders each node's state before
+  // anything moves the world, and the callback returns that text.
+  const bool audit = table != nullptr && table->audit();
+  std::string node_text;
   std::function<std::string()> canonical;
-  if (table != nullptr && table->audit()) {
-    canonical = [&world] { return world->canonical_state(); };
+  if (audit) {
+    canonical = [&node_text] { return node_text; };
   }
 
   // POR: sleep set of the node the loop is about to process, computed on
@@ -263,9 +266,16 @@ SubtreeResult explore_job(
     // walk (here or, with a shared table, in another worker): its subtree -
     // executions, verdicts and all - is a replay of that one, and it is
     // skipped without counting an execution or evaluating a verdict.
-    bool pruned = false;
-    if (table != nullptr && schedule.size() > prefix.size()) {
-      util::Fingerprint fp;
+    //
+    // The insert's first load is a miss into a table far larger than the
+    // caches, so the slot is prefetched as soon as the fingerprint is known,
+    // and the insert (`claim`) waits until the node's own work is done: a
+    // leaf's runnable set, or an interior node's choices, checkpoint and
+    // first step.  A pruned interior node undoes that work, and counts
+    // none of it.
+    const bool consult = table != nullptr && schedule.size() > prefix.size();
+    util::Fingerprint fp;
+    if (consult) {
       {
         Watch watch(in_place);
         fp = world->fingerprint();
@@ -280,25 +290,29 @@ SubtreeResult explore_job(
           fp.hi = fp.hi * 0xc4ceb9fe1a85ec53ull + fp.lo;
         }
       }
-      pruned = !table->insert(fp, canonical);
+      table->prefetch(fp);
+      if (audit) {
+        node_text = world->canonical_state();
+      }
     }
+    auto claim = [&] { return !consult || table->insert(fp, canonical); };
     world->scheduler().runnable_into(runnable);
     const bool complete = runnable.empty();
     const bool root_interior = schedule.size() == prefix.size() &&
                                ctx != nullptr && ctx->root_choices != nullptr;
     bool count_execution = false;
+    bool pruned = false;
     if (!root_interior &&
-        (pruned || complete || schedule.size() >= options.max_steps)) {
+        (complete || schedule.size() >= options.max_steps)) {
+      pruned = !claim();
       count_execution = !pruned;
-      if (pruned) {
-        ++res.subtrees_pruned;
-      }
     } else {
       // Expand.
       if (depth == stack.size()) {
         stack.emplace_back();
       }
       Frame& f = stack[depth];
+      std::size_t por_skipped = 0;  // counted once the node is claimed
       if (depth == 0 && ctx != nullptr && ctx->root_choices != nullptr) {
         // A donated job: the split node's untried choices, verbatim.  The
         // donor already expanded this node (and already sleep-filtered the
@@ -347,7 +361,7 @@ SubtreeResult explore_job(
                 }
               }
               if (asleep) {
-                ++res.por_skipped;
+                ++por_skipped;
               } else {
                 f.choices[out++] = f.choices[j];
               }
@@ -356,42 +370,63 @@ SubtreeResult explore_job(
           }
         }
       }
-      // An empty choice list is a sleep-blocked interior node: everything
-      // enabled here is asleep.  The subtree is fully covered by earlier
-      // siblings, so it backtracks without counting an execution or
-      // evaluating a verdict.
-      if (!f.choices.empty()) {
-        if (options.por) {
-          f.fps.clear();
-          auto& sched = world->scheduler();
-          for (runtime::ProcessId e : f.choices) {
-            runtime::Footprint fp =
-                runtime::is_crash_entry(e)
-                    ? runtime::Footprint::opaque_footprint()
-                    : sched.poised_footprint(e);
-            res.footprint_bytes += fp.byte_size();
-            f.fps.push_back(fp);
-          }
+      std::uint64_t footprint_bytes = 0;  // counted once the node is claimed
+      if (options.por) {
+        f.fps.clear();
+        auto& sched = world->scheduler();
+        for (runtime::ProcessId e : f.choices) {
+          runtime::Footprint footprint =
+              runtime::is_crash_entry(e)
+                  ? runtime::Footprint::opaque_footprint()
+                  : sched.poised_footprint(e);
+          footprint_bytes += footprint.byte_size();
+          f.fps.push_back(footprint);
         }
-        f.saved = false;
-        if (in_place && f.choices.size() > 1) {
-          // A full checkpoint stack ends in-place walking, like the heap.
-          f.saved = arena.push_checkpoint();
-          in_place = f.saved;
-        }
-        f.next = 1;
-        ++depth;
-        compute_child_sleep(f, 0);
-        sched_push(f.choices[0]);
-        // One cheap steal poll per node expansion: donate the shallowest
-        // untried sibling suffix (possibly this very frame's) when another
-        // worker is hungry.
-        if (ctx != nullptr && ctx->split.want && ctx->split.want()) {
-          try_donate();
-        }
-        step(*world, schedule.back());
-        continue;
       }
+      // Save the node, then take its first choice before the claim: the
+      // step hides the table's miss.  On a prune the walk backtracks from
+      // here, and rewinding to an earlier branch node undoes the step.
+      const bool save = in_place && f.choices.size() > 1;
+      f.saved = save && arena.push_checkpoint();
+      if (!f.choices.empty()) {
+        sched_push(f.choices[0]);
+        step(*world, schedule.back());
+      }
+      pruned = !claim();
+      if (pruned) {
+        if (!f.choices.empty()) {
+          sched_pop();
+        }
+        if (f.saved) {
+          arena.pop_checkpoint();
+          f.saved = false;
+        }
+      } else {
+        res.por_skipped += por_skipped;
+        res.footprint_bytes += footprint_bytes;
+        if (save && !f.saved) {
+          in_place = false;  // a full checkpoint stack, like the heap
+        }
+        // An empty choice list is a sleep-blocked interior node: everything
+        // enabled here is asleep.  The subtree is fully covered by earlier
+        // siblings, so it backtracks without counting an execution or
+        // evaluating a verdict.
+        if (!f.choices.empty()) {
+          f.next = 1;
+          ++depth;
+          compute_child_sleep(f, 0);
+          // One cheap steal poll per node expansion: donate the shallowest
+          // untried sibling suffix (possibly this very frame's) when
+          // another worker is hungry.
+          if (ctx != nullptr && ctx->split.want && ctx->split.want()) {
+            try_donate();
+          }
+          continue;
+        }
+      }
+    }
+    if (pruned) {
+      ++res.subtrees_pruned;
     }
     // Backtrack: every expansion continued above.
     if (count_execution) {
@@ -455,6 +490,7 @@ SubtreeResult explore_job(
   }
   if (table != nullptr) {
     res.states_seen = table->states();
+    res.table_saturated = table->saturated();
   }
   // Arena memory still live once the world is gone was made in a build,
   // step or fingerprint and kept outside the world, where a restore could
@@ -491,6 +527,7 @@ ScheduleExploreResult whole_tree_result(SubtreeResult&& sr) {
   res.witness = std::move(sr.witness);
   res.states_seen = sr.states_seen;
   res.subtrees_pruned = sr.subtrees_pruned;
+  res.table_saturated = sr.table_saturated;
   res.jobs = 1;
   res.por_skipped = sr.por_skipped;
   res.dependent_wakeups = sr.dependent_wakeups;

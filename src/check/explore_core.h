@@ -171,6 +171,9 @@ struct SubtreeResult {
   // Distinct states in the consulted table when the walk ended (a global
   // snapshot if the table was shared; 0 with dedupe off).
   std::size_t states_seen = 0;
+  // Whether the consulted table had saturated when the walk ended (a
+  // shared table's global state; false with dedupe off).
+  bool table_saturated = false;
   std::size_t donations = 0;                 // jobs split off via SplitHooks
   // POR: choices skipped because they were asleep (each is a whole subtree
   // of step-swap-equivalent schedules never walked).

@@ -143,6 +143,13 @@ struct ScheduleExploreResult {
   // Transposition-table statistics (0 with dedupe_states off).
   std::size_t states_seen = 0;       // distinct canonical states recorded
   std::size_t subtrees_pruned = 0;   // subtrees skipped as already-seen
+  // True iff the run's state table saturated (StateTable::saturated): past
+  // that point unseen states were walked without being recorded, so dedupe
+  // was partial and states_seen stopped growing.  The serial explorer reads
+  // its own table, the parallel explorer its shared one, the distributed
+  // coordinator its union of the workers' reports; a distributed worker's
+  // own table is not reported.
+  bool table_saturated = false;
   // Work-distribution statistics.  The serial explorer is one job and never
   // steals; the parallel explorer counts every schedule-prefix job its
   // stack-splitting created and every job claimed by a worker other than

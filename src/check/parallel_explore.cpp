@@ -230,6 +230,7 @@ ScheduleExploreResult parallel_explore_schedules(
   if (table) {
     res.states_seen = table->states();
     res.subtrees_pruned = table->hits();
+    res.table_saturated = table->saturated();
   }
   return res;
 }

@@ -54,10 +54,8 @@ bool StateTable::insert_lockfree(util::Fingerprint fp) {
     saturated_.store(true, std::memory_order_relaxed);
     return true;
   }
-  // 0 marks an unwritten word (see the header's zero-word rule).
-  const std::uint64_t hi = fp.hi != 0 ? fp.hi : 1;
-  const std::uint64_t lo = fp.lo != 0 ? fp.lo : 1;
-  std::size_t idx = FingerprintHash{}({hi, lo}) & mask_;
+  const auto [hi, lo] = stored_key(fp);
+  std::size_t idx = home(fp);
   for (std::size_t probes = 0; probes <= mask_; ++probes) {
     Slot& slot = slots_[idx];
     std::atomic_ref<std::uint64_t> slot_hi(slot.hi);
@@ -92,6 +90,12 @@ bool StateTable::insert_lockfree(util::Fingerprint fp) {
   // degrade like saturation rather than loop forever.
   saturated_.store(true, std::memory_order_relaxed);
   return true;
+}
+
+void StateTable::prefetch(util::Fingerprint fp) const noexcept {
+  if (slots_ != nullptr) {
+    __builtin_prefetch(&slots_[home(fp)], 1);
+  }
 }
 
 bool StateTable::insert(util::Fingerprint fp,

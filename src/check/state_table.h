@@ -20,7 +20,17 @@
 // table *saturates*: further inserts of unseen states return true without
 // recording (the walk proceeds, nothing is pruned that was not recorded),
 // so dedupe degrades to a partial accelerant instead of failing - see
-// saturated().
+// saturated(), which the explorers report as
+// ScheduleExploreResult::table_saturated.
+//
+// Prefetch.  The first load of an insert's probe is a cache miss, and on a
+// large table a TLB miss too; prefetch(fp) starts it early.  The DFS core
+// calls it as soon as a node's fingerprint is known and inserts once the
+// node's own work is done (its runnable set, or its checkpoint and first
+// step), so the miss overlaps that work.  The
+// table is not backed by huge pages: they cut the TLB misses of a long
+// walk, but each distributed worker's first inserts would then fault in
+// whole 2 MB pages, which slows every short run (DESIGN.md finding 16).
 //
 // Collision-audit mode stores the full canonical state string behind every
 // fingerprint and fails loudly - by throwing StateFingerprintCollision - if
@@ -70,6 +80,11 @@ class StateStore {
   virtual bool insert(util::Fingerprint fp,
                       const std::function<std::string()>& canonical = {}) = 0;
 
+  // A hint that insert(fp) follows shortly: a store may start loading what
+  // that insert will probe, so the miss overlaps the caller's work in
+  // between.  No effect on any result; the default does nothing.
+  virtual void prefetch(util::Fingerprint fp) const noexcept { (void)fp; }
+
   [[nodiscard]] virtual bool audit() const noexcept = 0;
 
   // Distinct states recorded (a distributed worker reports its own table's
@@ -78,6 +93,10 @@ class StateStore {
 
   // Pruning hits: inserts that found the state already present.
   [[nodiscard]] virtual std::size_t hits() const noexcept = 0;
+
+  // True once the store began admitting states without recording them, so
+  // dedupe became partial (StateTable::saturated).
+  [[nodiscard]] virtual bool saturated() const noexcept = 0;
 };
 
 class StateTable final : public StateStore {
@@ -107,6 +126,14 @@ class StateTable final : public StateStore {
   bool insert(util::Fingerprint fp,
               const std::function<std::string()>& canonical = {}) override;
 
+  // Prefetches the slot where insert(fp) starts probing.  The table is far
+  // larger than the caches, so that first load is a cache miss and, on a
+  // 16 MB table, a TLB miss too; issued well ahead of the insert, the miss
+  // overlaps the work in between.  A no-op in audit mode.  Opaque to
+  // interprocedural analysis: GCC finds a function whose only effect is a
+  // prefetch free of side effects, and deletes calls it can resolve to it.
+  [[gnu::noipa]] void prefetch(util::Fingerprint fp) const noexcept override;
+
   [[nodiscard]] bool audit() const noexcept override { return audit_; }
 
   // Distinct states recorded.
@@ -119,7 +146,7 @@ class StateTable final : public StateStore {
 
   // True once occupancy reached 7/8 of capacity and inserts began admitting
   // states without recording them (dedupe became partial).
-  [[nodiscard]] bool saturated() const noexcept {
+  [[nodiscard]] bool saturated() const noexcept override {
     return saturated_.load(std::memory_order_relaxed);
   }
 
@@ -140,6 +167,16 @@ class StateTable final : public StateStore {
     std::uint64_t lo;
   };
   static_assert(sizeof(Slot) == 16);
+
+  // fp's key words under the zero-word rule (see the header comment).
+  static util::Fingerprint stored_key(util::Fingerprint fp) noexcept {
+    return {fp.hi != 0 ? fp.hi : 1, fp.lo != 0 ? fp.lo : 1};
+  }
+
+  // The slot where a probe for fp starts.
+  std::size_t home(util::Fingerprint fp) const noexcept {
+    return FingerprintHash{}(stored_key(fp)) & mask_;
+  }
 
   bool insert_lockfree(util::Fingerprint fp);
 

@@ -973,6 +973,7 @@ check::ScheduleExploreResult coordinate(
     // each job's own figure is only its worker's table size.
     // subtrees_pruned stays the per-job sum from the merge.
     res.states_seen = co.seen->states();
+    res.table_saturated = co.seen->saturated();
   }
   log.line("coordinator: merged %zu job(s): executions=%zu exhausted=%d "
            "violation=%d steals=%zu",

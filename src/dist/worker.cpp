@@ -165,6 +165,10 @@ class ReportingStore final : public check::StateStore {
     canonical_bytes_ = 0;
   }
 
+  void prefetch(util::Fingerprint fp) const noexcept override {
+    local_.prefetch(fp);
+  }
+
   [[nodiscard]] bool audit() const noexcept override { return local_.audit(); }
 
   // This worker's distinct states; the coordinator owns the run's count.
@@ -172,6 +176,12 @@ class ReportingStore final : public check::StateStore {
 
   [[nodiscard]] std::size_t hits() const noexcept override {
     return local_.hits();
+  }
+
+  // This worker's table only; the wire does not carry it, so a saturated
+  // worker table never reaches the run's result.
+  [[nodiscard]] bool saturated() const noexcept override {
+    return local_.saturated();
   }
 
  private:

@@ -13,6 +13,17 @@
 //     128-bit collision is detected instead of silently merging two distinct
 //     states.
 //
+// The explorer hashes every node it reaches, so the hashing path is built
+// for throughput.  StateSink is one concrete class, not an interface: a
+// word fed to a hashing sink is an inline call with no virtual dispatch.
+// And the hash has no chain through the stream: word i adds a term keyed
+// by i alone to each of two 64-bit lanes (a folded 64x64->128-bit
+// multiply), so the terms of consecutive words are computed side by side
+// instead of each waiting on the last, and the digest applies a full
+// avalanche to each lane plus the word count.  Because every term is
+// keyed by its position, reordering the stream, or extending it with a
+// zero word, changes the digest.
+//
 // Immutable sub-objects may carry a cached digest of their content (a
 // LazyDigest), sealed the first time it is asked for, so a run that never
 // fingerprints never hashes them.  Three kinds do: the augmented snapshot's
@@ -62,48 +73,73 @@ struct Fingerprint {
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 };
 
-// Receives the canonical state as a stream of 64-bit words.
+// Receives the canonical state as a stream of 64-bit words.  One concrete
+// class in two modes, fixed at construction: a hashing sink (HashSink)
+// absorbs each word, a rendering sink (TextSink) appends its decimal text.
+// So word() is an inline, non-virtual call, and its one branch on the mode
+// always goes the same way for a given sink.
 class StateSink {
  public:
-  virtual ~StateSink() = default;
-  virtual void word(std::uint64_t w) = 0;
+  void word(std::uint64_t w) {
+    if (text_ != nullptr) [[unlikely]] {
+      render(w);
+      return;
+    }
+    absorb(w);
+  }
 
   // Offered by an immutable sub-object before it feeds its content: true
-  // means the sink consumed the content digest in place of the content, and
-  // the object feeds nothing else.  Only hashing sinks accept.
-  virtual bool take_digest(const Fingerprint& digest) {
-    (void)digest;
-    return false;
-  }
-};
-
-// 128-bit accumulator: two independently keyed 64-bit lanes, each word mixed
-// through a full-avalanche finalizer (the splitmix64/murmur3 fmix), plus a
-// word count folded in at digest time.  Not cryptographic - collision-audit
-// mode exists for the paranoid configurations.
-class HashSink final : public StateSink {
- public:
-  void word(std::uint64_t w) override {
-    a_ = mix(a_ ^ (w * 0x9e3779b97f4a7c15ull));
-    b_ = mix(b_ + (w * 0xbf58476d1ce4e5b9ull) + 0x94d049bb133111ebull);
-    ++n_;
-  }
-
-  bool take_digest(const Fingerprint& digest) override {
-    word(digest.hi);
-    word(digest.lo);
+  // means the sink consumed the content digest (as the two words hi, lo)
+  // in place of the content, and the object feeds nothing else.  Only
+  // hashing sinks accept.
+  bool take_digest(const Fingerprint& digest) {
+    if (text_ != nullptr) {
+      return false;
+    }
+    absorb(digest.hi);
+    absorb(digest.lo);
     return true;
   }
 
-  [[nodiscard]] Fingerprint digest() const {
+ protected:
+  StateSink() = default;
+  explicit StateSink(std::string& out) : text_(&out) {}
+  ~StateSink() = default;
+
+  // The 128-bit digest of the words absorbed so far.  The position keys
+  // stand in for the word count: each is the count times an odd constant.
+  [[nodiscard]] Fingerprint finish() const {
     Fingerprint fp;
-    fp.hi = mix(a_ + 0x2545f4914f6cdd1dull * n_);
-    fp.lo = mix(b_ ^ (a_ + n_));
+    fp.hi = avalanche(a_ ^ ka_);
+    fp.lo = avalanche(b_ + kb_);
     return fp;
   }
 
  private:
-  static std::uint64_t mix(std::uint64_t x) {
+  static constexpr std::uint64_t kKeyA = 0x9e3779b97f4a7c15ull;
+  static constexpr std::uint64_t kKeyB = 0xbf58476d1ce4e5b9ull;
+
+  // The i-th word (counting from 1) adds one term to each lane, keyed by i
+  // alone (ka = i * kKeyA, kb = i * kKeyB, kept as running sums), so no
+  // word waits on the previous word's result: the lanes are sums, and the
+  // terms of consecutive words are computed in parallel.  Each term is a
+  // folded 64x64->128-bit multiply whose both factors carry a position
+  // key, so equal changes at two positions do not cancel.
+  void absorb(std::uint64_t w) {
+    ka_ += kKeyA;
+    kb_ += kKeyB;
+    a_ += fold(w ^ ka_, kb_ ^ 0xe7037ed1a0b428dbull);
+    b_ += fold(w ^ kb_, ka_ ^ 0x8ebc6af09c88c6e3ull);
+  }
+
+  static std::uint64_t fold(std::uint64_t x, std::uint64_t y) {
+    __extension__ using U128 = unsigned __int128;
+    const U128 p = static_cast<U128>(x) * y;
+    return static_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(p >> 64);
+  }
+
+  // Full-avalanche finalizer (the murmur3 fmix64).
+  static std::uint64_t avalanche(std::uint64_t x) {
     x ^= x >> 33;
     x *= 0xff51afd7ed558ccdull;
     x ^= x >> 33;
@@ -112,9 +148,25 @@ class HashSink final : public StateSink {
     return x;
   }
 
+  // TextSink only: out of line, off the hashing path (fingerprint.cpp).
+  void render(std::uint64_t w);
+
   std::uint64_t a_ = 0x6a09e667f3bcc908ull;  // distinct lane seeds
   std::uint64_t b_ = 0xbb67ae8584caa73bull;
-  std::uint64_t n_ = 0;
+  std::uint64_t ka_ = 0;                     // position keys of the last word
+  std::uint64_t kb_ = 0;
+  std::string* text_ = nullptr;              // rendering sinks only
+};
+
+// 128-bit accumulator: two independently keyed 64-bit lanes, each the sum
+// of one position-keyed term per word, and a full avalanche of each lane
+// plus the word count at digest time.  Not cryptographic - collision-audit
+// mode exists for the paranoid configurations.
+class HashSink final : public StateSink {
+ public:
+  HashSink() = default;
+
+  [[nodiscard]] Fingerprint digest() const { return finish(); }
 };
 
 // A content digest computed on the first request and cached.  Not
@@ -157,15 +209,7 @@ inline void feed_sealed(StateSink& sink, const LazyDigest& digest,
 // Declines every cached digest, so sub-objects expand their content.
 class TextSink final : public StateSink {
  public:
-  explicit TextSink(std::string& out) : out_(out) {}
-
-  void word(std::uint64_t w) override {
-    out_ += std::to_string(w);
-    out_.push_back(' ');
-  }
-
- private:
-  std::string& out_;
+  explicit TextSink(std::string& out) : StateSink(out) {}
 };
 
 // Mixin for shared objects whose contents are part of the canonical global

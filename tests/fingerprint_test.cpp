@@ -21,17 +21,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/augmented/augmented_snapshot.h"
 #include "src/augmented/hstate.h"
+#include "src/check/explore_core.h"
 #include "src/check/model_check.h"
 #include "src/check/state_table.h"
+#include "src/check/worlds.h"
 #include "src/memory/register.h"
 #include "src/memory/sw_snapshot.h"
 #include "src/runtime/scheduler.h"
@@ -89,6 +96,129 @@ struct DisjointWriters {
     sched.spawn(write_script(b, vb, 2), "q");
   }
 };
+
+// --- the hash kernel itself ----------------------------------------------
+
+util::Fingerprint hash_words(const std::vector<std::uint64_t>& words) {
+  util::HashSink sink;
+  for (std::uint64_t w : words) {
+    sink.word(w);
+  }
+  return sink.digest();
+}
+
+std::vector<std::uint64_t> random_words(std::mt19937_64& rng, std::size_t n) {
+  std::vector<std::uint64_t> words(n);
+  for (auto& w : words) {
+    w = rng();
+  }
+  return words;
+}
+
+TEST(HashKernel, ShortStreamsOverEdgeWordsAreDistinctInEachHalf) {
+  // Every stream of length <= 4 over words a state stream is made of -
+  // small counts, flags, and high-bit and all-ones patterns: 1 + 9 + 81 +
+  // 729 + 6561 = 7381 streams, no two equal in hi, or in lo, alone.
+  const std::vector<std::uint64_t> alphabet = {
+      0, 1, 2, 3, 5, 7, std::uint64_t{1} << 63, ~std::uint64_t{0},
+      0x9e3779b97f4a7c15ull};
+  std::vector<std::vector<std::uint64_t>> streams = {{}};
+  for (std::size_t from = 0, len = 1; len <= 4; ++len) {
+    const std::size_t to = streams.size();
+    for (std::size_t i = from; i < to; ++i) {
+      for (std::uint64_t w : alphabet) {
+        auto longer = streams[i];
+        longer.push_back(w);
+        streams.push_back(std::move(longer));
+      }
+    }
+    from = to;
+  }
+  ASSERT_EQ(streams.size(), 7381u);
+  std::unordered_set<std::uint64_t> his, los;
+  for (const auto& stream : streams) {
+    const util::Fingerprint fp = hash_words(stream);
+    his.insert(fp.hi);
+    los.insert(fp.lo);
+  }
+  EXPECT_EQ(his.size(), streams.size());
+  EXPECT_EQ(los.size(), streams.size());
+}
+
+TEST(HashKernel, SingleBitFlipsAvalancheBothHalves) {
+  // Flipping any one bit of a 36-word stream (about one node's stream)
+  // changes about half of each digest half, and never none of it.
+  std::mt19937_64 rng(36);
+  std::uint64_t flips = 0, hi_bits = 0, lo_bits = 0;
+  for (int stream = 0; stream < 8; ++stream) {
+    auto words = random_words(rng, 36);
+    const util::Fingerprint base = hash_words(words);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      for (int bit = 0; bit < 64; ++bit) {
+        words[i] ^= std::uint64_t{1} << bit;
+        const util::Fingerprint fp = hash_words(words);
+        words[i] ^= std::uint64_t{1} << bit;
+        const int dh = std::popcount(fp.hi ^ base.hi);
+        const int dl = std::popcount(fp.lo ^ base.lo);
+        ASSERT_GT(dh, 0) << "word " << i << " bit " << bit;
+        ASSERT_GT(dl, 0) << "word " << i << " bit " << bit;
+        hi_bits += static_cast<std::uint64_t>(dh);
+        lo_bits += static_cast<std::uint64_t>(dl);
+        ++flips;
+      }
+    }
+  }
+  const double hi_mean = static_cast<double>(hi_bits) / static_cast<double>(flips);
+  const double lo_mean = static_cast<double>(lo_bits) / static_cast<double>(flips);
+  EXPECT_NEAR(hi_mean, 32.0, 2.0);
+  EXPECT_NEAR(lo_mean, 32.0, 2.0);
+}
+
+TEST(HashKernel, SwappingTwoUnequalWordsChangesTheDigest) {
+  // Each word is keyed by its position, so the stream's order counts.
+  std::mt19937_64 rng(2);
+  std::vector<std::uint64_t> words = random_words(rng, 12);
+  words[3] = 0;  // small and structured words too
+  words[7] = 1;
+  const util::Fingerprint base = hash_words(words);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    for (std::size_t j = i + 1; j < words.size(); ++j) {
+      std::swap(words[i], words[j]);
+      EXPECT_NE(hash_words(words), base) << i << " <-> " << j;
+      std::swap(words[i], words[j]);
+    }
+  }
+  EXPECT_NE(hash_words({1, 2}), hash_words({2, 1}));
+}
+
+TEST(HashKernel, AppendingAZeroWordChangesTheDigest) {
+  std::mt19937_64 rng(0);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    auto words = random_words(rng, n);
+    const util::Fingerprint before = hash_words(words);
+    words.push_back(0);
+    EXPECT_NE(hash_words(words), before) << "length " << n;
+  }
+}
+
+TEST(HashKernel, TakeDigestFeedsTheDigestWords) {
+  // The take_digest contract: a hashing sink consumes a digest as the two
+  // words hi, lo; a rendering sink declines and feeds nothing.
+  const util::Fingerprint d = hash_words({4, 5, 6});
+  util::HashSink taken, fed;
+  taken.word(7);
+  fed.word(7);
+  EXPECT_TRUE(taken.take_digest(d));
+  fed.word(d.hi);
+  fed.word(d.lo);
+  EXPECT_EQ(taken.digest(), fed.digest());
+
+  std::string text;
+  util::TextSink sink(text);
+  sink.word(7);
+  EXPECT_FALSE(sink.take_digest(d));
+  EXPECT_EQ(text, "7 ");
+}
 
 TEST(Fingerprint, DeterministicAcrossWorldInstances) {
   DisjointWriters w1, w2;
@@ -627,6 +757,97 @@ TEST(SerialDedupe, AuditModeIsCleanOnRealStates) {
   auto deduped = explore_schedules(last_writer_factory({3, 3, 2}, 0), opt);
   EXPECT_TRUE(deduped.violation.has_value());
   EXPECT_GT(deduped.subtrees_pruned, 0u);
+}
+
+TEST(SerialDedupe, SaturatedTableIsReported) {
+  // A 16-slot table saturates at 14 states: the walk goes on, admitting
+  // unseen states without recording them, and the result says so.
+  auto factory = last_writer_factory({3, 3, 2}, -7);
+  StateTable table(StateTable::Options{.capacity = 16});
+  check::detail::SubtreeOptions sub;
+  sub.dedupe_states = true;
+  sub.table = &table;
+  auto sr = check::detail::explore_job(factory, {}, sub);
+  EXPECT_TRUE(sr.table_saturated);
+  EXPECT_EQ(sr.states_seen, 14u);
+  EXPECT_FALSE(sr.violation);
+  EXPECT_TRUE(sr.fully_explored);
+  const auto res = check::detail::whole_tree_result(std::move(sr));
+  EXPECT_TRUE(res.table_saturated);
+
+  // The default table does not saturate on this world.
+  ScheduleExploreOptions opt;
+  opt.dedupe_states = true;
+  auto full = explore_schedules(factory, opt);
+  EXPECT_FALSE(full.table_saturated);
+  EXPECT_GT(full.states_seen, 14u);
+  // Partial dedupe prunes less, so the saturated walk did more executions.
+  EXPECT_GT(res.executions, full.executions);
+}
+
+// An auditing store that records which fingerprint each canonical text
+// arrived with: one text under two fingerprints means the walk rendered a
+// state other than the one it claimed.
+class TextRecordingStore final : public check::StateStore {
+ public:
+  bool insert(util::Fingerprint fp,
+              const std::function<std::string()>& canonical) override {
+    const auto [it, fresh] = fp_of_.try_emplace(canonical(), fp);
+    if (!(it->second == fp)) {
+      ++mismatches;
+    }
+    for (const auto& seen : seen_) {
+      if (seen == fp) {
+        ++hits_;
+        return false;
+      }
+    }
+    seen_.push_back(fp);
+    return true;
+  }
+  [[nodiscard]] bool audit() const noexcept override { return true; }
+  [[nodiscard]] std::size_t states() const override { return seen_.size(); }
+  [[nodiscard]] std::size_t hits() const noexcept override { return hits_; }
+  [[nodiscard]] bool saturated() const noexcept override { return false; }
+
+  std::size_t mismatches = 0;
+
+ private:
+  std::map<std::string, util::Fingerprint> fp_of_;
+  std::vector<util::Fingerprint> seen_;
+  std::size_t hits_ = 0;
+};
+
+TEST(SerialDedupe, AuditRendersTheClaimedState) {
+  // The explorer claims an interior node after taking its first step, so
+  // the audit text must be rendered before that step.
+  TextRecordingStore store;
+  check::detail::SubtreeOptions sub;
+  sub.dedupe_states = true;
+  sub.table = &store;
+  const auto sr = check::detail::explore_job(
+      last_writer_factory({2, 2, 1}, -7), {}, sub);
+  EXPECT_TRUE(sr.fully_explored);
+  EXPECT_GT(sr.subtrees_pruned, 0u);
+  EXPECT_EQ(store.mismatches, 0u);
+}
+
+TEST(SerialDedupe, AuditedAugmentedWalkFindsNoCollision) {
+  // Every distinct state of an exhaustive augmented-snapshot walk, text and
+  // hash, behind the audit: a 128-bit collision would throw.  The counts
+  // pin which states the fingerprint merges.
+  ScheduleExploreOptions opt;
+  opt.max_crashes = 0;
+  opt.dedupe_states = true;
+  opt.dedupe_audit = true;
+  const auto res = explore_schedules(
+      check::make_world_factory("aug-script:2,u0s,u1s"), opt);
+  EXPECT_FALSE(res.violation);
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_EQ(res.executions, 32636u);
+  EXPECT_EQ(res.states_seen, 131912u);
+  EXPECT_EQ(res.subtrees_pruned, 2609u);
+  EXPECT_FALSE(res.table_saturated);
 }
 
 TEST(SerialDedupe, OffByDefault) {
