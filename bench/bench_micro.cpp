@@ -193,7 +193,6 @@ void BM_WireRoundtrip(benchmark::State& state) {
     job.region.prefix.push_back(static_cast<ProcessId>(i % 3));
   }
   job.region.choices = {0, 1, 2, runtime::make_crash_entry(1)};
-  job.region.sleep = {2};
   dist::WireWriter w;
   for (auto _ : state) {
     w.clear();

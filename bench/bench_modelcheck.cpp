@@ -70,10 +70,7 @@ Task<void> write_script(mem::TypedRegister<int>& reg, std::size_t writes) {
 
 // Three register writers, each on its *own* register; the 252,252-leaf
 // hot-path instance.  Per-process registers keep the tree shape (every
-// process always runnable, multinomial leaf count) while giving every step
-// a precise single-cell footprint, so this instance also measures what
-// partial-order reduction earns on disjoint-access traffic - the workload
-// class POR exists for.
+// process always runnable, multinomial leaf count).
 class ScriptWorld final : public ExplorableWorld {
  public:
   explicit ScriptWorld(std::vector<std::size_t> writes) {
@@ -153,12 +150,11 @@ Measured timed(Fn&& run) {
 // search outcome, so a re-recorded file shows it measured the same searches.
 // A digest is a pin only where the search is deterministic: every kExact
 // row (serial-traced, serial-fast, parallel-N, dist-workers-N,
-// dist-workers-2-heartbeat), the serial reductions (serial-dedupe,
-// serial-por, serial-por-dedupe), por-parallel-N (sleep sets travel with
-// donations) and dist-dedupe-workers-1.  dist-dedupe-workers-2 and -4 are
-// samples: each worker dedupes against its own table, so which worker
-// claims a state first decides the execution count (on register-script-554
-// and collect-writers-443 three runs gave 1, 2 or 3 executions).
+// dist-workers-2-heartbeat), serial-dedupe and dist-dedupe-workers-1.
+// dist-dedupe-workers-2 and -4 are samples: each worker dedupes against
+// its own table, so which worker claims a state first decides the
+// execution count (on register-script-554 and collect-writers-443 three
+// runs gave 1, 2 or 3 executions).
 // parallel-dedupe-N shares one table and is deterministic here only
 // because the serial probe settles these small trees; past the probe it is
 // a sample too.
@@ -208,14 +204,11 @@ bool run_instance(const std::string& name,
   bool ok = true;
   // What each configuration owes the undeduped baseline:
   //   kExact  - bit-identical (executions, exhausted, violation, witness);
-  //   kPor    - same verdict, same lex-smallest witness, same exhausted
-  //             flag; executions may only shrink (skipped schedules are
-  //             step-swap-equivalent to explored ones);
   //   kDedupe - violation-found / violation-free parity only (the table
   //             legitimately reroutes witnesses and collapses counts).
-  enum class Mode { kExact, kPor, kDedupe };
+  enum class Mode { kExact, kDedupe };
   auto row = [&](const std::string& config, const Measured& m,
-                 std::size_t threads, Mode mode, bool por, bool dedupe) {
+                 std::size_t threads, Mode mode) {
     const double rate = m.result.executions / std::max(m.seconds, 1e-9);
     const double speedup = baseline.seconds / std::max(m.seconds, 1e-9);
     const double reduction =
@@ -226,13 +219,8 @@ bool run_instance(const std::string& name,
     const bool identical = same(m.result, baseline.result);
     const bool parity =
         m.result.violation.has_value() == baseline.result.violation.has_value();
-    const bool por_parity = m.result.violation == baseline.result.violation &&
-                            m.result.witness == baseline.result.witness &&
-                            m.result.exhausted == baseline.result.exhausted &&
-                            m.result.executions <= baseline.result.executions;
     switch (mode) {
       case Mode::kExact: ok = ok && identical; break;
-      case Mode::kPor: ok = ok && por_parity; break;
       case Mode::kDedupe: ok = ok && parity; break;
     }
     benchutil::json_line(
@@ -240,37 +228,30 @@ bool run_instance(const std::string& name,
         {{"instance", name},
          {"config", config},
          {"threads", threads},
-         {"dedupe", dedupe},
-         {"por", por},
+         {"dedupe", mode == Mode::kDedupe},
          {"executions", m.result.executions},
          {"exhausted", m.result.exhausted},
          {"states_seen", m.result.states_seen},
          {"subtrees_pruned", m.result.subtrees_pruned},
          {"jobs", m.result.jobs},
          {"steals", m.result.steals},
-         {"por_skipped", m.result.por_skipped},
-         {"dependent_wakeups", m.result.dependent_wakeups},
-         {"footprint_bytes",
-          static_cast<std::size_t>(m.result.footprint_bytes)},
          {"reduction_vs_undeduped", reduction},
          {"seconds", m.seconds},
          {"execs_per_sec", rate},
          {"speedup_vs_traced", speedup},
          {"verdict_parity", parity},
-         {"witness_parity", por_parity},
          {"identical_to_baseline", identical},
          {"result_digest", result_digest(m.result)}});
   };
-  row("serial-traced", baseline, 1, Mode::kExact, false, false);
-  row("serial-fast", serial_fast, 1, Mode::kExact, false, false);
+  row("serial-traced", baseline, 1, Mode::kExact);
+  row("serial-fast", serial_fast, 1, Mode::kExact);
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
     check::ParallelExploreOptions popt;
     popt.base = fast;
     popt.threads = threads;
     const auto par =
         timed([&] { return check::parallel_explore_schedules(make, popt); });
-    row("parallel-" + std::to_string(threads), par, threads, Mode::kExact,
-        false, false);
+    row("parallel-" + std::to_string(threads), par, threads, Mode::kExact);
   }
 
   // Distributed fork-mode engine: worker processes over loopback TCP, same
@@ -286,8 +267,7 @@ bool run_instance(const std::string& name,
     dopt.heartbeat_interval_ms = 0;
     const auto d =
         timed([&] { return dist::dist_explore_schedules(make, dopt); });
-    row("dist-workers-" + std::to_string(workers), d, workers, Mode::kExact,
-        false, false);
+    row("dist-workers-" + std::to_string(workers), d, workers, Mode::kExact);
   }
 
   // Liveness layer on, at an interval 20x tighter than the production
@@ -301,7 +281,7 @@ bool run_instance(const std::string& name,
     dopt.heartbeat_interval_ms = 25;
     const auto d =
         timed([&] { return dist::dist_explore_schedules(make, dopt); });
-    row("dist-workers-2-heartbeat", d, 2, Mode::kExact, false, false);
+    row("dist-workers-2-heartbeat", d, 2, Mode::kExact);
   }
 
   // Transposition pruning on: executions legitimately shrink to the number
@@ -310,7 +290,7 @@ bool run_instance(const std::string& name,
   dedupe.dedupe_states = true;
   const auto serial_dedupe =
       timed([&] { return explore_schedules(make, dedupe); });
-  row("serial-dedupe", serial_dedupe, 1, Mode::kDedupe, false, true);
+  row("serial-dedupe", serial_dedupe, 1, Mode::kDedupe);
   for (std::size_t threads : {2u, 4u}) {
     check::ParallelExploreOptions popt;
     popt.base = dedupe;
@@ -318,7 +298,7 @@ bool run_instance(const std::string& name,
     const auto par =
         timed([&] { return check::parallel_explore_schedules(make, popt); });
     row("parallel-dedupe-" + std::to_string(threads), par, threads,
-        Mode::kDedupe, false, true);
+        Mode::kDedupe);
   }
 
   // Dedupe over the wire: each worker prunes against its own table and
@@ -337,36 +317,12 @@ bool run_instance(const std::string& name,
     const auto d =
         timed([&] { return dist::dist_explore_schedules(make, dopt); });
     row("dist-dedupe-workers-" + std::to_string(workers), d, workers,
-        Mode::kDedupe, false, true);
+        Mode::kDedupe);
     if (d.result.exhausted && serial_dedupe.result.exhausted) {
       ok = ok && d.result.states_seen <= serial_dedupe.result.states_seen;
     }
   }
 
-  // Partial-order reduction: executions shrink to one representative per
-  // Mazurkiewicz trace while verdict + lex-smallest witness carry over
-  // exactly - serially and at every thread count.
-  ScheduleExploreOptions por = fast;
-  por.por = true;
-  const auto serial_por = timed([&] { return explore_schedules(make, por); });
-  row("serial-por", serial_por, 1, Mode::kPor, true, false);
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    check::ParallelExploreOptions popt;
-    popt.base = por;
-    popt.threads = threads;
-    const auto par =
-        timed([&] { return check::parallel_explore_schedules(make, popt); });
-    row("por-parallel-" + std::to_string(threads), par, threads, Mode::kPor,
-        true, false);
-  }
-
-  // POR and the transposition table compose (sleep sets are folded into the
-  // fingerprint).
-  ScheduleExploreOptions por_dedupe = por;
-  por_dedupe.dedupe_states = true;
-  const auto serial_por_dedupe =
-      timed([&] { return explore_schedules(make, por_dedupe); });
-  row("serial-por-dedupe", serial_por_dedupe, 1, Mode::kDedupe, true, true);
   return ok;
 }
 
@@ -397,24 +353,8 @@ bool run_crash_instance(const std::string& world, bool expect_violation) {
     // be flagged already crash-free (interference alone starves the mutant)
     // and stay flagged under every crash budget.
     ok = ok && serial.result.violation.has_value() == expect_violation;
-    // POR under crash branching.  The augmented crash worlds declare opaque
-    // footprints throughout (their continuations append to the shared
-    // operation log), so POR must cost nothing and change nothing: the
-    // reduced tree is bit-identical to the unreduced one, serially and in
-    // parallel.
-    ScheduleExploreOptions por_opt = opt;
-    por_opt.por = true;
-    const auto serial_por =
-        timed([&] { return explore_schedules(make, por_opt); });
-    check::ParallelExploreOptions por_popt;
-    por_popt.base = por_opt;
-    por_popt.threads = 4;
-    const auto par_por = timed(
-        [&] { return check::parallel_explore_schedules(make, por_popt); });
-    ok = ok && same(serial_por.result, serial.result);
-    ok = ok && same(par_por.result, serial.result);
     auto row = [&](const std::string& config, const Measured& m,
-                   std::size_t threads, bool por) {
+                   std::size_t threads) {
       const double rate = m.result.executions / std::max(m.seconds, 1e-9);
       std::printf("  %-16s %10zu %9.3f %12.0f\n", config.c_str(),
                   m.result.executions, m.seconds, rate);
@@ -423,7 +363,6 @@ bool run_crash_instance(const std::string& world, bool expect_violation) {
                             {"config", config},
                             {"threads", threads},
                             {"max_crashes", crashes},
-                            {"por", por},
                             {"executions", m.result.executions},
                             {"exhausted", m.result.exhausted},
                             {"violation", m.result.violation.has_value()},
@@ -441,11 +380,9 @@ bool run_crash_instance(const std::string& world, bool expect_violation) {
     const auto dist_run =
         timed([&] { return dist::dist_explore_schedules(make, dopt); });
     ok = ok && same(dist_run.result, serial.result);
-    row("serial-c" + std::to_string(crashes), serial, 1, false);
-    row("parallel-c" + std::to_string(crashes), par, 4, false);
-    row("dist-workers-2-c" + std::to_string(crashes), dist_run, 2, false);
-    row("serial-por-c" + std::to_string(crashes), serial_por, 1, true);
-    row("parallel-por-c" + std::to_string(crashes), par_por, 4, true);
+    row("serial-c" + std::to_string(crashes), serial, 1);
+    row("parallel-c" + std::to_string(crashes), par, 4);
+    row("dist-workers-2-c" + std::to_string(crashes), dist_run, 2);
   }
   return ok;
 }

@@ -7,14 +7,13 @@
 //               [--substrate atomic|registers] [--task consensus|kset:K|approx]
 //               [--trace]
 //   revisim_cli explore [--world SPEC] [--max-crashes C] [--max-steps S]
-//               [--max-executions E] [--por] [--dedupe] [--witness PATH]
+//               [--max-executions E] [--dedupe] [--witness PATH]
 //   revisim_cli replay <witness-file>
 //   revisim_cli serve [--host H] [--port P]
 //   revisim_cli dist-explore [--workers N | --connect H:P ...]
 //               [--world SPEC]
 //               [--max-crashes C] [--max-steps S] [--max-executions E]
-//               [--por] [--dedupe]
-//               [--retries R] [--witness PATH]
+//               [--dedupe] [--retries R] [--witness PATH]
 //               [--journal PATH | --resume PATH] [--heartbeat-ms MS]
 //               [--heartbeat-timeout-ms MS] [--reconnect-ms MS]
 //               [--fault SPEC] [--coord-fault SPEC] [--halt-after-jobs N]
@@ -260,7 +259,6 @@ int report_violation(const std::string& world,
   w.world = world;
   w.max_steps = opt.max_steps;
   w.max_crashes = opt.max_crashes;
-  w.por = opt.por;
   w.verdict = *res.violation;
   w.schedule = res.witness;
   if (!path.empty()) {
@@ -313,8 +311,6 @@ int run_explore(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--max-executions")) {
       parse_number("--max-executions", next("--max-executions"),
                    opt.max_executions);
-    } else if (!std::strcmp(argv[i], "--por")) {
-      opt.por = true;
     } else if (!std::strcmp(argv[i], "--dedupe")) {
       opt.dedupe_states = true;
     } else if (!std::strcmp(argv[i], "--witness")) {
@@ -403,8 +399,6 @@ int run_dist_explore(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--max-executions")) {
       parse_number("--max-executions", next("--max-executions"),
                    opt.base.max_executions);
-    } else if (!std::strcmp(argv[i], "--por")) {
-      opt.base.por = true;
     } else if (!std::strcmp(argv[i], "--dedupe")) {
       opt.base.dedupe_states = true;
     } else if (!std::strcmp(argv[i], "--workers")) {

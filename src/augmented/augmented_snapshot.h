@@ -96,15 +96,8 @@ struct HScan {
 // operation takes effect at its own (single) step.
 class AtomicHProvider {
  public:
-  // H is constructed with opaque footprints: the augmented snapshot's
-  // continuations after every H step append to the shared operation log and
-  // read the global step counter as a clock (scan() below does so too), so
-  // H steps do not commute even on distinct components.  Opaque means the
-  // explorer's partial-order reduction never prunes against them - sound,
-  // merely unreduced here.
   AtomicHProvider(runtime::Scheduler& sched, std::string name, std::size_t f)
-      : sched_(sched),
-        snap_(sched, std::move(name), f, /*opaque_footprint=*/true) {}
+      : sched_(sched), snap_(sched, std::move(name), f) {}
 
   // The snapshot's scan step, stamped on resumption with the index of the
   // step it took: an awaiter rather than a coroutine, so an H scan costs no

@@ -14,20 +14,6 @@ namespace {
 struct Frame {
   std::vector<runtime::ProcessId> choices;  // entries available at this depth
   std::size_t next = 0;                     // next choice to try
-  // POR only (unused, empty otherwise).  `fps` holds one footprint per
-  // surviving choice, captured at expansion from the poised operations of
-  // the node's world (crash entries: opaque); `sleep`/`sleep_fps` hold the
-  // node's incoming sleep set.  A sleeping process's poised operation is
-  // literally unchanged until it executes, so a footprint captured once at
-  // this node stays valid for every later descent through it.
-  std::vector<runtime::Footprint> fps;
-  std::vector<runtime::ProcessId> sleep;
-  std::vector<runtime::Footprint> sleep_fps;
-  // Leading entries of `sleep` that count a dependent_wakeup when a
-  // conflicting step drops them; entries past this are elder siblings
-  // folded in by a donation, which the serial walk drops silently at this
-  // frame (they only start counting once they survive a level deeper).
-  std::size_t sleep_inherited = 0;
   // Whether this node's checkpoint is on the arena's checkpoint stack.
   bool saved = false;
 };
@@ -180,47 +166,6 @@ SubtreeResult explore_job(
     canonical = [&node_text] { return node_text; };
   }
 
-  // POR: sleep set of the node the loop is about to process, computed on
-  // descent from the parent frame's sleep set and already-explored sibling
-  // choices.  Empty at the job root (a donated root uses ctx->root_sleep).
-  std::vector<runtime::ProcessId> node_sleep;
-  std::vector<runtime::Footprint> node_sleep_fps;
-
-  // Sleep set of the child reached via frame choice k:
-  //   { e in sleep(node) : indep(e, c_k) }  ++  { c_j : j < k, indep(c_j, c_k) }
-  // in that order (the order is deterministic, which keeps the POR+dedupe
-  // fingerprint mixing bit-identical between the serial walk and any
-  // parallel decomposition).  A crash choice's footprint is opaque, so it
-  // conflicts with everything: descending through a crash empties the sleep
-  // set, and explored crash siblings never join it.
-  auto compute_child_sleep = [&](const Frame& f, std::size_t k) {
-    if (!options.por) {
-      return;
-    }
-    node_sleep.clear();
-    node_sleep_fps.clear();
-    const runtime::Footprint& cfp = f.fps[k];
-    for (std::size_t i = 0; i < f.sleep.size(); ++i) {
-      if (runtime::footprints_conflict(f.sleep_fps[i], cfp)) {
-        if (i < f.sleep_inherited) {
-          ++res.dependent_wakeups;
-        }
-      } else {
-        node_sleep.push_back(f.sleep[i]);
-        node_sleep_fps.push_back(f.sleep_fps[i]);
-      }
-    }
-    for (std::size_t j = 0; j < k; ++j) {
-      if (runtime::is_crash_entry(f.choices[j])) {
-        continue;
-      }
-      if (!runtime::footprints_conflict(f.fps[j], cfp)) {
-        node_sleep.push_back(f.choices[j]);
-        node_sleep_fps.push_back(f.fps[j]);
-      }
-    }
-  };
-
   // Offer the shallowest untried sibling suffix to the split hooks.  The
   // donated region is everything lexicographically after the donor's
   // remaining work within that frame's subtree, so the donor's region stays
@@ -237,19 +182,6 @@ SubtreeResult explore_job(
                       schedule.begin() + static_cast<std::ptrdiff_t>(node_len));
       d.choices.assign(fr.choices.begin() + static_cast<std::ptrdiff_t>(fr.next),
                        fr.choices.end());
-      if (options.por) {
-        // Split-node sleep set, then the donor's explored siblings, in the
-        // exact order compute_child_sleep would consider them.  Crash
-        // entries are skipped: being dependent with everything, they could
-        // never survive into a donated branch's sleep set anyway.
-        d.sleep.assign(fr.sleep.begin(), fr.sleep.end());
-        d.sleep_inherited = fr.sleep_inherited;
-        for (std::size_t j = 0; j < fr.next; ++j) {
-          if (!runtime::is_crash_entry(fr.choices[j])) {
-            d.sleep.push_back(fr.choices[j]);
-          }
-        }
-      }
       if (ctx->split.take(d)) {
         fr.next = fr.choices.size();
         ++res.donations;
@@ -280,16 +212,6 @@ SubtreeResult explore_job(
         Watch watch(in_place);
         fp = world->fingerprint();
       }
-      if (options.por) {
-        // Same state, smaller sleep set => strictly larger subtree, so the
-        // sleep set is part of the node's identity: mix its entries (order
-        // is deterministic, see compute_child_sleep) into the fingerprint.
-        for (runtime::ProcessId e : node_sleep) {
-          fp.lo ^= (static_cast<std::uint64_t>(e) + 0x9e3779b97f4a7c15ull) *
-                   0xff51afd7ed558ccdull;
-          fp.hi = fp.hi * 0xc4ceb9fe1a85ec53ull + fp.lo;
-        }
-      }
       table->prefetch(fp);
       if (audit) {
         node_text = world->canonical_state();
@@ -312,27 +234,11 @@ SubtreeResult explore_job(
         stack.emplace_back();
       }
       Frame& f = stack[depth];
-      std::size_t por_skipped = 0;  // counted once the node is claimed
       if (depth == 0 && ctx != nullptr && ctx->root_choices != nullptr) {
         // A donated job: the split node's untried choices, verbatim.  The
-        // donor already expanded this node (and already sleep-filtered the
-        // choices), so leaf/table checks are skipped above (root_interior) -
-        // by construction it branches.
+        // donor already expanded this node, so leaf/table checks are skipped
+        // above (root_interior) - by construction it branches.
         f.choices.assign(ctx->root_choices->begin(), ctx->root_choices->end());
-        if (options.por) {
-          f.sleep.clear();
-          f.sleep_fps.clear();
-          f.sleep_inherited = ctx->root_sleep_inherited;
-          if (ctx->root_sleep != nullptr) {
-            for (runtime::ProcessId e : *ctx->root_sleep) {
-              // Re-derive the donated entries' footprints from this job's
-              // own root world: a sleeping process's poised operation is
-              // unchanged, so these equal the donor's bit for bit.
-              f.sleep.push_back(e);
-              f.sleep_fps.push_back(world->scheduler().poised_footprint(e));
-            }
-          }
-        }
       } else {
         std::optional<runtime::ProcessId> prev;
         if (!schedule.empty()) {
@@ -340,89 +246,34 @@ SubtreeResult explore_job(
         }
         append_node_choices(runnable, crashes, options.max_crashes, prev,
                             f.choices);
-        if (options.por) {
-          f.sleep.assign(node_sleep.begin(), node_sleep.end());
-          f.sleep_fps.assign(node_sleep_fps.begin(), node_sleep_fps.end());
-          // Every entry here survived a compute_child_sleep filter, so all
-          // of them count as wakeups when dropped (elders included: they
-          // became full sleepers the moment they survived a level).
-          f.sleep_inherited = f.sleep.size();
-          if (!f.sleep.empty()) {
-            // Skip asleep choices: every schedule through them is a step
-            // swap of one through an already-explored sibling.  (Crash
-            // entries never match - sleep sets hold plain step entries.)
-            std::size_t out = 0;
-            for (std::size_t j = 0; j < f.choices.size(); ++j) {
-              bool asleep = false;
-              for (runtime::ProcessId e : f.sleep) {
-                if (e == f.choices[j]) {
-                  asleep = true;
-                  break;
-                }
-              }
-              if (asleep) {
-                ++por_skipped;
-              } else {
-                f.choices[out++] = f.choices[j];
-              }
-            }
-            f.choices.resize(out);
-          }
-        }
-      }
-      std::uint64_t footprint_bytes = 0;  // counted once the node is claimed
-      if (options.por) {
-        f.fps.clear();
-        auto& sched = world->scheduler();
-        for (runtime::ProcessId e : f.choices) {
-          runtime::Footprint footprint =
-              runtime::is_crash_entry(e)
-                  ? runtime::Footprint::opaque_footprint()
-                  : sched.poised_footprint(e);
-          footprint_bytes += footprint.byte_size();
-          f.fps.push_back(footprint);
-        }
       }
       // Save the node, then take its first choice before the claim: the
       // step hides the table's miss.  On a prune the walk backtracks from
       // here, and rewinding to an earlier branch node undoes the step.
       const bool save = in_place && f.choices.size() > 1;
       f.saved = save && arena.push_checkpoint();
-      if (!f.choices.empty()) {
-        sched_push(f.choices[0]);
-        step(*world, schedule.back());
-      }
+      sched_push(f.choices[0]);
+      step(*world, schedule.back());
       pruned = !claim();
       if (pruned) {
-        if (!f.choices.empty()) {
-          sched_pop();
-        }
+        sched_pop();
         if (f.saved) {
           arena.pop_checkpoint();
           f.saved = false;
         }
       } else {
-        res.por_skipped += por_skipped;
-        res.footprint_bytes += footprint_bytes;
         if (save && !f.saved) {
           in_place = false;  // a full checkpoint stack, like the heap
         }
-        // An empty choice list is a sleep-blocked interior node: everything
-        // enabled here is asleep.  The subtree is fully covered by earlier
-        // siblings, so it backtracks without counting an execution or
-        // evaluating a verdict.
-        if (!f.choices.empty()) {
-          f.next = 1;
-          ++depth;
-          compute_child_sleep(f, 0);
-          // One cheap steal poll per node expansion: donate the shallowest
-          // untried sibling suffix (possibly this very frame's) when
-          // another worker is hungry.
-          if (ctx != nullptr && ctx->split.want && ctx->split.want()) {
-            try_donate();
-          }
-          continue;
+        f.next = 1;
+        ++depth;
+        // One cheap steal poll per node expansion: donate the shallowest
+        // untried sibling suffix (possibly this very frame's) when
+        // another worker is hungry.
+        if (ctx != nullptr && ctx->split.want && ctx->split.want()) {
+          try_donate();
         }
+        continue;
       }
     }
     if (pruned) {
@@ -469,7 +320,6 @@ SubtreeResult explore_job(
       break;
     }
     Frame& f = stack[depth - 1];
-    compute_child_sleep(f, f.next);
     sched_replace_back(f.choices[f.next++]);
     // Bring the world back to this node, then take its next choice.  While
     // the walk is in place, every branch node on the stack was saved, and
@@ -515,7 +365,6 @@ SubtreeOptions subtree_options(const ScheduleExploreOptions& options) {
   sub.max_crashes = options.max_crashes;
   sub.dedupe_states = options.dedupe_states;
   sub.dedupe_audit = options.dedupe_audit;
-  sub.por = options.por;
   return sub;
 }
 
@@ -529,9 +378,6 @@ ScheduleExploreResult whole_tree_result(SubtreeResult&& sr) {
   res.subtrees_pruned = sr.subtrees_pruned;
   res.table_saturated = sr.table_saturated;
   res.jobs = 1;
-  res.por_skipped = sr.por_skipped;
-  res.dependent_wakeups = sr.dependent_wakeups;
-  res.footprint_bytes = sr.footprint_bytes;
   res.replay_steps_saved = sr.replay_steps_saved;
   return res;
 }

@@ -87,22 +87,6 @@ struct SubtreeOptions {
   // Null with dedupe_states set means the walk creates a private table for
   // its own lifetime.
   StateStore* table = nullptr;
-  // Sleep-set partial-order reduction.  After the walk explores choice c at
-  // a node, c joins the *sleep set* of every later sibling branch and stays
-  // asleep down that branch until a step with a conflicting footprint
-  // executes (footprint.h defines conflicts; crash entries are dependent
-  // with everything, so they never sleep and executing one wakes all).  A
-  // choice found asleep at its node is skipped - the schedules it leads to
-  // are step-swap equivalent to already-explored ones - and a node whose
-  // every enabled choice is asleep backtracks without counting an execution
-  // or evaluating a verdict.  The lexicographically least representative of
-  // every Mazurkiewicz trace is never pruned, so for trace-invariant
-  // verdicts (any predicate of the final state) the verdict AND the
-  // lex-smallest witness match the unreduced walk exactly.  Composes with
-  // dedupe_states: the sleep set is mixed into the node fingerprint, since
-  // the same state under a smaller sleep set roots a strictly larger
-  // subtree.
-  bool por = false;
   // Live execution counter, published after every counted execution.  The
   // parallel explorer sums these across lexicographically earlier jobs to
   // bound the serial execution count before a job - the cap coupling that
@@ -119,22 +103,6 @@ struct SubtreeOptions {
 struct Donation {
   std::vector<runtime::ProcessId> prefix;
   std::vector<runtime::ProcessId> choices;
-  // POR only: the split node's sleep set followed by the donor's already-
-  // explored sibling choices (crash entries excluded - they are dependent
-  // with everything, so they could never survive into a child sleep set).
-  // Pure pid values: a sleeping process's poised operation is untouched by
-  // definition, so the thief re-derives each entry's footprint from its own
-  // replayed root world, and the donated branches prune exactly as they
-  // would have in the donor - the serial/parallel parity guarantee extends
-  // to sleep sets by construction.
-  std::vector<runtime::ProcessId> sleep;
-  // How many leading entries of `sleep` are the split node's *inherited*
-  // sleepers (the rest are the donor's explored elder siblings).  The serial
-  // walk counts a dependent_wakeup only when a conflicting step drops an
-  // inherited sleeper; a dependent elder is silently not added (it only
-  // starts counting once it survives into a deeper frame).  The thief must
-  // preserve that split or its wakeup count inflates past the serial one.
-  std::size_t sleep_inherited = 0;
 };
 
 // Work-stealing hooks, polled once per node expansion.  `want` must be
@@ -148,13 +116,10 @@ struct SplitHooks {
 };
 
 // Per-job context beyond the plain options: an explicit first-branch choice
-// list (for donated jobs) and the split hooks.
+// list (for donated jobs; never empty - an empty list means the seed job,
+// and callers pass null for it) and the split hooks.
 struct JobContext {
   const std::vector<runtime::ProcessId>* root_choices = nullptr;
-  // POR only: Donation::sleep for this job's split node (null = empty).
-  const std::vector<runtime::ProcessId>* root_sleep = nullptr;
-  // Donation::sleep_inherited for root_sleep (wakeup-counting prefix).
-  std::size_t root_sleep_inherited = 0;
   SplitHooks split;
 };
 
@@ -175,14 +140,6 @@ struct SubtreeResult {
   // shared table's global state; false with dedupe off).
   bool table_saturated = false;
   std::size_t donations = 0;                 // jobs split off via SplitHooks
-  // POR: choices skipped because they were asleep (each is a whole subtree
-  // of step-swap-equivalent schedules never walked).
-  std::size_t por_skipped = 0;
-  // POR: sleep entries dropped on descent because the chosen step's
-  // footprint conflicted with theirs.
-  std::size_t dependent_wakeups = 0;
-  // POR: serialized bytes of the footprints captured at node expansions.
-  std::uint64_t footprint_bytes = 0;
   // Steps a replay would have re-applied at the nodes this walk restored
   // from a checkpoint instead (the node's schedule length, per restore).
   std::uint64_t replay_steps_saved = 0;

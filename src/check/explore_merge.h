@@ -17,18 +17,12 @@
 //     under the cap, truncate at the cap.  Bit-identical to the serial
 //     engine (with dedupe off); independent of job decomposition.
 //
-//   por_skipped, dependent_wakeups, footprint_bytes, replay_steps_saved
+//   replay_steps_saved
 //     Summed over every record that COMPLETED its walk -
 //     including records lexicographically past the merge's return point.
-//     They describe work actually performed, not work serially accounted.
-//     On an exhausted, undeduped, violation-free search the decomposition
-//     is invisible: every node is expanded exactly once with an identical
-//     sleep set, so por_skipped and dependent_wakeups equal the serial
-//     values at any worker count (asserted in tests/dist_test.cpp).
-//     footprint_bytes remains genuinely decomposition-dependent
-//     telemetry (a thief captures its donated root's footprints again), and
-//     so does replay_steps_saved (a job replays its prefix from a fresh
-//     build, so where the splits fall decides what restores save).
+//     It describes work actually performed, not work serially accounted,
+//     and depends on the decomposition (a job replays its prefix from a
+//     fresh build, so where the splits fall decides what restores save).
 //
 //   jobs, steals, states_seen, subtrees_pruned
 //     Owned by the caller (they are global properties of the run, not of

@@ -65,8 +65,7 @@ class JobLedger {
 
     std::uint64_t id = 0;
     std::vector<runtime::ProcessId> key;  // prefix + first choice; key_less
-    // The region: prefix, untried choices (empty = all, the seed job), and
-    // the POR sleep set of the split node.
+    // The region: prefix and untried choices (empty = all, the seed job).
     Donation spec;
     std::size_t donor = 0;  // worker that split this job off
     bool donated = false;   // false for the seed and for resumed jobs

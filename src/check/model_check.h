@@ -114,22 +114,6 @@ struct ScheduleExploreOptions {
   // top bit set (runtime::make_crash_entry) and occupy schedule slots, so
   // they count toward max_steps.  0 (default) disables crash branching.
   std::size_t max_crashes = 0;
-  // Sleep-set partial-order reduction over the access footprints the memory
-  // primitives declare (src/runtime/footprint.h).  Schedules that differ
-  // only by swapping adjacent independent steps reach the same state; POR
-  // explores exactly the lexicographically least representative of each
-  // such class and skips the rest, so `executions` shrinks - often by
-  // orders of magnitude on disjoint-access workloads - while every
-  // reachable final state is still visited.  For trace-invariant verdicts
-  // (any predicate of the final state, which all shipped worlds use) the
-  // verdict and the lex-smallest witness are preserved exactly; a verdict
-  // that inspects the schedule itself may see a different-but-equivalent
-  // representative.  Opt-in because soundness leans on the footprint
-  // declarations: primitives that cannot bound what their continuations
-  // observe stay opaque and simply earn no reduction.  Composes with
-  // dedupe_states and with crash branching (crash entries are dependent
-  // with everything).
-  bool por = false;
 };
 
 struct ScheduleExploreResult {
@@ -162,20 +146,17 @@ struct ScheduleExploreResult {
   //     the serial engine with dedupe off, at any worker count.
   //   - jobs counts every record created; steals counts records claimed
   //     away from their donor, so steals <= jobs - 1 always.
-  //   - por_skipped/dependent_wakeups/footprint_bytes/replay_steps_saved
-  //     sum over every record whose walk completed, including regions past
-  //     the merge's return point: they describe work performed, not work
-  //     serially accounted.  On exhausted undeduped searches por_skipped
-  //     and dependent_wakeups are decomposition-invariant and equal the
-  //     serial values; footprint_bytes and replay_steps_saved legitimately
-  //     vary with split points.
+  //   - replay_steps_saved sums over every record whose walk completed,
+  //     including regions past the merge's return point: it describes work
+  //     performed, not work serially accounted, and legitimately varies
+  //     with split points.
   std::size_t jobs = 0;
   std::size_t steals = 0;
   // Steps the walks did not replay because they restored a branch node's
   // checkpoint instead of rebuilding the world (src/check/explore_core.h):
   // each restore saves the node's schedule length.  Summed over every
-  // record whose walk completed, like por_skipped: work performed, not work
-  // serially accounted.  0 for worlds that take heap memory in their build
+  // record whose walk completed: work performed, not work serially
+  // accounted.  0 for worlds that take heap memory in their build
   // or steps, which are always replayed.
   std::uint64_t replay_steps_saved = 0;
   // Graceful-degradation summary (parallel explorer only; the serial
@@ -186,15 +167,6 @@ struct ScheduleExploreResult {
   // explored, and exhausted is false.
   std::optional<std::string> error;
   bool timed_out = false;
-  // Partial-order-reduction statistics (0 with por off).  `por_skipped`
-  // counts choices skipped because a step-swap-equivalent schedule was
-  // already explored (each roots a whole skipped subtree);
-  // `dependent_wakeups` counts sleep entries dropped because a conflicting
-  // step executed; `footprint_bytes` totals the serialized footprints
-  // captured at node expansions (the memory the reduction costs).
-  std::size_t por_skipped = 0;
-  std::size_t dependent_wakeups = 0;
-  std::uint64_t footprint_bytes = 0;
 
   [[nodiscard]] bool ok() const noexcept { return !violation; }
 };

@@ -84,8 +84,6 @@ void run_one_worker(Pool& pool, std::size_t worker_id,
     detail::JobContext ctx;
     if (!job->spec.choices.empty()) {
       ctx.root_choices = &job->spec.choices;
-      ctx.root_sleep = &job->spec.sleep;
-      ctx.root_sleep_inherited = job->spec.sleep_inherited;
     }
     ctx.split.want = [&pool] {
       return pool.hungry_hint.load(std::memory_order_relaxed) > 0;

@@ -29,9 +29,6 @@ std::string to_text(const Witness& w) {
   out << "world " << w.world << '\n';
   out << "max_steps " << w.max_steps << '\n';
   out << "max_crashes " << w.max_crashes << '\n';
-  if (w.por) {
-    out << "por 1\n";
-  }
   out << "verdict " << one_line(w.verdict) << '\n';
   out << "schedule";
   for (runtime::ProcessId entry : w.schedule) {
@@ -105,9 +102,6 @@ Witness parse_witness(const std::string& text) {
       w.max_steps = number();
     } else if (key == "max_crashes") {
       w.max_crashes = number();
-    } else if (key == "por") {
-      if (rest != "0" && rest != "1") fail("por needs 0 or 1");
-      w.por = rest == "1";
     } else if (key == "verdict") {
       w.verdict = rest;
     } else if (key == "schedule") {

@@ -15,7 +15,6 @@
 //   world aug-mutant:2,2,10
 //   max_steps 64
 //   max_crashes 2
-//   por 1
 //   verdict progress violation: q1's Block-Update took 11 own steps ...
 //   schedule s0 s1 c1 s0 ...
 //   end
@@ -27,14 +26,12 @@
 // verbatim (empty means the execution was accepted - useful for
 // regression-pinning a passing run).  max_steps / max_crashes record the
 // exploration options that found the witness; replay does not need them
-// but tooling does.  The optional `por` key records whether that
-// exploration ran with partial-order reduction: POR prunes executions, so
-// the lex-smallest witness under POR may differ from the unreduced one even
-// though both prove the same verdict.  It is written only when true.
+// but tooling does.
 //
 // Every number and pid is decimal digits only (parse_decimal); a key may
-// appear once.  Format v1 named the world by four keys (world, processes,
-// components, budget); a v1 file is refused by name, never guessed at.
+// appear once, and an unknown key fails the parse naming its line.  Format
+// v1 named the world by four keys (world, processes, components, budget);
+// a v1 file is refused by name, never guessed at.
 #pragma once
 
 #include <optional>
@@ -50,7 +47,6 @@ struct Witness {
   std::string world;  // registry spec, e.g. "aug-bu:2,2,10"
   std::size_t max_steps = 0;
   std::size_t max_crashes = 0;
-  bool por = false;  // exploration ran with partial-order reduction
   std::string verdict;  // empty = accepted execution
   std::vector<runtime::ProcessId> schedule;  // may contain crash entries
 };

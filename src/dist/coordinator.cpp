@@ -765,7 +765,6 @@ JournalConfig journal_config_from(const DistExploreOptions& options) {
   jc.max_steps = options.base.max_steps;
   jc.max_executions = options.base.max_executions;
   jc.max_crashes = options.base.max_crashes;
-  jc.por = options.base.por;
   jc.dedupe = options.base.dedupe_states;
   jc.record_traces = options.base.record_traces;
   return jc;
@@ -942,10 +941,10 @@ check::ScheduleExploreResult coordinate(
     }
   }
   log.line(
-      "coordinator: %zu worker(s), cap=%llu, dedupe=%d, por=%d, "
+      "coordinator: %zu worker(s), cap=%llu, dedupe=%d, "
       "heartbeat=%ums/%ums, reconnect=%ums, journal=%s, faults=%s",
       co.conns.size(), static_cast<unsigned long long>(co.cap),
-      options.base.dedupe_states ? 1 : 0, options.base.por ? 1 : 0,
+      options.base.dedupe_states ? 1 : 0,
       options.heartbeat_interval_ms, options.heartbeat_timeout_ms,
       options.reconnect_window_ms,
       options.journal_path.empty() ? "off" : options.journal_path.c_str(),

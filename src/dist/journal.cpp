@@ -10,9 +10,9 @@
 namespace revisim::dist {
 namespace {
 
-// The last byte is the layout version: "2" since kDone records carry the
-// wire v4 SubtreeResult summary.
-constexpr char kJournalMagic[8] = {'R', 'V', 'S', 'J', 'R', 'N', 'L', '3'};
+// The last byte is the layout version: "4" since kDone records carry the
+// wire v11 SubtreeResult summary.
+constexpr char kJournalMagic[8] = {'R', 'V', 'S', 'J', 'R', 'N', 'L', '4'};
 
 enum RecordType : std::uint8_t {
   kConfig = 1,
@@ -26,7 +26,6 @@ void encode_config(WireWriter& w, const JournalConfig& c) {
   w.u64(c.max_steps);
   w.u64(c.max_executions);
   w.u64(c.max_crashes);
-  w.u8(c.por ? 1 : 0);
   w.u8(c.dedupe ? 1 : 0);
   w.u8(c.record_traces ? 1 : 0);
 }
@@ -37,7 +36,6 @@ JournalConfig decode_config(WireReader& r) {
   c.max_steps = r.u64();
   c.max_executions = r.u64();
   c.max_crashes = r.u64();
-  c.por = r.u8() != 0;
   c.dedupe = r.u8() != 0;
   c.record_traces = r.u8() != 0;
   r.expect_done();

@@ -3,21 +3,23 @@
 // `revisim_cli dist-explore --resume <journal>` skip every lex range whose
 // walk already completed.
 //
-// File layout: an 8-byte magic ("RVSJRNL3"; the last byte is the layout
+// File layout: an 8-byte magic ("RVSJRNL4"; the last byte is the layout
 // version, and a journal of another version is refused by name - layout 3
-// dropped the dedupe_disabled flag from the kDone summary), then
+// dropped the dedupe_disabled flag from the kDone summary, layout 4 the
+// partial-order-reduction flag, region fields and counters from kConfig,
+// kCreated and kDone), then
 // records framed like the wire format - [u32 payload length][u8 record
 // type][payload][u32 crc over type + payload] - with all payload integers
 // little-endian via WireWriter/WireReader.  Record types:
 //
 //   kConfig (1)     the run configuration fingerprint (world tag + every
 //                   option that shapes the schedule tree or its accounting:
-//                   max_steps, max_executions, max_crashes, por, dedupe,
+//                   max_steps, max_executions, max_crashes, dedupe,
 //                   record_traces).  Always the first record; resume
 //                   refuses a journal whose config differs from the
 //                   options it was launched with.
 //   kCreated (2)    a job record came into existence: id, parent link, and
-//                   the full (prefix, choices, sleep) region spec - enough
+//                   the full (prefix, choices) region spec - enough
 //                   to re-run the job from scratch.
 //   kDone (3)       a job's walk completed: id + SubtreeResult.  Written
 //                   only for walks the merge may reuse verbatim: fully
@@ -62,7 +64,6 @@ struct JournalConfig {
   std::uint64_t max_steps = 0;
   std::uint64_t max_executions = 0;
   std::uint64_t max_crashes = 0;
-  bool por = false;
   bool dedupe = false;
   bool record_traces = false;
 

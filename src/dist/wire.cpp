@@ -106,8 +106,6 @@ void WireWriter::schedule(const std::vector<ProcessId>& entries) {
 void WireWriter::region(const check::detail::Donation& d) {
   schedule(d.prefix);
   schedule(d.choices);
-  schedule(d.sleep);
-  u32(static_cast<std::uint32_t>(d.sleep_inherited));
 }
 
 void WireWriter::fingerprint(util::Fingerprint fp) {
@@ -185,11 +183,6 @@ check::detail::Donation WireReader::region() {
   check::detail::Donation d;
   d.prefix = schedule();
   d.choices = schedule();
-  d.sleep = schedule();
-  d.sleep_inherited = u32();
-  if (d.sleep_inherited > d.sleep.size()) {
-    throw WireError("region sleep_inherited exceeds sleep size");
-  }
   return d;
 }
 
@@ -221,7 +214,6 @@ void encode_hello(WireWriter& w, const HelloMsg& m) {
   w.u8(m.options.record_traces ? 1 : 0);
   w.u8(m.options.dedupe_states ? 1 : 0);
   w.u8(m.options.dedupe_audit ? 1 : 0);
-  w.u8(m.options.por ? 1 : 0);
   w.u64(m.live_interval);
   w.str(m.world);
 }
@@ -245,7 +237,6 @@ HelloMsg decode_hello(WireReader& r) {
   m.options.record_traces = r.u8() != 0;
   m.options.dedupe_states = r.u8() != 0;
   m.options.dedupe_audit = r.u8() != 0;
-  m.options.por = r.u8() != 0;
   m.live_interval = r.u64();
   m.world = r.str();
   r.expect_done();
@@ -307,9 +298,6 @@ void encode_subtree_result(WireWriter& w,
   w.u64(s.subtrees_pruned);
   w.u64(s.states_seen);
   w.u64(s.donations);
-  w.u64(s.por_skipped);
-  w.u64(s.dependent_wakeups);
-  w.u64(s.footprint_bytes);
 }
 
 check::detail::SubtreeResult decode_subtree_result(WireReader& r) {
@@ -326,9 +314,6 @@ check::detail::SubtreeResult decode_subtree_result(WireReader& r) {
   s.subtrees_pruned = static_cast<std::size_t>(r.u64());
   s.states_seen = static_cast<std::size_t>(r.u64());
   s.donations = static_cast<std::size_t>(r.u64());
-  s.por_skipped = static_cast<std::size_t>(r.u64());
-  s.dependent_wakeups = static_cast<std::size_t>(r.u64());
-  s.footprint_bytes = r.u64();
   return s;
 }
 

@@ -2,7 +2,7 @@
 //
 // The unit of distribution is the prefix-identified job the in-process
 // work-stealing explorer already uses: a pure (schedule prefix, choice
-// list) value plus the donated sleep-set pids.  Everything that crosses the
+// list) value.  Everything that crosses the
 // socket is a function of those values and of the options - no pointers, no
 // worlds (the worker rebuilds its root world and replays the prefix) - so
 // the encoding below is a straight transcription.
@@ -27,6 +27,8 @@
 //       budget fields
 //   v10 kJobResult carries replay_steps_saved again, after the summary:
 //       the steps the job's checkpoint restores saved
+//   v11 dropped partial-order reduction: its kHello flag, its per-region
+//       schedule and count, and its three SubtreeResult summary counters
 //
 // Encoding rules:
 //   - All integers are fixed-width little-endian, written byte by byte
@@ -60,13 +62,13 @@
 //                     worker's registry refuses, version skew), the hello's
 //                     session token echoed
 //   kJob        C->W  job id, execution budget, fault_after (test
-//                     instrumentation), prefix, choices, sleep pids,
+//                     instrumentation), prefix, choices,
 //                     no_dedupe flag (re-run of a lost deduped attempt)
 //   kJobResult  W->C  job id + the SubtreeResult summary + replay_steps_saved
 //   kJobError   W->C  job id + exception text (retry/degradation path)
 //   kLive       W->C  job id + executions so far (cap-credit input)
-//   kDonate     W->C  parent job id + a donated (prefix, choices, sleep)
-//                     region, the steal-request response
+//   kDonate     W->C  parent job id + a donated (prefix, choices) region,
+//                     the steal-request response
 //   kCredit     C->W  job id + remaining execution budget; abort flag cuts
 //                     the job entirely (lex-earlier regions secured the
 //                     cap, or a lex-earlier violation)
@@ -99,7 +101,7 @@ class WireError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x4d535652u;  // "RVSM"
-inline constexpr std::uint16_t kWireVersion = 10;
+inline constexpr std::uint16_t kWireVersion = 11;
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 // [u32 len][u8 type][u32 seq][u32 crc]
 inline constexpr std::size_t kFrameHeaderBytes = 13;
@@ -150,8 +152,7 @@ class WireWriter {
   void str(const std::string& v);
   void entry(runtime::ProcessId e) { u64(entry_to_wire(e)); }
   void schedule(const std::vector<runtime::ProcessId>& entries);
-  // A job region: prefix, choices and sleep schedules, then the u32 count
-  // of inherited sleepers.
+  // A job region: the prefix and choices schedules.
   void region(const check::detail::Donation& d);
   void fingerprint(util::Fingerprint fp);
 
@@ -176,7 +177,6 @@ class WireReader {
   std::string str();
   runtime::ProcessId entry() { return entry_from_wire(u64()); }
   std::vector<runtime::ProcessId> schedule();
-  // Rejects an inherited-sleeper count larger than the sleep set.
   check::detail::Donation region();
   util::Fingerprint fingerprint();
 
@@ -225,8 +225,7 @@ struct JobMsg {
   std::uint64_t id = 0;
   std::uint64_t budget = 0;       // max executions for this job
   std::uint64_t fault_after = 0;  // test hook: _exit after N executions
-  // Prefix, choices (empty = all choices: the seed job) and sleep set; see
-  // Donation.
+  // Prefix and choices (empty = all choices: the seed job); see Donation.
   check::detail::Donation region;
   // Re-run of a job whose previous attempt was lost with dedupe on: the
   // worker must walk the whole region unpruned (and donate it onward

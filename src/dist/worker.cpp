@@ -267,8 +267,6 @@ void run_job(Session& s, const JobMsg& job,
   check::detail::JobContext ctx;
   if (!job.region.choices.empty()) {
     ctx.root_choices = &job.region.choices;
-    ctx.root_sleep = &job.region.sleep;
-    ctx.root_sleep_inherited = job.region.sleep_inherited;
   }
   ctx.split.want = [&s] { return s.steal_wanted; };
   ctx.split.take = [&s](check::detail::Donation& d) {
@@ -387,11 +385,11 @@ void serve_session(
     return;
   }
   s.log->line(
-      "worker %u: serving (world=%s dedupe=%d por=%d crashes=%llu "
+      "worker %u: serving (world=%s dedupe=%d crashes=%llu "
       "heartbeat=%ums)",
       s.hello.worker,
       s.hello.world.empty() ? "<local factory>" : s.hello.world.c_str(),
-      s.hello.options.dedupe_states ? 1 : 0, s.hello.options.por ? 1 : 0,
+      s.hello.options.dedupe_states ? 1 : 0,
       static_cast<unsigned long long>(s.hello.options.max_crashes),
       s.hello.heartbeat_interval_ms);
   // The dedupe table persists across the session's jobs.

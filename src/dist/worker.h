@@ -1,6 +1,6 @@
 // Distributed exploration worker: serves prefix-identified jobs from a
 // coordinator socket by replaying the received prefix into freshly built
-// worlds and running the shared explore_core DFS - POR, dedupe and the
+// worlds and running the shared explore_core DFS - dedupe and the
 // stack-splitting donation machinery unchanged.  One connection, one job at
 // a time; the worker is single-threaded and pumps coordinator messages
 // (cap credits, steal requests, heartbeat pings, shutdown) between

@@ -50,15 +50,8 @@ class AfekSnapshotT {
       : sched_(sched) {
     cells_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      // The cells are constructed with opaque footprints: collect() reads
-      // the global step counter as a clock before its first register read,
-      // so a cell-read step's continuation observes state (total_steps())
-      // that *every* other step advances.  Precise (object, cell) footprints
-      // would wrongly let the explorer commute a cell read past an unrelated
-      // step and change the recorded linearization points.
       cells_.push_back(std::make_unique<TypedRegister<Cell>>(
-          sched, name + ".R" + std::to_string(i), Cell{},
-          /*opaque_footprint=*/true));
+          sched, name + ".R" + std::to_string(i)));
     }
   }
 

@@ -5,12 +5,6 @@ namespace revisim::mem {
 CollectSnapshot::CollectSnapshot(runtime::Scheduler& sched, std::string name,
                                  std::size_t m, std::size_t num_processes)
     : next_seq_(num_processes, 1) {
-  // Unlike the Afek cells, these keep precise per-cell footprints: no step's
-  // continuation here reads the global clock or any shared state beyond the
-  // cell it poses on - update's tag comes from next_seq_, which is strictly
-  // per-process (only `me` ever reads or bumps next_seq_[me]), and collect's
-  // loop state is coroutine-local.  Commuting two independent cell steps is
-  // therefore sound.
   cells_.reserve(m);
   for (std::size_t j = 0; j < m; ++j) {
     cells_.push_back(std::make_unique<TypedRegister<Cell>>(

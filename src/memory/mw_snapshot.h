@@ -31,29 +31,18 @@ class MWSnapshot : public util::Fingerprintable {
   }
 
   runtime::StepAwaiter<View> scan() {
-    return {sched_,
-            [this] {
-              sched_.note_access(id_, runtime::Footprint::kAllComponents,
-                                 runtime::Footprint::Mode::kRead);
-              return comps_;
-            },
-            id_, runtime::StepKind::kScan, {},
-            runtime::Footprint::read(id_, runtime::Footprint::kAllComponents)};
+    return {sched_, [this] { return comps_; }, id_, runtime::StepKind::kScan,
+            {}};
   }
 
   runtime::StepAwaiter<void> update(std::size_t j, Val v) {
     return {sched_,
-            [this, j, v] {
-              sched_.note_access(id_, static_cast<std::uint32_t>(j),
-                                 runtime::Footprint::Mode::kWrite);
-              comps_.at(j) = v;
-            },
+            [this, j, v] { comps_.at(j) = v; },
             id_,
             runtime::StepKind::kUpdate,
             sched_.recording()
                 ? "c" + std::to_string(j) + "=" + std::to_string(v)
-                : std::string{},
-            runtime::Footprint::write(id_, static_cast<std::uint32_t>(j))};
+                : std::string{}};
   }
 
   [[nodiscard]] const View& peek() const noexcept { return comps_; }

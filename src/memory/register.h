@@ -17,18 +17,9 @@ namespace revisim::mem {
 template <typename T>
 class TypedRegister : public util::Fingerprintable {
  public:
-  // `opaque_footprint` opts this register out of precise access footprints:
-  // its steps then conflict with everything, which is required when the
-  // *continuation* after a read/write observes shared state beyond the cell
-  // - the Afek construction reads the global step counter as a clock, so
-  // its cells are constructed opaque (see afek_snapshot.h).  Plain registers
-  // declare precise (object, cell) read/write footprints, the substrate the
-  // explorer's partial-order reduction is built on.
-  TypedRegister(runtime::Scheduler& sched, std::string name, T initial = {},
-                bool opaque_footprint = false)
+  TypedRegister(runtime::Scheduler& sched, std::string name, T initial = {})
       : sched_(sched),
         id_(sched.register_object(std::move(name))),
-        opaque_(opaque_footprint),
         value_(std::move(initial)) {
     sched.register_state_source(this);
   }
@@ -41,26 +32,15 @@ class TypedRegister : public util::Fingerprintable {
 
   // One atomic read step.
   runtime::StepAwaiter<T> read() {
-    return {sched_,
-            [this] {
-              sched_.note_access(id_, 0, runtime::Footprint::Mode::kRead);
-              return value_;
-            },
-            id_, runtime::StepKind::kRead, {},
-            opaque_ ? runtime::Footprint::opaque_footprint()
-                    : runtime::Footprint::read(id_)};
+    return {sched_, [this] { return value_; }, id_, runtime::StepKind::kRead,
+            {}};
   }
 
   // One atomic write step.
   runtime::StepAwaiter<void> write(T v) {
     return {sched_,
-            [this, v = std::move(v)]() mutable {
-              sched_.note_access(id_, 0, runtime::Footprint::Mode::kWrite);
-              value_ = std::move(v);
-            },
-            id_, runtime::StepKind::kWrite, {},
-            opaque_ ? runtime::Footprint::opaque_footprint()
-                    : runtime::Footprint::write(id_)};
+            [this, v = std::move(v)]() mutable { value_ = std::move(v); },
+            id_, runtime::StepKind::kWrite, {}};
   }
 
   // Test-only peek outside any execution.
@@ -69,7 +49,6 @@ class TypedRegister : public util::Fingerprintable {
  private:
   runtime::Scheduler& sched_;
   std::size_t id_;
-  bool opaque_;
   T value_;
 };
 

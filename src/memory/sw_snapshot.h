@@ -20,17 +20,9 @@ namespace revisim::mem {
 template <typename T>
 class SWSnapshot : public util::Fingerprintable {
  public:
-  // `opaque_footprint` opts out of precise access footprints.  The
-  // augmented snapshot's H provider constructs its SWSnapshot opaque: every
-  // H step's continuation appends to the shared operation log and reads the
-  // global step counter as a clock, so H steps do not commute even on
-  // distinct components (see augmented_snapshot.h).  Standalone snapshots
-  // declare scan = read-all-components, update = write-own-component.
-  SWSnapshot(runtime::Scheduler& sched, std::string name, std::size_t f,
-             bool opaque_footprint = false)
+  SWSnapshot(runtime::Scheduler& sched, std::string name, std::size_t f)
       : sched_(sched),
         id_(sched.register_object(std::move(name))),
-        opaque_(opaque_footprint),
         comps_(f) {
     sched.register_state_source(this);
   }
@@ -42,40 +34,23 @@ class SWSnapshot : public util::Fingerprintable {
   }
 
   runtime::StepAwaiter<std::vector<T>> scan() {
-    return {sched_,
-            [this] {
-              sched_.note_access(id_, runtime::Footprint::kAllComponents,
-                                 runtime::Footprint::Mode::kRead);
-              return comps_;
-            },
-            id_, runtime::StepKind::kScan, {},
-            opaque_
-                ? runtime::Footprint::opaque_footprint()
-                : runtime::Footprint::read(id_,
-                                           runtime::Footprint::kAllComponents)};
+    return {sched_, [this] { return comps_; }, id_, runtime::StepKind::kScan,
+            {}};
   }
 
   // Replaces the caller's own component.  The model enforces the
   // single-writer discipline: writing another process's component is a
-  // protocol bug, not an adversary move, so it throws.  The footprint is
-  // computed at pose time, when current() is the posing (= executing)
-  // process.
+  // protocol bug, not an adversary move, so it throws.
   runtime::StepAwaiter<void> update(T v) {
-    const auto writer = sched_.current();
     return {sched_,
             [this, v = std::move(v)]() mutable {
               const auto w = sched_.current();
               if (w >= comps_.size()) {
                 throw std::logic_error("sw-snapshot: writer out of range");
               }
-              sched_.note_access(id_, static_cast<std::uint32_t>(w),
-                                 runtime::Footprint::Mode::kWrite);
               comps_[w] = std::move(v);
             },
-            id_, runtime::StepKind::kUpdate, {},
-            opaque_ ? runtime::Footprint::opaque_footprint()
-                    : runtime::Footprint::write(
-                          id_, static_cast<std::uint32_t>(writer))};
+            id_, runtime::StepKind::kUpdate, {}};
   }
 
   [[nodiscard]] const std::vector<T>& peek() const noexcept {
@@ -85,7 +60,6 @@ class SWSnapshot : public util::Fingerprintable {
  private:
   runtime::Scheduler& sched_;
   std::size_t id_;
-  bool opaque_;
   std::vector<T> comps_;  // scans copy it on every step
 };
 

@@ -83,7 +83,7 @@ void Scheduler::crash(ProcessId pid) {
 
 void Scheduler::post_step(std::coroutine_handle<> resumer, StepExec exec,
                           void* exec_ctx, std::size_t object, StepKind kind,
-                          std::string detail, Footprint footprint) {
+                          std::string detail) {
   assert(in_step_ || !procs_[current_]->started);
   Process& p = *procs_[current_];
   assert(!p.poised);
@@ -93,7 +93,6 @@ void Scheduler::post_step(std::coroutine_handle<> resumer, StepExec exec,
   p.step_object = object;
   p.step_kind = kind;
   p.step_detail = std::move(detail);
-  p.footprint = footprint;
   p.poised = true;
 }
 
@@ -156,13 +155,6 @@ void Scheduler::execute_poised_step(Process& p, ProcessId pid) {
   if (recording_) {
     trace_.events.push_back(Event{step_count_, pid, p.step_object, p.step_kind,
                                   std::move(p.step_detail)});
-  }
-  // The declared footprint of every executed step is recorded, fast mode
-  // included; audit mode additionally collects the actual accesses the
-  // operation reports via note_access, for covers() cross-checking.
-  last_footprint_ = p.footprint;
-  if (footprint_audit_) {
-    last_actual_.clear();
   }
   ++step_count_;
   ++p.steps;

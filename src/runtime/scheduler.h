@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/runtime/footprint.h"
 #include "src/runtime/task.h"
 #include "src/runtime/trace.h"
 #include "src/util/fingerprint.h"
@@ -118,53 +117,6 @@ class Scheduler {
     return current_;
   }
 
-  // --- access footprints (partial-order reduction, src/check) ------------
-  // Declared footprint of `pid`'s poised step.  Unstarted processes (whose
-  // first operation is unknown until their prologue runs) and processes
-  // with no poised step report the opaque footprint, which conflicts with
-  // everything - so the explorer's independence relation is sound by
-  // default and precise exactly where a primitive opted in.
-  [[nodiscard]] Footprint poised_footprint(ProcessId pid) const {
-    const Process& p = *procs_.at(pid);
-    if (!p.started || !p.poised) {
-      return Footprint::opaque_footprint();
-    }
-    return p.footprint;
-  }
-
-  // Declared footprint of the most recently executed step (fast mode
-  // included; the declaration is recorded whether or not tracing is on).
-  [[nodiscard]] const Footprint& last_step_footprint() const noexcept {
-    return last_footprint_;
-  }
-
-  // Footprint-audit mode (off by default; validation, not a fast path).
-  // With it on, primitives report every shared location their granted
-  // operation actually touches through note_access, and the scheduler
-  // retains, per executed step, the declared footprint next to the actual
-  // access list - so a test can assert footprint_covers(declared, actual)
-  // for each access and catch a primitive under-reporting, which would
-  // make partial-order reduction unsound.
-  void set_footprint_audit(bool on) {
-    footprint_audit_ = on;
-    last_actual_.clear();
-  }
-  [[nodiscard]] bool footprint_audit() const noexcept {
-    return footprint_audit_;
-  }
-  void note_access(std::size_t object, std::uint32_t component,
-                   Footprint::Mode mode) {
-    if (!footprint_audit_) {
-      return;
-    }
-    last_actual_.push_back(Footprint::Access{
-        static_cast<std::uint32_t>(object), component, mode});
-  }
-  [[nodiscard]] const std::vector<Footprint::Access>& last_step_accesses()
-      const noexcept {
-    return last_actual_;
-  }
-
   [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
   [[nodiscard]] const std::string& object_name(std::size_t id) const {
     return object_names_.at(id);
@@ -203,8 +155,7 @@ class Scheduler {
   using StepExec = void (*)(void*);
   void post_step(std::coroutine_handle<> resumer, StepExec exec,
                  void* exec_ctx, std::size_t object, StepKind kind,
-                 std::string detail,
-                 Footprint footprint = Footprint::opaque_footprint());
+                 std::string detail);
 
  private:
   struct Process {
@@ -221,8 +172,6 @@ class Scheduler {
     std::size_t step_object = 0;
     StepKind step_kind = StepKind::kOther;
     std::string step_detail;
-    Footprint footprint;  // declared footprint of the poised step (opaque
-                          // unless the posing primitive opted in)
     bool poised = false;
   };
 
@@ -238,9 +187,6 @@ class Scheduler {
   std::size_t crash_count_ = 0;
   bool in_step_ = false;
   bool recording_ = true;
-  bool footprint_audit_ = false;
-  Footprint last_footprint_;  // declared footprint of the last executed step
-  std::vector<Footprint::Access> last_actual_;  // audit mode only
 };
 
 // Applies one serialized schedule entry (see trace.h): a plain id runs one
@@ -267,19 +213,17 @@ class StepAwaiter {
   template <typename F>
     requires std::is_invocable_r_v<R, std::remove_cvref_t<F>&>
   StepAwaiter(Scheduler& sched, F&& op, std::size_t object, StepKind kind,
-              std::string detail,
-              Footprint footprint = Footprint::opaque_footprint())
+              std::string detail)
       : sched_(sched),
         op_(std::forward<F>(op)),
         object_(object),
         kind_(kind),
-        detail_(std::move(detail)),
-        footprint_(footprint) {}
+        detail_(std::move(detail)) {}
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
     sched_.post_step(h, &StepAwaiter::exec_trampoline, this, object_, kind_,
-                     std::move(detail_), footprint_);
+                     std::move(detail_));
   }
   R await_resume() {
     if constexpr (!std::is_void_v<R>) {
@@ -303,7 +247,6 @@ class StepAwaiter {
   std::size_t object_;
   StepKind kind_;
   std::string detail_;
-  Footprint footprint_;
   [[no_unique_address]] std::conditional_t<std::is_void_v<R>, Empty,
                                            std::optional<R>> result_;
 };

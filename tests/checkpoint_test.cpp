@@ -9,7 +9,7 @@
 // test_worlds::HeapTouchingWorld - over-aligned memory from the build on
 // (replay from the start) or from a mid-walk step (a switch in the middle) -
 // and require the same executions, exhaustion, verdict, witness, table
-// statistics and POR skips, serial, in-process parallel and distributed.
+// statistics, serial, in-process parallel and distributed.
 //
 // The ArenaEscapes tests hold the arena to its rules when world memory
 // leaves the world: an exception thrown out of a watched call, a verdict
@@ -73,7 +73,6 @@ void expect_parity(const ScheduleExploreResult& got,
   EXPECT_EQ(got.witness, want.witness) << what;
   EXPECT_EQ(got.states_seen, want.states_seen) << what;
   EXPECT_EQ(got.subtrees_pruned, want.subtrees_pruned) << what;
-  EXPECT_EQ(got.por_skipped, want.por_skipped) << what;
 }
 
 ScheduleExploreOptions options(std::size_t crashes) {
@@ -86,16 +85,15 @@ ScheduleExploreOptions options(std::size_t crashes) {
 TEST(Checkpoints, SerialWalksMatchReplayAtEveryCrashBudget) {
   for (const Spec& spec : kSpecs) {
     for (std::size_t crashes = 0; crashes <= 2; ++crashes) {
-      for (int mode = 0; mode < 3; ++mode) {
+      for (const bool dedupe : {false, true}) {
         ScheduleExploreOptions opt = options(crashes);
-        opt.dedupe_states = mode == 1;
-        opt.por = mode == 2;
-        if (opt.dedupe_states && !spec.dedupe_capable) {
+        opt.dedupe_states = dedupe;
+        if (dedupe && !spec.dedupe_capable) {
           continue;
         }
         const std::string what = spec.world + " crashes " +
-                                 std::to_string(crashes) + " mode " +
-                                 std::to_string(mode);
+                                 std::to_string(crashes) +
+                                 (dedupe ? " dedupe" : " plain");
         const auto bare = check::explore_schedules(
             check::make_world_factory(spec.world), opt);
         const auto from_build = check::explore_schedules(

@@ -36,30 +36,33 @@ expect_rejected(--eps --eps nan)
 expect_rejected("--task kset:K" --task kset:two)
 
 # Removed flags must fail loudly (exit 2, naming the flag), never be
-# silently ignored.
-function(expect_unknown flag)
-  execute_process(COMMAND "${CLI}" dist-explore ${flag} 4
+# silently ignored.  expect_unknown(<subcommand> <flag>)
+function(expect_unknown cmd flag)
+  execute_process(COMMAND "${CLI}" ${cmd} ${flag} 4
                   RESULT_VARIABLE rc
                   OUTPUT_QUIET
                   ERROR_VARIABLE err
                   TIMEOUT 20)
   if(NOT rc EQUAL 2)
-    message(SEND_ERROR "revisim_cli dist-explore ${flag} 4: exit ${rc}, want 2\n${err}")
+    message(SEND_ERROR "revisim_cli ${cmd} ${flag} 4: exit ${rc}, want 2\n${err}")
   endif()
   string(FIND "${err}" "unknown flag ${flag}" at)
   if(at EQUAL -1)
-    message(SEND_ERROR "revisim_cli dist-explore ${flag}: error does not name it:\n${err}")
+    message(SEND_ERROR "revisim_cli ${cmd} ${flag}: error does not name it:\n${err}")
   endif()
 endfunction()
 
-expect_unknown(--shards)
-expect_unknown(--fp-batch)
-expect_unknown(--fp-window)
+expect_unknown(dist-explore --shards)
+expect_unknown(dist-explore --fp-batch)
+expect_unknown(dist-explore --fp-window)
 # The world is one registry spec (--world name:params); its old parameter
 # flags are gone.
-expect_unknown(--f)
-expect_unknown(--m)
-expect_unknown(--budget)
+expect_unknown(dist-explore --f)
+expect_unknown(dist-explore --m)
+expect_unknown(dist-explore --budget)
+# Partial-order reduction is gone from both explorers.
+expect_unknown(explore --por)
+expect_unknown(dist-explore --por)
 
 # expect_refused(<text the message must contain> <revisim_cli arguments...>):
 # exit code 2 before any exploration starts, so no execution is counted.

@@ -347,7 +347,7 @@ TEST(CrashExplore, BranchCountsOnTinyWorld) {
   //   max_crashes = 2: + c0 c1 (c1 c0 canonicalized away:
   //                     adjacent crashes commute)                  = 7
   // Two single-step writers: small enough to count leaves by hand.
-  const auto factory = test_worlds::register_factory(2, 0, 1);
+  const auto factory = test_worlds::register_factory(2, 1);
   ScheduleExploreOptions opt;
   EXPECT_EQ(explore_schedules(factory, opt).executions, 2u);
   opt.max_crashes = 1;
@@ -357,7 +357,7 @@ TEST(CrashExplore, BranchCountsOnTinyWorld) {
 }
 
 TEST(CrashExplore, OptionValidation) {
-  const auto factory = test_worlds::register_factory(2, 0, 1);
+  const auto factory = test_worlds::register_factory(2, 1);
   ScheduleExploreOptions opt;
   opt.max_steps = 0;
   EXPECT_THROW(explore_schedules(factory, opt), std::invalid_argument);
@@ -464,37 +464,6 @@ TEST(Witness, TextRoundTripIncludingCrashEntries) {
   EXPECT_EQ(back.schedule, w.schedule);
 }
 
-TEST(Witness, PorFlagRoundTripsAndStaysBackwardCompatible) {
-  // A witness from a POR run mixing crash entries: the `por 1` line (format
-  // v1 revision 2) must survive the round trip alongside the schedule.
-  Witness w;
-  w.world = "aug-mutant:2,2,8";
-  w.max_steps = 32;
-  w.max_crashes = 1;
-  w.por = true;
-  w.verdict = "planted violation";
-  w.schedule = {0, make_crash_entry(1), 0, 0, make_crash_entry(0)};
-  const std::string text = check::to_text(w);
-  EXPECT_NE(text.find("por 1"), std::string::npos);
-  Witness back = check::parse_witness(text);
-  EXPECT_TRUE(back.por);
-  EXPECT_EQ(back.schedule, w.schedule);
-  EXPECT_EQ(back.verdict, w.verdict);
-  EXPECT_EQ(back.max_crashes, w.max_crashes);
-
-  // Non-POR witnesses serialize without the key and parse with por=false.
-  w.por = false;
-  const std::string plain = check::to_text(w);
-  EXPECT_EQ(plain.find("por"), std::string::npos);
-  EXPECT_FALSE(check::parse_witness(plain).por);
-
-  // An explicit `por 0` is accepted; junk is rejected.
-  const std::string head = "revisim-witness v2\nworld aug-bu:2,2,10\n";
-  EXPECT_FALSE(check::parse_witness(head + "por 0\nend\n").por);
-  EXPECT_THROW(check::parse_witness(head + "por yes\nend\n"),
-               std::invalid_argument);
-}
-
 // parse_witness must throw std::invalid_argument whose message contains
 // `why`.
 void expect_refused(const std::string& text, const std::string& why) {
@@ -543,6 +512,18 @@ TEST(Witness, ParserRejectsMalformedFiles) {
   // Format v1 named the world by four keys; it is refused by name.
   expect_refused("revisim-witness v1\nworld aug-mutant\nprocesses 2\nend\n",
                  "witness format v1");
+}
+
+// Witnesses once carried an optional `por` line recording that the
+// exploration ran with partial-order reduction.  The reduction is gone, so
+// such a file is refused naming the line, in either of its old spellings,
+// rather than replayed as if the key meant nothing.
+TEST(Witness, PorLineIsRefusedNamingItsLine) {
+  const std::string head = "revisim-witness v2\nworld aug-mutant:2,2,8\n";
+  expect_refused(head + "por 1\nschedule s0 c1 s0\nend\n",
+                 "witness line 3: unknown key \"por\"");
+  expect_refused(head + "max_steps 32\npor 0\nend\n",
+                 "witness line 4: unknown key \"por\"");
 }
 
 // The registry reaches replay: a witness of the simulation world, on either

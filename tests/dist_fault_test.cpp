@@ -178,8 +178,6 @@ std::vector<WireCase> wire_cases() {
     m.budget = 1000;
     m.region.prefix = {0, 1, runtime::make_crash_entry(2)};
     m.region.choices = {1, 2};
-    m.region.sleep = {0};
-    m.region.sleep_inherited = 1;
     m.no_dedupe = true;
     dist::encode_job(w, m);
   });
@@ -203,8 +201,6 @@ std::vector<WireCase> wire_cases() {
     m.parent = 7;
     m.region.prefix = {0, 0};
     m.region.choices = {1, 2};
-    m.region.sleep = {0};
-    m.region.sleep_inherited = 0;
     dist::encode_donate(w, m);
   });
   add("credit", MsgType::kCredit, [](WireWriter& w) {
@@ -429,8 +425,8 @@ TEST(Journal, RoundTripsCreatedDoneAndDiscardedRecords) {
   {
     dist::JournalWriter w;
     w.create(path, test_config());
-    w.job_created(1, false, 0, {{0, 1}, {}, {}, 0});
-    w.job_created(2, true, 1, {{0, 1, 2}, {1, 2}, {0}, 1});
+    w.job_created(1, false, 0, {{0, 1}, {}});
+    w.job_created(2, true, 1, {{0, 1, 2}, {1, 2}});
     check::detail::SubtreeResult res;
     res.executions = 17;
     res.fully_explored = true;
@@ -453,7 +449,6 @@ TEST(Journal, RoundTripsCreatedDoneAndDiscardedRecords) {
   EXPECT_EQ(j.jobs[1].parent, 1u);
   EXPECT_EQ(j.jobs[1].region.prefix, (std::vector<ProcessId>{0, 1, 2}));
   EXPECT_EQ(j.jobs[1].region.choices, (std::vector<ProcessId>{1, 2}));
-  EXPECT_EQ(j.jobs[1].region.sleep_inherited, 1u);
   ASSERT_TRUE(j.jobs[1].done);
   EXPECT_EQ(j.jobs[1].result.executions, 17u);
   EXPECT_EQ(j.jobs[1].result.violation, "planted");
@@ -500,8 +495,8 @@ TEST(Journal, TornTailAtEveryByteBoundary) {
   {
     dist::JournalWriter w;
     w.append_to(path);
-    w.job_created(1, false, 0, {{}, {}, {}, 0});
-    w.job_created(2, true, 1, {{0}, {1}, {}, 0});
+    w.job_created(1, false, 0, {{}, {}});
+    w.job_created(2, true, 1, {{0}, {1}});
     check::detail::SubtreeResult res;
     res.executions = 5;
     res.fully_explored = true;
@@ -550,14 +545,14 @@ TEST(Journal, MidFileCorruptionDropsFromThatRecordOn) {
   {
     dist::JournalWriter w;
     w.create(path, test_config());
-    w.job_created(1, false, 0, {{0, 1}, {}, {}, 0});
+    w.job_created(1, false, 0, {{0, 1}, {}});
     w.close();
     first_record_end = slurp(path).size();
   }
   {
     dist::JournalWriter w;
     w.append_to(path);
-    w.job_created(2, true, 1, {{0, 1, 0}, {1}, {}, 0});
+    w.job_created(2, true, 1, {{0, 1, 0}, {1}});
     check::detail::SubtreeResult res;
     res.executions = 3;
     res.fully_explored = true;
@@ -589,28 +584,31 @@ TEST(Journal, DoneForUnknownJobIsStructuralCorruption) {
   std::remove(path.c_str());
 }
 
-// The magic's last byte is the layout version; kDone records of another
-// version encode a different SubtreeResult summary, so such a journal is
-// refused by name instead of misparsed.
+// The magic's last byte is the layout version; records of another version
+// encode a different config, region or SubtreeResult summary, so such a
+// journal is refused by name instead of misparsed.  Layout 3 is the last
+// one whose records carried partial-order-reduction fields.
 TEST(Journal, OtherLayoutVersionIsRefusedByName) {
   const std::string path = temp_path("old_version");
-  {
-    dist::JournalWriter w;
-    w.create(path, test_config());
-    w.close();
-  }
-  std::vector<std::uint8_t> bytes = slurp(path);
-  ASSERT_EQ(bytes[7], '3');
-  bytes[7] = '2';
-  spit(path, bytes);
-  try {
-    (void)dist::read_journal(path);
-    ADD_FAILURE() << "a layout-2 journal was accepted";
-  } catch (const WireError& e) {
-    EXPECT_NE(std::string(e.what()).find("layout version 2, this binary "
-                                         "reads 3"),
-              std::string::npos)
-        << e.what();
+  for (const char old : {'2', '3'}) {
+    {
+      dist::JournalWriter w;
+      w.create(path, test_config());
+      w.close();
+    }
+    std::vector<std::uint8_t> bytes = slurp(path);
+    ASSERT_EQ(bytes[7], '4');
+    bytes[7] = static_cast<std::uint8_t>(old);
+    spit(path, bytes);
+    const std::string want =
+        std::string("layout version ") + old + ", this binary reads 4";
+    try {
+      (void)dist::read_journal(path);
+      ADD_FAILURE() << "a layout-" << old << " journal was accepted";
+    } catch (const WireError& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
   }
   std::remove(path.c_str());
 }
@@ -974,7 +972,7 @@ TEST_F(FaultMatrix, ResumeRefusesAJournalFromDifferentOptions) {
   resume.journal_path = path;
   resume.journal_tag = "script-332";
   resume.resume = true;
-  resume.base.por = true;  // not what the journal was recorded under
+  resume.base.max_crashes = 1;  // not what the journal was recorded under
   EXPECT_THROW((void)dist::dist_explore_schedules(script_factory({3, 3, 2}),
                                                   resume),
                WireError);

@@ -51,7 +51,6 @@ using runtime::ProcessId;
 using runtime::Scheduler;
 using runtime::Task;
 
-using test_worlds::register_factory;
 using test_worlds::Schedule;
 using test_worlds::script_factory;
 using test_worlds::ScriptWorld;
@@ -155,7 +154,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   m.options.record_traces = true;
   m.options.dedupe_states = true;
   m.options.dedupe_audit = true;
-  m.options.por = true;
   m.live_interval = 99;
   m.world = "aug-mutant:2,3,10";
 
@@ -170,7 +168,6 @@ TEST(Wire, HelloRoundTripAndVersionCheck) {
   EXPECT_EQ(got.options.record_traces, m.options.record_traces);
   EXPECT_EQ(got.options.dedupe_states, m.options.dedupe_states);
   EXPECT_EQ(got.options.dedupe_audit, m.options.dedupe_audit);
-  EXPECT_EQ(got.options.por, m.options.por);
   EXPECT_EQ(got.live_interval, m.live_interval);
   EXPECT_EQ(got.world, m.world);
 
@@ -210,21 +207,33 @@ void expect_version_skew(const std::vector<std::uint8_t>& bytes,
   }
 }
 
+// A Hello and a HelloAck stamped with version `v` must both be refused.
+void expect_handshake_refused(std::uint16_t v) {
+  SCOPED_TRACE("wire version " + std::to_string(v));
+  dist::WireWriter w;
+  dist::encode_hello(w, dist::HelloMsg{});
+  expect_version_skew(with_version(w, v), dist::decode_hello, v);
+
+  w.clear();
+  dist::encode_hello_ack(w, dist::HelloAckMsg{});
+  expect_version_skew(with_version(w, v), dist::decode_hello_ack, v);
+}
+
 // Every version bump changed the layout of some message (the history is
 // in wire.h), so a peer speaking any older version must be refused at the
 // handshake by name, never misparsed - in both directions.
 TEST(Wire, EveryOlderVersionIsRefusedByName) {
-  static_assert(dist::kWireVersion == 10);
+  static_assert(dist::kWireVersion == 11);
   for (std::uint16_t v = 1; v <= 9; ++v) {
-    SCOPED_TRACE("wire version " + std::to_string(v));
-    dist::WireWriter w;
-    dist::encode_hello(w, dist::HelloMsg{});
-    expect_version_skew(with_version(w, v), dist::decode_hello, v);
-
-    w.clear();
-    dist::encode_hello_ack(w, dist::HelloAckMsg{});
-    expect_version_skew(with_version(w, v), dist::decode_hello_ack, v);
+    expect_handshake_refused(v);
   }
+}
+
+// v10 is the last version whose kHello, job regions and result summary
+// carried partial-order-reduction fields; its peers are refused at the
+// handshake like every older one, before any job region is parsed.
+TEST(Wire, VersionTenPeersAreRefusedByName) {
+  expect_handshake_refused(10);
 }
 
 TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
@@ -234,8 +243,6 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
   job.fault_after = 9;
   job.region.prefix = {0, 1, runtime::make_crash_entry(0)};
   job.region.choices = {2, runtime::make_crash_entry(1)};
-  job.region.sleep = {1, 2};
-  job.region.sleep_inherited = 1;
   job.no_dedupe = true;
   dist::WireWriter w;
   dist::encode_job(w, job);
@@ -248,19 +255,7 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
     EXPECT_EQ(got.fault_after, job.fault_after);
     EXPECT_EQ(got.region.prefix, job.region.prefix);
     EXPECT_EQ(got.region.choices, job.region.choices);
-    EXPECT_EQ(got.region.sleep, job.region.sleep);
-    EXPECT_EQ(got.region.sleep_inherited, job.region.sleep_inherited);
     EXPECT_EQ(got.no_dedupe, job.no_dedupe);
-  }
-
-  {
-    // An inherited count past the sleep list is corruption, not data.
-    dist::JobMsg bad = job;
-    bad.region.sleep_inherited = 3;
-    w.clear();
-    dist::encode_job(w, bad);
-    dist::WireReader r(w.data(), w.size());
-    EXPECT_THROW(dist::decode_job(r), dist::WireError);
   }
 
   dist::JobResultMsg res;
@@ -273,9 +268,6 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
   res.result.subtrees_pruned = 3;
   res.result.states_seen = 21;
   res.result.donations = 2;
-  res.result.por_skipped = 5;
-  res.result.dependent_wakeups = 6;
-  res.result.footprint_bytes = 4096;
   res.result.replay_steps_saved = 8191;
   w.clear();
   dist::encode_job_result(w, res);
@@ -292,9 +284,6 @@ TEST(Wire, JobAndResultRoundTripEverySubtreeField) {
     EXPECT_EQ(got.result.subtrees_pruned, res.result.subtrees_pruned);
     EXPECT_EQ(got.result.states_seen, res.result.states_seen);
     EXPECT_EQ(got.result.donations, res.result.donations);
-    EXPECT_EQ(got.result.por_skipped, res.result.por_skipped);
-    EXPECT_EQ(got.result.dependent_wakeups, res.result.dependent_wakeups);
-    EXPECT_EQ(got.result.footprint_bytes, res.result.footprint_bytes);
     EXPECT_EQ(got.result.replay_steps_saved, res.result.replay_steps_saved);
   }
 }
@@ -341,8 +330,6 @@ TEST(Wire, ControlMessagesRoundTrip) {
     m.parent = 4;
     m.region.prefix = {1, 0};
     m.region.choices = {0, 1, runtime::make_crash_entry(0)};
-    m.region.sleep = {1, 2};
-    m.region.sleep_inherited = 2;
     w.clear();
     dist::encode_donate(w, m);
     dist::WireReader r(w.data(), w.size());
@@ -351,8 +338,6 @@ TEST(Wire, ControlMessagesRoundTrip) {
     EXPECT_EQ(got.parent, m.parent);
     EXPECT_EQ(got.region.prefix, m.region.prefix);
     EXPECT_EQ(got.region.choices, m.region.choices);
-    EXPECT_EQ(got.region.sleep, m.region.sleep);
-    EXPECT_EQ(got.region.sleep_inherited, m.region.sleep_inherited);
   }
   {
     dist::CreditMsg m;
@@ -375,13 +360,12 @@ TEST(Wire, ControlMessagesRoundTrip) {
 TEST(MergeJobs, SumsTelemetryOverCompletedRecordsOnly) {
   check::detail::SubtreeResult a;
   a.executions = 3;
-  a.footprint_bytes = 10;
-  a.por_skipped = 2;
   a.replay_steps_saved = 11;
+  a.subtrees_pruned = 1;
   check::detail::SubtreeResult b;
   b.executions = 4;
-  b.footprint_bytes = 20;
-  b.dependent_wakeups = 5;
+  b.replay_steps_saved = 20;
+  b.subtrees_pruned = 2;
   const Schedule ka{0};
   const Schedule kb{1};
   std::vector<check::detail::MergeJob> jobs(2);
@@ -391,10 +375,8 @@ TEST(MergeJobs, SumsTelemetryOverCompletedRecordsOnly) {
   EXPECT_EQ(res.executions, 7u);
   EXPECT_TRUE(res.exhausted);
   EXPECT_FALSE(res.violation);
-  EXPECT_EQ(res.footprint_bytes, 30u);
-  EXPECT_EQ(res.por_skipped, 2u);
-  EXPECT_EQ(res.dependent_wakeups, 5u);
-  EXPECT_EQ(res.replay_steps_saved, 11u);
+  EXPECT_EQ(res.replay_steps_saved, 31u);
+  EXPECT_EQ(res.subtrees_pruned, 3u);
 }
 
 TEST(MergeJobs, FailedRecordDegradesWithAttemptCount) {
@@ -503,38 +485,6 @@ TEST(DistParity, CrashBranchingRegistryWorldMatchesSerial) {
   ASSERT_TRUE(vserial.violation.has_value());
   auto vdist = dist::dist_explore_schedules(starved, opt);
   expect_same(vdist, vserial, "violating crash-branching world");
-}
-
-TEST(DistParity, PorCountersDecompositionInvariant) {
-  // Two processes contend on the shared register, one writes a private
-  // one: POR collapses the private writer's placements, so por_skipped and
-  // dependent_wakeups are nonzero - and, on an exhausted undeduped search,
-  // must be identical across serial, in-process parallel and distributed
-  // decompositions (the documented aggregation contract).
-  ScheduleExploreOptions base;
-  base.por = true;
-  auto serial = explore_schedules(register_factory(2, 1, 2), base);
-  ASSERT_TRUE(serial.exhausted);
-  ASSERT_GT(serial.por_skipped, 0u);
-
-  ParallelExploreOptions par;
-  par.base = base;
-  par.threads = 2;
-  par.oversubscribe = true;
-  par.serial_probe_executions = 0;
-  auto inproc = parallel_explore_schedules(register_factory(2, 1, 2), par);
-  expect_same(inproc, serial, "in-process POR");
-  EXPECT_EQ(inproc.por_skipped, serial.por_skipped);
-  EXPECT_EQ(inproc.dependent_wakeups, serial.dependent_wakeups);
-
-  DistExploreOptions opt;
-  opt.base = base;
-  opt.workers = 2;
-  auto dist = dist::dist_explore_schedules(register_factory(2, 1, 2), opt);
-  expect_same(dist, serial, "distributed POR");
-  EXPECT_EQ(dist.por_skipped, serial.por_skipped);
-  EXPECT_EQ(dist.dependent_wakeups, serial.dependent_wakeups);
-  EXPECT_LE(dist.steals, dist.jobs - 1);
 }
 
 // --- worker-local dedupe tables ---------------------------------------------

@@ -209,7 +209,7 @@ TEST(ExploreCore, InPlaceWalkBuildsOnceAndStepsEachEdgeOnce) {
   // than zero, of (a+b+c)! / (a! b! c!), which is 1748.
   std::size_t builds = 0;
   std::size_t steps = 0;
-  auto inner = script_factory({3, 3, 2}, {}, SIZE_MAX, &steps);
+  auto inner = script_factory({3, 3, 2}, {}, &steps);
   auto res = explore_schedules([&] {
     ++builds;
     return inner();

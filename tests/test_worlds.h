@@ -6,18 +6,11 @@
 // planted violation's DFS index is the lexicographic rank of its schedule,
 // which pins down cap-boundary accounting, the lexicographically-smallest
 // witness guarantee, and bit-identical results across thread counts,
-// worker counts and steal timings.  Processes with index >= first_private
-// write a private register instead of the shared one, giving POR
-// step-swap classes to collapse; parity tests that enable POR must plant
-// nothing (the order log is not trace-invariant).
+// worker counts and steal timings.
 //
-// RegisterWorld: `contended` processes write one shared register (every
-// pair of their steps conflicts) and `private_procs` more write a register
-// of their own each (independent, so POR collapses their placements); each
-// process writes 1, 2, ..., writes.  Footprints come from the real memory
-// primitive, where ScriptWorld's raw StepAwaiters are opaque to POR.  The
-// verdict is a predicate of the final private registers, so it is
-// trace-invariant by construction.
+// RegisterWorld: `procs` processes write 1, 2, ..., writes to one shared
+// register, through the real memory primitive (mem::TypedRegister) rather
+// than ScriptWorld's raw StepAwaiters; it accepts every execution.
 //
 // LastWriterWorld: processes stamp their id into one shared register.  The
 // canonical state collapses to (per-process progress, last writer), so
@@ -101,14 +94,11 @@ class ScriptWorld final : public check::ExplorableWorld {
  public:
   explicit ScriptWorld(std::vector<std::size_t> writes,
                        std::vector<Schedule> planted = {},
-                       std::size_t first_private = SIZE_MAX,
                        std::size_t* steps = nullptr)
       : planted_(std::move(planted)) {
     const std::size_t shared = sched_.register_object("r");
     for (runtime::ProcessId p = 0; p < writes.size(); ++p) {
-      const std::size_t obj =
-          p >= first_private ? sched_.register_object("own") : shared;
-      sched_.spawn(count_script(sched_, obj, order_, p, writes[p], steps),
+      sched_.spawn(count_script(sched_, shared, order_, p, writes[p], steps),
                    "q");
     }
   }
@@ -140,12 +130,9 @@ class ScriptWorld final : public check::ExplorableWorld {
 
 inline auto script_factory(std::vector<std::size_t> writes,
                            std::vector<Schedule> planted = {},
-                           std::size_t first_private = SIZE_MAX,
                            std::size_t* steps = nullptr) {
-  return [writes = std::move(writes), planted = std::move(planted),
-          first_private, steps] {
-    return std::make_unique<ScriptWorld>(writes, planted, first_private,
-                                         steps);
+  return [writes = std::move(writes), planted = std::move(planted), steps] {
+    return std::make_unique<ScriptWorld>(writes, planted, steps);
   };
 }
 
@@ -156,55 +143,27 @@ inline runtime::Task<void> count_up(mem::TypedRegister<int>& reg,
   }
 }
 
-// Flags an execution whose private registers end at `planted`.
 class RegisterWorld final : public check::ExplorableWorld {
  public:
-  RegisterWorld(std::size_t contended, std::size_t private_procs,
-                std::size_t writes, std::vector<int> planted = {})
-      : planted_(std::move(planted)) {
-    if (contended > 0) {
-      shared_ = std::make_unique<mem::TypedRegister<int>>(sched_, "shared", 0);
-    }
-    for (std::size_t p = 0; p < contended; ++p) {
-      sched_.spawn(count_up(*shared_, writes), "q");
-    }
-    own_.reserve(private_procs);
-    for (std::size_t p = 0; p < private_procs; ++p) {
-      own_.push_back(std::make_unique<mem::TypedRegister<int>>(
-          sched_, "r" + std::to_string(p), 0));
-    }
-    for (auto& reg : own_) {
-      sched_.spawn(count_up(*reg, writes), "q");
+  RegisterWorld(std::size_t procs, std::size_t writes) {
+    for (std::size_t p = 0; p < procs; ++p) {
+      sched_.spawn(count_up(shared_, writes), "q");
     }
   }
 
   runtime::Scheduler& scheduler() override { return sched_; }
 
   std::optional<std::string> verdict(bool /*complete*/) override {
-    if (planted_.empty() || planted_.size() != own_.size()) {
-      return std::nullopt;
-    }
-    for (std::size_t p = 0; p < own_.size(); ++p) {
-      if (own_[p]->peek() != planted_[p]) {
-        return std::nullopt;
-      }
-    }
-    return "planted register state";
+    return std::nullopt;
   }
 
  private:
   runtime::Scheduler sched_;
-  std::unique_ptr<mem::TypedRegister<int>> shared_;
-  std::vector<std::unique_ptr<mem::TypedRegister<int>>> own_;
-  std::vector<int> planted_;
+  mem::TypedRegister<int> shared_{sched_, "shared", 0};
 };
 
-inline auto register_factory(std::size_t contended, std::size_t private_procs,
-                             std::size_t writes, std::vector<int> planted = {}) {
-  return [=] {
-    return std::make_unique<RegisterWorld>(contended, private_procs, writes,
-                                           planted);
-  };
+inline auto register_factory(std::size_t procs, std::size_t writes) {
+  return [=] { return std::make_unique<RegisterWorld>(procs, writes); };
 }
 
 inline runtime::Task<void> tag_script(mem::TypedRegister<Val>& reg, Val me,

@@ -2,7 +2,8 @@
 """Scaling, reduction and schema smoke gates for the schedule explorer.
 
 Reads BENCH_modelcheck.json (JSON-lines, written by bench_modelcheck) and
-enforces four things:
+enforces the gates below.  Gate 3 measured partial-order reduction and was
+removed with it; the other gates keep their numbers.
 
 1. Parallel sanity: on each checked instance, parallel-4 must not run more
    than SLOWDOWN_LIMIT times slower than serial-fast.  The stealing explorer
@@ -24,13 +25,6 @@ enforces four things:
    also exceeds DEDUPE_ABS_SLACK_SECONDS - a genuine pool-respawn
    regression costs tens of milliseconds of thread churn and clears both
    bars.
-
-3. POR effectiveness: serial-por on register-script-554 must explore at most
-   1/POR_REDUCTION_MIN of the unreduced executions while keeping verdict,
-   lex-smallest witness and exhausted flag identical (the bench records that
-   as witness_parity).  The instance is three writers on disjoint
-   registers - the workload class partial-order reduction exists for - so a
-   reduction below 2x means the sleep sets stopped working.
 
 4. Distributed bit parity: every dist-workers-N row on the checked
    instances must be identical_to_baseline - the coordinator/worker engine
@@ -99,7 +93,6 @@ import sys
 SLOWDOWN_LIMIT = 1.3
 DEDUPE_THREAD_LIMIT = 1.25
 DEDUPE_ABS_SLACK_SECONDS = 0.05
-POR_REDUCTION_MIN = 2.0
 DIST_LIMIT = 1.3
 DIST_ABS_SLACK_SECONDS = 0.05
 HEARTBEAT_LIMIT = 1.25
@@ -107,7 +100,6 @@ HEARTBEAT_ABS_SLACK_SECONDS = 0.05
 HEARTBEAT_INSTANCE = "register-script-554"
 DIST_WORKER_CONFIGS = ("dist-workers-1", "dist-workers-2", "dist-workers-4")
 INSTANCES = ("register-script-554", "collect-writers-443")
-POR_INSTANCE = "register-script-554"
 AUG_INSTANCE = "augmented-3proc"
 AUG_STATES_SEEN = 107_336
 
@@ -119,22 +111,17 @@ SCALING_SCHEMA = {
     "config": str,
     "threads": int,
     "dedupe": bool,
-    "por": bool,
     "executions": int,
     "exhausted": bool,
     "states_seen": int,
     "subtrees_pruned": int,
     "jobs": int,
     "steals": int,
-    "por_skipped": int,
-    "dependent_wakeups": int,
-    "footprint_bytes": int,
     "reduction_vs_undeduped": NUMBER,
     "seconds": NUMBER,
     "execs_per_sec": NUMBER,
     "speedup_vs_traced": NUMBER,
     "verdict_parity": bool,
-    "witness_parity": bool,
     "identical_to_baseline": bool,
     "result_digest": str,
 }
@@ -143,7 +130,6 @@ CRASH_SCHEMA = {
     "config": str,
     "threads": int,
     "max_crashes": int,
-    "por": bool,
     "executions": int,
     "exhausted": bool,
     "violation": bool,
@@ -246,31 +232,6 @@ def main() -> int:
                 f"{instance}: parallel-dedupe-4 is {ratio:.2f}x slower than "
                 f"parallel-dedupe-2 (limit {DEDUPE_THREAD_LIMIT}x, gap "
                 f"{gap:.4f}s > {DEDUPE_ABS_SLACK_SECONDS}s)"
-            )
-
-    # Gate 3: POR earns its keep on the disjoint-register instance.
-    plain = rows.get((POR_INSTANCE, "serial-fast"))
-    por = rows.get((POR_INSTANCE, "serial-por"))
-    if plain is None or por is None:
-        failures.append(f"{POR_INSTANCE}: missing serial-fast/serial-por rows")
-    else:
-        reduction = plain["executions"] / max(por["executions"], 1)
-        parity = por.get("witness_parity", False)
-        verdict = "ok" if reduction >= POR_REDUCTION_MIN and parity else "FAIL"
-        print(
-            f"scaling-smoke: {POR_INSTANCE}: serial-por explores"
-            f" {por['executions']} of {plain['executions']} executions ->"
-            f" {reduction:.1f}x reduction (min {POR_REDUCTION_MIN}x),"
-            f" witness parity {parity} {verdict}"
-        )
-        if reduction < POR_REDUCTION_MIN:
-            failures.append(
-                f"{POR_INSTANCE}: POR reduction {reduction:.2f}x below "
-                f"{POR_REDUCTION_MIN}x"
-            )
-        if not parity:
-            failures.append(
-                f"{POR_INSTANCE}: serial-por lost verdict/witness parity"
             )
 
     # Gate 4: distributed runs are bit-identical at every worker count.
@@ -427,7 +388,7 @@ def main() -> int:
             print(f"scaling-smoke: FAIL: {failure}")
         return 1
     print(
-        "scaling-smoke: PASS (scaling, dedupe threads, POR, dist parity, "
+        "scaling-smoke: PASS (scaling, dedupe threads, dist parity, "
         "dist overhead, heartbeat overhead, dist dedupe overhead, schema, "
         "augmented dedupe exactness)"
     )
