@@ -38,6 +38,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -145,6 +146,31 @@ Measured timed(Fn&& run) {
   return m;
 }
 
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+// Times `a` and `b` alternately, `runs` times each, and returns each one's
+// first result with its median wall clock.  Gate 1 of tools/scaling_smoke.py
+// compares such a pair: a tree that walks in a few milliseconds moves one
+// timed run by about its own length on a shared host, and alternating puts
+// both medians in the same phases of the host's load.
+template <typename A, typename B>
+std::pair<Measured, Measured> timed_medians(std::size_t runs, A&& a, B&& b) {
+  Measured first_a = timed(a);
+  Measured first_b = timed(b);
+  std::vector<double> sa{first_a.seconds};
+  std::vector<double> sb{first_b.seconds};
+  while (sa.size() < runs) {
+    sa.push_back(timed(a).seconds);
+    sb.push_back(timed(b).seconds);
+  }
+  first_a.seconds = median(std::move(sa));
+  first_b.seconds = median(std::move(sb));
+  return {std::move(first_a), std::move(first_b)};
+}
+
 // Digest of (executions, exhausted, violation, witness), the recipe of
 // e2ebench's result_digest: two rows with the same digest report the same
 // search outcome, so a re-recorded file shows it measured the same searches.
@@ -199,7 +225,14 @@ bool run_instance(const std::string& name,
               "execs/sec", "speedup");
 
   const auto baseline = timed([&] { return explore_schedules(make, traced); });
-  const auto serial_fast = timed([&] { return explore_schedules(make, fast); });
+  // Gate 1's rows: serial-fast and parallel-4, medians of 5 alternating
+  // runs.
+  check::ParallelExploreOptions popt4;
+  popt4.base = fast;
+  popt4.threads = 4;
+  const auto [serial_fast, parallel_4] = timed_medians(
+      5, [&] { return explore_schedules(make, fast); },
+      [&] { return check::parallel_explore_schedules(make, popt4); });
 
   bool ok = true;
   // What each configuration owes the undeduped baseline:
@@ -249,8 +282,9 @@ bool run_instance(const std::string& name,
     check::ParallelExploreOptions popt;
     popt.base = fast;
     popt.threads = threads;
-    const auto par =
-        timed([&] { return check::parallel_explore_schedules(make, popt); });
+    const auto par = threads == 4 ? parallel_4 : timed([&] {
+      return check::parallel_explore_schedules(make, popt);
+    });
     row("parallel-" + std::to_string(threads), par, threads, Mode::kExact);
   }
 

@@ -286,6 +286,41 @@ void print_dedupe(const check::ScheduleExploreOptions& opt,
   }
 }
 
+// The value of the flag at argv[i], advancing `i` past it; a missing value
+// exits 2.
+const char* flag_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    std::fprintf(stderr, "missing value for %s\n", argv[i]);
+    std::exit(2);
+  }
+  return argv[++i];
+}
+
+// Parses argv[i] if it is one of the flags `explore` and `dist-explore`
+// share (--world, --max-crashes, --max-steps, --max-executions, --dedupe,
+// --witness), advancing `i` past its value.  False for any other flag.
+bool parse_walk_flag(int argc, char** argv, int& i, std::string& world,
+                     check::ScheduleExploreOptions& opt,
+                     std::string& witness_path) {
+  const char* flag = argv[i];
+  if (!std::strcmp(flag, "--world")) {
+    world = flag_value(argc, argv, i);
+  } else if (!std::strcmp(flag, "--max-crashes")) {
+    parse_number(flag, flag_value(argc, argv, i), opt.max_crashes);
+  } else if (!std::strcmp(flag, "--max-steps")) {
+    parse_number(flag, flag_value(argc, argv, i), opt.max_steps);
+  } else if (!std::strcmp(flag, "--max-executions")) {
+    parse_number(flag, flag_value(argc, argv, i), opt.max_executions);
+  } else if (!std::strcmp(flag, "--dedupe")) {
+    opt.dedupe_states = true;
+  } else if (!std::strcmp(flag, "--witness")) {
+    witness_path = flag_value(argc, argv, i);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 // `revisim_cli explore ...`: crash-closed exhaustive exploration of a
 // registry world; writes a replayable witness when a violation is found.
 // Exit 0 when no violation exists, 1 on a violation, 2 on bad arguments.
@@ -295,27 +330,7 @@ int run_explore(int argc, char** argv) {
   opt.max_crashes = 2;
   std::string witness_path;
   for (int i = 2; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--world")) {
-      world = next("--world");
-    } else if (!std::strcmp(argv[i], "--max-crashes")) {
-      parse_number("--max-crashes", next("--max-crashes"), opt.max_crashes);
-    } else if (!std::strcmp(argv[i], "--max-steps")) {
-      parse_number("--max-steps", next("--max-steps"), opt.max_steps);
-    } else if (!std::strcmp(argv[i], "--max-executions")) {
-      parse_number("--max-executions", next("--max-executions"),
-                   opt.max_executions);
-    } else if (!std::strcmp(argv[i], "--dedupe")) {
-      opt.dedupe_states = true;
-    } else if (!std::strcmp(argv[i], "--witness")) {
-      witness_path = next("--witness");
-    } else {
+    if (!parse_walk_flag(argc, argv, i, world, opt, witness_path)) {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
     }
@@ -346,17 +361,11 @@ int run_serve(int argc, char** argv) {
   std::string host = "0.0.0.0";
   std::uint16_t port = 7421;
   for (int i = 2; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    auto next = [&] { return flag_value(argc, argv, i); };
     if (!std::strcmp(argv[i], "--host")) {
-      host = next("--host");
+      host = next();
     } else if (!std::strcmp(argv[i], "--port")) {
-      parse_number("--port", next("--port"), port);
+      parse_number("--port", next(), port);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 2;
@@ -382,54 +391,33 @@ int run_dist_explore(int argc, char** argv) {
   // forked, so these would be silently ignored.
   std::vector<const char*> fork_only;
   for (int i = 2; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--world")) {
-      world = next("--world");
-    } else if (!std::strcmp(argv[i], "--max-crashes")) {
-      parse_number("--max-crashes", next("--max-crashes"),
-                   opt.base.max_crashes);
-    } else if (!std::strcmp(argv[i], "--max-steps")) {
-      parse_number("--max-steps", next("--max-steps"), opt.base.max_steps);
-    } else if (!std::strcmp(argv[i], "--max-executions")) {
-      parse_number("--max-executions", next("--max-executions"),
-                   opt.base.max_executions);
-    } else if (!std::strcmp(argv[i], "--dedupe")) {
-      opt.base.dedupe_states = true;
-    } else if (!std::strcmp(argv[i], "--workers")) {
-      parse_number("--workers", next("--workers"), opt.workers);
+    auto next = [&] { return flag_value(argc, argv, i); };
+    if (parse_walk_flag(argc, argv, i, world, opt.base, witness_path)) {
+      continue;
+    }
+    if (!std::strcmp(argv[i], "--workers")) {
+      parse_number("--workers", next(), opt.workers);
       fork_only.push_back("--workers");
     } else if (!std::strcmp(argv[i], "--connect")) {
-      endpoints.push_back(next("--connect"));
+      endpoints.push_back(next());
     } else if (!std::strcmp(argv[i], "--retries")) {
-      parse_number("--retries", next("--retries"), opt.job_retries);
-    } else if (!std::strcmp(argv[i], "--witness")) {
-      witness_path = next("--witness");
+      parse_number("--retries", next(), opt.job_retries);
     } else if (!std::strcmp(argv[i], "--journal")) {
-      opt.journal_path = next("--journal");
+      opt.journal_path = next();
     } else if (!std::strcmp(argv[i], "--resume")) {
-      opt.journal_path = next("--resume");
+      opt.journal_path = next();
       opt.resume = true;
     } else if (!std::strcmp(argv[i], "--heartbeat-ms")) {
-      parse_number("--heartbeat-ms", next("--heartbeat-ms"),
-                   opt.heartbeat_interval_ms);
+      parse_number("--heartbeat-ms", next(), opt.heartbeat_interval_ms);
     } else if (!std::strcmp(argv[i], "--heartbeat-timeout-ms")) {
-      parse_number("--heartbeat-timeout-ms", next("--heartbeat-timeout-ms"),
-                   opt.heartbeat_timeout_ms);
+      parse_number("--heartbeat-timeout-ms", next(), opt.heartbeat_timeout_ms);
     } else if (!std::strcmp(argv[i], "--reconnect-ms")) {
-      parse_number("--reconnect-ms", next("--reconnect-ms"),
-                   opt.reconnect_window_ms);
+      parse_number("--reconnect-ms", next(), opt.reconnect_window_ms);
     } else if (!std::strcmp(argv[i], "--halt-after-jobs")) {
-      parse_number("--halt-after-jobs", next("--halt-after-jobs"),
-                   opt.halt_after_jobs);
+      parse_number("--halt-after-jobs", next(), opt.halt_after_jobs);
     } else if (!std::strcmp(argv[i], "--fault")) {
       try {
-        opt.worker_faults = dist::parse_fault_plan(next("--fault"));
+        opt.worker_faults = dist::parse_fault_plan(next());
       } catch (const std::exception& e) {
         std::fprintf(stderr, "bad --fault spec: %s\n", e.what());
         return 2;
@@ -437,7 +425,7 @@ int run_dist_explore(int argc, char** argv) {
       fork_only.push_back("--fault");
     } else if (!std::strcmp(argv[i], "--coord-fault")) {
       try {
-        opt.coordinator_faults = dist::parse_fault_plan(next("--coord-fault"));
+        opt.coordinator_faults = dist::parse_fault_plan(next());
       } catch (const std::exception& e) {
         std::fprintf(stderr, "bad --coord-fault spec: %s\n", e.what());
         return 2;

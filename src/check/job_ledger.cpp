@@ -2,15 +2,98 @@
 
 #include <utility>
 
-#include "src/check/explore_merge.h"
-
 namespace revisim::check::detail {
+
+bool key_less(const std::vector<runtime::ProcessId>& a,
+              const std::vector<runtime::ProcessId>& b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+
+namespace {
+
+using Job = JobLedger::Job;
+
+// The serial explorer's accounting over the key-sorted, non-cancelled
+// records.  `attempts` is the per-job attempt budget, quoted for a failed
+// record.  A record that never ran, or ran only partly, at or before the
+// return point is work the run could not perform: timed_out.
+ScheduleExploreResult replay_serial(const std::vector<const Job*>& order,
+                                    std::uint64_t cap, std::size_t attempts) {
+  // Completed-work telemetry first (see the contract at the top of
+  // job_ledger.h): these attach to every return path below, including
+  // partial summaries.
+  ScheduleExploreResult res;
+  for (const Job* j : order) {
+    if (j->state == Job::kDone) {
+      res.subtrees_pruned += j->result.subtrees_pruned;
+      res.replay_steps_saved += j->result.replay_steps_saved;
+    }
+  }
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Job& j = *order[i];
+    if (j.state == Job::kFailed) {
+      // The job threw or was lost past its retry budget.  Everything
+      // before it merged normally; report the partial summary instead of
+      // rethrowing.
+      res.executions = static_cast<std::size_t>(cum);
+      res.exhausted = false;
+      res.error = "subtree job failed after " + std::to_string(attempts) +
+                  " attempt(s): " + j.error;
+      return res;
+    }
+    if (j.state != Job::kDone) {
+      // Never ran or was pre-skipped.  The replay returns strictly before
+      // every record skipped for violation or cap reasons, so reaching one
+      // here means the run lost the means to finish it.
+      res.executions = static_cast<std::size_t>(cum);
+      res.exhausted = false;
+      res.timed_out = true;
+      return res;
+    }
+    const SubtreeResult& jr = j.result;
+    const std::uint64_t n = jr.executions;
+    if (jr.violation && cum + jr.violation_index <= cap) {
+      res.executions = static_cast<std::size_t>(cum + jr.violation_index);
+      res.violation = jr.violation;
+      res.witness = jr.witness;
+      return res;  // exhausted stays true, as in the serial explorer
+    }
+    if (cum + n >= cap) {
+      // The serial walk reaches the cap inside (or exactly at the end of)
+      // this region.  It is a truncation iff any work would have remained:
+      // a violation past the cap, a locally truncated walk, executions
+      // beyond the cap, or any later record (every region holds >= 1
+      // execution).
+      const bool truncated = jr.violation.has_value() || !jr.fully_explored ||
+                             cum + n > cap || i + 1 < order.size();
+      res.executions = static_cast<std::size_t>(cap);
+      res.exhausted = !truncated;
+      return res;
+    }
+    if (!jr.fully_explored) {
+      // Below the cap only a wall-clock abort leaves a merged job partially
+      // explored (violation- and cap-aborted records sit past the return
+      // point, handled above).
+      res.executions = static_cast<std::size_t>(cum + n);
+      res.exhausted = false;
+      res.timed_out = true;
+      return res;
+    }
+    cum += n;
+  }
+  res.executions = static_cast<std::size_t>(cum);
+  res.exhausted = true;
+  return res;
+}
+
+}  // namespace
 
 JobLedger::JobLedger(std::uint64_t cap, std::size_t job_retries, bool dedupe)
     : cap_(cap), job_retries_(job_retries), dedupe_(dedupe) {}
 
 JobLedger::Job& JobLedger::insert(std::uint64_t id, Donation spec,
-                                  Job* parent, const SubtreeResult* done) {
+                                  Job* parent) {
   auto job = std::make_unique<Job>();
   job->id = id;
   job->key = spec.prefix;
@@ -23,15 +106,33 @@ JobLedger::Job& JobLedger::insert(std::uint64_t id, Donation spec,
     parent->children.push_back(job.get());
   }
   reserve_id(id);
-  if (done != nullptr) {
-    job->state = Job::kRunning;
-    ++running_;
-    complete(*job, SubtreeResult(*done));
-  } else {
-    ++pending_;
-  }
+  ++pending_;
   jobs_.push_back(std::move(job));
   return *jobs_.back();
+}
+
+JobLedger::Job* JobLedger::readmit(std::uint64_t id,
+                                   std::optional<std::uint64_t> parent,
+                                   Donation spec, const SubtreeResult* done) {
+  reserve_id(id);
+  Job* up = nullptr;
+  if (parent) {
+    const auto it =
+        std::find_if(jobs_.rbegin(), jobs_.rend(),
+                     [&](const auto& j) { return j->id == *parent; });
+    if (it == jobs_.rend() || (*it)->state != Job::kDone) {
+      return nullptr;  // the parent was discarded, or re-runs
+    }
+    up = it->get();
+  }
+  Job& job = insert(id, std::move(spec), up);
+  if (done != nullptr) {
+    --pending_;
+    ++running_;
+    job.state = Job::kRunning;
+    complete(job, SubtreeResult(*done));
+  }
+  return &job;
 }
 
 // Sum of live counters over non-cancelled records lex-before `key`: a lower
@@ -150,33 +251,25 @@ std::vector<JobLedger::Job*> JobLedger::requeue_or_fail(
 
 ScheduleExploreResult JobLedger::merge(
     const std::string& unfinished_error) const {
-  std::vector<MergeJob> order;
+  std::vector<const Job*> order;
   order.reserve(jobs_.size());
   for (const auto& j : jobs_) {
-    if (j->cancelled) {
-      continue;
+    if (!j->cancelled) {
+      order.push_back(j.get());
     }
-    MergeJob m;
-    m.key = &j->key;
-    if (j->state == Job::kDone) {
-      m.state = MergeJob::State::kDone;
-      m.result = &j->result;
-    } else if (j->state == Job::kFailed) {
-      m.state = MergeJob::State::kFailed;
-      m.error = &j->error;
-    }
-    order.push_back(m);
   }
-  // A record fails only once its attempts exceed the retry budget, so every
-  // failed record ran exactly job_retries + 1 attempts.
-  ScheduleExploreResult res =
-      merge_job_results(order, cap_, job_retries_ + 1, unfinished_error);
+  std::sort(order.begin(), order.end(), [](const Job* a, const Job* b) {
+    return key_less(a->key, b->key);
+  });
+  ScheduleExploreResult res = replay_serial(order, cap_, job_retries_ + 1);
   res.jobs = jobs_.size();
   res.steals = steals_;
-  if (!unfinished_error.empty() && !res.error && !res.timed_out) {
-    // Every record resolved before the poison landed (e.g. an audit
-    // collision raced the last result): the numbers merged, but no prune
-    // in them is trustworthy.
+  if (!unfinished_error.empty() && !res.error) {
+    // The work the replay found unfinished was lost, not timed out; and if
+    // every record resolved before the poison landed (e.g. an audit
+    // collision raced the last result), the numbers merged but no prune in
+    // them is trustworthy.
+    res.timed_out = false;
     res.error = unfinished_error;
     res.exhausted = false;
   }

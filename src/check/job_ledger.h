@@ -2,8 +2,8 @@
 // (parallel_explore.cpp) and the distributed coordinator
 // (src/dist/coordinator.cpp).  Both split the schedule tree into
 // prefix-keyed jobs whose regions are contiguous lexicographic intervals
-// (explore_merge.h); the ledger owns every job record and makes each
-// bookkeeping decision over them in exactly one place:
+// (key_less); the ledger owns every job record and makes each bookkeeping
+// decision over them in exactly one place:
 //   - claim order: the lex-least pending job (claim);
 //   - the cap bound: live execution counters of lex-earlier records
 //     lower-bound the serial count before a region (bound_before);
@@ -15,20 +15,54 @@
 //   - retry (requeue_or_fail): a failed or lost attempt re-queues its job,
 //     cancels every region the attempt donated (recursively) and re-runs
 //     with dedupe off; past the retry budget the job fails;
-//   - the hand-off to merge_job_results (merge).
+//   - resume (readmit): which journaled records a resumed run keeps;
+//   - the deterministic key-sorted merge (merge).
 //
-// Why a re-run cancels and drops dedupe.  The re-run walks the job's FULL
-// original region, so the regions its lost attempt donated would be
-// counted twice: they are cancelled (pending ones never run, running ones
-// are unreadable and abort, finished ones are excluded from the merge).
-// And with dedupe on, visited-state tables - the in-process engine's shared
-// StateTable, a distributed worker's session table - outlive attempts: they
-// hold claims of the failed attempt and of the cancelled regions whose
-// subtrees no merged record walked.  A deduped re-run would prune at those
-// claims and skip a region nobody covers (a missed violation on an
-// exhausted search).  The dedupe-off re-run, and every region it donates,
-// walks its whole region, so every such claim is re-covered - including
-// claims another job already pruned against.
+// One rule decides both retry and resume: a re-run walks its job's FULL
+// original region, which is the job's own remaining region plus the
+// regions of everything it ever donated, recursively.  The regions its
+// lost attempt donated would therefore be counted twice: they are
+// cancelled (pending ones never run, running ones are unreadable and
+// abort, finished ones are excluded from the merge), and on resume the
+// descendants of a job that re-runs are discarded.
+//
+// Why a re-run drops dedupe.  With dedupe on, visited-state tables - the
+// in-process engine's shared StateTable, a distributed worker's session
+// table - outlive attempts: they hold claims of the failed attempt and of
+// the cancelled regions whose subtrees no merged record walked.  A deduped
+// re-run would prune at those claims and skip a region nobody covers (a
+// missed violation on an exhausted search).  The dedupe-off re-run, and
+// every region it donates, walks its whole region, so every such claim is
+// re-covered - including claims another job already pruned against.
+//
+// The merge sorts the records by region key and replays the serial
+// explorer's accounting over them in order, so executions / exhausted /
+// violation / lex-smallest witness come out bit-identical to the serial
+// engine no matter how the regions were scheduled, stolen or shipped.
+// Counter aggregation contract (the merged ScheduleExploreResult):
+//
+//   executions, exhausted, violation, witness
+//     Serial replay accounting: walk the sorted records accumulating
+//     executions, return at the first violation whose serial index fits
+//     under the cap, truncate at the cap.  Bit-identical to the serial
+//     engine (with dedupe off); independent of job decomposition.
+//
+//   replay_steps_saved
+//     Summed over every record that COMPLETED its walk - including records
+//     lexicographically past the merge's return point.  It describes work
+//     actually performed, not work serially accounted, and depends on the
+//     decomposition (a job replays its prefix from a fresh build, so where
+//     the splits fall decides what restores save).
+//
+//   jobs, steals
+//     Global properties of the run: jobs = every record created, steals =
+//     records claimed by a worker other than their donor (so steals <=
+//     jobs - 1).
+//
+//   states_seen, subtrees_pruned
+//     Owned by the caller's shared/sharded state store.  The merge only
+//     sums per-record subtrees_pruned as a default for callers without a
+//     global table.
 //
 // The ledger is single-threaded: the in-process engine calls it under its
 // mutex, the coordinator from its event loop.  The one exception is
@@ -39,6 +73,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,6 +92,17 @@ namespace revisim::check::detail {
 // kProbeInterval - 1 wasted executions per abort for that toll; steal and
 // credit latency stay at a few executions.
 inline constexpr std::uint64_t kProbeInterval = 16;
+
+// Lexicographic region order.  A job's key is its schedule prefix followed
+// by its first choice - the lex-smallest schedule of its region, as a
+// prefix.  Regions are disjoint contiguous intervals and a key that
+// prefixes another belongs to the region that starts first (the donor's
+// remaining work precedes everything it donates), so shorter-prefix-first
+// lexicographic comparison is exactly serial DFS order.  Crash entries
+// carry the top bit (runtime::make_crash_entry) and numerically sort after
+// every step entry, matching append_node_choices' enumeration order.
+bool key_less(const std::vector<runtime::ProcessId>& a,
+              const std::vector<runtime::ProcessId>& b);
 
 class JobLedger {
  public:
@@ -90,10 +136,18 @@ class JobLedger {
   // switch dedupe off.
   JobLedger(std::uint64_t cap, std::size_t job_retries, bool dedupe);
 
-  // Adds a record with a caller-chosen id: the seed job, or a job reloaded
-  // from a run journal (`done` non-null: its completed walk, reused as is).
-  Job& insert(std::uint64_t id, Donation spec, Job* parent,
-              const SubtreeResult* done = nullptr);
+  // Adds a pending record with a caller-chosen id: the seed job.
+  Job& insert(std::uint64_t id, Donation spec, Job* parent);
+
+  // Readmits a job of a prior run's journal, called in the journal's
+  // creation order (every parent before its children).  The job is
+  // admitted iff it has no parent, or its parent was readmitted and is
+  // done; otherwise an ancestor re-runs its full original region, which
+  // re-covers this one, and the call returns null.  An admitted job with
+  // `done` non-null reuses that completed walk as is; without it, it
+  // re-runs from `spec`.
+  Job* readmit(std::uint64_t id, std::optional<std::uint64_t> parent,
+               Donation spec, const SubtreeResult* done);
 
   // Claims the lex-least pending job for `worker`, first marking aborted
   // every lex-earlier pending job that is unreadable.  Sets `budget` to the
@@ -117,11 +171,14 @@ class JobLedger {
   // call cancelled (for journal tombstones and abort credits).
   std::vector<Job*> requeue_or_fail(Job& job, const std::string& why);
 
-  // The deterministic merge over every non-cancelled record, with `jobs`
-  // (every record created) and `steals` (records first claimed by a worker
-  // other than their donor) filled in.  A nonempty `unfinished_error` names why the
-  // run could not finish its work (see merge_job_results); it also poisons
-  // a run whose records all resolved.
+  // The deterministic merge over every non-cancelled record, sorted by
+  // key_less (the contract is at the top of this file).  A record that
+  // never ran, or ran only partly, at or before the merge's return point
+  // means work the run could not perform: with `unfinished_error` empty
+  // that is a wall-clock truncation (timed_out); nonempty, it becomes the
+  // partial summary's error - the coordinator's every-worker-lost path.  A
+  // nonempty `unfinished_error` also poisons a run whose records all
+  // resolved.
   ScheduleExploreResult merge(const std::string& unfinished_error) const;
 
   // Keeps `id` from ever being assigned to a new record (a resumed run's

@@ -140,7 +140,7 @@ struct ScheduleExploreResult {
   // its donor.
   //
   // Aggregation contract (in-process AND distributed runs share one merge,
-  // src/check/explore_merge.h, so they agree by construction):
+  // src/check/job_ledger.h, so they agree by construction):
   //   - executions/exhausted/violation/witness replay serial accounting
   //     over the lexicographically sorted job regions - bit-identical to
   //     the serial engine with dedupe off, at any worker count.

@@ -219,7 +219,7 @@ ScheduleExploreResult parallel_explore_schedules(
     }
   }
 
-  // Deterministic merge (explore_merge.h): steal timing and worker
+  // Deterministic merge (job_ledger.h): steal timing and worker
   // interleaving influenced only results the merge never reads (with
   // dedupe off; with it on, the shared table makes counts
   // interleaving-dependent - see the header).  Table statistics are global

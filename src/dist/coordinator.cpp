@@ -16,11 +16,9 @@
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#include <unordered_map>
 #include <utility>
 
 #include "src/check/job_ledger.h"
-#include "src/check/explore_merge.h"
 #include "src/check/state_table.h"
 #include "src/check/worlds.h"
 #include "src/dist/journal.h"
@@ -91,7 +89,6 @@ struct CoState {
   const DistExploreOptions* options;
   std::string world;  // registry spec shipped in every hello; "" = forked
   std::uint64_t cap;
-  std::optional<Clock::time_point> deadline;
   Log* log = nullptr;
   JournalWriter* journal = nullptr;  // nullptr = journaling off
   int epfd = -1;
@@ -115,7 +112,8 @@ struct CoState {
 
 // Poll granularity: with heartbeats armed the loop must wake often enough
 // to ping on the interval and notice the timeout promptly; without them
-// only coarse timers (deadline, reconnect windows) need the wakeup.
+// only coarse timers (handshake expiries, reconnect windows) need the
+// wakeup.
 int tick_ms(const CoState& co, int cap) {
   const std::uint32_t hb = co.options->heartbeat_interval_ms;
   if (hb == 0) {
@@ -285,10 +283,6 @@ void note_completion(CoState& co, const Job* rec) {
                  co.completions);
     push_aborts(co);
   }
-}
-
-bool past_deadline(const CoState& co) {
-  return co.deadline && Clock::now() >= *co.deadline;
 }
 
 HelloMsg make_hello(const CoState& co, const Conn& conn) {
@@ -634,15 +628,10 @@ void poke_steals(CoState& co) {
   }
 }
 
-// Timer pass, run once per epoll wakeup: run deadline, heartbeats,
-// reconnect-window and handshake expiries, re-dials, and the stop-stall
-// guard.
+// Timer pass, run once per epoll wakeup: heartbeats, reconnect-window and
+// handshake expiries, re-dials, and the stop-stall guard.
 void run_timers(CoState& co) {
   const auto now = Clock::now();
-  if (!co.stop && past_deadline(co)) {
-    co.stop = true;
-    push_aborts(co);
-  }
   for (const auto& c : co.conns) {
     switch (c->phase) {
       case Conn::kServing:
@@ -770,14 +759,15 @@ JournalConfig journal_config_from(const DistExploreOptions& options) {
   return jc;
 }
 
-// Loads a prior run's journal into the ledger: completed regions with
-// completed ancestors are reused verbatim, incomplete ones re-queue from
-// their recorded specs, and descendants of incomplete jobs are tombstoned
-// (their regions re-run with the ancestor).  Reopens the journal for
-// appending and returns the number of records loaded.  Runs before the
-// event loop starts.
+// Loads a prior run's journal into the ledger in one pass over its
+// creation order: the ledger readmits each job (JobLedger::readmit) - a
+// completed region whose ancestors all completed is reused verbatim, an
+// incomplete one re-queues from its recorded spec - and every job it
+// discards is tombstoned, because an ancestor's re-run covers its region.
+// Reopens the journal for appending and returns the number of records
+// loaded.  Runs before the event loop starts.
 std::size_t load_journal(CoState& co, const DistExploreOptions& options,
-                  JournalWriter& journal) {
+                         JournalWriter& journal) {
   const JournalContents contents = read_journal(options.journal_path);
   const JournalConfig expected = journal_config_from(options);
   if (!(contents.config == expected)) {
@@ -786,40 +776,22 @@ std::size_t load_journal(CoState& co, const DistExploreOptions& options,
         " was recorded under a different configuration (tag '" +
         contents.config.tag + "'); resume with the original world and options");
   }
-  std::vector<const JournalJob*> alive;
-  std::vector<check::detail::ResumeJob> genealogy;
-  for (const JournalJob& j : contents.jobs) {
-    co.ledger.reserve_id(j.id);
-    if (j.discarded) {
-      continue;
-    }
-    alive.push_back(&j);
-    genealogy.push_back({j.id, j.has_parent, j.parent, j.done});
-  }
-  const std::vector<check::detail::ResumeAction> plan =
-      check::detail::plan_resume(genealogy);
-
   journal.append_to(options.journal_path);
   std::size_t reused = 0;
   std::size_t rerun = 0;
   std::size_t discarded = 0;
-  // Journal order puts every parent before its children, so one pass
-  // rebuilds the genealogy among survivors.
-  std::unordered_map<std::uint64_t, Job*> by_id;
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    const JournalJob& j = *alive[i];
-    if (plan[i] == check::detail::ResumeAction::kDiscard) {
-      journal.job_discarded(j.id);  // tombstone for the NEXT resume
-      ++discarded;
+  for (const JournalJob& j : contents.jobs) {
+    if (j.discarded) {
+      co.ledger.reserve_id(j.id);  // tombstoned by an earlier resume
       continue;
     }
-    const auto parent = j.has_parent ? by_id.find(j.parent) : by_id.end();
-    const bool reuse = plan[i] == check::detail::ResumeAction::kReuse;
-    Job& rec = co.ledger.insert(
-        j.id, j.region, parent == by_id.end() ? nullptr : parent->second,
-        reuse ? &j.result : nullptr);
-    by_id[j.id] = &rec;
-    if (reuse) {
+    const Job* rec = co.ledger.readmit(
+        j.id, j.has_parent ? std::optional(j.parent) : std::nullopt, j.region,
+        j.done ? &j.result : nullptr);
+    if (rec == nullptr) {
+      journal.job_discarded(j.id);  // tombstone for the NEXT resume
+      ++discarded;
+    } else if (j.done) {
       ++reused;
     } else {
       ++rerun;
@@ -891,9 +863,6 @@ check::ScheduleExploreResult coordinate(
   CoState co(options);
   co.world = world;
   co.log = &log;
-  if (options.time_limit.count() > 0) {
-    co.deadline = Clock::now() + options.time_limit;
-  }
   if (options.base.dedupe_states) {
     co.seen = std::make_unique<check::StateTable>(
         check::StateTable::Options{.audit = options.base.dedupe_audit});

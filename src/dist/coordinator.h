@@ -5,7 +5,7 @@
 // unit of work is the same prefix-identified job, the hungry hint becomes
 // a kStealReq RPC, the cap/abort coupling becomes periodic live-counter
 // credit messages, and the final accounting is the identical key-sorted
-// merge (src/check/explore_merge.h) - so executions / exhausted / verdict /
+// merge (src/check/job_ledger.h) - so executions / exhausted / verdict /
 // lex-smallest witness stay bit-identical to the serial engine at any
 // worker count, with dedupe off.  With dedupe on, each worker prunes
 // against its own session StateTable and reports its first sightings one
@@ -51,7 +51,6 @@
 //     returns a partial summary naming the loss instead of hanging.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -67,7 +66,6 @@ struct DistExploreOptions {
   check::ScheduleExploreOptions base{};
   std::size_t workers = 2;       // fork-mode worker process count
   std::size_t job_retries = 2;   // re-queues after a lost or throwing job
-  std::chrono::milliseconds time_limit{0};  // 0 = unlimited
   std::uint64_t live_interval = 256;  // executions between kLive messages
   // Turn the hungry hint into kStealReq RPCs.  Off, the tree is never
   // split: one worker walks the seed job alone while the rest idle -

@@ -206,7 +206,17 @@ JournalContents read_journal(const std::string& path) {
           job.parent = r.u64();
           job.region = r.region();
           r.expect_done();
-          index[job.id] = out.jobs.size();
+          // A resume readmits jobs in one pass over creation order, which
+          // needs every id created once and after its parent.
+          if (job.has_parent && index.count(job.parent) == 0) {
+            throw WireError("journal: job " + std::to_string(job.id) +
+                            " names parent " + std::to_string(job.parent) +
+                            ", which was not created before it");
+          }
+          if (!index.emplace(job.id, out.jobs.size()).second) {
+            throw WireError("journal: job " + std::to_string(job.id) +
+                            " is created twice");
+          }
           out.jobs.push_back(std::move(job));
           break;
         }

@@ -36,12 +36,13 @@
 // record that survives is a completed walk, and anything lost simply
 // re-runs.  Writes are flushed per record.
 //
-// Resume rule (see check::detail::plan_resume): a journaled job is REUSED
-// iff it is done and every ancestor is done; a job with an un-done
-// ancestor is DISCARDED (the ancestor re-runs its full original region,
-// descendants included); an un-done job with done ancestors is RERUN from
-// its recorded spec.  The merged result of reused + rerun regions is
-// bit-identical to an uninterrupted run because the merge is a
+// Resume rule (check::detail::JobLedger::readmit), applied in one pass over
+// creation order: a journaled job is admitted iff it has no parent, or its
+// parent was admitted and is done.  An admitted job that is done is REUSED;
+// one that is not is RERUN from its recorded spec.  Every other job is
+// DISCARDED and tombstoned, because an ancestor re-runs its full original
+// region, descendants included.  The merged result of reused + rerun
+// regions is bit-identical to an uninterrupted run because the merge is a
 // deterministic function of the region decomposition.
 #pragma once
 
@@ -117,8 +118,9 @@ struct JournalContents {
 
 // Loads a journal, tolerating a torn tail (see above).  Throws WireError
 // on files that are not journals at all (bad magic, missing config
-// record), and on structural nonsense a tear cannot explain (a kDone for
-// an id never created).
+// record), and on structural nonsense a tear cannot explain: an id created
+// twice, a parent not created before its child, or a kDone or kDiscarded
+// for an id never created.
 JournalContents read_journal(const std::string& path);
 
 }  // namespace revisim::dist

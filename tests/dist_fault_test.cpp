@@ -1,6 +1,6 @@
 // Fault tolerance of the distributed explorer: wire-level defenses
 // (truncation, corruption, drops and duplicates caught at every byte
-// boundary), the durable run journal and its checkpoint-resume planner,
+// boundary), the durable run journal and its checkpoint-resume rule,
 // and the end-to-end fault matrix - every seeded fault plan must leave the
 // merged summary bit-identical to the uninterrupted serial run.
 //
@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "src/check/explore_core.h"
-#include "src/check/explore_merge.h"
+#include "src/check/job_ledger.h"
 #include "src/check/model_check.h"
 #include "src/dist/coordinator.h"
 #include "src/dist/fault_channel.h"
@@ -584,6 +584,46 @@ TEST(Journal, DoneForUnknownJobIsStructuralCorruption) {
   std::remove(path.c_str());
 }
 
+// A resume readmits jobs in one pass over creation order, so a job created
+// twice, or before its parent, is corruption: the error names the id.
+void expect_refused_naming(const std::string& path, const std::string& want) {
+  try {
+    (void)dist::read_journal(path);
+    ADD_FAILURE() << "journal accepted; want an error naming " << want;
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Journal, CreatedTwiceIsStructuralCorruption) {
+  const std::string path = temp_path("created_twice");
+  {
+    dist::JournalWriter w;
+    w.create(path, test_config());
+    w.job_created(1, false, 0, {{}, {}});
+    w.job_created(2, true, 1, {{0}, {1}});
+    w.job_created(2, true, 1, {{0}, {2}});
+    w.close();
+  }
+  expect_refused_naming(path, "job 2 is created twice");
+  std::remove(path.c_str());
+}
+
+TEST(Journal, ParentNotCreatedEarlierIsStructuralCorruption) {
+  const std::string path = temp_path("unknown_parent");
+  {
+    dist::JournalWriter w;
+    w.create(path, test_config());
+    w.job_created(1, false, 0, {{}, {}});
+    w.job_created(2, true, 3, {{0}, {1}});  // 3 comes later
+    w.job_created(3, true, 1, {{1}, {2}});
+    w.close();
+  }
+  expect_refused_naming(path, "job 2 names parent 3");
+  std::remove(path.c_str());
+}
+
 // The magic's last byte is the layout version; records of another version
 // encode a different config, region or SubtreeResult summary, so such a
 // journal is refused by name instead of misparsed.  Layout 3 is the last
@@ -613,52 +653,61 @@ TEST(Journal, OtherLayoutVersionIsRefusedByName) {
   std::remove(path.c_str());
 }
 
-// --- resume planner ----------------------------------------------------------
+// --- resume: JobLedger::readmit ---------------------------------------------
 
-using check::detail::plan_resume;
-using check::detail::ResumeAction;
-using check::detail::ResumeJob;
+// One journaled job as a resume sees it: id, parent (if any), done.
+struct Journaled {
+  std::uint64_t id;
+  std::optional<std::uint64_t> parent;
+  bool done;
+};
+
+// Readmits `jobs` in creation order, as the coordinator does, and names
+// what became of each: "reuse", "rerun" or "discard".
+std::vector<std::string> readmit_all(const std::vector<Journaled>& jobs) {
+  check::detail::JobLedger ledger(1'000'000, 2, false);
+  check::detail::SubtreeResult result;
+  result.executions = 1;
+  std::vector<std::string> fate;
+  for (const Journaled& j : jobs) {
+    const auto* rec = ledger.readmit(j.id, j.parent, {{}, {}},
+                                     j.done ? &result : nullptr);
+    fate.push_back(rec == nullptr ? "discard"
+                   : j.done       ? "reuse"
+                                  : "rerun");
+  }
+  return fate;
+}
+
+using Fates = std::vector<std::string>;
 
 TEST(ResumePlan, AllDoneReusesEverything) {
-  const std::vector<ResumeJob> jobs = {
-      {1, false, 0, true}, {2, true, 1, true}, {3, true, 2, true}};
-  const auto plan = plan_resume(jobs);
-  EXPECT_EQ(plan, (std::vector<ResumeAction>{ResumeAction::kReuse,
-                                             ResumeAction::kReuse,
-                                             ResumeAction::kReuse}));
+  EXPECT_EQ(readmit_all({{1, {}, true}, {2, 1, true}, {3, 2, true}}),
+            (Fates{"reuse", "reuse", "reuse"}));
 }
 
 TEST(ResumePlan, UndoneParentRerunsAndDiscardsDescendants) {
   // 1 (done) -> 2 (NOT done) -> 3 (done), plus 4 done directly under 1.
   // 2 re-runs its full original region, which re-covers 3; reusing 3 too
   // would double count it.
-  const std::vector<ResumeJob> jobs = {{1, false, 0, true},
-                                       {2, true, 1, false},
-                                       {3, true, 2, true},
-                                       {4, true, 1, true}};
-  const auto plan = plan_resume(jobs);
-  EXPECT_EQ(plan, (std::vector<ResumeAction>{
-                      ResumeAction::kReuse, ResumeAction::kRerun,
-                      ResumeAction::kDiscard, ResumeAction::kReuse}));
+  EXPECT_EQ(readmit_all({{1, {}, true},
+                         {2, 1, false},
+                         {3, 2, true},
+                         {4, 1, true}}),
+            (Fates{"reuse", "rerun", "discard", "reuse"}));
 }
 
 TEST(ResumePlan, UndoneRootRerunsWholeTree) {
-  const std::vector<ResumeJob> jobs = {
-      {1, false, 0, false}, {2, true, 1, true}, {3, true, 2, false}};
-  const auto plan = plan_resume(jobs);
-  EXPECT_EQ(plan, (std::vector<ResumeAction>{ResumeAction::kRerun,
-                                             ResumeAction::kDiscard,
-                                             ResumeAction::kDiscard}));
+  EXPECT_EQ(readmit_all({{1, {}, false}, {2, 1, true}, {3, 2, false}}),
+            (Fates{"rerun", "discard", "discard"}));
 }
 
-TEST(ResumePlan, OrphanParentIsConservativelyDiscarded) {
-  // Parent id 77 matches nothing - corruption an append-only journal
-  // cannot produce, but the planner must not double count on it.
-  const std::vector<ResumeJob> jobs = {{1, false, 0, true},
-                                       {2, true, 77, true}};
-  const auto plan = plan_resume(jobs);
-  EXPECT_EQ(plan, (std::vector<ResumeAction>{ResumeAction::kReuse,
-                                             ResumeAction::kDiscard}));
+TEST(ResumePlan, ChildOfTombstonedParentIsDiscarded) {
+  // Job 2 was tombstoned by an earlier resume, so the coordinator never
+  // readmits it; its child 3 must not be double counted.  (A parent that
+  // was never created at all is refused by read_journal.)
+  EXPECT_EQ(readmit_all({{1, {}, true}, {3, 2, true}}),
+            (Fates{"reuse", "discard"}));
 }
 
 // --- end-to-end fault matrix -------------------------------------------------

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "src/check/explore_core.h"
-#include "src/check/explore_merge.h"
+#include "src/check/job_ledger.h"
 #include "src/check/model_check.h"
 #include "src/check/parallel_explore.h"
 #include "src/check/worlds.h"
@@ -357,38 +357,62 @@ TEST(Wire, ControlMessagesRoundTrip) {
 
 // --- the shared merge, unit-level -------------------------------------------
 
-TEST(MergeJobs, SumsTelemetryOverCompletedRecordsOnly) {
-  check::detail::SubtreeResult a;
+using check::detail::JobLedger;
+using check::detail::SubtreeResult;
+
+// A record whose region starts with the single choice `first` at the root:
+// its key is {first}.
+JobLedger::Job& add_root_job(JobLedger& ledger, ProcessId first) {
+  return ledger.insert(ledger.next_id(), {{}, {first}}, nullptr);
+}
+
+// Claims the lex-least pending record, as a worker would.
+JobLedger::Job& claim_next(JobLedger& ledger) {
+  std::uint64_t budget = 0;
+  JobLedger::Job* job = ledger.claim(0, budget);
+  EXPECT_NE(job, nullptr);
+  return *job;
+}
+
+TEST(LedgerMerge, SumsTelemetryOverCompletedRecordsOnly) {
+  SubtreeResult a;
   a.executions = 3;
   a.replay_steps_saved = 11;
   a.subtrees_pruned = 1;
-  check::detail::SubtreeResult b;
+  SubtreeResult b;
   b.executions = 4;
   b.replay_steps_saved = 20;
   b.subtrees_pruned = 2;
-  const Schedule ka{0};
-  const Schedule kb{1};
-  std::vector<check::detail::MergeJob> jobs(2);
-  jobs[0] = {&kb, check::detail::MergeJob::State::kDone, &b, nullptr};
-  jobs[1] = {&ka, check::detail::MergeJob::State::kDone, &a, nullptr};
-  auto res = check::detail::merge_job_results(jobs, 1000, 1, {});
+  JobLedger ledger(1000, 0, false);
+  // Created out of key order: the merge sorts by key, not by creation.
+  add_root_job(ledger, 1);
+  add_root_job(ledger, 0);
+  JobLedger::Job& first = claim_next(ledger);
+  ASSERT_EQ(first.key, (Schedule{0}));
+  ledger.complete(first, std::move(a));
+  ledger.complete(claim_next(ledger), std::move(b));
+  auto res = ledger.merge({});
   EXPECT_EQ(res.executions, 7u);
   EXPECT_TRUE(res.exhausted);
   EXPECT_FALSE(res.violation);
   EXPECT_EQ(res.replay_steps_saved, 31u);
   EXPECT_EQ(res.subtrees_pruned, 3u);
+  EXPECT_EQ(res.jobs, 2u);
 }
 
-TEST(MergeJobs, FailedRecordDegradesWithAttemptCount) {
-  check::detail::SubtreeResult a;
+TEST(LedgerMerge, FailedRecordDegradesWithAttemptCount) {
+  SubtreeResult a;
   a.executions = 3;
-  const Schedule ka{0};
-  const Schedule kb{1};
   const std::string why = "worker 1 disconnected mid-job";
-  std::vector<check::detail::MergeJob> jobs(2);
-  jobs[0] = {&ka, check::detail::MergeJob::State::kDone, &a, nullptr};
-  jobs[1] = {&kb, check::detail::MergeJob::State::kFailed, nullptr, &why};
-  auto res = check::detail::merge_job_results(jobs, 1000, 3, {});
+  JobLedger ledger(1000, 2, false);  // 2 retries: 3 attempts
+  add_root_job(ledger, 0);
+  add_root_job(ledger, 1);
+  ledger.complete(claim_next(ledger), std::move(a));
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    (void)ledger.requeue_or_fail(claim_next(ledger), why);
+  }
+  EXPECT_EQ(ledger.pending(), 0u);
+  auto res = ledger.merge({});
   ASSERT_TRUE(res.error.has_value());
   EXPECT_NE(res.error->find("failed after 3 attempt(s)"), std::string::npos);
   EXPECT_NE(res.error->find(why), std::string::npos);
@@ -396,19 +420,14 @@ TEST(MergeJobs, FailedRecordDegradesWithAttemptCount) {
   EXPECT_EQ(res.executions, 3u);  // the explored lexicographic prefix
 }
 
-TEST(MergeJobs, UnfinishedIsTimeoutOrNamedLoss) {
-  const Schedule ka{0};
-  std::vector<check::detail::MergeJob> jobs(1);
-  jobs[0] = {&ka, check::detail::MergeJob::State::kUnfinished, nullptr,
-             nullptr};
-  auto timed = check::detail::merge_job_results(jobs, 1000, 1, {});
+TEST(LedgerMerge, UnfinishedIsTimeoutOrNamedLoss) {
+  JobLedger ledger(1000, 0, false);
+  add_root_job(ledger, 0);  // never claimed
+  auto timed = ledger.merge({});
   EXPECT_TRUE(timed.timed_out);
   EXPECT_FALSE(timed.exhausted);
 
-  jobs[0] = {&ka, check::detail::MergeJob::State::kUnfinished, nullptr,
-             nullptr};
-  auto lost = check::detail::merge_job_results(jobs, 1000, 1,
-                                               "every worker disconnected");
+  auto lost = ledger.merge("every worker disconnected");
   EXPECT_FALSE(lost.timed_out);
   ASSERT_TRUE(lost.error.has_value());
   EXPECT_EQ(*lost.error, "every worker disconnected");

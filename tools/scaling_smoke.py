@@ -12,7 +12,9 @@ removed with it; the other gates keep their numbers.
    runner parallel-4 must track the serial fast path - a regression here
    means the coordination machinery started costing real time again (the
    failure mode of the old frontier-split explorer, which ran 5x slower
-   than serial on one core).
+   than serial on one core).  Both rows report the median of 5 timed runs,
+   because collect-writers-443 walks in a few milliseconds and one timed
+   run moves by about its own length on a shared host.
 
 2. Dedupe-thread sanity: parallel-dedupe-4 must not run more than
    DEDUPE_THREAD_LIMIT times slower than parallel-dedupe-2.  Heavily-deduped
